@@ -11,6 +11,7 @@ on the control Hamiltonian: on before t0, off afterward.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -31,8 +32,8 @@ class Lyapunov:
     sign: int = 1
 
     def __post_init__(self) -> None:
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
 
@@ -44,22 +45,26 @@ class Geometric:
     t0: float
 
     def __post_init__(self) -> None:
-        if self.t0 < 0:
-            raise ValueError(f"t0 must be nonnegative, got {self.t0}")
+        if not (math.isfinite(self.t0) and self.t0 >= 0):
+            raise ValueError(f"t0 must be nonnegative and finite, got {self.t0}")
 
 
 # Free evolution is represented by literal None.
 ControlLaw = Union[Lyapunov, Geometric, None]
 
 
-def lyapunov_value(rho: np.ndarray, rho_d: np.ndarray) -> float:
-    """(1/2) Tr[(rho - rho_d)^2]; zero iff the states coincide, at most 1."""
+def lyapunov_value(rho: np.ndarray, rho_d: np.ndarray) -> float | np.ndarray:
+    """(1/2) Tr[(rho - rho_d)^2]; zero iff the states coincide, at most 1.
+
+    Stacks of matrices (..., d, d) give one value per matrix.
+    """
     rho = np.asarray(rho, dtype=complex)
     rho_d = np.asarray(rho_d, dtype=complex)
     if rho.shape != rho_d.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {rho_d.shape}")
     d = rho - rho_d
-    return 0.5 * float(np.real(np.trace(d @ d)))
+    v = 0.5 * np.real(np.trace(d @ d, axis1=-2, axis2=-1))
+    return float(v) if rho.ndim == 2 else v
 
 
 def control_field(

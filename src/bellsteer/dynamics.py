@@ -7,16 +7,20 @@ The closed loop
     drho_d/dt = -i [H0, rho_d]
 
 is integrated as one autonomous system with an adaptive embedded
-Dormand-Prince 5(4) scheme. The feedback is re-evaluated from the stage values
-inside every Runge-Kutta stage, never precomputed. Unitary-dynamics invariants
-(trace, Hermiticity, purity, positivity) are monitored at every output sample
-and violations beyond ten times the stated tolerances abort the run; nothing
-is silently renormalized, because the descent property of the feedback law is
-exactly what the integration is supposed to expose.
+Dormand-Prince 5(4) scheme (`integrate`). The feedback is re-evaluated from the
+stage values inside every Runge-Kutta stage, never precomputed. Open-loop runs
+(a geometric law or none) have a Hamiltonian that is constant on each interval,
+so `propagate_exact` forms every sample from one eigendecomposition per
+interval instead. Unitary-dynamics invariants (trace, Hermiticity, purity,
+positivity) are monitored at every output sample and violations beyond ten
+times the stated tolerances abort the run; nothing is silently renormalized,
+because the descent property of the feedback law is exactly what the
+integration is supposed to expose.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +35,6 @@ from .control import (
 )
 from .linalg import expm, hs_norm
 from .model import (
-    Basis,
     HamiltonianPair,
     ModelParams,
     Paradigm,
@@ -87,8 +90,11 @@ class IntegratorConfig:
 
     def __post_init__(self) -> None:
         for name in ("t_max", "dt", "rel_tol", "abs_tol", "sample_every"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.v_stop is not None and not math.isfinite(self.v_stop):
+            raise ValueError(f"v_stop must be finite, got {self.v_stop}")
 
 
 @dataclass(frozen=True)
@@ -169,25 +175,87 @@ def _sample_grid(cfg: IntegratorConfig) -> np.ndarray:
     grid = np.arange(n + 1) * cfg.sample_every
     if grid[-1] < cfg.t_max - 1e-9 * max(1.0, cfg.t_max):
         grid = np.append(grid, cfg.t_max)
-    else:
+    elif n > 0:
         grid[-1] = cfg.t_max
     return grid
 
 
-def _check_invariants(name: str, mat: np.ndarray, purity0: float, t: float) -> None:
-    tr_err = abs(np.trace(mat) - 1.0)
-    herm_err = hs_norm(mat - mat.conj().T)
-    purity = float(np.real(np.trace(mat @ mat)))
-    if tr_err > ABORT_FACTOR * TRACE_TOL:
-        raise IntegrationError(f"{name} trace drift {tr_err:.3e} exceeds abort threshold", t)
-    if herm_err > ABORT_FACTOR * HERM_TOL:
-        raise IntegrationError(
-            f"{name} Hermiticity drift {herm_err:.3e} exceeds abort threshold", t
-        )
-    if abs(purity - purity0) > ABORT_FACTOR * PURITY_TOL:
-        raise IntegrationError(
-            f"{name} purity drift {abs(purity - purity0):.3e} exceeds abort threshold", t
-        )
+def _initial_states(h: HamiltonianPair, rho0: np.ndarray, rho_d0: np.ndarray) -> np.ndarray:
+    """The initial state and target stacked as a (2, d, d) array."""
+    rho = np.asarray(rho0, dtype=complex)
+    rho_d = np.asarray(rho_d0, dtype=complex)
+    if rho.shape != rho_d.shape or rho.shape != h.h0.shape:
+        raise ValueError("state and Hamiltonian dimensions do not match")
+    return np.stack([rho, rho_d])
+
+
+def _purity(mats: np.ndarray) -> np.ndarray:
+    return np.einsum("...ij,...ji->...", mats, mats).real
+
+
+def _check_invariants(t: np.ndarray, states: np.ndarray, purity0: np.ndarray) -> None:
+    """Abort at the first sample that breaks an invariant.
+
+    states is (n, 2, d, d): the state and the target at each time of t, with
+    initial purities purity0. Within a sample the state's trace, Hermiticity
+    and purity are checked first, then the target's, then the state's lowest
+    eigenvalue.
+    """
+    adjoint = states.conj().swapaxes(-1, -2)
+    drifts = {  # each (n, 2), with its tolerance
+        "trace": (np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0), TRACE_TOL),
+        "Hermiticity": (np.linalg.norm(states - adjoint, axis=(-2, -1)), HERM_TOL),
+        "purity": (np.abs(_purity(states) - purity0), PURITY_TOL),
+    }
+    bad = {what: drift > ABORT_FACTOR * tol for what, (drift, tol) in drifts.items()}
+    ev_min = np.linalg.eigvalsh(0.5 * (states[:, 0] + adjoint[:, 0]))[:, 0]
+    bad_ev = ev_min < ABORT_FACTOR * EIGEN_FLOOR
+    if not (bad_ev.any() or any(mask.any() for mask in bad.values())):
+        return
+    bad_sample = bad_ev | np.logical_or.reduce([mask.any(axis=1) for mask in bad.values()])
+    i = int(np.flatnonzero(bad_sample)[0])
+    for k, name in enumerate(("rho", "rho_d")):
+        for what, mask in bad.items():
+            if mask[i, k]:
+                drift = drifts[what][0][i, k]
+                raise IntegrationError(
+                    f"{name} {what} drift {drift:.3e} exceeds abort threshold", float(t[i])
+                )
+    raise IntegrationError(f"rho eigenvalue {ev_min[i]:.3e} below abort threshold", float(t[i]))
+
+
+def _diagnose(
+    h: HamiltonianPair,
+    law: ControlLaw,
+    cfg: IntegratorConfig,
+    t: np.ndarray,
+    states: np.ndarray,
+    f: np.ndarray,
+) -> Trajectory:
+    """The diagnostics pass both propagators share: V, concurrence and p_S
+    of every sample of the (n, 2, d, d) state/target stack at once, and the
+    stall flag.
+
+    A reduced pair-frame state is embedded back into 4D XProduct coordinates
+    for the concurrence; it lives wholly in the invariant subspace, so its
+    p_S is Tr(rho).
+    """
+    rho, rho_d = states[:, 0], states[:, 1]
+    v = lyapunov_value(rho, rho_d)
+    if rho.shape[1] == 4:
+        c = metrics.concurrence(rho, h.basis)
+        p_s = subspace_populations(rho, h.basis)[0]
+    else:
+        frame = S_FRAME_BELL if h.basis.tag == "Bell" else S_FRAME_X
+        c = metrics.concurrence(frame @ rho @ frame.conj().T, X_PRODUCT)
+        p_s = np.real(np.trace(rho, axis1=1, axis2=2))
+    stalled = bool(
+        isinstance(law, Lyapunov)
+        and v[0] > 1e-12
+        and np.max(np.abs(f)) <= 1e-14 * law.kappa * hs_norm(h.h1)
+    )
+    meta = TrajectoryMetadata(h.params, h.paradigm, law, cfg, h.basis.tag, stalled)
+    return Trajectory(t, rho, rho_d, f, v, c, p_s, meta)
 
 
 def integrate(
@@ -203,14 +271,8 @@ def integrate(
     switch time t0, so the discontinuous field never straddles a step. With
     v_stop set, the run ends at the first sample where V < v_stop.
     """
-    rho = np.asarray(rho0, dtype=complex).copy()
-    rho_d = np.asarray(rho_d0, dtype=complex).copy()
-    if rho.shape != rho_d.shape or rho.shape != h.h0.shape:
-        raise ValueError("state and Hamiltonian dimensions do not match")
-
-    y = np.stack([rho, rho_d])
-    purity0 = float(np.real(np.trace(rho @ rho)))
-    purity0_d = float(np.real(np.trace(rho_d @ rho_d)))
+    y = _initial_states(h, rho0, rho_d0)
+    purity0 = _purity(y)
 
     def deriv(t: float, state: np.ndarray) -> np.ndarray:
         f = _field_value(law, t, state[0], state[1], h)
@@ -223,8 +285,7 @@ def integrate(
         breakpoints.append(law.t0)
 
     times = [0.0]
-    rhos = [y[0].copy()]
-    rho_ds = [y[1].copy()]
+    samples = [y.copy()]
     fs = [_field_value(law, 0.0, y[0], y[1], h)]
 
     t = 0.0
@@ -266,40 +327,69 @@ def integrate(
 
         t = target
         times.append(t)
-        rhos.append(y[0].copy())
-        rho_ds.append(y[1].copy())
+        samples.append(y.copy())
         fs.append(_field_value(law, t, y[0], y[1], h))
-        _check_invariants("rho", y[0], purity0, t)
-        _check_invariants("rho_d", y[1], purity0_d, t)
-        ev_min = float(np.linalg.eigvalsh(0.5 * (y[0] + y[0].conj().T))[0])
-        if ev_min < ABORT_FACTOR * EIGEN_FLOOR:
-            raise IntegrationError(f"rho eigenvalue {ev_min:.3e} below abort threshold", t)
+        _check_invariants(np.array([t]), y[None], purity0)
         if cfg.v_stop is not None and lyapunov_value(y[0], y[1]) < cfg.v_stop:
             break
 
-    ts = np.array(times)
-    rho_arr = np.array(rhos)
-    rho_d_arr = np.array(rho_ds)
-    f_arr = np.array(fs)
-    v_arr = np.array([lyapunov_value(a, b) for a, b in zip(rho_arr, rho_d_arr)])
+    return _diagnose(h, law, cfg, np.array(times), np.array(samples), np.array(fs))
 
-    dim = rho_arr.shape[1]
-    if dim == 4:
-        c_arr = np.array([metrics.concurrence(r, h.basis) for r in rho_arr])
-        p_arr = np.array([subspace_populations(r, h.basis)[0] for r in rho_arr])
+
+def _evolve(eig: tuple[np.ndarray, np.ndarray], rho: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """U(t) rho U(t)† for every t in times, U(t) = W diag(exp(-i lam t)) W†
+    from the eigendecomposition (lam, W) of a constant Hamiltonian.
+
+    In the eigenbasis the (j, k) entry of rho only picks up the phase
+    exp(-i (lam_j - lam_k) t).
+    """
+    lam, w = eig
+    phases = np.multiply.outer(times, -1j * np.subtract.outer(lam, lam))
+    np.exp(phases, out=phases)
+    phases *= w.conj().T @ rho @ w
+    return w @ phases @ w.conj().T
+
+
+def propagate_exact(
+    h: HamiltonianPair,
+    law: ControlLaw,
+    rho0: np.ndarray,
+    rho_d0: np.ndarray,
+    cfg: IntegratorConfig,
+) -> Trajectory:
+    """Exact samples of an open-loop run (a geometric law or none).
+
+    Takes the arguments of `integrate` and returns the same Trajectory,
+    invariant aborts and v_stop cut included, without a Runge-Kutta step:
+    the Hamiltonian is H0 + H1 before a geometric switch time t0 and H0 from
+    t0 on (a sample at exactly t0 is already off), so each interval takes one
+    eigendecomposition and the state at t >= t0 is the free evolution of the
+    state at t0.
+    """
+    if isinstance(law, Lyapunov):
+        raise ValueError("feedback laws have no constant Hamiltonian; use integrate")
+    y0 = _initial_states(h, rho0, rho_d0)
+    grid = _sample_grid(cfg)
+    if law is None:
+        f = np.zeros(len(grid))
     else:
-        # Reduced pair frame: embed back into 4D X-product coordinates. The
-        # whole reduced state lives in the invariant subspace, so p_S = Tr(rho).
-        frame = S_FRAME_BELL if h.basis.tag == "Bell" else S_FRAME_X
-        c_arr = np.array(
-            [metrics.concurrence(frame @ r @ frame.conj().T, X_PRODUCT) for r in rho_arr]
-        )
-        p_arr = np.array([float(np.real(np.trace(r))) for r in rho_arr])
+        f = np.array([geometric_field(t, law) for t in grid])
+    n_on = int(np.count_nonzero(f))
 
-    stalled = bool(
-        isinstance(law, Lyapunov)
-        and v_arr[0] > 1e-12
-        and np.max(np.abs(f_arr)) <= 1e-14 * law.kappa * hs_norm(h.h1)
-    )
-    meta = TrajectoryMetadata(h.params, h.paradigm, law, cfg, h.basis.tag, stalled)
-    return Trajectory(ts, rho_arr, rho_d_arr, f_arr, v_arr, c_arr, p_arr, meta)
+    free = np.linalg.eigh(h.h0)
+    states = np.empty((len(grid),) + y0.shape, dtype=complex)
+    states[:, 1] = _evolve(free, y0[1], grid)
+    start, t_start = y0[0], 0.0
+    if n_on:
+        driven = np.linalg.eigh(h.h0 + h.h1)
+        states[:n_on, 0] = _evolve(driven, start, grid[:n_on])
+        start, t_start = _evolve(driven, start, np.array([law.t0]))[0], law.t0
+    states[n_on:, 0] = _evolve(free, start, grid[n_on:] - t_start)
+
+    if cfg.v_stop is not None:
+        below = np.flatnonzero(lyapunov_value(states[1:, 0], states[1:, 1]) < cfg.v_stop)
+        if below.size:
+            n = int(below[0]) + 2
+            grid, states, f = grid[:n], states[:n], f[:n]
+    _check_invariants(grid[1:], states[1:], _purity(y0))
+    return _diagnose(h, law, cfg, grid, states, f)

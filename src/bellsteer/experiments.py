@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -26,7 +27,13 @@ from pathlib import Path
 import numpy as np
 
 from .control import ControlLaw, Geometric, Lyapunov
-from .dynamics import IntegrationError, IntegratorConfig, Trajectory, integrate
+from .dynamics import (
+    IntegrationError,
+    IntegratorConfig,
+    Trajectory,
+    integrate,
+    propagate_exact,
+)
 from .linalg import dagger, hs_norm, outer
 from .metrics import V_FIT_FLOOR, convergence_report, peak_report
 from .model import (
@@ -64,6 +71,15 @@ def _state_literals() -> dict[str, np.ndarray]:
 
 STATE_LITERALS = _state_literals()
 
+
+def _finite(raw: str) -> float:
+    """float(raw), rejecting nan and inf with a ValueError."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
 _AMP_RE = re.compile(r"\(\s*([^\s,()]+)\s*,\s*([^\s,()]+)\s*\)")
 
 
@@ -90,7 +106,7 @@ def parse_state(text: str, field: str) -> np.ndarray:
                 f"{field}: expected {dim} amplitude pairs, found {len(pairs)}"
             )
         try:
-            v = np.array([complex(float(a), float(b)) for a, b in pairs])
+            v = np.array([complex(_finite(a), _finite(b)) for a, b in pairs])
         except ValueError as exc:
             raise ConfigError(f"{field}: bad amplitude: {exc}") from exc
         nrm = float(np.linalg.norm(v))
@@ -165,9 +181,9 @@ def _pop_float(d: dict[str, str], key: str, default: float | None = None) -> flo
         return default
     raw = d.pop(key)
     try:
-        return float(raw)
+        return _finite(raw)
     except ValueError as exc:
-        raise ConfigError(f"{key}: not a number: {raw!r}") from exc
+        raise ConfigError(f"{key}: not a finite number: {raw!r}") from exc
 
 
 def _pop_int(d: dict[str, str], key: str, default: int | None = None) -> int | None:
@@ -240,9 +256,11 @@ def scenario_from_mapping(mapping: dict[str, str]) -> ScenarioConfig:
     v_stop = None
     if v_stop_raw is not None and v_stop_raw.lower() != "none":
         try:
-            v_stop = float(v_stop_raw)
+            v_stop = _finite(v_stop_raw)
         except ValueError as exc:
-            raise ConfigError(f"integrator.v_stop: not a number: {v_stop_raw!r}") from exc
+            raise ConfigError(
+                f"integrator.v_stop: not a finite number: {v_stop_raw!r}"
+            ) from exc
     try:
         integrator = IntegratorConfig(
             t_max=_pop_float(d, "integrator.t_max"),
@@ -276,9 +294,11 @@ def sweep_from_mapping(mapping: dict[str, str]) -> SweepConfig:
         raise ConfigError("missing required key 'sweep.values'")
     raw_values = d.pop("sweep.values")
     try:
-        values = tuple(float(v) for v in raw_values.split(",") if v.strip())
+        values = tuple(_finite(v) for v in raw_values.split(",") if v.strip())
     except ValueError as exc:
-        raise ConfigError(f"sweep.values: not a number list: {raw_values!r}") from exc
+        raise ConfigError(
+            f"sweep.values: not a list of finite numbers: {raw_values!r}"
+        ) from exc
     parallel = _pop_int(d, "sweep.parallel", 1)
     out = d.pop("sweep.out", None)
     if d:
@@ -300,29 +320,15 @@ def is_sweep_mapping(mapping: dict[str, str]) -> bool:
 
 def trajectory_table(traj: Trajectory) -> list[tuple[float, ...]]:
     """Per-sample rows matching CSV_HEADER; fidelity is Tr(rho rho_d)."""
-    rows = []
-    for i in range(len(traj)):
-        r, rd = traj.rho[i], traj.rho_d[i]
-        fid = float(np.real(np.trace(r @ rd)))
-        pur = float(np.real(np.trace(r @ r)))
-        rows.append(
-            (
-                float(traj.t[i]),
-                float(traj.V[i]),
-                float(traj.f[i]),
-                float(traj.concurrence[i]),
-                fid,
-                float(traj.p_S[i]),
-                pur,
-            )
-        )
-    return rows
+    fid = np.real(np.trace(traj.rho @ traj.rho_d, axis1=1, axis2=2))
+    pur = np.real(np.trace(traj.rho @ traj.rho, axis1=1, axis2=2))
+    columns = (traj.t, traj.V, traj.f, traj.concurrence, fid, traj.p_S, pur)
+    return list(zip(*(col.tolist() for col in columns)))
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
-    lines = [CSV_HEADER]
-    for row in trajectory_table(traj):
-        lines.append(",".join("%.17g" % x for x in row))
+    row_format = ",".join(["%.17g"] * len(CSV_HEADER.split(",")))
+    lines = [CSV_HEADER] + [row_format % row for row in trajectory_table(traj)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -407,14 +413,17 @@ def run_scenario(
 ) -> tuple[Trajectory, dict]:
     """Integrate one scenario and write any configured outputs.
 
-    On an integrator abort the diagnostic is still written to the report path
-    (when configured) before the IntegrationError propagates.
+    Feedback runs go through the DP5(4) integrator; open-loop runs (geometric
+    or no law) are propagated exactly. On an abort the diagnostic is still
+    written to the report path (when configured) before the IntegrationError
+    propagates.
     """
     h = hamiltonians(cfg.model, cfg.paradigm, X_PRODUCT)
     rho0 = outer(X_PRODUCT.vector_from_z(cfg.initial_state))
     rho_d0 = outer(X_PRODUCT.vector_from_z(cfg.target_state))
+    run = integrate if isinstance(cfg.law, Lyapunov) else propagate_exact
     try:
-        traj = integrate(h, cfg.law, rho0, rho_d0, cfg.integrator)
+        traj = run(h, cfg.law, rho0, rho_d0, cfg.integrator)
     except IntegrationError as exc:
         if cfg.outputs.report_json:
             _write_report_json(

@@ -26,20 +26,22 @@ _YY = np.real(kron(pauli("Y"), pauli("Y")))
 V_FIT_FLOOR = 1e-12
 
 
-def concurrence(rho: np.ndarray, basis: Basis = Z_PRODUCT) -> float:
+def concurrence(rho: np.ndarray, basis: Basis = Z_PRODUCT) -> float | np.ndarray:
     """Wootters concurrence of a two-qubit density matrix.
 
     The spin-flip conjugation is basis-dependent, so ``rho`` given in another
-    coordinate system is converted to the Z-product basis first.
+    coordinate system is converted to the Z-product basis first. A stack of
+    matrices (..., 4, 4) gives one value per matrix.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
         raise ValueError(f"concurrence needs a 4x4 density matrix, got {rho.shape}")
     rho_z = dagger(basis.transform) @ rho @ basis.transform
     m = rho_z @ _YY @ rho_z.conj() @ _YY
     lams = np.sqrt(np.clip(np.real(np.linalg.eigvals(m)), 0.0, None))
-    lams = np.sort(lams)[::-1]
-    return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
+    lams = np.sort(lams, axis=-1)[..., ::-1]
+    c = np.maximum(0.0, lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3])
+    return float(c) if rho.ndim == 2 else c
 
 
 def fidelity_to(rho: np.ndarray, target: np.ndarray) -> float:

@@ -20,6 +20,7 @@ span{|++>, |-->} subspace dynamics two-dimensional.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -41,10 +42,12 @@ class ModelParams:
     k: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.J <= 0:
-            raise ValueError(f"J must be positive, got {self.J}")
-        if self.eta < 0:
-            raise ValueError(f"eta must be nonnegative, got {self.eta}")
+        if not (math.isfinite(self.J) and self.J > 0):
+            raise ValueError(f"J must be positive and finite, got {self.J}")
+        if not (math.isfinite(self.eta) and self.eta >= 0):
+            raise ValueError(f"eta must be nonnegative and finite, got {self.eta}")
+        if not math.isfinite(self.k):
+            raise ValueError(f"k must be finite, got {self.k}")
         if self.eta >= 1:
             warnings.warn(
                 f"eta={self.eta} is not small compared to 1; the weak-local-field "
@@ -227,16 +230,21 @@ def subspace_reduce(h: HamiltonianPair, span: str = "PlusPlus_MinusMinus") -> Ha
     return HamiltonianPair(a0, a1, frame, h.params, h.paradigm)
 
 
-def subspace_populations(rho: np.ndarray, basis: Basis) -> tuple[float, float]:
-    """Population (p_S, p_Sperp) of span{|++>, |-->} and its complement."""
+def subspace_populations(rho: np.ndarray, basis: Basis) -> tuple:
+    """Population (p_S, p_Sperp) of span{|++>, |-->} and its complement.
+
+    A stack of matrices (..., 4, 4) gives a pair of arrays, one entry per matrix.
+    """
     rho = np.asarray(rho, dtype=complex)
     if basis.tag in _S_IDX:
         i, j = _S_IDX[basis.tag]
-        p_s = float(np.real(rho[i, i] + rho[j, j]))
+        p_s = np.real(rho[..., i, i] + rho[..., j, j])
     elif basis.tag == "ZProduct":
         proj_x = np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
         proj_z = dagger(X_PRODUCT.transform) @ proj_x @ X_PRODUCT.transform
-        p_s = float(np.real(np.trace(proj_z @ rho)))
+        p_s = np.real(np.trace(proj_z @ rho, axis1=-2, axis2=-1))
     else:
         raise ValueError(f"unknown basis tag {basis.tag!r}")
+    if rho.ndim == 2:
+        p_s = float(p_s)
     return p_s, 1.0 - p_s

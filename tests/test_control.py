@@ -52,6 +52,16 @@ class TestLawValidation:
         with pytest.raises(ValueError, match="t0"):
             Geometric(t0=-1.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: Lyapunov(kappa=float("nan")),
+        lambda: Lyapunov(kappa=float("inf")),
+        lambda: Geometric(t0=float("nan")),
+        lambda: Geometric(t0=float("inf")),
+    ])
+    def test_rejects_non_finite(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
 
 class TestLyapunovValue:
     def test_zero_iff_equal(self):

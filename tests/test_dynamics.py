@@ -1,7 +1,15 @@
-"""Unit tests for the adaptive coupled integrator."""
+"""Unit tests for the adaptive coupled integrator and the exact open-loop
+propagator.
+
+Test classes whose cases hold for any propagator take it from the class
+attribute ``propagate`` (the DP5(4) ``integrate``); each has an ``...Exact``
+subclass that reruns the same cases through ``propagate_exact``.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellsteer.control import Geometric, Lyapunov
 from bellsteer.dynamics import (
@@ -11,8 +19,10 @@ from bellsteer.dynamics import (
     TrajectoryMetadata,
     geometric_evolve,
     integrate,
+    propagate_exact,
     rhs,
 )
+from bellsteer.experiments import preset_scenarios
 from bellsteer.linalg import hs_norm, outer
 from bellsteer.model import (
     BellName,
@@ -53,26 +63,57 @@ class TestIntegratorConfig:
         with pytest.raises(ValueError, match="must be positive"):
             IntegratorConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(t_max=float("nan")),
+            dict(t_max=float("inf")),
+            dict(t_max=10.0, dt=float("nan")),
+            dict(t_max=10.0, abs_tol=float("inf")),
+            dict(t_max=10.0, v_stop=float("nan")),
+        ],
+    )
+    def test_rejects_non_finite(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            IntegratorConfig(**kwargs)
+
 
 class TestSampling:
+    propagate = staticmethod(integrate)
+
     def test_grid_spacing_and_endpoint(self):
         h = local_pair()
-        traj = integrate(h, None, x_state("|++>"), x_state("|-->"),
-                         IntegratorConfig(t_max=1.0, sample_every=0.25))
+        traj = self.propagate(h, None, x_state("|++>"), x_state("|-->"),
+                              IntegratorConfig(t_max=1.0, sample_every=0.25))
         assert np.allclose(traj.t, [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_irregular_endpoint_appended(self):
         h = local_pair()
-        traj = integrate(h, None, x_state("|++>"), x_state("|-->"),
-                         IntegratorConfig(t_max=1.05, sample_every=0.25))
+        traj = self.propagate(h, None, x_state("|++>"), x_state("|-->"),
+                              IntegratorConfig(t_max=1.05, sample_every=0.25))
         assert traj.t[-1] == pytest.approx(1.05)
         assert len(traj) == 6
 
     def test_dimension_mismatch_rejected(self):
         h = local_pair()
         with pytest.raises(ValueError, match="dimensions"):
-            integrate(h, None, np.eye(2, dtype=complex) / 2, x_state("|-->"),
-                      IntegratorConfig(t_max=1.0))
+            self.propagate(h, None, np.eye(2, dtype=complex) / 2, x_state("|-->"),
+                           IntegratorConfig(t_max=1.0))
+
+    def test_v_stop_keeps_first_sample_below(self):
+        # V of |++> against Phi+ falls from 0.5 to 0.401 while the field is on;
+        # 0.449 at t=0.4 is the first sample under 0.45.
+        h = local_pair()
+        rho_d0 = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
+        cfg = IntegratorConfig(t_max=4.0, v_stop=0.45)
+        traj = self.propagate(h, Geometric(t0=2.0), x_state("|++>"), rho_d0, cfg)
+        assert traj.t[-1] == pytest.approx(0.4)
+        assert traj.V[-1] < 0.45
+        assert np.all(traj.V[:-1] >= 0.45)
+
+
+class TestSamplingExact(TestSampling):
+    propagate = staticmethod(propagate_exact)
 
 
 class TestFreeEvolution:
@@ -96,11 +137,13 @@ class TestFreeEvolution:
 
 
 class TestGeometricRuns:
+    propagate = staticmethod(integrate)
+
     def test_field_switches_at_t0(self):
         h = local_pair()
         law = Geometric(t0=2.0)
-        traj = integrate(h, law, x_state("|++>"), x_state("|-->"),
-                         IntegratorConfig(t_max=4.0))
+        traj = self.propagate(h, law, x_state("|++>"), x_state("|-->"),
+                              IntegratorConfig(t_max=4.0))
         on = traj.t < 2.0
         assert np.all(traj.f[on] == 1.0)
         assert np.all(traj.f[~on] == 0.0)
@@ -110,7 +153,7 @@ class TestGeometricRuns:
         rho0 = outer(np.full(4, 0.5, dtype=complex))
         law = Geometric(t0=2.0)
         cfg = IntegratorConfig(t_max=5.0, **TIGHT)
-        traj = integrate(h, law, rho0, x_state("|++>"), cfg)
+        traj = self.propagate(h, law, rho0, x_state("|++>"), cfg)
         at_t0 = geometric_evolve(h.h0 + h.h1, rho0, 2.0)
         exact_end = geometric_evolve(h.h0, at_t0, 3.0)
         assert hs_norm(traj.rho[-1] - exact_end) < 1e-9
@@ -118,6 +161,11 @@ class TestGeometricRuns:
     def test_geometric_evolve_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             geometric_evolve(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2) / 2, 1.0)
+
+
+class TestGeometricRunsExact(TestGeometricRuns):
+    propagate = staticmethod(propagate_exact)
+    test_geometric_evolve_rejects_non_hermitian = None  # no propagator involved
 
 
 class TestLyapunovRuns:
@@ -164,29 +212,129 @@ class TestLyapunovRuns:
 
 
 class TestReducedRuns:
+    propagate = staticmethod(integrate)
+
     def test_two_level_run_reports_embedded_metrics(self):
         h = local_pair()
         red = subspace_reduce(h)
         rho0 = np.diag([1.0, 0.0]).astype(complex)  # Phi+ in the reduced frame
         rho_d0 = np.diag([1.0, 0.0]).astype(complex)
-        traj = integrate(red, None, rho0, rho_d0, IntegratorConfig(t_max=2.0))
+        traj = self.propagate(red, None, rho0, rho_d0, IntegratorConfig(t_max=2.0))
         assert np.allclose(traj.p_S, 1.0, atol=1e-9)
         assert np.allclose(traj.concurrence, 1.0, atol=1e-9)
 
 
+class TestReducedRunsExact(TestReducedRuns):
+    propagate = staticmethod(propagate_exact)
+
+
 class TestInvariantMonitor:
+    propagate = staticmethod(integrate)
+
     def test_aborts_on_trace_violation(self):
         h = local_pair()
         bad = 0.9 * x_state("|++>")  # trace 0.9 trips the monitor immediately
         with pytest.raises(IntegrationError, match="trace"):
-            integrate(h, None, bad, x_state("|-->"), IntegratorConfig(t_max=1.0))
+            self.propagate(h, None, bad, x_state("|-->"), IntegratorConfig(t_max=1.0))
 
     def test_error_carries_time(self):
         h = local_pair()
         bad = 0.9 * x_state("|++>")
         with pytest.raises(IntegrationError) as excinfo:
-            integrate(h, None, bad, x_state("|-->"), IntegratorConfig(t_max=1.0))
+            self.propagate(h, None, bad, x_state("|-->"), IntegratorConfig(t_max=1.0))
         assert excinfo.value.t == pytest.approx(0.1)
+
+    @pytest.mark.parametrize(
+        "rho_scale,rho_d_scale,offdiag,negative,message",
+        [
+            (1.0, 0.9, 0.0, 0.0, "rho_d trace drift 1.000e-01"),
+            (0.9, 0.8, 0.0, 0.0, "rho trace drift 1.000e-01"),
+            (1.0, 1.0, 1e-3, 0.0, "rho Hermiticity drift 1.414e-03"),
+            (1.0, 1.0, 0.0, 0.1, "rho eigenvalue -1.000e-01 below"),
+        ],
+    )
+    def test_reports_first_violation(self, rho_scale, rho_d_scale, offdiag, negative, message):
+        h = local_pair()
+        rho0 = np.diag([1.0 + negative, -negative, 0.0, 0.0]).astype(complex) * rho_scale
+        rho0[0, 1] = offdiag
+        with pytest.raises(IntegrationError, match=message) as excinfo:
+            self.propagate(h, None, rho0, rho_d_scale * x_state("|++>"),
+                           IntegratorConfig(t_max=1.0))
+        assert excinfo.value.t == pytest.approx(0.1)
+
+
+class TestInvariantMonitorExact(TestInvariantMonitor):
+    propagate = staticmethod(propagate_exact)
+
+
+def random_pure_state(amps):
+    v = np.array(amps[:4]) + 1j * np.array(amps[4:])
+    return outer(v / np.linalg.norm(v))
+
+
+class TestExactPropagation:
+    @pytest.mark.parametrize("t0", [2.0, 5.0], ids=["switched", "field_on"])
+    def test_matches_matrix_exponential(self, t0):
+        h = local_pair()
+        rho0 = 0.7 * outer(np.full(4, 0.5, dtype=complex)) + 0.3 * x_state("|++>")  # mixed
+        rho_d0 = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
+        traj = propagate_exact(h, Geometric(t0=t0), rho0, rho_d0,
+                               IntegratorConfig(t_max=5.0))
+        at_t0 = geometric_evolve(h.h0 + h.h1, rho0, t0)
+        for t, rho, rho_d in zip(traj.t, traj.rho, traj.rho_d):
+            if t < t0:
+                expected = geometric_evolve(h.h0 + h.h1, rho0, t)
+            else:
+                expected = geometric_evolve(h.h0, at_t0, t - t0)
+            assert np.max(np.abs(rho - expected)) <= 1e-12, t
+            assert np.max(np.abs(rho_d - geometric_evolve(h.h0, rho_d0, t))) <= 1e-12, t
+
+    def test_matches_dp5_on_preset(self):
+        # The gap is the DP5(4) global error at default tolerances (~1e-8 here).
+        cfg = dict(preset_scenarios("figure1"))["figure1_B0.4"]
+        h = hamiltonians(cfg.model, cfg.paradigm, X_PRODUCT)
+        rho0 = outer(X_PRODUCT.vector_from_z(cfg.initial_state))
+        rho_d0 = outer(X_PRODUCT.vector_from_z(cfg.target_state))
+        exact = propagate_exact(h, cfg.law, rho0, rho_d0, cfg.integrator)
+        dp5 = integrate(h, cfg.law, rho0, rho_d0, cfg.integrator)
+        assert np.array_equal(exact.t, dp5.t)
+        assert np.array_equal(exact.f, dp5.f)
+        assert np.max(np.abs(exact.rho - dp5.rho)) <= 1e-6
+        assert np.max(np.abs(exact.rho_d - dp5.rho_d)) <= 1e-6
+
+    def test_rejects_feedback_law(self):
+        h = local_pair()
+        with pytest.raises(ValueError, match="integrate"):
+            propagate_exact(h, Lyapunov(kappa=1.0), x_state("|++>"), x_state("|-->"),
+                            IntegratorConfig(t_max=1.0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        eta=st.floats(0.05, 0.9),
+        k=st.floats(0.5, 2.0),
+        paradigm=st.sampled_from(list(Paradigm)),
+        t_max=st.floats(0.5, 5.0),
+        switch=st.floats(0.0, 1.0),
+        amps=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16).filter(
+            lambda a: np.linalg.norm(a[:8]) > 0.1 and np.linalg.norm(a[8:]) > 0.1
+        ),
+    )
+    def test_random_open_loop_runs(self, eta, k, paradigm, t_max, switch, amps):
+        h = hamiltonians(ModelParams(J=1.0, eta=eta, k=k), paradigm, X_PRODUCT)
+        rho0, rho_d0 = random_pure_state(amps[:8]), random_pure_state(amps[8:])
+        t0 = switch * t_max
+        cfg = IntegratorConfig(t_max=t_max, sample_every=0.25)
+        traj = propagate_exact(h, Geometric(t0=t0), rho0, rho_d0, cfg)
+        at_t0 = geometric_evolve(h.h0 + h.h1, rho0, t0)
+        for t, rho, rho_d in zip(traj.t, traj.rho, traj.rho_d):
+            if t < t0:
+                expected = geometric_evolve(h.h0 + h.h1, rho0, t)
+            else:
+                expected = geometric_evolve(h.h0, at_t0, t - t0)
+            assert np.max(np.abs(rho - expected)) <= 1e-10
+            assert np.max(np.abs(rho_d - geometric_evolve(h.h0, rho_d0, t))) <= 1e-10
+            assert abs(np.trace(rho) - 1.0) <= 1e-12
+            assert abs(np.real(np.trace(rho @ rho)) - 1.0) <= 1e-12
 
 
 class TestTrajectoryType:

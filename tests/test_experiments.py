@@ -16,6 +16,7 @@ from bellsteer.experiments import (
     OutputPaths,
     STATE_LITERALS,
     ScenarioConfig,
+    SweepConfig,
     apply_axis,
     parse_config_text,
     parse_state,
@@ -309,11 +310,55 @@ class TestRunScenarioAndOutputs:
         assert diag["aborted_at"] == 1.25
 
 
+class TestRouting:
+    """Open-loop laws are propagated exactly; only feedback reaches integrate."""
+
+    @pytest.fixture
+    def no_integrate(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("integrate called")
+
+        monkeypatch.setattr("bellsteer.experiments.integrate", refuse)
+
+    @staticmethod
+    def open_loop(law_type="Geometric", **overrides):
+        mapping = base_mapping(**{"law.type": law_type, "law.kappa": None}, **overrides)
+        return scenario_from_mapping(mapping)
+
+    def test_open_loop_scenarios_skip_integrate(self, no_integrate):
+        for cfg in (self.open_loop(**{"law.t0": "1"}), self.open_loop("none")):
+            traj, report = run_scenario(cfg)
+            assert len(traj) == report["samples"] == 21
+
+    def test_switch_sweep_skips_integrate(self, no_integrate):
+        base = self.open_loop(**{"law.t0": "1"})
+        rows = run_sweep(SweepConfig(base=base, axis="law.t0", values=(0.5, 1.5)))
+        assert [row["error"] for row in rows] == [None, None]
+        assert rows[0]["final_concurrence"] != rows[1]["final_concurrence"]
+
+    def test_feedback_scenario_uses_integrate(self, no_integrate):
+        with pytest.raises(RuntimeError, match="integrate called"):
+            run_scenario(scenario_from_mapping(base_mapping()))
+
+    def test_exact_path_abort_writes_diagnostic_report(self, tmp_path, monkeypatch):
+        # An initial state of trace 0.9 trips the exact path's trace check at
+        # the first sample after t=0.
+        monkeypatch.setattr(
+            "bellsteer.experiments.outer", lambda v: 0.9 * np.outer(v, np.conj(v))
+        )
+        cfg = self.open_loop(
+            **{"law.t0": "1", "outputs.report_json": str(tmp_path / "err.json")}
+        )
+        with pytest.raises(IntegrationError, match="trace"):
+            run_scenario(cfg, label="doomed")
+        diag = json.loads((tmp_path / "err.json").read_text())
+        assert "trace drift" in diag["error"]
+        assert diag["aborted_at"] == pytest.approx(0.1)
+
+
 class TestRunSweep:
     def make_sweep(self, values, parallel=1, out=None):
         base = scenario_from_mapping(base_mapping())
-        from bellsteer.experiments import SweepConfig
-
         return SweepConfig(base=base, axis="law.kappa", values=values,
                            parallel=parallel, out=out)
 
@@ -457,6 +502,37 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("value,final_concurrence")
         assert table.exists()
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("model.J", "nan"),
+            ("model.eta", "nan"),
+            ("model.k", "inf"),
+            ("law.kappa", "nan"),
+            ("law.t0", "nan"),
+            ("integrator.t_max", "nan"),
+            ("integrator.t_max", "inf"),
+            ("integrator.dt", "nan"),
+            ("integrator.rel_tol", "nan"),
+            ("integrator.abs_tol", "inf"),
+            ("integrator.sample_every", "nan"),
+            ("integrator.v_stop", "nan"),
+            ("initial_state", "basis:ZProduct; amps = (nan,0),(0,0),(0,0),(0,0)"),
+            ("target_state", "basis:ZProduct; amps = (1,0),(0,0),(0,inf),(0,0)"),
+            ("sweep.values", "1, nan"),
+        ],
+    )
+    def test_non_finite_numbers_exit_2(self, tmp_path, capsys, key, value):
+        context = {
+            "law.t0": {"law.type": "Geometric", "law.kappa": None},
+            "sweep.values": {"sweep.axis": "law.kappa"},
+        }.get(key, {})
+        cfg = self.write_cfg(tmp_path, base_mapping(**context, **{key: value}))
+        command = "sweep" if key.startswith("sweep.") else "run"
+        assert main(["validate", cfg]) == 2
+        assert main([command, cfg]) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_integration_abort_exit_code(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):

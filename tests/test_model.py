@@ -40,6 +40,16 @@ class TestModelParams:
         with pytest.raises(ValueError, match="eta must be nonnegative"):
             ModelParams(J=1.0, eta=-0.1)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(J=float("nan"), eta=0.1),
+        dict(J=float("inf"), eta=0.1),
+        dict(J=1.0, eta=float("nan")),
+        dict(J=1.0, eta=0.1, k=float("nan")),
+    ])
+    def test_rejects_non_finite(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(**kwargs)
+
     def test_zero_eta_allowed(self):
         p = ModelParams(J=1.0, eta=0.0)
         assert hs_norm(h_local(p)) == 0.0
