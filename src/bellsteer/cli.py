@@ -19,14 +19,13 @@ from .experiments import (
     is_sweep_mapping,
     load_scenario,
     load_sweep,
-    parse_config_text,
+    read_config,
     run_preset,
     run_scenario,
     run_sweep,
     scenario_from_mapping,
     sweep_from_mapping,
 )
-from pathlib import Path
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -118,7 +117,7 @@ def _cmd_preset(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    mapping = parse_config_text(Path(args.config).read_text())
+    mapping = read_config(args.config)
     if is_sweep_mapping(mapping):
         sweep_from_mapping(mapping)
         print(f"OK: {args.config} is a valid sweep config")

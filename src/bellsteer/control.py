@@ -4,9 +4,9 @@ free evolution.
 The feedback law is f = sign * kappa * Tr(rho_d [-iH1, rho]). Along the closed
 loop the distance V = (1/2)Tr[(rho - rho_d)^2] then satisfies
 dV/dt = -f * Tr(rho_d [-iH1, rho]) = -sign * kappa * Tr(rho_d [-iH1, rho])^2,
-nonpositive for sign=+1; `vdot_identity_check` verifies this against a
-finite-difference derivative. The geometric law is an open-loop 0/1 multiplier
-on the control Hamiltonian: on before t0, off afterward.
+nonpositive for sign=+1; `dynamics` checks this against a finite-difference
+derivative along the closed-loop flow. The geometric law is an open-loop 0/1
+multiplier on the control Hamiltonian: on before t0, off afterward.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Union
 import numpy as np
 
 from .linalg import hs_norm
-from .model import HamiltonianPair
 
 _REALNESS_TOL = 1e-10
 
@@ -106,46 +105,3 @@ def geometric_field(t: float, law: Geometric) -> float:
     """0/1 multiplier for the switched control Hamiltonian (off at t = t0)."""
     return 1.0 if t < law.t0 else 0.0
 
-
-def vdot_identity_check(
-    rho: np.ndarray,
-    rho_d: np.ndarray,
-    h: HamiltonianPair,
-    law: Lyapunov,
-    delta: float = 1e-5,
-) -> tuple[float, float]:
-    """Return (analytic, numeric) values of dV/dt at the given closed-loop state.
-
-    analytic = -f * Tr(rho_d [-iH1, rho]), the descent identity of the
-    feedback design (equal to -kappa * trace^2 for sign=+1). numeric is a
-    central finite difference of V along the closed-loop flow, each side
-    advanced by one classical RK4 step of size delta. The two agree within
-    max(1e-6, 1e-3 |analytic|) for valid inputs.
-    """
-
-    def flow(state: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        r, rd = state
-        f = control_field(r, rd, h.h1, law.kappa, law.sign)
-        ht = h.h0 + f * h.h1
-        return (-1j * (ht @ r - r @ ht), -1j * (h.h0 @ rd - rd @ h.h0))
-
-    def rk4(state: tuple[np.ndarray, np.ndarray], step: float) -> tuple[np.ndarray, np.ndarray]:
-        k1 = flow(state)
-        k2 = flow((state[0] + 0.5 * step * k1[0], state[1] + 0.5 * step * k1[1]))
-        k3 = flow((state[0] + 0.5 * step * k2[0], state[1] + 0.5 * step * k2[1]))
-        k4 = flow((state[0] + step * k3[0], state[1] + step * k3[1]))
-        return (
-            state[0] + step / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-            state[1] + step / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-        )
-
-    rho = np.asarray(rho, dtype=complex)
-    rho_d = np.asarray(rho_d, dtype=complex)
-    trace_term = control_field(rho, rho_d, h.h1, 1.0, 1)
-    f0 = law.sign * law.kappa * trace_term
-    analytic = -f0 * trace_term
-
-    fwd = rk4((rho, rho_d), delta)
-    bwd = rk4((rho, rho_d), -delta)
-    numeric = (lyapunov_value(*fwd) - lyapunov_value(*bwd)) / (2.0 * delta)
-    return analytic, numeric

@@ -18,7 +18,9 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
@@ -174,18 +176,6 @@ def parse_config_text(text: str) -> dict[str, str]:
     return mapping
 
 
-def _pop_float(d: dict[str, str], key: str, default: float | None = None) -> float:
-    if key not in d:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    raw = d.pop(key)
-    try:
-        return _finite(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: not a finite number: {raw!r}") from exc
-
-
 def _pop_int(d: dict[str, str], key: str, default: int | None = None) -> int | None:
     if key not in d:
         return default
@@ -196,6 +186,40 @@ def _pop_int(d: dict[str, str], key: str, default: int | None = None) -> int | N
         raise ConfigError(f"{key}: not an integer: {raw!r}") from exc
 
 
+def _pop_dataclass(d: dict[str, str], section: str, cls: type):
+    """Build ``cls`` from the ``section.<field>`` keys of ``d``, popping them.
+
+    The dataclass is the schema: a field without a default is required, an
+    int field is parsed with int() and any other with _finite(), and a field
+    whose default is None also accepts ``none``. Absent optional fields keep
+    the dataclass default.
+    """
+    types = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        key = f"{section}.{f.name}"
+        if key not in d:
+            if f.default is dataclasses.MISSING:
+                raise ConfigError(f"missing required key {key!r}")
+        elif f.default is None and d[key].lower() == "none":
+            del d[key]
+        elif types[f.name] is int:
+            kwargs[f.name] = _pop_int(d, key)
+        else:
+            raw = d.pop(key)
+            try:
+                kwargs[f.name] = _finite(raw)
+            except ValueError as exc:
+                raise ConfigError(f"{key}: not a finite number: {raw!r}") from exc
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
+_LAWS = {cls.__name__: cls for cls in (Lyapunov, Geometric)}
+
+
 def scenario_from_mapping(mapping: dict[str, str]) -> ScenarioConfig:
     """Build a ScenarioConfig from a flat key/value mapping.
 
@@ -204,14 +228,7 @@ def scenario_from_mapping(mapping: dict[str, str]) -> ScenarioConfig:
     """
     d = {k: v for k, v in mapping.items() if not k.startswith("sweep.")}
 
-    try:
-        model = ModelParams(
-            J=_pop_float(d, "model.J"),
-            eta=_pop_float(d, "model.eta"),
-            k=_pop_float(d, "model.k", 1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
+    model = _pop_dataclass(d, "model", ModelParams)
 
     if "paradigm" not in d:
         raise ConfigError("missing required key 'paradigm'")
@@ -227,24 +244,14 @@ def scenario_from_mapping(mapping: dict[str, str]) -> ScenarioConfig:
     if "law.type" not in d:
         raise ConfigError("missing required key 'law.type'")
     law_type = d.pop("law.type")
-    law: ControlLaw
-    try:
-        if law_type == "Lyapunov":
-            sign = _pop_int(d, "law.sign", 1)
-            law = Lyapunov(kappa=_pop_float(d, "law.kappa"), sign=sign)
-        elif law_type == "Geometric":
-            law = Geometric(t0=_pop_float(d, "law.t0"))
-        elif law_type.lower() == "none":
-            law = None
-        else:
-            raise ConfigError(
-                f"law.type: unknown value {law_type!r} "
-                "(choose from Lyapunov, Geometric, None)"
-            )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"law: {exc}") from exc
+    law: ControlLaw = None
+    if law_type in _LAWS:
+        law = _pop_dataclass(d, "law", _LAWS[law_type])
+    elif law_type.lower() != "none":
+        raise ConfigError(
+            f"law.type: unknown value {law_type!r} "
+            "(choose from Lyapunov, Geometric, None)"
+        )
 
     for key in ("initial_state", "target_state"):
         if key not in d:
@@ -252,26 +259,7 @@ def scenario_from_mapping(mapping: dict[str, str]) -> ScenarioConfig:
     initial = parse_state(d.pop("initial_state"), "initial_state")
     target = parse_state(d.pop("target_state"), "target_state")
 
-    v_stop_raw = d.pop("integrator.v_stop", None)
-    v_stop = None
-    if v_stop_raw is not None and v_stop_raw.lower() != "none":
-        try:
-            v_stop = _finite(v_stop_raw)
-        except ValueError as exc:
-            raise ConfigError(
-                f"integrator.v_stop: not a finite number: {v_stop_raw!r}"
-            ) from exc
-    try:
-        integrator = IntegratorConfig(
-            t_max=_pop_float(d, "integrator.t_max"),
-            dt=_pop_float(d, "integrator.dt", 0.01),
-            rel_tol=_pop_float(d, "integrator.rel_tol", 1e-9),
-            abs_tol=_pop_float(d, "integrator.abs_tol", 1e-11),
-            sample_every=_pop_float(d, "integrator.sample_every", 0.1),
-            v_stop=v_stop,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"integrator: {exc}") from exc
+    integrator = _pop_dataclass(d, "integrator", IntegratorConfig)
 
     outputs = OutputPaths(
         trajectory_csv=d.pop("outputs.trajectory_csv", None),
@@ -306,12 +294,22 @@ def sweep_from_mapping(mapping: dict[str, str]) -> SweepConfig:
     return SweepConfig(base=base, axis=axis, values=values, parallel=parallel, out=out)
 
 
+def read_config(path: str | Path) -> dict[str, str]:
+    """Parse the config file at ``path``; a file that is not UTF-8 text is a
+    ConfigError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    return parse_config_text(text)
+
+
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    return scenario_from_mapping(parse_config_text(Path(path).read_text()))
+    return scenario_from_mapping(read_config(path))
 
 
 def load_sweep(path: str | Path) -> SweepConfig:
-    return sweep_from_mapping(parse_config_text(Path(path).read_text()))
+    return sweep_from_mapping(read_config(path))
 
 
 def is_sweep_mapping(mapping: dict[str, str]) -> bool:
@@ -330,14 +328,6 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
     row_format = ",".join(["%.17g"] * len(CSV_HEADER.split(",")))
     lines = [CSV_HEADER] + [row_format % row for row in trajectory_table(traj)]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _law_dict(law: ControlLaw) -> dict | None:
-    if law is None:
-        return None
-    if isinstance(law, Geometric):
-        return {"type": "Geometric", "t0": law.t0}
-    return {"type": "Lyapunov", "kappa": law.kappa, "sign": law.sign}
 
 
 def _default_fit_window(traj: Trajectory) -> tuple[float, float] | None:
@@ -377,17 +367,12 @@ def build_report(
     return {
         "label": label,
         "seed": cfg.seed,
-        "model": {"J": cfg.model.J, "eta": cfg.model.eta, "k": cfg.model.k},
+        "model": dataclasses.asdict(cfg.model),
         "paradigm": cfg.paradigm.value,
-        "law": _law_dict(cfg.law),
-        "integrator": {
-            "t_max": cfg.integrator.t_max,
-            "dt": cfg.integrator.dt,
-            "rel_tol": cfg.integrator.rel_tol,
-            "abs_tol": cfg.integrator.abs_tol,
-            "sample_every": cfg.integrator.sample_every,
-            "v_stop": cfg.integrator.v_stop,
+        "law": None if cfg.law is None else {
+            "type": type(cfg.law).__name__, **dataclasses.asdict(cfg.law)
         },
+        "integrator": dataclasses.asdict(cfg.integrator),
         "samples": len(traj),
         "t_final": float(traj.t[-1]),
         "final_V": float(traj.V[-1]),
@@ -495,12 +480,15 @@ def _sweep_row(base: ScenarioConfig, axis: str, value: float) -> dict:
 def run_sweep(cfg: SweepConfig) -> list[dict]:
     """One row per value, in input order, independent of worker count.
 
-    A failed row carries its error message; the sweep continues.
+    ``parallel`` is an upper bound: at most one worker per value and per CPU
+    is started, and a single worker runs in-process. A failed row carries its
+    error message; the sweep continues.
     """
-    if cfg.parallel <= 1:
+    workers = min(cfg.parallel, len(cfg.values), os.cpu_count() or 1)
+    if workers <= 1:
         rows = [_sweep_row(cfg.base, cfg.axis, v) for v in cfg.values]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.parallel) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(
                 pool.map(_sweep_row, repeat(cfg.base), repeat(cfg.axis), cfg.values)
             )

@@ -1,10 +1,10 @@
 """Dense complex matrix primitives for two-qubit state and operator algebra.
 
 Everything operates on plain numpy arrays of complex128. Matrices are small
-(2x2 or 4x4), so no attempt is made at sparse or batched storage. Validation
-helpers enforce the physical-state invariants (Hermiticity, unit trace,
-positivity, unit norm) at construction boundaries; the dynamics layer monitors
-the same invariants during integration instead of silently re-enforcing them.
+(2x2 or 4x4), so no attempt is made at sparse or batched storage. State
+vectors are checked for unit norm where they enter; the dynamics layer
+monitors the density-matrix invariants during integration instead of silently
+re-enforcing them.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import numpy as np
 import scipy.linalg
 
 HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
-PSD_TOL = 1e-10
 NORM_TOL = 1e-12
 
 _PAULI = {
@@ -38,15 +36,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Return ab - ba."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b - b @ a
-
-
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(a, dtype=complex).conj().T
@@ -60,20 +49,6 @@ def hs_norm(a: np.ndarray) -> float:
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential via Pade scaling-and-squaring."""
     return scipy.linalg.expm(np.asarray(a, dtype=complex))
-
-
-def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, unitary eigenvector matrix U) with
-    a = U diag(w) U†. Rejects inputs whose anti-Hermitian part exceeds 1e-10.
-    """
-    a = np.asarray(a, dtype=complex)
-    herm_err = hs_norm(a - dagger(a))
-    if herm_err > 1e-10:
-        raise ValueError(f"matrix is not Hermitian (deviation {herm_err:.3e})")
-    w, u = np.linalg.eigh(a)
-    return w, u
 
 
 def outer(v: np.ndarray) -> np.ndarray:
@@ -90,19 +65,3 @@ def as_state_vector(v: np.ndarray) -> np.ndarray:
         raise ValueError(f"state vector norm {nrm!r} deviates from 1 beyond {NORM_TOL}")
     return v
 
-
-def as_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Validate and return a density matrix (Hermitian, unit trace, PSD)."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    herm_err = hs_norm(rho - dagger(rho))
-    if herm_err > HERMITICITY_TOL:
-        raise ValueError(f"Hermiticity deviation {herm_err:.3e} exceeds {HERMITICITY_TOL}")
-    tr_err = abs(np.trace(rho) - 1.0)
-    if tr_err > TRACE_TOL:
-        raise ValueError(f"trace deviation {tr_err:.3e} exceeds {TRACE_TOL}")
-    w = np.linalg.eigvalsh(rho)
-    if w[0] < -PSD_TOL:
-        raise ValueError(f"negative eigenvalue {w[0]:.3e} below -{PSD_TOL}")
-    return rho

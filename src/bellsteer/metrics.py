@@ -1,9 +1,9 @@
 """Entanglement and convergence diagnostics.
 
-Concurrence (Wootters closed form), pure-target fidelity, distance to the
-maximally entangled equator family the interaction-control loop converges to,
-exponential-rate fits of the Lyapunov function, and peak/fluctuation analysis
-of concurrence traces.
+Concurrence (Wootters closed form), distance to the maximally entangled
+equator family the interaction-control loop converges to, exponential-rate
+fits of the Lyapunov function, and peak/fluctuation analysis of concurrence
+traces.
 """
 
 from __future__ import annotations
@@ -42,28 +42,6 @@ def concurrence(rho: np.ndarray, basis: Basis = Z_PRODUCT) -> float | np.ndarray
     lams = np.sort(lams, axis=-1)[..., ::-1]
     c = np.maximum(0.0, lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3])
     return float(c) if rho.ndim == 2 else c
-
-
-def fidelity_to(rho: np.ndarray, target: np.ndarray) -> float:
-    """Overlap Tr(rho * target) with a pure target, both in the same basis.
-
-    ``target`` may be a unit state vector or a rank-1 density matrix.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    target = np.asarray(target, dtype=complex)
-    if target.ndim == 1:
-        nrm = np.linalg.norm(target)
-        if abs(nrm - 1.0) > 1e-10:
-            raise ValueError(f"target vector is not normalized (norm {nrm:.12g})")
-        sigma = np.outer(target, target.conj())
-    else:
-        if target.shape != rho.shape:
-            raise ValueError("rho and target dimensions do not match")
-        purity = float(np.real(np.trace(target @ target)))
-        if abs(np.trace(target) - 1.0) > 1e-8 or abs(purity - 1.0) > 1e-8:
-            raise ValueError("target must be a pure (rank-1, unit-trace) state")
-        sigma = target
-    return float(np.real(np.trace(rho @ sigma)))
 
 
 def equator_state(alpha: float) -> np.ndarray:

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from bellsteer.control import Geometric, Lyapunov, f_bound, vdot_identity_check
+from bellsteer.control import Geometric, Lyapunov, f_bound
 from bellsteer.dynamics import (
     HERM_TOL,
     IntegratorConfig,
@@ -23,6 +23,7 @@ from bellsteer.dynamics import (
     TRACE_TOL,
     geometric_evolve,
     integrate,
+    vdot_identity_check,
 )
 from bellsteer.experiments import (
     STATE_LITERALS,

@@ -10,8 +10,8 @@ from bellsteer.control import (
     f_bound,
     geometric_field,
     lyapunov_value,
-    vdot_identity_check,
 )
+from bellsteer.dynamics import vdot_identity_check
 from bellsteer.linalg import hs_norm, outer
 from bellsteer.model import (
     BellName,

@@ -9,7 +9,7 @@ import pytest
 
 from bellsteer.cli import main
 from bellsteer.control import Geometric, Lyapunov
-from bellsteer.dynamics import IntegrationError
+from bellsteer.dynamics import IntegrationError, IntegratorConfig
 from bellsteer.experiments import (
     CSV_HEADER,
     ConfigError,
@@ -29,7 +29,7 @@ from bellsteer.experiments import (
     write_sweep_csv,
     write_trajectory_csv,
 )
-from bellsteer.model import BellName, Paradigm, Z_PRODUCT, bell_state
+from bellsteer.model import BellName, ModelParams, Paradigm, Z_PRODUCT, bell_state
 
 BASE_LINES = {
     "model.J": "1",
@@ -55,6 +55,29 @@ def base_mapping(**overrides):
 
 def config_text(mapping):
     return "\n".join(f"{k} = {v}" for k, v in mapping.items()) + "\n"
+
+
+def mapping_with(key, value):
+    """base_mapping with one key set; law.* keys of Geometric switch the law."""
+    context = {"law.type": "Geometric", "law.kappa": None} if key == "law.t0" else {}
+    return base_mapping(**context, **{key: value})
+
+
+#: Every dataclass field a config may set, with a valid value and its parse.
+SCHEMA = [
+    ("model.J", "2", 2.0),
+    ("model.eta", "0.2", 0.2),
+    ("model.k", "0.5", 0.5),
+    ("law.kappa", "0.5", 0.5),
+    ("law.sign", "-1", -1),
+    ("law.t0", "3", 3.0),
+    ("integrator.t_max", "3", 3.0),
+    ("integrator.dt", "0.02", 0.02),
+    ("integrator.rel_tol", "1e-8", 1e-8),
+    ("integrator.abs_tol", "1e-10", 1e-10),
+    ("integrator.sample_every", "0.05", 0.05),
+    ("integrator.v_stop", "1e-6", 1e-6),
+]
 
 
 class TestParseConfigText:
@@ -90,11 +113,46 @@ class TestScenarioFromMapping:
         assert np.linalg.norm(cfg.initial_state) == pytest.approx(1.0)
 
     @pytest.mark.parametrize(
-        "key", ["model.J", "paradigm", "law.type", "initial_state", "integrator.t_max"]
+        "key",
+        [
+            "model.J",
+            "paradigm",
+            "law.type",
+            "initial_state",
+            "integrator.t_max",
+            "model.eta",
+            "law.kappa",
+            "law.t0",
+        ],
     )
     def test_missing_required_key_named(self, key):
-        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
-            scenario_from_mapping(base_mapping(**{key: None}))
+        mapping = mapping_with(key, None)
+        with pytest.raises(ConfigError, match=f"missing required key '{key}'"):
+            scenario_from_mapping(mapping)
+
+    def test_schema_is_the_dataclass_fields(self):
+        sections = [
+            ("model", ModelParams),
+            ("law", Lyapunov),
+            ("law", Geometric),
+            ("integrator", IntegratorConfig),
+        ]
+        fields = {f"{s}.{f.name}" for s, cls in sections for f in dataclasses.fields(cls)}
+        assert {key for key, _, _ in SCHEMA} == fields
+
+    @pytest.mark.parametrize("key,raw,value", SCHEMA)
+    def test_field_lands(self, key, raw, value):
+        cfg = scenario_from_mapping(mapping_with(key, raw))
+        section, name = key.split(".")
+        got = getattr(getattr(cfg, section), name)
+        assert got == value and type(got) is type(value)
+
+    @pytest.mark.parametrize(
+        "key,raw", [(key, "abc") for key, _, _ in SCHEMA] + [("law.sign", "1.5")]
+    )
+    def test_non_numeric_value_names_key(self, key, raw):
+        with pytest.raises(ConfigError, match=f"^{key}: not "):
+            scenario_from_mapping(mapping_with(key, raw))
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -256,6 +314,23 @@ class TestRunScenarioAndOutputs:
         assert 0.0 <= report["max_drive_ratio"] < 1.0
         assert set(report["peak"]) == {"t_first", "c_max", "fluctuation_amplitude"}
 
+    @pytest.mark.parametrize(
+        "overrides,law_keys",
+        [
+            ({}, ["type", "kappa", "sign"]),
+            ({"law.type": "Geometric", "law.t0": "1", "law.kappa": None}, ["type", "t0"]),
+            ({"law.type": "none", "law.kappa": None}, None),
+        ],
+    )
+    def test_report_echo_key_order(self, overrides, law_keys):
+        _, report = run_scenario(scenario_from_mapping(base_mapping(**overrides)))
+        assert list(report["model"]) == ["J", "eta", "k"]
+        assert list(report["integrator"]) == [
+            "t_max", "dt", "rel_tol", "abs_tol", "sample_every", "v_stop"
+        ]
+        law = report["law"]
+        assert (None if law is None else list(law)) == law_keys
+
     def test_fidelity_consistent_with_v_for_pure_states(self, tiny_run):
         # For pure rho and pure target, V = 1 - fidelity.
         _, traj, report = tiny_run
@@ -377,6 +452,35 @@ class TestRunSweep:
         assert rows[0]["error"] is None
         assert "kappa" in rows[1]["error"]
         assert rows[1]["final_V"] is None
+
+    @pytest.mark.parametrize(
+        "parallel,cpus,workers",
+        [(500, 8, 3), (2, 8, 2), (500, 2, 2), (500, None, None), (1, 8, None)],
+    )
+    def test_workers_bounded(self, monkeypatch, parallel, cpus, workers):
+        # At most one worker per value and per CPU; one worker runs in-process.
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr("bellsteer.experiments.ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("bellsteer.experiments.os.cpu_count", lambda: cpus)
+        base = scenario_from_mapping(base_mapping(**{"law.type": "none", "law.kappa": None}))
+        cfg = SweepConfig(base=base, axis="model.eta", values=(0.1, 0.2, 0.3), parallel=parallel)
+        rows = run_sweep(cfg)
+        assert started == ([] if workers is None else [workers])
+        assert [row["error"] for row in rows] == [None, None, None]
 
     def test_table_csv(self, tmp_path):
         rows = run_sweep(self.make_sweep((1.0, -1.0)))
@@ -533,6 +637,14 @@ class TestCli:
         assert main(["validate", cfg]) == 2
         assert main([command, cfg]) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(config_text(base_mapping()).encode() + b"# caf\xe9 \xff\n")
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "not UTF-8" in err and "latin1.cfg" in err
 
     def test_integration_abort_exit_code(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):

@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from bellsteer.linalg import (
-    as_density_matrix,
     as_state_vector,
-    commutator,
     dagger,
-    eigh,
     expm,
     hs_norm,
     kron,
@@ -20,12 +17,6 @@ from bellsteer.linalg import (
 def random_state(rng, dim=4):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
-
-
-def random_density(rng, dim=4):
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = m @ m.conj().T
-    return rho / np.trace(rho)
 
 
 class TestPauli:
@@ -57,17 +48,6 @@ class TestBasicOps:
         assert k.shape == (4, 4)
         assert np.allclose(k[:2, 2:], 2 * b)
 
-    def test_commutator_antisymmetric(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert np.allclose(commutator(a, b), -commutator(b, a))
-        assert np.allclose(commutator(a, a), 0.0)
-
-    def test_commutator_shape_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            commutator(np.eye(2), np.eye(4))
-
     def test_hs_norm(self):
         a = np.array([[3.0, 0.0], [0.0, 4.0]], dtype=complex)
         assert hs_norm(a) == pytest.approx(5.0)
@@ -95,21 +75,6 @@ class TestExpm:
         assert hs_norm(dagger(u) @ u - np.eye(4)) < 1e-13
 
 
-class TestEigh:
-    def test_decomposition(self):
-        rng = np.random.default_rng(3)
-        h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = 0.5 * (h + h.conj().T)
-        w, u = eigh(h)
-        assert np.all(np.diff(w) >= 0)
-        assert hs_norm(u @ np.diag(w) @ dagger(u) - h) < 1e-12
-
-    def test_rejects_non_hermitian(self):
-        a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(ValueError, match="not Hermitian"):
-            eigh(a)
-
-
 class TestStateValidation:
     def test_outer_projector(self):
         rng = np.random.default_rng(5)
@@ -125,28 +90,3 @@ class TestStateValidation:
     def test_as_state_vector_flattens(self):
         v = as_state_vector(np.array([[1.0], [0.0]]))
         assert v.shape == (2,)
-
-    def test_as_density_matrix_accepts_valid(self):
-        rng = np.random.default_rng(9)
-        rho = random_density(rng)
-        out = as_density_matrix(rho)
-        assert np.allclose(out, rho)
-
-    def test_as_density_matrix_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            as_density_matrix(np.zeros((2, 3)))
-
-    def test_as_density_matrix_rejects_non_hermitian(self):
-        rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-        rho[0, 1] = 0.1
-        with pytest.raises(ValueError, match="Hermiticity"):
-            as_density_matrix(rho)
-
-    def test_as_density_matrix_rejects_bad_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            as_density_matrix(np.eye(4, dtype=complex))
-
-    def test_as_density_matrix_rejects_negative_eigenvalue(self):
-        rho = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
-        with pytest.raises(ValueError, match="negative eigenvalue"):
-            as_density_matrix(rho)

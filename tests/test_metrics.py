@@ -9,7 +9,6 @@ from bellsteer.metrics import (
     concurrence,
     convergence_report,
     equator_state,
-    fidelity_to,
     lasalle_distance,
     peak_report,
     PeakReport,
@@ -115,37 +114,6 @@ class TestConcurrence:
     def test_wrong_dimension(self):
         with pytest.raises(ValueError, match="4x4"):
             concurrence(np.eye(2) / 2.0)
-
-
-class TestFidelity:
-    def test_identical_states(self):
-        rng = np.random.default_rng(31)
-        v = random_state(rng)
-        assert fidelity_to(outer(v), v) == pytest.approx(1.0)
-
-    def test_orthogonal_states(self):
-        a = np.array([1, 0, 0, 0], dtype=complex)
-        b = np.array([0, 1, 0, 0], dtype=complex)
-        assert fidelity_to(outer(a), b) == pytest.approx(0.0, abs=1e-15)
-
-    def test_product_vs_bell(self):
-        plus_plus = outer(np.full(4, 0.5, dtype=complex))
-        phi = bell_state(BellName.PHI_PLUS, Z_PRODUCT)
-        assert fidelity_to(plus_plus, phi) == pytest.approx(0.5)
-
-    def test_vector_and_matrix_targets_agree(self):
-        rng = np.random.default_rng(33)
-        rho = random_density(rng)
-        v = random_state(rng)
-        assert fidelity_to(rho, v) == pytest.approx(fidelity_to(rho, outer(v)))
-
-    def test_rejects_unnormalized_vector(self):
-        with pytest.raises(ValueError, match="normalized"):
-            fidelity_to(np.eye(4) / 4.0, np.ones(4, dtype=complex))
-
-    def test_rejects_mixed_target(self):
-        with pytest.raises(ValueError, match="pure"):
-            fidelity_to(np.eye(4) / 4.0, np.eye(4, dtype=complex) / 4.0)
 
 
 class TestLasalleDistance:
