@@ -82,7 +82,12 @@ def control_field(
     if kappa <= 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     c1 = h1 @ rho - rho @ h1
-    tr = complex(np.trace(rho_d @ c1))
+    return feedback_from_trace(complex(np.trace(rho_d @ c1)), kappa, sign)
+
+
+def feedback_from_trace(tr: complex, kappa: float, sign: int = 1) -> float:
+    """sign * kappa * Im tr for tr = Tr(rho_d [H1, rho]), after checking
+    that its real part is roundoff."""
     if abs(tr.real) > _REALNESS_TOL:
         raise ValueError(
             f"control trace has non-imaginary commutator part {tr.real:.3e}; "

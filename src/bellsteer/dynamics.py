@@ -7,16 +7,19 @@ The closed loop
     drho_d/dt = -i [H0, rho_d]
 
 is integrated as one autonomous system with an adaptive embedded
-Dormand-Prince 5(4) scheme (`integrate`). The feedback is re-evaluated from the
-stage values inside every Runge-Kutta stage, never precomputed. Open-loop runs
+Dormand-Prince 5(4) scheme (`integrate`) on the vector [vec rho, vec rho_d]:
+`rhs` forms both commutators with H0 and H1 of both matrices in one product
+with the Liouville generator. The feedback is re-evaluated from the stage
+values inside every Runge-Kutta stage, never precomputed. Open-loop runs
 (a geometric law or none) have a Hamiltonian that is constant on each interval,
 so `propagate_exact` forms every sample from one eigendecomposition per
 interval instead. `vdot_identity_check` steps the same closed-loop flow to
 check the descent identity of the feedback law. Unitary-dynamics invariants
-(trace, Hermiticity, purity, positivity) are monitored at every output sample
-and violations beyond ten times the stated tolerances abort the run; nothing
-is silently renormalized, because the descent property of the feedback law is
-exactly what the integration is supposed to expose.
+(trace, Hermiticity, purity, positivity) are checked at every output sample,
+in one pass per run, and violations beyond ten times the stated tolerances
+abort the run at the first bad sample; nothing is silently renormalized,
+because the descent property of the feedback law is exactly what the
+integration is supposed to expose.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .control import (
     Geometric,
     Lyapunov,
     control_field,
+    feedback_from_trace,
     geometric_field,
     lyapunov_value,
 )
@@ -52,20 +56,23 @@ PURITY_TOL = 1e-6
 EIGEN_FLOOR = -1e-8
 ABORT_FACTOR = 10.0
 
-# Dormand-Prince 5(4) tableau (FSAL: the 7th stage is the next step's first).
+# Dormand-Prince 5(4) tableau. Rows 1-6 are the stage coefficients A[i, :i];
+# row 6 is also the 5th-order weights B5, so the 7th stage input is the new
+# state and its derivative is the next step's first stage (FSAL). Row 7 holds
+# the error weights B5 - B4. Complex, so a matmul with the stages needs no cast.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_ERR = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+_TABLEAU = np.array(
+    [
+        [0.0] * 7,
+        [1 / 5, 0, 0, 0, 0, 0, 0],
+        [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
+        [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
+        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
+        [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
+    ],
+    dtype=complex,
 )
 
 
@@ -99,6 +106,19 @@ class IntegratorConfig:
 
 
 @dataclass(frozen=True)
+class IntegratorStats:
+    """How a DP5(4) run was stepped: accepted and rejected attempts, `rhs`
+    evaluations (6 per attempt plus the first, under FSAL) and the smallest
+    and largest accepted step (None when no step was taken)."""
+
+    accepted: int
+    rejected: int
+    rhs_evals: int
+    h_min: float | None
+    h_max: float | None
+
+
+@dataclass(frozen=True)
 class TrajectoryMetadata:
     params: ModelParams | None
     paradigm: Paradigm | None
@@ -106,6 +126,7 @@ class TrajectoryMetadata:
     cfg: IntegratorConfig
     basis_tag: str
     stalled: bool
+    integrator_stats: IntegratorStats | None = None  # None on the exact path
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,14 +154,40 @@ class Trajectory:
         return len(self.t)
 
 
+def liouville_generator(h: HamiltonianPair) -> np.ndarray:
+    """The (d², 2d²) transpose of G = -i [L(H0); L(H1)], L(H) = H⊗I - I⊗Hᵀ.
+
+    For a row-major vec, L(H) vec(rho) = vec([H, rho]), so the rows of
+    `np.stack([vec rho, vec rho_d]) @ liouville_generator(h)` are
+    [-i[H0, rho], -i[H1, rho]] and [-i[H0, rho_d], -i[H1, rho_d]].
+    """
+    eye = np.eye(h.h0.shape[0])
+    g = np.vstack([np.kron(m, eye) - np.kron(eye, m.T) for m in (h.h0, h.h1)])
+    return np.ascontiguousarray(-1j * g.T)
+
+
 def rhs(
-    h: HamiltonianPair, f: float, rho: np.ndarray, rho_d: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Liouville right-hand sides for the state (with field f) and the target."""
-    ht = h.h0 + f * h.h1
-    drho = -1j * (ht @ rho - rho @ ht)
-    drho_d = -1j * (h.h0 @ rho_d - rho_d @ h.h0)
-    return drho, drho_d
+    gen: np.ndarray, law: ControlLaw, t: float, y: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """The closed-loop derivative of y = [vec rho, vec rho_d] and the field.
+
+    drho/dt = -i[H0 + f H1, rho] and drho_d/dt = -i[H0, rho_d], with f the
+    law's field at (t, y): 0 for no law, the switch for a geometric law, and
+    sign * kappa * Im Tr(rho_d [H1, rho]) for feedback. gen is
+    `liouville_generator(h)`; one product gives all four commutators.
+    """
+    n = gen.shape[0]
+    q = y.reshape(2, n) @ gen
+    if law is None:
+        f = 0.0
+    elif isinstance(law, Geometric):
+        f = geometric_field(t, law)
+    else:
+        # vdot(vec rho_d, vec(-i[H1, rho])) = -i Tr(rho_d [H1, rho]) for Hermitian rho_d.
+        f = feedback_from_trace(1j * np.vdot(y[n:], q[0, n:]), law.kappa, law.sign)
+    dy = q[:, :n].ravel()
+    dy[:n] += f * q[0, n:]
+    return dy, f
 
 
 def geometric_evolve(h_tot: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
@@ -151,24 +198,6 @@ def geometric_evolve(h_tot: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarra
         raise ValueError(f"h_tot is not Hermitian (deviation {herm:.3e})")
     u = expm(-1j * h_tot * t)
     return u @ np.asarray(rho0, dtype=complex) @ u.conj().T
-
-
-def _field_value(
-    law: ControlLaw, t: float, rho: np.ndarray, rho_d: np.ndarray, h: HamiltonianPair
-) -> float:
-    if law is None:
-        return 0.0
-    if isinstance(law, Geometric):
-        return geometric_field(t, law)
-    return control_field(rho, rho_d, h.h1, law.kappa, law.sign)
-
-
-def _closed_loop(h: HamiltonianPair, law: ControlLaw, t: float, state: np.ndarray) -> np.ndarray:
-    """Time derivative of the (2, d, d) state/target stack: the flow
-    `integrate` steps, with the field evaluated from the state itself."""
-    f = _field_value(law, t, state[0], state[1], h)
-    drho, drho_d = rhs(h, f, state[0], state[1])
-    return np.stack([drho, drho_d])
 
 
 def vdot_identity_check(
@@ -186,16 +215,18 @@ def vdot_identity_check(
     advanced by one classical RK4 step of size delta. The two agree within
     max(1e-6, 1e-3 |analytic|) for valid inputs.
     """
-    y = np.stack([np.asarray(rho, dtype=complex), np.asarray(rho_d, dtype=complex)])
-    k1 = _closed_loop(h, law, 0.0, y)
+    y0 = _initial_states(h, rho, rho_d)
+    gen = liouville_generator(h)
+    y = y0.ravel()
+    k1 = rhs(gen, law, 0.0, y)[0]
 
     def rk4(step: float) -> np.ndarray:
-        k2 = _closed_loop(h, law, 0.0, y + 0.5 * step * k1)
-        k3 = _closed_loop(h, law, 0.0, y + 0.5 * step * k2)
-        k4 = _closed_loop(h, law, 0.0, y + step * k3)
-        return y + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        k2 = rhs(gen, law, 0.0, y + 0.5 * step * k1)[0]
+        k3 = rhs(gen, law, 0.0, y + 0.5 * step * k2)[0]
+        k4 = rhs(gen, law, 0.0, y + step * k3)[0]
+        return (y + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)).reshape(y0.shape)
 
-    trace_term = control_field(y[0], y[1], h.h1, 1.0, 1)
+    trace_term = control_field(y0[0], y0[1], h.h1, 1.0, 1)
     analytic = -law.sign * law.kappa * trace_term * trace_term
     fwd = rk4(delta)
     bwd = rk4(-delta)
@@ -264,6 +295,7 @@ def _diagnose(
     t: np.ndarray,
     states: np.ndarray,
     f: np.ndarray,
+    stats: IntegratorStats | None = None,
 ) -> Trajectory:
     """The diagnostics pass both propagators share: V, concurrence and p_S
     of every sample of the (n, 2, d, d) state/target stack at once, and the
@@ -287,8 +319,15 @@ def _diagnose(
         and v[0] > 1e-12
         and np.max(np.abs(f)) <= 1e-14 * law.kappa * hs_norm(h.h1)
     )
-    meta = TrajectoryMetadata(h.params, h.paradigm, law, cfg, h.basis.tag, stalled)
+    meta = TrajectoryMetadata(h.params, h.paradigm, law, cfg, h.basis.tag, stalled, stats)
     return Trajectory(t, rho, rho_d, f, v, c, p_s, meta)
+
+
+def _open_loop_field(law: ControlLaw, times: np.ndarray) -> np.ndarray:
+    """The field of a geometric law, or of none, at each of times."""
+    if law is None:
+        return np.zeros(len(times))
+    return np.array([geometric_field(t, law) for t in times])
 
 
 def integrate(
@@ -302,66 +341,87 @@ def integrate(
 
     Steps are clipped to the sample grid and, for a geometric law, to the
     switch time t0, so the discontinuous field never straddles a step. With
-    v_stop set, the run ends at the first sample where V < v_stop.
+    v_stop set, the run ends at the first sample where V < v_stop. The
+    invariants of all samples are checked in one pass at the end, or before
+    an error is raised mid-run, so the first bad sample still aborts the run.
     """
-    y = _initial_states(h, rho0, rho_d0)
-    purity0 = _purity(y)
-
+    y0 = _initial_states(h, rho0, rho_d0)
+    gen = liouville_generator(h)
     grid = _sample_grid(cfg)
     breakpoints = []
     if isinstance(law, Geometric) and 0.0 < law.t0 < cfg.t_max:
         breakpoints.append(law.t0)
 
-    times = [0.0]
-    samples = [y.copy()]
-    fs = [_field_value(law, 0.0, y[0], y[1], h)]
+    samples = np.empty((len(grid), y0.size), dtype=complex)
+    fs = np.empty(len(grid))
+    y = samples[0] = y0.ravel()
+    abs_y = np.abs(y)
+    k = np.empty((7, y.size), dtype=complex)
+    k[0], f = rhs(gen, law, 0.0, y)
+    fs[0] = f
+    n = 1  # samples taken
+    steps = []  # accepted step sizes
+    rejected = 0
+
+    def check(m: int) -> None:
+        _check_invariants(grid[1:m], samples[1:m].reshape((m - 1,) + y0.shape), _purity(y0))
 
     t = 0.0
     h_step = cfg.dt
-    k1 = _closed_loop(h, law, t, y)
-    n_stages = 7
-    k = [None] * n_stages
+    try:
+        for target in grid[1:]:
+            snap_tol = 1e-10 * max(1.0, target)
+            while target - t > snap_tol:
+                next_stop = target
+                for bp in breakpoints:
+                    if bp - t > snap_tol and bp < next_stop:
+                        next_stop = bp
+                h_try = min(h_step, next_stop - t)
+                if h_try < 1e-13:
+                    last = f"h={steps[-1]:.3e} ending at t={t:.6g}" if steps else "none"
+                    raise IntegrationError(
+                        f"step size underflow (h={h_try:.3e}; last accepted step {last})", t
+                    )
 
-    for target in grid[1:]:
-        snap_tol = 1e-10 * max(1.0, target)
-        while target - t > snap_tol:
-            next_stop = target
-            for bp in breakpoints:
-                if bp - t > snap_tol and bp < next_stop:
-                    next_stop = bp
-            h_try = min(h_step, next_stop - t)
-            if h_try < 1e-13:
-                raise IntegrationError("step size underflow", t)
+                # One embedded DP5(4) attempt; the 7th stage input is the new state.
+                coef = h_try * _TABLEAU
+                for i in range(1, 7):
+                    y_new = y + coef[i, :i] @ k[:i]
+                    k[i], f_new = rhs(gen, law, t + _C[i] * h_try, y_new)
+                abs_new = np.abs(y_new)
+                scaled = (coef[7] @ k) / (cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, abs_new))
+                err = math.sqrt(np.vdot(scaled, scaled).real / scaled.size)
 
-            # One embedded DP5(4) attempt.
-            k[0] = k1
-            for i in range(1, n_stages):
-                yi = y + h_try * sum(_A[i][j] * k[j] for j in range(i))
-                k[i] = _closed_loop(h, law, t + _C[i] * h_try, yi)
-            y_new = y + h_try * sum(_B5[i] * k[i] for i in range(n_stages))
-            err_vec = h_try * sum(_ERR[i] * k[i] for i in range(n_stages))
+                if err <= 1.0:
+                    t = t + h_try
+                    y, abs_y, f = y_new, abs_new, f_new
+                    k[0] = k[6]  # FSAL
+                    steps.append(h_try)
+                    factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+                    h_step = h_try * factor
+                else:
+                    rejected += 1
+                    h_step = h_try * max(0.2, 0.9 * err ** -0.2)
 
-            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            err = float(np.sqrt(np.mean(np.abs(err_vec / scale) ** 2)))
+            t = target
+            samples[n], fs[n] = y, f
+            n += 1
+            if cfg.v_stop is not None and lyapunov_value(*y.reshape(y0.shape)) < cfg.v_stop:
+                break
+    except (IntegrationError, ValueError):
+        check(n)  # an earlier invariant violation is the error to report
+        raise
+    check(n)
 
-            if err <= 1.0:
-                t = t + h_try
-                y = y_new
-                k1 = k[6]  # FSAL
-                factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-                h_step = h_try * factor
-            else:
-                h_step = h_try * max(0.2, 0.9 * err ** -0.2)
-
-        t = target
-        times.append(t)
-        samples.append(y.copy())
-        fs.append(_field_value(law, t, y[0], y[1], h))
-        _check_invariants(np.array([t]), y[None], purity0)
-        if cfg.v_stop is not None and lyapunov_value(y[0], y[1]) < cfg.v_stop:
-            break
-
-    return _diagnose(h, law, cfg, np.array(times), np.array(samples), np.array(fs))
+    times = grid[:n]
+    if not isinstance(law, Lyapunov):
+        # A step clipped at t0 ends at t + (t0 - t), which can round below t0,
+        # so the sample at t0 takes the law's field at the grid time instead.
+        fs = _open_loop_field(law, times)
+    h_range = (float(min(steps)), float(max(steps))) if steps else (None, None)
+    stats = IntegratorStats(len(steps), rejected, 1 + 6 * (len(steps) + rejected), *h_range)
+    states = samples[:n].reshape((n,) + y0.shape)
+    return _diagnose(h, law, cfg, times, states, fs[:n], stats)
 
 
 def _evolve(eig: tuple[np.ndarray, np.ndarray], rho: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -398,10 +458,7 @@ def propagate_exact(
         raise ValueError("feedback laws have no constant Hamiltonian; use integrate")
     y0 = _initial_states(h, rho0, rho_d0)
     grid = _sample_grid(cfg)
-    if law is None:
-        f = np.zeros(len(grid))
-    else:
-        f = np.array([geometric_field(t, law) for t in grid])
+    f = _open_loop_field(law, grid)
     n_on = int(np.count_nonzero(f))
 
     free = np.linalg.eigh(h.h0)

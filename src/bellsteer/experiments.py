@@ -347,6 +347,7 @@ def build_report(
     fid = float(np.real(np.trace(traj.rho[-1] @ traj.rho_d[-1])))
     drive_ratio = float(np.max(np.abs(traj.f)) * hs_norm(h.h1) / hs_norm(h.h0))
     peak = peak_report(traj)
+    stats = traj.metadata.integrator_stats
 
     convergence: dict | None = None
     if isinstance(cfg.law, Lyapunov):
@@ -379,6 +380,7 @@ def build_report(
         "final_concurrence": float(traj.concurrence[-1]),
         "final_fidelity": fid,
         "stalled": traj.metadata.stalled,
+        "integrator_stats": None if stats is None else dataclasses.asdict(stats),
         "max_drive_ratio": drive_ratio,
         "peak": {
             "t_first": peak.t_first,

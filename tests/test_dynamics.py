@@ -6,19 +6,24 @@ attribute ``propagate`` (the DP5(4) ``integrate``); each has an ``...Exact``
 subclass that reruns the same cases through ``propagate_exact``.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bellsteer.control import Geometric, Lyapunov
+from bellsteer import dynamics
+from bellsteer.control import Geometric, Lyapunov, control_field, f_bound, geometric_field
 from bellsteer.dynamics import (
     IntegrationError,
     IntegratorConfig,
+    IntegratorStats,
     Trajectory,
     TrajectoryMetadata,
     geometric_evolve,
     integrate,
+    liouville_generator,
     propagate_exact,
     rhs,
 )
@@ -26,6 +31,7 @@ from bellsteer.experiments import preset_scenarios
 from bellsteer.linalg import hs_norm, outer
 from bellsteer.model import (
     BellName,
+    HamiltonianPair,
     ModelParams,
     Paradigm,
     X_PRODUCT,
@@ -359,7 +365,190 @@ class TestTrajectoryType:
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = m @ m.conj().T
         rho /= np.trace(rho)
-        drho, drho_d = rhs(h, 0.7, rho, rho)
+        y = np.concatenate([rho.ravel(), rho.ravel()])
+        dy, f = rhs(liouville_generator(h), Geometric(t0=1.0), 0.7, y)
+        drho, drho_d = dy.reshape(2, 4, 4)
+        assert f == 1.0
         assert abs(np.trace(drho)) < 1e-14
         assert hs_norm(drho - drho.conj().T) < 1e-13
         assert abs(np.trace(drho_d)) < 1e-14
+
+
+def random_matrix(values, d):
+    """A d x d complex matrix from 2 d^2 floats."""
+    v = np.asarray(values[: 2 * d * d])
+    return (v[: d * d] + 1j * v[d * d:]).reshape(d, d)
+
+
+def random_density(values, d, rank):
+    """A density matrix of rank at most `rank` (1 is pure) from 2 d^2 floats."""
+    m = random_matrix(values, d)[:, :rank]
+    rho = m @ m.conj().T
+    assume(np.trace(rho).real > 1e-3)
+    return rho / np.trace(rho)
+
+
+def commutator(a, b):
+    return a @ b - b @ a
+
+
+floats32 = st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32).filter(
+    lambda v: np.linalg.norm(v) > 0.1
+)
+
+
+class TestRhs:
+    """`rhs` on [vec rho, vec rho_d] against the commutator form with the
+    field from the law's own function."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d=st.sampled_from([2, 4]),
+        h0=floats32,
+        h1=floats32,
+        rho=floats32,
+        rho_d=floats32,
+        ranks=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        law=st.one_of(
+            st.builds(Lyapunov, st.floats(0.01, 3.0), st.sampled_from([1, -1])),
+            st.builds(Geometric, st.floats(0.0, 2.0)),
+            st.none(),
+        ),
+        t=st.floats(0.0, 2.0),
+    )
+    def test_matches_commutator_form(self, d, h0, h1, rho, rho_d, ranks, law, t):
+        m0, m1 = random_matrix(h0, d), random_matrix(h1, d)
+        h = HamiltonianPair(m0 + m0.conj().T, m1 + m1.conj().T, X_PRODUCT)
+        rho = random_density(rho, d, ranks[0])
+        rho_d = random_density(rho_d, d, ranks[1])
+        dy, f = rhs(liouville_generator(h), law, t, np.concatenate([rho.ravel(), rho_d.ravel()]))
+
+        if isinstance(law, Lyapunov):
+            f_ref = control_field(rho, rho_d, h.h1, law.kappa, law.sign)
+            assert abs(f) <= f_bound(rho, rho_d, h.h1, law.kappa) * (1 + 1e-12) + 1e-15
+            f_scale = law.kappa * hs_norm(h.h1) * hs_norm(rho) * hs_norm(rho_d)
+        else:
+            f_ref = 0.0 if law is None else geometric_field(t, law)
+            f_scale = 0.0
+        assert abs(f - f_ref) <= 1e-12 * f_scale
+        drho_ref = -1j * commutator(h.h0 + f_ref * h.h1, rho)
+        drho_d_ref = -1j * commutator(h.h0, rho_d)
+        scale = (hs_norm(h.h0) + abs(f_ref) * hs_norm(h.h1)) * max(hs_norm(rho), hs_norm(rho_d))
+        drho, drho_d = dy.reshape(2, d, d)
+        assert hs_norm(drho - drho_ref) <= 1e-12 * scale
+        assert hs_norm(drho_d - drho_d_ref) <= 1e-12 * scale
+
+    def test_non_hermitian_target_rejected_like_control_field(self):
+        h = local_pair()
+        rng = np.random.default_rng(3)
+        rho = random_density(rng.normal(size=32), 4, 4)
+        rho_d = 1j * random_density(rng.normal(size=32), 4, 4)  # anti-Hermitian
+        with pytest.raises(ValueError, match="non-imaginary commutator part") as ref:
+            control_field(rho, rho_d, h.h1, 1.0)
+        y = np.concatenate([rho.ravel(), rho_d.ravel()])
+        with pytest.raises(ValueError, match="non-imaginary commutator part") as new:
+            rhs(liouville_generator(h), Lyapunov(kappa=1.0), 0.0, y)
+
+
+class TestClosedLoopDescent:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        kappa=st.floats(0.0, 3.0, exclude_min=True),
+        paradigm=st.sampled_from(list(Paradigm)),
+        t_max=st.floats(0.5, 5.0),
+        amps=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16).filter(
+            lambda a: np.linalg.norm(a[:8]) > 0.1 and np.linalg.norm(a[8:]) > 0.1
+        ),
+    )
+    def test_v_never_rises(self, kappa, paradigm, t_max, amps):
+        h = hamiltonians(P, paradigm, X_PRODUCT)
+        rho0, rho_d0 = random_pure_state(amps[:8]), random_pure_state(amps[8:])
+        traj = integrate(h, Lyapunov(kappa=kappa), rho0, rho_d0, IntegratorConfig(t_max=t_max))
+        assert np.max(np.diff(traj.V)) <= 1e-8
+
+
+class TestIntegratorStats:
+    def test_field_names(self):
+        assert [f.name for f in dataclasses.fields(IntegratorStats)] == [
+            "accepted", "rejected", "rhs_evals", "h_min", "h_max"
+        ]
+        meta = dataclasses.fields(TrajectoryMetadata)[-1]
+        assert (meta.name, meta.default) == ("integrator_stats", None)
+
+    @pytest.mark.parametrize("law", [Lyapunov(kappa=2.0), Geometric(t0=1.3), None])
+    def test_counts_every_rhs_call(self, law, monkeypatch):
+        calls = []
+        real_rhs = dynamics.rhs
+
+        def counted(*args):
+            calls.append(args)
+            return real_rhs(*args)
+
+        monkeypatch.setattr(dynamics, "rhs", counted)
+        rho_d0 = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
+        # A first step of 2.0 is too long for the tolerance, so some attempts fail.
+        cfg = IntegratorConfig(t_max=4.0, dt=2.0, sample_every=2.0)
+        traj = integrate(local_pair(), law, x_state("|++>"), rho_d0, cfg)
+        stats = traj.metadata.integrator_stats
+        assert stats.rejected > 0
+        assert stats.rhs_evals == len(calls) == 6 * (stats.accepted + stats.rejected) + 1
+        assert 0.0 < stats.h_min <= stats.h_max <= 2.0
+
+    def test_none_on_exact_path(self):
+        traj = propagate_exact(local_pair(), Geometric(t0=0.5), x_state("|++>"),
+                               x_state("|-->"), IntegratorConfig(t_max=1.0))
+        assert traj.metadata.integrator_stats is None
+
+
+class TestMidRunErrors:
+    """Errors raised while stepping still report an earlier invariant
+    violation first, as a check at every sample would."""
+
+    @staticmethod
+    def failing_after(monkeypatch, t_fail, fail):
+        real_rhs = dynamics.rhs
+
+        def rhs_failing(gen, law, t, y):
+            dy, f = real_rhs(gen, law, t, y)
+            if t > t_fail:
+                return fail(dy), f
+            return dy, f
+
+        monkeypatch.setattr(dynamics, "rhs", rhs_failing)
+
+    def test_underflow_names_last_accepted_step(self, monkeypatch):
+        self.failing_after(monkeypatch, 0.35, lambda dy: dy * np.nan)
+        with pytest.raises(IntegrationError, match="step size underflow") as excinfo:
+            integrate(local_pair(), Lyapunov(kappa=1.0), x_state("|++>"), x_state("|-->"),
+                      IntegratorConfig(t_max=1.0))
+        assert excinfo.value.t == pytest.approx(0.35, abs=1e-6)
+        assert "last accepted step h=" in str(excinfo.value)
+        assert f"ending at t={excinfo.value.t:.6g}" in str(excinfo.value)
+
+    def test_underflow_with_no_accepted_step(self):
+        with pytest.raises(IntegrationError, match="last accepted step none"):
+            integrate(local_pair(), None, x_state("|++>"), x_state("|-->"),
+                      IntegratorConfig(t_max=1.0, dt=1e-14))
+
+    @pytest.mark.parametrize("error", [None, ValueError("bad field")])
+    def test_invariant_violation_reported_first(self, monkeypatch, error):
+        def fail(dy):
+            if error is not None:
+                raise error
+            return dy * np.nan
+
+        self.failing_after(monkeypatch, 0.35, fail)
+        bad = 0.9 * x_state("|++>")
+        with pytest.raises(IntegrationError, match="rho trace drift") as excinfo:
+            integrate(local_pair(), Lyapunov(kappa=1.0), bad, x_state("|-->"),
+                      IntegratorConfig(t_max=1.0))
+        assert excinfo.value.t == pytest.approx(0.1)
+
+    def test_value_error_passes_through_on_valid_samples(self, monkeypatch):
+        def fail(dy):
+            raise ValueError("bad field")
+
+        self.failing_after(monkeypatch, 0.35, fail)
+        with pytest.raises(ValueError, match="bad field"):
+            integrate(local_pair(), Lyapunov(kappa=1.0), x_state("|++>"), x_state("|-->"),
+                      IntegratorConfig(t_max=1.0))

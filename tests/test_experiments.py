@@ -331,6 +331,15 @@ class TestRunScenarioAndOutputs:
         law = report["law"]
         assert (None if law is None else list(law)) == law_keys
 
+    def test_report_integrator_stats(self, tiny_run):
+        _, traj, report = tiny_run
+        stats = json.loads(json.dumps(report))["integrator_stats"]
+        assert stats == dataclasses.asdict(traj.metadata.integrator_stats)
+        assert list(stats) == ["accepted", "rejected", "rhs_evals", "h_min", "h_max"]
+        # Open-loop runs are exact: no steps to count.
+        open_loop = base_mapping(**{"law.type": "none", "law.kappa": None})
+        assert run_scenario(scenario_from_mapping(open_loop))[1]["integrator_stats"] is None
+
     def test_fidelity_consistent_with_v_for_pure_states(self, tiny_run):
         # For pure rho and pure target, V = 1 - fidelity.
         _, traj, report = tiny_run
