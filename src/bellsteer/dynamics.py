@@ -1,25 +1,20 @@
-"""Coupled Liouville integration for the controlled state and its drifting
-target.
+"""Closed-loop integration of the controlled state against its drifting
+target, and exact open-loop propagation.
 
-The closed loop
-
-    drho/dt   = -i [H0 + f(rho, rho_d, t) H1, rho]
-    drho_d/dt = -i [H0, rho_d]
-
-is integrated as one autonomous system with an adaptive embedded
-Dormand-Prince 5(4) scheme (`integrate`) on the vector [vec rho, vec rho_d]:
-`rhs` forms both commutators with H0 and H1 of both matrices in one product
-with the Liouville generator. The feedback is re-evaluated from the stage
-values inside every Runge-Kutta stage, never precomputed. Open-loop runs
-(a geometric law or none) have a Hamiltonian that is constant on each interval,
-so `propagate_exact` forms every sample from one eigendecomposition per
-interval instead. `vdot_identity_check` steps the same closed-loop flow to
-check the descent identity of the feedback law. Unitary-dynamics invariants
-(trace, Hermiticity, purity, positivity) are checked at every output sample,
-in one pass per run, and violations beyond ten times the stated tolerances
-abort the run at the first bad sample; nothing is silently renormalized,
-because the descent property of the feedback law is exactly what the
-integration is supposed to expose.
+The closed loop drho/dt = -i [H0 + f(rho, rho_d, t) H1, rho] steers rho
+towards the target rho_d(t) = U0(t) rho_d0 U0(t)†, U0(t) = exp(-i H0 t).
+`integrate` steps only rho~ = U0(t)† rho U0(t), whose derivative is the
+control term alone (`rhs`), with an adaptive embedded Dormand-Prince 5(4)
+scheme, and re-evaluates the feedback inside every stage. Every sample's
+state and target are the exact free evolution `_evolve` of rho~ and rho_d0,
+the eigendecomposition path by which `propagate_exact` forms open-loop runs
+(a geometric law or none), whose Hamiltonian is constant on each interval.
+`vdot_identity_check` steps the same flow to check the descent identity of
+the feedback law. Unitary-dynamics invariants (trace, Hermiticity, purity,
+positivity) are checked at every output sample, in one pass per run, and
+violations beyond ten times the stated tolerances abort the run at the first
+bad sample; nothing is silently renormalized, because the descent property
+of the feedback law is exactly what the integration is supposed to expose.
 """
 
 from __future__ import annotations
@@ -154,40 +149,42 @@ class Trajectory:
         return len(self.t)
 
 
-def liouville_generator(h: HamiltonianPair) -> np.ndarray:
-    """The (d², 2d²) transpose of G = -i [L(H0); L(H1)], L(H) = H⊗I - I⊗Hᵀ.
-
-    For a row-major vec, L(H) vec(rho) = vec([H, rho]), so the rows of
-    `np.stack([vec rho, vec rho_d]) @ liouville_generator(h)` are
-    [-i[H0, rho], -i[H1, rho]] and [-i[H0, rho_d], -i[H1, rho_d]].
+def _frame(h: HamiltonianPair, states: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """The interaction picture of H0 for `rhs`, and vec rho~ at t = 0, from the
+    (2, d, d) initial state/target stack. The frame is ((lam, W), the (d²,)
+    rates -i(lam_j - lam_k), the (d², d²) transpose gen of -i L(W† H1 W) with
+    L(H) = H⊗I - I⊗Hᵀ, and the constant target rho_d~ = W† rho_d0 W), with
+    (lam, W) the eigendecomposition of H0.
     """
-    eye = np.eye(h.h0.shape[0])
-    g = np.vstack([np.kron(m, eye) - np.kron(eye, m.T) for m in (h.h0, h.h1)])
-    return np.ascontiguousarray(-1j * g.T)
+    lam, w = eig = np.linalg.eigh(h.h0)
+    rho, rho_d = w.conj().T @ states @ w
+    h1 = w.conj().T @ h.h1 @ w
+    eye = np.eye(len(lam))
+    gen = np.ascontiguousarray(-1j * (np.kron(h1, eye) - np.kron(eye, h1.T)).T)
+    return (eig, -1j * np.subtract.outer(lam, lam).ravel(), gen, rho_d), rho.ravel()
 
 
-def rhs(
-    gen: np.ndarray, law: ControlLaw, t: float, y: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """The closed-loop derivative of y = [vec rho, vec rho_d] and the field.
+def rhs(frame: tuple, law: ControlLaw, t: float, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """The closed-loop derivative of y = vec rho~, rho~ = U0(t)† rho U0(t)
+    with U0(t) = exp(-i H0 t) written in the eigenbasis of H0, and the field.
 
-    drho/dt = -i[H0 + f H1, rho] and drho_d/dt = -i[H0, rho_d], with f the
-    law's field at (t, y): 0 for no law, the switch for a geometric law, and
-    sign * kappa * Im Tr(rho_d [H1, rho]) for feedback. gen is
-    `liouville_generator(h)`; one product gives all four commutators.
+    Only the control term is left: drho~/dt = -i f [U0† H1 U0, rho~]. In the
+    eigenbasis U0 is the phase p_jk = exp(-i (lam_j - lam_k) t) on each entry,
+    and for a row-major vec, vec(x) @ gen = vec(-i[W† H1 W, x]). f is 0 for
+    no law, the switch for a geometric law, and sign * kappa *
+    Im Tr(rho_d [H1, rho]) for feedback, a trace the frame leaves alone.
     """
-    n = gen.shape[0]
-    q = y.reshape(2, n) @ gen
+    _, rates, gen, target = frame
+    p = np.exp(rates * t)
+    q = p.conj() * ((p * y) @ gen)
     if law is None:
         f = 0.0
     elif isinstance(law, Geometric):
         f = geometric_field(t, law)
     else:
-        # vdot(vec rho_d, vec(-i[H1, rho])) = -i Tr(rho_d [H1, rho]) for Hermitian rho_d.
-        f = feedback_from_trace(1j * np.vdot(y[n:], q[0, n:]), law.kappa, law.sign)
-    dy = q[:, :n].ravel()
-    dy[:n] += f * q[0, n:]
-    return dy, f
+        # vdot(vec rho_d~, vec(-i[H1~, rho~])) = -i Tr(rho_d [H1, rho]) for Hermitian rho_d.
+        f = feedback_from_trace(1j * np.vdot(target, q), law.kappa, law.sign)
+    return f * q, f
 
 
 def geometric_evolve(h_tot: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
@@ -212,25 +209,25 @@ def vdot_identity_check(
     analytic = -f * Tr(rho_d [-iH1, rho]), the descent identity of the
     feedback design (equal to -kappa * trace^2 for sign=+1). numeric is a
     central finite difference of V along the closed-loop flow, each side
-    advanced by one classical RK4 step of size delta. The two agree within
-    max(1e-6, 1e-3 |analytic|) for valid inputs.
+    advanced by one classical RK4 step of `rhs` of size delta. The two agree
+    within max(1e-6, 1e-3 |analytic|) for valid inputs.
     """
     y0 = _initial_states(h, rho, rho_d)
-    gen = liouville_generator(h)
-    y = y0.ravel()
-    k1 = rhs(gen, law, 0.0, y)[0]
+    frame, y = _frame(h, y0)
+    k1 = rhs(frame, law, 0.0, y)[0]
 
     def rk4(step: float) -> np.ndarray:
-        k2 = rhs(gen, law, 0.0, y + 0.5 * step * k1)[0]
-        k3 = rhs(gen, law, 0.0, y + 0.5 * step * k2)[0]
-        k4 = rhs(gen, law, 0.0, y + step * k3)[0]
-        return (y + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)).reshape(y0.shape)
+        k2 = rhs(frame, law, 0.5 * step, y + 0.5 * step * k1)[0]
+        k3 = rhs(frame, law, 0.5 * step, y + 0.5 * step * k2)[0]
+        k4 = rhs(frame, law, step, y + step * k3)[0]
+        return (y + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)).reshape(y0[0].shape)
 
     trace_term = control_field(y0[0], y0[1], h.h1, 1.0, 1)
     analytic = -law.sign * law.kappa * trace_term * trace_term
     fwd = rk4(delta)
     bwd = rk4(-delta)
-    numeric = (lyapunov_value(*fwd) - lyapunov_value(*bwd)) / (2.0 * delta)
+    # V is unchanged by the frame, so it is taken on rho~ against rho_d~.
+    numeric = (lyapunov_value(fwd, frame[3]) - lyapunov_value(bwd, frame[3])) / (2.0 * delta)
     return analytic, numeric
 
 
@@ -337,34 +334,40 @@ def integrate(
     rho_d0: np.ndarray,
     cfg: IntegratorConfig,
 ) -> Trajectory:
-    """Integrate the coupled closed loop over [0, t_max] and sample it.
+    """Integrate the closed loop over [0, t_max] and sample it.
 
-    Steps are clipped to the sample grid and, for a geometric law, to the
-    switch time t0, so the discontinuous field never straddles a step. With
-    v_stop set, the run ends at the first sample where V < v_stop. The
-    invariants of all samples are checked in one pass at the end, or before
-    an error is raised mid-run, so the first bad sample still aborts the run.
+    Steps rho~ (see `rhs`), clipped to the sample grid and, for a geometric
+    law, to the switch time t0, so the discontinuous field never straddles a
+    step. With v_stop set, the run ends at the first sample where V < v_stop.
+    The invariants of all samples are checked in one pass at the end, or
+    before an error is raised mid-run, so the first bad sample still aborts
+    the run.
     """
     y0 = _initial_states(h, rho0, rho_d0)
-    gen = liouville_generator(h)
+    frame, y = _frame(h, y0)
+    free, tilde_d, w = frame[0], frame[3], frame[0][1]
     grid = _sample_grid(cfg)
     breakpoints = []
     if isinstance(law, Geometric) and 0.0 < law.t0 < cfg.t_max:
         breakpoints.append(law.t0)
 
-    samples = np.empty((len(grid), y0.size), dtype=complex)
+    samples = np.empty((len(grid), y.size), dtype=complex)
     fs = np.empty(len(grid))
-    y = samples[0] = y0.ravel()
     abs_y = np.abs(y)
     k = np.empty((7, y.size), dtype=complex)
-    k[0], f = rhs(gen, law, 0.0, y)
-    fs[0] = f
+    k[0], f = rhs(frame, law, 0.0, y)
+    samples[0], fs[0] = y, f
     n = 1  # samples taken
     steps = []  # accepted step sizes
     rejected = 0
 
-    def check(m: int) -> None:
-        _check_invariants(grid[1:m], samples[1:m].reshape((m - 1,) + y0.shape), _purity(y0))
+    def checked_states(m: int) -> np.ndarray:
+        """The lab-frame (m, 2, d, d) state/target stack of the first m samples."""
+        states = np.empty((m,) + y0.shape, dtype=complex)
+        states[:, 0] = _evolve(free, w @ samples[:m].reshape(-1, *w.shape) @ w.conj().T, grid[:m])
+        states[:, 1] = _evolve(free, y0[1], grid[:m])
+        _check_invariants(grid[1:m], states[1:], _purity(y0))
+        return states
 
     t = 0.0
     h_step = cfg.dt
@@ -387,7 +390,7 @@ def integrate(
                 coef = h_try * _TABLEAU
                 for i in range(1, 7):
                     y_new = y + coef[i, :i] @ k[:i]
-                    k[i], f_new = rhs(gen, law, t + _C[i] * h_try, y_new)
+                    k[i], f_new = rhs(frame, law, t + _C[i] * h_try, y_new)
                 abs_new = np.abs(y_new)
                 scaled = (coef[7] @ k) / (cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, abs_new))
                 err = math.sqrt(np.vdot(scaled, scaled).real / scaled.size)
@@ -406,12 +409,12 @@ def integrate(
             t = target
             samples[n], fs[n] = y, f
             n += 1
-            if cfg.v_stop is not None and lyapunov_value(*y.reshape(y0.shape)) < cfg.v_stop:
+            if cfg.v_stop is not None and lyapunov_value(y.reshape(w.shape), tilde_d) < cfg.v_stop:
                 break
     except (IntegrationError, ValueError):
-        check(n)  # an earlier invariant violation is the error to report
+        checked_states(n)  # an earlier invariant violation is the error to report
         raise
-    check(n)
+    states = checked_states(n)
 
     times = grid[:n]
     if not isinstance(law, Lyapunov):
@@ -420,7 +423,6 @@ def integrate(
         fs = _open_loop_field(law, times)
     h_range = (float(min(steps)), float(max(steps))) if steps else (None, None)
     stats = IntegratorStats(len(steps), rejected, 1 + 6 * (len(steps) + rejected), *h_range)
-    states = samples[:n].reshape((n,) + y0.shape)
     return _diagnose(h, law, cfg, times, states, fs[:n], stats)
 
 
