@@ -118,8 +118,6 @@ class TrajectoryMetadata:
     params: ModelParams | None
     paradigm: Paradigm | None
     law: ControlLaw
-    cfg: IntegratorConfig
-    basis_tag: str
     stalled: bool
     integrator_stats: IntegratorStats | None = None  # None on the exact path
 
@@ -288,7 +286,6 @@ def _check_invariants(t: np.ndarray, states: np.ndarray, purity0: np.ndarray) ->
 def _diagnose(
     h: HamiltonianPair,
     law: ControlLaw,
-    cfg: IntegratorConfig,
     t: np.ndarray,
     states: np.ndarray,
     f: np.ndarray,
@@ -316,7 +313,7 @@ def _diagnose(
         and v[0] > 1e-12
         and np.max(np.abs(f)) <= 1e-14 * law.kappa * hs_norm(h.h1)
     )
-    meta = TrajectoryMetadata(h.params, h.paradigm, law, cfg, h.basis.tag, stalled, stats)
+    meta = TrajectoryMetadata(h.params, h.paradigm, law, stalled, stats)
     return Trajectory(t, rho, rho_d, f, v, c, p_s, meta)
 
 
@@ -423,7 +420,7 @@ def integrate(
         fs = _open_loop_field(law, times)
     h_range = (float(min(steps)), float(max(steps))) if steps else (None, None)
     stats = IntegratorStats(len(steps), rejected, 1 + 6 * (len(steps) + rejected), *h_range)
-    return _diagnose(h, law, cfg, times, states, fs[:n], stats)
+    return _diagnose(h, law, times, states, fs[:n], stats)
 
 
 def _evolve(eig: tuple[np.ndarray, np.ndarray], rho: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -479,4 +476,4 @@ def propagate_exact(
             n = int(below[0]) + 2
             grid, states, f = grid[:n], states[:n], f[:n]
     _check_invariants(grid[1:], states[1:], _purity(y0))
-    return _diagnose(h, law, cfg, grid, states, f)
+    return _diagnose(h, law, grid, states, f)

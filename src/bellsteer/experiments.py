@@ -23,6 +23,7 @@ import re
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from enum import Enum
 from itertools import repeat
 from pathlib import Path
 
@@ -176,48 +177,87 @@ def parse_config_text(text: str) -> dict[str, str]:
     return mapping
 
 
-def _pop_int(d: dict[str, str], key: str, default: int | None = None) -> int | None:
-    if key not in d:
-        return default
-    raw = d.pop(key)
+def _finite_list(raw: str) -> tuple[float, ...]:
+    """A comma list of finite numbers; empty items are skipped."""
+    return tuple(_finite(v) for v in raw.split(",") if v.strip())
+
+
+#: The reader of each scalar field type, and the error text for a value it rejects.
+_READERS = {
+    int: (int, "not an integer"),
+    float: (_finite, "not a finite number"),
+    str: (str, ""),
+    tuple[float, ...]: (_finite_list, "not a list of finite numbers"),
+}
+
+
+def _parse_value(hint, raw: str, key: str):
+    """Read the config value ``raw`` of ``key`` as the field type ``hint``."""
+    if hint is np.ndarray:
+        return parse_state(raw, key)
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        try:
+            return hint(raw)
+        except ValueError:
+            raise ConfigError(
+                f"{key}: unknown value {raw!r} (choose from {[m.value for m in hint]})"
+            ) from None
+    read, what = _READERS[hint]
     try:
-        return int(raw)
+        return read(raw)
     except ValueError as exc:
-        raise ConfigError(f"{key}: not an integer: {raw!r}") from exc
+        raise ConfigError(f"{key}: {what}: {raw!r}") from exc
 
 
-def _pop_dataclass(d: dict[str, str], section: str, cls: type):
-    """Build ``cls`` from the ``section.<field>`` keys of ``d``, popping them.
+def _pop_dataclass(d: dict[str, str], prefix: str, cls: type, **given):
+    """Build ``cls`` from the ``<prefix><field>`` keys of ``d``, popping them.
 
-    The dataclass is the schema: a field without a default is required, an
-    int field is parsed with int() and any other with _finite(), and a field
-    whose default is None also accepts ``none``. Absent optional fields keep
-    the dataclass default.
+    The dataclass is the schema. Fields in ``given`` are passed as they are;
+    every other field is read by its type alone (_parse_value), where a
+    dataclass field is the section ``<field>.`` and a union of dataclasses is
+    picked by class name in ``<field>.type``. A field without a default is
+    required, an absent one keeps its default, and a field whose type admits
+    None also accepts ``none``.
     """
-    types = typing.get_type_hints(cls)
-    kwargs = {}
+    hints = typing.get_type_hints(cls)
+    kwargs = dict(given)
     for f in dataclasses.fields(cls):
-        key = f"{section}.{f.name}"
-        if key not in d:
+        if f.name in given:
+            continue
+        key, hint = prefix + f.name, hints[f.name]
+        if dataclasses.is_dataclass(hint):
+            kwargs[f.name] = _pop_dataclass(d, f"{key}.", hint)
+            continue
+        args = typing.get_args(hint)
+        nullable = type(None) in args
+        options = [a for a in args if a is not type(None)] if nullable else [hint]
+        pick = f"{key}.type" if len(options) > 1 else key
+        if pick not in d:
             if f.default is dataclasses.MISSING:
-                raise ConfigError(f"missing required key {key!r}")
-        elif f.default is None and d[key].lower() == "none":
-            del d[key]
-        elif types[f.name] is int:
-            kwargs[f.name] = _pop_int(d, key)
+                raise ConfigError(f"missing required key {pick!r}")
+            continue
+        raw = d.pop(pick)
+        if nullable and raw.lower() == "none":
+            kwargs[f.name] = None
+        elif len(options) == 1:
+            kwargs[f.name] = _parse_value(options[0], raw, key)
         else:
-            raw = d.pop(key)
-            try:
-                kwargs[f.name] = _finite(raw)
-            except ValueError as exc:
-                raise ConfigError(f"{key}: not a finite number: {raw!r}") from exc
+            classes = {c.__name__: c for c in options}
+            if raw not in classes:
+                raise ConfigError(
+                    f"{pick}: unknown value {raw!r} "
+                    f"(choose from {', '.join([*classes, 'None'])})"
+                )
+            kwargs[f.name] = _pop_dataclass(d, f"{key}.", classes[raw])
     try:
         return cls(**kwargs)
+    except ConfigError:
+        raise
     except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
+        raise ConfigError(f"{prefix.rstrip('.')}: {exc}") from exc
 
 
-_LAWS = {cls.__name__: cls for cls in (Lyapunov, Geometric)}
+_SWEEP = "sweep."
 
 
 def scenario_from_mapping(mapping: dict[str, str]) -> ScenarioConfig:
@@ -226,72 +266,20 @@ def scenario_from_mapping(mapping: dict[str, str]) -> ScenarioConfig:
     Unknown keys are an error. Keys under ``sweep.`` are ignored here so the
     same mapping can also carry a sweep definition.
     """
-    d = {k: v for k, v in mapping.items() if not k.startswith("sweep.")}
-
-    model = _pop_dataclass(d, "model", ModelParams)
-
-    if "paradigm" not in d:
-        raise ConfigError("missing required key 'paradigm'")
-    para_raw = d.pop("paradigm")
-    try:
-        paradigm = Paradigm(para_raw)
-    except ValueError:
-        raise ConfigError(
-            f"paradigm: unknown value {para_raw!r} "
-            f"(choose from {[p.value for p in Paradigm]})"
-        ) from None
-
-    if "law.type" not in d:
-        raise ConfigError("missing required key 'law.type'")
-    law_type = d.pop("law.type")
-    law: ControlLaw = None
-    if law_type in _LAWS:
-        law = _pop_dataclass(d, "law", _LAWS[law_type])
-    elif law_type.lower() != "none":
-        raise ConfigError(
-            f"law.type: unknown value {law_type!r} "
-            "(choose from Lyapunov, Geometric, None)"
-        )
-
-    for key in ("initial_state", "target_state"):
-        if key not in d:
-            raise ConfigError(f"missing required key {key!r}")
-    initial = parse_state(d.pop("initial_state"), "initial_state")
-    target = parse_state(d.pop("target_state"), "target_state")
-
-    integrator = _pop_dataclass(d, "integrator", IntegratorConfig)
-
-    outputs = OutputPaths(
-        trajectory_csv=d.pop("outputs.trajectory_csv", None),
-        report_json=d.pop("outputs.report_json", None),
-    )
-    seed = _pop_int(d, "seed", None)
-
+    d = {k: v for k, v in mapping.items() if not k.startswith(_SWEEP)}
+    cfg = _pop_dataclass(d, "", ScenarioConfig)
     if d:
         raise ConfigError(f"unknown config keys: {sorted(d)}")
-    return ScenarioConfig(model, paradigm, law, initial, target, integrator, outputs, seed)
+    return cfg
 
 
 def sweep_from_mapping(mapping: dict[str, str]) -> SweepConfig:
     base = scenario_from_mapping(mapping)
-    d = {k: v for k, v in mapping.items() if k.startswith("sweep.")}
-    if "sweep.axis" not in d:
-        raise ConfigError("missing required key 'sweep.axis'")
-    axis = d.pop("sweep.axis")
-    if "sweep.values" not in d:
-        raise ConfigError("missing required key 'sweep.values'")
-    raw_values = d.pop("sweep.values")
-    try:
-        values = tuple(_finite(v) for v in raw_values.split(",") if v.strip())
-    except ValueError as exc:
-        raise ConfigError(
-            f"sweep.values: not a list of finite numbers: {raw_values!r}"
-        ) from exc
-    parallel = _pop_int(d, "sweep.parallel", 1)
-    out = d.pop("sweep.out", None)
+    d = {k: v for k, v in mapping.items() if k.startswith(_SWEEP)}
+    cfg = _pop_dataclass(d, _SWEEP, SweepConfig, base=base)
     if d:
         raise ConfigError(f"unknown config keys: {sorted(d)}")
-    return SweepConfig(base=base, axis=axis, values=values, parallel=parallel, out=out)
+    return cfg
 
 
 def read_config(path: str | Path) -> dict[str, str]:
@@ -313,7 +301,7 @@ def load_sweep(path: str | Path) -> SweepConfig:
 
 
 def is_sweep_mapping(mapping: dict[str, str]) -> bool:
-    return any(k.startswith("sweep.") for k in mapping)
+    return any(k.startswith(_SWEEP) for k in mapping)
 
 
 def trajectory_table(traj: Trajectory) -> list[tuple[float, ...]]:

@@ -24,6 +24,10 @@ _YY = np.real(kron(pauli("Y"), pauli("Y")))
 
 #: Lyapunov values below this are numerical noise and excluded from rate fits.
 V_FIT_FLOOR = 1e-12
+#: A fit window whose ln V spreads by no more than this is flat to roundoff.
+_FLAT_LOG_V = 1e-12
+#: Concurrence samples within this of the maximum are on the peak.
+_PEAK_TOL = 1e-8
 
 
 def concurrence(rho: np.ndarray, basis: Basis = Z_PRODUCT) -> float | np.ndarray:
@@ -86,8 +90,6 @@ class ConvergenceReport:
 
     rate: float
     fit_quality: float
-    v_final: float
-    stalled: bool
 
 
 def convergence_report(
@@ -97,7 +99,8 @@ def convergence_report(
 
     Samples with V <= V_FIT_FLOOR are excluded as numerical noise; fewer than
     10 usable samples is an error. rate is the negated slope; fit_quality is
-    the R^2 of the line.
+    the R^2 of the line. A window where V is constant to roundoff (ln V
+    spreads by at most 1e-12) has rate 0 and fit_quality 1.
     """
     t_lo, t_hi = fit_window
     span_eps = 1e-9 * max(1.0, abs(traj.t[-1]))
@@ -115,20 +118,13 @@ def convergence_report(
         )
     ts = traj.t[mask]
     log_v = np.log(traj.V[mask])
+    if np.ptp(log_v) <= _FLAT_LOG_V:
+        return ConvergenceReport(rate=0.0, fit_quality=1.0)
     slope, intercept = np.polyfit(ts, log_v, 1)
     resid = log_v - (slope * ts + intercept)
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((log_v - np.mean(log_v)) ** 2))
-    if ss_tot > 1e-30:
-        r2 = 1.0 - ss_res / ss_tot
-    else:
-        r2 = 1.0 if ss_res < 1e-24 else 0.0
-    return ConvergenceReport(
-        rate=float(-slope),
-        fit_quality=float(r2),
-        v_final=float(traj.V[-1]),
-        stalled=traj.metadata.stalled,
-    )
+    return ConvergenceReport(rate=float(-slope), fit_quality=1.0 - ss_res / ss_tot)
 
 
 @dataclass(frozen=True)
@@ -153,12 +149,13 @@ def peak_report(
     interpolated between samples (None if never reached).
     fluctuation_amplitude is max - min of concurrence over the local extrema
     (including the window boundary samples) within a window of
-    ``window_width`` centered on the global maximum; for a monotone trace this
-    reduces to the window's max - min.
+    ``window_width`` centered on the last sample within 1e-8 of the
+    maximum, so roundoff on a plateau cannot move the centre; for a monotone
+    trace this reduces to the window's max - min.
     """
     t, c = traj.t, traj.concurrence
     c_max = float(np.max(c))
-    i_max = int(np.argmax(c))
+    i_max = int(np.nonzero(c >= c_max - _PEAK_TOL)[0][-1])
 
     t_first: float | None = None
     above = np.where(c >= threshold)[0]

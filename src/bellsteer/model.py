@@ -183,7 +183,7 @@ _S_IDX = {
 }
 
 
-def subspace_reduce(h: HamiltonianPair, span: str = "PlusPlus_MinusMinus") -> HamiltonianPair:
+def subspace_reduce(h: HamiltonianPair) -> HamiltonianPair:
     """Restrict a Hamiltonian pair to S = span{|++>, |-->}.
 
     The reduction is returned in whichever 2D frame diagonalizes the reduced
@@ -195,8 +195,6 @@ def subspace_reduce(h: HamiltonianPair, span: str = "PlusPlus_MinusMinus") -> Ha
     changes the complement dynamics, and the reduction is only supported for
     the symmetric model.
     """
-    if span != "PlusPlus_MinusMinus":
-        raise ValueError(f"unknown subspace {span!r}")
     if h.params is not None and h.params.k != 1.0:
         raise ValueError(
             f"subspace reduction requires symmetric local coupling (k=1), got k={h.params.k}"

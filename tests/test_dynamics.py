@@ -344,8 +344,7 @@ class TestExactPropagation:
 
 class TestTrajectoryType:
     def test_strictly_increasing_times_enforced(self):
-        meta = TrajectoryMetadata(None, None, None,
-                                  IntegratorConfig(t_max=1.0), "XProduct", False)
+        meta = TrajectoryMetadata(None, None, None, False)
         n = 3
         arr = np.zeros((n, 4, 4), dtype=complex)
         with pytest.raises(ValueError, match="strictly increasing"):

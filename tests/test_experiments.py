@@ -3,6 +3,8 @@ command-line interface."""
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +296,109 @@ class TestSweepFromMapping:
         assert changed.law.kappa == 2.0
         assert cfg.law.kappa == 1.0
         assert changed.model is cfg.model
+
+
+#: Every key outside the model, law and integrator sections, with a valid
+#: value and its parse.
+OTHER_SCHEMA = [
+    ("outputs.trajectory_csv", "a.csv", "a.csv"),
+    ("outputs.report_json", "a.json", "a.json"),
+    ("seed", "42", 42),
+    ("sweep.axis", "model.eta", "model.eta"),
+    ("sweep.values", "0.5, 2", (0.5, 2.0)),
+    ("sweep.parallel", "3", 3),
+    ("sweep.out", "t.csv", "t.csv"),
+]
+
+#: Every key whose field defaults to None.
+NONE_KEYS = [
+    "seed", "outputs.trajectory_csv", "outputs.report_json", "sweep.out", "integrator.v_stop"
+]
+
+
+def landed(key, raw):
+    """The value ``key = raw`` lands in; sweep.* keys go through
+    sweep_from_mapping, the others through scenario_from_mapping."""
+    if key.startswith("sweep."):
+        overrides = {"sweep.axis": "law.kappa", "sweep.values": "1", key: raw}
+        cfg = sweep_from_mapping(base_mapping(**overrides))
+        key = key.removeprefix("sweep.")
+    else:
+        cfg = scenario_from_mapping(base_mapping(**{key: raw}))
+    for name in key.split("."):
+        cfg = getattr(cfg, name)
+    return cfg
+
+
+class TestTypedKeys:
+    def test_table_is_the_other_fields(self):
+        keys = {f"outputs.{f.name}" for f in dataclasses.fields(OutputPaths)}
+        keys |= {f"sweep.{f.name}" for f in dataclasses.fields(SweepConfig) if f.name != "base"}
+        assert {key for key, _, _ in OTHER_SCHEMA} == keys | {"seed"}
+
+    @pytest.mark.parametrize("key,raw,value", OTHER_SCHEMA)
+    def test_field_lands(self, key, raw, value):
+        got = landed(key, raw)
+        assert got == value and type(got) is type(value)
+
+    @pytest.mark.parametrize(
+        "key,raw",
+        [("seed", "1.5"), ("seed", "abc"), ("sweep.parallel", "2.5"), ("sweep.parallel", "two")],
+    )
+    def test_non_integer_names_key(self, key, raw):
+        with pytest.raises(ConfigError, match=f"^{key}: not an integer"):
+            landed(key, raw)
+
+    def test_none_keys_are_the_fields_defaulting_to_none(self):
+        sections = [
+            ("", ScenarioConfig),
+            ("model.", ModelParams),
+            ("law.", Lyapunov),
+            ("law.", Geometric),
+            ("integrator.", IntegratorConfig),
+            ("outputs.", OutputPaths),
+            ("sweep.", SweepConfig),
+        ]
+        keys = {
+            prefix + f.name
+            for prefix, cls in sections
+            for f in dataclasses.fields(cls)
+            if f.default is None
+        }
+        assert keys == set(NONE_KEYS)
+
+    @pytest.mark.parametrize("key", NONE_KEYS)
+    def test_none_lands_as_none(self, key):
+        assert landed(key, "none") is None
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+class TestReadmeConfigs:
+    """The README's config blocks: a scenario, a state line and a sweep."""
+
+    @pytest.fixture(scope="class")
+    def blocks(self):
+        text = README.read_text(encoding="utf-8")
+        found = re.findall(r"^```ini\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+        scenario, state, sweep = (parse_config_text(block) for block in found)
+        return scenario, state, sweep
+
+    def test_scenario_block(self, blocks):
+        scenario, _, _ = blocks
+        assert isinstance(scenario_from_mapping(scenario), ScenarioConfig)
+
+    def test_sweep_block(self, blocks):
+        scenario, _, sweep = blocks
+        assert all(key.startswith("sweep.") for key in sweep)
+        assert isinstance(sweep_from_mapping({**scenario, **sweep}), SweepConfig)
+
+    def test_state_line(self, blocks):
+        _, state, _ = blocks
+        assert list(state) == ["initial_state"]
+        v = parse_state(state["initial_state"], "initial_state")
+        assert np.linalg.norm(v) == pytest.approx(1.0)
 
 
 @pytest.fixture(scope="module")

@@ -196,12 +196,6 @@ class TestSubspaceReduce:
         with pytest.raises(ValueError, match="invariant"):
             subspace_reduce(h)
 
-    def test_rejects_unknown_span(self):
-        p = ModelParams(J=1.0, eta=0.1)
-        h = hamiltonians(p, Paradigm.LOCAL_CONTROL, Z_PRODUCT)
-        with pytest.raises(ValueError, match="unknown subspace"):
-            subspace_reduce(h, span="other")
-
 
 class TestSubspacePopulations:
     def test_pair_states_fully_inside(self):
