@@ -25,6 +25,7 @@ from .experiments import (
     run_sweep,
     scenario_from_mapping,
     sweep_from_mapping,
+    sweep_table,
 )
 
 EXIT_OK = 0
@@ -88,19 +89,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         cfg = dataclasses.replace(
             cfg, base=dataclasses.replace(cfg.base, seed=args.seed)
         )
-    rows = run_sweep(cfg)
-    print("value,final_concurrence,final_V,t_first,rate,error")
-    for row in rows:
-        if row["error"]:
-            print(f"{row['value']:.6g},,,,,{row['error']}")
-        else:
-            print(
-                f"{row['value']:.6g},{_fmt_opt(row['final_concurrence'])},"
-                f"{_fmt_opt(row['final_V'])},{_fmt_opt(row['t_first'])},"
-                f"{_fmt_opt(row['rate'])},"
-            )
+    # stdout is the CSV that sweep.out holds, so the note goes to stderr.
+    sys.stdout.write(sweep_table(run_sweep(cfg)))
     if cfg.out:
-        print(f"wrote {cfg.out}")
+        print(f"wrote {cfg.out}", file=sys.stderr)
     return EXIT_OK
 
 

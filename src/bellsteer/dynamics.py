@@ -10,11 +10,13 @@ state and target are the exact free evolution `_evolve` of rho~ and rho_d0,
 the eigendecomposition path by which `propagate_exact` forms open-loop runs
 (a geometric law or none), whose Hamiltonian is constant on each interval.
 `vdot_identity_check` steps the same flow to check the descent identity of
-the feedback law. Unitary-dynamics invariants (trace, Hermiticity, purity,
-positivity) are checked at every output sample, in one pass per run, and
-violations beyond ten times the stated tolerances abort the run at the first
-bad sample; nothing is silently renormalized, because the descent property
-of the feedback law is exactly what the integration is supposed to expose.
+the feedback law. Both propagators end in the one pass `_diagnose`: the
+v_stop cut, the unitary-dynamics invariants (trace, Hermiticity, purity,
+positivity) at every output sample, the field column, then V, concurrence
+and p_S. Violations beyond ten times the stated tolerances abort the run at
+the first bad sample; nothing is silently renormalized, because the descent
+property of the feedback law is exactly what the integration is supposed to
+expose.
 """
 
 from __future__ import annotations
@@ -288,19 +290,41 @@ def _diagnose(
     law: ControlLaw,
     t: np.ndarray,
     states: np.ndarray,
-    f: np.ndarray,
+    v_stop: float | None,
+    f: np.ndarray | None = None,
     stats: IntegratorStats | None = None,
 ) -> Trajectory:
-    """The diagnostics pass both propagators share: V, concurrence and p_S
-    of every sample of the (n, 2, d, d) state/target stack at once, and the
-    stall flag.
+    """The one pass both propagators end in, over the (n, 2, d, d)
+    state/target stack at the times t, in this order:
+
+    1. with v_stop set, the run is cut at the first sample after t = 0 whose
+       V is below v_stop, which it keeps;
+    2. the invariants are checked (`_check_invariants`) against the purities
+       of the initial stack, so the first bad sample aborts the run;
+    3. the field column is f, each step's last-stage field, under feedback,
+       and the open-loop law's own field at the sample times otherwise (a
+       step clipped at t0 can end just below it, so its stage field would
+       not do);
+    4. V, concurrence and p_S are taken for every sample at once, with the
+       stall flag.
 
     A reduced pair-frame state is embedded back into 4D XProduct coordinates
     for the concurrence; it lives wholly in the invariant subspace, so its
     p_S is Tr(rho).
     """
+    v = lyapunov_value(states[:, 0], states[:, 1])
+    below = np.flatnonzero(v[1:] < v_stop) if v_stop is not None else ()
+    n = int(below[0]) + 2 if len(below) else len(t)
+    t, states, v = t[:n], states[:n], v[:n]
+    _check_invariants(t[1:], states[1:], _purity(states[0]))
+    if law is None:
+        f = np.zeros(n)
+    elif isinstance(law, Geometric):
+        f = np.array([geometric_field(ti, law) for ti in t])
+    else:
+        f = f[:n]
+
     rho, rho_d = states[:, 0], states[:, 1]
-    v = lyapunov_value(rho, rho_d)
     if rho.shape[1] == 4:
         c = metrics.concurrence(rho, h.basis)
         p_s = subspace_populations(rho, h.basis)[0]
@@ -317,13 +341,6 @@ def _diagnose(
     return Trajectory(t, rho, rho_d, f, v, c, p_s, meta)
 
 
-def _open_loop_field(law: ControlLaw, times: np.ndarray) -> np.ndarray:
-    """The field of a geometric law, or of none, at each of times."""
-    if law is None:
-        return np.zeros(len(times))
-    return np.array([geometric_field(t, law) for t in times])
-
-
 def integrate(
     h: HamiltonianPair,
     law: ControlLaw,
@@ -335,10 +352,10 @@ def integrate(
 
     Steps rho~ (see `rhs`), clipped to the sample grid and, for a geometric
     law, to the switch time t0, so the discontinuous field never straddles a
-    step. With v_stop set, the run ends at the first sample where V < v_stop.
-    The invariants of all samples are checked in one pass at the end, or
-    before an error is raised mid-run, so the first bad sample still aborts
-    the run.
+    step. With v_stop set, stepping ends at the first sample where V < v_stop.
+    The samples taken end in `_diagnose`, also when an error is raised
+    mid-run: the error is re-raised after that pass, unless the pass finds an
+    earlier invariant violation, which is the error reported.
     """
     y0 = _initial_states(h, rho0, rho_d0)
     frame, y = _frame(h, y0)
@@ -358,16 +375,9 @@ def integrate(
     steps = []  # accepted step sizes
     rejected = 0
 
-    def checked_states(m: int) -> np.ndarray:
-        """The lab-frame (m, 2, d, d) state/target stack of the first m samples."""
-        states = np.empty((m,) + y0.shape, dtype=complex)
-        states[:, 0] = _evolve(free, w @ samples[:m].reshape(-1, *w.shape) @ w.conj().T, grid[:m])
-        states[:, 1] = _evolve(free, y0[1], grid[:m])
-        _check_invariants(grid[1:m], states[1:], _purity(y0))
-        return states
-
     t = 0.0
     h_step = cfg.dt
+    error = None
     try:
         for target in grid[1:]:
             snap_tol = 1e-10 * max(1.0, target)
@@ -408,19 +418,18 @@ def integrate(
             n += 1
             if cfg.v_stop is not None and lyapunov_value(y.reshape(w.shape), tilde_d) < cfg.v_stop:
                 break
-    except (IntegrationError, ValueError):
-        checked_states(n)  # an earlier invariant violation is the error to report
-        raise
-    states = checked_states(n)
+    except (IntegrationError, ValueError) as exc:
+        error = exc
 
-    times = grid[:n]
-    if not isinstance(law, Lyapunov):
-        # A step clipped at t0 ends at t + (t0 - t), which can round below t0,
-        # so the sample at t0 takes the law's field at the grid time instead.
-        fs = _open_loop_field(law, times)
+    states = np.empty((n,) + y0.shape, dtype=complex)
+    states[:, 0] = _evolve(free, w @ samples[:n].reshape(-1, *w.shape) @ w.conj().T, grid[:n])
+    states[:, 1] = _evolve(free, y0[1], grid[:n])
     h_range = (float(min(steps)), float(max(steps))) if steps else (None, None)
     stats = IntegratorStats(len(steps), rejected, 1 + 6 * (len(steps) + rejected), *h_range)
-    return _diagnose(h, law, times, states, fs[:n], stats)
+    traj = _diagnose(h, law, grid[:n], states, cfg.v_stop, fs[:n], stats)
+    if error is not None:
+        raise error
+    return traj
 
 
 def _evolve(eig: tuple[np.ndarray, np.ndarray], rho: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -457,8 +466,8 @@ def propagate_exact(
         raise ValueError("feedback laws have no constant Hamiltonian; use integrate")
     y0 = _initial_states(h, rho0, rho_d0)
     grid = _sample_grid(cfg)
-    f = _open_loop_field(law, grid)
-    n_on = int(np.count_nonzero(f))
+    # The field is on at the samples before t0.
+    n_on = int(np.searchsorted(grid, law.t0)) if isinstance(law, Geometric) else 0
 
     free = np.linalg.eigh(h.h0)
     states = np.empty((len(grid),) + y0.shape, dtype=complex)
@@ -469,11 +478,4 @@ def propagate_exact(
         states[:n_on, 0] = _evolve(driven, start, grid[:n_on])
         start, t_start = _evolve(driven, start, np.array([law.t0]))[0], law.t0
     states[n_on:, 0] = _evolve(free, start, grid[n_on:] - t_start)
-
-    if cfg.v_stop is not None:
-        below = np.flatnonzero(lyapunov_value(states[1:, 0], states[1:, 1]) < cfg.v_stop)
-        if below.size:
-            n = int(below[0]) + 2
-            grid, states, f = grid[:n], states[:n], f[:n]
-    _check_invariants(grid[1:], states[1:], _purity(y0))
-    return _diagnose(h, law, grid, states, f)
+    return _diagnose(h, law, grid, states, cfg.v_stop)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -42,6 +43,7 @@ from .metrics import V_FIT_FLOOR, convergence_report, peak_report
 from .model import (
     BASES,
     BellName,
+    HamiltonianPair,
     ModelParams,
     Paradigm,
     X_PRODUCT,
@@ -329,9 +331,9 @@ def _default_fit_window(traj: Trajectory) -> tuple[float, float] | None:
 
 
 def build_report(
-    traj: Trajectory, cfg: ScenarioConfig, label: str | None = None
+    traj: Trajectory, cfg: ScenarioConfig, h: HamiltonianPair, label: str | None = None
 ) -> dict:
-    h = hamiltonians(cfg.model, cfg.paradigm, X_PRODUCT)
+    """The JSON report of a finished run of ``cfg`` under the Hamiltonians ``h``."""
     fid = float(np.real(np.trace(traj.rho[-1] @ traj.rho_d[-1])))
     drive_ratio = float(np.max(np.abs(traj.f)) * hs_norm(h.h1) / hs_norm(h.h0))
     peak = peak_report(traj)
@@ -406,7 +408,7 @@ def run_scenario(
                 cfg.outputs.report_json,
             )
         raise
-    report = build_report(traj, cfg, label)
+    report = build_report(traj, cfg, h, label)
     if cfg.outputs.trajectory_csv:
         write_trajectory_csv(traj, cfg.outputs.trajectory_csv)
     if cfg.outputs.report_json:
@@ -443,15 +445,12 @@ def apply_axis(cfg: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
     return dataclasses.replace(cfg, **{section: sub})
 
 
+_SWEEP_COLUMNS = ("value", "final_concurrence", "final_V", "t_first", "rate", "error")
+
+
 def _sweep_row(base: ScenarioConfig, axis: str, value: float) -> dict:
-    row: dict = {
-        "value": value,
-        "final_concurrence": None,
-        "final_V": None,
-        "t_first": None,
-        "rate": None,
-        "error": None,
-    }
+    row = dict.fromkeys(_SWEEP_COLUMNS)
+    row["value"] = value
     try:
         cfg = apply_axis(base, axis, value)
         cfg = dataclasses.replace(cfg, outputs=OutputPaths())
@@ -487,54 +486,37 @@ def run_sweep(cfg: SweepConfig) -> list[dict]:
     return rows
 
 
-_SWEEP_COLUMNS = ("value", "final_concurrence", "final_V", "t_first", "rate", "error")
+def sweep_table(rows: list[dict]) -> str:
+    """The sweep CSV: a header of the column names, then one line per row,
+    numbers at 17 significant digits, empty cells for None, and quotes
+    around any cell that needs them."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_SWEEP_COLUMNS)
+    for row in rows:
+        cells = [row[col] for col in _SWEEP_COLUMNS]
+        writer.writerow(
+            ["" if v is None else v if isinstance(v, str) else "%.17g" % v for v in cells]
+        )
+    return buf.getvalue()
 
 
 def write_sweep_csv(rows: list[dict], path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_SWEEP_COLUMNS)
-        for row in rows:
-            out = []
-            for col in _SWEEP_COLUMNS:
-                val = row[col]
-                if val is None:
-                    out.append("")
-                elif isinstance(val, str):
-                    out.append(val)
-                else:
-                    out.append("%.17g" % val)
-            writer.writerow(out)
+        fh.write(sweep_table(rows))
 
 
-def _fmt(x: float) -> str:
-    return f"{x:g}"
-
-
-_GEOMETRIC_T_MAX = {0.1: 200.0, 0.2: 60.0, 0.4: 20.0}
-_LYAPUNOV_KAPPAS = (0.5, 1.0, 2.0)
-
-
-def _geometric_scenario(b: float) -> ScenarioConfig:
-    t_max = _GEOMETRIC_T_MAX[b]
+def _scenario(
+    paradigm: Paradigm, eta: float, law: ControlLaw, initial: str, t_max: float
+) -> ScenarioConfig:
+    """A preset run at J = 1 from the state literal ``initial`` towards PhiPlus."""
     return ScenarioConfig(
-        model=ModelParams(J=1.0, eta=b),
-        paradigm=Paradigm.LOCAL_CONTROL,
-        law=Geometric(t0=t_max),
-        initial_state=STATE_LITERALS["|00>"].copy(),
+        model=ModelParams(J=1.0, eta=eta),
+        paradigm=paradigm,
+        law=law,
+        initial_state=STATE_LITERALS[initial].copy(),
         target_state=STATE_LITERALS["PhiPlus"].copy(),
         integrator=IntegratorConfig(t_max=t_max),
-    )
-
-
-def _lyapunov_scenario(paradigm: Paradigm, kappa: float) -> ScenarioConfig:
-    return ScenarioConfig(
-        model=ModelParams(J=1.0, eta=0.1),
-        paradigm=paradigm,
-        law=Lyapunov(kappa=kappa),
-        initial_state=STATE_LITERALS["|++>"].copy(),
-        target_state=STATE_LITERALS["PhiPlus"].copy(),
-        integrator=IntegratorConfig(t_max=300.0),
     )
 
 
@@ -545,31 +527,26 @@ def preset_scenarios(name: str) -> list[tuple[str, ScenarioConfig]]:
     figure3: Lyapunov feedback at kappa = 0.5, 1, 2 under local / interaction
     control. figure4 rebuilds both Lyapunov families for concurrence-vs-time
     comparison."""
+    if name not in PRESET_NAMES:
+        raise ConfigError(f"unknown preset {name!r} (choose from {', '.join(PRESET_NAMES)})")
+    local, interaction = Paradigm.LOCAL_CONTROL, Paradigm.INTERACTION_CONTROL
     if name == "figure1":
-        return [
-            (f"figure1_B{_fmt(b)}", _geometric_scenario(b))
-            for b in sorted(_GEOMETRIC_T_MAX)
+        runs = [
+            (f"B{b:g}", _scenario(local, b, Geometric(t0=t_max), "|00>", t_max))
+            for b, t_max in ((0.1, 200.0), (0.2, 60.0), (0.4, 20.0))
         ]
-    if name == "figure2":
-        return [
-            (f"figure2_k{_fmt(k)}", _lyapunov_scenario(Paradigm.LOCAL_CONTROL, k))
-            for k in _LYAPUNOV_KAPPAS
+    else:
+        paradigms = {
+            "figure2": {"": local},
+            "figure3": {"": interaction},
+            "figure4": {"local_": local, "interaction_": interaction},
+        }[name]
+        runs = [
+            (f"{tag}k{k:g}", _scenario(para, 0.1, Lyapunov(kappa=k), "|++>", 300.0))
+            for tag, para in paradigms.items()
+            for k in (0.5, 1.0, 2.0)
         ]
-    if name == "figure3":
-        return [
-            (f"figure3_k{_fmt(k)}", _lyapunov_scenario(Paradigm.INTERACTION_CONTROL, k))
-            for k in _LYAPUNOV_KAPPAS
-        ]
-    if name == "figure4":
-        runs = []
-        for para, tag in (
-            (Paradigm.LOCAL_CONTROL, "local"),
-            (Paradigm.INTERACTION_CONTROL, "interaction"),
-        ):
-            for k in _LYAPUNOV_KAPPAS:
-                runs.append((f"figure4_{tag}_k{_fmt(k)}", _lyapunov_scenario(para, k)))
-        return runs
-    raise ConfigError(f"unknown preset {name!r} (choose from {', '.join(PRESET_NAMES)})")
+    return [(f"{name}_{label}", cfg) for label, cfg in runs]
 
 
 def run_preset(

@@ -10,7 +10,6 @@ re-enforcing them.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-12
@@ -47,7 +46,13 @@ def hs_norm(a: np.ndarray) -> float:
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential via Pade scaling-and-squaring."""
+    """Matrix exponential via Pade scaling-and-squaring.
+
+    scipy is imported here, on first use: it is most of the package's import
+    time, and only the reference propagator `geometric_evolve` needs it.
+    """
+    import scipy.linalg
+
     return scipy.linalg.expm(np.asarray(a, dtype=complex))
 
 

@@ -66,22 +66,17 @@ def lasalle_distance(rho: np.ndarray) -> tuple[float, float]:
     Returns (dist, alpha): dist = sqrt(Tr[(rho-sigma)^2] / 2) to the nearest
     family member, alpha = arg(rho_41) its phase. The overlap with the family
     is maximized analytically by that phase. When rho_41 = 0 the phase is
-    indeterminate: alpha is returned as NaN and dist is minimized over a grid.
+    indeterminate: only rho_41 and rho_14 couple to it, so every member is
+    equally far, dist is taken at alpha = 0 and alpha is returned as NaN.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"lasalle_distance needs a 4x4 density matrix, got {rho.shape}")
 
-    def dist_to(alpha: float) -> float:
-        delta = rho - equator_state(alpha)
-        return math.sqrt(max(0.0, 0.5 * float(np.real(np.trace(delta @ delta)))))
-
     r41 = complex(rho[3, 0])
-    if abs(r41) > 1e-14:
-        alpha = float(np.angle(r41))
-        return dist_to(alpha), alpha
-    grid = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
-    return min(dist_to(a) for a in grid), float("nan")
+    alpha = float(np.angle(r41)) if abs(r41) > 1e-14 else float("nan")
+    delta = rho - equator_state(0.0 if math.isnan(alpha) else alpha)
+    return math.sqrt(max(0.0, 0.5 * float(np.real(np.trace(delta @ delta))))), alpha
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Unit tests for config parsing, the scenario runner, sweeps, presets and the
 command-line interface."""
 
+import csv
 import dataclasses
+import io
 import json
 import re
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bellsteer import experiments
 from bellsteer.cli import main
 from bellsteer.control import Geometric, Lyapunov
 from bellsteer.dynamics import IntegrationError, IntegratorConfig
@@ -525,6 +528,16 @@ class TestRouting:
         assert [row["error"] for row in rows] == [None, None]
         assert rows[0]["final_concurrence"] != rows[1]["final_concurrence"]
 
+    @pytest.mark.parametrize(
+        "overrides", [{}, {"law.type": "Geometric", "law.kappa": None, "law.t0": "1"}]
+    )
+    def test_hamiltonians_built_once_per_run(self, monkeypatch, overrides):
+        calls = []
+        real = experiments.hamiltonians
+        monkeypatch.setattr(experiments, "hamiltonians", lambda *a: calls.append(a) or real(*a))
+        run_scenario(scenario_from_mapping(base_mapping(**overrides)))
+        assert len(calls) == 1
+
     def test_feedback_scenario_uses_integrate(self, no_integrate):
         with pytest.raises(RuntimeError, match="integrate called"):
             run_scenario(scenario_from_mapping(base_mapping()))
@@ -720,6 +733,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("value,final_concurrence")
         assert table.exists()
+
+    def test_sweep_stdout_is_the_csv_even_with_a_comma_in_an_error(self, tmp_path, capsys):
+        # The error of the t0 = -1 row reads "ValueError: t0 must be ..., got -1.0".
+        table = tmp_path / "table.csv"
+        mapping = mapping_with("law.t0", "10")
+        mapping.update({"sweep.axis": "law.t0", "sweep.values": "10, -1",
+                        "sweep.out": str(table)})
+        assert main(["sweep", self.write_cfg(tmp_path, mapping, "sweep.cfg")]) == 0
+        out = capsys.readouterr().out
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) == 3
+        assert [len(row) for row in rows] == [6, 6, 6]
+        assert "t0 must be nonnegative" in rows[2][5]
+        assert out == table.read_text()
 
     @pytest.mark.parametrize(
         "key,value",
