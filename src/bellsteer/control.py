@@ -72,25 +72,32 @@ def control_field(
     h1: np.ndarray,
     kappa: float,
     sign: int = 1,
-) -> float:
+) -> float | np.ndarray:
     """sign * kappa * Tr(rho_d * (-i)[H1, rho]).
 
     The trace is mathematically real for Hermitian arguments; a residual real
     part of Tr(rho_d [H1, rho]) beyond roundoff indicates a construction bug
-    and raises rather than being silently discarded.
+    and raises rather than being silently discarded. Stacks of matrices
+    (..., d, d) give one value per matrix.
     """
     if kappa <= 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     c1 = h1 @ rho - rho @ h1
-    return feedback_from_trace(complex(np.trace(rho_d @ c1)), kappa, sign)
+    f = feedback_from_trace(np.trace(rho_d @ c1, axis1=-2, axis2=-1), kappa, sign)
+    return f if isinstance(f, np.ndarray) else float(f)
 
 
-def feedback_from_trace(tr: complex, kappa: float, sign: int = 1) -> float:
-    """sign * kappa * Im tr for tr = Tr(rho_d [H1, rho]), after checking
-    that its real part is roundoff."""
-    if abs(tr.real) > _REALNESS_TOL:
+def feedback_from_trace(
+    tr: complex | np.ndarray, kappa: float, sign: int = 1
+) -> float | np.ndarray:
+    """sign * kappa * Im tr for tr = Tr(rho_d [H1, rho]), or an array of such
+    traces, after checking that every real part is roundoff."""
+    re = tr.real
+    if isinstance(re, np.ndarray):
+        re = re.flat[np.argmax(np.abs(re))]
+    if abs(re) > _REALNESS_TOL:
         raise ValueError(
-            f"control trace has non-imaginary commutator part {tr.real:.3e}; "
+            f"control trace has non-imaginary commutator part {re:.3e}; "
             "inputs are not consistently Hermitian"
         )
     return sign * kappa * tr.imag

@@ -5,8 +5,9 @@ The closed loop drho/dt = -i [H0 + f(rho, rho_d, t) H1, rho] steers rho
 towards the target rho_d(t) = U0(t) rho_d0 U0(t)†, U0(t) = exp(-i H0 t).
 `integrate` steps only rho~ = U0(t)† rho U0(t), whose derivative is the
 control term alone (`rhs`), with an adaptive embedded Dormand-Prince 5(4)
-scheme, and re-evaluates the feedback inside every stage. Every sample's
-state and target are the exact free evolution `_evolve` of rho~ and rho_d0,
+scheme, re-evaluates the feedback inside every stage, and reads its samples
+off the scheme's continuous extension. Every sample's state and target are
+the exact free evolution of rho~ and rho_d0 (`_from_eigenbasis`, `_evolve`),
 the eigendecomposition path by which `propagate_exact` forms open-loop runs
 (a geometric law or none), whose Hamiltonian is constant on each interval.
 `vdot_identity_check` steps the same flow to check the descent identity of
@@ -70,6 +71,21 @@ _TABLEAU = np.array(
         [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
     ],
     dtype=complex,
+)
+# Its free 4th-order continuous extension (Hairer, Norsett & Wanner, ODE I
+# II.6; Shampine, Math. Comp. 46 (1986) 135): within a step of size h from y,
+# y(t + theta h) = y + h ([theta, theta², theta³, theta⁴] @ _DENSE.T) @ k over
+# the step's seven stages k, the 7th being the FSAL stage.
+_DENSE = np.array(
+    [
+        [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+        [0, 0, 0, 0],
+        [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+        [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+        [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+        [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+        [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+    ]
 )
 
 
@@ -291,7 +307,6 @@ def _diagnose(
     t: np.ndarray,
     states: np.ndarray,
     v_stop: float | None,
-    f: np.ndarray | None = None,
     stats: IntegratorStats | None = None,
 ) -> Trajectory:
     """The one pass both propagators end in, over the (n, 2, d, d)
@@ -301,10 +316,9 @@ def _diagnose(
        V is below v_stop, which it keeps;
     2. the invariants are checked (`_check_invariants`) against the purities
        of the initial stack, so the first bad sample aborts the run;
-    3. the field column is f, each step's last-stage field, under feedback,
-       and the open-loop law's own field at the sample times otherwise (a
-       step clipped at t0 can end just below it, so its stage field would
-       not do);
+    3. the field column is the law's field at each sample: the feedback
+       `control_field` of every state and target at once, the geometric
+       switch at the sample times, or 0;
     4. V, concurrence and p_S are taken for every sample at once, with the
        stall flag.
 
@@ -322,7 +336,7 @@ def _diagnose(
     elif isinstance(law, Geometric):
         f = np.array([geometric_field(ti, law) for ti in t])
     else:
-        f = f[:n]
+        f = control_field(states[:, 0], states[:, 1], h.h1, law.kappa, law.sign)
 
     rho, rho_d = states[:, 0], states[:, 1]
     if rho.shape[1] == 4:
@@ -350,27 +364,28 @@ def integrate(
 ) -> Trajectory:
     """Integrate the closed loop over [0, t_max] and sample it.
 
-    Steps rho~ (see `rhs`), clipped to the sample grid and, for a geometric
-    law, to the switch time t0, so the discontinuous field never straddles a
-    step. With v_stop set, stepping ends at the first sample where V < v_stop.
-    The samples taken end in `_diagnose`, also when an error is raised
-    mid-run: the error is re-raised after that pass, unless the pass finds an
-    earlier invariant violation, which is the error reported.
+    Steps rho~ (see `rhs`) and stops a step only at t_max and, for a geometric
+    law, at the switch time t0, so the discontinuous field never straddles a
+    step. Every sample time a step passes is filled from that step's
+    continuous extension (`_DENSE`), which costs no `rhs` call. With v_stop
+    set, stepping ends after the first step that passes a sample with
+    V < v_stop. The samples taken end in `_diagnose`, also when an error is
+    raised mid-run: the error is re-raised after that pass, unless the pass
+    finds an earlier invariant violation, which is the error reported.
     """
     y0 = _initial_states(h, rho0, rho_d0)
     frame, y = _frame(h, y0)
-    free, tilde_d, w = frame[0], frame[3], frame[0][1]
+    free, tilde_d = frame[0], frame[3]
     grid = _sample_grid(cfg)
-    breakpoints = []
+    t0 = cfg.t_max  # steps stop at a switch time inside the run and at t_max
     if isinstance(law, Geometric) and 0.0 < law.t0 < cfg.t_max:
-        breakpoints.append(law.t0)
+        t0 = law.t0
 
-    samples = np.empty((len(grid), y.size), dtype=complex)
-    fs = np.empty(len(grid))
+    samples = np.empty((len(grid),) + tilde_d.shape, dtype=complex)
+    samples[0] = y.reshape(tilde_d.shape)
     abs_y = np.abs(y)
     k = np.empty((7, y.size), dtype=complex)
-    k[0], f = rhs(frame, law, 0.0, y)
-    samples[0], fs[0] = y, f
+    k[0] = rhs(frame, law, 0.0, y)[0]
     n = 1  # samples taken
     steps = []  # accepted step sizes
     rejected = 0
@@ -379,54 +394,56 @@ def integrate(
     h_step = cfg.dt
     error = None
     try:
-        for target in grid[1:]:
-            snap_tol = 1e-10 * max(1.0, target)
-            while target - t > snap_tol:
-                next_stop = target
-                for bp in breakpoints:
-                    if bp - t > snap_tol and bp < next_stop:
-                        next_stop = bp
-                h_try = min(h_step, next_stop - t)
-                if h_try < 1e-13:
-                    last = f"h={steps[-1]:.3e} ending at t={t:.6g}" if steps else "none"
-                    raise IntegrationError(
-                        f"step size underflow (h={h_try:.3e}; last accepted step {last})", t
-                    )
+        while n < len(grid):
+            stop = t0 if t0 - t > 1e-10 * max(1.0, t0) else cfg.t_max
+            h_try = min(h_step, stop - t)
+            if h_try < 1e-13:
+                last = f"h={steps[-1]:.3e} ending at t={t:.6g}" if steps else "none"
+                raise IntegrationError(
+                    f"step size underflow (h={h_try:.3e}; last accepted step {last})", t
+                )
 
-                # One embedded DP5(4) attempt; the 7th stage input is the new state.
-                coef = h_try * _TABLEAU
-                for i in range(1, 7):
-                    y_new = y + coef[i, :i] @ k[:i]
-                    k[i], f_new = rhs(frame, law, t + _C[i] * h_try, y_new)
-                abs_new = np.abs(y_new)
-                scaled = (coef[7] @ k) / (cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, abs_new))
-                err = math.sqrt(np.vdot(scaled, scaled).real / scaled.size)
+            # One embedded DP5(4) attempt; the 7th stage input is the new state.
+            coef = h_try * _TABLEAU
+            for i in range(1, 7):
+                y_new = y + coef[i, :i] @ k[:i]
+                k[i] = rhs(frame, law, t + _C[i] * h_try, y_new)[0]
+            abs_new = np.abs(y_new)
+            scaled = (coef[7] @ k) / (cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, abs_new))
+            err = math.sqrt(np.vdot(scaled, scaled).real / scaled.size)
 
-                if err <= 1.0:
-                    t = t + h_try
-                    y, abs_y, f = y_new, abs_new, f_new
-                    k[0] = k[6]  # FSAL
-                    steps.append(h_try)
-                    factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-                    h_step = h_try * factor
-                else:
-                    rejected += 1
-                    h_step = h_try * max(0.2, 0.9 * err ** -0.2)
-
-            t = target
-            samples[n], fs[n] = y, f
-            n += 1
-            if cfg.v_stop is not None and lyapunov_value(y.reshape(w.shape), tilde_d) < cfg.v_stop:
+            if not err <= 1.0:  # a NaN error is a rejection too
+                rejected += 1
+                h_step = h_try * max(0.2, 0.9 * err ** -0.2)
+                continue
+            t_new = t + h_try
+            if stop - t_new <= 1e-10 * max(1.0, stop):
+                t_new = stop
+            m = int(np.searchsorted(grid, t_new, side="right"))  # samples in (t, t_new]
+            if m > n:
+                theta = ((grid[n:m] - t) / h_try)[:, None] ** np.arange(1, 5)
+                dense = y + h_try * (theta @ _DENSE.T) @ k
+                samples[n:m] = dense.reshape((m - n,) + tilde_d.shape)
+            t, y, abs_y = t_new, y_new, abs_new
+            k[0] = k[6]  # FSAL
+            steps.append(h_try)
+            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+            h_step = h_try * factor
+            new, n = samples[n:m], m
+            # V is unchanged by the frame, so it is taken on rho~ against rho_d~.
+            if cfg.v_stop is not None and np.any(
+                lyapunov_value(new, np.broadcast_to(tilde_d, new.shape)) < cfg.v_stop
+            ):
                 break
     except (IntegrationError, ValueError) as exc:
         error = exc
 
     states = np.empty((n,) + y0.shape, dtype=complex)
-    states[:, 0] = _evolve(free, w @ samples[:n].reshape(-1, *w.shape) @ w.conj().T, grid[:n])
+    states[:, 0] = _from_eigenbasis(free, samples[:n], grid[:n])
     states[:, 1] = _evolve(free, y0[1], grid[:n])
     h_range = (float(min(steps)), float(max(steps))) if steps else (None, None)
     stats = IntegratorStats(len(steps), rejected, 1 + 6 * (len(steps) + rejected), *h_range)
-    traj = _diagnose(h, law, grid[:n], states, cfg.v_stop, fs[:n], stats)
+    traj = _diagnose(h, law, grid[:n], states, cfg.v_stop, stats)
     if error is not None:
         raise error
     return traj
@@ -434,15 +451,22 @@ def integrate(
 
 def _evolve(eig: tuple[np.ndarray, np.ndarray], rho: np.ndarray, times: np.ndarray) -> np.ndarray:
     """U(t) rho U(t)† for every t in times, U(t) = W diag(exp(-i lam t)) W†
-    from the eigendecomposition (lam, W) of a constant Hamiltonian.
+    from the eigendecomposition (lam, W) of a constant Hamiltonian."""
+    w = eig[1]
+    return _from_eigenbasis(eig, w.conj().T @ rho @ w, times)
 
-    In the eigenbasis the (j, k) entry of rho only picks up the phase
-    exp(-i (lam_j - lam_k) t).
+
+def _from_eigenbasis(
+    eig: tuple[np.ndarray, np.ndarray], rho: np.ndarray, times: np.ndarray
+) -> np.ndarray:
+    """U(t) W rho W† U(t)† for every t in times, U(t) as in `_evolve`, for rho
+    written in the eigenbasis W (one matrix, or one per time). There the
+    (j, k) entry of rho only picks up the phase exp(-i (lam_j - lam_k) t).
     """
     lam, w = eig
     phases = np.multiply.outer(times, -1j * np.subtract.outer(lam, lam))
     np.exp(phases, out=phases)
-    phases *= w.conj().T @ rho @ w
+    phases *= rho
     return w @ phases @ w.conj().T
 
 

@@ -12,9 +12,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from bellsteer import dynamics
-from bellsteer.control import Geometric, Lyapunov, control_field, f_bound, geometric_field
+from bellsteer.control import (
+    Geometric,
+    Lyapunov,
+    control_field,
+    f_bound,
+    geometric_field,
+    lyapunov_value,
+)
 from bellsteer.dynamics import (
     IntegrationError,
     IntegratorConfig,
@@ -28,6 +36,7 @@ from bellsteer.dynamics import (
 )
 from bellsteer.experiments import preset_scenarios
 from bellsteer.linalg import expm, hs_norm, outer
+from bellsteer.metrics import concurrence
 from bellsteer.model import (
     BellName,
     HamiltonianPair,
@@ -482,6 +491,47 @@ class TestClosedLoopDescent:
         assert np.max(np.diff(traj.V)) <= 1e-8
 
 
+class TestAgainstDOP853:
+    """`integrate` at default tolerances against scipy's DOP853 at rtol 1e-13
+    on the same frame `rhs`: an independent stepper and interpolant, and an
+    independent `expm` out of the frame."""
+
+    @pytest.mark.parametrize(
+        "label,rho_tol,rho_until",
+        [
+            ("figure4_local_k2", 5e-8, np.inf),
+            # After t ~ 5 this run is ill-conditioned: DOP853 references at
+            # rtol 1e-11 and 1e-13 part there by 5.7e-6 in rho.
+            ("figure4_interaction_k2", 1e-8, 5.0),
+        ],
+    )
+    def test_preset_matches_reference(self, label, rho_tol, rho_until):
+        cfg = dict(preset_scenarios("figure4"))[label]
+        law = cfg.law
+        h = hamiltonians(cfg.model, cfg.paradigm, X_PRODUCT)
+        rho0 = outer(X_PRODUCT.vector_from_z(cfg.initial_state))
+        rho_d0 = outer(X_PRODUCT.vector_from_z(cfg.target_state))
+        traj = integrate(h, law, rho0, rho_d0, cfg.integrator)
+
+        frame, y = dynamics._frame(h, np.stack([rho0, rho_d0]))
+        ref = solve_ivp(lambda t, y: rhs(frame, law, t, y)[0], (0.0, traj.t[-1]), y,
+                        method="DOP853", rtol=1e-13, atol=1e-15, t_eval=traj.t)
+        assert ref.success
+        w = frame[0][1]
+        rho = np.empty_like(traj.rho)
+        for i, (t, y_t) in enumerate(zip(traj.t, ref.y.T)):
+            u = expm(-1j * h.h0 * t) @ w
+            rho[i] = u @ y_t.reshape(4, 4) @ u.conj().T
+
+        assert np.max(np.abs(traj.V - lyapunov_value(rho, traj.rho_d))) <= 1e-7
+        assert np.max(np.abs(traj.concurrence - concurrence(rho, X_PRODUCT))) <= 1e-7
+        early = traj.t <= rho_until
+        assert np.max(np.abs(traj.rho - rho)[early]) <= rho_tol
+        f = [control_field(r, r_d, h.h1, law.kappa, law.sign)
+             for r, r_d in zip(traj.rho, traj.rho_d)]
+        assert np.max(np.abs(traj.f - f)) <= 1e-14
+
+
 class TestIntegratorStats:
     def test_field_names(self):
         assert [f.name for f in dataclasses.fields(IntegratorStats)] == [
@@ -511,7 +561,29 @@ class TestIntegratorStats:
         else:
             assert stats.rejected > 0
         assert stats.rhs_evals == len(calls) == 6 * (stats.accepted + stats.rejected) + 1
-        assert 0.0 < stats.h_min <= stats.h_max <= 2.0
+        assert 0.0 < stats.h_min <= stats.h_max <= cfg.t_max
+
+    def test_steps_are_not_clipped_to_the_sample_grid(self, monkeypatch):
+        # Under interaction control the feedback dies out by t ~ 5, and from
+        # then on the tolerance allows steps far longer than the 0.1 grid.
+        calls = []
+        real_rhs = dynamics.rhs
+
+        def counted(*args):
+            calls.append(args)
+            return real_rhs(*args)
+
+        monkeypatch.setattr(dynamics, "rhs", counted)
+        h = hamiltonians(P, Paradigm.INTERACTION_CONTROL, X_PRODUCT)
+        rho_d0 = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
+        cfg = IntegratorConfig(t_max=30.0)
+        traj = integrate(h, Lyapunov(kappa=2.0), x_state("|++>"), rho_d0, cfg)
+        stats = traj.metadata.integrator_stats
+        assert len(traj) == 301
+        # A step clipped to the grid exceeds sample_every only by roundoff.
+        assert stats.h_max > 5 * cfg.sample_every
+        assert stats.accepted < len(traj) - 1
+        assert stats.rhs_evals == len(calls) == 6 * (stats.accepted + stats.rejected) + 1
 
     def test_none_on_exact_path(self):
         traj = propagate_exact(local_pair(), Geometric(t0=0.5), x_state("|++>"),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellsteer.dynamics import Trajectory, TrajectoryMetadata
 from bellsteer.linalg import kron, outer
@@ -101,6 +103,35 @@ class TestConcurrence:
             u = random_local_unitary(rng)
             rotated = u @ rho @ u.conj().T
             assert concurrence(rotated) == pytest.approx(concurrence(rho), abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32).filter(
+            lambda v: np.linalg.norm(v) > 0.1
+        ),
+        white=st.floats(0.01, 1.0),
+        spins=st.lists(
+            st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+                lambda v: np.linalg.norm(v) > 0.1
+            ),
+            min_size=2,
+            max_size=2,
+        ),
+        phases=st.tuples(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)),
+    )
+    def test_random_local_unitaries_leave_it_unchanged(self, m, white, spins, phases):
+        # A white admixture keeps every eigenvalue of rho at least white / 4,
+        # so no square root of a roundoff eigenvalue (~1e-8) enters C.
+        m = (np.array(m[:16]) + 1j * np.array(m[16:])).reshape(4, 4)
+        rho = (1.0 - white) * m @ m.conj().T / np.trace(m @ m.conj().T) + white * np.eye(4) / 4
+        # Each factor is e^{i phi} [[a, -b*], [b, a*]] with |a|^2 + |b|^2 = 1.
+        blocks = []
+        for v, phi in zip(spins, phases):
+            a, b = complex(v[0], v[1]), complex(v[2], v[3])
+            a, b = np.array([a, b]) / np.linalg.norm(v)
+            blocks.append(np.exp(1j * phi) * np.array([[a, -b.conjugate()], [b, a.conjugate()]]))
+        u = kron(*blocks)
+        assert concurrence(u @ rho @ u.conj().T) == pytest.approx(concurrence(rho), abs=1e-9)
 
     def test_range(self):
         rng = np.random.default_rng(29)
