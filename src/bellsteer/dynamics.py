@@ -5,11 +5,12 @@ The closed loop drho/dt = -i [H0 + f(rho, rho_d, t) H1, rho] steers rho
 towards the target rho_d(t) = U0(t) rho_d0 U0(t)†, U0(t) = exp(-i H0 t).
 `integrate` steps only rho~ = U0(t)† rho U0(t), whose derivative is the
 control term alone (`rhs`), with an adaptive embedded Dormand-Prince 5(4)
-scheme, re-evaluates the feedback inside every stage, and reads its samples
-off the scheme's continuous extension. Every sample's state and target are
-the exact free evolution of rho~ and rho_d0 (`_from_eigenbasis`, `_evolve`),
-the eigendecomposition path by which `propagate_exact` forms open-loop runs
-(a geometric law or none), whose Hamiltonian is constant on each interval.
+scheme while the field is on (the whole run under feedback, which every
+stage re-evaluates; up to t0 for a geometric law), and reads its samples off
+the scheme's continuous extension; rho~ holds still after. Every sample's state
+and target are the exact free evolution of rho~ and rho_d0, by the
+eigendecomposition path (`_from_eigenbasis`, `_evolve`) that `propagate_exact`
+uses for open-loop runs (a geometric law or none).
 `vdot_identity_check` steps the same flow to check the descent identity of
 the feedback law. Both propagators end in the one pass `_diagnose`: the
 v_stop cut, the unitary-dynamics invariants (trace, Hermiticity, purity,
@@ -180,27 +181,23 @@ def _frame(h: HamiltonianPair, states: np.ndarray) -> tuple[tuple, np.ndarray]:
     return (eig, -1j * np.subtract.outer(lam, lam).ravel(), gen, rho_d), rho.ravel()
 
 
-def rhs(frame: tuple, law: ControlLaw, t: float, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """The closed-loop derivative of y = vec rho~, rho~ = U0(t)† rho U0(t)
-    with U0(t) = exp(-i H0 t) written in the eigenbasis of H0, and the field.
+def rhs(frame: tuple, law: ControlLaw, t: float, y: np.ndarray) -> np.ndarray:
+    """The derivative of y = vec rho~, rho~ = U0(t)† rho U0(t) with
+    U0(t) = exp(-i H0 t) written in the eigenbasis of H0, with the field on.
 
     Only the control term is left: drho~/dt = -i f [U0† H1 U0, rho~]. In the
     eigenbasis U0 is the phase p_jk = exp(-i (lam_j - lam_k) t) on each entry,
-    and for a row-major vec, vec(x) @ gen = vec(-i[W† H1 W, x]). f is 0 for
-    no law, the switch for a geometric law, and sign * kappa *
+    and for a row-major vec, vec(x) @ gen = vec(-i[W† H1 W, x]). f is 1 for an
+    open-loop law (`integrate` steps it only while on) and sign * kappa *
     Im Tr(rho_d [H1, rho]) for feedback, a trace the frame leaves alone.
     """
     _, rates, gen, target = frame
     p = np.exp(rates * t)
     q = p.conj() * ((p * y) @ gen)
-    if law is None:
-        f = 0.0
-    elif isinstance(law, Geometric):
-        f = geometric_field(t, law)
-    else:
+    if isinstance(law, Lyapunov):
         # vdot(vec rho_d~, vec(-i[H1~, rho~])) = -i Tr(rho_d [H1, rho]) for Hermitian rho_d.
-        f = feedback_from_trace(1j * np.vdot(target, q), law.kappa, law.sign)
-    return f * q, f
+        return feedback_from_trace(1j * np.vdot(target, q), law.kappa, law.sign) * q
+    return q
 
 
 def geometric_evolve(h_tot: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
@@ -230,12 +227,12 @@ def vdot_identity_check(
     """
     y0 = _initial_states(h, rho, rho_d)
     frame, y = _frame(h, y0)
-    k1 = rhs(frame, law, 0.0, y)[0]
+    k1 = rhs(frame, law, 0.0, y)
 
     def rk4(step: float) -> np.ndarray:
-        k2 = rhs(frame, law, 0.5 * step, y + 0.5 * step * k1)[0]
-        k3 = rhs(frame, law, 0.5 * step, y + 0.5 * step * k2)[0]
-        k4 = rhs(frame, law, step, y + step * k3)[0]
+        k2 = rhs(frame, law, 0.5 * step, y + 0.5 * step * k1)
+        k3 = rhs(frame, law, 0.5 * step, y + 0.5 * step * k2)
+        k4 = rhs(frame, law, step, y + step * k3)
         return (y + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)).reshape(y0[0].shape)
 
     trace_term = control_field(y0[0], y0[1], h.h1, 1.0, 1)
@@ -364,28 +361,29 @@ def integrate(
 ) -> Trajectory:
     """Integrate the closed loop over [0, t_max] and sample it.
 
-    Steps rho~ (see `rhs`) and stops a step only at t_max and, for a geometric
-    law, at the switch time t0, so the discontinuous field never straddles a
-    step. Every sample time a step passes is filled from that step's
-    continuous extension (`_DENSE`), which costs no `rhs` call. With v_stop
-    set, stepping ends after the first step that passes a sample with
-    V < v_stop. The samples taken end in `_diagnose`, also when an error is
-    raised mid-run: the error is re-raised after that pass, unless the pass
-    finds an earlier invariant violation, which is the error reported.
+    Steps rho~ (see `rhs`) only while the field is on, up to t_on: t_max under
+    feedback, min(t0, t_max) for a geometric law and 0 with no law. Each sample
+    a step passes is read off the step's continuous extension (`_DENSE`) at no
+    `rhs` call; each later one holds rho~(t_on), as rho~ stands still once the
+    field is off. With v_stop set, stepping ends after the first step that
+    passes a sample with V < v_stop. The samples taken end in `_diagnose`, also
+    when an error is raised mid-run: the error is re-raised after that pass,
+    unless the pass finds an earlier invariant violation, the error reported.
     """
     y0 = _initial_states(h, rho0, rho_d0)
     frame, y = _frame(h, y0)
     free, tilde_d = frame[0], frame[3]
     grid = _sample_grid(cfg)
-    t0 = cfg.t_max  # steps stop at a switch time inside the run and at t_max
-    if isinstance(law, Geometric) and 0.0 < law.t0 < cfg.t_max:
-        t0 = law.t0
+    t_on = cfg.t_max if isinstance(law, Lyapunov) else 0.0
+    if isinstance(law, Geometric):
+        t_on = min(law.t0, cfg.t_max)
+    tol = 1e-10 * max(1.0, t_on)  # a step that ends within tol of t_on ends there
 
     samples = np.empty((len(grid),) + tilde_d.shape, dtype=complex)
     samples[0] = y.reshape(tilde_d.shape)
     abs_y = np.abs(y)
     k = np.empty((7, y.size), dtype=complex)
-    k[0] = rhs(frame, law, 0.0, y)[0]
+    k[0] = rhs(frame, law, 0.0, y)
     n = 1  # samples taken
     steps = []  # accepted step sizes
     rejected = 0
@@ -394,9 +392,8 @@ def integrate(
     h_step = cfg.dt
     error = None
     try:
-        while n < len(grid):
-            stop = t0 if t0 - t > 1e-10 * max(1.0, t0) else cfg.t_max
-            h_try = min(h_step, stop - t)
+        while t_on - t > tol:
+            h_try = min(h_step, t_on - t)
             if h_try < 1e-13:
                 last = f"h={steps[-1]:.3e} ending at t={t:.6g}" if steps else "none"
                 raise IntegrationError(
@@ -407,7 +404,7 @@ def integrate(
             coef = h_try * _TABLEAU
             for i in range(1, 7):
                 y_new = y + coef[i, :i] @ k[:i]
-                k[i] = rhs(frame, law, t + _C[i] * h_try, y_new)[0]
+                k[i] = rhs(frame, law, t + _C[i] * h_try, y_new)
             abs_new = np.abs(y_new)
             scaled = (coef[7] @ k) / (cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, abs_new))
             err = math.sqrt(np.vdot(scaled, scaled).real / scaled.size)
@@ -417,8 +414,8 @@ def integrate(
                 h_step = h_try * max(0.2, 0.9 * err ** -0.2)
                 continue
             t_new = t + h_try
-            if stop - t_new <= 1e-10 * max(1.0, stop):
-                t_new = stop
+            if t_on - t_new <= tol:
+                t_new = t_on
             m = int(np.searchsorted(grid, t_new, side="right"))  # samples in (t, t_new]
             if m > n:
                 theta = ((grid[n:m] - t) / h_try)[:, None] ** np.arange(1, 5)
@@ -435,6 +432,9 @@ def integrate(
                 lyapunov_value(new, np.broadcast_to(tilde_d, new.shape)) < cfg.v_stop
             ):
                 break
+        else:  # stepping reached t_on, after which rho~ holds still
+            samples[n:] = y.reshape(tilde_d.shape)
+            n = len(grid)
     except (IntegrationError, ValueError) as exc:
         error = exc
 

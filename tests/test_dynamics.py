@@ -19,8 +19,6 @@ from bellsteer.control import (
     Geometric,
     Lyapunov,
     control_field,
-    f_bound,
-    geometric_field,
     lyapunov_value,
 )
 from bellsteer.dynamics import (
@@ -316,6 +314,31 @@ class TestExactPropagation:
         assert np.max(np.abs(exact.rho - dp5.rho)) <= 1e-6
         assert np.max(np.abs(exact.rho_d - dp5.rho_d)) <= 1e-6
 
+    @pytest.mark.parametrize("t0", [5.0, 10.23, 20.0], ids=["t0=5", "t0=10.23", "t0=t_max"])
+    def test_dp5_steps_only_while_the_field_is_on(self, t0, monkeypatch):
+        # A stage past t0 would see the field off, and the step ending at t0
+        # would be rejected down to a tiny size.
+        stage_times = []
+        real_rhs = dynamics.rhs
+
+        def recorded(frame, law, t, y):
+            stage_times.append(t)
+            return real_rhs(frame, law, t, y)
+
+        monkeypatch.setattr(dynamics, "rhs", recorded)
+        cfg = dict(preset_scenarios("figure1"))["figure1_B0.4"]
+        assert cfg.integrator.t_max == 20.0
+        h = hamiltonians(cfg.model, cfg.paradigm, X_PRODUCT)
+        rho0 = outer(X_PRODUCT.vector_from_z(cfg.initial_state))
+        rho_d0 = outer(X_PRODUCT.vector_from_z(cfg.target_state))
+        law = Geometric(t0=t0)
+        dp5 = integrate(h, law, rho0, rho_d0, cfg.integrator)
+        exact = propagate_exact(h, law, rho0, rho_d0, cfg.integrator)
+        assert max(stage_times) <= t0
+        assert dp5.metadata.integrator_stats.h_min >= 1e-3
+        assert np.array_equal(exact.t, dp5.t)
+        assert np.max(np.abs(exact.rho - dp5.rho)) <= 1e-8
+
     def test_rejects_feedback_law(self):
         h = local_pair()
         with pytest.raises(ValueError, match="integrate"):
@@ -373,10 +396,9 @@ class TestTrajectoryType:
         rho = m @ m.conj().T
         rho /= np.trace(rho)
         frame, y = dynamics._frame(h, np.stack([rho, rho]))
-        dy, f = rhs(frame, Geometric(t0=1.0), 0.7, y)
+        dy = rhs(frame, Geometric(t0=1.0), 0.7, y)
         drho = dy.reshape(4, 4)
         assert dy.shape == (16,)  # the state alone; the target is not stepped
-        assert f == 1.0
         assert abs(np.trace(drho)) < 1e-14
         assert hs_norm(drho - drho.conj().T) < 1e-13
 
@@ -407,8 +429,8 @@ floats32 = st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32).filter(
 class TestRhs:
     """`rhs` on vec rho~, the state in the interaction picture of H0 written
     in its eigenbasis W, against the lab-frame commutator carried into that
-    frame with an independent matrix exponential U0(t) = expm(-i H0 t), and
-    the field from the law's own function."""
+    frame with an independent matrix exponential U0(t) = expm(-i H0 t), with
+    the feedback from `control_field` and an open-loop law's field on."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -437,16 +459,14 @@ class TestRhs:
         def to_frame(m):
             return w.conj().T @ u0.conj().T @ m @ u0 @ w
 
-        dy, f = rhs(frame, law, t, to_frame(rho).ravel())
+        dy = rhs(frame, law, t, to_frame(rho).ravel())
 
         if isinstance(law, Lyapunov):
             f_ref = control_field(rho, rho_d, h.h1, law.kappa, law.sign)
-            assert abs(f) <= f_bound(rho, rho_d, h.h1, law.kappa) * (1 + 1e-12) + 1e-15
             f_scale = law.kappa * hs_norm(h.h1) * hs_norm(rho) * hs_norm(rho_d)
         else:
-            f_ref = 0.0 if law is None else geometric_field(t, law)
-            f_scale = 0.0
-        assert abs(f - f_ref) <= 1e-12 * f_scale
+            # `integrate` steps an open-loop run only while its field is on.
+            f_ref, f_scale = 1.0, 0.0
         dy_ref = to_frame(-1j * commutator(f_ref * h.h1, rho))
         scale = (abs(f_ref) + f_scale) * hs_norm(h.h1) * hs_norm(rho)
         assert hs_norm(dy.reshape(d, d) - dy_ref) <= 1e-12 * scale
@@ -514,7 +534,7 @@ class TestAgainstDOP853:
         traj = integrate(h, law, rho0, rho_d0, cfg.integrator)
 
         frame, y = dynamics._frame(h, np.stack([rho0, rho_d0]))
-        ref = solve_ivp(lambda t, y: rhs(frame, law, t, y)[0], (0.0, traj.t[-1]), y,
+        ref = solve_ivp(lambda t, y: rhs(frame, law, t, y), (0.0, traj.t[-1]), y,
                         method="DOP853", rtol=1e-13, atol=1e-15, t_eval=traj.t)
         assert ref.success
         w = frame[0][1]
@@ -556,12 +576,12 @@ class TestIntegratorStats:
         traj = integrate(local_pair(), law, x_state("|++>"), rho_d0, cfg)
         stats = traj.metadata.integrator_stats
         if law is None:
-            # In the interaction picture a free run has dy = 0: no attempt can fail.
-            assert (stats.rejected, stats.accepted) == (0, 2)
+            # With no field rho~ stands still, so nothing is stepped.
+            assert (stats.accepted, stats.rejected, stats.h_min) == (0, 0, None)
         else:
             assert stats.rejected > 0
+            assert 0.0 < stats.h_min <= stats.h_max <= cfg.t_max
         assert stats.rhs_evals == len(calls) == 6 * (stats.accepted + stats.rejected) + 1
-        assert 0.0 < stats.h_min <= stats.h_max <= cfg.t_max
 
     def test_steps_are_not_clipped_to_the_sample_grid(self, monkeypatch):
         # Under interaction control the feedback dies out by t ~ 5, and from
@@ -604,10 +624,10 @@ class TestMidRunErrors:
         real_rhs = dynamics.rhs
 
         def rhs_failing(frame, law, t, y):
-            dy, f = real_rhs(frame, law, t, y)
+            dy = real_rhs(frame, law, t, y)
             if t > t_fail:
-                return fail(dy), f
-            return dy, f
+                return fail(dy)
+            return dy
 
         monkeypatch.setattr(dynamics, "rhs", rhs_failing)
 
@@ -623,7 +643,7 @@ class TestMidRunErrors:
 
     def test_underflow_with_no_accepted_step(self):
         with pytest.raises(IntegrationError, match="last accepted step none"):
-            integrate(local_pair(), None, x_state("|++>"), x_state("|-->"),
+            integrate(local_pair(), Lyapunov(kappa=1.0), x_state("|++>"), x_state("|-->"),
                       IntegratorConfig(t_max=1.0, dt=1e-14))
 
     @pytest.mark.parametrize(
