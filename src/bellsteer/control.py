@@ -113,7 +113,7 @@ def f_bound(rho: np.ndarray, rho_d: np.ndarray, h1: np.ndarray, kappa: float) ->
     return kappa * hs_norm(comm) * hs_norm(h1)
 
 
-def geometric_field(t: float, law: Geometric) -> float:
-    """0/1 multiplier for the switched control Hamiltonian (off at t = t0)."""
-    return 1.0 if t < law.t0 else 0.0
-
+def geometric_field(t: float | np.ndarray, law: Geometric) -> float | np.ndarray:
+    """0/1 multiplier for the switched control Hamiltonian (off at t = t0), one per time."""
+    f = np.where(np.asarray(t) < law.t0, 1.0, 0.0)
+    return f if f.ndim else float(f)

@@ -42,9 +42,6 @@ from .model import (
     HamiltonianPair,
     ModelParams,
     Paradigm,
-    S_FRAME_BELL,
-    S_FRAME_X,
-    X_PRODUCT,
     subspace_populations,
 )
 from . import metrics
@@ -316,33 +313,23 @@ def _diagnose(
     3. the field column is the law's field at each sample: the feedback
        `control_field` of every state and target at once, the geometric
        switch at the sample times, or 0;
-    4. V, concurrence and p_S are taken for every sample at once, with the
-       stall flag.
-
-    A reduced pair-frame state is embedded back into 4D XProduct coordinates
-    for the concurrence; it lives wholly in the invariant subspace, so its
-    p_S is Tr(rho).
+    4. V, concurrence and p_S are taken for every sample at once in the
+       pair's basis (a 2-row frame of S too), with the stall flag.
     """
     v = lyapunov_value(states[:, 0], states[:, 1])
     below = np.flatnonzero(v[1:] < v_stop) if v_stop is not None else ()
     n = int(below[0]) + 2 if len(below) else len(t)
     t, states, v = t[:n], states[:n], v[:n]
     _check_invariants(t[1:], states[1:], _purity(states[0]))
+    rho, rho_d = states[:, 0], states[:, 1]
     if law is None:
         f = np.zeros(n)
     elif isinstance(law, Geometric):
-        f = np.array([geometric_field(ti, law) for ti in t])
+        f = geometric_field(t, law)
     else:
-        f = control_field(states[:, 0], states[:, 1], h.h1, law.kappa, law.sign)
-
-    rho, rho_d = states[:, 0], states[:, 1]
-    if rho.shape[1] == 4:
-        c = metrics.concurrence(rho, h.basis)
-        p_s = subspace_populations(rho, h.basis)[0]
-    else:
-        frame = S_FRAME_BELL if h.basis.tag == "Bell" else S_FRAME_X
-        c = metrics.concurrence(frame @ rho @ frame.conj().T, X_PRODUCT)
-        p_s = np.real(np.trace(rho, axis1=1, axis2=2))
+        f = control_field(rho, rho_d, h.h1, law.kappa, law.sign)
+    c = metrics.concurrence(rho, h.basis)
+    p_s = subspace_populations(rho, h.basis)[0]
     stalled = bool(
         isinstance(law, Lyapunov)
         and v[0] > 1e-12

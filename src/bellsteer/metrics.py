@@ -34,12 +34,13 @@ def concurrence(rho: np.ndarray, basis: Basis = Z_PRODUCT) -> float | np.ndarray
     """Wootters concurrence of a two-qubit density matrix.
 
     The spin-flip conjugation is basis-dependent, so ``rho`` given in another
-    coordinate system is converted to the Z-product basis first. A stack of
-    matrices (..., 4, 4) gives one value per matrix.
+    coordinate system is mapped to the Z-product basis first, by T† rho T for its
+    (d, 4) transform T. A stack of matrices (..., d, d) gives one value per matrix.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
-        raise ValueError(f"concurrence needs a 4x4 density matrix, got {rho.shape}")
+    d = len(basis.transform)
+    if rho.ndim < 2 or rho.shape[-2:] != (d, d):
+        raise ValueError(f"concurrence needs a {d}x{d} density matrix, got {rho.shape}")
     rho_z = dagger(basis.transform) @ rho @ basis.transform
     m = rho_z @ _YY @ rho_z.conj() @ _YY
     lams = np.sqrt(np.clip(np.real(np.linalg.eigvals(m)), 0.0, None))

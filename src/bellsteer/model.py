@@ -6,7 +6,7 @@ The drift/control split depends on the chosen paradigm:
 * ``LocalControl``: drift ``h_eff = 2J Z(x)Z``, control ``h_local``.
 * ``InteractionControl``: drift ``h_local`` (symmetric, k=1), control ``h_eff``.
 
-Three coordinate systems are supported, with fixed orderings:
+Three coordinate systems span the two-qubit space, with fixed orderings:
 
 * ZProduct: {|00>, |01>, |10>, |11>}
 * XProduct: {|++>, |+->, |-+>, |-->}, |+-> = (|0>+|1>)(|0>-|1>)/2
@@ -15,11 +15,13 @@ Three coordinate systems are supported, with fixed orderings:
 
 In the Bell ordering the drift of the local paradigm is diag(2J, 2J, -2J, -2J)
 and the control couples only Phi+ <-> Phi-, which is what makes the
-span{|++>, |-->} subspace dynamics two-dimensional.
+dynamics in S = span{|++>, |-->} two-dimensional. `subspace_reduce` writes a
+pair in a frame of S, {|++>, |-->} or {Phi+, Phi-}: a `Basis` with two rows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -70,9 +72,11 @@ class BellName(Enum):
 
 @dataclass(frozen=True, eq=False)
 class Basis:
-    """A coordinate system; ``transform`` maps ZProduct coordinates into it.
+    """A coordinate system: ``transform`` T is a (d, 4) isometry from ZProduct
+    coordinates (orthonormal rows, T T† = I_d), d = 4 for a basis of the
+    two-qubit space and d = 2 for a frame of S.
 
-    Vectors: v_here = transform @ v_z. Operators: H_here = transform @ H_z @ transform†.
+    Vectors: v_here = T @ v_z. Operators: H_here = T @ H_z @ T†, and H_z = T† @ H_here @ T.
     """
 
     tag: str
@@ -80,9 +84,9 @@ class Basis:
 
     def __post_init__(self) -> None:
         u = self.transform
-        err = hs_norm(dagger(u) @ u - np.eye(u.shape[0]))
+        err = hs_norm(u @ dagger(u) - np.eye(len(u))) if u.shape[1:] == (4,) else math.inf
         if err > 1e-12:
-            raise ValueError(f"basis transform is not unitary (deviation {err:.3e})")
+            raise ValueError(f"basis transform is not unitary on its rows (deviation {err:.3e})")
 
     def from_z(self, op_z: np.ndarray) -> np.ndarray:
         """Conjugate an operator given in ZProduct coordinates into this basis."""
@@ -172,24 +176,21 @@ def bell_state(which: BellName, basis: Basis) -> np.ndarray:
     return basis.vector_from_z(v_z)
 
 
-# Isometries embedding the reduced 2D coordinates back into full XProduct
-# coordinates: columns are the frame vectors {Phi+, Phi-} or {|++>, |-->}.
+# The frame {|++>, |-->} of S as ZProduct rows, and the projector P_S onto S.
+_S_ROWS = X_PRODUCT.transform[[0, 3]]
+_P_S = dagger(_S_ROWS) @ _S_ROWS
+# The frame {Phi+, Phi-} as XProduct columns: it embeds a reduced state in 4D.
 S_FRAME_BELL = np.array([[1, 1], [0, 0], [0, 0], [1, -1]], dtype=complex) / _SQ2
-S_FRAME_X = np.array([[1, 0], [0, 0], [0, 0], [0, 1]], dtype=complex)
-
-_S_IDX = {
-    "XProduct": (0, 3),
-    "Bell": (1, 2),
-}
 
 
 def subspace_reduce(h: HamiltonianPair) -> HamiltonianPair:
     """Restrict a Hamiltonian pair to S = span{|++>, |-->}.
 
-    The reduction is returned in whichever 2D frame diagonalizes the reduced
-    drift: {Phi+, Phi-} for the local paradigm (basis tag "Bell",
-    embed with S_FRAME_BELL) or {|++>, |-->} for the interaction paradigm
-    (basis tag "XProduct", embed with S_FRAME_X).
+    The reduction is returned in whichever 2-row frame of S diagonalizes the
+    reduced drift: {|++>, |-->} (tag "XProduct", rows
+    ``X_PRODUCT.transform[[0, 3]]``) for the interaction paradigm, or
+    {Phi+, Phi-} (tag "Bell", the Hadamard of those rows) for the local one.
+    A state of the reduced run is ``red.basis.vector_from_z(v_z)``.
 
     Asymmetric local coupling (k != 1) is rejected: it leaves S invariant but
     changes the complement dynamics, and the reduction is only supported for
@@ -199,50 +200,38 @@ def subspace_reduce(h: HamiltonianPair) -> HamiltonianPair:
         raise ValueError(
             f"subspace reduction requires symmetric local coupling (k=1), got k={h.params.k}"
         )
-    h0_x = X_PRODUCT.from_z(dagger(h.basis.transform) @ h.h0 @ h.basis.transform)
-    h1_x = X_PRODUCT.from_z(dagger(h.basis.transform) @ h.h1 @ h.basis.transform)
-
-    s_idx, perp_idx = (0, 3), (1, 2)
-    for name, op in (("h0", h0_x), ("h1", h1_x)):
-        off = op[np.ix_(s_idx, perp_idx)]
-        off_norm = max(hs_norm(off), hs_norm(op[np.ix_(perp_idx, s_idx)]))
+    t = h.basis.transform
+    h0_z, h1_z = (dagger(t) @ op @ t for op in (h.h0, h.h1))
+    for name, op in (("h0", h0_z), ("h1", h1_z)):
+        off_norm = hs_norm(op @ _P_S - _P_S @ op)
         if off_norm > 1e-12:
             raise ValueError(
                 f"{name} does not leave span{{|++>,|-->}} invariant "
                 f"(off-block norm {off_norm:.3e})"
             )
-    a0 = h0_x[np.ix_(s_idx, s_idx)]
-    a1 = h1_x[np.ix_(s_idx, s_idx)]
+    for frame in (Basis("XProduct", _S_ROWS), Basis("Bell", _hadamard2() @ _S_ROWS)):
+        a0 = frame.from_z(h0_z)
+        if abs(a0[0, 1]) + abs(a0[1, 0]) <= 1e-12:
+            return HamiltonianPair(a0, frame.from_z(h1_z), frame, h.params, h.paradigm)
+    raise ValueError("reduced drift is not diagonal in either pair frame")
 
-    def _offdiag(m: np.ndarray) -> float:
-        return abs(m[0, 1]) + abs(m[1, 0])
 
-    if _offdiag(a0) <= 1e-12:
-        frame = Basis("XProduct", np.eye(2, dtype=complex))
-    else:
-        w = _hadamard2()
-        a0, a1 = w @ a0 @ w, w @ a1 @ w
-        if _offdiag(a0) > 1e-12:
-            raise ValueError("reduced drift is not diagonal in either pair frame")
-        frame = Basis("Bell", _hadamard2())
-    return HamiltonianPair(a0, a1, frame, h.params, h.paradigm)
+@functools.lru_cache
+def _s_terms(basis: Basis) -> tuple:
+    """Tr(Q rho) = sum Q_ij rho_ji for Q = P_S in ``basis``, as terms (j, i, Q_ij), less
+    the entries of Q below 1e-15, roundoff of a zero. A basis aligned with S keeps two,
+    where a BLAS product over all sixteen woke its threads, at up to ms a stack."""
+    q = basis.from_z(_P_S)
+    return tuple((j, i, q[i, j]) for i, j in zip(*np.nonzero(abs(q) > 1e-15)))
 
 
 def subspace_populations(rho: np.ndarray, basis: Basis) -> tuple:
-    """Population (p_S, p_Sperp) of span{|++>, |-->} and its complement.
+    """Population (p_S, p_Sperp) of S = span{|++>, |-->} and its complement:
+    p_S = Re Tr(Q rho) with Q = P_S written in ``basis``, for every basis.
 
-    A stack of matrices (..., 4, 4) gives a pair of arrays, one entry per matrix.
+    A stack of matrices (..., d, d) gives a pair of arrays, one entry per matrix.
     """
     rho = np.asarray(rho, dtype=complex)
-    if basis.tag in _S_IDX:
-        i, j = _S_IDX[basis.tag]
-        p_s = np.real(rho[..., i, i] + rho[..., j, j])
-    elif basis.tag == "ZProduct":
-        proj_x = np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
-        proj_z = dagger(X_PRODUCT.transform) @ proj_x @ X_PRODUCT.transform
-        p_s = np.real(np.trace(proj_z @ rho, axis1=-2, axis2=-1))
-    else:
-        raise ValueError(f"unknown basis tag {basis.tag!r}")
-    if rho.ndim == 2:
-        p_s = float(p_s)
+    p_s = functools.reduce(np.add, (q * rho[..., j, i] for j, i, q in _s_terms(basis))).real
+    p_s = float(p_s) if rho.ndim == 2 else p_s
     return p_s, 1.0 - p_s

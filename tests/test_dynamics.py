@@ -32,7 +32,7 @@ from bellsteer.dynamics import (
     propagate_exact,
     rhs,
 )
-from bellsteer.experiments import preset_scenarios
+from bellsteer.experiments import STATE_LITERALS, preset_scenarios
 from bellsteer.linalg import expm, hs_norm, outer
 from bellsteer.metrics import concurrence
 from bellsteer.model import (
@@ -225,6 +225,7 @@ class TestLyapunovRuns:
 
 class TestReducedRuns:
     propagate = staticmethod(integrate)
+    laws = (Geometric(t0=7.0), Lyapunov(kappa=1.0))
 
     def test_two_level_run_reports_embedded_metrics(self):
         h = local_pair()
@@ -235,9 +236,31 @@ class TestReducedRuns:
         assert np.allclose(traj.p_S, 1.0, atol=1e-9)
         assert np.allclose(traj.concurrence, 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("paradigm", list(Paradigm), ids=lambda p: p.value)
+    def test_matches_four_level_run(self, paradigm):
+        """From |++> towards Phi+, sample by sample; the reduced pair's frame
+        goes through the same diagnostics as the 4-level basis."""
+        h = hamiltonians(P, paradigm, X_PRODUCT)
+        red = subspace_reduce(h)
+        cfg = IntegratorConfig(t_max=20.0, **TIGHT)
+
+        def run(pair, law):
+            rho0, rho_d0 = (outer(pair.basis.vector_from_z(STATE_LITERALS[name]))
+                            for name in ("|++>", "PhiPlus"))
+            return self.propagate(pair, law, rho0, rho_d0, cfg)
+
+        for law in self.laws:
+            full, reduced = run(h, law), run(red, law)
+            assert np.array_equal(full.t, reduced.t)
+            assert np.max(np.abs(full.concurrence - reduced.concurrence)) <= 1e-7
+            for column in ("p_S", "V", "f"):
+                diff = np.abs(getattr(full, column) - getattr(reduced, column))
+                assert np.max(diff) <= 1e-8, (law, column)
+
 
 class TestReducedRunsExact(TestReducedRuns):
     propagate = staticmethod(propagate_exact)
+    laws = (Geometric(t0=7.0),)  # propagate_exact takes no feedback
 
 
 class TestInvariantMonitor:

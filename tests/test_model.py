@@ -222,7 +222,17 @@ class TestSubspacePopulations:
                 p_b, _ = subspace_populations(rho_b, basis)
                 assert p_b == pytest.approx(p_ref, abs=1e-12)
 
-    def test_unknown_basis_rejected(self):
-        basis = Basis("Other", np.eye(4, dtype=complex))
-        with pytest.raises(ValueError, match="unknown basis"):
-            subspace_populations(np.eye(4) / 4.0, basis)
+    def test_any_unitary_basis(self):
+        rng = np.random.default_rng(23)
+        u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        basis = Basis("Other", u)
+        for _ in range(20):
+            rho_z = outer(random_state(rng))
+            p_ref, _ = subspace_populations(rho_z, Z_PRODUCT)
+            p_b, _ = subspace_populations(basis.from_z(rho_z), basis)
+            assert p_b == pytest.approx(p_ref, abs=1e-12)
+
+    def test_rejects_non_orthonormal_rows(self):
+        rows = np.array([[1, 0, 0, 0], [1, 1, 0, 0]], dtype=complex) / SQ2
+        with pytest.raises(ValueError, match="not unitary"):
+            Basis("broken", rows)
