@@ -179,8 +179,6 @@ def bell_state(which: BellName, basis: Basis) -> np.ndarray:
 # The frame {|++>, |-->} of S as ZProduct rows, and the projector P_S onto S.
 _S_ROWS = X_PRODUCT.transform[[0, 3]]
 _P_S = dagger(_S_ROWS) @ _S_ROWS
-# The frame {Phi+, Phi-} as XProduct columns: it embeds a reduced state in 4D.
-S_FRAME_BELL = np.array([[1, 1], [0, 0], [0, 0], [1, -1]], dtype=complex) / _SQ2
 
 
 def subspace_reduce(h: HamiltonianPair) -> HamiltonianPair:

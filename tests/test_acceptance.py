@@ -37,7 +37,6 @@ from bellsteer.metrics import concurrence, lasalle_distance
 from bellsteer.model import (
     ModelParams,
     Paradigm,
-    S_FRAME_BELL,
     X_PRODUCT,
     hamiltonians,
     subspace_reduce,
@@ -221,7 +220,7 @@ def test_criterion_08_oracle_equivalence():
     traj2 = integrate(h2, law, rho0_2, rho_d0_2, cfg4)
 
     assert np.array_equal(traj2.t, traj4.t)
-    frame = S_FRAME_BELL
+    frame = X_PRODUCT.transform @ dagger(h2.basis.transform)  # {Phi+, Phi-} in XProduct
     worst_state = max(
         hs_norm(frame @ traj2.rho[i] @ dagger(frame) - traj4.rho[i])
         for i in range(len(traj4))

@@ -1,12 +1,15 @@
 """Unit tests for entanglement and convergence diagnostics."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bellsteer.dynamics import Trajectory, TrajectoryMetadata
-from bellsteer.linalg import kron, outer
+from bellsteer.experiments import SweepConfig, preset_scenarios, run_preset, run_sweep
+from bellsteer.linalg import dagger, kron, outer, pauli
 from bellsteer.metrics import (
     concurrence,
     convergence_report,
@@ -15,7 +18,59 @@ from bellsteer.metrics import (
     peak_report,
     PeakReport,
 )
-from bellsteer.model import BASES, BellName, X_PRODUCT, Z_PRODUCT, bell_state
+from bellsteer.model import (
+    BASES,
+    Basis,
+    BellName,
+    ModelParams,
+    Paradigm,
+    X_PRODUCT,
+    Z_PRODUCT,
+    bell_state,
+    hamiltonians,
+    subspace_reduce,
+)
+
+YY = np.real(kron(pauli("Y"), pauli("Y")))
+# Every basis and both 2-row frames of S that subspace_reduce writes a pair in,
+# and a complex unitary one, whose spin flip differs from its conjugate.
+FRAMES = [
+    subspace_reduce(hamiltonians(ModelParams(J=1.0, eta=0.1), p, X_PRODUCT)).basis
+    for p in Paradigm
+]
+_U, _ = np.linalg.qr(
+    np.random.default_rng(43).normal(size=(4, 4))
+    + 1j * np.random.default_rng(47).normal(size=(4, 4))
+)
+COMPLEX = Basis("Complex", _U)
+EVERY_BASIS = [*BASES.values(), *FRAMES, COMPLEX]
+
+
+def wootters_eigvals(rho, basis=Z_PRODUCT):
+    """Wootters' general formula, from the eigenvalues of rho_z Y(x)Y rho_z* Y(x)Y."""
+    rho_z = dagger(basis.transform) @ rho @ basis.transform
+    m = rho_z @ YY @ rho_z.conj() @ YY
+    lams = np.sqrt(np.clip(np.real(np.linalg.eigvals(m)), 0.0, None))
+    lams = np.sort(lams, axis=-1)[..., ::-1]
+    return np.maximum(0.0, lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3])
+
+
+def refuse_eigvals(*args, **kwargs):
+    raise AssertionError("np.linalg.eigvals was called")
+
+
+def loop_fluctuation_amplitude(t, c, window_width=10.0):
+    """peak_report's amplitude as a scan of every window sample for a turning point."""
+    i_max = int(np.nonzero(c >= np.max(c) - 1e-8)[0][-1])
+    half = 0.5 * window_width
+    idx = np.where((t >= t[i_max] - half) & (t <= t[i_max] + half))[0]
+    candidates = {int(idx[0]), int(idx[-1])}
+    for j in idx:
+        if 0 < j < len(c) - 1:
+            if (c[j] - c[j - 1]) * (c[j + 1] - c[j]) <= 0.0:
+                candidates.add(int(j))
+    values = c[sorted(candidates)]
+    return float(np.max(values) - np.min(values))
 
 
 def random_state(rng, dim=4):
@@ -142,6 +197,104 @@ class TestConcurrence:
     def test_wrong_dimension(self):
         with pytest.raises(ValueError, match="4x4"):
             concurrence(np.eye(2) / 2.0)
+
+
+class TestPureStateForm:
+    """Pure samples take the closed form; every other sample keeps the eigensolver."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        basis=st.sampled_from(EVERY_BASIS),
+        parts=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+    )
+    def test_pure_states_in_every_basis(self, basis, parts):
+        # The general formula is the less accurate one here. For a pure state its
+        # m is rank one with eigenvalue C^2 and a spectral projector of norm 1/C,
+        # so roundoff of order eps moves the three zero eigenvalues by about
+        # eps/C, and their roots by about sqrt(eps/C): up to 3e-6 near C = 1e-6.
+        # On 100,000 near-product states it stayed within 0.26 of this bound.
+        d = len(basis.transform)
+        v = np.array(parts[:d]) + 1j * np.array(parts[4 : 4 + d])
+        assume(np.linalg.norm(v) > 0.1)
+        v = v / np.linalg.norm(v)
+        a, b, c, e = dagger(basis.transform) @ v
+        exact = 2.0 * abs(a * e - b * c)
+        rho = outer(v)
+        reference = wootters_eigvals(rho, basis)
+        with mock.patch.object(np.linalg, "eigvals", refuse_eigvals):
+            got = concurrence(rho, basis)
+        assert abs(got - exact) <= 1e-12
+        eps = np.finfo(float).eps
+        assert abs(got - reference) <= 5e-8 + 3.0 * np.sqrt(eps / max(exact, eps))
+
+    def test_mixed_states_keep_the_general_formula_bit_for_bit(self):
+        phi = outer(bell_state(BellName.PHI_PLUS, Z_PRODUCT))
+        werner = [p * phi + (1.0 - p) * np.eye(4) / 4.0 for p in (0.0, 0.2, 1 / 3, 0.5, 0.9)]
+        rng = np.random.default_rng(31)
+        mixed = werner + [random_density(rng) for _ in range(20)]
+        for basis in [*BASES.values(), COMPLEX]:
+            stack = np.array([basis.from_z(rho) for rho in mixed])
+            for rho in stack:
+                assert concurrence(rho, basis) == wootters_eigvals(rho, basis), basis.tag
+            assert np.array_equal(concurrence(stack, basis), wootters_eigvals(stack, basis))
+
+    def test_a_stack_of_both_gives_each_sample_its_own_value(self):
+        rng = np.random.default_rng(37)
+        samples = [outer(random_state(rng)) if i % 3 else random_density(rng) for i in range(12)]
+        stack = np.array(samples).reshape(3, 4, 4, 4)
+        got = concurrence(stack)
+        assert got.shape == (3, 4)
+        assert np.array_equal(got.ravel(), [concurrence(rho) for rho in samples])
+
+    def test_product_state_in_a_complex_basis(self):
+        # T = diag(1, 1, 1, i): the conjugate spin flip T (Y(x)Y) T^T gives this product
+        # state C = 1.
+        basis = Basis("Phase", np.diag([1, 1, 1, 1j]))
+        rho = outer(basis.vector_from_z(np.full(4, 0.5)))
+        assert concurrence(rho, basis) == pytest.approx(0.0, abs=1e-15)
+
+    def test_scalar_input_returns_a_float(self):
+        rng = np.random.default_rng(41)
+        for rho in (outer(random_state(rng)), random_density(rng)):
+            assert type(concurrence(rho)) is float
+
+    def test_open_loop_runs_never_call_the_eigensolver(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvals", refuse_eigvals)
+        runs = run_preset("figure1")
+        assert [label for label, _, _ in runs] == [
+            "figure1_B0.1", "figure1_B0.2", "figure1_B0.4"
+        ]
+        base = dict(preset_scenarios("figure1"))["figure1_B0.4"]
+        rows = run_sweep(SweepConfig(base, "law.t0", (2.5, 5.0, 10.23, 20.0)))
+        assert [row["error"] for row in rows] == [None] * 4
+        assert all(0.0 <= row["final_concurrence"] <= 1.0 for row in rows)
+
+
+class TestVerstraeteVerschelde:
+    """F <= (1 + C)/2 for a maximally entangled target (Verstraete & Verschelde,
+    PRA 66, 022307 (2002)); V = 1 - F for pure states, so C >= 1 - 2V.
+
+    The bound holds for every state, so the slack covers numerical error
+    only. Every figure1 sample takes the closed form, good to about 1e-15.
+    The integrate samples take the general formula, which subtracts three
+    roots of roundoff eigenvalues of about 1e-16, up to about 3e-8 each
+    where C is of order 1 (more near C = 0; see test_pure_states_in_every_basis),
+    and their purity defect, at most about 1e-9, shifts 1 - 2V by as much.
+    1e-7 covers that.
+    """
+
+    def test_concurrence_bounds_the_distance(self, figure1_runs, lyapunov_runs):
+        for label, (traj, _) in sorted({**figure1_runs, **lyapunov_runs}.items()):
+            gap = traj.concurrence - (1.0 - 2.0 * traj.V)
+            print(f"{label}: min C - (1 - 2V) = {gap.min():.3g}")
+            assert gap.min() >= -1e-7, label
+
+    def test_the_bound_rises_with_the_feedback(self, lyapunov_runs):
+        for label, (traj, _) in sorted(lyapunov_runs.items()):
+            bound = np.maximum(0.0, 1.0 - 2.0 * traj.V)
+            fall = float(np.max(bound[:-1] - bound[1:]))
+            print(f"{label}: largest fall of max(0, 1 - 2V) = {fall:.3g}")
+            assert fall <= 1e-12, label
 
 
 class TestLasalleDistance:
@@ -294,6 +447,18 @@ class TestPeakReport:
             base.fluctuation_amplitude, abs=1e-11
         )
         assert base.fluctuation_amplitude < 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        levels=st.lists(st.integers(0, 4), min_size=3, max_size=150),
+        width=st.sampled_from([0.3, 2.0, 10.0]),
+    )
+    def test_matches_the_turning_point_scan(self, levels, width):
+        # Few distinct levels give plateaus, ties for the maximum and repeats.
+        c = np.array(levels) / 4.0
+        t = 0.1 * np.arange(len(c))
+        rep = peak_report(make_traj(t, C=c), window_width=width)
+        assert rep.fluctuation_amplitude == loop_fluctuation_amplitude(t, c, width)
 
     def test_c_max_validated(self):
         with pytest.raises(ValueError, match="c_max"):
