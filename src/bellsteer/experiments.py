@@ -19,13 +19,10 @@ import dataclasses
 import io
 import json
 import math
-import os
 import re
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -146,7 +143,11 @@ class ScenarioConfig:
 
 @dataclass(frozen=True, eq=False)
 class SweepConfig:
-    """Rerun ``base`` once per value of one numeric parameter."""
+    """Rerun ``base`` once per value of one numeric parameter.
+
+    ``parallel`` (``sweep.parallel``) has no effect: rows run in the calling
+    process. It is still read (>= 1) so that configs that set it keep loading.
+    """
 
     base: ScenarioConfig
     axis: str
@@ -335,7 +336,9 @@ def build_report(
 ) -> dict:
     """The JSON report of a finished run of ``cfg`` under the Hamiltonians ``h``."""
     fid = float(np.real(np.trace(traj.rho[-1] @ traj.rho_d[-1])))
-    drive_ratio = float(np.max(np.abs(traj.f)) * hs_norm(h.h1) / hs_norm(h.h0))
+    # Undefined (null in the JSON) when the drift is zero, e.g. InteractionControl at eta = 0.
+    h0_norm = hs_norm(h.h0)
+    drive_ratio = float(np.max(np.abs(traj.f)) * hs_norm(h.h1) / h0_norm) if h0_norm else None
     peak = peak_report(traj)
     stats = traj.metadata.integrator_stats
 
@@ -467,20 +470,12 @@ def _sweep_row(base: ScenarioConfig, axis: str, value: float) -> dict:
 
 
 def run_sweep(cfg: SweepConfig) -> list[dict]:
-    """One row per value, in input order, independent of worker count.
+    """One row per value, run in the calling process in input order.
 
-    ``parallel`` is an upper bound: at most one worker per value and per CPU
-    is started, and a single worker runs in-process. A failed row carries its
-    error message; the sweep continues.
+    ``cfg.parallel`` has no effect. A failed row carries its error message;
+    the sweep continues.
     """
-    workers = min(cfg.parallel, len(cfg.values), os.cpu_count() or 1)
-    if workers <= 1:
-        rows = [_sweep_row(cfg.base, cfg.axis, v) for v in cfg.values]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(_sweep_row, repeat(cfg.base), repeat(cfg.axis), cfg.values)
-            )
+    rows = [_sweep_row(cfg.base, cfg.axis, v) for v in cfg.values]
     if cfg.out:
         write_sweep_csv(rows, cfg.out)
     return rows

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bellsteer
 
 SRC = Path(bellsteer.__file__).resolve().parent
@@ -17,10 +19,12 @@ def test_star_import_resolves_every_public_name():
     assert all(getattr(bellsteer, name) is namespace[name] for name in bellsteer.__all__)
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is most of the import time, and only linalg.expm needs it.
+@pytest.mark.parametrize("module", ["scipy", "multiprocessing", "concurrent.futures.process"])
+def test_cli_import_leaves_module_unloaded(module):
+    # scipy is most of the import time, and only linalg.expm needs it; sweeps
+    # run in-process, so no process pool is imported either.
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    code = "import sys, bellsteer.cli; print('scipy' in sys.modules)"
+    code = f"import sys, bellsteer.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
