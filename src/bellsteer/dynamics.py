@@ -3,27 +3,38 @@ target, and exact open-loop propagation.
 
 The closed loop drho/dt = -i [H0 + f(rho, rho_d, t) H1, rho] steers rho
 towards the target rho_d(t) = U0(t) rho_d0 U0(t)†, U0(t) = exp(-i H0 t).
-`integrate` steps only rho~ = U0(t)† rho U0(t), whose derivative is the
-control term alone (`rhs`), with an adaptive embedded Dormand-Prince 5(4)
-scheme while the field is on (the whole run under feedback, which every
-stage re-evaluates; up to t0 for a geometric law), and reads its samples off
-the scheme's continuous extension; rho~ holds still after. Every sample's state
-and target are the exact free evolution of rho~ and rho_d0, by the
-eigendecomposition path (`_from_eigenbasis`, `_evolve`) that `propagate_exact`
-uses for open-loop runs (a geometric law or none).
-`vdot_identity_check` steps the same flow to check the descent identity of
-the feedback law. Both propagators end in the one pass `_diagnose`: the
-v_stop cut, the unitary-dynamics invariants (trace, Hermiticity, purity,
-positivity) at every output sample, the field column, then V, concurrence
-and p_S. Violations beyond ten times the stated tolerances abort the run at
-the first bad sample; nothing is silently renormalized, because the descent
-property of the feedback law is exactly what the integration is supposed to
-expose.
+For a pure state rho = psi psi† it is the Schrodinger equation
+dpsi/dt = -i (H0 + f H1) psi. `integrate` steps only the state vector
+psi~ = W† U0(t)† psi in the eigenbasis W of H0, whose derivative is the
+control term alone (`rhs`), with
+an adaptive embedded Dormand-Prince 5(4) scheme written out over its at most
+4 amplitudes, while the field is on (the whole run under feedback, which
+every stage re-evaluates; up to t0 for a geometric law), and reads its
+samples off the scheme's continuous extension; psi~ holds still after. Every
+sample's state and target are the exact free evolution of psi~ psi~† and
+rho_d0, by the eigendecomposition path (`_from_eigenbasis`, `_evolve`) that
+`propagate_exact` uses for open-loop runs (a geometric law or none), which
+also takes mixed states. `vdot_identity_check` steps the same flow to check
+the descent identity of the feedback law. Both propagators end in the one
+pass `_diagnose`: the v_stop cut, the unitary-dynamics invariants (trace,
+Hermiticity, purity, positivity) at every output sample, the field column,
+then V, concurrence and p_S. Violations beyond ten times the stated
+tolerances abort the run at the first bad sample.
+
+One thing is renormalized: after each accepted step, and at each sample,
+psi~ is scaled back to its initial norm (the projection of Hairer, Lubich &
+Wanner, Geometric Numerical Integration, IV.4). It is checked, not silent:
+a step whose squared norm moved by more than ten times the trace tolerance
+before the projection aborts the run, and the largest such drift of a run
+is reported in its `IntegratorStats`. One projection moves V by at most
+that drift (README), so the descent of the feedback law, which the
+integration is to expose, is kept to roundoff.
 """
 
 from __future__ import annotations
 
 import math
+from cmath import exp
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +44,6 @@ from .control import (
     Geometric,
     Lyapunov,
     control_field,
-    feedback_from_trace,
     geometric_field,
     lyapunov_value,
 )
@@ -51,45 +61,43 @@ HERM_TOL = 1e-9
 PURITY_TOL = 1e-6
 EIGEN_FLOOR = -1e-8
 ABORT_FACTOR = 10.0
+# `integrate` steps rho as psi psi† when they differ by at most this in every entry.
+_RANK_ONE_TOL = 1e-12
 
-# Dormand-Prince 5(4) tableau. Rows 1-6 are the stage coefficients A[i, :i];
-# row 6 is also the 5th-order weights B5, so the 7th stage input is the new
-# state and its derivative is the next step's first stage (FSAL). Row 7 holds
-# the error weights B5 - B4. Complex, so a matmul with the stages needs no cast.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_TABLEAU = np.array(
-    [
-        [0.0] * 7,
-        [1 / 5, 0, 0, 0, 0, 0, 0],
-        [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
-        [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
-        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
-        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
-        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
-        [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
-    ],
-    dtype=complex,
+# Dormand-Prince 5(4) tableau, as plain floats for the written-out attempt in
+# `_dp5`. _A holds the stage coefficients A[i, :i] of stages 2-6, at the
+# nodes c = 1/5, 3/10, 4/5, 8/9 and 1. The 5th-order weights _B5 of k1, k3-k6
+# (k2's is 0) give the new state, which is the 7th stage input, at c = 1; its
+# derivative is the next step's first stage (FSAL). _ERR holds the error
+# weights B5 - B4 of k1 and k3-k7.
+_NODES = (1 / 5, 3 / 10, 4 / 5, 8 / 9)
+_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
 )
+_B5 = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_ERR = (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 # Its free 4th-order continuous extension (Hairer, Norsett & Wanner, ODE I
 # II.6; Shampine, Math. Comp. 46 (1986) 135): within a step of size h from y,
-# y(t + theta h) = y + h ([theta, theta², theta³, theta⁴] @ _DENSE.T) @ k over
-# the step's seven stages k, the 7th being the FSAL stage.
-_DENSE = np.array(
-    [
-        [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-        [0, 0, 0, 0],
-        [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-        [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-        [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-        [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-        [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-    ]
+# y(t + theta h) = y + h sum_i b_i(theta) k_i, where row i of _DENSE holds the
+# coefficients of theta, theta², theta³ and theta⁴ in b_i for k1 and k3-k7
+# (b_2 = 0), the 7th stage being the FSAL stage.
+_DENSE = (
+    (1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
 
 
 class IntegrationError(RuntimeError):
-    """Raised when the integrator cannot continue (step underflow or an
-    invariant violation beyond the abort threshold)."""
+    """Raised when the integrator cannot continue (step underflow, or a norm
+    drift or invariant violation beyond the abort threshold)."""
 
     def __init__(self, message: str, t: float):
         super().__init__(f"{message} (at t={t:.6g})")
@@ -119,14 +127,17 @@ class IntegratorConfig:
 @dataclass(frozen=True)
 class IntegratorStats:
     """How a DP5(4) run was stepped: accepted and rejected attempts, `rhs`
-    evaluations (6 per attempt plus the first, under FSAL) and the smallest
-    and largest accepted step (None when no step was taken)."""
+    evaluations (6 per attempt plus the first, under FSAL; none when nothing
+    is stepped), the smallest and largest accepted step (None when no step
+    was taken) and the largest drift of the squared norm of psi~ that an
+    accepted step left before its projection (0 with no step)."""
 
     accepted: int
     rejected: int
     rhs_evals: int
     h_min: float | None
     h_max: float | None
+    max_norm_drift: float
 
 
 @dataclass(frozen=True)
@@ -163,38 +174,71 @@ class Trajectory:
         return len(self.t)
 
 
-def _frame(h: HamiltonianPair, states: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """The interaction picture of H0 for `rhs`, and vec rho~ at t = 0, from the
-    (2, d, d) initial state/target stack. The frame is ((lam, W), the (d²,)
-    rates -i(lam_j - lam_k), the (d², d²) transpose gen of -i L(W† H1 W) with
-    L(H) = H⊗I - I⊗Hᵀ, and the constant target rho_d~ = W† rho_d0 W), with
-    (lam, W) the eigendecomposition of H0.
+def _pure_state(rho: np.ndarray, name: str) -> np.ndarray:
+    """psi with rho = psi psi^dagger, read off the column of rho's largest
+    diagonal entry as `metrics.concurrence` does: rho e_k = psi conj(psi_k).
+    Its squared norm is Tr rho. A ValueError, naming the purity defect
+    |Tr rho² - (Tr rho)²|, unless rho is such a rank-one matrix to roundoff.
+    """
+    k = int(np.argmax(np.abs(np.diagonal(rho))))
+    psi = rho[:, k] / math.sqrt(abs(rho[k, k]))
+    if not np.max(np.abs(np.outer(psi, psi.conj()) - rho)) <= _RANK_ONE_TOL:
+        defect = abs(np.trace(rho @ rho) - np.trace(rho) ** 2)
+        raise ValueError(
+            f"{name} is not a pure state (purity defect {defect:.3e}): integrate steps "
+            "state vectors; propagate_exact takes mixed states"
+        )
+    return psi
+
+
+def _frame(h: HamiltonianPair, psi0: np.ndarray, psi_d0: np.ndarray) -> tuple[tuple, tuple]:
+    """The interaction picture of H0 for `rhs`, and psi~ = W† psi0 at t = 0.
+
+    The frame is ((lam, W), the rates i lam, the rows of W† H1 W, and
+    conj(psi_d~) for the constant target psi_d~ = W† psi_d0), with (lam, W)
+    the eigendecomposition of H0. All but (lam, W) are tuples of Python
+    complex numbers, padded with zeros to 4 levels for a 2-level pair.
     """
     lam, w = eig = np.linalg.eigh(h.h0)
-    rho, rho_d = w.conj().T @ states @ w
-    h1 = w.conj().T @ h.h1 @ w
-    eye = np.eye(len(lam))
-    gen = np.ascontiguousarray(-1j * (np.kron(h1, eye) - np.kron(eye, h1.T)).T)
-    return (eig, -1j * np.subtract.outer(lam, lam).ravel(), gen, rho_d), rho.ravel()
+    d = len(lam)
+    h1 = np.zeros((4, 4), dtype=complex)
+    h1[:d, :d] = w.conj().T @ h.h1 @ w
+    vectors = np.zeros((3, 4), dtype=complex)
+    vectors[:, :d] = 1j * lam, w.T @ psi_d0.conj(), w.conj().T @ psi0
+    rates, target, y = map(tuple, vectors.tolist())
+    return (eig, rates, tuple(map(tuple, h1.tolist())), target), y
 
 
-def rhs(frame: tuple, law: ControlLaw, t: float, y: np.ndarray) -> np.ndarray:
-    """The derivative of y = vec rho~, rho~ = U0(t)† rho U0(t) with
-    U0(t) = exp(-i H0 t) written in the eigenbasis of H0, with the field on.
+def rhs(frame: tuple, law: ControlLaw, t: float, y: tuple) -> tuple:
+    """The derivative of y = psi~ = W† U0(t)† psi, the state in the interaction
+    picture of U0(t) = exp(-i H0 t) written in the eigenbasis W of H0, with
+    the field on. y holds 4 Python complex numbers, and so does the result: a
+    2-level pair is padded with zeros, which stay zero.
 
-    Only the control term is left: drho~/dt = -i f [U0† H1 U0, rho~]. In the
-    eigenbasis U0 is the phase p_jk = exp(-i (lam_j - lam_k) t) on each entry,
-    and for a row-major vec, vec(x) @ gen = vec(-i[W† H1 W, x]). f is 1 for an
-    open-loop law (`integrate` steps it only while on) and sign * kappa *
-    Im Tr(rho_d [H1, rho]) for feedback, a trace the frame leaves alone.
+    Only the control term is left: dpsi~/dt = -i f E h E* psi~, with
+    h = W† H1 W and E = diag(exp(i lam t)). f is 1 for an open-loop law
+    (`integrate` steps it only while on). For feedback it is
+    sign * kappa * Im Tr(rho_d [H1, rho]) = 2 sign kappa Im(a conj(b)) for
+    rho = psi psi† and rho_d = psi_d psi_d†, with a = <psi_d|H1 psi> and
+    b = <psi_d|psi>; the frame leaves both alone, and there psi_d~ is constant.
+    The trace is imaginary by construction, so there is no realness to check.
     """
-    _, rates, gen, target = frame
-    p = np.exp(rates * t)
-    q = p.conj() * ((p * y) @ gen)
+    _, (l0, l1, l2, l3), rows, (g0, g1, g2, g3) = frame
+    (h00, h01, h02, h03), (h10, h11, h12, h13), (h20, h21, h22, h23), (h30, h31, h32, h33) = rows
+    e0, e1, e2, e3 = exp(l0 * t), exp(l1 * t), exp(l2 * t), exp(l3 * t)
+    y0, y1, y2, y3 = y
+    u0, u1, u2, u3 = y0 / e0, y1 / e1, y2 / e2, y3 / e3
+    v0 = e0 * (h00 * u0 + h01 * u1 + h02 * u2 + h03 * u3)
+    v1 = e1 * (h10 * u0 + h11 * u1 + h12 * u2 + h13 * u3)
+    v2 = e2 * (h20 * u0 + h21 * u1 + h22 * u2 + h23 * u3)
+    v3 = e3 * (h30 * u0 + h31 * u1 + h32 * u2 + h33 * u3)
     if isinstance(law, Lyapunov):
-        # vdot(vec rho_d~, vec(-i[H1~, rho~])) = -i Tr(rho_d [H1, rho]) for Hermitian rho_d.
-        return feedback_from_trace(1j * np.vdot(target, q), law.kappa, law.sign) * q
-    return q
+        a = g0 * v0 + g1 * v1 + g2 * v2 + g3 * v3
+        b = g0 * y0 + g1 * y1 + g2 * y2 + g3 * y3
+        m = -2j * law.sign * law.kappa * (a * b.conjugate()).imag
+    else:
+        m = -1j
+    return m * v0, m * v1, m * v2, m * v3
 
 
 def geometric_evolve(h_tot: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
@@ -219,25 +263,33 @@ def vdot_identity_check(
     analytic = -f * Tr(rho_d [-iH1, rho]), the descent identity of the
     feedback design (equal to -kappa * trace^2 for sign=+1). numeric is a
     central finite difference of V along the closed-loop flow, each side
-    advanced by one classical RK4 step of `rhs` of size delta. The two agree
-    within max(1e-6, 1e-3 |analytic|) for valid inputs.
+    advanced by one classical RK4 step of `rhs` of size delta. Both states
+    must be pure, as for `integrate`. The two agree within
+    max(1e-6, 1e-3 |analytic|) for valid inputs.
     """
-    y0 = _initial_states(h, rho, rho_d)
-    frame, y = _frame(h, y0)
-    k1 = rhs(frame, law, 0.0, y)
+    pair = _initial_states(h, rho, rho_d)
+    frame, y = _frame(h, _pure_state(pair[0], "rho"), _pure_state(pair[1], "rho_d"))
+    y = np.array(y)
+
+    def deriv(t: float, psi: np.ndarray) -> np.ndarray:
+        return np.array(rhs(frame, law, t, tuple(psi)))
+
+    k1 = deriv(0.0, y)
 
     def rk4(step: float) -> np.ndarray:
-        k2 = rhs(frame, law, 0.5 * step, y + 0.5 * step * k1)
-        k3 = rhs(frame, law, 0.5 * step, y + 0.5 * step * k2)
-        k4 = rhs(frame, law, step, y + step * k3)
-        return (y + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)).reshape(y0[0].shape)
+        k2 = deriv(0.5 * step, y + 0.5 * step * k1)
+        k3 = deriv(0.5 * step, y + 0.5 * step * k2)
+        k4 = deriv(step, y + step * k3)
+        psi = y + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        return np.outer(psi, psi.conj())
 
-    trace_term = control_field(y0[0], y0[1], h.h1, 1.0, 1)
+    trace_term = control_field(pair[0], pair[1], h.h1, 1.0, 1)
     analytic = -law.sign * law.kappa * trace_term * trace_term
-    fwd = rk4(delta)
-    bwd = rk4(-delta)
-    # V is unchanged by the frame, so it is taken on rho~ against rho_d~.
-    numeric = (lyapunov_value(fwd, frame[3]) - lyapunov_value(bwd, frame[3])) / (2.0 * delta)
+    # V is unchanged by the frame, so it is taken on psi~ against psi_d~.
+    target = np.outer(np.conj(frame[3]), frame[3])
+    numeric = (lyapunov_value(rk4(delta), target) - lyapunov_value(rk4(-delta), target)) / (
+        2.0 * delta
+    )
     return analytic, numeric
 
 
@@ -348,92 +400,199 @@ def integrate(
 ) -> Trajectory:
     """Integrate the closed loop over [0, t_max] and sample it.
 
-    Steps rho~ (see `rhs`) only while the field is on, up to t_on: t_max under
-    feedback, min(t0, t_max) for a geometric law and 0 with no law. Each sample
-    a step passes is read off the step's continuous extension (`_DENSE`) at no
-    `rhs` call; each later one holds rho~(t_on), as rho~ stands still once the
-    field is off. With v_stop set, stepping ends after the first step that
-    passes a sample with V < v_stop. The samples taken end in `_diagnose`, also
-    when an error is raised mid-run: the error is re-raised after that pass,
-    unless the pass finds an earlier invariant violation, the error reported.
+    Steps psi~ (see `rhs` and `_dp5`) only while the field is on, up to t_on:
+    t_max under feedback, min(t0, t_max) for a geometric law and 0 with no
+    law. To step, it factors rho0 and rho_d0 as psi psi† (`_pure_state`), so
+    both must be pure; a run that steps nothing holds rho~ = W† rho0 W as it
+    is. The samples taken end in `_diagnose`, also when an error is raised
+    mid-run: the error is re-raised after that pass, unless the pass finds an
+    earlier invariant violation, the error reported.
     """
-    y0 = _initial_states(h, rho0, rho_d0)
-    frame, y = _frame(h, y0)
-    free, tilde_d = frame[0], frame[3]
+    pair = _initial_states(h, rho0, rho_d0)
     grid = _sample_grid(cfg)
     t_on = cfg.t_max if isinstance(law, Lyapunov) else 0.0
     if isinstance(law, Geometric):
         t_on = min(law.t0, cfg.t_max)
     tol = 1e-10 * max(1.0, t_on)  # a step that ends within tol of t_on ends there
+    if t_on > tol:
+        frame, y = _frame(h, _pure_state(pair[0], "rho0"), _pure_state(pair[1], "rho_d0"))
+        free = frame[0]
+        samples, n, stats, error = _dp5(frame, law, y, grid, t_on, tol, cfg)
+        psi = samples[:n, : len(h.h0)]
+        rho = _from_eigenbasis(free, psi[:, :, None] * psi[:, None, :].conj(), grid[:n])
+    else:
+        free = np.linalg.eigh(h.h0)
+        n, stats, error = len(grid), IntegratorStats(0, 0, 0, None, None, 0.0), None
+        rho = _evolve(free, pair[0], grid)
+    states = np.empty((n,) + pair.shape, dtype=complex)
+    states[:, 0] = rho
+    states[:, 1] = _evolve(free, pair[1], grid[:n])
+    traj = _diagnose(h, law, grid[:n], states, cfg.v_stop, stats)
+    if error is not None:
+        raise error
+    return traj
 
-    samples = np.empty((len(grid),) + tilde_d.shape, dtype=complex)
-    samples[0] = y.reshape(tilde_d.shape)
-    abs_y = np.abs(y)
-    k = np.empty((7, y.size), dtype=complex)
-    k[0] = rhs(frame, law, 0.0, y)
+
+def _dp5(
+    frame: tuple, law: ControlLaw, y: tuple, grid: np.ndarray, t_on: float, tol: float,
+    cfg: IntegratorConfig,
+) -> tuple[np.ndarray, int, IntegratorStats, Exception | None]:
+    """Step psi~ from y at t = 0 to t_on (see `integrate`) with the adaptive
+    DP5(4) pair, written out over the 4 amplitudes with no numpy call inside
+    an attempt; the error norm is the RMS over the pair's d levels.
+
+    After each accepted step psi~ is scaled back to its initial squared norm
+    N0 by c = sqrt(N0/N). A step whose N drifted from N0 by more than
+    ABORT_FACTOR * TRACE_TOL aborts the run. The FSAL stage is rescaled, not
+    re-evaluated: by c³ under feedback, whose field is quadratic in psi~, and
+    by c for an open-loop law. Each sample a step passes is read off the
+    step's continuous extension (`_DENSE`) at no `rhs` call and scaled to N0;
+    each later one holds psi~(t_on), as psi~ stands still once the field is
+    off. With v_stop set, stepping ends after the first step that passes a
+    sample with V < v_stop.
+
+    Returns the (len(grid), 4) samples of psi~, how many were taken, the
+    run's IntegratorStats, and the error that ended it early (or None).
+    """
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), a6 = _A
+    a61, a62, a63, a64, a65 = a6
+    c2, c3, c4, c5 = _NODES
+    b1, b3, b4, b5, b6 = _B5
+    e1, e3, e4, e5, e6, e7 = _ERR
+    (_, d12, d13, d14), (_, d32, d33, d34), (_, d42, d43, d44) = _DENSE[:3]
+    (_, d52, d53, d54), (_, d62, d63, d64), (_, d72, d73, d74) = _DENSE[3:]
+    atol, rtol, v_stop = cfg.abs_tol, cfg.rel_tol, cfg.v_stop
+    dim = len(frame[0][0])
+    cubic = isinstance(law, Lyapunov)
+    g0, g1, g2, g3 = frame[3]  # conj(psi_d~)
+    y0, y1, y2, y3 = y
+    my0, my1, my2, my3 = abs(y0), abs(y1), abs(y2), abs(y3)
+    norm0 = my0 * my0 + my1 * my1 + my2 * my2 + my3 * my3
+    # V = (N0² + N_d²)/2 - |<psi_d|psi>|² for the pure state and target.
+    v_far = 0.5 * (norm0 * norm0 + sum(abs(g) ** 2 for g in frame[3]) ** 2)
+    limit = ABORT_FACTOR * TRACE_TOL
+    times = grid.tolist()
+    samples = np.empty((len(times), 4), dtype=complex)
+    samples[0] = y
+    ka0, ka1, ka2, ka3 = rhs(frame, law, 0.0, y)
     n = 1  # samples taken
     steps = []  # accepted step sizes
     rejected = 0
+    max_drift = 0.0
 
     t = 0.0
     h_step = cfg.dt
     error = None
     try:
         while t_on - t > tol:
-            h_try = min(h_step, t_on - t)
-            if h_try < 1e-13:
+            hs = min(h_step, t_on - t)
+            if hs < 1e-13:
                 last = f"h={steps[-1]:.3e} ending at t={t:.6g}" if steps else "none"
                 raise IntegrationError(
-                    f"step size underflow (h={h_try:.3e}; last accepted step {last})", t
+                    f"step size underflow (h={hs:.3e}; last accepted step {last})", t
                 )
 
-            # One embedded DP5(4) attempt; the 7th stage input is the new state.
-            coef = h_try * _TABLEAU
-            for i in range(1, 7):
-                y_new = y + coef[i, :i] @ k[:i]
-                k[i] = rhs(frame, law, t + _C[i] * h_try, y_new)
-            abs_new = np.abs(y_new)
-            scaled = (coef[7] @ k) / (cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, abs_new))
-            err = math.sqrt(np.vdot(scaled, scaled).real / scaled.size)
+            # One embedded DP5(4) attempt: stages ka..kg, new state z.
+            x1 = hs * a21
+            kb0, kb1, kb2, kb3 = rhs(frame, law, t + c2 * hs, (
+                y0 + x1 * ka0, y1 + x1 * ka1, y2 + x1 * ka2, y3 + x1 * ka3))
+            x1, x2 = hs * a31, hs * a32
+            kc0, kc1, kc2, kc3 = rhs(frame, law, t + c3 * hs, (
+                y0 + x1 * ka0 + x2 * kb0,
+                y1 + x1 * ka1 + x2 * kb1,
+                y2 + x1 * ka2 + x2 * kb2,
+                y3 + x1 * ka3 + x2 * kb3))
+            x1, x2, x3 = hs * a41, hs * a42, hs * a43
+            kd0, kd1, kd2, kd3 = rhs(frame, law, t + c4 * hs, (
+                y0 + x1 * ka0 + x2 * kb0 + x3 * kc0,
+                y1 + x1 * ka1 + x2 * kb1 + x3 * kc1,
+                y2 + x1 * ka2 + x2 * kb2 + x3 * kc2,
+                y3 + x1 * ka3 + x2 * kb3 + x3 * kc3))
+            x1, x2, x3, x4 = hs * a51, hs * a52, hs * a53, hs * a54
+            ke0, ke1, ke2, ke3 = rhs(frame, law, t + c5 * hs, (
+                y0 + x1 * ka0 + x2 * kb0 + x3 * kc0 + x4 * kd0,
+                y1 + x1 * ka1 + x2 * kb1 + x3 * kc1 + x4 * kd1,
+                y2 + x1 * ka2 + x2 * kb2 + x3 * kc2 + x4 * kd2,
+                y3 + x1 * ka3 + x2 * kb3 + x3 * kc3 + x4 * kd3))
+            x1, x2, x3, x4, x5 = hs * a61, hs * a62, hs * a63, hs * a64, hs * a65
+            kf0, kf1, kf2, kf3 = rhs(frame, law, t + hs, (
+                y0 + x1 * ka0 + x2 * kb0 + x3 * kc0 + x4 * kd0 + x5 * ke0,
+                y1 + x1 * ka1 + x2 * kb1 + x3 * kc1 + x4 * kd1 + x5 * ke1,
+                y2 + x1 * ka2 + x2 * kb2 + x3 * kc2 + x4 * kd2 + x5 * ke2,
+                y3 + x1 * ka3 + x2 * kb3 + x3 * kc3 + x4 * kd3 + x5 * ke3))
+            x1, x3, x4, x5, x6 = hs * b1, hs * b3, hs * b4, hs * b5, hs * b6
+            z0 = y0 + x1 * ka0 + x3 * kc0 + x4 * kd0 + x5 * ke0 + x6 * kf0
+            z1 = y1 + x1 * ka1 + x3 * kc1 + x4 * kd1 + x5 * ke1 + x6 * kf1
+            z2 = y2 + x1 * ka2 + x3 * kc2 + x4 * kd2 + x5 * ke2 + x6 * kf2
+            z3 = y3 + x1 * ka3 + x3 * kc3 + x4 * kd3 + x5 * ke3 + x6 * kf3
+            kg0, kg1, kg2, kg3 = rhs(frame, law, t + hs, (z0, z1, z2, z3))
+            mz0, mz1, mz2, mz3 = abs(z0), abs(z1), abs(z2), abs(z3)
+            x1, x3, x4, x5, x6, x7 = hs * e1, hs * e3, hs * e4, hs * e5, hs * e6, hs * e7
+            err = math.sqrt((
+                (abs(x1 * ka0 + x3 * kc0 + x4 * kd0 + x5 * ke0 + x6 * kf0 + x7 * kg0)
+                 / (atol + rtol * max(my0, mz0))) ** 2
+                + (abs(x1 * ka1 + x3 * kc1 + x4 * kd1 + x5 * ke1 + x6 * kf1 + x7 * kg1)
+                   / (atol + rtol * max(my1, mz1))) ** 2
+                + (abs(x1 * ka2 + x3 * kc2 + x4 * kd2 + x5 * ke2 + x6 * kf2 + x7 * kg2)
+                   / (atol + rtol * max(my2, mz2))) ** 2
+                + (abs(x1 * ka3 + x3 * kc3 + x4 * kd3 + x5 * ke3 + x6 * kf3 + x7 * kg3)
+                   / (atol + rtol * max(my3, mz3))) ** 2
+            ) / dim)
 
             if not err <= 1.0:  # a NaN error is a rejection too
                 rejected += 1
-                h_step = h_try * max(0.2, 0.9 * err ** -0.2)
+                h_step = hs * max(0.2, 0.9 * err ** -0.2)
                 continue
-            t_new = t + h_try
+            t_new = t + hs
             if t_on - t_new <= tol:
                 t_new = t_on
-            m = int(np.searchsorted(grid, t_new, side="right"))  # samples in (t, t_new]
-            if m > n:
-                theta = ((grid[n:m] - t) / h_try)[:, None] ** np.arange(1, 5)
-                dense = y + h_try * (theta @ _DENSE.T) @ k
-                samples[n:m] = dense.reshape((m - n,) + tilde_d.shape)
-            t, y, abs_y = t_new, y_new, abs_new
-            k[0] = k[6]  # FSAL
-            steps.append(h_try)
+            norm = mz0 * mz0 + mz1 * mz1 + mz2 * mz2 + mz3 * mz3
+            drift = abs(norm - norm0)
+            if drift > limit:
+                raise IntegrationError(
+                    f"psi~ norm drift {drift:.3e} exceeds abort threshold", t_new
+                )
+            max_drift = max(max_drift, drift)
+            below = False
+            while n < len(times) and times[n] <= t_new:  # samples in (t, t_new]
+                th = (times[n] - t) / hs
+                x1 = hs * th * (1.0 + th * (d12 + th * (d13 + th * d14)))
+                x3 = hs * th * th * (d32 + th * (d33 + th * d34))
+                x4 = hs * th * th * (d42 + th * (d43 + th * d44))
+                x5 = hs * th * th * (d52 + th * (d53 + th * d54))
+                x6 = hs * th * th * (d62 + th * (d63 + th * d64))
+                x7 = hs * th * th * (d72 + th * (d73 + th * d74))
+                o0 = y0 + x1 * ka0 + x3 * kc0 + x4 * kd0 + x5 * ke0 + x6 * kf0 + x7 * kg0
+                o1 = y1 + x1 * ka1 + x3 * kc1 + x4 * kd1 + x5 * ke1 + x6 * kf1 + x7 * kg1
+                o2 = y2 + x1 * ka2 + x3 * kc2 + x4 * kd2 + x5 * ke2 + x6 * kf2 + x7 * kg2
+                o3 = y3 + x1 * ka3 + x3 * kc3 + x4 * kd3 + x5 * ke3 + x6 * kf3 + x7 * kg3
+                c = math.sqrt(norm0 / (abs(o0) ** 2 + abs(o1) ** 2 + abs(o2) ** 2 + abs(o3) ** 2))
+                samples[n] = c * o0, c * o1, c * o2, c * o3
+                n += 1
+                if v_stop is not None:
+                    fid = c * c * abs(g0 * o0 + g1 * o1 + g2 * o2 + g3 * o3) ** 2
+                    below = below or v_far - fid < v_stop
+            c = math.sqrt(norm0 / norm)
+            y0, y1, y2, y3 = c * z0, c * z1, c * z2, c * z3
+            my0, my1, my2, my3 = c * mz0, c * mz1, c * mz2, c * mz3
+            if cubic:
+                c = c * c * c
+            ka0, ka1, ka2, ka3 = c * kg0, c * kg1, c * kg2, c * kg3  # FSAL
+            t = t_new
+            steps.append(hs)
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-            h_step = h_try * factor
-            new, n = samples[n:m], m
-            # V is unchanged by the frame, so it is taken on rho~ against rho_d~.
-            if cfg.v_stop is not None and np.any(
-                lyapunov_value(new, np.broadcast_to(tilde_d, new.shape)) < cfg.v_stop
-            ):
+            h_step = hs * factor
+            if below:
                 break
-        else:  # stepping reached t_on, after which rho~ holds still
-            samples[n:] = y.reshape(tilde_d.shape)
-            n = len(grid)
+        else:  # stepping reached t_on, after which psi~ holds still
+            samples[n:] = y0, y1, y2, y3
+            n = len(times)
     except (IntegrationError, ValueError) as exc:
         error = exc
 
-    states = np.empty((n,) + y0.shape, dtype=complex)
-    states[:, 0] = _from_eigenbasis(free, samples[:n], grid[:n])
-    states[:, 1] = _evolve(free, y0[1], grid[:n])
-    h_range = (float(min(steps)), float(max(steps))) if steps else (None, None)
-    stats = IntegratorStats(len(steps), rejected, 1 + 6 * (len(steps) + rejected), *h_range)
-    traj = _diagnose(h, law, grid[:n], states, cfg.v_stop, stats)
-    if error is not None:
-        raise error
-    return traj
+    h_range = (min(steps), max(steps)) if steps else (None, None)
+    evals = 1 + 6 * (len(steps) + rejected)
+    return samples, n, IntegratorStats(len(steps), rejected, evals, *h_range, max_drift), error
 
 
 def _evolve(eig: tuple[np.ndarray, np.ndarray], rho: np.ndarray, times: np.ndarray) -> np.ndarray:

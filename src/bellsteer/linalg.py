@@ -3,8 +3,8 @@
 Everything operates on plain numpy arrays of complex128. Matrices are small
 (2x2 or 4x4), so no attempt is made at sparse or batched storage. State
 vectors are checked for unit norm where they enter; the dynamics layer
-monitors the density-matrix invariants during integration instead of silently
-re-enforcing them.
+monitors the density-matrix invariants during integration, and the one thing
+it re-enforces, the norm of the state vector it steps, it checks and reports.
 """
 
 from __future__ import annotations

@@ -46,6 +46,11 @@ def concurrence(rho: np.ndarray, basis: Basis = Z_PRODUCT) -> float | np.ndarray
     value is within 4 (2 sqrt(eps) + eps) of p1 |psi^T S psi| by Weyl's inequality and
     the column form within 3 d eps of it, so the two differ by at most 8e-7 here. On the
     figure1 runs they differ by at most 2.2e-8, the general formula's roundoff roots.
+    Near product states the general formula loses accuracy: on a pure state it is off
+    from 2|ad - bc| by about sqrt(eps/C), up to 3e-6 near C = 1e-6, as the three zero
+    eigenvalues of the rank-one rho_z (Y(x)Y) rho_z* (Y(x)Y) are conditioned by 1/C.
+    Every sample of `integrate`, and of `propagate_exact` from a pure state, is pure, so
+    only a mixed state takes that path.
     """
     rho = np.asarray(rho, dtype=complex)
     d = len(basis.transform)

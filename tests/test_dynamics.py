@@ -19,6 +19,7 @@ from bellsteer.control import (
     Geometric,
     Lyapunov,
     control_field,
+    feedback_from_trace,
     lyapunov_value,
 )
 from bellsteer.dynamics import (
@@ -222,6 +223,57 @@ class TestLyapunovRuns:
         assert traj.V[-1] < 1e-8
         assert traj.V[-2] >= 1e-8
 
+    def test_mixed_state_rejected(self):
+        # `integrate` steps state vectors, and a Werner state has none. Its
+        # eigenvalues 0.85, 0.05, 0.05, 0.05 give 1 - Tr rho² = 0.27.
+        h = local_pair()
+        phi = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
+        werner = 0.8 * phi + 0.05 * np.eye(4)
+        with pytest.raises(ValueError, match=r"rho0 is not a pure state \(purity defect 2.700e-01"):
+            integrate(h, Lyapunov(kappa=1.0), werner, phi, IntegratorConfig(t_max=1.0))
+
+
+class TestProjection:
+    """After each accepted step and at each sample psi~ is scaled back to its
+    initial norm; the drift it removes is checked and reported."""
+
+    def test_norm_drift_aborts(self, monkeypatch):
+        # From t = 0.35 on, a stand-in term 1e-3 psi~ grows the squared norm by
+        # about 2e-3 h in a step of size h >= 0.01, past ABORT_FACTOR * TRACE_TOL
+        # = 1e-8 in the first step that reaches it.
+        real_rhs = dynamics.rhs
+
+        def growing(frame, law, t, y):
+            dy = real_rhs(frame, law, t, y)
+            return tuple(d + 1e-3 * x for d, x in zip(dy, y)) if t > 0.35 else dy
+
+        monkeypatch.setattr(dynamics, "rhs", growing)
+        rho_d0 = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
+        with pytest.raises(IntegrationError, match="psi~ norm drift") as excinfo:
+            integrate(local_pair(), Lyapunov(kappa=1.0), x_state("|++>"), rho_d0,
+                      IntegratorConfig(t_max=1.0))
+        assert 0.35 < excinfo.value.t < 0.5
+
+    def test_preset_runs_report_their_drift(self, lyapunov_runs):
+        # The six Lyapunov presets of figure2 and figure3 are the six of figure4.
+        for label, (_, report) in sorted(lyapunov_runs.items()):
+            drift = report["integrator_stats"]["max_norm_drift"]
+            assert 0.0 < drift < 1e-8, label
+
+    def test_v_monotone_to_roundoff(self, lyapunov_runs):
+        """V = (1/2) Re Tr(D D), D = rho - rho_d, is a sum of 16 products
+        D_jk D_kj whose magnitudes add up to at most ||D||_F² = 2V <= 2 for
+        unit pure states. Summed in floating point (unit roundoff u = 2^-53)
+        it is off by at most about 16 u * 2 from the exact sum of the rounded
+        entries, so V by 16 u. The entries of D are rounded too, by a few u
+        each relative to the unit-norm rho and rho_d, which moves V by about
+        as much again. So each V is within 32 u of the exact V of its
+        projected sample, along which the feedback only lowers V, and a rise
+        between two samples beyond 64 u (7.1e-15) is not roundoff."""
+        bound = 64 * 2.0**-53
+        for label, (traj, _) in sorted(lyapunov_runs.items()):
+            assert np.max(np.diff(traj.V)) <= bound, label
+
 
 class TestReducedRuns:
     propagate = staticmethod(integrate)
@@ -413,17 +465,16 @@ class TestTrajectoryType:
         assert len(traj) == 3
 
     def test_rhs_traceless_and_hermiticity_preserving(self):
+        # For rho~ = psi~ psi~†, drho~ = dpsi~ psi~† + psi~ dpsi~† is Hermitian by
+        # construction, and Tr drho~ = 2 Re <psi~|dpsi~>, which keeps the norm.
         rng = np.random.default_rng(19)
         h = local_pair()
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho = m @ m.conj().T
-        rho /= np.trace(rho)
-        frame, y = dynamics._frame(h, np.stack([rho, rho]))
-        dy = rhs(frame, Geometric(t0=1.0), 0.7, y)
-        drho = dy.reshape(4, 4)
-        assert dy.shape == (16,)  # the state alone; the target is not stepped
-        assert abs(np.trace(drho)) < 1e-14
-        assert hs_norm(drho - drho.conj().T) < 1e-13
+        psi, psi_d = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+        frame, y = dynamics._frame(h, psi / np.linalg.norm(psi), psi_d / np.linalg.norm(psi_d))
+        for law in (Geometric(t0=1.0), Lyapunov(kappa=1.0)):
+            dy = rhs(frame, law, 0.7, y)
+            assert len(dy) == 4  # the state alone; the target is not stepped
+            assert abs(np.vdot(y, dy).real) < 1e-14
 
 
 def random_matrix(values, d):
@@ -432,37 +483,32 @@ def random_matrix(values, d):
     return (v[: d * d] + 1j * v[d * d:]).reshape(d, d)
 
 
-def random_density(values, d, rank):
-    """A density matrix of rank at most `rank` (1 is pure) from 2 d^2 floats."""
-    m = random_matrix(values, d)[:, :rank]
-    rho = m @ m.conj().T
-    assume(np.trace(rho).real > 1e-3)
-    return rho / np.trace(rho)
-
-
-def commutator(a, b):
-    return a @ b - b @ a
-
-
 floats32 = st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32).filter(
     lambda v: np.linalg.norm(v) > 0.1
 )
 
 
+def random_vector(values, d):
+    """A unit vector of length d from 2 d floats."""
+    v = np.asarray(values[:d]) + 1j * np.asarray(values[d: 2 * d])
+    assume(np.linalg.norm(v) > 1e-3)
+    return v / np.linalg.norm(v)
+
+
 class TestRhs:
-    """`rhs` on vec rho~, the state in the interaction picture of H0 written
-    in its eigenbasis W, against the lab-frame commutator carried into that
-    frame with an independent matrix exponential U0(t) = expm(-i H0 t), with
-    the feedback from `control_field` and an open-loop law's field on."""
+    """`rhs` on psi~, the state vector in the interaction picture of H0 written
+    in its eigenbasis W, against the lab-frame Schrodinger derivative carried
+    into that frame with an independent matrix exponential
+    U0(t) = expm(-i H0 t), with the feedback from `control_field` on psi psi†
+    and an open-loop law's field on."""
 
     @settings(max_examples=100, deadline=None)
     @given(
         d=st.sampled_from([2, 4]),
         h0=floats32,
         h1=floats32,
-        rho=floats32,
-        rho_d=floats32,
-        ranks=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        psi=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+        psi_d=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
         law=st.one_of(
             st.builds(Lyapunov, st.floats(0.01, 3.0), st.sampled_from([1, -1])),
             st.builds(Geometric, st.floats(0.0, 2.0)),
@@ -470,31 +516,34 @@ class TestRhs:
         ),
         t=st.floats(0.0, 2.0),
     )
-    def test_matches_commutator_form(self, d, h0, h1, rho, rho_d, ranks, law, t):
+    def test_matches_commutator_form(self, d, h0, h1, psi, psi_d, law, t):
         m0, m1 = random_matrix(h0, d), random_matrix(h1, d)
         h = HamiltonianPair(m0 + m0.conj().T, m1 + m1.conj().T, X_PRODUCT)
-        rho = random_density(rho, d, ranks[0])  # state and target at time t
-        rho_d = random_density(rho_d, d, ranks[1])
+        psi = random_vector(psi, d)  # state and target at time t
+        psi_d = random_vector(psi_d, d)
         u0 = expm(-1j * h.h0 * t)
-        frame, _ = dynamics._frame(h, u0.conj().T @ np.stack([rho, rho_d]) @ u0)
+        frame, _ = dynamics._frame(h, u0.conj().T @ psi, u0.conj().T @ psi_d)
         w = frame[0][1]
 
-        def to_frame(m):
-            return w.conj().T @ u0.conj().T @ m @ u0 @ w
+        def to_frame(v):
+            return w.conj().T @ u0.conj().T @ v
 
-        dy = rhs(frame, law, t, to_frame(rho).ravel())
+        y = np.zeros(4, dtype=complex)
+        y[:d] = to_frame(psi)
+        dy = np.array(rhs(frame, law, t, tuple(y.tolist())))
 
         if isinstance(law, Lyapunov):
-            f_ref = control_field(rho, rho_d, h.h1, law.kappa, law.sign)
-            f_scale = law.kappa * hs_norm(h.h1) * hs_norm(rho) * hs_norm(rho_d)
+            f_ref = control_field(outer(psi), outer(psi_d), h.h1, law.kappa, law.sign)
+            f_scale = law.kappa * hs_norm(h.h1)
         else:
             # `integrate` steps an open-loop run only while its field is on.
             f_ref, f_scale = 1.0, 0.0
-        dy_ref = to_frame(-1j * commutator(f_ref * h.h1, rho))
-        scale = (abs(f_ref) + f_scale) * hs_norm(h.h1) * hs_norm(rho)
-        assert hs_norm(dy.reshape(d, d) - dy_ref) <= 1e-12 * scale
+        dy_ref = to_frame(-1j * f_ref * h.h1 @ psi)
+        scale = (abs(f_ref) + f_scale) * hs_norm(h.h1)
+        assert np.linalg.norm(dy[:d] - dy_ref) <= 1e-12 * scale
+        assert np.all(dy[d:] == 0)  # a 2-level pair's padding stays zero
 
-    def test_non_hermitian_target_rejected_like_control_field(self):
+    def test_non_hermitian_target_rejected_like_control_field(self, monkeypatch):
         h = local_pair()
         rng = np.random.default_rng(3)
         m = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
@@ -503,9 +552,14 @@ class TestRhs:
         rho_d *= 1j / np.trace(rho_d)  # anti-Hermitian
         with pytest.raises(ValueError, match="non-imaginary commutator part"):
             control_field(rho, rho_d, h.h1, 1.0)
-        frame, y = dynamics._frame(h, np.stack([rho, rho_d]))
-        with pytest.raises(ValueError, match="non-imaginary commutator part"):
-            rhs(frame, Lyapunov(kappa=1.0), 0.0, y)
+        # `integrate` rejects it before stepping; `rhs` takes state vectors,
+        # whose feedback trace is imaginary by construction.
+        calls = []
+        monkeypatch.setattr(dynamics, "rhs", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="rho_d0 is not a pure state"):
+            integrate(h, Lyapunov(kappa=1.0), x_state("|++>"), rho_d,
+                      IntegratorConfig(t_max=1.0))
+        assert calls == []
 
     def test_target_is_the_exact_free_evolution(self):
         h = local_pair()
@@ -534,9 +588,36 @@ class TestClosedLoopDescent:
         assert np.max(np.diff(traj.V)) <= 1e-8
 
 
+def vec_frame(h, states):
+    """The reference stepper's frame: vec rho~ at t = 0 for the (2, d, d)
+    state/target stack, rho~ = W† U0(t)† rho U0(t) W in the eigenbasis
+    (lam, W) of H0, written row-major, with (W, the (d²,) rates
+    -i(lam_j - lam_k), the (d², d²) transpose gen of -i L(W† H1 W) with
+    L(H) = H⊗I - I⊗Hᵀ, and the constant target rho_d~ = W† rho_d0 W)."""
+    lam, w = np.linalg.eigh(h.h0)
+    rho, rho_d = w.conj().T @ states @ w
+    h1 = w.conj().T @ h.h1 @ w
+    eye = np.eye(len(lam))
+    gen = np.ascontiguousarray(-1j * (np.kron(h1, eye) - np.kron(eye, h1.T)).T)
+    return (w, -1j * np.subtract.outer(lam, lam).ravel(), gen, rho_d), rho.ravel()
+
+
+def vec_rhs(frame, law, t, y):
+    """drho~/dt = -i f [U0† H1 U0, rho~] on y = vec rho~: in the eigenbasis
+    U0 is the phase exp(-i (lam_j - lam_k) t) on each entry, and
+    vec(x) @ gen = vec(-i[W† H1 W, x]); the feedback is
+    sign * kappa * Im Tr(rho_d [H1, rho]), a trace the frame leaves alone."""
+    _, rates, gen, target = frame
+    p = np.exp(rates * t)
+    q = p.conj() * ((p * y) @ gen)
+    # vdot(vec rho_d~, vec(-i[H1~, rho~])) = -i Tr(rho_d [H1, rho]) for Hermitian rho_d.
+    return feedback_from_trace(1j * np.vdot(target, q), law.kappa, law.sign) * q
+
+
 class TestAgainstDOP853:
     """`integrate` at default tolerances against scipy's DOP853 at rtol 1e-13
-    on the same frame `rhs`: an independent stepper and interpolant, and an
+    on the density matrix in the same frame (`vec_frame`, `vec_rhs`): an
+    independent state, derivative, stepper and interpolant, and an
     independent `expm` out of the frame."""
 
     @pytest.mark.parametrize(
@@ -556,11 +637,11 @@ class TestAgainstDOP853:
         rho_d0 = outer(X_PRODUCT.vector_from_z(cfg.target_state))
         traj = integrate(h, law, rho0, rho_d0, cfg.integrator)
 
-        frame, y = dynamics._frame(h, np.stack([rho0, rho_d0]))
-        ref = solve_ivp(lambda t, y: rhs(frame, law, t, y), (0.0, traj.t[-1]), y,
+        frame, y = vec_frame(h, np.stack([rho0, rho_d0]))
+        ref = solve_ivp(lambda t, y: vec_rhs(frame, law, t, y), (0.0, traj.t[-1]), y,
                         method="DOP853", rtol=1e-13, atol=1e-15, t_eval=traj.t)
         assert ref.success
-        w = frame[0][1]
+        w = frame[0]
         rho = np.empty_like(traj.rho)
         for i, (t, y_t) in enumerate(zip(traj.t, ref.y.T)):
             u = expm(-1j * h.h0 * t) @ w
@@ -578,7 +659,7 @@ class TestAgainstDOP853:
 class TestIntegratorStats:
     def test_field_names(self):
         assert [f.name for f in dataclasses.fields(IntegratorStats)] == [
-            "accepted", "rejected", "rhs_evals", "h_min", "h_max"
+            "accepted", "rejected", "rhs_evals", "h_min", "h_max", "max_norm_drift"
         ]
         meta = dataclasses.fields(TrajectoryMetadata)[-1]
         assert (meta.name, meta.default) == ("integrator_stats", None)
@@ -599,12 +680,13 @@ class TestIntegratorStats:
         traj = integrate(local_pair(), law, x_state("|++>"), rho_d0, cfg)
         stats = traj.metadata.integrator_stats
         if law is None:
-            # With no field rho~ stands still, so nothing is stepped.
+            # With no field rho~ stands still, so nothing is stepped or evaluated.
             assert (stats.accepted, stats.rejected, stats.h_min) == (0, 0, None)
+            assert stats.rhs_evals == len(calls) == 0
         else:
             assert stats.rejected > 0
             assert 0.0 < stats.h_min <= stats.h_max <= cfg.t_max
-        assert stats.rhs_evals == len(calls) == 6 * (stats.accepted + stats.rejected) + 1
+            assert stats.rhs_evals == len(calls) == 6 * (stats.accepted + stats.rejected) + 1
 
     def test_steps_are_not_clipped_to_the_sample_grid(self, monkeypatch):
         # Under interaction control the feedback dies out by t ~ 5, and from
@@ -634,8 +716,9 @@ class TestIntegratorStats:
         assert traj.metadata.integrator_stats is None
 
 
-# The error estimate of a step whose stages were made NaN on purpose.
-NAN_STEP = "ignore:invalid value encountered:RuntimeWarning"
+def nan_stage(dy):
+    """A stage made NaN on purpose."""
+    return tuple(x * np.nan for x in dy)
 
 
 class TestMidRunErrors:
@@ -654,9 +737,8 @@ class TestMidRunErrors:
 
         monkeypatch.setattr(dynamics, "rhs", rhs_failing)
 
-    @pytest.mark.filterwarnings(NAN_STEP)
     def test_underflow_names_last_accepted_step(self, monkeypatch):
-        self.failing_after(monkeypatch, 0.35, lambda dy: dy * np.nan)
+        self.failing_after(monkeypatch, 0.35, nan_stage)
         with pytest.raises(IntegrationError, match="step size underflow") as excinfo:
             integrate(local_pair(), Lyapunov(kappa=1.0), x_state("|++>"), x_state("|-->"),
                       IntegratorConfig(t_max=1.0))
@@ -669,15 +751,12 @@ class TestMidRunErrors:
             integrate(local_pair(), Lyapunov(kappa=1.0), x_state("|++>"), x_state("|-->"),
                       IntegratorConfig(t_max=1.0, dt=1e-14))
 
-    @pytest.mark.parametrize(
-        "error", [pytest.param(None, marks=pytest.mark.filterwarnings(NAN_STEP)),
-                  ValueError("bad field")]
-    )
+    @pytest.mark.parametrize("error", [None, ValueError("bad field")])
     def test_invariant_violation_reported_first(self, monkeypatch, error):
         def fail(dy):
             if error is not None:
                 raise error
-            return dy * np.nan
+            return nan_stage(dy)
 
         self.failing_after(monkeypatch, 0.35, fail)
         bad = 0.9 * x_state("|++>")

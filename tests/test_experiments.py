@@ -459,7 +459,9 @@ class TestRunScenarioAndOutputs:
         _, traj, report = tiny_run
         stats = json.loads(json.dumps(report))["integrator_stats"]
         assert stats == dataclasses.asdict(traj.metadata.integrator_stats)
-        assert list(stats) == ["accepted", "rejected", "rhs_evals", "h_min", "h_max"]
+        assert list(stats) == [
+            "accepted", "rejected", "rhs_evals", "h_min", "h_max", "max_norm_drift"
+        ]
         # Open-loop runs are exact: no steps to count.
         open_loop = base_mapping(**{"law.type": "none", "law.kappa": None})
         assert run_scenario(scenario_from_mapping(open_loop))[1]["integrator_stats"] is None

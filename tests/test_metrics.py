@@ -283,12 +283,12 @@ class TestVerstraeteVerschelde:
     PRA 66, 022307 (2002)); V = 1 - F for pure states, so C >= 1 - 2V.
 
     The bound holds for every state, so the slack covers numerical error
-    only. Every figure1 sample takes the closed form, good to about 1e-15.
-    The integrate samples take the general formula, which subtracts three
-    roots of roundoff eigenvalues of about 1e-16, up to about 3e-8 each
-    where C is of order 1 (more near C = 0; see test_pure_states_in_every_basis),
-    and their purity defect, at most about 1e-9, shifts 1 - 2V by as much.
-    1e-7 covers that.
+    only. Every sample here is pure and takes the closed form, good to about
+    1e-15. The slack of 1e-7 was set when the integrate samples took the
+    general formula, which subtracts three roots of roundoff eigenvalues of
+    about 1e-16, up to about 3e-8 each where C is of order 1 (more near C = 0;
+    see test_pure_states_in_every_basis), and their purity defect, at most
+    about 1e-9, shifted 1 - 2V by as much.
     """
 
     def test_concurrence_bounds_the_distance(self, figure1_runs, lyapunov_runs):
