@@ -78,12 +78,18 @@ def control_field(
     The trace is mathematically real for Hermitian arguments; a residual real
     part of Tr(rho_d [H1, rho]) beyond roundoff indicates a construction bug
     and raises rather than being silently discarded. Stacks of matrices
-    (..., d, d) give one value per matrix.
+    (..., d, d) give one value per matrix. Tr(rho_d [H1, rho]) is taken as
+    Tr(rho_d H1 rho) - Tr(rho H1 rho_d): each stack times H1 is one product
+    of its rows with H1, and each trace of a product one row-wise sum.
     """
     if kappa <= 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
-    c1 = h1 @ rho - rho @ h1
-    f = feedback_from_trace(np.trace(rho_d @ c1, axis1=-2, axis2=-1), kappa, sign)
+    rho, rho_d = np.asarray(rho), np.asarray(rho_d)
+    d = rho.shape[-1]
+    rho_h1, rho_d_h1 = ((m.reshape(-1, d) @ h1).reshape(m.shape) for m in (rho, rho_d))
+    trace = "...ij,...ji->..."  # Tr(a b) of each pair of matrices
+    tr = np.einsum(trace, rho_d_h1, rho) - np.einsum(trace, rho_h1, rho_d)
+    f = feedback_from_trace(tr, kappa, sign)
     return f if isinstance(f, np.ndarray) else float(f)
 
 

@@ -10,16 +10,18 @@ control term alone (`rhs`), with
 an adaptive embedded Dormand-Prince 5(4) scheme written out over its at most
 4 amplitudes, while the field is on (the whole run under feedback, which
 every stage re-evaluates; up to t0 for a geometric law), and reads its
-samples off the scheme's continuous extension; psi~ holds still after. Every
-sample's state and target are the exact free evolution of psi~ psi~† and
-rho_d0, by the eigendecomposition path (`_from_eigenbasis`, `_evolve`) that
-`propagate_exact` uses for open-loop runs (a geometric law or none), which
-also takes mixed states. `vdot_identity_check` steps the same flow to check
-the descent identity of the feedback law. Both propagators end in the one
-pass `_diagnose`: the v_stop cut, the unitary-dynamics invariants (trace,
-Hermiticity, purity, positivity) at every output sample, the field column,
-then V, concurrence and p_S. Violations beyond ten times the stated
-tolerances abort the run at the first bad sample.
+samples off the scheme's continuous extension; psi~ holds still after. Each
+sample's state is psi = W diag(exp(-i (lam - lam_0) t)) psi~ up to a global
+phase, one row-wise product over all samples, and rho = psi psi†. The
+target is the exact free evolution of rho_d0 by the eigendecomposition path
+(`_evolve`) that `propagate_exact` uses for open-loop runs (a geometric law
+or none), which also takes mixed states. `vdot_identity_check` steps the
+same flow to check the descent identity of the feedback law. Both
+propagators end in the one pass `_diagnose`: the v_stop cut, the
+unitary-dynamics invariants (trace, Hermiticity, purity, positivity) at
+every output sample, the field column, then V, concurrence and p_S.
+Violations beyond ten times the stated tolerances abort the run at the
+first bad sample.
 
 One thing is renormalized: after each accepted step, and at each sample,
 psi~ is scaled back to its initial norm (the projection of Hairer, Lubich &
@@ -418,8 +420,12 @@ def integrate(
         frame, y = _frame(h, _pure_state(pair[0], "rho0"), _pure_state(pair[1], "rho_d0"))
         free = frame[0]
         samples, n, stats, error = _dp5(frame, law, y, grid, t_on, tol, cfg)
-        psi = samples[:n, : len(h.h0)]
-        rho = _from_eigenbasis(free, psi[:, :, None] * psi[:, None, :].conj(), grid[:n])
+        lam, w = free
+        # Phases relative to lam_0, a global phase psi psi† drops: row and column 0 of rho
+        # then carry the phases `_evolve` gives the target, whose rounding cancels in V.
+        phases = np.exp(np.multiply.outer(grid[:n], -1j * (lam - lam[0])))
+        psi = (samples[:n, : len(lam)] * phases) @ w.T
+        rho = psi[:, :, None] * psi[:, None, :].conj()
     else:
         free = np.linalg.eigh(h.h0)
         n, stats, error = len(grid), IntegratorStats(0, 0, 0, None, None, 0.0), None
@@ -597,19 +603,11 @@ def _dp5(
 
 def _evolve(eig: tuple[np.ndarray, np.ndarray], rho: np.ndarray, times: np.ndarray) -> np.ndarray:
     """U(t) rho U(t)† for every t in times, U(t) = W diag(exp(-i lam t)) W†
-    from the eigendecomposition (lam, W) of a constant Hamiltonian."""
-    w = eig[1]
-    return _from_eigenbasis(eig, w.conj().T @ rho @ w, times)
-
-
-def _from_eigenbasis(
-    eig: tuple[np.ndarray, np.ndarray], rho: np.ndarray, times: np.ndarray
-) -> np.ndarray:
-    """U(t) W rho W† U(t)† for every t in times, U(t) as in `_evolve`, for rho
-    written in the eigenbasis W (one matrix, or one per time). There the
-    (j, k) entry of rho only picks up the phase exp(-i (lam_j - lam_k) t).
-    """
+    from the eigendecomposition (lam, W) of a constant Hamiltonian. Written in
+    the eigenbasis W, the (j, k) entry of rho only picks up the phase
+    exp(-i (lam_j - lam_k) t)."""
     lam, w = eig
+    rho = w.conj().T @ rho @ w
     phases = np.multiply.outer(times, -1j * np.subtract.outer(lam, lam))
     np.exp(phases, out=phases)
     phases *= rho

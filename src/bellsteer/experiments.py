@@ -307,10 +307,14 @@ def is_sweep_mapping(mapping: dict[str, str]) -> bool:
     return any(k.startswith(_SWEEP) for k in mapping)
 
 
+def _trace_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re Tr(a_k b_k) for each pair of an (n, d, d) stack, as one row-wise sum."""
+    return np.einsum("nij,nji->n", a, b).real
+
+
 def trajectory_table(traj: Trajectory) -> list[tuple[float, ...]]:
     """Per-sample rows matching CSV_HEADER; fidelity is Tr(rho rho_d)."""
-    fid = np.real(np.trace(traj.rho @ traj.rho_d, axis1=1, axis2=2))
-    pur = np.real(np.trace(traj.rho @ traj.rho, axis1=1, axis2=2))
+    fid, pur = _trace_products(traj.rho, traj.rho_d), _trace_products(traj.rho, traj.rho)
     columns = (traj.t, traj.V, traj.f, traj.concurrence, fid, traj.p_S, pur)
     return list(zip(*(col.tolist() for col in columns)))
 
@@ -335,7 +339,7 @@ def build_report(
     traj: Trajectory, cfg: ScenarioConfig, h: HamiltonianPair, label: str | None = None
 ) -> dict:
     """The JSON report of a finished run of ``cfg`` under the Hamiltonians ``h``."""
-    fid = float(np.real(np.trace(traj.rho[-1] @ traj.rho_d[-1])))
+    fid = float(_trace_products(traj.rho[-1:], traj.rho_d[-1:])[0])  # as in the CSV
     # Undefined (null in the JSON) when the drift is zero, e.g. InteractionControl at eta = 0.
     h0_norm = hs_norm(h.h0)
     drive_ratio = float(np.max(np.abs(traj.f)) * hs_norm(h.h1) / h0_norm) if h0_norm else None

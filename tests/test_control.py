@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellsteer.control import (
     Geometric,
@@ -125,6 +127,52 @@ class TestControlField:
         h1[0, 1] = h1[1, 0] = 1.0
         with pytest.raises(ValueError, match="Hermitian"):
             control_field(rho, rho_d, h1, kappa=1.0)
+
+
+class TestControlFieldStack:
+    """A stack of states and targets takes Tr(rho_d H1 rho) - Tr(rho H1 rho_d)
+    with row-wise products; the slow path is the per-matrix commutator form."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d=st.sampled_from([2, 4]),
+        n=st.integers(1, 8),
+        pure=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        kappa=st.floats(0.01, 3.0),
+        sign=st.sampled_from([1, -1]),
+    )
+    def test_matches_per_matrix_trace(self, d, n, pure, seed, kappa, sign):
+        rng = np.random.default_rng(seed)
+
+        def state():
+            return outer(random_state(rng, d)) if pure else random_density(rng, d)
+
+        rho = np.stack([state() for _ in range(n)])
+        rho_d = np.stack([state() for _ in range(n)])
+        h1 = random_hermitian(rng, d)
+        got = control_field(rho, rho_d, h1, kappa, sign)
+        slow = [sign * kappa * np.trace(r_d @ (h1 @ r - r @ h1)).imag
+                for r, r_d in zip(rho, rho_d)]
+        # |Tr(rho_d [H1, rho])| <= 2 ||H1|| for unit-trace states (Cauchy-Schwarz).
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - slow)) <= 1e-14 * kappa * hs_norm(h1)
+
+    def test_non_hermitian_sample_rejected(self):
+        rng = np.random.default_rng(14)
+        h1 = np.zeros((4, 4), dtype=complex)
+        h1[0, 1] = h1[1, 0] = 1.0
+        rho = np.stack([random_density(rng) for _ in range(3)])
+        rho[1] = 0.0
+        rho[1, 0, 1] = 1.0  # as in TestControlField.test_realness_guard
+        rho_d = np.stack([np.diag([1.0, 0, 0, 0]).astype(complex)] * 3)
+        with pytest.raises(ValueError, match="Hermitian"):
+            control_field(rho, rho_d, h1, kappa=1.0)
+
+    def test_single_matrix_gives_a_float(self):
+        rng = np.random.default_rng(16)
+        f = control_field(random_density(rng), random_density(rng), random_hermitian(rng), 1.0)
+        assert type(f) is float
 
 
 class TestFBound:

@@ -571,6 +571,67 @@ class TestRhs:
         assert np.array_equal(traj.rho_d, free.rho_d)
 
 
+class TestStateStack:
+    """`integrate` takes each sample's state as
+    psi = W diag(exp(-i (lam - lam_0) t)) psi~, up to a global phase, and
+    rho = psi psi†, one row-wise product over the run. The slow path is the
+    matrix form W (P o psi~ psi~†) W†, P_jk = exp(-i (lam_j - lam_k) t), as
+    `_evolve` applies it, on the same psi~ samples, lam and W, evaluated in
+    long double so that it stands in for the exact value.
+
+    The bound is derived, not fitted. Rounding lam_j - lam_0 and then its
+    product with t moves the phase of psi_j by at most 2 u |lam_j - lam_0| t
+    (u the unit roundoff), so the phase of entry (j, k) of rho by at most
+    4 u s t, s = lam_max - lam_min, and the entry by that times
+    ||psi~ psi~†||_F = 1; the products add a few u, covered by 1e-15. At
+    t = 300 the phase term is 5.3e-13 for s = 4 (local presets) and 5.3e-14
+    for s = 0.4 (interaction presets). Seen: at most 0.22 of the bound,
+    5.5e-15 at t = 80 on `figure4_local_k0.5` and 7.5e-15 at t = 300 on the
+    interaction presets."""
+
+    @staticmethod
+    def stepped(monkeypatch, h, law, rho0, rho_d0, cfg):
+        taken = []
+
+        def spy(frame, *args):
+            out = dp5(frame, *args)
+            taken.append((frame[0], out[0][: out[1]]))
+            return out
+
+        dp5 = dynamics._dp5
+        monkeypatch.setattr(dynamics, "_dp5", spy)
+        traj = integrate(h, law, rho0, rho_d0, cfg)
+        ((lam, w), psi), = taken
+        return traj, lam, w, psi[: len(traj), : len(lam)]
+
+    def check(self, traj, lam, w, psi):
+        ext = np.longdouble
+        lam_x, w_x, psi_x = lam.astype(ext), w.astype(np.clongdouble), psi.astype(np.clongdouble)
+        gaps = -1j * np.subtract.outer(lam_x, lam_x)
+        phases = np.exp(np.multiply.outer(traj.t.astype(ext), gaps))
+        slow = w_x @ (phases * psi_x[:, :, None] * psi_x[:, None, :].conj()) @ w_x.conj().T
+        # The slow path rounds its phases too, by 2 u' s t (u' the long double's roundoff).
+        u, u_ext = 2.0**-53, np.finfo(ext).eps / 2
+        tol = 1e-15 + (4 * u + 2 * u_ext) * (lam[-1] - lam[0]) * traj.t
+        assert np.all(np.max(np.abs(traj.rho - slow), axis=(1, 2)) <= tol)
+
+    @pytest.mark.parametrize("label", [label for label, _ in preset_scenarios("figure4")])
+    def test_preset_matches_matrix_form(self, label, monkeypatch):
+        cfg = dict(preset_scenarios("figure4"))[label]
+        h = hamiltonians(cfg.model, cfg.paradigm, X_PRODUCT)
+        rho0, rho_d0 = (outer(X_PRODUCT.vector_from_z(s))
+                        for s in (cfg.initial_state, cfg.target_state))
+        self.check(*self.stepped(monkeypatch, h, cfg.law, rho0, rho_d0, cfg.integrator))
+
+    @pytest.mark.parametrize("paradigm", list(Paradigm), ids=lambda p: p.value)
+    def test_two_level_pair_matches_matrix_form(self, paradigm, monkeypatch):
+        red = subspace_reduce(hamiltonians(P, paradigm, X_PRODUCT))
+        rho0, rho_d0 = (outer(red.basis.vector_from_z(STATE_LITERALS[name]))
+                        for name in ("|++>", "PhiPlus"))
+        cfg = IntegratorConfig(t_max=20.0)
+        self.check(*self.stepped(monkeypatch, red, Lyapunov(kappa=1.0), rho0, rho_d0, cfg))
+
+
 class TestClosedLoopDescent:
     @settings(max_examples=50, deadline=None)
     @given(

@@ -31,6 +31,7 @@ from bellsteer.experiments import (
     run_sweep,
     scenario_from_mapping,
     sweep_from_mapping,
+    trajectory_table,
     write_sweep_csv,
     write_trajectory_csv,
 )
@@ -518,6 +519,35 @@ class TestRunScenarioAndOutputs:
         diag = json.loads((tmp_path / "err.json").read_text())
         assert "numerical breakdown" in diag["error"]
         assert diag["aborted_at"] == 1.25
+
+
+class TestFidelityAndPurity:
+    """The CSV's fidelity Tr(rho rho_d) and purity Tr(rho²) are row-wise sums
+    over the stacks; the slow path is the trace of each matrix product. On
+    these two runs the last fidelity read as trace(rho @ rho_d) differs from
+    the row-wise sum in its last bit, so the report must take the CSV's."""
+
+    @pytest.fixture(params=[("figure1_runs", "figure1_B0.1"), ("figure3_runs", "figure3_k1")],
+                    ids=["geometric", "lyapunov"])
+    def run(self, request):
+        fixture, label = request.param
+        return request.getfixturevalue(fixture)[label]
+
+    def test_columns_match_trace_of_products(self, run):
+        traj, _ = run
+        table = np.array(trajectory_table(traj))
+        header = CSV_HEADER.split(",")
+        fid, pur = table[:, header.index("fidelity")], table[:, header.index("purity")]
+        assert np.max(np.abs(fid - [np.trace(r @ r_d).real
+                                    for r, r_d in zip(traj.rho, traj.rho_d)])) <= 1e-15
+        assert np.max(np.abs(pur - [np.trace(r @ r).real for r in traj.rho])) <= 1e-15
+
+    def test_report_fidelity_is_the_last_csv_row(self, run, tmp_path):
+        traj, report = run
+        path = tmp_path / "run.csv"
+        write_trajectory_csv(traj, path)
+        last = dict(zip(CSV_HEADER.split(","), path.read_text().splitlines()[-1].split(",")))
+        assert float(last["fidelity"]) == report["final_fidelity"]
 
 
 class TestRouting:

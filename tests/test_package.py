@@ -1,5 +1,7 @@
 """The package's public names, its import cost and its source layout."""
 
+import dataclasses
+import importlib.util
 import os
 import subprocess
 import sys
@@ -10,6 +12,7 @@ import pytest
 import bellsteer
 
 SRC = Path(bellsteer.__file__).resolve().parent
+TRACING = Path(__file__).resolve().parents[1] / "bellbench" / "tracing.py"
 
 
 def test_star_import_resolves_every_public_name():
@@ -38,3 +41,20 @@ def test_source_lines_fit_in_99_columns():
         if len(line) > 99
     ]
     assert long == []
+
+
+def test_benchmark_traced_names_resolve(monkeypatch):
+    # The benchmark's Tracer wraps each (module, attr) of LAYER_CALLS on
+    # bellsteer.<module>, and its switch_sweep workload replaces
+    # SweepConfig.parallel; a missing name ends a traced run with exit 1.
+    # tracing.py imports only the standard library, so it loads by path
+    # (registered as a module while it runs, as its dataclasses need).
+    spec = importlib.util.spec_from_file_location("bellbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    missing = [f"{module}.{attr}" for module, attr, _, _ in tracing.LAYER_CALLS
+               if not hasattr(getattr(bellsteer, module), attr)]
+    assert missing == []
+    fields = [f.name for f in dataclasses.fields(bellsteer.experiments.SweepConfig)]
+    assert "parallel" in fields
