@@ -4,24 +4,23 @@ target, and exact open-loop propagation.
 The closed loop drho/dt = -i [H0 + f(rho, rho_d, t) H1, rho] steers rho
 towards the target rho_d(t) = U0(t) rho_d0 U0(t)†, U0(t) = exp(-i H0 t).
 For a pure state rho = psi psi† it is the Schrodinger equation
-dpsi/dt = -i (H0 + f H1) psi. `integrate` steps only the state vector
-psi~ = W† U0(t)† psi in the eigenbasis W of H0, whose derivative is the
-control term alone (`rhs`), with
-an adaptive embedded Dormand-Prince 5(4) scheme written out over its at most
-4 amplitudes, while the field is on (the whole run under feedback, which
-every stage re-evaluates; up to t0 for a geometric law), and reads its
-samples off the scheme's continuous extension; psi~ holds still after. Each
-sample's state is psi = W diag(exp(-i (lam - lam_0) t)) psi~ up to a global
-phase, one row-wise product over all samples, and rho = psi psi†. The
-target is the exact free evolution of rho_d0 by the eigendecomposition path
+dpsi/dt = -i (H0 + f H1) psi. `integrate` takes feedback laws only and
+steps only the state vector psi~ = W† U0(t)† psi in the eigenbasis W of H0,
+whose derivative is the control term alone (`rhs`), with an adaptive
+embedded Dormand-Prince 5(4) scheme written out over its at most 4
+amplitudes, over the whole run (every stage re-evaluates the feedback), and
+reads its samples off the scheme's continuous extension. Each sample's
+state is psi = W diag(exp(-i (lam - lam_0) t)) psi~ up to a global phase,
+one row-wise product over all samples, and rho = psi psi†. The target is
+the exact free evolution of rho_d0 by the eigendecomposition path
 (`_evolve`) that `propagate_exact` uses for open-loop runs (a geometric law
-or none), which also takes mixed states. `vdot_identity_check` steps the
-same flow to check the descent identity of the feedback law. Both
-propagators end in the one pass `_diagnose`: the v_stop cut, the
-unitary-dynamics invariants (trace, Hermiticity, purity, positivity) at
-every output sample, the field column, then V, concurrence and p_S.
-Violations beyond ten times the stated tolerances abort the run at the
-first bad sample.
+or none), whose Hamiltonian is constant on each interval and which also
+takes mixed states. `vdot_identity_check` steps the same flow to check the
+descent identity of the feedback law. Both propagators end in the one pass
+`_diagnose`: the v_stop cut, the unitary-dynamics invariants (trace,
+Hermiticity, purity, positivity) at every output sample, the field column,
+then V, concurrence and p_S. Violations beyond ten times the stated
+tolerances abort the run at the first bad sample.
 
 One thing is renormalized: after each accepted step, and at each sample,
 psi~ is scaled back to its initial norm (the projection of Hairer, Lubich &
@@ -129,10 +128,10 @@ class IntegratorConfig:
 @dataclass(frozen=True)
 class IntegratorStats:
     """How a DP5(4) run was stepped: accepted and rejected attempts, `rhs`
-    evaluations (6 per attempt plus the first, under FSAL; none when nothing
-    is stepped), the smallest and largest accepted step (None when no step
-    was taken) and the largest drift of the squared norm of psi~ that an
-    accepted step left before its projection (0 with no step)."""
+    evaluations (6 per attempt plus the first, under FSAL), the smallest and
+    largest accepted step (None when no step was taken) and the largest
+    drift of the squared norm of psi~ that an accepted step left before its
+    projection (0 with no step)."""
 
     accepted: int
     rejected: int
@@ -211,16 +210,15 @@ def _frame(h: HamiltonianPair, psi0: np.ndarray, psi_d0: np.ndarray) -> tuple[tu
     return (eig, rates, tuple(map(tuple, h1.tolist())), target), y
 
 
-def rhs(frame: tuple, law: ControlLaw, t: float, y: tuple) -> tuple:
+def rhs(frame: tuple, law: Lyapunov, t: float, y: tuple) -> tuple:
     """The derivative of y = psi~ = W† U0(t)† psi, the state in the interaction
-    picture of U0(t) = exp(-i H0 t) written in the eigenbasis W of H0, with
-    the field on. y holds 4 Python complex numbers, and so does the result: a
-    2-level pair is padded with zeros, which stay zero.
+    picture of U0(t) = exp(-i H0 t) written in the eigenbasis W of H0, under
+    the feedback law. y holds 4 Python complex numbers, and so does the
+    result: a 2-level pair is padded with zeros, which stay zero.
 
     Only the control term is left: dpsi~/dt = -i f E h E* psi~, with
-    h = W† H1 W and E = diag(exp(i lam t)). f is 1 for an open-loop law
-    (`integrate` steps it only while on). For feedback it is
-    sign * kappa * Im Tr(rho_d [H1, rho]) = 2 sign kappa Im(a conj(b)) for
+    h = W† H1 W and E = diag(exp(i lam t)). The field is
+    f = sign * kappa * Im Tr(rho_d [H1, rho]) = 2 sign kappa Im(a conj(b)) for
     rho = psi psi† and rho_d = psi_d psi_d†, with a = <psi_d|H1 psi> and
     b = <psi_d|psi>; the frame leaves both alone, and there psi_d~ is constant.
     The trace is imaginary by construction, so there is no realness to check.
@@ -234,12 +232,9 @@ def rhs(frame: tuple, law: ControlLaw, t: float, y: tuple) -> tuple:
     v1 = e1 * (h10 * u0 + h11 * u1 + h12 * u2 + h13 * u3)
     v2 = e2 * (h20 * u0 + h21 * u1 + h22 * u2 + h23 * u3)
     v3 = e3 * (h30 * u0 + h31 * u1 + h32 * u2 + h33 * u3)
-    if isinstance(law, Lyapunov):
-        a = g0 * v0 + g1 * v1 + g2 * v2 + g3 * v3
-        b = g0 * y0 + g1 * y1 + g2 * y2 + g3 * y3
-        m = -2j * law.sign * law.kappa * (a * b.conjugate()).imag
-    else:
-        m = -1j
+    a = g0 * v0 + g1 * v1 + g2 * v2 + g3 * v3
+    b = g0 * y0 + g1 * y1 + g2 * y2 + g3 * y3
+    m = -2j * law.sign * law.kappa * (a * b.conjugate()).imag
     return m * v0, m * v1, m * v2, m * v3
 
 
@@ -400,38 +395,29 @@ def integrate(
     rho_d0: np.ndarray,
     cfg: IntegratorConfig,
 ) -> Trajectory:
-    """Integrate the closed loop over [0, t_max] and sample it.
+    """Integrate the closed loop of a feedback law over [0, t_max] and sample it.
 
-    Steps psi~ (see `rhs` and `_dp5`) only while the field is on, up to t_on:
-    t_max under feedback, min(t0, t_max) for a geometric law and 0 with no
-    law. To step, it factors rho0 and rho_d0 as psi psi† (`_pure_state`), so
-    both must be pure; a run that steps nothing holds rho~ = W† rho0 W as it
-    is. The samples taken end in `_diagnose`, also when an error is raised
-    mid-run: the error is re-raised after that pass, unless the pass finds an
-    earlier invariant violation, the error reported.
+    Steps psi~ (see `rhs` and `_dp5`) over the whole run, so it factors rho0
+    and rho_d0 as psi psi† (`_pure_state`), and both must be pure. An
+    open-loop law is rejected: its Hamiltonian is constant on each interval,
+    and `propagate_exact` solves that exactly. The samples taken end in
+    `_diagnose`, also when an error is raised mid-run: the error is
+    re-raised after that pass, unless the pass finds an earlier invariant
+    violation, the error reported.
     """
+    if not isinstance(law, Lyapunov):
+        raise ValueError("open-loop laws have a constant Hamiltonian; use propagate_exact")
     pair = _initial_states(h, rho0, rho_d0)
     grid = _sample_grid(cfg)
-    t_on = cfg.t_max if isinstance(law, Lyapunov) else 0.0
-    if isinstance(law, Geometric):
-        t_on = min(law.t0, cfg.t_max)
-    tol = 1e-10 * max(1.0, t_on)  # a step that ends within tol of t_on ends there
-    if t_on > tol:
-        frame, y = _frame(h, _pure_state(pair[0], "rho0"), _pure_state(pair[1], "rho_d0"))
-        free = frame[0]
-        samples, n, stats, error = _dp5(frame, law, y, grid, t_on, tol, cfg)
-        lam, w = free
-        # Phases relative to lam_0, a global phase psi psi† drops: row and column 0 of rho
-        # then carry the phases `_evolve` gives the target, whose rounding cancels in V.
-        phases = np.exp(np.multiply.outer(grid[:n], -1j * (lam - lam[0])))
-        psi = (samples[:n, : len(lam)] * phases) @ w.T
-        rho = psi[:, :, None] * psi[:, None, :].conj()
-    else:
-        free = np.linalg.eigh(h.h0)
-        n, stats, error = len(grid), IntegratorStats(0, 0, 0, None, None, 0.0), None
-        rho = _evolve(free, pair[0], grid)
+    frame, y = _frame(h, _pure_state(pair[0], "rho0"), _pure_state(pair[1], "rho_d0"))
+    samples, n, stats, error = _dp5(frame, law, y, grid, cfg)
+    lam, w = free = frame[0]
+    # Phases relative to lam_0, a global phase psi psi† drops: row and column 0 of rho
+    # then carry the phases `_evolve` gives the target, whose rounding cancels in V.
+    phases = np.exp(np.multiply.outer(grid[:n], -1j * (lam - lam[0])))
+    psi = (samples[:n, : len(lam)] * phases) @ w.T
     states = np.empty((n,) + pair.shape, dtype=complex)
-    states[:, 0] = rho
+    states[:, 0] = psi[:, :, None] * psi[:, None, :].conj()
     states[:, 1] = _evolve(free, pair[1], grid[:n])
     traj = _diagnose(h, law, grid[:n], states, cfg.v_stop, stats)
     if error is not None:
@@ -440,22 +426,20 @@ def integrate(
 
 
 def _dp5(
-    frame: tuple, law: ControlLaw, y: tuple, grid: np.ndarray, t_on: float, tol: float,
-    cfg: IntegratorConfig,
+    frame: tuple, law: Lyapunov, y: tuple, grid: np.ndarray, cfg: IntegratorConfig
 ) -> tuple[np.ndarray, int, IntegratorStats, Exception | None]:
-    """Step psi~ from y at t = 0 to t_on (see `integrate`) with the adaptive
-    DP5(4) pair, written out over the 4 amplitudes with no numpy call inside
-    an attempt; the error norm is the RMS over the pair's d levels.
+    """Step psi~ from y at t = 0 to t_max with the adaptive DP5(4) pair,
+    written out over the 4 amplitudes with no numpy call inside an attempt;
+    the error norm is the RMS over the pair's d levels.
 
     After each accepted step psi~ is scaled back to its initial squared norm
     N0 by c = sqrt(N0/N). A step whose N drifted from N0 by more than
-    ABORT_FACTOR * TRACE_TOL aborts the run. The FSAL stage is rescaled, not
-    re-evaluated: by c³ under feedback, whose field is quadratic in psi~, and
-    by c for an open-loop law. Each sample a step passes is read off the
-    step's continuous extension (`_DENSE`) at no `rhs` call and scaled to N0;
-    each later one holds psi~(t_on), as psi~ stands still once the field is
-    off. With v_stop set, stepping ends after the first step that passes a
-    sample with V < v_stop.
+    ABORT_FACTOR * TRACE_TOL aborts the run. The FSAL stage is rescaled by
+    c³, not re-evaluated, as the feedback field is quadratic in psi~. Each
+    sample a step passes is read off the step's continuous extension
+    (`_DENSE`) at no `rhs` call and scaled to N0; the last step ends at
+    t_max, the last sample time. With v_stop set, stepping ends after the
+    first step that passes a sample with V < v_stop.
 
     Returns the (len(grid), 4) samples of psi~, how many were taken, the
     run's IntegratorStats, and the error that ended it early (or None).
@@ -467,9 +451,9 @@ def _dp5(
     e1, e3, e4, e5, e6, e7 = _ERR
     (_, d12, d13, d14), (_, d32, d33, d34), (_, d42, d43, d44) = _DENSE[:3]
     (_, d52, d53, d54), (_, d62, d63, d64), (_, d72, d73, d74) = _DENSE[3:]
-    atol, rtol, v_stop = cfg.abs_tol, cfg.rel_tol, cfg.v_stop
+    atol, rtol, v_stop, t_max = cfg.abs_tol, cfg.rel_tol, cfg.v_stop, cfg.t_max
+    tol = 1e-10 * max(1.0, t_max)  # a step that ends within tol of t_max ends there
     dim = len(frame[0][0])
-    cubic = isinstance(law, Lyapunov)
     g0, g1, g2, g3 = frame[3]  # conj(psi_d~)
     y0, y1, y2, y3 = y
     my0, my1, my2, my3 = abs(y0), abs(y1), abs(y2), abs(y3)
@@ -490,8 +474,8 @@ def _dp5(
     h_step = cfg.dt
     error = None
     try:
-        while t_on - t > tol:
-            hs = min(h_step, t_on - t)
+        while t_max - t > tol:
+            hs = min(h_step, t_max - t)
             if hs < 1e-13:
                 last = f"h={steps[-1]:.3e} ending at t={t:.6g}" if steps else "none"
                 raise IntegrationError(
@@ -550,8 +534,8 @@ def _dp5(
                 h_step = hs * max(0.2, 0.9 * err ** -0.2)
                 continue
             t_new = t + hs
-            if t_on - t_new <= tol:
-                t_new = t_on
+            if t_max - t_new <= tol:
+                t_new = t_max
             norm = mz0 * mz0 + mz1 * mz1 + mz2 * mz2 + mz3 * mz3
             drift = abs(norm - norm0)
             if drift > limit:
@@ -581,8 +565,7 @@ def _dp5(
             c = math.sqrt(norm0 / norm)
             y0, y1, y2, y3 = c * z0, c * z1, c * z2, c * z3
             my0, my1, my2, my3 = c * mz0, c * mz1, c * mz2, c * mz3
-            if cubic:
-                c = c * c * c
+            c = c * c * c
             ka0, ka1, ka2, ka3 = c * kg0, c * kg1, c * kg2, c * kg3  # FSAL
             t = t_new
             steps.append(hs)
@@ -590,9 +573,6 @@ def _dp5(
             h_step = hs * factor
             if below:
                 break
-        else:  # stepping reached t_on, after which psi~ holds still
-            samples[n:] = y0, y1, y2, y3
-            n = len(times)
     except (IntegrationError, ValueError) as exc:
         error = exc
 

@@ -23,6 +23,7 @@ from bellsteer.dynamics import (
     TRACE_TOL,
     geometric_evolve,
     integrate,
+    propagate_exact,
     vdot_identity_check,
 )
 from bellsteer.experiments import (
@@ -183,25 +184,26 @@ def test_criterion_07_concurrence_monotonicity(lyapunov_runs):
 
 
 def test_criterion_08_oracle_equivalence():
-    # Route A (adaptive RK integrator) against route B (matrix-exponential
-    # propagator) for a constant field over [0, 200], then the 2-level
-    # reduction against the full 4-level closed loop. Both comparisons run at
-    # tightened tolerances: the criterion pins the 1e-8 agreement, and the
-    # integrator's global error at default tolerances sits near that boundary.
+    # Route A (`propagate_exact`, the route every constant-field scenario
+    # takes) against route B (the `expm` propagator) for a constant field over
+    # [0, 200], then the 2-level reduction against the full 4-level closed
+    # loop. The closed-loop comparison runs at tightened tolerances: the
+    # criterion pins the 1e-8 agreement, and the integrator's global error at
+    # default tolerances sits near that boundary.
     tight = dict(rel_tol=1e-11, abs_tol=1e-13)
     params = ModelParams(J=1.0, eta=0.1)
     h = hamiltonians(params, Paradigm.LOCAL_CONTROL, X_PRODUCT)
     rho0 = outer(X_PRODUCT.vector_from_z(STATE_LITERALS["|00>"]))
     rho_d0 = outer(X_PRODUCT.vector_from_z(STATE_LITERALS["PhiPlus"]))
-    cfg = IntegratorConfig(t_max=200.0, sample_every=0.5, **tight)
-    traj = integrate(h, Geometric(t0=200.0), rho0, rho_d0, cfg)
+    cfg = IntegratorConfig(t_max=200.0, sample_every=0.5)
+    traj = propagate_exact(h, Geometric(t0=200.0), rho0, rho_d0, cfg)
     h_tot = h.h0 + h.h1
     worst_const = max(
         hs_norm(traj.rho[i] - geometric_evolve(h_tot, rho0, float(t)))
         for i, t in enumerate(traj.t)
     )
     print(
-        f"criterion 8: constant-field integration vs exponential propagator, "
+        f"criterion 8: constant-field propagate_exact vs expm propagator, "
         f"max state deviation over [0, 200] = {worst_const:.3g} (<= 1e-8)"
     )
     assert worst_const <= 1e-8
