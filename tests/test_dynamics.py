@@ -1,9 +1,11 @@
 """Unit tests for the adaptive closed-loop integrator and the exact open-loop
 propagator.
 
-``integrate`` steps feedback laws only. Cases that need no feedback (the
-sample grid, open-loop runs, the invariant monitor) run through
-``propagate_exact``, the route every open-loop scenario takes.
+``integrate`` steps feedback laws only. Test classes whose cases hold for
+any propagator and law take the propagator from the class attribute
+``propagate``: ``dop853_run``, a stepped reference on scipy's DOP853 that
+takes open-loop laws and unchecked states too. Each has an ``...Exact``
+subclass that reruns the same cases through ``propagate_exact``.
 """
 
 import dataclasses
@@ -62,6 +64,66 @@ def x_state(name):
     return outer(v)
 
 
+def vec_frame(h, states):
+    """The reference stepper's frame: vec rho~ at t = 0 for the (2, d, d)
+    state/target stack, rho~ = W† U0(t)† rho U0(t) W in the eigenbasis
+    (lam, W) of H0, written row-major, with (W, the (d²,) rates
+    -i(lam_j - lam_k), the (d², d²) transpose gen of -i L(W† H1 W) with
+    L(H) = H⊗I - I⊗Hᵀ, and the constant target rho_d~ = W† rho_d0 W)."""
+    lam, w = np.linalg.eigh(h.h0)
+    rho, rho_d = w.conj().T @ states @ w
+    h1 = w.conj().T @ h.h1 @ w
+    eye = np.eye(len(lam))
+    gen = np.ascontiguousarray(-1j * (np.kron(h1, eye) - np.kron(eye, h1.T)).T)
+    return (w, -1j * np.subtract.outer(lam, lam).ravel(), gen, rho_d), rho.ravel()
+
+
+def vec_rhs(frame, law, t, y):
+    """drho~/dt = -i f [U0† H1 U0, rho~] on y = vec rho~: in the eigenbasis
+    U0 is the phase exp(-i (lam_j - lam_k) t) on each entry, and
+    vec(x) @ gen = vec(-i[W† H1 W, x]); the feedback is
+    sign * kappa * Im Tr(rho_d [H1, rho]), a trace the frame leaves alone.
+    An open-loop field is 1 wherever it is stepped (see `dop853_run`)."""
+    _, rates, gen, target = frame
+    p = np.exp(rates * t)
+    q = p.conj() * ((p * y) @ gen)
+    if not isinstance(law, Lyapunov):
+        return q
+    # vdot(vec rho_d~, vec(-i[H1~, rho~])) = -i Tr(rho_d [H1, rho]) for Hermitian rho_d.
+    return feedback_from_trace(1j * np.vdot(target, q), law.kappa, law.sign) * q
+
+
+def dop853_run(h, law, rho0, rho_d0, cfg):
+    """A stepped reference propagator for any law, with the arguments of
+    `integrate`: scipy's DOP853 at rtol 1e-13 on vec rho~ (`vec_frame`,
+    `vec_rhs`) while the field is on, over [0, t_max] for feedback and
+    [0, t0] for a geometric law; with the field off rho~ stays as it is.
+    Neither state is checked, so a bad one reaches the invariant monitor.
+    The samples go through the pass both propagators end in,
+    `dynamics._diagnose`."""
+    states = dynamics._initial_states(h, rho0, rho_d0)
+    grid = dynamics._sample_grid(cfg)
+    frame, y = vec_frame(h, states)
+    w, rates, _, target = frame
+    if isinstance(law, Lyapunov):
+        t_on = grid[-1]
+    else:
+        t_on = min(law.t0, grid[-1]) if isinstance(law, Geometric) else 0.0
+    ys = np.tile(y, (len(grid), 1))
+    if t_on > 0.0:
+        ref = solve_ivp(lambda t, y: vec_rhs(frame, law, t, y), (0.0, t_on), y,
+                        method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True)
+        assert ref.success
+        on = grid <= t_on
+        ys[on] = ref.sol(grid[on]).T
+        ys[~on] = ref.y[:, -1]
+    tilde = np.stack([ys, np.broadcast_to(target.ravel(), ys.shape)], axis=1)
+    tilde *= np.exp(np.multiply.outer(grid, rates))[:, None]
+    d = len(w)
+    states = w @ tilde.reshape(len(grid), 2, d, d) @ w.conj().T
+    return dynamics._diagnose(h, law, grid, states, cfg.v_stop)
+
+
 class TestIntegratorConfig:
     @pytest.mark.parametrize(
         "kwargs",
@@ -92,24 +154,26 @@ class TestIntegratorConfig:
 
 
 class TestSampling:
+    propagate = staticmethod(dop853_run)
+
     def test_grid_spacing_and_endpoint(self):
         h = local_pair()
-        traj = propagate_exact(h, None, x_state("|++>"), x_state("|-->"),
-                               IntegratorConfig(t_max=1.0, sample_every=0.25))
+        traj = self.propagate(h, None, x_state("|++>"), x_state("|-->"),
+                              IntegratorConfig(t_max=1.0, sample_every=0.25))
         assert np.allclose(traj.t, [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_irregular_endpoint_appended(self):
         h = local_pair()
-        traj = propagate_exact(h, None, x_state("|++>"), x_state("|-->"),
-                               IntegratorConfig(t_max=1.05, sample_every=0.25))
+        traj = self.propagate(h, None, x_state("|++>"), x_state("|-->"),
+                              IntegratorConfig(t_max=1.05, sample_every=0.25))
         assert traj.t[-1] == pytest.approx(1.05)
         assert len(traj) == 6
 
     def test_dimension_mismatch_rejected(self):
         h = local_pair()
         with pytest.raises(ValueError, match="dimensions"):
-            propagate_exact(h, None, np.eye(2, dtype=complex) / 2, x_state("|-->"),
-                            IntegratorConfig(t_max=1.0))
+            self.propagate(h, None, np.eye(2, dtype=complex) / 2, x_state("|-->"),
+                           IntegratorConfig(t_max=1.0))
 
     def test_v_stop_keeps_first_sample_below(self):
         # V of |++> against Phi+ falls from 0.5 to 0.401 while the field is on;
@@ -117,10 +181,14 @@ class TestSampling:
         h = local_pair()
         rho_d0 = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
         cfg = IntegratorConfig(t_max=4.0, v_stop=0.45)
-        traj = propagate_exact(h, Geometric(t0=2.0), x_state("|++>"), rho_d0, cfg)
+        traj = self.propagate(h, Geometric(t0=2.0), x_state("|++>"), rho_d0, cfg)
         assert traj.t[-1] == pytest.approx(0.4)
         assert traj.V[-1] < 0.45
         assert np.all(traj.V[:-1] >= 0.45)
+
+
+class TestSamplingExact(TestSampling):
+    propagate = staticmethod(propagate_exact)
 
 
 class TestFreeEvolution:
@@ -143,11 +211,13 @@ class TestFreeEvolution:
 
 
 class TestGeometricRuns:
+    propagate = staticmethod(dop853_run)
+
     def test_field_switches_at_t0(self):
         h = local_pair()
         law = Geometric(t0=2.0)
-        traj = propagate_exact(h, law, x_state("|++>"), x_state("|-->"),
-                               IntegratorConfig(t_max=4.0))
+        traj = self.propagate(h, law, x_state("|++>"), x_state("|-->"),
+                              IntegratorConfig(t_max=4.0))
         on = traj.t < 2.0
         assert np.all(traj.f[on] == 1.0)
         assert np.all(traj.f[~on] == 0.0)
@@ -156,7 +226,7 @@ class TestGeometricRuns:
         h = local_pair()
         rho0 = outer(np.full(4, 0.5, dtype=complex))
         law = Geometric(t0=2.0)
-        traj = propagate_exact(h, law, rho0, x_state("|++>"), IntegratorConfig(t_max=5.0))
+        traj = self.propagate(h, law, rho0, x_state("|++>"), IntegratorConfig(t_max=5.0))
         at_t0 = geometric_evolve(h.h0 + h.h1, rho0, 2.0)
         exact_end = geometric_evolve(h.h0, at_t0, 3.0)
         assert hs_norm(traj.rho[-1] - exact_end) < 1e-9
@@ -164,6 +234,11 @@ class TestGeometricRuns:
     def test_geometric_evolve_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             geometric_evolve(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2) / 2, 1.0)
+
+
+class TestGeometricRunsExact(TestGeometricRuns):
+    propagate = staticmethod(propagate_exact)
+    test_geometric_evolve_rejects_non_hermitian = None  # no propagator involved
 
 
 class TestLyapunovRuns:
@@ -216,6 +291,10 @@ class TestLyapunovRuns:
         werner = 0.8 * phi + 0.05 * np.eye(4)
         with pytest.raises(ValueError, match=r"rho0 is not a pure state \(purity defect 2.700e-01"):
             integrate(h, Lyapunov(kappa=1.0), werner, phi, IntegratorConfig(t_max=1.0))
+
+    @pytest.mark.parametrize("paradigm", list(Paradigm), ids=lambda p: p.value)
+    def test_reduced_pair_matches_four_level_run(self, paradigm):
+        TestReducedRuns.check_four_level_run(integrate, paradigm, Lyapunov(kappa=1.0))
 
 
 class TestProjection:
@@ -278,51 +357,63 @@ class TestProjection:
 
 
 class TestReducedRuns:
+    propagate = staticmethod(dop853_run)
+    laws = (Geometric(t0=7.0), Lyapunov(kappa=1.0))
+
     def test_two_level_run_reports_embedded_metrics(self):
         h = local_pair()
         red = subspace_reduce(h)
         rho0 = np.diag([1.0, 0.0]).astype(complex)  # Phi+ in the reduced frame
         rho_d0 = np.diag([1.0, 0.0]).astype(complex)
-        traj = propagate_exact(red, None, rho0, rho_d0, IntegratorConfig(t_max=2.0))
+        traj = self.propagate(red, None, rho0, rho_d0, IntegratorConfig(t_max=2.0))
         assert np.allclose(traj.p_S, 1.0, atol=1e-9)
         assert np.allclose(traj.concurrence, 1.0, atol=1e-9)
 
     @pytest.mark.parametrize("paradigm", list(Paradigm), ids=lambda p: p.value)
     def test_matches_four_level_run(self, paradigm):
-        """From |++> towards Phi+, sample by sample, open loop through
-        `propagate_exact` and closed loop through `integrate`; the reduced
-        pair's frame goes through the same diagnostics as the 4-level basis."""
+        for law in self.laws:
+            self.check_four_level_run(self.propagate, paradigm, law)
+
+    @staticmethod
+    def check_four_level_run(propagate, paradigm, law):
+        """From |++> towards Phi+, sample by sample; the reduced pair's frame
+        goes through the same diagnostics as the 4-level basis."""
         h = hamiltonians(P, paradigm, X_PRODUCT)
         red = subspace_reduce(h)
         cfg = IntegratorConfig(t_max=20.0, **TIGHT)
 
-        def run(propagate, pair, law):
+        def run(pair):
             rho0, rho_d0 = (outer(pair.basis.vector_from_z(STATE_LITERALS[name]))
                             for name in ("|++>", "PhiPlus"))
             return propagate(pair, law, rho0, rho_d0, cfg)
 
-        for propagate, law in ((propagate_exact, Geometric(t0=7.0)),
-                               (integrate, Lyapunov(kappa=1.0))):
-            full, reduced = run(propagate, h, law), run(propagate, red, law)
-            assert np.array_equal(full.t, reduced.t)
-            assert np.max(np.abs(full.concurrence - reduced.concurrence)) <= 1e-7
-            for column in ("p_S", "V", "f"):
-                diff = np.abs(getattr(full, column) - getattr(reduced, column))
-                assert np.max(diff) <= 1e-8, (law, column)
+        full, reduced = run(h), run(red)
+        assert np.array_equal(full.t, reduced.t)
+        assert np.max(np.abs(full.concurrence - reduced.concurrence)) <= 1e-7
+        for column in ("p_S", "V", "f"):
+            diff = np.abs(getattr(full, column) - getattr(reduced, column))
+            assert np.max(diff) <= 1e-8, (law, column)
+
+
+class TestReducedRunsExact(TestReducedRuns):
+    propagate = staticmethod(propagate_exact)
+    laws = (Geometric(t0=7.0),)  # propagate_exact takes no feedback
 
 
 class TestInvariantMonitor:
+    propagate = staticmethod(dop853_run)
+
     def test_aborts_on_trace_violation(self):
         h = local_pair()
         bad = 0.9 * x_state("|++>")  # trace 0.9 trips the monitor immediately
         with pytest.raises(IntegrationError, match="trace"):
-            propagate_exact(h, None, bad, x_state("|-->"), IntegratorConfig(t_max=1.0))
+            self.propagate(h, None, bad, x_state("|-->"), IntegratorConfig(t_max=1.0))
 
     def test_error_carries_time(self):
         h = local_pair()
         bad = 0.9 * x_state("|++>")
         with pytest.raises(IntegrationError) as excinfo:
-            propagate_exact(h, None, bad, x_state("|-->"), IntegratorConfig(t_max=1.0))
+            self.propagate(h, None, bad, x_state("|-->"), IntegratorConfig(t_max=1.0))
         assert excinfo.value.t == pytest.approx(0.1)
 
     @pytest.mark.parametrize(
@@ -339,9 +430,13 @@ class TestInvariantMonitor:
         rho0 = np.diag([1.0 + negative, -negative, 0.0, 0.0]).astype(complex) * rho_scale
         rho0[0, 1] = offdiag
         with pytest.raises(IntegrationError, match=message) as excinfo:
-            propagate_exact(h, None, rho0, rho_d_scale * x_state("|++>"),
-                            IntegratorConfig(t_max=1.0))
+            self.propagate(h, None, rho0, rho_d_scale * x_state("|++>"),
+                           IntegratorConfig(t_max=1.0))
         assert excinfo.value.t == pytest.approx(0.1)
+
+
+class TestInvariantMonitorExact(TestInvariantMonitor):
+    propagate = staticmethod(propagate_exact)
 
 
 def random_pure_state(amps):
@@ -597,32 +692,6 @@ class TestClosedLoopDescent:
         rho0, rho_d0 = random_pure_state(amps[:8]), random_pure_state(amps[8:])
         traj = integrate(h, Lyapunov(kappa=kappa), rho0, rho_d0, IntegratorConfig(t_max=t_max))
         assert np.max(np.diff(traj.V)) <= 1e-8
-
-
-def vec_frame(h, states):
-    """The reference stepper's frame: vec rho~ at t = 0 for the (2, d, d)
-    state/target stack, rho~ = W† U0(t)† rho U0(t) W in the eigenbasis
-    (lam, W) of H0, written row-major, with (W, the (d²,) rates
-    -i(lam_j - lam_k), the (d², d²) transpose gen of -i L(W† H1 W) with
-    L(H) = H⊗I - I⊗Hᵀ, and the constant target rho_d~ = W† rho_d0 W)."""
-    lam, w = np.linalg.eigh(h.h0)
-    rho, rho_d = w.conj().T @ states @ w
-    h1 = w.conj().T @ h.h1 @ w
-    eye = np.eye(len(lam))
-    gen = np.ascontiguousarray(-1j * (np.kron(h1, eye) - np.kron(eye, h1.T)).T)
-    return (w, -1j * np.subtract.outer(lam, lam).ravel(), gen, rho_d), rho.ravel()
-
-
-def vec_rhs(frame, law, t, y):
-    """drho~/dt = -i f [U0† H1 U0, rho~] on y = vec rho~: in the eigenbasis
-    U0 is the phase exp(-i (lam_j - lam_k) t) on each entry, and
-    vec(x) @ gen = vec(-i[W† H1 W, x]); the feedback is
-    sign * kappa * Im Tr(rho_d [H1, rho]), a trace the frame leaves alone."""
-    _, rates, gen, target = frame
-    p = np.exp(rates * t)
-    q = p.conj() * ((p * y) @ gen)
-    # vdot(vec rho_d~, vec(-i[H1~, rho~])) = -i Tr(rho_d [H1, rho]) for Hermitian rho_d.
-    return feedback_from_trace(1j * np.vdot(target, q), law.kappa, law.sign) * q
 
 
 class TestAgainstDOP853:
