@@ -6,21 +6,25 @@ towards the target rho_d(t) = U0(t) rho_d0 U0(t)†, U0(t) = exp(-i H0 t).
 For a pure state rho = psi psi† it is the Schrodinger equation
 dpsi/dt = -i (H0 + f H1) psi. `integrate` takes feedback laws only and
 steps only the state vector psi~ = W† U0(t)† psi in the eigenbasis W of H0,
-whose derivative is the control term alone (`rhs`), with an adaptive
-embedded Dormand-Prince 5(4) scheme written out over its at most 4
-amplitudes, over the whole run (every stage re-evaluates the feedback), and
+whose derivative is the control term alone (`rhs`), and of psi~ only the
+amplitudes on the columns of W that the run reaches (`_frame`): the
+columns where psi~ or the target is nonzero, and those that H1 couples to
+them. It steps them with an adaptive embedded Dormand-Prince 5(4) scheme
+written out over 2 amplitudes, or over 4 when more than two columns are
+reached, over the whole run (every stage re-evaluates the feedback), and
 reads its samples off the scheme's continuous extension. Each sample's
-state is psi = W diag(exp(-i (lam - lam_0) t)) psi~ up to a global phase,
-one row-wise product over all samples, and rho = psi psi†. The target is
-the exact free evolution of rho_d0 by the eigendecomposition path
-(`_evolve`) that `propagate_exact` uses for open-loop runs (a geometric law
-or none), whose Hamiltonian is constant on each interval and which also
-takes mixed states. `vdot_identity_check` steps the same flow to check the
-descent identity of the feedback law. Both propagators end in the one pass
-`_diagnose`: the v_stop cut, the unitary-dynamics invariants (trace,
-Hermiticity, purity, positivity) at every output sample, the field column,
-then V, concurrence and p_S. Violations beyond ten times the stated
-tolerances abort the run at the first bad sample.
+state is psi = W diag(exp(-i (lam - lam_0) t)) psi~ on the reached columns,
+with lam_0 the first one's, up to a global phase, one row-wise product over
+all samples, and rho = psi psi†. The target is the exact free evolution of
+rho_d0 by the eigendecomposition path (`_evolve`) that `propagate_exact`
+uses for open-loop runs (a geometric law or none), whose Hamiltonian is
+constant on each interval and which also takes mixed states.
+`vdot_identity_check` steps the same flow to check the descent identity of
+the feedback law. Both propagators end in the one pass `_diagnose`: the
+v_stop cut, the unitary-dynamics invariants (trace, Hermiticity, purity,
+positivity) at every output sample, the field column, then V, concurrence
+and p_S. Violations beyond ten times the stated tolerances abort the run at
+the first bad sample.
 
 One thing is renormalized: after each accepted step, and at each sample,
 psi~ is scaled back to its initial norm (the projection of Hairer, Lubich &
@@ -64,6 +68,8 @@ EIGEN_FLOOR = -1e-8
 ABORT_FACTOR = 10.0
 # `integrate` steps rho as psi psi† when they differ by at most this in every entry.
 _RANK_ONE_TOL = 1e-12
+# 64 u (u = 2^-53): `_frame` counts an entry at or below this times its scale as zero.
+_ZERO = 64 * 2.0**-53
 
 # Dormand-Prince 5(4) tableau, as plain floats for the written-out attempt in
 # `_dp5`. _A holds the stage coefficients A[i, :i] of stages 2-6, at the
@@ -129,9 +135,10 @@ class IntegratorConfig:
 class IntegratorStats:
     """How a DP5(4) run was stepped: accepted and rejected attempts, `rhs`
     evaluations (6 per attempt plus the first, under FSAL), the smallest and
-    largest accepted step (None when no step was taken) and the largest
+    largest accepted step (None when no step was taken), the largest
     drift of the squared norm of psi~ that an accepted step left before its
-    projection (0 with no step)."""
+    projection (0 with no step), and how many eigen-amplitudes of H0 the run
+    reached (1-4, `_frame`)."""
 
     accepted: int
     rejected: int
@@ -139,6 +146,7 @@ class IntegratorStats:
     h_min: float | None
     h_max: float | None
     max_norm_drift: float
+    amplitudes: int
 
 
 @dataclass(frozen=True)
@@ -193,28 +201,46 @@ def _pure_state(rho: np.ndarray, name: str) -> np.ndarray:
 
 
 def _frame(h: HamiltonianPair, psi0: np.ndarray, psi_d0: np.ndarray) -> tuple[tuple, tuple]:
-    """The interaction picture of H0 for `rhs`, and psi~ = W† psi0 at t = 0.
+    """The interaction picture of H0 for `rhs`, and psi~ = W† psi0 at t = 0,
+    on the columns of the eigenbasis W of H0 that the run reaches.
 
-    The frame is ((lam, W), the rates i lam, the rows of W† H1 W, and
-    conj(psi_d~) for the constant target psi_d~ = W† psi_d0), with (lam, W)
-    the eigendecomposition of H0. All but (lam, W) are tuples of Python
-    complex numbers, padded with zeros to 4 levels for a 2-level pair.
+    With (lam, W) the eigendecomposition of H0, psi_d~ = W† psi_d0 and
+    h = W† H1 W, the run reaches every column where psi~ or psi_d~ is
+    nonzero, then every column that h couples to one it reaches, until none
+    is added. An entry counts as zero at or below _ZERO times its scale: 1
+    for the unit vectors, max |h| for the couplings. Nothing couples the
+    other columns to these, so their amplitudes stay zero and are not
+    stepped.
+
+    The frame is ((lam, W), the reached columns in increasing order, and on
+    them the rates i lam, the rows of h and conj(psi_d~)). Selecting columns
+    keeps lam and W bit for bit. The last three, and psi~, are tuples of
+    Python complex numbers 2 wide for at most two reached columns and 4 wide
+    otherwise, padded with exact zeros that stay zero.
     """
     lam, w = eig = np.linalg.eigh(h.h0)
-    d = len(lam)
-    h1 = np.zeros((4, 4), dtype=complex)
-    h1[:d, :d] = w.conj().T @ h.h1 @ w
-    vectors = np.zeros((3, 4), dtype=complex)
-    vectors[:, :d] = 1j * lam, w.T @ psi_d0.conj(), w.conj().T @ psi0
+    h1 = w.conj().T @ h.h1 @ w
+    target, y = w.T @ psi_d0.conj(), w.conj().T @ psi0
+    coupled = np.abs(h1) > _ZERO * np.max(np.abs(h1))
+    reached = (np.abs(y) > _ZERO) | (np.abs(target) > _ZERO)
+    for _ in lam:  # a chain of couplings is at most d - 1 long
+        reached |= coupled[reached].any(axis=0)
+    cols = np.flatnonzero(reached)
+    k, width = len(cols), 2 if len(cols) <= 2 else 4
+    rows = np.zeros((width, width), dtype=complex)
+    rows[:k, :k] = h1[np.ix_(cols, cols)]
+    vectors = np.zeros((3, width), dtype=complex)
+    vectors[:, :k] = 1j * lam[cols], target[cols], y[cols]
     rates, target, y = map(tuple, vectors.tolist())
-    return (eig, rates, tuple(map(tuple, h1.tolist())), target), y
+    return (eig, cols, rates, tuple(map(tuple, rows.tolist())), target), y
 
 
 def rhs(frame: tuple, law: Lyapunov, t: float, y: tuple) -> tuple:
     """The derivative of y = psi~ = W† U0(t)† psi, the state in the interaction
-    picture of U0(t) = exp(-i H0 t) written in the eigenbasis W of H0, under
-    the feedback law. y holds 4 Python complex numbers, and so does the
-    result: a 2-level pair is padded with zeros, which stay zero.
+    picture of U0(t) = exp(-i H0 t) written on the reached columns of the
+    eigenbasis W of H0 (`_frame`), under the feedback law. y holds 2 or 4
+    Python complex numbers, and so does the result. On 2 it does what the
+    4-wide branch does, in the same order, with the other terms left out.
 
     Only the control term is left: dpsi~/dt = -i f E h E* psi~, with
     h = W† H1 W and E = diag(exp(i lam t)). The field is
@@ -223,7 +249,18 @@ def rhs(frame: tuple, law: Lyapunov, t: float, y: tuple) -> tuple:
     b = <psi_d|psi>; the frame leaves both alone, and there psi_d~ is constant.
     The trace is imaginary by construction, so there is no realness to check.
     """
-    _, (l0, l1, l2, l3), rows, (g0, g1, g2, g3) = frame
+    if len(y) == 2:
+        _, _, (l0, l1), ((h00, h01), (h10, h11)), (g0, g1) = frame
+        e0, e1 = exp(l0 * t), exp(l1 * t)
+        y0, y1 = y
+        u0, u1 = y0 / e0, y1 / e1
+        v0 = e0 * (h00 * u0 + h01 * u1)
+        v1 = e1 * (h10 * u0 + h11 * u1)
+        a = g0 * v0 + g1 * v1
+        b = g0 * y0 + g1 * y1
+        m = -2j * law.sign * law.kappa * (a * b.conjugate()).imag
+        return m * v0, m * v1
+    _, _, (l0, l1, l2, l3), rows, (g0, g1, g2, g3) = frame
     (h00, h01, h02, h03), (h10, h11, h12, h13), (h20, h21, h22, h23), (h30, h31, h32, h33) = rows
     e0, e1, e2, e3 = exp(l0 * t), exp(l1 * t), exp(l2 * t), exp(l3 * t)
     y0, y1, y2, y3 = y
@@ -283,7 +320,7 @@ def vdot_identity_check(
     trace_term = control_field(pair[0], pair[1], h.h1, 1.0, 1)
     analytic = -law.sign * law.kappa * trace_term * trace_term
     # V is unchanged by the frame, so it is taken on psi~ against psi_d~.
-    target = np.outer(np.conj(frame[3]), frame[3])
+    target = np.outer(np.conj(frame[4]), frame[4])
     numeric = (lyapunov_value(rk4(delta), target) - lyapunov_value(rk4(-delta), target)) / (
         2.0 * delta
     )
@@ -411,11 +448,13 @@ def integrate(
     grid = _sample_grid(cfg)
     frame, y = _frame(h, _pure_state(pair[0], "rho0"), _pure_state(pair[1], "rho_d0"))
     samples, n, stats, error = _dp5(frame, law, y, grid, cfg)
-    lam, w = free = frame[0]
-    # Phases relative to lam_0, a global phase psi psi† drops: row and column 0 of rho
-    # then carry the phases `_evolve` gives the target, whose rounding cancels in V.
+    free, cols = frame[:2]
+    lam, w = free[0][cols], free[1][:, cols]
+    # Phases relative to the first reached column's lam, a global phase psi psi† drops:
+    # its row and column of rho then carry the phases `_evolve` gives the target, whose
+    # rounding cancels in V.
     phases = np.exp(np.multiply.outer(grid[:n], -1j * (lam - lam[0])))
-    psi = (samples[:n, : len(lam)] * phases) @ w.T
+    psi = (samples[:n, : len(cols)] * phases) @ w.T
     states = np.empty((n,) + pair.shape, dtype=complex)
     states[:, 0] = psi[:, :, None] * psi[:, None, :].conj()
     states[:, 1] = _evolve(free, pair[1], grid[:n])
@@ -429,8 +468,11 @@ def _dp5(
     frame: tuple, law: Lyapunov, y: tuple, grid: np.ndarray, cfg: IntegratorConfig
 ) -> tuple[np.ndarray, int, IntegratorStats, Exception | None]:
     """Step psi~ from y at t = 0 to t_max with the adaptive DP5(4) pair,
-    written out over the 4 amplitudes with no numpy call inside an attempt;
-    the error norm is the RMS over the pair's d levels.
+    written out over the 2 or 4 amplitudes of the frame (`_frame`) with no
+    numpy call inside an attempt. The 2-amplitude loop does what the
+    4-amplitude one does, in the same order, with the other terms left out.
+    The error norm is the RMS over the pair's d levels, where a level that
+    is not stepped counts as zero error.
 
     After each accepted step psi~ is scaled back to its initial squared norm
     N0 by c = sqrt(N0/N). A step whose N drifted from N0 by more than
@@ -441,8 +483,8 @@ def _dp5(
     t_max, the last sample time. With v_stop set, stepping ends after the
     first step that passes a sample with V < v_stop.
 
-    Returns the (len(grid), 4) samples of psi~, how many were taken, the
-    run's IntegratorStats, and the error that ended it early (or None).
+    Returns the (len(grid), len(y)) samples of psi~, how many were taken,
+    the run's IntegratorStats, and the error that ended it early (or None).
     """
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), a6 = _A
     a61, a62, a63, a64, a65 = a6
@@ -454,17 +496,15 @@ def _dp5(
     atol, rtol, v_stop, t_max = cfg.abs_tol, cfg.rel_tol, cfg.v_stop, cfg.t_max
     tol = 1e-10 * max(1.0, t_max)  # a step that ends within tol of t_max ends there
     dim = len(frame[0][0])
-    g0, g1, g2, g3 = frame[3]  # conj(psi_d~)
-    y0, y1, y2, y3 = y
-    my0, my1, my2, my3 = abs(y0), abs(y1), abs(y2), abs(y3)
-    norm0 = my0 * my0 + my1 * my1 + my2 * my2 + my3 * my3
+    target = frame[4]  # conj(psi_d~)
+    norm0 = sum(m * m for m in map(abs, y))
     # V = (N0² + N_d²)/2 - |<psi_d|psi>|² for the pure state and target.
-    v_far = 0.5 * (norm0 * norm0 + sum(abs(g) ** 2 for g in frame[3]) ** 2)
+    v_far = 0.5 * (norm0 * norm0 + sum(abs(g) ** 2 for g in target) ** 2)
     limit = ABORT_FACTOR * TRACE_TOL
     times = grid.tolist()
-    samples = np.empty((len(times), 4), dtype=complex)
+    samples = np.empty((len(times), len(y)), dtype=complex)
     samples[0] = y
-    ka0, ka1, ka2, ka3 = rhs(frame, law, 0.0, y)
+    ka = rhs(frame, law, 0.0, y)
     n = 1  # samples taken
     steps = []  # accepted step sizes
     rejected = 0
@@ -474,111 +514,200 @@ def _dp5(
     h_step = cfg.dt
     error = None
     try:
-        while t_max - t > tol:
-            hs = min(h_step, t_max - t)
-            if hs < 1e-13:
-                last = f"h={steps[-1]:.3e} ending at t={t:.6g}" if steps else "none"
-                raise IntegrationError(
-                    f"step size underflow (h={hs:.3e}; last accepted step {last})", t
-                )
+        if len(y) == 2:
+            (g0, g1), (y0, y1), (ka0, ka1) = target, y, ka
+            my0, my1 = abs(y0), abs(y1)
+            while t_max - t > tol:
+                hs = min(h_step, t_max - t)
+                if hs < 1e-13:
+                    last = f"h={steps[-1]:.3e} ending at t={t:.6g}" if steps else "none"
+                    raise IntegrationError(
+                        f"step size underflow (h={hs:.3e}; last accepted step {last})", t
+                    )
 
-            # One embedded DP5(4) attempt: stages ka..kg, new state z.
-            x1 = hs * a21
-            kb0, kb1, kb2, kb3 = rhs(frame, law, t + c2 * hs, (
-                y0 + x1 * ka0, y1 + x1 * ka1, y2 + x1 * ka2, y3 + x1 * ka3))
-            x1, x2 = hs * a31, hs * a32
-            kc0, kc1, kc2, kc3 = rhs(frame, law, t + c3 * hs, (
-                y0 + x1 * ka0 + x2 * kb0,
-                y1 + x1 * ka1 + x2 * kb1,
-                y2 + x1 * ka2 + x2 * kb2,
-                y3 + x1 * ka3 + x2 * kb3))
-            x1, x2, x3 = hs * a41, hs * a42, hs * a43
-            kd0, kd1, kd2, kd3 = rhs(frame, law, t + c4 * hs, (
-                y0 + x1 * ka0 + x2 * kb0 + x3 * kc0,
-                y1 + x1 * ka1 + x2 * kb1 + x3 * kc1,
-                y2 + x1 * ka2 + x2 * kb2 + x3 * kc2,
-                y3 + x1 * ka3 + x2 * kb3 + x3 * kc3))
-            x1, x2, x3, x4 = hs * a51, hs * a52, hs * a53, hs * a54
-            ke0, ke1, ke2, ke3 = rhs(frame, law, t + c5 * hs, (
-                y0 + x1 * ka0 + x2 * kb0 + x3 * kc0 + x4 * kd0,
-                y1 + x1 * ka1 + x2 * kb1 + x3 * kc1 + x4 * kd1,
-                y2 + x1 * ka2 + x2 * kb2 + x3 * kc2 + x4 * kd2,
-                y3 + x1 * ka3 + x2 * kb3 + x3 * kc3 + x4 * kd3))
-            x1, x2, x3, x4, x5 = hs * a61, hs * a62, hs * a63, hs * a64, hs * a65
-            kf0, kf1, kf2, kf3 = rhs(frame, law, t + hs, (
-                y0 + x1 * ka0 + x2 * kb0 + x3 * kc0 + x4 * kd0 + x5 * ke0,
-                y1 + x1 * ka1 + x2 * kb1 + x3 * kc1 + x4 * kd1 + x5 * ke1,
-                y2 + x1 * ka2 + x2 * kb2 + x3 * kc2 + x4 * kd2 + x5 * ke2,
-                y3 + x1 * ka3 + x2 * kb3 + x3 * kc3 + x4 * kd3 + x5 * ke3))
-            x1, x3, x4, x5, x6 = hs * b1, hs * b3, hs * b4, hs * b5, hs * b6
-            z0 = y0 + x1 * ka0 + x3 * kc0 + x4 * kd0 + x5 * ke0 + x6 * kf0
-            z1 = y1 + x1 * ka1 + x3 * kc1 + x4 * kd1 + x5 * ke1 + x6 * kf1
-            z2 = y2 + x1 * ka2 + x3 * kc2 + x4 * kd2 + x5 * ke2 + x6 * kf2
-            z3 = y3 + x1 * ka3 + x3 * kc3 + x4 * kd3 + x5 * ke3 + x6 * kf3
-            kg0, kg1, kg2, kg3 = rhs(frame, law, t + hs, (z0, z1, z2, z3))
-            mz0, mz1, mz2, mz3 = abs(z0), abs(z1), abs(z2), abs(z3)
-            x1, x3, x4, x5, x6, x7 = hs * e1, hs * e3, hs * e4, hs * e5, hs * e6, hs * e7
-            err = math.sqrt((
-                (abs(x1 * ka0 + x3 * kc0 + x4 * kd0 + x5 * ke0 + x6 * kf0 + x7 * kg0)
-                 / (atol + rtol * max(my0, mz0))) ** 2
-                + (abs(x1 * ka1 + x3 * kc1 + x4 * kd1 + x5 * ke1 + x6 * kf1 + x7 * kg1)
-                   / (atol + rtol * max(my1, mz1))) ** 2
-                + (abs(x1 * ka2 + x3 * kc2 + x4 * kd2 + x5 * ke2 + x6 * kf2 + x7 * kg2)
-                   / (atol + rtol * max(my2, mz2))) ** 2
-                + (abs(x1 * ka3 + x3 * kc3 + x4 * kd3 + x5 * ke3 + x6 * kf3 + x7 * kg3)
-                   / (atol + rtol * max(my3, mz3))) ** 2
-            ) / dim)
+                # One embedded DP5(4) attempt: stages ka..kg, new state z.
+                x1 = hs * a21
+                kb0, kb1 = rhs(frame, law, t + c2 * hs, (y0 + x1 * ka0, y1 + x1 * ka1))
+                x1, x2 = hs * a31, hs * a32
+                kc0, kc1 = rhs(frame, law, t + c3 * hs, (
+                    y0 + x1 * ka0 + x2 * kb0, y1 + x1 * ka1 + x2 * kb1))
+                x1, x2, x3 = hs * a41, hs * a42, hs * a43
+                kd0, kd1 = rhs(frame, law, t + c4 * hs, (
+                    y0 + x1 * ka0 + x2 * kb0 + x3 * kc0,
+                    y1 + x1 * ka1 + x2 * kb1 + x3 * kc1))
+                x1, x2, x3, x4 = hs * a51, hs * a52, hs * a53, hs * a54
+                ke0, ke1 = rhs(frame, law, t + c5 * hs, (
+                    y0 + x1 * ka0 + x2 * kb0 + x3 * kc0 + x4 * kd0,
+                    y1 + x1 * ka1 + x2 * kb1 + x3 * kc1 + x4 * kd1))
+                x1, x2, x3, x4, x5 = hs * a61, hs * a62, hs * a63, hs * a64, hs * a65
+                kf0, kf1 = rhs(frame, law, t + hs, (
+                    y0 + x1 * ka0 + x2 * kb0 + x3 * kc0 + x4 * kd0 + x5 * ke0,
+                    y1 + x1 * ka1 + x2 * kb1 + x3 * kc1 + x4 * kd1 + x5 * ke1))
+                x1, x3, x4, x5, x6 = hs * b1, hs * b3, hs * b4, hs * b5, hs * b6
+                z0 = y0 + x1 * ka0 + x3 * kc0 + x4 * kd0 + x5 * ke0 + x6 * kf0
+                z1 = y1 + x1 * ka1 + x3 * kc1 + x4 * kd1 + x5 * ke1 + x6 * kf1
+                kg0, kg1 = rhs(frame, law, t + hs, (z0, z1))
+                mz0, mz1 = abs(z0), abs(z1)
+                x1, x3, x4, x5, x6, x7 = hs * e1, hs * e3, hs * e4, hs * e5, hs * e6, hs * e7
+                err = math.sqrt((
+                    (abs(x1 * ka0 + x3 * kc0 + x4 * kd0 + x5 * ke0 + x6 * kf0 + x7 * kg0)
+                     / (atol + rtol * max(my0, mz0))) ** 2
+                    + (abs(x1 * ka1 + x3 * kc1 + x4 * kd1 + x5 * ke1 + x6 * kf1 + x7 * kg1)
+                       / (atol + rtol * max(my1, mz1))) ** 2
+                ) / dim)
 
-            if not err <= 1.0:  # a NaN error is a rejection too
-                rejected += 1
-                h_step = hs * max(0.2, 0.9 * err ** -0.2)
-                continue
-            t_new = t + hs
-            if t_max - t_new <= tol:
-                t_new = t_max
-            norm = mz0 * mz0 + mz1 * mz1 + mz2 * mz2 + mz3 * mz3
-            drift = abs(norm - norm0)
-            if drift > limit:
-                raise IntegrationError(
-                    f"psi~ norm drift {drift:.3e} exceeds abort threshold", t_new
-                )
-            max_drift = max(max_drift, drift)
-            below = False
-            while n < len(times) and times[n] <= t_new:  # samples in (t, t_new]
-                th = (times[n] - t) / hs
-                x1 = hs * th * (1.0 + th * (d12 + th * (d13 + th * d14)))
-                x3 = hs * th * th * (d32 + th * (d33 + th * d34))
-                x4 = hs * th * th * (d42 + th * (d43 + th * d44))
-                x5 = hs * th * th * (d52 + th * (d53 + th * d54))
-                x6 = hs * th * th * (d62 + th * (d63 + th * d64))
-                x7 = hs * th * th * (d72 + th * (d73 + th * d74))
-                o0 = y0 + x1 * ka0 + x3 * kc0 + x4 * kd0 + x5 * ke0 + x6 * kf0 + x7 * kg0
-                o1 = y1 + x1 * ka1 + x3 * kc1 + x4 * kd1 + x5 * ke1 + x6 * kf1 + x7 * kg1
-                o2 = y2 + x1 * ka2 + x3 * kc2 + x4 * kd2 + x5 * ke2 + x6 * kf2 + x7 * kg2
-                o3 = y3 + x1 * ka3 + x3 * kc3 + x4 * kd3 + x5 * ke3 + x6 * kf3 + x7 * kg3
-                c = math.sqrt(norm0 / (abs(o0) ** 2 + abs(o1) ** 2 + abs(o2) ** 2 + abs(o3) ** 2))
-                samples[n] = c * o0, c * o1, c * o2, c * o3
-                n += 1
-                if v_stop is not None:
-                    fid = c * c * abs(g0 * o0 + g1 * o1 + g2 * o2 + g3 * o3) ** 2
-                    below = below or v_far - fid < v_stop
-            c = math.sqrt(norm0 / norm)
-            y0, y1, y2, y3 = c * z0, c * z1, c * z2, c * z3
-            my0, my1, my2, my3 = c * mz0, c * mz1, c * mz2, c * mz3
-            c = c * c * c
-            ka0, ka1, ka2, ka3 = c * kg0, c * kg1, c * kg2, c * kg3  # FSAL
-            t = t_new
-            steps.append(hs)
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-            h_step = hs * factor
-            if below:
-                break
+                if not err <= 1.0:  # a NaN error is a rejection too
+                    rejected += 1
+                    h_step = hs * max(0.2, 0.9 * err ** -0.2)
+                    continue
+                t_new = t + hs
+                if t_max - t_new <= tol:
+                    t_new = t_max
+                norm = mz0 * mz0 + mz1 * mz1
+                drift = abs(norm - norm0)
+                if drift > limit:
+                    raise IntegrationError(
+                        f"psi~ norm drift {drift:.3e} exceeds abort threshold", t_new
+                    )
+                max_drift = max(max_drift, drift)
+                below = False
+                while n < len(times) and times[n] <= t_new:  # samples in (t, t_new]
+                    th = (times[n] - t) / hs
+                    x1 = hs * th * (1.0 + th * (d12 + th * (d13 + th * d14)))
+                    x3 = hs * th * th * (d32 + th * (d33 + th * d34))
+                    x4 = hs * th * th * (d42 + th * (d43 + th * d44))
+                    x5 = hs * th * th * (d52 + th * (d53 + th * d54))
+                    x6 = hs * th * th * (d62 + th * (d63 + th * d64))
+                    x7 = hs * th * th * (d72 + th * (d73 + th * d74))
+                    o0 = y0 + x1 * ka0 + x3 * kc0 + x4 * kd0 + x5 * ke0 + x6 * kf0 + x7 * kg0
+                    o1 = y1 + x1 * ka1 + x3 * kc1 + x4 * kd1 + x5 * ke1 + x6 * kf1 + x7 * kg1
+                    c = math.sqrt(norm0 / (abs(o0) ** 2 + abs(o1) ** 2))
+                    samples[n] = c * o0, c * o1
+                    n += 1
+                    if v_stop is not None:
+                        fid = c * c * abs(g0 * o0 + g1 * o1) ** 2
+                        below = below or v_far - fid < v_stop
+                c = math.sqrt(norm0 / norm)
+                y0, y1 = c * z0, c * z1
+                my0, my1 = c * mz0, c * mz1
+                c = c * c * c
+                ka0, ka1 = c * kg0, c * kg1  # FSAL
+                t = t_new
+                steps.append(hs)
+                factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+                h_step = hs * factor
+                if below:
+                    break
+        else:
+            (g0, g1, g2, g3), (y0, y1, y2, y3), (ka0, ka1, ka2, ka3) = target, y, ka
+            my0, my1, my2, my3 = abs(y0), abs(y1), abs(y2), abs(y3)
+            while t_max - t > tol:
+                hs = min(h_step, t_max - t)
+                if hs < 1e-13:
+                    last = f"h={steps[-1]:.3e} ending at t={t:.6g}" if steps else "none"
+                    raise IntegrationError(
+                        f"step size underflow (h={hs:.3e}; last accepted step {last})", t
+                    )
+
+                # One embedded DP5(4) attempt: stages ka..kg, new state z.
+                x1 = hs * a21
+                kb0, kb1, kb2, kb3 = rhs(frame, law, t + c2 * hs, (
+                    y0 + x1 * ka0, y1 + x1 * ka1, y2 + x1 * ka2, y3 + x1 * ka3))
+                x1, x2 = hs * a31, hs * a32
+                kc0, kc1, kc2, kc3 = rhs(frame, law, t + c3 * hs, (
+                    y0 + x1 * ka0 + x2 * kb0,
+                    y1 + x1 * ka1 + x2 * kb1,
+                    y2 + x1 * ka2 + x2 * kb2,
+                    y3 + x1 * ka3 + x2 * kb3))
+                x1, x2, x3 = hs * a41, hs * a42, hs * a43
+                kd0, kd1, kd2, kd3 = rhs(frame, law, t + c4 * hs, (
+                    y0 + x1 * ka0 + x2 * kb0 + x3 * kc0,
+                    y1 + x1 * ka1 + x2 * kb1 + x3 * kc1,
+                    y2 + x1 * ka2 + x2 * kb2 + x3 * kc2,
+                    y3 + x1 * ka3 + x2 * kb3 + x3 * kc3))
+                x1, x2, x3, x4 = hs * a51, hs * a52, hs * a53, hs * a54
+                ke0, ke1, ke2, ke3 = rhs(frame, law, t + c5 * hs, (
+                    y0 + x1 * ka0 + x2 * kb0 + x3 * kc0 + x4 * kd0,
+                    y1 + x1 * ka1 + x2 * kb1 + x3 * kc1 + x4 * kd1,
+                    y2 + x1 * ka2 + x2 * kb2 + x3 * kc2 + x4 * kd2,
+                    y3 + x1 * ka3 + x2 * kb3 + x3 * kc3 + x4 * kd3))
+                x1, x2, x3, x4, x5 = hs * a61, hs * a62, hs * a63, hs * a64, hs * a65
+                kf0, kf1, kf2, kf3 = rhs(frame, law, t + hs, (
+                    y0 + x1 * ka0 + x2 * kb0 + x3 * kc0 + x4 * kd0 + x5 * ke0,
+                    y1 + x1 * ka1 + x2 * kb1 + x3 * kc1 + x4 * kd1 + x5 * ke1,
+                    y2 + x1 * ka2 + x2 * kb2 + x3 * kc2 + x4 * kd2 + x5 * ke2,
+                    y3 + x1 * ka3 + x2 * kb3 + x3 * kc3 + x4 * kd3 + x5 * ke3))
+                x1, x3, x4, x5, x6 = hs * b1, hs * b3, hs * b4, hs * b5, hs * b6
+                z0 = y0 + x1 * ka0 + x3 * kc0 + x4 * kd0 + x5 * ke0 + x6 * kf0
+                z1 = y1 + x1 * ka1 + x3 * kc1 + x4 * kd1 + x5 * ke1 + x6 * kf1
+                z2 = y2 + x1 * ka2 + x3 * kc2 + x4 * kd2 + x5 * ke2 + x6 * kf2
+                z3 = y3 + x1 * ka3 + x3 * kc3 + x4 * kd3 + x5 * ke3 + x6 * kf3
+                kg0, kg1, kg2, kg3 = rhs(frame, law, t + hs, (z0, z1, z2, z3))
+                mz0, mz1, mz2, mz3 = abs(z0), abs(z1), abs(z2), abs(z3)
+                x1, x3, x4, x5, x6, x7 = hs * e1, hs * e3, hs * e4, hs * e5, hs * e6, hs * e7
+                err = math.sqrt((
+                    (abs(x1 * ka0 + x3 * kc0 + x4 * kd0 + x5 * ke0 + x6 * kf0 + x7 * kg0)
+                     / (atol + rtol * max(my0, mz0))) ** 2
+                    + (abs(x1 * ka1 + x3 * kc1 + x4 * kd1 + x5 * ke1 + x6 * kf1 + x7 * kg1)
+                       / (atol + rtol * max(my1, mz1))) ** 2
+                    + (abs(x1 * ka2 + x3 * kc2 + x4 * kd2 + x5 * ke2 + x6 * kf2 + x7 * kg2)
+                       / (atol + rtol * max(my2, mz2))) ** 2
+                    + (abs(x1 * ka3 + x3 * kc3 + x4 * kd3 + x5 * ke3 + x6 * kf3 + x7 * kg3)
+                       / (atol + rtol * max(my3, mz3))) ** 2
+                ) / dim)
+
+                if not err <= 1.0:  # a NaN error is a rejection too
+                    rejected += 1
+                    h_step = hs * max(0.2, 0.9 * err ** -0.2)
+                    continue
+                t_new = t + hs
+                if t_max - t_new <= tol:
+                    t_new = t_max
+                norm = mz0 * mz0 + mz1 * mz1 + mz2 * mz2 + mz3 * mz3
+                drift = abs(norm - norm0)
+                if drift > limit:
+                    raise IntegrationError(
+                        f"psi~ norm drift {drift:.3e} exceeds abort threshold", t_new
+                    )
+                max_drift = max(max_drift, drift)
+                below = False
+                while n < len(times) and times[n] <= t_new:  # samples in (t, t_new]
+                    th = (times[n] - t) / hs
+                    x1 = hs * th * (1.0 + th * (d12 + th * (d13 + th * d14)))
+                    x3 = hs * th * th * (d32 + th * (d33 + th * d34))
+                    x4 = hs * th * th * (d42 + th * (d43 + th * d44))
+                    x5 = hs * th * th * (d52 + th * (d53 + th * d54))
+                    x6 = hs * th * th * (d62 + th * (d63 + th * d64))
+                    x7 = hs * th * th * (d72 + th * (d73 + th * d74))
+                    o0 = y0 + x1 * ka0 + x3 * kc0 + x4 * kd0 + x5 * ke0 + x6 * kf0 + x7 * kg0
+                    o1 = y1 + x1 * ka1 + x3 * kc1 + x4 * kd1 + x5 * ke1 + x6 * kf1 + x7 * kg1
+                    o2 = y2 + x1 * ka2 + x3 * kc2 + x4 * kd2 + x5 * ke2 + x6 * kf2 + x7 * kg2
+                    o3 = y3 + x1 * ka3 + x3 * kc3 + x4 * kd3 + x5 * ke3 + x6 * kf3 + x7 * kg3
+                    c = math.sqrt(
+                        norm0 / (abs(o0) ** 2 + abs(o1) ** 2 + abs(o2) ** 2 + abs(o3) ** 2))
+                    samples[n] = c * o0, c * o1, c * o2, c * o3
+                    n += 1
+                    if v_stop is not None:
+                        fid = c * c * abs(g0 * o0 + g1 * o1 + g2 * o2 + g3 * o3) ** 2
+                        below = below or v_far - fid < v_stop
+                c = math.sqrt(norm0 / norm)
+                y0, y1, y2, y3 = c * z0, c * z1, c * z2, c * z3
+                my0, my1, my2, my3 = c * mz0, c * mz1, c * mz2, c * mz3
+                c = c * c * c
+                ka0, ka1, ka2, ka3 = c * kg0, c * kg1, c * kg2, c * kg3  # FSAL
+                t = t_new
+                steps.append(hs)
+                factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+                h_step = hs * factor
+                if below:
+                    break
     except (IntegrationError, ValueError) as exc:
         error = exc
 
     h_range = (min(steps), max(steps)) if steps else (None, None)
     evals = 1 + 6 * (len(steps) + rejected)
-    return samples, n, IntegratorStats(len(steps), rejected, evals, *h_range, max_drift), error
+    stats = IntegratorStats(len(steps), rejected, evals, *h_range, max_drift, len(frame[1]))
+    return samples, n, stats, error
 
 
 def _evolve(eig: tuple[np.ndarray, np.ndarray], rho: np.ndarray, times: np.ndarray) -> np.ndarray:

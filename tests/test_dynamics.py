@@ -64,6 +64,12 @@ def x_state(name):
     return outer(v)
 
 
+def off_s_state():
+    """|++> with a Psi- admixture, which H1 annihilates: it reaches three
+    eigen-amplitudes of H0, so its runs step the 4-amplitude attempt."""
+    return outer(0.8 * np.eye(4)[0] + 0.6 * bell_state(BellName.PSI_MINUS, X_PRODUCT))
+
+
 def vec_frame(h, states):
     """The reference stepper's frame: vec rho~ at t = 0 for the (2, d, d)
     state/target stack, rho~ = W† U0(t)† rho U0(t) W in the eigenbasis
@@ -283,6 +289,18 @@ class TestLyapunovRuns:
         assert traj.V[-1] < 1e-8
         assert traj.V[-2] >= 1e-8
 
+    def test_v_stop_ends_four_amplitude_run_early(self):
+        # V falls from 0.68 towards the Psi- population 0.36 (`off_s_state`)
+        # and passes 0.5 at t = 12.4.
+        rho_d0 = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
+        cfg = IntegratorConfig(t_max=60.0, v_stop=0.5)
+        traj = integrate(local_pair(), Lyapunov(kappa=2.0), off_s_state(), rho_d0, cfg)
+        stats = traj.metadata.integrator_stats
+        assert stats.amplitudes == 3
+        assert traj.V[-1] < 0.5 <= traj.V[-2]
+        # Stepping ended with the step that passed the cut, not at t_max.
+        assert stats.accepted * stats.h_max < 2 * traj.t[-1] < cfg.t_max
+
     def test_mixed_state_rejected(self):
         # `integrate` steps state vectors, and a Werner state has none. Its
         # eigenvalues 0.85, 0.05, 0.05, 0.05 give 1 - Tr rho² = 0.27.
@@ -313,10 +331,11 @@ class TestProjection:
 
         monkeypatch.setattr(dynamics, "rhs", growing)
         rho_d0 = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
-        with pytest.raises(IntegrationError, match="psi~ norm drift") as excinfo:
-            integrate(local_pair(), Lyapunov(kappa=1.0), x_state("|++>"), rho_d0,
-                      IntegratorConfig(t_max=1.0))
-        assert 0.35 < excinfo.value.t < 0.5
+        for rho0 in (x_state("|++>"), off_s_state()):  # 2 and 4 amplitudes
+            with pytest.raises(IntegrationError, match="psi~ norm drift") as excinfo:
+                integrate(local_pair(), Lyapunov(kappa=1.0), rho0, rho_d0,
+                          IntegratorConfig(t_max=1.0))
+            assert 0.35 < excinfo.value.t < 0.5
 
     def test_preset_runs_report_their_drift(self, lyapunov_runs):
         # The six Lyapunov presets of figure2 and figure3 are the six of figure4.
@@ -346,7 +365,7 @@ class TestProjection:
         in row and column 0 of rho one factor is exp(0) = 1 and the other is
         the very rounded phase of rho_d's entry (README). On these presets
         psi~ and psi_d~ lie in the span of eigenvectors 0 and 3 of H0, which
-        is S (their other amplitudes stay below 3e-16), so every off-diagonal
+        is S (the other columns are not stepped), so every off-diagonal
         entry of either matrix sits in row or column 0. There rho and rho_d
         are turned by one diagonal unitary of the rounded phases, which
         leaves ||D||_F, and so V, as it was; what is left, |phase|² - 1 on
@@ -572,21 +591,19 @@ class TestRhs:
         psi = random_vector(psi, d)  # state and target at time t
         psi_d = random_vector(psi_d, d)
         u0 = expm(-1j * h.h0 * t)
-        frame, _ = dynamics._frame(h, u0.conj().T @ psi, u0.conj().T @ psi_d)
-        w = frame[0][1]
-
-        def to_frame(v):
-            return w.conj().T @ u0.conj().T @ v
-
-        y = np.zeros(4, dtype=complex)
-        y[:d] = to_frame(psi)
-        dy = np.array(rhs(frame, law, t, tuple(y.tolist())))
+        # y is psi~ at time t on the reached columns of W, padded to 2 or 4.
+        frame, y = dynamics._frame(h, u0.conj().T @ psi, u0.conj().T @ psi_d)
+        (_, w), cols = frame[:2]
+        dy = np.array(rhs(frame, law, t, y))
+        stepped = np.zeros(d, dtype=complex)
+        stepped[cols] = dy[: len(cols)]
 
         f_ref = control_field(outer(psi), outer(psi_d), h.h1, law.kappa, law.sign)
-        dy_ref = to_frame(-1j * f_ref * h.h1 @ psi)
+        dy_ref = w.conj().T @ u0.conj().T @ (-1j * f_ref * h.h1 @ psi)
         scale = (abs(f_ref) + law.kappa * hs_norm(h.h1)) * hs_norm(h.h1)
-        assert np.linalg.norm(dy[:d] - dy_ref) <= 1e-12 * scale
-        assert np.all(dy[d:] == 0)  # a 2-level pair's padding stays zero
+        # The columns not reached take no derivative, and the padding stays zero.
+        assert np.linalg.norm(stepped - dy_ref) <= 1e-12 * scale
+        assert np.all(dy[len(cols):] == 0)
 
     def test_non_hermitian_target_rejected_like_control_field(self, monkeypatch):
         h = local_pair()
@@ -616,6 +633,65 @@ class TestRhs:
         assert np.array_equal(traj.rho_d, free.rho_d)
 
 
+def preset_states(label):
+    """A figure4 preset's scenario, pair and initial and target state vectors."""
+    cfg = dict(preset_scenarios("figure4"))[label]
+    h = hamiltonians(cfg.model, cfg.paradigm, X_PRODUCT)
+    return cfg, h, [X_PRODUCT.vector_from_z(v) for v in (cfg.initial_state, cfg.target_state)]
+
+
+class TestReachedColumns:
+    """`_frame` keeps the columns of the eigenbasis W of H0 where psi~ or
+    psi_d~ is nonzero, and those that W† H1 W couples to them, and the run
+    steps 2 amplitudes for at most two such columns, 4 otherwise."""
+
+    @staticmethod
+    def reached(h, psi, psi_d):
+        frame, y = dynamics._frame(h, psi, psi_d)
+        return list(frame[1]), len(y)
+
+    @pytest.mark.parametrize("label", [label for label, _ in preset_scenarios("figure4")])
+    def test_presets_reach_s_alone(self, label):
+        _, h, states = preset_states(label)
+        assert self.reached(h, *states) == ([0, 3], 2)
+
+    @pytest.mark.parametrize(
+        "initial,target,columns", [("|00>", "PhiPlus", [0, 2, 3]), ("|++>", "PsiMinus", [0, 1, 3])]
+    )
+    def test_states_off_s_reach_three(self, initial, target, columns):
+        states = [X_PRODUCT.vector_from_z(STATE_LITERALS[s]) for s in (initial, target)]
+        assert self.reached(local_pair(), *states) == (columns, 4)
+
+    def test_random_pair_reaches_four(self):
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+        h = HamiltonianPair(m[0] + m[0].conj().T, m[1] + m[1].conj().T, X_PRODUCT)
+        e0 = np.eye(4, dtype=complex)[0]
+        assert self.reached(h, e0, e0) == ([0, 1, 2, 3], 4)
+
+    @pytest.mark.parametrize("paradigm", list(Paradigm), ids=lambda p: p.value)
+    def test_reduced_pair_steps_two_unpadded(self, paradigm):
+        red = subspace_reduce(hamiltonians(P, paradigm, X_PRODUCT))
+        states = [red.basis.vector_from_z(STATE_LITERALS[s]) for s in ("|++>", "PhiPlus")]
+        assert self.reached(red, *states) == ([0, 1], 2)
+
+    @pytest.mark.parametrize("label", ["figure4_local_k2", "figure4_interaction_k0.5"])
+    def test_two_amplitudes_step_as_four(self, label, monkeypatch):
+        """The preset on its two reached amplitudes against the same run with
+        every entry counted as nonzero, which steps all four. The steps are
+        the same, and rho is within 2 * 64 u: an amplitude left out is at most
+        64 u, and moves an entry of psi psi† by at most twice that."""
+        cfg, h, states = preset_states(label)
+        rho0, rho_d0 = map(outer, states)
+        two = integrate(h, cfg.law, rho0, rho_d0, cfg.integrator)
+        monkeypatch.setattr(dynamics, "_ZERO", -1.0)
+        four = integrate(h, cfg.law, rho0, rho_d0, cfg.integrator)
+        stats = two.metadata.integrator_stats
+        assert (stats.amplitudes, four.metadata.integrator_stats.amplitudes) == (2, 4)
+        assert dataclasses.replace(stats, amplitudes=4) == four.metadata.integrator_stats
+        assert np.max(np.abs(two.rho - four.rho)) <= 2 * 64 * 2.0**-53
+
+
 class TestStateStack:
     """`integrate` takes each sample's state as
     psi = W diag(exp(-i (lam - lam_0) t)) psi~, up to a global phase, and
@@ -640,14 +716,15 @@ class TestStateStack:
 
         def spy(frame, *args):
             out = dp5(frame, *args)
-            taken.append((frame[0], out[0][: out[1]]))
+            (lam, w), cols = frame[:2]
+            taken.append((lam[cols], w[:, cols], out[0][: out[1], : len(cols)]))
             return out
 
         dp5 = dynamics._dp5
         monkeypatch.setattr(dynamics, "_dp5", spy)
         traj = integrate(h, law, rho0, rho_d0, cfg)
-        ((lam, w), psi), = taken
-        return traj, lam, w, psi[: len(traj), : len(lam)]
+        (lam, w, psi), = taken
+        return traj, lam, w, psi[: len(traj)]
 
     def check(self, traj, lam, w, psi):
         ext = np.longdouble
@@ -710,12 +787,28 @@ class TestAgainstDOP853:
         ],
     )
     def test_preset_matches_reference(self, label, rho_tol, rho_until):
-        cfg = dict(preset_scenarios("figure4"))[label]
+        self.check(dict(preset_scenarios("figure4"))[label], 2, rho_tol, rho_until)
+
+    def test_four_amplitude_run_matches_reference(self):
+        # From |0+> = (|00> + |01>)/sqrt(2) the local pair reaches all four
+        # eigen-amplitudes of H0, so the run takes the 4-amplitude attempt,
+        # which no preset takes; the feedback is on, with V from 0.75 to 0.5.
+        # The bounds are local_k2's: the same stepper at the same tolerances.
+        cfg = dict(preset_scenarios("figure4"))["figure4_local_k2"]
+        cfg = dataclasses.replace(
+            cfg, initial_state=np.array([1, 1, 0, 0]) / np.sqrt(2),
+            integrator=dataclasses.replace(cfg.integrator, t_max=30.0),
+        )
+        self.check(cfg, 4, 5e-8, np.inf)
+
+    @staticmethod
+    def check(cfg, amplitudes, rho_tol, rho_until):
         law = cfg.law
         h = hamiltonians(cfg.model, cfg.paradigm, X_PRODUCT)
         rho0 = outer(X_PRODUCT.vector_from_z(cfg.initial_state))
         rho_d0 = outer(X_PRODUCT.vector_from_z(cfg.target_state))
         traj = integrate(h, law, rho0, rho_d0, cfg.integrator)
+        assert traj.metadata.integrator_stats.amplitudes == amplitudes
 
         frame, y = vec_frame(h, np.stack([rho0, rho_d0]))
         ref = solve_ivp(lambda t, y: vec_rhs(frame, law, t, y), (0.0, traj.t[-1]), y,
@@ -739,12 +832,20 @@ class TestAgainstDOP853:
 class TestIntegratorStats:
     def test_field_names(self):
         assert [f.name for f in dataclasses.fields(IntegratorStats)] == [
-            "accepted", "rejected", "rhs_evals", "h_min", "h_max", "max_norm_drift"
+            "accepted", "rejected", "rhs_evals", "h_min", "h_max", "max_norm_drift",
+            "amplitudes",
         ]
         meta = dataclasses.fields(TrajectoryMetadata)[-1]
         assert (meta.name, meta.default) == ("integrator_stats", None)
 
-    def test_counts_every_rhs_call(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "rho0,amplitudes",
+        [(x_state("|++>"), 2), (off_s_state(), 3)],
+        ids=["two_amplitudes", "three_columns"],
+    )
+    def test_counts_every_rhs_call(self, monkeypatch, rho0, amplitudes):
+        # Both widths of the attempt go through the module-level `rhs`; the
+        # benchmark's traced runs count on rhs_evals = 6 * attempts + 1 there.
         calls = []
         real_rhs = dynamics.rhs
 
@@ -756,8 +857,9 @@ class TestIntegratorStats:
         rho_d0 = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
         # A first step of 2.0 is too long for the tolerance, so some attempts fail.
         cfg = IntegratorConfig(t_max=4.0, dt=2.0, sample_every=2.0)
-        traj = integrate(local_pair(), Lyapunov(kappa=2.0), x_state("|++>"), rho_d0, cfg)
+        traj = integrate(local_pair(), Lyapunov(kappa=2.0), rho0, rho_d0, cfg)
         stats = traj.metadata.integrator_stats
+        assert stats.amplitudes == amplitudes
         assert stats.rejected > 0
         assert 0.0 < stats.h_min <= stats.h_max <= cfg.t_max
         assert stats.rhs_evals == len(calls) == 6 * (stats.accepted + stats.rejected) + 1
