@@ -4,21 +4,22 @@ target, and exact open-loop propagation.
 The closed loop drho/dt = -i [H0 + f(rho, rho_d, t) H1, rho] steers rho
 towards the target rho_d(t) = U0(t) rho_d0 U0(t)†, U0(t) = exp(-i H0 t).
 For a pure state rho = psi psi† it is the Schrodinger equation
-dpsi/dt = -i (H0 + f H1) psi. `integrate` takes feedback laws only and
-steps only the state vector psi~ = W† U0(t)† psi in the eigenbasis W of H0,
-whose derivative is the control term alone (`rhs`), and of psi~ only the
-amplitudes on the columns of W that the run reaches (`_frame`): the
-columns where psi~ or the target is nonzero, and those that H1 couples to
-them. It steps them with an adaptive embedded Dormand-Prince 5(4) scheme
-written out over 2 amplitudes, or over 4 when more than two columns are
-reached, over the whole run (every stage re-evaluates the feedback), and
-reads its samples off the scheme's continuous extension. Each sample's
-state is psi = W diag(exp(-i (lam - lam_0) t)) psi~ on the reached columns,
-with lam_0 the first one's, up to a global phase, one row-wise product over
-all samples, and rho = psi psi†. The target is the exact free evolution of
-rho_d0 by the eigendecomposition path (`_evolve`) that `propagate_exact`
-uses for open-loop runs (a geometric law or none), whose Hamiltonian is
-constant on each interval and which also takes mixed states.
+dpsi/dt = -i (H0 + f H1) psi. H0 and H1 commute with the parity X(x)X, and
+every pair is diagonalised on its sectors, S = span{|++>, |-->} and the
+complement (`_sector_eigh`). `integrate` takes feedback laws only and steps
+only the state vector psi~ = W† U0(t)† psi in the eigenbasis W of H0, whose
+derivative is the control term alone (`rhs`), and of psi~ only the sectors
+where psi~ or the target has weight (`_frame`), 2 or 4 amplitudes. It steps
+them with an adaptive embedded Dormand-Prince 5(4) scheme written out over
+2 or 4 amplitudes, over the whole run (every stage re-evaluates the
+feedback), and reads its samples off the scheme's continuous extension.
+Each sample's state is psi = W diag(exp(-i (lam - lam_0) t)) psi~ on the
+stepped columns, with lam_0 the first one's, up to a global phase, one
+row-wise product over all samples, and rho = psi psi†. The target is the
+exact free evolution of rho_d0 by the eigendecomposition path (`_evolve`)
+that `propagate_exact` uses for open-loop runs (a geometric law or none),
+whose Hamiltonian is constant on each interval and which also takes mixed
+states.
 `vdot_identity_check` steps the same flow to check the descent identity of
 the feedback law. Both propagators end in the one pass `_diagnose`: the
 v_stop cut, the unitary-dynamics invariants (trace, Hermiticity, purity,
@@ -33,7 +34,8 @@ a step whose squared norm moved by more than ten times the trace tolerance
 before the projection aborts the run, and the largest such drift of a run
 is reported in its `IntegratorStats`. One projection moves V by at most
 that drift (README), so the descent of the feedback law, which the
-integration is to expose, is kept to roundoff.
+integration is to expose, is kept to roundoff. The population of S, which
+the exact flow keeps too, is checked and reported the same way.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .model import (
     HamiltonianPair,
     ModelParams,
     Paradigm,
+    SECTOR_ROWS,
     subspace_populations,
 )
 from . import metrics
@@ -68,8 +71,12 @@ EIGEN_FLOOR = -1e-8
 ABORT_FACTOR = 10.0
 # `integrate` steps rho as psi psi† when they differ by at most this in every entry.
 _RANK_ONE_TOL = 1e-12
-# 64 u (u = 2^-53): `_frame` counts an entry at or below this times its scale as zero.
-_ZERO = 64 * 2.0**-53
+# 64 u (u = 2^-53): `_frame` steps a parity sector where psi~ or psi_d~ weighs more.
+_SECTOR_WEIGHT = 64 * 2.0**-53
+# 128 u: `_sector_eigh`'s bound on the off-block norm of H / ||H||_F. Three 4x4
+# conjugations (by T, by SECTOR_ROWS T† and its own product) each round H by
+# about 20 u ||H||_F at most (gamma_4 ||A||_F ||B||_F per product). Seen: 1.4 u.
+_OFF_BLOCK = 128 * 2.0**-53
 
 # Dormand-Prince 5(4) tableau, as plain floats for the written-out attempt in
 # `_dp5`. _A holds the stage coefficients A[i, :i] of stages 2-6, at the
@@ -137,8 +144,9 @@ class IntegratorStats:
     evaluations (6 per attempt plus the first, under FSAL), the smallest and
     largest accepted step (None when no step was taken), the largest
     drift of the squared norm of psi~ that an accepted step left before its
-    projection (0 with no step), and how many eigen-amplitudes of H0 the run
-    reached (1-4, `_frame`)."""
+    projection (0 with no step), the same after it for its S sector, p_S
+    (0 for one sector), and how many eigen-amplitudes of H0 the run
+    stepped: 2 for one parity sector, 4 for both (`_frame`)."""
 
     accepted: int
     rejected: int
@@ -146,6 +154,7 @@ class IntegratorStats:
     h_min: float | None
     h_max: float | None
     max_norm_drift: float
+    max_sector_drift: float
     amplitudes: int
 
 
@@ -200,57 +209,74 @@ def _pure_state(rho: np.ndarray, name: str) -> np.ndarray:
     return psi
 
 
+def _sector_eigh(h: HamiltonianPair, fields: tuple = (0.0,)) -> tuple:
+    """The eigendecompositions (lam, W) of H0 + f H1 for each f in fields;
+    every propagator diagonalises a pair here. In sector coordinates Q H Q†,
+    Q = SECTOR_ROWS T† (T the basis transform, S first), H0 and H1 must be
+    block diagonal to _OFF_BLOCK, that is, commute with X(x)X, or it is a
+    ValueError (the off-block that eigh would read is checked). The 2x2
+    blocks of every H0 + f H1 go through one batched eigh, (lam_s, V_s) for
+    sector s, and W = Q† blockdiag(V_S, V_perp): the (k, 4) lam, ascending
+    within each sector, and the (k, 4, 4) W.
+    """
+    q = SECTOR_ROWS @ h.basis.transform.conj().T
+    pair = np.stack([q @ op @ q.conj().T for op in (h.h0, h.h1)])
+    sq = (pair * pair.conj()).real
+    off = np.sqrt(sq[:, 2:, :2].sum(axis=(1, 2)))
+    if (off > _OFF_BLOCK * np.sqrt(sq.sum(axis=(1, 2)))).any():
+        raise ValueError(f"the pair does not commute with X(x)X (off-block norms of h0, h1: "
+                         f"{off[0]:.3e}, {off[1]:.3e})")
+    blocks = np.stack([pair[:, :2, :2], pair[:, 2:, 2:]], axis=1)  # (h0 or h1, sector)
+    lam, v = np.linalg.eigh(blocks[0] + np.multiply.outer(fields, blocks[1]))
+    w = np.zeros((len(fields), 4, 4), dtype=complex)
+    w[:, :2, :2], w[:, 2:, 2:] = v[:, 0], v[:, 1]
+    return lam.reshape(-1, 4), q.conj().T @ w
+
+
 def _frame(h: HamiltonianPair, psi0: np.ndarray, psi_d0: np.ndarray) -> tuple[tuple, tuple]:
     """The interaction picture of H0 for `rhs`, and psi~ = W† psi0 at t = 0,
-    on the columns of the eigenbasis W of H0 that the run reaches.
+    on the parity sectors the run steps.
 
-    With (lam, W) the eigendecomposition of H0, psi_d~ = W† psi_d0 and
-    h = W† H1 W, the run reaches every column where psi~ or psi_d~ is
-    nonzero, then every column that h couples to one it reaches, until none
-    is added. An entry counts as zero at or below _ZERO times its scale: 1
-    for the unit vectors, max |h| for the couplings. Nothing couples the
-    other columns to these, so their amplitudes stay zero and are not
-    stepped.
+    (lam, W) is the eigendecomposition of H0 by `_sector_eigh`: columns 0
+    and 1 of W span S, 2 and 3 its complement, and h = W† H1 W is block
+    diagonal to roundoff, so only its diagonal blocks are kept and no
+    amplitude crosses from one sector to the other. The run steps each
+    sector where psi~ or psi_d~ = W† psi_d0 has a norm above _SECTOR_WEIGHT;
+    the other holds a rounded zero (about 1e-17) and stays out.
 
-    The frame is ((lam, W), the reached columns in increasing order, and on
-    them the rates i lam, the rows of h and conj(psi_d~)). Selecting columns
-    keeps lam and W bit for bit. The last three, and psi~, are tuples of
-    Python complex numbers 2 wide for at most two reached columns and 4 wide
-    otherwise, padded with exact zeros that stay zero.
+    The frame is ((lam, W), the stepped columns, and on them the rates
+    i lam, the 2x2 blocks of h and conj(psi_d~)). Selecting columns keeps
+    lam and W bit for bit. The last three, and psi~, are tuples of Python
+    complex numbers, 2 wide for one sector and 4 wide for both.
     """
-    lam, w = eig = np.linalg.eigh(h.h0)
-    h1 = w.conj().T @ h.h1 @ w
+    (lam,), (w,) = _sector_eigh(h)
+    h1 = (w.conj().T @ h.h1 @ w).reshape(2, 2, 2, 2)  # (row sector, row, column sector, column)
     target, y = w.T @ psi_d0.conj(), w.conj().T @ psi0
-    coupled = np.abs(h1) > _ZERO * np.max(np.abs(h1))
-    reached = (np.abs(y) > _ZERO) | (np.abs(target) > _ZERO)
-    for _ in lam:  # a chain of couplings is at most d - 1 long
-        reached |= coupled[reached].any(axis=0)
-    cols = np.flatnonzero(reached)
-    k, width = len(cols), 2 if len(cols) <= 2 else 4
-    rows = np.zeros((width, width), dtype=complex)
-    rows[:k, :k] = h1[np.ix_(cols, cols)]
-    vectors = np.zeros((3, width), dtype=complex)
-    vectors[:, :k] = 1j * lam[cols], target[cols], y[cols]
-    rates, target, y = map(tuple, vectors.tolist())
-    return (eig, cols, rates, tuple(map(tuple, rows.tolist())), target), y
+    weight = np.linalg.norm(np.stack([y, target]).reshape(2, 2, 2), axis=2).max(axis=0)
+    sectors = np.flatnonzero(weight > _SECTOR_WEIGHT)
+    cols = (2 * sectors[:, None] + [0, 1]).ravel()
+    rates, target, y = (tuple(v[cols].tolist()) for v in (1j * lam, target, y))
+    blocks = tuple(tuple(map(tuple, h1[k, :, k].tolist())) for k in sectors)
+    return ((lam, w), cols, rates, blocks, target), y
 
 
 def rhs(frame: tuple, law: Lyapunov, t: float, y: tuple) -> tuple:
     """The derivative of y = psi~ = W† U0(t)† psi, the state in the interaction
-    picture of U0(t) = exp(-i H0 t) written on the reached columns of the
+    picture of U0(t) = exp(-i H0 t) written on the stepped columns of the
     eigenbasis W of H0 (`_frame`), under the feedback law. y holds 2 or 4
-    Python complex numbers, and so does the result. On 2 it does what the
-    4-wide branch does, in the same order, with the other terms left out.
+    Python complex numbers, one parity sector or both, and so does the
+    result. On 2 it does what the 4-wide branch does for either sector, in
+    the same order.
 
     Only the control term is left: dpsi~/dt = -i f E h E* psi~, with
-    h = W† H1 W and E = diag(exp(i lam t)). The field is
-    f = sign * kappa * Im Tr(rho_d [H1, rho]) = 2 sign kappa Im(a conj(b)) for
-    rho = psi psi† and rho_d = psi_d psi_d†, with a = <psi_d|H1 psi> and
+    h = W† H1 W, one 2x2 block per sector, and E = diag(exp(i lam t)). The
+    field is f = sign * kappa * Im Tr(rho_d [H1, rho]) = 2 sign kappa Im(a conj(b))
+    for rho = psi psi† and rho_d = psi_d psi_d†, with a = <psi_d|H1 psi> and
     b = <psi_d|psi>; the frame leaves both alone, and there psi_d~ is constant.
     The trace is imaginary by construction, so there is no realness to check.
     """
     if len(y) == 2:
-        _, _, (l0, l1), ((h00, h01), (h10, h11)), (g0, g1) = frame
+        _, _, (l0, l1), (((h00, h01), (h10, h11)),), (g0, g1) = frame
         e0, e1 = exp(l0 * t), exp(l1 * t)
         y0, y1 = y
         u0, u1 = y0 / e0, y1 / e1
@@ -260,15 +286,15 @@ def rhs(frame: tuple, law: Lyapunov, t: float, y: tuple) -> tuple:
         b = g0 * y0 + g1 * y1
         m = -2j * law.sign * law.kappa * (a * b.conjugate()).imag
         return m * v0, m * v1
-    _, _, (l0, l1, l2, l3), rows, (g0, g1, g2, g3) = frame
-    (h00, h01, h02, h03), (h10, h11, h12, h13), (h20, h21, h22, h23), (h30, h31, h32, h33) = rows
+    _, _, (l0, l1, l2, l3), blocks, (g0, g1, g2, g3) = frame
+    ((h00, h01), (h10, h11)), ((h22, h23), (h32, h33)) = blocks
     e0, e1, e2, e3 = exp(l0 * t), exp(l1 * t), exp(l2 * t), exp(l3 * t)
     y0, y1, y2, y3 = y
     u0, u1, u2, u3 = y0 / e0, y1 / e1, y2 / e2, y3 / e3
-    v0 = e0 * (h00 * u0 + h01 * u1 + h02 * u2 + h03 * u3)
-    v1 = e1 * (h10 * u0 + h11 * u1 + h12 * u2 + h13 * u3)
-    v2 = e2 * (h20 * u0 + h21 * u1 + h22 * u2 + h23 * u3)
-    v3 = e3 * (h30 * u0 + h31 * u1 + h32 * u2 + h33 * u3)
+    v0 = e0 * (h00 * u0 + h01 * u1)
+    v1 = e1 * (h10 * u0 + h11 * u1)
+    v2 = e2 * (h22 * u2 + h23 * u3)
+    v3 = e3 * (h32 * u2 + h33 * u3)
     a = g0 * v0 + g1 * v1 + g2 * v2 + g3 * v3
     b = g0 * y0 + g1 * y1 + g2 * y2 + g3 * y3
     m = -2j * law.sign * law.kappa * (a * b.conjugate()).imag
@@ -400,7 +426,13 @@ def _diagnose(
        `control_field` of every state and target at once, the geometric
        switch at the sample times, or 0;
     4. V, concurrence and p_S are taken for every sample at once in the
-       pair's basis (a 2-row frame of S too), with the stall flag.
+       pair's basis, with the stall flag.
+
+    A feedback run is stalled when it starts off target (V > 1e-12) and V
+    stays within 64 u of V(0): dV/dt = -sign f²/kappa, and each computed V
+    is within 32 u of its sample's exact V (README). The field is no test:
+    at a fixed point the stepper lets roundoff grow below its tolerance, to
+    |f| = 4e-13 from |00> towards Phi+ at kappa = 2.
     """
     v = lyapunov_value(states[:, 0], states[:, 1])
     below = np.flatnonzero(v[1:] < v_stop) if v_stop is not None else ()
@@ -417,9 +449,7 @@ def _diagnose(
     c = metrics.concurrence(rho, h.basis)
     p_s = subspace_populations(rho, h.basis)[0]
     stalled = bool(
-        isinstance(law, Lyapunov)
-        and v[0] > 1e-12
-        and np.max(np.abs(f)) <= 1e-14 * law.kappa * hs_norm(h.h1)
+        isinstance(law, Lyapunov) and v[0] > 1e-12 and np.max(np.abs(v - v[0])) <= 64 * 2.0**-53
     )
     meta = TrajectoryMetadata(h.params, h.paradigm, law, stalled, stats)
     return Trajectory(t, rho, rho_d, f, v, c, p_s, meta)
@@ -450,11 +480,11 @@ def integrate(
     samples, n, stats, error = _dp5(frame, law, y, grid, cfg)
     free, cols = frame[:2]
     lam, w = free[0][cols], free[1][:, cols]
-    # Phases relative to the first reached column's lam, a global phase psi psi† drops:
+    # Phases relative to the first stepped column's lam, a global phase psi psi† drops:
     # its row and column of rho then carry the phases `_evolve` gives the target, whose
     # rounding cancels in V.
     phases = np.exp(np.multiply.outer(grid[:n], -1j * (lam - lam[0])))
-    psi = (samples[:n, : len(cols)] * phases) @ w.T
+    psi = (samples[:n] * phases) @ w.T
     states = np.empty((n,) + pair.shape, dtype=complex)
     states[:, 0] = psi[:, :, None] * psi[:, None, :].conj()
     states[:, 1] = _evolve(free, pair[1], grid[:n])
@@ -471,13 +501,15 @@ def _dp5(
     written out over the 2 or 4 amplitudes of the frame (`_frame`) with no
     numpy call inside an attempt. The 2-amplitude loop does what the
     4-amplitude one does, in the same order, with the other terms left out.
-    The error norm is the RMS over the pair's d levels, where a level that
+    The error norm is the RMS over the pair's 4 levels, where a level that
     is not stepped counts as zero error.
 
     After each accepted step psi~ is scaled back to its initial squared norm
     N0 by c = sqrt(N0/N). A step whose N drifted from N0 by more than
-    ABORT_FACTOR * TRACE_TOL aborts the run. The FSAL stage is rescaled by
-    c³, not re-evaluated, as the feedback field is quadratic in psi~. Each
+    ABORT_FACTOR * TRACE_TOL aborts the run, and so does one after which
+    the squared norm of the S sector, the first two of 4 amplitudes, has
+    drifted by more than that from its initial value. The FSAL stage is
+    rescaled by c³, not re-evaluated, as the field is quadratic in psi~. Each
     sample a step passes is read off the step's continuous extension
     (`_DENSE`) at no `rhs` call and scaled to N0; the last step ends at
     t_max, the last sample time. With v_stop set, stepping ends after the
@@ -495,12 +527,12 @@ def _dp5(
     (_, d52, d53, d54), (_, d62, d63, d64), (_, d72, d73, d74) = _DENSE[3:]
     atol, rtol, v_stop, t_max = cfg.abs_tol, cfg.rel_tol, cfg.v_stop, cfg.t_max
     tol = 1e-10 * max(1.0, t_max)  # a step that ends within tol of t_max ends there
-    dim = len(frame[0][0])
     target = frame[4]  # conj(psi_d~)
     norm0 = sum(m * m for m in map(abs, y))
     # V = (N0² + N_d²)/2 - |<psi_d|psi>|² for the pure state and target.
     v_far = 0.5 * (norm0 * norm0 + sum(abs(g) ** 2 for g in target) ** 2)
     limit = ABORT_FACTOR * TRACE_TOL
+    sector0 = sum(m * m for m in map(abs, y[:2]))  # the S sector of 4 amplitudes
     times = grid.tolist()
     samples = np.empty((len(times), len(y)), dtype=complex)
     samples[0] = y
@@ -508,7 +540,7 @@ def _dp5(
     n = 1  # samples taken
     steps = []  # accepted step sizes
     rejected = 0
-    max_drift = 0.0
+    max_drift = max_sector = 0.0
 
     t = 0.0
     h_step = cfg.dt
@@ -554,7 +586,7 @@ def _dp5(
                      / (atol + rtol * max(my0, mz0))) ** 2
                     + (abs(x1 * ka1 + x3 * kc1 + x4 * kd1 + x5 * ke1 + x6 * kf1 + x7 * kg1)
                        / (atol + rtol * max(my1, mz1))) ** 2
-                ) / dim)
+                ) / 4)
 
                 if not err <= 1.0:  # a NaN error is a rejection too
                     rejected += 1
@@ -654,7 +686,7 @@ def _dp5(
                        / (atol + rtol * max(my2, mz2))) ** 2
                     + (abs(x1 * ka3 + x3 * kc3 + x4 * kd3 + x5 * ke3 + x6 * kf3 + x7 * kg3)
                        / (atol + rtol * max(my3, mz3))) ** 2
-                ) / dim)
+                ) / 4)
 
                 if not err <= 1.0:  # a NaN error is a rejection too
                     rejected += 1
@@ -670,6 +702,10 @@ def _dp5(
                         f"psi~ norm drift {drift:.3e} exceeds abort threshold", t_new
                     )
                 max_drift = max(max_drift, drift)
+                drift = abs((mz0 * mz0 + mz1 * mz1) * norm0 / norm - sector0)
+                if drift > limit:
+                    raise IntegrationError(f"p_S drift {drift:.3e} exceeds abort threshold", t_new)
+                max_sector = max(max_sector, drift)
                 below = False
                 while n < len(times) and times[n] <= t_new:  # samples in (t, t_new]
                     th = (times[n] - t) / hs
@@ -706,7 +742,7 @@ def _dp5(
 
     h_range = (min(steps), max(steps)) if steps else (None, None)
     evals = 1 + 6 * (len(steps) + rejected)
-    stats = IntegratorStats(len(steps), rejected, evals, *h_range, max_drift, len(frame[1]))
+    stats = IntegratorStats(len(steps), rejected, evals, *h_range, max_drift, max_sector, len(y))
     return samples, n, stats, error
 
 
@@ -746,12 +782,13 @@ def propagate_exact(
     # The field is on at the samples before t0.
     n_on = int(np.searchsorted(grid, law.t0)) if isinstance(law, Geometric) else 0
 
-    free = np.linalg.eigh(h.h0)
+    lam, w = _sector_eigh(h, (0.0, 1.0) if n_on else (0.0,))
+    free = lam[0], w[0]
     states = np.empty((len(grid),) + y0.shape, dtype=complex)
     states[:, 1] = _evolve(free, y0[1], grid)
     start, t_start = y0[0], 0.0
     if n_on:
-        driven = np.linalg.eigh(h.h0 + h.h1)
+        driven = lam[1], w[1]
         states[:n_on, 0] = _evolve(driven, start, grid[:n_on])
         start, t_start = _evolve(driven, start, np.array([law.t0]))[0], law.t0
     states[n_on:, 0] = _evolve(free, start, grid[n_on:] - t_start)

@@ -35,16 +35,16 @@ _PEAK_TOL = 1e-8
 def concurrence(rho: np.ndarray, basis: Basis = Z_PRODUCT) -> float | np.ndarray:
     """Wootters concurrence of two-qubit density matrices (PRL 80, 2245 (1998)).
 
-    A stack (..., d, d) gives one value per matrix. A sample with purity defect
+    A stack (..., 4, 4) gives one value per matrix. A sample with purity defect
     |Tr rho^2 - (Tr rho)^2| < 1e-14 (Tr rho)^2, in any basis, is pure: rho = psi psi^dagger
-    and C = |psi^T S psi| for the spin flip S = T* (Y(x)Y) T^dagger, T the (d, 4) transform of
+    and C = |psi^T S psi| for the spin flip S = T* (Y(x)Y) T^dagger, T the 4x4 transform of
     ``basis``. It is read off the column x = rho e_k of the largest diagonal entry, which
     is psi conj(psi_k): C = |x^T S x| / rho_kk. Every other sample takes the general
     formula, one eigensolver call each: C = max(0, l1-l2-l3-l4) for the sorted roots l_i
     of the eigenvalues of rho_z (Y(x)Y) rho_z* (Y(x)Y), rho_z = T^dagger rho T. With the
     top eigenvalue p1 = 1 - eps of a unit-trace rho (eps <= the defect), the general
     value is within 4 (2 sqrt(eps) + eps) of p1 |psi^T S psi| by Weyl's inequality and
-    the column form within 3 d eps of it, so the two differ by at most 8e-7 here. On the
+    the column form within 12 eps of it, so the two differ by at most 8e-7 here. On the
     figure1 runs they differ by at most 2.2e-8, the general formula's roundoff roots.
     Near product states the general formula loses accuracy: on a pure state it is off
     from 2|ad - bc| by about sqrt(eps/C), up to 3e-6 near C = 1e-6, as the three zero
@@ -53,10 +53,9 @@ def concurrence(rho: np.ndarray, basis: Basis = Z_PRODUCT) -> float | np.ndarray
     only a mixed state takes that path.
     """
     rho = np.asarray(rho, dtype=complex)
-    d = len(basis.transform)
-    if rho.ndim < 2 or rho.shape[-2:] != (d, d):
-        raise ValueError(f"concurrence needs a {d}x{d} density matrix, got {rho.shape}")
-    stack = rho.reshape(-1, d, d)
+    if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
+        raise ValueError(f"concurrence needs a 4x4 density matrix, got {rho.shape}")
+    stack = rho.reshape(-1, 4, 4)
     diag = np.einsum("nii->ni", stack).real
     tr2 = diag.sum(axis=1) ** 2
     pure = abs(np.einsum("nij,nji->n", stack, stack).real - tr2) < _PURE_TOL * tr2

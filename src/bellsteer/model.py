@@ -13,10 +13,11 @@ Three coordinate systems span the two-qubit space, with fixed orderings:
 * Bell:     {Psi+, Phi+, Phi-, Psi-} built on the X-product states,
   e.g. Phi+ = (|++> + |-->)/sqrt(2)
 
-In the Bell ordering the drift of the local paradigm is diag(2J, 2J, -2J, -2J)
-and the control couples only Phi+ <-> Phi-, which is what makes the
-dynamics in S = span{|++>, |-->} two-dimensional. `subspace_reduce` writes a
-pair in a frame of S, {|++>, |-->} or {Phi+, Phi-}: a `Basis` with two rows.
+Both Hamiltonians of either paradigm commute with the parity X(x)X for every
+J, eta and k, so S = span{|++>, |-->}, its +1 eigenspace, and the complement
+span{|+->, |-+>} are invariant: every pair is block diagonal in the sector
+coordinates ``SECTOR_ROWS`` (XProduct rows {|++>, |-->, |+->, |-+>}), and a
+run's population of S is a constant of motion.
 """
 
 from __future__ import annotations
@@ -72,9 +73,8 @@ class BellName(Enum):
 
 @dataclass(frozen=True, eq=False)
 class Basis:
-    """A coordinate system: ``transform`` T is a (d, 4) isometry from ZProduct
-    coordinates (orthonormal rows, T T† = I_d), d = 4 for a basis of the
-    two-qubit space and d = 2 for a frame of S.
+    """A coordinate system: ``transform`` T is a 4x4 unitary from ZProduct
+    coordinates.
 
     Vectors: v_here = T @ v_z. Operators: H_here = T @ H_z @ T†, and H_z = T† @ H_here @ T.
     """
@@ -84,9 +84,9 @@ class Basis:
 
     def __post_init__(self) -> None:
         u = self.transform
-        err = hs_norm(u @ dagger(u) - np.eye(len(u))) if u.shape[1:] == (4,) else math.inf
+        err = hs_norm(u @ dagger(u) - np.eye(4)) if u.shape == (4, 4) else math.inf
         if err > 1e-12:
-            raise ValueError(f"basis transform is not unitary on its rows (deviation {err:.3e})")
+            raise ValueError(f"basis transform is not unitary (deviation {err:.3e})")
 
     def from_z(self, op_z: np.ndarray) -> np.ndarray:
         """Conjugate an operator given in ZProduct coordinates into this basis."""
@@ -96,12 +96,9 @@ class Basis:
         return self.transform @ np.asarray(v_z, dtype=complex)
 
 
-def _hadamard2() -> np.ndarray:
-    return np.array([[1, 1], [1, -1]], dtype=complex) / _SQ2
-
-
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / _SQ2
 Z_PRODUCT = Basis("ZProduct", np.eye(4, dtype=complex))
-X_PRODUCT = Basis("XProduct", kron(_hadamard2(), _hadamard2()))
+X_PRODUCT = Basis("XProduct", kron(_HADAMARD, _HADAMARD))
 
 # Bell vectors in ZProduct coordinates, ordered {Psi+, Phi+, Phi-, Psi-}.
 _BELL_COLUMNS_Z = np.column_stack(
@@ -176,42 +173,10 @@ def bell_state(which: BellName, basis: Basis) -> np.ndarray:
     return basis.vector_from_z(v_z)
 
 
-# The frame {|++>, |-->} of S as ZProduct rows, and the projector P_S onto S.
-_S_ROWS = X_PRODUCT.transform[[0, 3]]
-_P_S = dagger(_S_ROWS) @ _S_ROWS
-
-
-def subspace_reduce(h: HamiltonianPair) -> HamiltonianPair:
-    """Restrict a Hamiltonian pair to S = span{|++>, |-->}.
-
-    The reduction is returned in whichever 2-row frame of S diagonalizes the
-    reduced drift: {|++>, |-->} (tag "XProduct", rows
-    ``X_PRODUCT.transform[[0, 3]]``) for the interaction paradigm, or
-    {Phi+, Phi-} (tag "Bell", the Hadamard of those rows) for the local one.
-    A state of the reduced run is ``red.basis.vector_from_z(v_z)``.
-
-    Asymmetric local coupling (k != 1) is rejected: it leaves S invariant but
-    changes the complement dynamics, and the reduction is only supported for
-    the symmetric model.
-    """
-    if h.params is not None and h.params.k != 1.0:
-        raise ValueError(
-            f"subspace reduction requires symmetric local coupling (k=1), got k={h.params.k}"
-        )
-    t = h.basis.transform
-    h0_z, h1_z = (dagger(t) @ op @ t for op in (h.h0, h.h1))
-    for name, op in (("h0", h0_z), ("h1", h1_z)):
-        off_norm = hs_norm(op @ _P_S - _P_S @ op)
-        if off_norm > 1e-12:
-            raise ValueError(
-                f"{name} does not leave span{{|++>,|-->}} invariant "
-                f"(off-block norm {off_norm:.3e})"
-            )
-    for frame in (Basis("XProduct", _S_ROWS), Basis("Bell", _hadamard2() @ _S_ROWS)):
-        a0 = frame.from_z(h0_z)
-        if abs(a0[0, 1]) + abs(a0[1, 0]) <= 1e-12:
-            return HamiltonianPair(a0, frame.from_z(h1_z), frame, h.params, h.paradigm)
-    raise ValueError("reduced drift is not diagonal in either pair frame")
+# The sector coordinates: the XProduct rows of S = span{|++>, |-->}, then those of
+# its complement; and the projector P_S onto S.
+SECTOR_ROWS = X_PRODUCT.transform[[0, 3, 1, 2]]
+_P_S = dagger(SECTOR_ROWS[:2]) @ SECTOR_ROWS[:2]
 
 
 @functools.lru_cache
@@ -227,7 +192,7 @@ def subspace_populations(rho: np.ndarray, basis: Basis) -> tuple:
     """Population (p_S, p_Sperp) of S = span{|++>, |-->} and its complement:
     p_S = Re Tr(Q rho) with Q = P_S written in ``basis``, for every basis.
 
-    A stack of matrices (..., d, d) gives a pair of arrays, one entry per matrix.
+    A stack of matrices (..., 4, 4) gives a pair of arrays, one entry per matrix.
     """
     rho = np.asarray(rho, dtype=complex)
     p_s = functools.reduce(np.add, (q * rho[..., j, i] for j, i, q in _s_terms(basis))).real

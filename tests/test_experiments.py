@@ -462,7 +462,7 @@ class TestRunScenarioAndOutputs:
         assert stats == dataclasses.asdict(traj.metadata.integrator_stats)
         assert list(stats) == [
             "accepted", "rejected", "rhs_evals", "h_min", "h_max", "max_norm_drift",
-            "amplitudes",
+            "max_sector_drift", "amplitudes",
         ]
         # Open-loop runs are exact: no steps to count.
         open_loop = base_mapping(**{"law.type": "none", "law.kappa": None})

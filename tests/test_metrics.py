@@ -36,23 +36,16 @@ from bellsteer.model import (
     X_PRODUCT,
     Z_PRODUCT,
     bell_state,
-    hamiltonians,
-    subspace_reduce,
 )
 
 YY = np.real(kron(pauli("Y"), pauli("Y")))
-# Every basis and both 2-row frames of S that subspace_reduce writes a pair in,
-# and a complex unitary one, whose spin flip differs from its conjugate.
-FRAMES = [
-    subspace_reduce(hamiltonians(ModelParams(J=1.0, eta=0.1), p, X_PRODUCT)).basis
-    for p in Paradigm
-]
+# Every basis, and a complex unitary one, whose spin flip differs from its conjugate.
 _U, _ = np.linalg.qr(
     np.random.default_rng(43).normal(size=(4, 4))
     + 1j * np.random.default_rng(47).normal(size=(4, 4))
 )
 COMPLEX = Basis("Complex", _U)
-EVERY_BASIS = [*BASES.values(), *FRAMES, COMPLEX]
+EVERY_BASIS = [*BASES.values(), COMPLEX]
 
 
 def wootters_eigvals(rho, basis=Z_PRODUCT):
@@ -221,8 +214,7 @@ class TestPureStateForm:
         # so roundoff of order eps moves the three zero eigenvalues by about
         # eps/C, and their roots by about sqrt(eps/C): up to 3e-6 near C = 1e-6.
         # On 100,000 near-product states it stayed within 0.26 of this bound.
-        d = len(basis.transform)
-        v = np.array(parts[:d]) + 1j * np.array(parts[4 : 4 + d])
+        v = np.array(parts[:4]) + 1j * np.array(parts[4:])
         assume(np.linalg.norm(v) > 0.1)
         v = v / np.linalg.norm(v)
         a, b, c, e = dagger(basis.transform) @ v

@@ -1,9 +1,10 @@
-"""Unit tests for model parameters, bases, Hamiltonians and the subspace
-reduction."""
+"""Unit tests for model parameters, bases, Hamiltonians and their X(x)X
+parity sectors."""
 
 import numpy as np
 import pytest
 
+from bellsteer.dynamics import _sector_eigh
 from bellsteer.linalg import dagger, hs_norm, kron, outer, pauli
 from bellsteer.model import (
     BASES,
@@ -20,7 +21,6 @@ from bellsteer.model import (
     h_local,
     hamiltonians,
     subspace_populations,
-    subspace_reduce,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -161,40 +161,57 @@ class TestHamiltonians:
             HamiltonianPair(bad, np.eye(4, dtype=complex), Z_PRODUCT)
 
 
+def s_block(h):
+    """The eigenvalues, eigenvectors (ZProduct columns) and control block of
+    a pair on S, from `_sector_eigh`."""
+    (lam,), (w,) = _sector_eigh(h)
+    return lam[:2], dagger(h.basis.transform) @ w[:, :2], (dagger(w) @ h.h1 @ w)[:2, :2]
+
+
 class TestSubspaceReduce:
+    """The S block of a pair is the reduced pair: a two-level drift and
+    control in the frame that diagonalises the drift."""
+
     def test_local_pair_reduces_in_phi_frame(self):
         p = ModelParams(J=1.0, eta=0.1)
-        red = subspace_reduce(hamiltonians(p, Paradigm.LOCAL_CONTROL, Z_PRODUCT))
-        assert red.basis.tag == "Bell"
-        assert np.allclose(red.h0, 2.0 * np.diag([1, -1]), atol=1e-14)
-        assert np.allclose(red.h1, 0.2 * pauli("X"), atol=1e-14)
+        lam, w, h1 = s_block(hamiltonians(p, Paradigm.LOCAL_CONTROL, Z_PRODUCT))
+        assert np.allclose(lam, [-2.0, 2.0], atol=1e-14)
+        phi = [bell_state(name, Z_PRODUCT) for name in (BellName.PHI_MINUS, BellName.PHI_PLUS)]
+        assert np.allclose(np.abs(np.conj(phi) @ w), np.eye(2), atol=1e-14)
+        assert np.allclose(np.abs(h1), 0.2 * pauli("X").real, atol=1e-14)
 
     def test_interaction_pair_reduces_in_x_frame(self):
         p = ModelParams(J=1.0, eta=0.1)
-        red = subspace_reduce(hamiltonians(p, Paradigm.INTERACTION_CONTROL, Z_PRODUCT))
-        assert red.basis.tag == "XProduct"
-        assert np.allclose(red.h0, 0.2 * np.diag([1, -1]), atol=1e-14)
-        assert np.allclose(red.h1, 2.0 * pauli("X"), atol=1e-14)
+        lam, w, h1 = s_block(hamiltonians(p, Paradigm.INTERACTION_CONTROL, Z_PRODUCT))
+        assert np.allclose(lam, [-0.2, 0.2], atol=1e-14)
+        x_rows = X_PRODUCT.transform[[3, 0]]  # |-->, |++>
+        assert np.allclose(np.abs(x_rows.conj() @ w), np.eye(2), atol=1e-14)
+        assert np.allclose(np.abs(h1), 2.0 * pauli("X").real, atol=1e-14)
 
     def test_reduction_basis_independent(self):
         p = ModelParams(J=1.0, eta=0.1)
-        red_z = subspace_reduce(hamiltonians(p, Paradigm.LOCAL_CONTROL, Z_PRODUCT))
-        red_x = subspace_reduce(hamiltonians(p, Paradigm.LOCAL_CONTROL, X_PRODUCT))
-        assert np.allclose(red_z.h0, red_x.h0)
-        assert np.allclose(red_z.h1, red_x.h1)
+        lam_z, _, h1_z = s_block(hamiltonians(p, Paradigm.LOCAL_CONTROL, Z_PRODUCT))
+        lam_x, _, h1_x = s_block(hamiltonians(p, Paradigm.LOCAL_CONTROL, X_PRODUCT))
+        assert np.allclose(lam_z, lam_x)
+        assert np.allclose(np.abs(h1_z), np.abs(h1_x))
 
-    def test_rejects_asymmetric_coupling(self):
-        p = ModelParams(J=1.0, eta=0.1, k=0.5)
-        h = hamiltonians(p, Paradigm.LOCAL_CONTROL, Z_PRODUCT)
-        with pytest.raises(ValueError, match="symmetric local coupling"):
-            subspace_reduce(h)
+    def test_asymmetric_coupling_keeps_the_sectors(self):
+        # k != 1 changes the drive, not the parity: in every basis the pair passes
+        # the check, and eta J (X(x)I + k I(x)X) drives S with eta J (1 + k) and
+        # the complement with eta J |1 - k|, each coupling the drift's two levels.
+        for basis in (Z_PRODUCT, X_PRODUCT, BELL):
+            h = hamiltonians(ModelParams(J=1.0, eta=0.1, k=0.5), Paradigm.LOCAL_CONTROL, basis)
+            (lam,), (w,) = _sector_eigh(h)
+            h1 = np.abs(dagger(w) @ h.h1 @ w)
+            assert np.allclose(lam, [-2.0, 2.0, -2.0, 2.0])
+            assert np.allclose(h1, np.kron(np.diag([0.15, 0.05]), pauli("X").real))
 
     def test_rejects_non_invariant_hamiltonian(self):
         # Z(x)I maps |++> out of the pair subspace.
         p = ModelParams(J=1.0, eta=0.1)
         h = HamiltonianPair(h_eff(p), kron(pauli("Z"), pauli("I")), Z_PRODUCT)
-        with pytest.raises(ValueError, match="invariant"):
-            subspace_reduce(h)
+        with pytest.raises(ValueError, match=r"does not commute with X\(x\)X"):
+            _sector_eigh(h)
 
 
 class TestSubspacePopulations:

@@ -45,8 +45,8 @@ def test_source_lines_fit_in_99_columns():
 
 def test_benchmark_traced_names_resolve(monkeypatch):
     # The benchmark's Tracer wraps each (module, attr) of LAYER_CALLS on
-    # bellsteer.<module>, and its switch_sweep workload replaces
-    # SweepConfig.parallel; a missing name ends a traced run with exit 1.
+    # bellsteer.<module> as a function, and its switch_sweep workload replaces
+    # SweepConfig.parallel; a missing or uncallable name fails every traced run.
     # tracing.py imports only the standard library, so it loads by path
     # (registered as a module while it runs, as its dataclasses need).
     spec = importlib.util.spec_from_file_location("bellbench_tracing", TRACING)
@@ -54,7 +54,7 @@ def test_benchmark_traced_names_resolve(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, tracing)
     spec.loader.exec_module(tracing)
     missing = [f"{module}.{attr}" for module, attr, _, _ in tracing.LAYER_CALLS
-               if not hasattr(getattr(bellsteer, module), attr)]
+               if not callable(getattr(getattr(bellsteer, module), attr, None))]
     assert missing == []
     fields = [f.name for f in dataclasses.fields(bellsteer.experiments.SweepConfig)]
     assert "parallel" in fields
