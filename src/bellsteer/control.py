@@ -20,6 +20,12 @@ import numpy as np
 from .linalg import hs_norm
 
 _REALNESS_TOL = 1e-10
+# 128 u (u = 2^-53): the real part Tr(rho_d [H1, rho]) may carry per unit of
+# ||H1||_F, above the absolute _REALNESS_TOL. For states with ||rho||_F <= 1 each
+# of the two traces rounds by at most (gamma_4 + gamma_16) ||H1||_F (the row
+# products with H1, then the 16-term sum), about 40 u with the difference; states
+# Hermitian to 32 u ||rho||_F add at most 2 * 32 u ||H1||_F. Seen: 0.24 u at J = 1e12.
+_REALNESS_ROUNDING = 128 * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -89,19 +95,20 @@ def control_field(
     rho_h1, rho_d_h1 = ((m.reshape(-1, d) @ h1).reshape(m.shape) for m in (rho, rho_d))
     trace = "...ij,...ji->..."  # Tr(a b) of each pair of matrices
     tr = np.einsum(trace, rho_d_h1, rho) - np.einsum(trace, rho_h1, rho_d)
-    f = feedback_from_trace(tr, kappa, sign)
+    f = feedback_from_trace(tr, kappa, sign, h1_norm=hs_norm(h1))
     return f if isinstance(f, np.ndarray) else float(f)
 
 
 def feedback_from_trace(
-    tr: complex | np.ndarray, kappa: float, sign: int = 1
+    tr: complex | np.ndarray, kappa: float, sign: int = 1, *, h1_norm: float
 ) -> float | np.ndarray:
     """sign * kappa * Im tr for tr = Tr(rho_d [H1, rho]), or an array of such
-    traces, after checking that every real part is roundoff."""
+    traces, after checking that every real part is roundoff: at most
+    max(_REALNESS_TOL, _REALNESS_ROUNDING * h1_norm), h1_norm = ||H1||_F."""
     re = tr.real
     if isinstance(re, np.ndarray):
         re = re.flat[np.argmax(np.abs(re))]
-    if abs(re) > _REALNESS_TOL:
+    if abs(re) > max(_REALNESS_TOL, _REALNESS_ROUNDING * h1_norm):
         raise ValueError(
             f"control trace has non-imaginary commutator part {re:.3e}; "
             "inputs are not consistently Hermitian"

@@ -244,10 +244,13 @@ def _frame(h: HamiltonianPair, psi0: np.ndarray, psi_d0: np.ndarray) -> tuple[tu
     sector where psi~ or psi_d~ = W† psi_d0 has a norm above _SECTOR_WEIGHT;
     the other holds a rounded zero (about 1e-17) and stays out.
 
-    The frame is ((lam, W), the stepped columns, and on them the rates
-    i lam, the 2x2 blocks of h and conj(psi_d~)). Selecting columns keeps
-    lam and W bit for bit. The last three, and psi~, are tuples of Python
-    complex numbers, 2 wide for one sector and 4 wide for both.
+    The frame is ((lam, W), the stepped columns, the coefficients of `rhs`,
+    conj(psi_d~)). The coefficients are one flat tuple of Python complex
+    numbers: for each stepped sector s its relative rate
+    i (lam_2s - lam_2s+1) and its 2x2 block of h, row by row, then
+    conj(psi_d~). Selecting columns keeps lam and W bit for bit. psi~ and
+    conj(psi_d~) are tuples of Python complex numbers, 2 wide for one sector
+    and 4 wide for both.
     """
     (lam,), (w,) = _sector_eigh(h)
     h1 = (w.conj().T @ h.h1 @ w).reshape(2, 2, 2, 2)  # (row sector, row, column sector, column)
@@ -255,9 +258,11 @@ def _frame(h: HamiltonianPair, psi0: np.ndarray, psi_d0: np.ndarray) -> tuple[tu
     weight = np.linalg.norm(np.stack([y, target]).reshape(2, 2, 2), axis=2).max(axis=0)
     sectors = np.flatnonzero(weight > _SECTOR_WEIGHT)
     cols = (2 * sectors[:, None] + [0, 1]).ravel()
-    rates, target, y = (tuple(v[cols].tolist()) for v in (1j * lam, target, y))
-    blocks = tuple(tuple(map(tuple, h1[k, :, k].tolist())) for k in sectors)
-    return ((lam, w), cols, rates, blocks, target), y
+    target, y = (tuple(v[cols].tolist()) for v in (target, y))
+    coeffs = []
+    for k in sectors:
+        coeffs += [1j * float(lam[2 * k] - lam[2 * k + 1]), *h1[k, :, k].ravel().tolist()]
+    return ((lam, w), cols, tuple(coeffs) + target, target), y
 
 
 def rhs(frame: tuple, law: Lyapunov, t: float, y: tuple) -> tuple:
@@ -269,32 +274,31 @@ def rhs(frame: tuple, law: Lyapunov, t: float, y: tuple) -> tuple:
     the same order.
 
     Only the control term is left: dpsi~/dt = -i f E h E* psi~, with
-    h = W† H1 W, one 2x2 block per sector, and E = diag(exp(i lam t)). The
+    h = W† H1 W, one 2x2 block per sector, and E = diag(exp(i lam t)).
+    Within sector s, E h E* is [[h00, h01 r], [h10 / r, h11]] with
+    r = exp(i (lam_2s - lam_2s+1) t), one phase factor per sector. The
     field is f = sign * kappa * Im Tr(rho_d [H1, rho]) = 2 sign kappa Im(a conj(b))
     for rho = psi psi† and rho_d = psi_d psi_d†, with a = <psi_d|H1 psi> and
     b = <psi_d|psi>; the frame leaves both alone, and there psi_d~ is constant.
     The trace is imaginary by construction, so there is no realness to check.
     """
     if len(y) == 2:
-        _, _, (l0, l1), (((h00, h01), (h10, h11)),), (g0, g1) = frame
-        e0, e1 = exp(l0 * t), exp(l1 * t)
+        r, h00, h01, h10, h11, g0, g1 = frame[2]
+        e = exp(r * t)
         y0, y1 = y
-        u0, u1 = y0 / e0, y1 / e1
-        v0 = e0 * (h00 * u0 + h01 * u1)
-        v1 = e1 * (h10 * u0 + h11 * u1)
+        v0 = h00 * y0 + h01 * e * y1
+        v1 = h10 / e * y0 + h11 * y1
         a = g0 * v0 + g1 * v1
         b = g0 * y0 + g1 * y1
         m = -2j * law.sign * law.kappa * (a * b.conjugate()).imag
         return m * v0, m * v1
-    _, _, (l0, l1, l2, l3), blocks, (g0, g1, g2, g3) = frame
-    ((h00, h01), (h10, h11)), ((h22, h23), (h32, h33)) = blocks
-    e0, e1, e2, e3 = exp(l0 * t), exp(l1 * t), exp(l2 * t), exp(l3 * t)
+    r0, h00, h01, h10, h11, r1, h22, h23, h32, h33, g0, g1, g2, g3 = frame[2]
+    e0, e1 = exp(r0 * t), exp(r1 * t)
     y0, y1, y2, y3 = y
-    u0, u1, u2, u3 = y0 / e0, y1 / e1, y2 / e2, y3 / e3
-    v0 = e0 * (h00 * u0 + h01 * u1)
-    v1 = e1 * (h10 * u0 + h11 * u1)
-    v2 = e2 * (h22 * u2 + h23 * u3)
-    v3 = e3 * (h32 * u2 + h33 * u3)
+    v0 = h00 * y0 + h01 * e0 * y1
+    v1 = h10 / e0 * y0 + h11 * y1
+    v2 = h22 * y2 + h23 * e1 * y3
+    v3 = h32 / e1 * y2 + h33 * y3
     a = g0 * v0 + g1 * v1 + g2 * v2 + g3 * v3
     b = g0 * y0 + g1 * y1 + g2 * y2 + g3 * y3
     m = -2j * law.sign * law.kappa * (a * b.conjugate()).imag
@@ -346,7 +350,7 @@ def vdot_identity_check(
     trace_term = control_field(pair[0], pair[1], h.h1, 1.0, 1)
     analytic = -law.sign * law.kappa * trace_term * trace_term
     # V is unchanged by the frame, so it is taken on psi~ against psi_d~.
-    target = np.outer(np.conj(frame[4]), frame[4])
+    target = np.outer(np.conj(frame[3]), frame[3])
     numeric = (lyapunov_value(rk4(delta), target) - lyapunov_value(rk4(-delta), target)) / (
         2.0 * delta
     )
@@ -477,14 +481,15 @@ def integrate(
     pair = _initial_states(h, rho0, rho_d0)
     grid = _sample_grid(cfg)
     frame, y = _frame(h, _pure_state(pair[0], "rho0"), _pure_state(pair[1], "rho_d0"))
-    samples, n, stats, error = _dp5(frame, law, y, grid, cfg)
+    samples, stats, error = _dp5(frame, law, y, grid, cfg)
+    n = len(samples)
     free, cols = frame[:2]
     lam, w = free[0][cols], free[1][:, cols]
     # Phases relative to the first stepped column's lam, a global phase psi psi† drops:
     # its row and column of rho then carry the phases `_evolve` gives the target, whose
     # rounding cancels in V.
     phases = np.exp(np.multiply.outer(grid[:n], -1j * (lam - lam[0])))
-    psi = (samples[:n] * phases) @ w.T
+    psi = (samples * phases) @ w.T
     states = np.empty((n,) + pair.shape, dtype=complex)
     states[:, 0] = psi[:, :, None] * psi[:, None, :].conj()
     states[:, 1] = _evolve(free, pair[1], grid[:n])
@@ -496,13 +501,15 @@ def integrate(
 
 def _dp5(
     frame: tuple, law: Lyapunov, y: tuple, grid: np.ndarray, cfg: IntegratorConfig
-) -> tuple[np.ndarray, int, IntegratorStats, Exception | None]:
+) -> tuple[np.ndarray, IntegratorStats, Exception | None]:
     """Step psi~ from y at t = 0 to t_max with the adaptive DP5(4) pair,
     written out over the 2 or 4 amplitudes of the frame (`_frame`) with no
     numpy call inside an attempt. The 2-amplitude loop does what the
     4-amplitude one does, in the same order, with the other terms left out.
-    The error norm is the RMS over the pair's 4 levels, where a level that
-    is not stepped counts as zero error.
+    Every stage goes through the module's `rhs`, 6 calls per attempt and
+    one for the first. The error norm is the RMS over the pair's 4 levels,
+    where a level that is not stepped counts as zero error; an attempt
+    whose error is NaN, or overflows to inf, is rejected.
 
     After each accepted step psi~ is scaled back to its initial squared norm
     N0 by c = sqrt(N0/N). A step whose N drifted from N0 by more than
@@ -511,11 +518,13 @@ def _dp5(
     drifted by more than that from its initial value. The FSAL stage is
     rescaled by c³, not re-evaluated, as the field is quadratic in psi~. Each
     sample a step passes is read off the step's continuous extension
-    (`_DENSE`) at no `rhs` call and scaled to N0; the last step ends at
-    t_max, the last sample time. With v_stop set, stepping ends after the
-    first step that passes a sample with V < v_stop.
+    (`_DENSE`, with hs theta² factored out of the terms of k3-k7) at no
+    `rhs` call and scaled to N0; the samples are collected in a list and
+    become one array after stepping. The last step ends at t_max, the last
+    sample time. With v_stop set, stepping ends after the first step that
+    passes a sample with V < v_stop.
 
-    Returns the (len(grid), len(y)) samples of psi~, how many were taken,
+    Returns the (n, len(y)) samples of psi~ at the first n times of grid,
     the run's IntegratorStats, and the error that ended it early (or None).
     """
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), a6 = _A
@@ -527,17 +536,16 @@ def _dp5(
     (_, d52, d53, d54), (_, d62, d63, d64), (_, d72, d73, d74) = _DENSE[3:]
     atol, rtol, v_stop, t_max = cfg.abs_tol, cfg.rel_tol, cfg.v_stop, cfg.t_max
     tol = 1e-10 * max(1.0, t_max)  # a step that ends within tol of t_max ends there
-    target = frame[4]  # conj(psi_d~)
+    target = frame[3]  # conj(psi_d~)
     norm0 = sum(m * m for m in map(abs, y))
     # V = (N0² + N_d²)/2 - |<psi_d|psi>|² for the pure state and target.
     v_far = 0.5 * (norm0 * norm0 + sum(abs(g) ** 2 for g in target) ** 2)
     limit = ABORT_FACTOR * TRACE_TOL
     sector0 = sum(m * m for m in map(abs, y[:2]))  # the S sector of 4 amplitudes
-    times = grid.tolist()
-    samples = np.empty((len(times), len(y)), dtype=complex)
-    samples[0] = y
+    times = grid.tolist() + [math.inf]  # the sentinel ends every sample loop
+    out = [y]  # the samples taken
     ka = rhs(frame, law, 0.0, y)
-    n = 1  # samples taken
+    n = 1  # len(out): the index in times of the next sample
     steps = []  # accepted step sizes
     rejected = 0
     max_drift = max_sector = 0.0
@@ -550,7 +558,9 @@ def _dp5(
             (g0, g1), (y0, y1), (ka0, ka1) = target, y, ka
             my0, my1 = abs(y0), abs(y1)
             while t_max - t > tol:
-                hs = min(h_step, t_max - t)
+                hs = t_max - t
+                if h_step < hs:
+                    hs = h_step
                 if hs < 1e-13:
                     last = f"h={steps[-1]:.3e} ending at t={t:.6g}" if steps else "none"
                     raise IntegrationError(
@@ -581,16 +591,16 @@ def _dp5(
                 kg0, kg1 = rhs(frame, law, t + hs, (z0, z1))
                 mz0, mz1 = abs(z0), abs(z1)
                 x1, x3, x4, x5, x6, x7 = hs * e1, hs * e3, hs * e4, hs * e5, hs * e6, hs * e7
-                err = math.sqrt((
-                    (abs(x1 * ka0 + x3 * kc0 + x4 * kd0 + x5 * ke0 + x6 * kf0 + x7 * kg0)
-                     / (atol + rtol * max(my0, mz0))) ** 2
-                    + (abs(x1 * ka1 + x3 * kc1 + x4 * kd1 + x5 * ke1 + x6 * kf1 + x7 * kg1)
-                       / (atol + rtol * max(my1, mz1))) ** 2
-                ) / 4)
+                s0 = (abs(x1 * ka0 + x3 * kc0 + x4 * kd0 + x5 * ke0 + x6 * kf0 + x7 * kg0)
+                      / (atol + rtol * (my0 if my0 > mz0 else mz0)))
+                s1 = (abs(x1 * ka1 + x3 * kc1 + x4 * kd1 + x5 * ke1 + x6 * kf1 + x7 * kg1)
+                      / (atol + rtol * (my1 if my1 > mz1 else mz1)))
+                err = math.sqrt((s0 * s0 + s1 * s1) / 4)
 
-                if not err <= 1.0:  # a NaN error is a rejection too
+                if not err <= 1.0:  # a NaN or inf error is a rejection too
                     rejected += 1
-                    h_step = hs * max(0.2, 0.9 * err ** -0.2)
+                    q = 0.9 * err ** -0.2
+                    h_step = hs * (q if q > 0.2 else 0.2)
                     continue
                 t_new = t + hs
                 if t_max - t_new <= tol:
@@ -601,24 +611,27 @@ def _dp5(
                     raise IntegrationError(
                         f"psi~ norm drift {drift:.3e} exceeds abort threshold", t_new
                     )
-                max_drift = max(max_drift, drift)
+                if drift > max_drift:
+                    max_drift = drift
                 below = False
-                while n < len(times) and times[n] <= t_new:  # samples in (t, t_new]
+                while times[n] <= t_new:  # samples in (t, t_new]
                     th = (times[n] - t) / hs
+                    q = hs * th * th
                     x1 = hs * th * (1.0 + th * (d12 + th * (d13 + th * d14)))
-                    x3 = hs * th * th * (d32 + th * (d33 + th * d34))
-                    x4 = hs * th * th * (d42 + th * (d43 + th * d44))
-                    x5 = hs * th * th * (d52 + th * (d53 + th * d54))
-                    x6 = hs * th * th * (d62 + th * (d63 + th * d64))
-                    x7 = hs * th * th * (d72 + th * (d73 + th * d74))
+                    x3 = q * (d32 + th * (d33 + th * d34))
+                    x4 = q * (d42 + th * (d43 + th * d44))
+                    x5 = q * (d52 + th * (d53 + th * d54))
+                    x6 = q * (d62 + th * (d63 + th * d64))
+                    x7 = q * (d72 + th * (d73 + th * d74))
                     o0 = y0 + x1 * ka0 + x3 * kc0 + x4 * kd0 + x5 * ke0 + x6 * kf0 + x7 * kg0
                     o1 = y1 + x1 * ka1 + x3 * kc1 + x4 * kd1 + x5 * ke1 + x6 * kf1 + x7 * kg1
-                    c = math.sqrt(norm0 / (abs(o0) ** 2 + abs(o1) ** 2))
-                    samples[n] = c * o0, c * o1
+                    m0, m1 = abs(o0), abs(o1)
+                    c = math.sqrt(norm0 / (m0 * m0 + m1 * m1))
+                    out.append((c * o0, c * o1))
                     n += 1
                     if v_stop is not None:
-                        fid = c * c * abs(g0 * o0 + g1 * o1) ** 2
-                        below = below or v_far - fid < v_stop
+                        fid = abs(g0 * o0 + g1 * o1)
+                        below = below or v_far - c * c * (fid * fid) < v_stop
                 c = math.sqrt(norm0 / norm)
                 y0, y1 = c * z0, c * z1
                 my0, my1 = c * mz0, c * mz1
@@ -626,15 +639,17 @@ def _dp5(
                 ka0, ka1 = c * kg0, c * kg1  # FSAL
                 t = t_new
                 steps.append(hs)
-                factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-                h_step = hs * factor
+                q = 5.0 if err == 0.0 else 0.9 * err ** -0.2
+                h_step = hs * (q if q < 5.0 else 5.0)
                 if below:
                     break
         else:
             (g0, g1, g2, g3), (y0, y1, y2, y3), (ka0, ka1, ka2, ka3) = target, y, ka
             my0, my1, my2, my3 = abs(y0), abs(y1), abs(y2), abs(y3)
             while t_max - t > tol:
-                hs = min(h_step, t_max - t)
+                hs = t_max - t
+                if h_step < hs:
+                    hs = h_step
                 if hs < 1e-13:
                     last = f"h={steps[-1]:.3e} ending at t={t:.6g}" if steps else "none"
                     raise IntegrationError(
@@ -677,20 +692,20 @@ def _dp5(
                 kg0, kg1, kg2, kg3 = rhs(frame, law, t + hs, (z0, z1, z2, z3))
                 mz0, mz1, mz2, mz3 = abs(z0), abs(z1), abs(z2), abs(z3)
                 x1, x3, x4, x5, x6, x7 = hs * e1, hs * e3, hs * e4, hs * e5, hs * e6, hs * e7
-                err = math.sqrt((
-                    (abs(x1 * ka0 + x3 * kc0 + x4 * kd0 + x5 * ke0 + x6 * kf0 + x7 * kg0)
-                     / (atol + rtol * max(my0, mz0))) ** 2
-                    + (abs(x1 * ka1 + x3 * kc1 + x4 * kd1 + x5 * ke1 + x6 * kf1 + x7 * kg1)
-                       / (atol + rtol * max(my1, mz1))) ** 2
-                    + (abs(x1 * ka2 + x3 * kc2 + x4 * kd2 + x5 * ke2 + x6 * kf2 + x7 * kg2)
-                       / (atol + rtol * max(my2, mz2))) ** 2
-                    + (abs(x1 * ka3 + x3 * kc3 + x4 * kd3 + x5 * ke3 + x6 * kf3 + x7 * kg3)
-                       / (atol + rtol * max(my3, mz3))) ** 2
-                ) / 4)
+                s0 = (abs(x1 * ka0 + x3 * kc0 + x4 * kd0 + x5 * ke0 + x6 * kf0 + x7 * kg0)
+                      / (atol + rtol * (my0 if my0 > mz0 else mz0)))
+                s1 = (abs(x1 * ka1 + x3 * kc1 + x4 * kd1 + x5 * ke1 + x6 * kf1 + x7 * kg1)
+                      / (atol + rtol * (my1 if my1 > mz1 else mz1)))
+                s2 = (abs(x1 * ka2 + x3 * kc2 + x4 * kd2 + x5 * ke2 + x6 * kf2 + x7 * kg2)
+                      / (atol + rtol * (my2 if my2 > mz2 else mz2)))
+                s3 = (abs(x1 * ka3 + x3 * kc3 + x4 * kd3 + x5 * ke3 + x6 * kf3 + x7 * kg3)
+                      / (atol + rtol * (my3 if my3 > mz3 else mz3)))
+                err = math.sqrt((s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3) / 4)
 
-                if not err <= 1.0:  # a NaN error is a rejection too
+                if not err <= 1.0:  # a NaN or inf error is a rejection too
                     rejected += 1
-                    h_step = hs * max(0.2, 0.9 * err ** -0.2)
+                    q = 0.9 * err ** -0.2
+                    h_step = hs * (q if q > 0.2 else 0.2)
                     continue
                 t_new = t + hs
                 if t_max - t_new <= tol:
@@ -701,31 +716,34 @@ def _dp5(
                     raise IntegrationError(
                         f"psi~ norm drift {drift:.3e} exceeds abort threshold", t_new
                     )
-                max_drift = max(max_drift, drift)
+                if drift > max_drift:
+                    max_drift = drift
                 drift = abs((mz0 * mz0 + mz1 * mz1) * norm0 / norm - sector0)
                 if drift > limit:
                     raise IntegrationError(f"p_S drift {drift:.3e} exceeds abort threshold", t_new)
-                max_sector = max(max_sector, drift)
+                if drift > max_sector:
+                    max_sector = drift
                 below = False
-                while n < len(times) and times[n] <= t_new:  # samples in (t, t_new]
+                while times[n] <= t_new:  # samples in (t, t_new]
                     th = (times[n] - t) / hs
+                    q = hs * th * th
                     x1 = hs * th * (1.0 + th * (d12 + th * (d13 + th * d14)))
-                    x3 = hs * th * th * (d32 + th * (d33 + th * d34))
-                    x4 = hs * th * th * (d42 + th * (d43 + th * d44))
-                    x5 = hs * th * th * (d52 + th * (d53 + th * d54))
-                    x6 = hs * th * th * (d62 + th * (d63 + th * d64))
-                    x7 = hs * th * th * (d72 + th * (d73 + th * d74))
+                    x3 = q * (d32 + th * (d33 + th * d34))
+                    x4 = q * (d42 + th * (d43 + th * d44))
+                    x5 = q * (d52 + th * (d53 + th * d54))
+                    x6 = q * (d62 + th * (d63 + th * d64))
+                    x7 = q * (d72 + th * (d73 + th * d74))
                     o0 = y0 + x1 * ka0 + x3 * kc0 + x4 * kd0 + x5 * ke0 + x6 * kf0 + x7 * kg0
                     o1 = y1 + x1 * ka1 + x3 * kc1 + x4 * kd1 + x5 * ke1 + x6 * kf1 + x7 * kg1
                     o2 = y2 + x1 * ka2 + x3 * kc2 + x4 * kd2 + x5 * ke2 + x6 * kf2 + x7 * kg2
                     o3 = y3 + x1 * ka3 + x3 * kc3 + x4 * kd3 + x5 * ke3 + x6 * kf3 + x7 * kg3
-                    c = math.sqrt(
-                        norm0 / (abs(o0) ** 2 + abs(o1) ** 2 + abs(o2) ** 2 + abs(o3) ** 2))
-                    samples[n] = c * o0, c * o1, c * o2, c * o3
+                    m0, m1, m2, m3 = abs(o0), abs(o1), abs(o2), abs(o3)
+                    c = math.sqrt(norm0 / (m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3))
+                    out.append((c * o0, c * o1, c * o2, c * o3))
                     n += 1
                     if v_stop is not None:
-                        fid = c * c * abs(g0 * o0 + g1 * o1 + g2 * o2 + g3 * o3) ** 2
-                        below = below or v_far - fid < v_stop
+                        fid = abs(g0 * o0 + g1 * o1 + g2 * o2 + g3 * o3)
+                        below = below or v_far - c * c * (fid * fid) < v_stop
                 c = math.sqrt(norm0 / norm)
                 y0, y1, y2, y3 = c * z0, c * z1, c * z2, c * z3
                 my0, my1, my2, my3 = c * mz0, c * mz1, c * mz2, c * mz3
@@ -733,8 +751,8 @@ def _dp5(
                 ka0, ka1, ka2, ka3 = c * kg0, c * kg1, c * kg2, c * kg3  # FSAL
                 t = t_new
                 steps.append(hs)
-                factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-                h_step = hs * factor
+                q = 5.0 if err == 0.0 else 0.9 * err ** -0.2
+                h_step = hs * (q if q < 5.0 else 5.0)
                 if below:
                     break
     except (IntegrationError, ValueError) as exc:
@@ -743,7 +761,7 @@ def _dp5(
     h_range = (min(steps), max(steps)) if steps else (None, None)
     evals = 1 + 6 * (len(steps) + rejected)
     stats = IntegratorStats(len(steps), rejected, evals, *h_range, max_drift, max_sector, len(y))
-    return samples, n, stats, error
+    return np.array(out, dtype=complex), stats, error
 
 
 def _evolve(eig: tuple[np.ndarray, np.ndarray], rho: np.ndarray, times: np.ndarray) -> np.ndarray:

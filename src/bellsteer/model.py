@@ -51,6 +51,13 @@ class ModelParams:
             raise ValueError(f"eta must be nonnegative and finite, got {self.eta}")
         if not math.isfinite(self.k):
             raise ValueError(f"k must be finite, got {self.k}")
+        # `hs_norm` sums squared entries, so the pair's norm is finite only while the
+        # squared Frobenius norms are: 16 J² for 2J Z(x)Z, and 4 (eta J)² (1 + k²) for
+        # the local field, at k and at the interaction drift's k = 1.
+        b = self.eta * self.J
+        if not math.isfinite(16 * self.J * self.J + 4 * b * b * (1 + max(self.k * self.k, 1.0))):
+            raise ValueError(f"the Hamiltonian norm is not finite at J={self.J}, eta={self.eta}, "
+                             f"k={self.k}")
         if self.eta >= 1:
             warnings.warn(
                 f"eta={self.eta} is not small compared to 1; the weak-local-field "
@@ -121,10 +128,19 @@ _BELL_INDEX = {
 }
 
 
+# 64 u (u = 2^-53): the Hermiticity defect a pair may carry, per unit of its
+# norm ||H||_F, above the absolute HERMITICITY_TOL. `Basis.from_z` rounds T H T†
+# by at most 16 u ||H||_F (gamma_4 ||A||_F ||B||_F per 4x4 product, ||T||_F = 2,
+# ||T H||_F = ||H||_F), so H - H† by at most twice that. Seen: 0.49 u at J = 1e12.
+_HERM_ROUNDING = 64 * 2.0**-53
+
+
 @dataclass(frozen=True, eq=False)
 class HamiltonianPair:
     """Drift h0 and control h1 expressed in ``basis``; optional construction
-    metadata (params, paradigm) travels with the pair for downstream checks."""
+    metadata (params, paradigm) travels with the pair for downstream checks.
+    Each must have a finite Frobenius norm and be Hermitian to roundoff:
+    max(HERMITICITY_TOL, _HERM_ROUNDING ||h||_F)."""
 
     h0: np.ndarray = field(repr=False)
     h1: np.ndarray = field(repr=False)
@@ -134,8 +150,12 @@ class HamiltonianPair:
 
     def __post_init__(self) -> None:
         for name, h in (("h0", self.h0), ("h1", self.h1)):
+            with np.errstate(over="ignore"):  # an overflowing norm is rejected just below
+                norm = hs_norm(h)
+            if not math.isfinite(norm):
+                raise ValueError(f"{name} has no finite norm")
             err = hs_norm(h - dagger(h))
-            if err > HERMITICITY_TOL:
+            if err > max(HERMITICITY_TOL, _HERM_ROUNDING * norm):
                 raise ValueError(f"{name} is not Hermitian (deviation {err:.3e})")
 
 

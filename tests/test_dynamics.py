@@ -77,13 +77,15 @@ def vec_frame(h, states):
     state/target stack, rho~ = W† U0(t)† rho U0(t) W in the eigenbasis
     (lam, W) of H0, written row-major, with (W, the (d²,) rates
     -i(lam_j - lam_k), the (d², d²) transpose gen of -i L(W† H1 W) with
-    L(H) = H⊗I - I⊗Hᵀ, and the constant target rho_d~ = W† rho_d0 W)."""
+    L(H) = H⊗I - I⊗Hᵀ, the constant target rho_d~ = W† rho_d0 W, and
+    ||H1||_F, the scale of the feedback trace's realness check)."""
     lam, w = np.linalg.eigh(h.h0)
     rho, rho_d = w.conj().T @ states @ w
     h1 = w.conj().T @ h.h1 @ w
     eye = np.eye(len(lam))
     gen = np.ascontiguousarray(-1j * (np.kron(h1, eye) - np.kron(eye, h1.T)).T)
-    return (w, -1j * np.subtract.outer(lam, lam).ravel(), gen, rho_d), rho.ravel()
+    rates = -1j * np.subtract.outer(lam, lam).ravel()
+    return (w, rates, gen, rho_d, hs_norm(h.h1)), rho.ravel()
 
 
 def vec_rhs(frame, law, t, y):
@@ -92,13 +94,14 @@ def vec_rhs(frame, law, t, y):
     vec(x) @ gen = vec(-i[W† H1 W, x]); the feedback is
     sign * kappa * Im Tr(rho_d [H1, rho]), a trace the frame leaves alone.
     An open-loop field is 1 wherever it is stepped (see `dop853_run`)."""
-    _, rates, gen, target = frame
+    _, rates, gen, target, h1_norm = frame
     p = np.exp(rates * t)
     q = p.conj() * ((p * y) @ gen)
     if not isinstance(law, Lyapunov):
         return q
     # vdot(vec rho_d~, vec(-i[H1~, rho~])) = -i Tr(rho_d [H1, rho]) for Hermitian rho_d.
-    return feedback_from_trace(1j * np.vdot(target, q), law.kappa, law.sign) * q
+    tr = 1j * np.vdot(target, q)
+    return feedback_from_trace(tr, law.kappa, law.sign, h1_norm=h1_norm) * q
 
 
 def dop853_run(h, law, rho0, rho_d0, cfg):
@@ -112,7 +115,7 @@ def dop853_run(h, law, rho0, rho_d0, cfg):
     states = dynamics._initial_states(h, rho0, rho_d0)
     grid = dynamics._sample_grid(cfg)
     frame, y = vec_frame(h, states)
-    w, rates, _, target = frame
+    w, rates, _, target, _ = frame
     if isinstance(law, Lyapunov):
         t_on = grid[-1]
     else:
@@ -690,6 +693,47 @@ class TestRhs:
         # The sector not stepped takes no derivative.
         assert np.linalg.norm(stepped - dy_ref) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("label", [label for label, _ in preset_scenarios("figure4")])
+    def test_one_phase_per_sector_at_long_times(self, label):
+        """`rhs` writes E h E* within a sector as [[h00, h01 r], [h10 / r, h11]]
+        with one factor r = exp(i (lam_0 - lam_1) t), against the per-level
+        form -i f E h E* psi~, E = diag(exp(i lam t)), in long double as the
+        exact value, on the preset's frame, for random unit psi~ on its sector
+        and times up to t = 300.
+
+        The bound is derived from the one-factor rounding. Rounding
+        lam_0 - lam_1 and then its product with t moves the phase of r by at
+        most 2 u |lam_0 - lam_1| t (u the unit roundoff), and exp, the
+        products and the sums add a few u: 16 u covers them. So v = E h E* psi~
+        moves by at most ||h||_F (2 u |dlam| t + 16 u) = ||h||_F eps, the
+        field f = 2 sign kappa Im(<psi_d~|v> conj(b)) by 2 kappa ||h||_F eps,
+        and dpsi~/dt = -i f v by (|f| + 2 kappa ||h||_F) ||h||_F eps. At
+        t = 300 the phase term is 2.7e-13 for dlam = 4 (local presets) and
+        2.7e-14 for 0.4 (interaction presets). Seen: at most 0.06 of the
+        bound on all six."""
+        cfg, h, states = preset_states(label)
+        law = cfg.law
+        frame, _ = dynamics._frame(h, *states)
+        (lam, w), cols = frame[:2]
+        ext = np.clongdouble
+        lam_x = lam[cols].astype(np.longdouble)
+        h_x = (w[:, cols].conj().T @ h.h1 @ w[:, cols]).astype(ext)
+        g_x = np.array(frame[3], dtype=ext)
+        h_norm = np.linalg.norm(h_x.astype(complex))
+        u = 2.0**-53
+        rng = np.random.default_rng(23)
+        for t in np.linspace(0.0, 300.0, 61) + rng.uniform(0.0, 0.5, 61):
+            y = rng.normal(size=len(cols)) + 1j * rng.normal(size=len(cols))
+            y /= np.linalg.norm(y)
+            dy = np.array(rhs(frame, law, float(t), tuple(y.tolist())))
+            e = np.exp(1j * lam_x * np.longdouble(t))
+            v = e * (h_x @ (e.conj() * y.astype(ext)))
+            f = 2 * law.sign * law.kappa * (np.sum(g_x * v) * np.conj(np.sum(g_x * y))).imag
+            dy_ref = -1j * f * v
+            eps = 2 * u * abs(lam_x[0] - lam_x[1]) * t + 16 * u
+            bound = (abs(f) + 2 * law.kappa * h_norm) * h_norm * eps
+            assert np.max(np.abs(dy - dy_ref.astype(complex))) <= bound
+
     def test_non_hermitian_target_rejected_like_control_field(self, monkeypatch):
         h = local_pair()
         rng = np.random.default_rng(3)
@@ -812,7 +856,7 @@ class TestStateStack:
         def spy(frame, *args):
             out = dp5(frame, *args)
             (lam, w), cols = frame[:2]
-            taken.append((lam[cols], w[:, cols], out[0][: out[1]]))
+            taken.append((lam[cols], w[:, cols], out[0]))
             return out
 
         dp5 = dynamics._dp5
@@ -1015,6 +1059,11 @@ def nan_stage(dy):
     return tuple(x * np.nan for x in dy)
 
 
+def overflow_stage(dy):
+    """A stage of finite entries whose error norm overflows: 1e160 each."""
+    return tuple(1e160 + 0j for _ in dy)
+
+
 class TestMidRunErrors:
     """Errors raised while stepping still report an earlier invariant
     violation first, as a check at every sample would."""
@@ -1039,6 +1088,31 @@ class TestMidRunErrors:
         assert excinfo.value.t == pytest.approx(0.35, abs=1e-6)
         assert "last accepted step h=" in str(excinfo.value)
         assert f"ending at t={excinfo.value.t:.6g}" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "rho0,amplitudes", [(x_state("|++>"), 2), (off_s_state(), 4)],
+        ids=["two_amplitudes", "four_amplitudes"],
+    )
+    def test_overflowing_attempt_is_rejected(self, monkeypatch, rho0, amplitudes):
+        # Every attempt's FSAL stage (rhs calls 7, 13, ...) is finite but so
+        # large that the squared error overflows to inf: each attempt is
+        # rejected, as a NaN one is, until the step size underflows.
+        calls, widths = [], set()
+        real_rhs = dynamics.rhs
+
+        def overflowing(frame, law, t, y):
+            calls.append(t)
+            widths.add(len(y))
+            dy = real_rhs(frame, law, t, y)
+            return overflow_stage(dy) if len(calls) > 1 and len(calls) % 6 == 1 else dy
+
+        monkeypatch.setattr(dynamics, "rhs", overflowing)
+        rho_d0 = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
+        with pytest.raises(IntegrationError, match="last accepted step none"):
+            integrate(local_pair(), Lyapunov(kappa=1.0), rho0, rho_d0,
+                      IntegratorConfig(t_max=1.0))
+        assert widths == {amplitudes}
+        assert len(calls) % 6 == 1 and len(calls) > 7
 
     def test_underflow_with_no_accepted_step(self):
         with pytest.raises(IntegrationError, match="last accepted step none"):

@@ -806,6 +806,22 @@ class TestCli:
         assert main([command, cfg]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "J,exits", [("1e6", (0, 3)), ("1e8", (0, 3)), ("1e12", (0, 3)), ("1e200", (2,))]
+    )
+    def test_large_scale_models(self, tmp_path, capsys, J, exits):
+        # From |00>, over a few periods of the 4J drift: a run ends or is
+        # aborted (exit 3), with no traceback; a model whose Hamiltonian norm
+        # overflows is a config error for validate and run alike.
+        mapping = base_mapping(
+            **{"model.J": J, "initial_state": "|00>", "integrator.t_max": "1e-6"}
+        )
+        cfg = self.write_cfg(tmp_path, mapping)
+        assert main(["validate", cfg]) == (2 if exits == (2,) else 0)
+        assert main(["run", cfg]) in exits
+        if exits == (2,):
+            assert "Hamiltonian norm is not finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
     def test_non_utf8_config_exit_2(self, tmp_path, capsys, command):
         path = tmp_path / "latin1.cfg"

@@ -45,6 +45,8 @@ class TestModelParams:
         dict(J=float("inf"), eta=0.1),
         dict(J=1.0, eta=float("nan")),
         dict(J=1.0, eta=0.1, k=float("nan")),
+        dict(J=1e200, eta=0.1),  # finite, but not the norm of 2J Z(x)Z
+        dict(J=1e100, eta=1e60),  # nor that of the local field
     ])
     def test_rejects_non_finite(self, kwargs):
         with pytest.raises(ValueError, match="finite"):
@@ -159,6 +161,13 @@ class TestHamiltonians:
         bad[0, 1] = 1.0
         with pytest.raises(ValueError, match="not Hermitian"):
             HamiltonianPair(bad, np.eye(4, dtype=complex), Z_PRODUCT)
+
+    def test_pair_rejects_non_finite_norm(self):
+        # Finite entries whose squared sum overflows: with an infinite norm the
+        # Hermiticity tolerance, which scales with it, would admit anything.
+        big = 1e160 * np.eye(4, dtype=complex)
+        with pytest.raises(ValueError, match="h1 has no finite norm"):
+            HamiltonianPair(np.eye(4, dtype=complex), big, Z_PRODUCT)
 
 
 def s_block(h):
