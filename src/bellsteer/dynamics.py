@@ -13,19 +13,24 @@ where psi~ or the target has weight (`_frame`), 2 or 4 amplitudes. It steps
 them with an adaptive embedded Dormand-Prince 5(4) scheme written out over
 2 or 4 amplitudes, over the whole run (every stage re-evaluates the
 feedback), and reads its samples off the scheme's continuous extension.
-Each sample's state is psi = W diag(exp(-i (lam - lam_0) t)) psi~ on the
-stepped columns, with lam_0 the first one's, up to a global phase, one
-row-wise product over all samples, and rho = psi psi†. The target is the
-exact free evolution of rho_d0 by the eigendecomposition path (`_evolve`)
-that `propagate_exact` uses for open-loop runs (a geometric law or none),
-whose Hamiltonian is constant on each interval and which also takes mixed
-states.
-`vdot_identity_check` steps the same flow to check the descent identity of
-the feedback law. Both propagators end in the one pass `_diagnose`: the
-v_stop cut, the unitary-dynamics invariants (trace, Hermiticity, purity,
-positivity) at every output sample, the field column, then V, concurrence
-and p_S. Violations beyond ten times the stated tolerances abort the run at
-the first bad sample.
+Its columns (V, field, concurrence, fidelity, p_S, purity) come from those
+samples of psi~, the constant psi_d~ and, for concurrence and fidelity,
+the lab states psi = W diag(exp(-i (lam - lam_0) t)) psi~, one row-wise
+product over all samples: no density matrix is formed for them. rho =
+psi psi† and the target, the exact free evolution of rho_d0 by the
+eigendecomposition path (`_evolve`), are formed only when read.
+
+`propagate_exact` solves the open-loop runs (a geometric law or none),
+whose Hamiltonian is constant on each interval, by `_evolve`, and also
+takes mixed states. It ends in `_diagnose`: the v_stop cut, the
+unitary-dynamics invariants (trace, Hermiticity, purity, positivity) at
+every output sample, the field column, then V, concurrence, fidelity, p_S
+and purity, all on the (n, 2, d, d) state/target stack. Violations beyond
+ten times the stated tolerances abort the run at the first bad sample. A
+closed-loop sample psi psi† keeps all four invariants by construction, so
+`integrate` checks the unit traces of its inputs, and `_dp5` the norm and
+the S-sector norm of psi~ at every step. `vdot_identity_check` steps the
+closed-loop flow to check the descent identity of the feedback law.
 
 One thing is renormalized: after each accepted step, and at each sample,
 psi~ is scaled back to its initial norm (the projection of Hairer, Lubich &
@@ -42,7 +47,9 @@ from __future__ import annotations
 
 import math
 from cmath import exp
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -171,18 +178,23 @@ class TrajectoryMetadata:
 class Trajectory:
     """Time-ordered samples of the coupled run.
 
-    Arrays share a common length n: t (n,), rho and rho_d (n, d, d), f, V,
-    concurrence and p_S (n,). Times are strictly increasing.
+    Arrays share a common length n: t (n,) and the columns f, V,
+    concurrence, fidelity Tr(rho rho_d), p_S and purity Tr(rho²) (n,).
+    Times are strictly increasing. The states rho and rho_d (n, d, d) are
+    formed by form_rho and form_rho_d when first read: a closed-loop run
+    takes its columns from psi~ and needs no density matrix for them.
     """
 
     t: np.ndarray
-    rho: np.ndarray = field(repr=False)
-    rho_d: np.ndarray = field(repr=False)
     f: np.ndarray
     V: np.ndarray
     concurrence: np.ndarray
+    fidelity: np.ndarray
     p_S: np.ndarray
+    purity: np.ndarray
     metadata: TrajectoryMetadata
+    form_rho: Callable[[], np.ndarray] = field(repr=False)
+    form_rho_d: Callable[[], np.ndarray] = field(repr=False)
 
     def __post_init__(self) -> None:
         if np.any(np.diff(self.t) <= 0):
@@ -190,6 +202,14 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.t)
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        return self.form_rho()
+
+    @cached_property
+    def rho_d(self) -> np.ndarray:
+        return self.form_rho_d()
 
 
 def _pure_state(rho: np.ndarray, name: str) -> np.ndarray:
@@ -358,9 +378,11 @@ def vdot_identity_check(
 
 
 def _sample_grid(cfg: IntegratorConfig) -> np.ndarray:
+    """Every multiple of sample_every up to t_max, and t_max itself when the
+    last multiple falls short of it by more than 1e-9 t_max."""
     n = int(np.floor(cfg.t_max / cfg.sample_every + 1e-9))
     grid = np.arange(n + 1) * cfg.sample_every
-    if grid[-1] < cfg.t_max - 1e-9 * max(1.0, cfg.t_max):
+    if grid[-1] < cfg.t_max - 1e-9 * cfg.t_max:
         grid = np.append(grid, cfg.t_max)
     elif n > 0:
         grid[-1] = cfg.t_max
@@ -378,6 +400,11 @@ def _initial_states(h: HamiltonianPair, rho0: np.ndarray, rho_d0: np.ndarray) ->
 
 def _purity(mats: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ji->...", mats, mats).real
+
+
+def _trace_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re Tr(a_k b_k) for each pair of an (n, d, d) stack, as one row-wise sum."""
+    return np.einsum("nij,nji->n", a, b).real
 
 
 def _check_invariants(t: np.ndarray, states: np.ndarray, purity0: np.ndarray) -> None:
@@ -417,26 +444,22 @@ def _diagnose(
     t: np.ndarray,
     states: np.ndarray,
     v_stop: float | None,
-    stats: IntegratorStats | None = None,
 ) -> Trajectory:
-    """The one pass both propagators end in, over the (n, 2, d, d)
-    state/target stack at the times t, in this order:
+    """The pass `propagate_exact` ends in, over the (n, 2, d, d) state/target
+    stack at the times t, which may be mixed, in this order:
 
     1. with v_stop set, the run is cut at the first sample after t = 0 whose
        V is below v_stop, which it keeps;
     2. the invariants are checked (`_check_invariants`) against the purities
        of the initial stack, so the first bad sample aborts the run;
-    3. the field column is the law's field at each sample: the feedback
-       `control_field` of every state and target at once, the geometric
-       switch at the sample times, or 0;
-    4. V, concurrence and p_S are taken for every sample at once in the
-       pair's basis, with the stall flag.
+    3. the field column is the law's field at each sample: the geometric
+       switch at the sample times, 0 for no law, and for a feedback law,
+       which only a stepped reference outside `integrate` hands in, the
+       `control_field` of every state and target at once;
+    4. V, concurrence, fidelity, p_S and purity are taken for every sample
+       at once in the pair's basis.
 
-    A feedback run is stalled when it starts off target (V > 1e-12) and V
-    stays within 64 u of V(0): dV/dt = -sign f²/kappa, and each computed V
-    is within 32 u of its sample's exact V (README). The field is no test:
-    at a fixed point the stepper lets roundoff grow below its tolerance, to
-    |f| = 4e-13 from |00> towards Phi+ at kappa = 2.
+    `integrate` takes its columns from psi~ instead, stall flag included.
     """
     v = lyapunov_value(states[:, 0], states[:, 1])
     below = np.flatnonzero(v[1:] < v_stop) if v_stop is not None else ()
@@ -452,11 +475,9 @@ def _diagnose(
         f = control_field(rho, rho_d, h.h1, law.kappa, law.sign)
     c = metrics.concurrence(rho, h.basis)
     p_s = subspace_populations(rho, h.basis)[0]
-    stalled = bool(
-        isinstance(law, Lyapunov) and v[0] > 1e-12 and np.max(np.abs(v - v[0])) <= 64 * 2.0**-53
-    )
-    meta = TrajectoryMetadata(h.params, h.paradigm, law, stalled, stats)
-    return Trajectory(t, rho, rho_d, f, v, c, p_s, meta)
+    fid, pur = _trace_products(rho, rho_d), _trace_products(rho, rho)
+    meta = TrajectoryMetadata(h.params, h.paradigm, law, False)
+    return Trajectory(t, f, v, c, fid, p_s, pur, meta, lambda: rho, lambda: rho_d)
 
 
 def integrate(
@@ -471,10 +492,26 @@ def integrate(
     Steps psi~ (see `rhs` and `_dp5`) over the whole run, so it factors rho0
     and rho_d0 as psi psi† (`_pure_state`), and both must be pure. An
     open-loop law is rejected: its Hamiltonian is constant on each interval,
-    and `propagate_exact` solves that exactly. The samples taken end in
-    `_diagnose`, also when an error is raised mid-run: the error is
-    re-raised after that pass, unless the pass finds an earlier invariant
-    violation, the error reported.
+    and `propagate_exact` solves that exactly.
+
+    The columns are a few row-wise operations on the samples of psi~ and
+    the constant psi_d~, with b = <psi_d~|psi~> and squared norms N, N_d
+    (README): V = (N - N_d)²/2 + N_d ||psi~ - psi_d~ b/N_d||², which keeps
+    its relative accuracy far below the roundoff of N² and |b|², the field
+    by `rhs`'s formula, p_S the squared norm of the S columns, and
+    concurrence |psi^T S psi|, fidelity |<psi_d|psi>|² and purity ||psi||⁴
+    on the lab vectors psi = W diag(exp(-i (lam - lam_0) t)) psi~ and psi_d.
+    The run is cut at v_stop as in `_diagnose`. psi psi† keeps its trace,
+    Hermiticity, purity and spectrum by construction, so of the invariants
+    only the unit traces of rho0 and rho_d0 are checked, a violation being
+    reported at the first sample after t = 0 and before an error raised
+    mid-run. A run is stalled when it starts off target (V > 1e-12) and V
+    stays within 64 u of V(0): dV/dt = -sign f²/kappa, and each computed V
+    is within 32 u of its sample's exact V. The field is no test: at a
+    fixed point the stepper lets roundoff grow below its tolerance, to
+    |f| = 4e-13 from |00> towards Phi+ at kappa = 2. The Trajectory's
+    rho = psi psi† and rho_d, the free evolution of rho_d0 by `_evolve`,
+    are formed only when read.
     """
     if not isinstance(law, Lyapunov):
         raise ValueError("open-loop laws have a constant Hamiltonian; use propagate_exact")
@@ -482,21 +519,55 @@ def integrate(
     grid = _sample_grid(cfg)
     frame, y = _frame(h, _pure_state(pair[0], "rho0"), _pure_state(pair[1], "rho_d0"))
     samples, stats, error = _dp5(frame, law, y, grid, cfg)
-    n = len(samples)
+    t = grid[: len(samples)]
+    target = np.array(frame[3])  # conj(psi_d~)
+    norm, norm_d = _sq_norm(samples), _sq_norm(target)
+    b = samples @ target
+    v = 0.5 * (norm - norm_d) ** 2 + norm_d * _sq_norm(
+        samples - np.multiply.outer(b / norm_d, target.conj())
+    )
+    below = np.flatnonzero(v[1:] < cfg.v_stop) if cfg.v_stop is not None else ()
+    n = int(below[0]) + 2 if len(below) else len(t)
+    t, samples, b, v = t[:n], samples[:n], b[:n], v[:n]
+    if n > 1:
+        drifts = np.abs(np.trace(pair, axis1=1, axis2=2) - 1.0)
+        for name, drift in zip(("rho", "rho_d"), drifts):
+            if drift > ABORT_FACTOR * TRACE_TOL:
+                raise IntegrationError(
+                    f"{name} trace drift {drift:.3e} exceeds abort threshold", float(t[1])
+                )
+    if error is not None:
+        raise error
+
     free, cols = frame[:2]
     lam, w = free[0][cols], free[1][:, cols]
     # Phases relative to the first stepped column's lam, a global phase psi psi† drops:
-    # its row and column of rho then carry the phases `_evolve` gives the target, whose
-    # rounding cancels in V.
-    phases = np.exp(np.multiply.outer(grid[:n], -1j * (lam - lam[0])))
-    psi = (samples * phases) @ w.T
-    states = np.empty((n,) + pair.shape, dtype=complex)
-    states[:, 0] = psi[:, :, None] * psi[:, None, :].conj()
-    states[:, 1] = _evolve(free, pair[1], grid[:n])
-    traj = _diagnose(h, law, grid[:n], states, cfg.v_stop, stats)
-    if error is not None:
-        raise error
-    return traj
+    # its row and column of rho then carry the phases `_evolve` gives the target.
+    phases = np.exp(np.multiply.outer(t, -1j * (lam - lam[0])))
+    psi, psi_d = (samples * phases) @ w.T, (target.conj() * phases) @ w.T
+    c = np.abs(((psi @ metrics.spin_flip(h.basis)) * psi).sum(axis=1))
+    overlap = (psi_d.conj() * psi).sum(axis=1)
+    fid = overlap.real**2 + overlap.imag**2
+    # `rhs`'s v = E h E* psi~ for each stepped sector j, from its rate and 2x2 block.
+    hv = np.empty_like(samples)
+    for j in range(len(cols) // 2):
+        r, h00, h01, h10, h11 = frame[2][5 * j: 5 * j + 5]
+        e, y0, y1 = np.exp(r * t), samples[:, 2 * j], samples[:, 2 * j + 1]
+        hv[:, 2 * j] = h00 * y0 + h01 * e * y1
+        hv[:, 2 * j + 1] = h10 / e * y0 + h11 * y1
+    f = 2 * law.sign * law.kappa * ((hv @ target) * b.conj()).imag
+    p_s = _sq_norm(samples[:, cols < 2])
+    stalled = bool(v[0] > 1e-12 and np.max(np.abs(v - v[0])) <= 64 * 2.0**-53)
+    meta = TrajectoryMetadata(h.params, h.paradigm, law, stalled, stats)
+    return Trajectory(
+        t, f, v, c, fid, p_s, _sq_norm(psi) ** 2, meta,
+        lambda: psi[:, :, None] * psi[:, None, :].conj(), lambda: _evolve(free, pair[1], t),
+    )
+
+
+def _sq_norm(rows: np.ndarray) -> np.ndarray:
+    """The squared norm of each row of a complex array (of a vector, its own)."""
+    return (rows.real * rows.real + rows.imag * rows.imag).sum(axis=-1)
 
 
 def _dp5(
@@ -521,8 +592,9 @@ def _dp5(
     (`_DENSE`, with hs theta² factored out of the terms of k3-k7) at no
     `rhs` call and scaled to N0; the samples are collected in a list and
     become one array after stepping. The last step ends at t_max, the last
-    sample time. With v_stop set, stepping ends after the first step that
-    passes a sample with V < v_stop.
+    sample time; a step that ends within 1e-10 t_max of it ends there. With
+    v_stop set, stepping ends after the first step that passes a sample with
+    V < v_stop, V in `integrate`'s form.
 
     Returns the (n, len(y)) samples of psi~ at the first n times of grid,
     the run's IntegratorStats, and the error that ended it early (or None).
@@ -535,11 +607,12 @@ def _dp5(
     (_, d12, d13, d14), (_, d32, d33, d34), (_, d42, d43, d44) = _DENSE[:3]
     (_, d52, d53, d54), (_, d62, d63, d64), (_, d72, d73, d74) = _DENSE[3:]
     atol, rtol, v_stop, t_max = cfg.abs_tol, cfg.rel_tol, cfg.v_stop, cfg.t_max
-    tol = 1e-10 * max(1.0, t_max)  # a step that ends within tol of t_max ends there
+    tol = 1e-10 * t_max
     target = frame[3]  # conj(psi_d~)
     norm0 = sum(m * m for m in map(abs, y))
-    # V = (N0² + N_d²)/2 - |<psi_d|psi>|² for the pure state and target.
-    v_far = 0.5 * (norm0 * norm0 + sum(abs(g) ** 2 for g in target) ** 2)
+    # V = (N0 - N_d)²/2 + N_d ||psi~ - psi_d~ b/N_d||², b = <psi_d~|psi~>, as in `integrate`.
+    norm_d = sum(abs(g) ** 2 for g in target)
+    v_norms = 0.5 * (norm0 - norm_d) ** 2
     limit = ABORT_FACTOR * TRACE_TOL
     sector0 = sum(m * m for m in map(abs, y[:2]))  # the S sector of 4 amplitudes
     times = grid.tolist() + [math.inf]  # the sentinel ends every sample loop
@@ -556,6 +629,7 @@ def _dp5(
     try:
         if len(y) == 2:
             (g0, g1), (y0, y1), (ka0, ka1) = target, y, ka
+            p0, p1 = g0.conjugate(), g1.conjugate()  # psi_d~
             my0, my1 = abs(y0), abs(y1)
             while t_max - t > tol:
                 hs = t_max - t
@@ -627,11 +701,14 @@ def _dp5(
                     o1 = y1 + x1 * ka1 + x3 * kc1 + x4 * kd1 + x5 * ke1 + x6 * kf1 + x7 * kg1
                     m0, m1 = abs(o0), abs(o1)
                     c = math.sqrt(norm0 / (m0 * m0 + m1 * m1))
-                    out.append((c * o0, c * o1))
+                    o0, o1 = c * o0, c * o1
+                    out.append((o0, o1))
                     n += 1
                     if v_stop is not None:
-                        fid = abs(g0 * o0 + g1 * o1)
-                        below = below or v_far - c * c * (fid * fid) < v_stop
+                        bn = (g0 * o0 + g1 * o1) / norm_d
+                        r0, r1 = o0 - bn * p0, o1 - bn * p1
+                        below = below or v_norms + norm_d * (
+                            abs(r0) ** 2 + abs(r1) ** 2) < v_stop
                 c = math.sqrt(norm0 / norm)
                 y0, y1 = c * z0, c * z1
                 my0, my1 = c * mz0, c * mz1
@@ -645,6 +722,7 @@ def _dp5(
                     break
         else:
             (g0, g1, g2, g3), (y0, y1, y2, y3), (ka0, ka1, ka2, ka3) = target, y, ka
+            p0, p1, p2, p3 = (g.conjugate() for g in target)  # psi_d~
             my0, my1, my2, my3 = abs(y0), abs(y1), abs(y2), abs(y3)
             while t_max - t > tol:
                 hs = t_max - t
@@ -739,11 +817,14 @@ def _dp5(
                     o3 = y3 + x1 * ka3 + x3 * kc3 + x4 * kd3 + x5 * ke3 + x6 * kf3 + x7 * kg3
                     m0, m1, m2, m3 = abs(o0), abs(o1), abs(o2), abs(o3)
                     c = math.sqrt(norm0 / (m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3))
-                    out.append((c * o0, c * o1, c * o2, c * o3))
+                    o0, o1, o2, o3 = c * o0, c * o1, c * o2, c * o3
+                    out.append((o0, o1, o2, o3))
                     n += 1
                     if v_stop is not None:
-                        fid = abs(g0 * o0 + g1 * o1 + g2 * o2 + g3 * o3)
-                        below = below or v_far - c * c * (fid * fid) < v_stop
+                        bn = (g0 * o0 + g1 * o1 + g2 * o2 + g3 * o3) / norm_d
+                        r0, r1, r2, r3 = o0 - bn * p0, o1 - bn * p1, o2 - bn * p2, o3 - bn * p3
+                        below = below or v_norms + norm_d * (
+                            abs(r0) ** 2 + abs(r1) ** 2 + abs(r2) ** 2 + abs(r3) ** 2) < v_stop
                 c = math.sqrt(norm0 / norm)
                 y0, y1, y2, y3 = c * z0, c * z1, c * z2, c * z3
                 my0, my1, my2, my3 = c * mz0, c * mz1, c * mz2, c * mz3

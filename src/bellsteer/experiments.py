@@ -307,15 +307,9 @@ def is_sweep_mapping(mapping: dict[str, str]) -> bool:
     return any(k.startswith(_SWEEP) for k in mapping)
 
 
-def _trace_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re Tr(a_k b_k) for each pair of an (n, d, d) stack, as one row-wise sum."""
-    return np.einsum("nij,nji->n", a, b).real
-
-
 def trajectory_table(traj: Trajectory) -> list[tuple[float, ...]]:
     """Per-sample rows matching CSV_HEADER; fidelity is Tr(rho rho_d)."""
-    fid, pur = _trace_products(traj.rho, traj.rho_d), _trace_products(traj.rho, traj.rho)
-    columns = (traj.t, traj.V, traj.f, traj.concurrence, fid, traj.p_S, pur)
+    columns = (traj.t, traj.V, traj.f, traj.concurrence, traj.fidelity, traj.p_S, traj.purity)
     return list(zip(*(col.tolist() for col in columns)))
 
 
@@ -339,7 +333,6 @@ def build_report(
     traj: Trajectory, cfg: ScenarioConfig, h: HamiltonianPair, label: str | None = None
 ) -> dict:
     """The JSON report of a finished run of ``cfg`` under the Hamiltonians ``h``."""
-    fid = float(_trace_products(traj.rho[-1:], traj.rho_d[-1:])[0])  # as in the CSV
     # Undefined (null in the JSON) when the drift is zero, e.g. InteractionControl at eta = 0.
     h0_norm = hs_norm(h.h0)
     drive_ratio = float(np.max(np.abs(traj.f)) * hs_norm(h.h1) / h0_norm) if h0_norm else None
@@ -375,7 +368,7 @@ def build_report(
         "t_final": float(traj.t[-1]),
         "final_V": float(traj.V[-1]),
         "final_concurrence": float(traj.concurrence[-1]),
-        "final_fidelity": fid,
+        "final_fidelity": float(traj.fidelity[-1]),
         "stalled": traj.metadata.stalled,
         "integrator_stats": None if stats is None else dataclasses.asdict(stats),
         "max_drive_ratio": drive_ratio,

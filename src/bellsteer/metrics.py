@@ -32,6 +32,13 @@ _FLAT_LOG_V = 1e-12
 _PEAK_TOL = 1e-8
 
 
+def spin_flip(basis: Basis = Z_PRODUCT) -> np.ndarray:
+    """The spin flip S = T* (Y(x)Y) T^dagger of ``basis`` (T its transform), for which a
+    pure two-qubit state psi in that basis has concurrence C = |psi^T S psi| (Wootters,
+    PRL 80, 2245 (1998))."""
+    return basis.transform.conj() @ _YY @ dagger(basis.transform)
+
+
 def concurrence(rho: np.ndarray, basis: Basis = Z_PRODUCT) -> float | np.ndarray:
     """Wootters concurrence of two-qubit density matrices (PRL 80, 2245 (1998)).
 
@@ -49,8 +56,8 @@ def concurrence(rho: np.ndarray, basis: Basis = Z_PRODUCT) -> float | np.ndarray
     Near product states the general formula loses accuracy: on a pure state it is off
     from 2|ad - bc| by about sqrt(eps/C), up to 3e-6 near C = 1e-6, as the three zero
     eigenvalues of the rank-one rho_z (Y(x)Y) rho_z* (Y(x)Y) are conditioned by 1/C.
-    Every sample of `integrate`, and of `propagate_exact` from a pure state, is pure, so
-    only a mixed state takes that path.
+    Every sample of `propagate_exact` from a pure state is pure, so only a mixed state
+    takes that path; `integrate` takes |psi^T S psi| on its state vectors (`spin_flip`).
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
@@ -61,8 +68,7 @@ def concurrence(rho: np.ndarray, basis: Basis = Z_PRODUCT) -> float | np.ndarray
     pure = abs(np.einsum("nij,nji->n", stack, stack).real - tr2) < _PURE_TOL * tr2
     c = np.empty(len(stack))
     x = stack[pure, :, diag[pure].argmax(axis=1)]
-    s = basis.transform.conj() @ _YY @ dagger(basis.transform)
-    c[pure] = abs(np.einsum("ni,ij,nj->n", x, s, x)) / diag[pure].max(axis=1)
+    c[pure] = abs(np.einsum("ni,ij,nj->n", x, spin_flip(basis), x)) / diag[pure].max(axis=1)
     if not pure.all():
         rho_z = dagger(basis.transform) @ stack[~pure] @ basis.transform
         m = rho_z @ _YY @ rho_z.conj() @ _YY

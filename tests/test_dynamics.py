@@ -46,6 +46,7 @@ from bellsteer.model import (
     X_PRODUCT,
     bell_state,
     hamiltonians,
+    subspace_populations,
 )
 
 P = ModelParams(J=1.0, eta=0.1)
@@ -202,6 +203,18 @@ class TestSamplingExact(TestSampling):
     propagate = staticmethod(propagate_exact)
 
 
+@pytest.mark.parametrize(
+    "propagate,law", [(integrate, Lyapunov(kappa=1.0)), (propagate_exact, None)],
+    ids=["integrate", "exact"],
+)
+def test_tiny_t_max_samples_its_end(propagate, law):
+    # The grid's slack and the stepper's end tolerance scale with t_max, so a
+    # run far shorter than 1e-9 keeps its end sample and is stepped to it.
+    rho_d0 = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
+    traj = propagate(local_pair(), law, x_state("|++>"), rho_d0, IntegratorConfig(t_max=5e-11))
+    assert traj.t.tolist() == [0.0, 5e-11]
+
+
 class TestFreeEvolution:
     def test_matches_matrix_exponential(self):
         h = local_pair()
@@ -294,6 +307,16 @@ class TestLyapunovRuns:
         assert traj.V[-1] < 1e-8
         assert traj.V[-2] >= 1e-8
 
+    def test_v_stop_below_the_roundoff_of_fidelity(self):
+        # V reaches 1.5e-19 on this preset, where (N² + N_d²)/2 - |b|² is a
+        # multiple of about 1e-16. The stepper's cut and the V column take V
+        # in one form, so the run ends at its first sample below 1e-17.
+        cfg, h, states = preset_states("figure4_local_k2")
+        run = dataclasses.replace(cfg.integrator, v_stop=1e-17)
+        traj = integrate(h, cfg.law, *map(outer, states), run)
+        assert traj.V[-1] < 1e-17 <= np.min(traj.V[:-1])
+        assert traj.t[-1] < run.t_max
+
     def test_v_stop_ends_four_amplitude_run_early(self):
         # V falls from 0.68 towards the Psi- population 0.36 (`off_s_state`)
         # and passes 0.5 at t = 12.4.
@@ -370,32 +393,22 @@ class TestProjection:
             assert 0.0 < drift < 1e-8, label
 
     def test_v_monotone_to_roundoff(self, lyapunov_runs):
-        """V = (1/2) Re Tr(D D), D = rho - rho_d, is a sum of 16 products
-        D_jk D_kj whose magnitudes add up to at most ||D||_F² = 2V <= 2 for
-        unit pure states. Summed in floating point (unit roundoff u = 2^-53)
-        it is off by at most about 16 u * 2 from the exact sum of the rounded
-        entries, so V by 16 u. The entries of D are rounded too, by a few u
-        each relative to the unit-norm rho and rho_d, which moves V by about
-        as much again. So each V is within 32 u of the exact V of its
-        projected sample, along which the feedback only lowers V, and a rise
-        between two samples beyond 64 u (7.1e-15) is not roundoff.
+        """V is taken on the samples of psi~ against the constant psi_d~ of
+        the frame (`integrate`): V = (N - N_d)²/2 + N_d ||r||², with
+        r = psi~ - psi_d~ b / N_d, b = <psi_d~|psi~> and N, N_d the squared
+        norms. For unit states the first term is below 1e-31 and V = ||r||²
+        <= 1. Computed in floating point (unit roundoff u = 2^-53) over at
+        most 4 entries of modulus at most 1, b is off by about 6 u, b / N_d
+        and its product with each entry of psi_d~ add a few u, and the
+        difference u |r_k|, so ||r|| is off by about 11 u and ||r||² by
+        about 2 * 11 u ||r|| + 4 u ||r||² <= 26 u; N_d and the product with
+        it add 2 u. So each V is within 32 u of the exact V of its projected
+        sample, along which the feedback only lowers V, and a rise between
+        two samples beyond 64 u (7.1e-15) is not roundoff.
 
-        The entries also carry rounded phases. In the eigenbasis (lam, W) of
-        H0, entry (j, k) of rho has the phase of
-        exp(-i (lam_j - lam_0) t) exp(i (lam_k - lam_0) t), each factor
-        rounded, and that of rho_d the phase exp(-i (lam_j - lam_k) t),
-        rounded once. Where the two differ they move V at first order, by up
-        to about u (lam_max - lam_min) t, 1.3e-14 at t = 300 on the
-        interaction presets (lam_max - lam_min = 0.4). They do not differ
-        where it matters. The state's phases are taken relative to lam_0, so
-        in row and column 0 of rho one factor is exp(0) = 1 and the other is
-        the very rounded phase of rho_d's entry (README). On these presets
-        psi~ and psi_d~ lie in the span of eigenvectors 0 and 1 of H0, which
-        is S (the other sector is not stepped), so every off-diagonal
-        entry of either matrix sits in row or column 0. There rho and rho_d
-        are turned by one diagonal unitary of the rounded phases, which
-        leaves ||D||_F, and so V, as it was; what is left, |phase|² - 1 on
-        the diagonal, is an entry rounding counted above."""
+        No rounded phase enters V. psi_d~ is constant in the frame, and the
+        phases exp(-i (lam - lam_0) t) that carry psi~ to the lab state
+        reach only the concurrence, fidelity and purity columns and rho."""
         bound = 64 * 2.0**-53
         for label, (traj, _) in sorted(lyapunov_runs.items()):
             assert np.max(np.diff(traj.V)) <= bound, label
@@ -610,8 +623,8 @@ class TestTrajectoryType:
         n = 3
         arr = np.zeros((n, 4, 4), dtype=complex)
         with pytest.raises(ValueError, match="strictly increasing"):
-            Trajectory(np.array([0.0, 0.5, 0.5]), arr, arr,
-                       np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n), meta)
+            Trajectory(np.array([0.0, 0.5, 0.5]), *[np.zeros(n)] * 6, meta,
+                       lambda: arr, lambda: arr)
 
     def test_len_counts_samples(self):
         h = local_pair()
@@ -969,6 +982,53 @@ class TestAgainstDOP853:
         f = [control_field(r, r_d, h.h1, law.kappa, law.sign)
              for r, r_d in zip(traj.rho, traj.rho_d)]
         assert np.max(np.abs(traj.f - f)) <= 1e-14
+
+
+class TestPsiColumns:
+    """`integrate` takes every column from the samples of psi~ and the frame;
+    the slow path is each column's density-matrix function on the
+    Trajectory's rho and rho_d: `lyapunov_value`, `control_field`,
+    `concurrence`, `subspace_populations`, Tr(rho rho_d) and Tr(rho²). Both
+    sides round each entry by a few u (u = 2^-53) relative to the unit
+    states, and the W of both rotations is unitary to 10 u, so the columns
+    agree to 1e-14 (seen: at most 2.4e-15, p_S). V's trace form keeps an
+    absolute accuracy of about u ||rho - rho_d||_F, 6e-26 at V = 1.5e-19, and
+    the perpendicular form a relative one of about u / sqrt(V), so where
+    V < 1e-9 they agree to 1e-5 relative (seen: 5.4e-7)."""
+
+    @staticmethod
+    def check(traj, h):
+        law, rho, rho_d = traj.metadata.law, traj.rho, traj.rho_d
+        slow = {
+            "V": lyapunov_value(rho, rho_d),
+            "f": control_field(rho, rho_d, h.h1, law.kappa, law.sign),
+            "concurrence": concurrence(rho, h.basis),
+            "p_S": subspace_populations(rho, h.basis)[0],
+            "fidelity": np.array([np.trace(r @ r_d).real for r, r_d in zip(rho, rho_d)]),
+            "purity": np.array([np.trace(r @ r).real for r in rho]),
+        }
+        worst = {name: np.max(np.abs(getattr(traj, name) - col)) for name, col in slow.items()}
+        assert max(worst.values()) <= 1e-14, worst
+        small = slow["V"] < 1e-9
+        assert np.all(np.abs(traj.V - slow["V"])[small] <= 1e-5 * slow["V"][small])
+        return int(small.sum())
+
+    def test_presets(self, lyapunov_runs):
+        # The six Lyapunov presets of figure2 and figure3 are the six of figure4.
+        small = 0
+        for label, (traj, _) in sorted(lyapunov_runs.items()):
+            meta = traj.metadata
+            small += self.check(traj, hamiltonians(meta.params, meta.paradigm, X_PRODUCT))
+        assert small > 0  # the relative bound on V is exercised
+
+    def test_four_amplitude_run(self):
+        # From |0+> towards Phi+: both sectors (TestAgainstDOP853's run).
+        h = local_pair()
+        rho0 = outer(X_PRODUCT.vector_from_z(np.array([1, 1, 0, 0]) / np.sqrt(2)))
+        rho_d0 = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
+        traj = integrate(h, Lyapunov(kappa=2.0), rho0, rho_d0, IntegratorConfig(t_max=30.0))
+        assert traj.metadata.integrator_stats.amplitudes == 4
+        self.check(traj, h)
 
 
 class TestIntegratorStats:

@@ -551,6 +551,27 @@ class TestFidelityAndPurity:
         assert float(last["fidelity"]) == report["final_fidelity"]
 
 
+class TestClosedLoopColumns:
+    def test_run_writes_outputs_without_density_matrices(self, monkeypatch, tmp_path):
+        # A Lyapunov run takes every column from psi~: the target's evolution, the
+        # invariant pass and the density-matrix forms of f, V, C and p_S are not
+        # reached, and the Trajectory forms neither rho nor rho_d.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a density-matrix path was called")
+
+        for name in ("_evolve", "_check_invariants", "control_field", "lyapunov_value",
+                     "subspace_populations"):
+            monkeypatch.setattr(f"bellsteer.dynamics.{name}", refuse)
+        monkeypatch.setattr("bellsteer.metrics.concurrence", refuse)
+        cfg = dict(preset_scenarios("figure4"))["figure4_interaction_k0.5"]
+        outputs = OutputPaths(str(tmp_path / "run.csv"), str(tmp_path / "run.json"))
+        traj, report = run_scenario(dataclasses.replace(cfg, outputs=outputs), "run")
+        assert "rho" not in vars(traj) and "rho_d" not in vars(traj)
+        lines = (tmp_path / "run.csv").read_text().splitlines()
+        assert lines[0] == CSV_HEADER and len(lines) == len(traj) + 1 == 3002
+        assert json.loads((tmp_path / "run.json").read_text()) == report
+
+
 class TestRouting:
     """Open-loop laws are propagated exactly; only feedback reaches integrate."""
 

@@ -102,10 +102,10 @@ def make_traj(t, V=None, C=None, stalled=False):
     zeros = np.zeros((n, 4, 4), dtype=complex)
     meta = TrajectoryMetadata(None, None, None, stalled)
     return Trajectory(
-        t, zeros, zeros, np.zeros(n),
+        t, np.zeros(n),
         np.asarray(V, dtype=float) if V is not None else np.zeros(n),
         np.asarray(C, dtype=float) if C is not None else np.zeros(n),
-        np.zeros(n), meta,
+        np.zeros(n), np.zeros(n), np.zeros(n), meta, lambda: zeros, lambda: zeros,
     )
 
 
