@@ -566,7 +566,7 @@ def integrate(
 
 
 def _sq_norm(rows: np.ndarray) -> np.ndarray:
-    """The squared norm of each row of a complex array (of a vector, its own)."""
+    """The squared norm of each row of a complex array, or of a complex vector."""
     return (rows.real * rows.real + rows.imag * rows.imag).sum(axis=-1)
 
 
