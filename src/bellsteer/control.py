@@ -4,9 +4,11 @@ free evolution.
 The feedback law is f = sign * kappa * Tr(rho_d [-iH1, rho]). Along the closed
 loop the distance V = (1/2)Tr[(rho - rho_d)^2] then satisfies
 dV/dt = -f * Tr(rho_d [-iH1, rho]) = -sign * kappa * Tr(rho_d [-iH1, rho])^2,
-nonpositive for sign=+1; `dynamics` checks this against a finite-difference
-derivative along the closed-loop flow. The geometric law is an open-loop 0/1
-multiplier on the control Hamiltonian: on before t0, off afterward.
+nonpositive for sign=+1. The tests check this against a finite-difference
+derivative along the closed-loop flow, and |f| against its Cauchy-Schwarz
+bound kappa ||i[rho, rho_d]|| ||H1||, with the helpers in `tests/oracles.py`.
+The geometric law is an open-loop 0/1 multiplier on the control
+Hamiltonian: on before t0, off afterward.
 """
 
 from __future__ import annotations
@@ -114,16 +116,6 @@ def feedback_from_trace(
             "inputs are not consistently Hermitian"
         )
     return sign * kappa * tr.imag
-
-
-def f_bound(rho: np.ndarray, rho_d: np.ndarray, h1: np.ndarray, kappa: float) -> float:
-    """kappa * ||i[rho, rho_d]|| * ||H1|| (Hilbert-Schmidt norms).
-
-    Cauchy-Schwarz upper bound for |control_field|; equals 0 when the states
-    commute.
-    """
-    comm = rho @ rho_d - rho_d @ rho
-    return kappa * hs_norm(comm) * hs_norm(h1)
 
 
 def geometric_field(t: float | np.ndarray, law: Geometric) -> float | np.ndarray:

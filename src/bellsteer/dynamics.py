@@ -29,8 +29,8 @@ and purity, all on the (n, 2, d, d) state/target stack. Violations beyond
 ten times the stated tolerances abort the run at the first bad sample. A
 closed-loop sample psi psi† keeps all four invariants by construction, so
 `integrate` checks the unit traces of its inputs, and `_dp5` the norm and
-the S-sector norm of psi~ at every step. `vdot_identity_check` steps the
-closed-loop flow to check the descent identity of the feedback law.
+the S-sector norm of psi~ at every step. The tests check the descent
+identity of the feedback law by stepping `rhs` (`tests/oracles.py`).
 
 One thing is renormalized: after each accepted step, and at each sample,
 psi~ is scaled back to its initial norm (the projection of Hairer, Lubich &
@@ -61,7 +61,6 @@ from .control import (
     geometric_field,
     lyapunov_value,
 )
-from .linalg import expm, hs_norm
 from .model import (
     HamiltonianPair,
     ModelParams,
@@ -325,58 +324,6 @@ def rhs(frame: tuple, law: Lyapunov, t: float, y: tuple) -> tuple:
     return m * v0, m * v1, m * v2, m * v3
 
 
-def geometric_evolve(h_tot: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
-    """Exact constant-Hamiltonian propagation U rho0 U†, U = expm(-i h_tot t)."""
-    h_tot = np.asarray(h_tot, dtype=complex)
-    herm = hs_norm(h_tot - h_tot.conj().T)
-    if herm > 1e-10:
-        raise ValueError(f"h_tot is not Hermitian (deviation {herm:.3e})")
-    u = expm(-1j * h_tot * t)
-    return u @ np.asarray(rho0, dtype=complex) @ u.conj().T
-
-
-def vdot_identity_check(
-    rho: np.ndarray,
-    rho_d: np.ndarray,
-    h: HamiltonianPair,
-    law: Lyapunov,
-    delta: float = 1e-5,
-) -> tuple[float, float]:
-    """Return (analytic, numeric) values of dV/dt at the given closed-loop state.
-
-    analytic = -f * Tr(rho_d [-iH1, rho]), the descent identity of the
-    feedback design (equal to -kappa * trace^2 for sign=+1). numeric is a
-    central finite difference of V along the closed-loop flow, each side
-    advanced by one classical RK4 step of `rhs` of size delta. Both states
-    must be pure, as for `integrate`. The two agree within
-    max(1e-6, 1e-3 |analytic|) for valid inputs.
-    """
-    pair = _initial_states(h, rho, rho_d)
-    frame, y = _frame(h, _pure_state(pair[0], "rho"), _pure_state(pair[1], "rho_d"))
-    y = np.array(y)
-
-    def deriv(t: float, psi: np.ndarray) -> np.ndarray:
-        return np.array(rhs(frame, law, t, tuple(psi)))
-
-    k1 = deriv(0.0, y)
-
-    def rk4(step: float) -> np.ndarray:
-        k2 = deriv(0.5 * step, y + 0.5 * step * k1)
-        k3 = deriv(0.5 * step, y + 0.5 * step * k2)
-        k4 = deriv(step, y + step * k3)
-        psi = y + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        return np.outer(psi, psi.conj())
-
-    trace_term = control_field(pair[0], pair[1], h.h1, 1.0, 1)
-    analytic = -law.sign * law.kappa * trace_term * trace_term
-    # V is unchanged by the frame, so it is taken on psi~ against psi_d~.
-    target = np.outer(np.conj(frame[3]), frame[3])
-    numeric = (lyapunov_value(rk4(delta), target) - lyapunov_value(rk4(-delta), target)) / (
-        2.0 * delta
-    )
-    return analytic, numeric
-
-
 def _sample_grid(cfg: IntegratorConfig) -> np.ndarray:
     """Every multiple of sample_every up to t_max, and t_max itself when the
     last multiple falls short of it by more than 1e-9 t_max."""
@@ -505,9 +452,13 @@ def integrate(
     Hermiticity, purity and spectrum by construction, so of the invariants
     only the unit traces of rho0 and rho_d0 are checked, a violation being
     reported at the first sample after t = 0 and before an error raised
-    mid-run. A run is stalled when it starts off target (V > 1e-12) and V
-    stays within 64 u of V(0): dV/dt = -sign f²/kappa, and each computed V
-    is within 32 u of its sample's exact V. The field is no test: at a
+    mid-run. A run is stalled when it starts off target (V > 1e-12), V
+    stays within 64 u of V(0), and it spans a period 2 pi/w of each stepped
+    sector whose rate w (`rhs`'s |r|) is above the roundoff _OFF_BLOCK
+    ||H0||_F: dV/dt = -sign f²/kappa, each computed V is within 32 u of its
+    sample's exact V, and the field of a constant psi~ turns with the phase
+    exp(i w t), so a shorter run (5e-11 from |++> towards Phi+) cannot tell
+    a fixed point from a field still to rise. The field is no test: at a
     fixed point the stepper lets roundoff grow below its tolerance, to
     |f| = 4e-13 from |00> towards Phi+ at kappa = 2. The Trajectory's
     rho = psi psi† and rho_d, the free evolution of rho_d0 by `_evolve`,
@@ -557,7 +508,10 @@ def integrate(
         hv[:, 2 * j + 1] = h10 / e * y0 + h11 * y1
     f = 2 * law.sign * law.kappa * ((hv @ target) * b.conj()).imag
     p_s = _sq_norm(samples[:, cols < 2])
-    stalled = bool(v[0] > 1e-12 and np.max(np.abs(v - v[0])) <= 64 * 2.0**-53)
+    # `_sector_eigh` rounds a block's eigenvalues by at most its off-block bound.
+    rates = np.abs(lam[::2] - lam[1::2])
+    spanned = (t[-1] * rates >= 2 * math.pi) | (rates <= _OFF_BLOCK * np.linalg.norm(h.h0))
+    stalled = bool(v[0] > 1e-12 and np.max(np.abs(v - v[0])) <= 64 * 2.0**-53 and spanned.all())
     meta = TrajectoryMetadata(h.params, h.paradigm, law, stalled, stats)
     return Trajectory(
         t, f, v, c, fid, p_s, _sq_norm(psi) ** 2, meta,

@@ -5,6 +5,8 @@ Everything operates on plain numpy arrays of complex128. Matrices are small
 vectors are checked for unit norm where they enter; the dynamics layer
 monitors the density-matrix invariants during integration, and the one thing
 it re-enforces, the norm of the state vector it steps, it checks and reports.
+There is no matrix exponential here: the tests' reference propagator
+U rho U†, U = expm(-i H t), brings its own (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -43,17 +45,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
 def hs_norm(a: np.ndarray) -> float:
     """Hilbert-Schmidt (Frobenius) norm sqrt(Tr(a† a))."""
     return float(np.linalg.norm(np.asarray(a, dtype=complex)))
-
-
-def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential via Pade scaling-and-squaring.
-
-    scipy is imported here, on first use: it is most of the package's import
-    time, and only the reference propagator `geometric_evolve` needs it.
-    """
-    import scipy.linalg
-
-    return scipy.linalg.expm(np.asarray(a, dtype=complex))
 
 
 def outer(v: np.ndarray) -> np.ndarray:

@@ -15,16 +15,14 @@ import time
 import numpy as np
 import pytest
 
-from bellsteer.control import Geometric, Lyapunov, f_bound
+from bellsteer.control import Geometric, Lyapunov
 from bellsteer.dynamics import (
     HERM_TOL,
     IntegratorConfig,
     PURITY_TOL,
     TRACE_TOL,
-    geometric_evolve,
     integrate,
     propagate_exact,
-    vdot_identity_check,
 )
 from bellsteer.experiments import (
     STATE_LITERALS,
@@ -41,6 +39,7 @@ from bellsteer.model import (
     X_PRODUCT,
     hamiltonians,
 )
+from oracles import f_bound, geometric_evolve, vdot_identity_check
 
 
 def _log_linear_fit(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:

@@ -9,11 +9,9 @@ from bellsteer.control import (
     Geometric,
     Lyapunov,
     control_field,
-    f_bound,
     geometric_field,
     lyapunov_value,
 )
-from bellsteer.dynamics import vdot_identity_check
 from bellsteer.linalg import hs_norm, outer
 from bellsteer.model import (
     BellName,
@@ -23,6 +21,7 @@ from bellsteer.model import (
     bell_state,
     hamiltonians,
 )
+from oracles import f_bound, vdot_identity_check
 
 
 def random_state(rng, dim=4):
@@ -185,19 +184,6 @@ class TestFBound:
             f = control_field(rho, rho_d, h1, kappa)
             bound = f_bound(rho, rho_d, h1, kappa)
             assert abs(f) <= bound + 1e-12
-
-    def test_zero_for_commuting_states(self):
-        rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-        rho_d = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
-        assert f_bound(rho, rho_d, np.eye(4, dtype=complex), 1.0) == pytest.approx(0.0)
-
-    def test_scales_with_kappa_and_h1(self):
-        rng = np.random.default_rng(14)
-        rho, rho_d = random_density(rng), random_density(rng)
-        h1 = random_hermitian(rng)
-        b1 = f_bound(rho, rho_d, h1, 1.0)
-        assert f_bound(rho, rho_d, h1, 2.0) == pytest.approx(2.0 * b1)
-        assert f_bound(rho, rho_d, 3.0 * h1, 1.0) == pytest.approx(3.0 * b1)
 
 
 class TestGeometricField:

@@ -6,7 +6,6 @@ import pytest
 from bellsteer.linalg import (
     as_state_vector,
     dagger,
-    expm,
     hs_norm,
     kron,
     outer,
@@ -58,21 +57,6 @@ class TestBasicOps:
         d = dagger(a)
         assert d[1, 0] == 2.0 - 1j
         assert np.allclose(dagger(d), a)
-
-
-class TestExpm:
-    def test_pauli_rotation(self):
-        theta = 0.37
-        u = expm(1j * theta * pauli("X"))
-        expected = np.cos(theta) * pauli("I") + 1j * np.sin(theta) * pauli("X")
-        assert np.allclose(u, expected, atol=1e-14)
-
-    def test_unitary_for_hermitian_generator(self):
-        rng = np.random.default_rng(11)
-        h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = 0.5 * (h + h.conj().T)
-        u = expm(-1j * h)
-        assert hs_norm(dagger(u) @ u - np.eye(4)) < 1e-13
 
 
 class TestStateValidation:

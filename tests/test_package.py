@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -22,15 +23,33 @@ def test_star_import_resolves_every_public_name():
     assert all(getattr(bellsteer, name) is namespace[name] for name in bellsteer.__all__)
 
 
-@pytest.mark.parametrize("module", ["scipy", "multiprocessing", "concurrent.futures.process"])
-def test_cli_import_leaves_module_unloaded(module):
-    # scipy is most of the import time, and only linalg.expm needs it; sweeps
-    # run in-process, so no process pool is imported either.
+UNLOADED = ["scipy", "multiprocessing", "concurrent.futures.process"]
+
+
+@pytest.fixture(scope="module")
+def loaded_after_presets(tmp_path_factory):
+    """Which of UNLOADED are in sys.modules after `bellsteer preset figure1`
+    (the exact path) and `figure2` (the Lyapunov path), run in a fresh
+    interpreter through the CLI into a temporary directory."""
+    out = tmp_path_factory.mktemp("presets")
+    code = (
+        "import json, sys, bellsteer.cli\n"
+        "for name in ('figure1', 'figure2'):\n"
+        f"    assert bellsteer.cli.main(['preset', name, '--out', {str(out)!r}]) == 0\n"
+        f"print(json.dumps([m in sys.modules for m in {UNLOADED!r}]))"
+    )
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    code = f"import sys, bellsteer.cli; print({module!r} in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    return dict(zip(UNLOADED, json.loads(result.stdout.splitlines()[-1])))
+
+
+@pytest.mark.parametrize("module", UNLOADED)
+def test_cli_import_leaves_module_unloaded(module, loaded_after_presets):
+    # scipy is most of the import time, and no run needs it: it is a test
+    # dependency, for the reference propagator in tests/oracles.py. Sweeps run
+    # in-process, so no process pool is imported either.
+    assert loaded_after_presets[module] is False
 
 
 def test_source_lines_fit_in_99_columns():
