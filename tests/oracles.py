@@ -7,7 +7,10 @@ No run of the package calls these; they check it:
   of `dynamics.propagate_exact`;
 - `vdot_identity_check`, the descent identity of the feedback law against
   a finite difference of V along the closed-loop flow;
-- `f_bound`, the Cauchy-Schwarz bound on the feedback field.
+- `f_bound`, the Cauchy-Schwarz bound on the feedback field;
+- `csv_text_reference`, the trajectory CSV as '%'-formatted rows, against
+  which `experiments.write_trajectory_csv`'s vectorised formatter is held
+  byte for byte.
 
 `vdot_identity_check` steps the package's own closed loop, so it reads the
 private `dynamics._initial_states`, `_pure_state`, `_frame` and `rhs`.
@@ -19,7 +22,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from bellsteer.control import Lyapunov, control_field, lyapunov_value
-from bellsteer.dynamics import _frame, _initial_states, _pure_state, rhs
+from bellsteer.dynamics import Trajectory, _frame, _initial_states, _pure_state, rhs
+from bellsteer.experiments import CSV_HEADER
 from bellsteer.linalg import hs_norm
 from bellsteer.model import HamiltonianPair
 
@@ -80,3 +84,12 @@ def f_bound(rho: np.ndarray, rho_d: np.ndarray, h1: np.ndarray, kappa: float) ->
     """
     comm = rho @ rho_d - rho_d @ rho
     return kappa * hs_norm(comm) * hs_norm(h1)
+
+
+def csv_text_reference(traj: Trajectory) -> str:
+    """The trajectory CSV, header and one line per sample, each float as
+    '%.17g' % x, by %-formatting Python floats row by row."""
+    columns = [getattr(traj, name).tolist() for name in CSV_HEADER.split(",")]
+    row_format = ",".join(["%.17g"] * len(columns))
+    lines = [CSV_HEADER] + [row_format % row for row in zip(*columns)]
+    return "\n".join(lines) + "\n"

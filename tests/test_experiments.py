@@ -7,9 +7,12 @@ import io
 import json
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellsteer import experiments
 from bellsteer.cli import main
@@ -31,11 +34,11 @@ from bellsteer.experiments import (
     run_sweep,
     scenario_from_mapping,
     sweep_from_mapping,
-    trajectory_table,
     write_sweep_csv,
     write_trajectory_csv,
 )
 from bellsteer.model import BellName, ModelParams, Paradigm, Z_PRODUCT, bell_state
+from oracles import csv_text_reference
 
 BASE_LINES = {
     "model.J": "1",
@@ -536,9 +539,7 @@ class TestFidelityAndPurity:
 
     def test_columns_match_trace_of_products(self, run):
         traj, _ = run
-        table = np.array(trajectory_table(traj))
-        header = CSV_HEADER.split(",")
-        fid, pur = table[:, header.index("fidelity")], table[:, header.index("purity")]
+        fid, pur = traj.fidelity, traj.purity
         assert np.max(np.abs(fid - [np.trace(r @ r_d).real
                                     for r, r_d in zip(traj.rho, traj.rho_d)])) <= 1e-15
         assert np.max(np.abs(pur - [np.trace(r @ r).real for r in traj.rho])) <= 1e-15
@@ -549,6 +550,89 @@ class TestFidelityAndPurity:
         write_trajectory_csv(traj, path)
         last = dict(zip(CSV_HEADER.split(","), path.read_text().splitlines()[-1].split(",")))
         assert float(last["fidelity"]) == report["final_fidelity"]
+
+
+def _percent_rows(table: np.ndarray) -> bytes:
+    return "".join(",".join("%.17g" % x for x in row) + "\n" for row in table.tolist()).encode()
+
+
+def _next(x: float, toward: float) -> float:
+    return float(np.nextafter(x, toward))
+
+
+class TestCsvText:
+    """write_trajectory_csv formats a whole table in numpy passes; its text is
+    '%.17g' % x for every float, byte for byte."""
+
+    NAMED = [
+        # where %g moves between fixed and exponent form, and their neighbours
+        1e-5, _next(1e-5, 0), _next(1e-5, 1), 1e-4, _next(1e-4, 0), _next(1e-4, 1),
+        1e16, _next(1e16, 0), _next(1e16, np.inf), 1e17, _next(1e17, 0), _next(1e17, np.inf),
+        # the edges of the vectorised range, inside and out
+        1e-250, _next(1e-250, 0), _next(1e-250, 1), 1e250, _next(1e250, 0),
+        _next(1e250, np.inf),
+        # fl(10^E) below 10^E, whose 17-digit significand at E - 1 rounds up to 10^17
+        1e-14, 1e98, 1e23,
+        # integers keep their zeros and take no point
+        100.0, 1200.0, 10.0, 1.0, 300.0, 2.0**53,
+        # exact ties at the 18th digit, kept even and rounded up
+        100000000001 / 1024, 100000000003 / 1024,
+        5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+        0.0, np.inf, np.nan, 0.1, 1 / 3, 12.5, 299.90000000000003, 3.6073296937853398e-17,
+    ]
+
+    @staticmethod
+    def column(values) -> np.ndarray:
+        return np.array(values, dtype=np.float64).reshape(-1, 1)
+
+    @pytest.mark.parametrize("x", NAMED)
+    def test_named_values(self, x):
+        table = self.column([x, -x])
+        assert experiments._csv_rows(table) == _percent_rows(table)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.one_of(st.integers(0, 2**64 - 1), st.floats().map(
+            lambda x: int(np.float64(x).view(np.uint64)))), min_size=1, max_size=70),
+        st.integers(1, 7),
+    )
+    def test_any_bit_pattern(self, bits, cols):
+        # every float64: nan payloads, signed zeros and infinities, subnormals
+        bits = bits * cols
+        table = np.array(bits, dtype=np.uint64).view(np.float64).reshape(-1, cols)
+        assert experiments._csv_rows(table) == _percent_rows(table)
+
+    def test_random_decades(self):
+        rng = np.random.default_rng(20261019)
+        table = rng.standard_normal((3000, 7)) * 10.0 ** rng.integers(-300, 300, (3000, 7))
+        assert experiments._csv_rows(table) == _percent_rows(table)
+
+    def test_blocks(self, tmp_path):
+        # more rows than one formatting pass takes
+        n = 2 * experiments._CSV_BLOCK + 3
+        rng = np.random.default_rng(7)
+        traj = SimpleNamespace(**{name: rng.standard_normal(n) * 10.0 ** rng.integers(-9, 9, n)
+                                  for name in CSV_HEADER.split(",")})
+        write_trajectory_csv(traj, tmp_path / "long.csv")
+        assert (tmp_path / "long.csv").read_bytes() == csv_text_reference(traj).encode()
+
+    @pytest.mark.parametrize("fixture", ["figure1_runs", "figure2_runs", "figure3_runs"])
+    def test_preset_csvs_are_the_reference_text(self, fixture, request, tmp_path):
+        for label, (traj, _) in request.getfixturevalue(fixture).items():
+            write_trajectory_csv(traj, tmp_path / f"{label}.csv")
+            text = (tmp_path / f"{label}.csv").read_bytes()
+            assert text == csv_text_reference(traj).encode(), label
+
+    def test_figure4_runs_are_figure2_and_figure3(self):
+        # so the preset test above covers every figure4 CSV without stepping it again
+        others = dict(preset_scenarios("figure2") + preset_scenarios("figure3"))
+        for label, cfg in preset_scenarios("figure4"):
+            other = others[label.replace("figure4_local_", "figure2_")
+                           .replace("figure4_interaction_", "figure3_")]
+            fields = ("model", "paradigm", "law", "integrator", "outputs", "seed")
+            assert [getattr(cfg, f) for f in fields] == [getattr(other, f) for f in fields]
+            assert np.array_equal(cfg.initial_state, other.initial_state)
+            assert np.array_equal(cfg.target_state, other.target_state)
 
 
 class TestClosedLoopColumns:
