@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -308,10 +309,11 @@ def is_sweep_mapping(mapping: dict[str, str]) -> bool:
 
 
 # The trajectory CSV's text of a float x is '%.17g' % x, written for a whole
-# table at once. Its 17 significant digits are N = round(|x| 10^(16-E)),
-# E = floor(log10|x|), taken exactly from Dekker's product of |x| and a
-# double-double 10^(16-E) (Numer. Math. 18, 224 (1971)), and laid out as %g
-# does in fixed 32-byte cells whose NUL pads are then deleted:
+# table at once. Its 17 significant digits are the correctly rounded
+# N = round(|x| 10^(16-E)), E = floor(log10|x|), that Python's %-formatting
+# takes from Gay's dtoa (1990); here they come from Dekker's exact product of
+# |x| and a double-double 10^(16-E) (Numer. Math. 18, 224 (1971)), and are
+# laid out as %g does in fixed 32-byte cells whose NUL pads are then deleted:
 #   head (8 bytes)    sign, '0.', '0.0', '0.00' or '0.000' for E = -1..-4,
 #                     the first digit, and a point after it;
 #   digits (16)       the other 16, each past the last one kept a NUL;
@@ -373,7 +375,8 @@ def _cell_tables() -> tuple[np.ndarray, ...]:
 
     - heads, in row ((sign 5 + j) 10 + d) 2 + point for E = -j < 0 (j = 0
       otherwise) and first digit d;
-    - quads: the four digits of q = 0..9999, a '<u4' word in the low half;
+    - digit words: the four digits of q = 0..9999, a '<u4' word in the low
+      half;
     - masks (2, 18): the bytes of the two digit words that hold digits 1..16
       of the first `kept` digits, in column kept;
     - tails, in row 2 (E + _E_LIM + 3) + last; rows 0 and 1 have no exponent;
@@ -392,7 +395,7 @@ def _cell_tables() -> tuple[np.ndarray, ...]:
                              (ae >= 100) * (ae // 100 + ord("0")),
                              ae // 10 % 10 + ord("0"), ae % 10 + ord("0"), 0 * e, 0 * e])
     tails[:, 6] = np.where(last[:, 0], ord("\n"), ord(","))
-    z = (digits == ord("0")).astype(np.int64)
+    z = (digits == ord("0")).astype(np.uint8)
     zeros = z[:, 3] * (1 + z[:, 2] * (1 + z[:, 1] * (1 + z[:, 0])))
     return (heads.astype(np.uint8).view("<u8").ravel(),
             digits.view("<u4").ravel().astype("<u8"),
@@ -400,13 +403,17 @@ def _cell_tables() -> tuple[np.ndarray, ...]:
             tails.astype(np.uint8).view("<u8").ravel(), zeros)
 
 
-_P10 = _pow10_table()
-_HEADS, _QUADS, _MASKS, _TAILS, _TRAILING_ZEROS = _cell_tables()
+@functools.cache
+def _format_tables() -> tuple[np.ndarray, ...]:
+    """The powers of ten and the cells' pieces, built at the first CSV write:
+    a process that writes none, such as a sweep, never holds them."""
+    return (_pow10_table(), *_cell_tables())
 
 
-def _significand(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """floor(a 10^(16 - e)) as int64, and the fraction it drops."""
-    hi, b1, b2, lo = np.take(_P10, e + _E_LIM + 2, axis=1)
+def _significand(a: np.ndarray, e: np.ndarray, p10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """floor(a 10^(16 - e)) as int64, and the fraction it drops, with p10 from
+    _pow10_table."""
+    hi, b1, b2, lo = np.take(p10, e + _E_LIM + 2, axis=1)
     ph = a * hi
     a1, a2 = _split(a)
     frac = ((a1 * b1 - ph) + a1 * b2 + a2 * b1) + a2 * b2 + a * lo
@@ -417,19 +424,20 @@ def _significand(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _csv_rows(table: np.ndarray) -> bytes:
     """The CSV lines of a 2-D float64 table: '%.17g' % x per value, ',' between
     values and a newline after each row."""
+    p10, heads, digit_words, masks, tails, trailing_zeros = _format_tables()
     rows, cols = table.shape
     x = table.ravel()
     a = abs(x)
     ok = (a >= 10.0**-_E_LIM) & (a <= 10.0**_E_LIM)
     a[~ok] = 1.0
     e = np.floor(np.log10(a)).astype(np.int64)
-    n, frac = _significand(a, e)
+    n, frac = _significand(a, e, p10)
     # log10 can miss E by one next to a power of ten
     shift = (n >= 10**17).astype(np.int64) - (n < 10**16)
     moved = np.flatnonzero(shift)
     if moved.size:
         e[moved] += shift[moved]
-        n[moved], frac[moved] = _significand(a[moved], e[moved])
+        n[moved], frac[moved] = _significand(a[moved], e[moved], p10)
     ok &= (n >= 10**16) & (n < 10**17) & (abs(frac - 0.5) >= _TIE)
     n += frac >= 0.5
     # a significand that rounds up to 10^17 is 10^16 at the next exponent
@@ -443,9 +451,9 @@ def _csv_rows(table: np.ndarray) -> bytes:
     quads[2], quads[3] = np.divmod(rest % 10**8, 10000)
     # k significant digits: 17 less the trailing zeros
     zeros = np.where(quads[3] | quads[2],
-                     np.where(quads[3], _TRAILING_ZEROS[quads[3]], 4 + _TRAILING_ZEROS[quads[2]]),
-                     np.where(quads[1], 8 + _TRAILING_ZEROS[quads[1]],
-                              12 + _TRAILING_ZEROS[quads[0]]))
+                     np.where(quads[3], trailing_zeros[quads[3]], 4 + trailing_zeros[quads[2]]),
+                     np.where(quads[1], 8 + trailing_zeros[quads[1]],
+                              12 + trailing_zeros[quads[0]]))
     k = 17 - zeros
     fixed = (e >= -4) & (e < 17)
     # %g writes every integer digit of a fixed-point value, and its point only
@@ -453,13 +461,13 @@ def _csv_rows(table: np.ndarray) -> bytes:
     kept = np.where(fixed, np.maximum(k, e + 1), k)
     cells = np.empty((x.size, 4), "<u8")
     head = (np.signbit(x) * 5 + np.where(fixed & (e < 0), -e, 0)) * 10 + first
-    cells[:, 0] = _HEADS[2 * head + ((k > 1) & (~fixed | (e == 0)))]
-    keep_lo, keep_hi = np.take(_MASKS, kept, axis=1)
-    cells[:, 1] = (_QUADS[quads[0]] | _QUADS[quads[1]] << 32) & keep_lo
-    cells[:, 2] = (_QUADS[quads[2]] | _QUADS[quads[3]] << 32) & keep_hi
+    cells[:, 0] = heads[2 * head + ((k > 1) & (~fixed | (e == 0)))]
+    keep_lo, keep_hi = np.take(masks, kept, axis=1)
+    cells[:, 1] = (digit_words[quads[0]] | digit_words[quads[1]] << 32) & keep_lo
+    cells[:, 2] = (digit_words[quads[2]] | digit_words[quads[3]] << 32) & keep_hi
     tail = np.where(fixed, 0, e + _E_LIM + 3).reshape(rows, cols) * 2
     tail[:, -1] += 1
-    cells[:, 3] = _TAILS[tail.ravel()]
+    cells[:, 3] = tails[tail.ravel()]
     # a fixed-point value's point after digit e = 1..15: the digit bytes above
     # it move up one, the last into the tail's free slot
     mid = np.flatnonzero(fixed & (e > 0) & (k > e + 1))
