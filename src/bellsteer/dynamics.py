@@ -12,12 +12,17 @@ derivative is the control term alone (`rhs`), and of psi~ only the sectors
 where psi~ or the target has weight (`_frame`), 2 or 4 amplitudes. It steps
 them with an adaptive embedded Dormand-Prince 5(4) scheme written out over
 2 or 4 amplitudes, over the whole run (every stage re-evaluates the
-feedback), and reads its samples off the scheme's continuous extension.
-Its columns (V, field, concurrence, fidelity, p_S, purity) come from those
-samples of psi~, the constant psi_d~ and, for concurrence and fidelity,
-the lab states psi = W diag(exp(-i (lam - lam_0) t)) psi~, one row-wise
-product over all samples: no density matrix is formed for them. rho =
-psi psi† and the target, the exact free evolution of rho_d0 by the
+feedback). Per step it only stores, for a step that passes sample times,
+a row of a step table (`_dp5`). Every sample is then read off the
+scheme's continuous extension in one numpy pass over that table
+(`_dense_samples`), bit for bit what the formula gives in scalar complex
+arithmetic; with v_stop set, the pass runs on each batch of new steps,
+and the run is cut back to the step that passed the first sample below
+v_stop. Its columns (V, field, concurrence, fidelity, p_S, purity) come
+from those samples of psi~, the constant psi_d~ and, for concurrence and
+fidelity, the lab states psi = W diag(exp(-i (lam - lam_0) t)) psi~, one
+row-wise product over all samples: no density matrix is formed for them.
+rho = psi psi† and the target, the exact free evolution of rho_d0 by the
 eigendecomposition path (`_evolve`), are formed only when read.
 
 `propagate_exact` solves the open-loop runs (a geometric law or none),
@@ -46,10 +51,12 @@ the exact flow keeps too, is checked and reported the same way.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from cmath import exp
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
+from statistics import median
 
 import numpy as np
 
@@ -57,7 +64,7 @@ from .control import (
     ControlLaw,
     Geometric,
     Lyapunov,
-    control_field,
+    control_field,  # unused here, but bellbench's traced runs wrap dynamics.control_field
     geometric_field,
     lyapunov_value,
 )
@@ -83,6 +90,9 @@ _SECTOR_WEIGHT = 64 * 2.0**-53
 # conjugations (by T, by SECTOR_ROWS T† and its own product) each round H by
 # about 20 u ||H||_F at most (gamma_4 ||A||_F ||B||_F per product). Seen: 1.4 u.
 _OFF_BLOCK = 128 * 2.0**-53
+# With v_stop set, `_dp5` samples its new steps and looks for the cut every this many
+# accepted steps: each look costs a few numpy calls, and as many steps may pass the cut.
+_V_STOP_BATCH = 64
 
 # Dormand-Prince 5(4) tableau, as plain floats for the written-out attempt in
 # `_dp5`. _A holds the stage coefficients A[i, :i] of stages 2-6, at the
@@ -113,6 +123,11 @@ _DENSE = (
     (0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
     (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
+_DENSE_COLUMNS = np.array(_DENSE)[:, 1:].T[:, :, None]  # those of theta², theta³, theta⁴
+# Samples times amplitudes per block of `_dense_samples`: its arrays of 7 complex entries
+# a sample stay below glibc's 128 KiB mmap threshold and reuse heap memory (in one pass
+# the figure4 runs took about 430 fresh-page faults each).
+_DENSE_BLOCK = 1024
 
 
 class IntegrationError(RuntimeError):
@@ -147,18 +162,20 @@ class IntegratorConfig:
 @dataclass(frozen=True)
 class IntegratorStats:
     """How a DP5(4) run was stepped: accepted and rejected attempts, `rhs`
-    evaluations (6 per attempt plus the first, under FSAL), the smallest and
-    largest accepted step (None when no step was taken), the largest
-    drift of the squared norm of psi~ that an accepted step left before its
-    projection (0 with no step), the same after it for its S sector, p_S
-    (0 for one sector), and how many eigen-amplitudes of H0 the run
-    stepped: 2 for one parity sector, 4 for both (`_frame`)."""
+    evaluations (6 per attempt plus the first, under FSAL), the smallest,
+    largest and median accepted step (None when no step was taken), the
+    largest drift of the squared norm of psi~ that an accepted step left
+    before its projection (0 with no step), the same after it for its S
+    sector, p_S (0 for one sector), and how many eigen-amplitudes of H0 the
+    run stepped: 2 for one parity sector, 4 for both (`_frame`). A run cut
+    at v_stop counts only its steps up to the one that passed the cut."""
 
     accepted: int
     rejected: int
     rhs_evals: int
     h_min: float | None
     h_max: float | None
+    h_median: float | None
     max_norm_drift: float
     max_sector_drift: float
     amplitudes: int
@@ -400,9 +417,7 @@ def _diagnose(
     2. the invariants are checked (`_check_invariants`) against the purities
        of the initial stack, so the first bad sample aborts the run;
     3. the field column is the law's field at each sample: the geometric
-       switch at the sample times, 0 for no law, and for a feedback law,
-       which only a stepped reference outside `integrate` hands in, the
-       `control_field` of every state and target at once;
+       switch at the sample times, 0 for no law;
     4. V, concurrence, fidelity, p_S and purity are taken for every sample
        at once in the pair's basis.
 
@@ -414,12 +429,7 @@ def _diagnose(
     t, states, v = t[:n], states[:n], v[:n]
     _check_invariants(t[1:], states[1:], _purity(states[0]))
     rho, rho_d = states[:, 0], states[:, 1]
-    if law is None:
-        f = np.zeros(n)
-    elif isinstance(law, Geometric):
-        f = geometric_field(t, law)
-    else:
-        f = control_field(rho, rho_d, h.h1, law.kappa, law.sign)
+    f = np.zeros(n) if law is None else geometric_field(t, law)
     c = metrics.concurrence(rho, h.basis)
     p_s = subspace_populations(rho, h.basis)[0]
     fid, pur = _trace_products(rho, rho_d), _trace_products(rho, rho)
@@ -448,7 +458,9 @@ def integrate(
     by `rhs`'s formula, p_S the squared norm of the S columns, and
     concurrence |psi^T S psi|, fidelity |<psi_d|psi>|² and purity ||psi||⁴
     on the lab vectors psi = W diag(exp(-i (lam - lam_0) t)) psi~ and psi_d.
-    The run is cut at v_stop as in `_diagnose`. psi psi† keeps its trace,
+    With v_stop set, `_dp5` ends the samples at the first one after t = 0
+    whose V is below v_stop (see there for the stats and errors of a cut
+    run). psi psi† keeps its trace,
     Hermiticity, purity and spectrum by construction, so of the invariants
     only the unit traces of rho0 and rho_d0 are checked, a violation being
     reported at the first sample after t = 0 and before an error raised
@@ -472,15 +484,8 @@ def integrate(
     samples, stats, error = _dp5(frame, law, y, grid, cfg)
     t = grid[: len(samples)]
     target = np.array(frame[3])  # conj(psi_d~)
-    norm, norm_d = _sq_norm(samples), _sq_norm(target)
-    b = samples @ target
-    v = 0.5 * (norm - norm_d) ** 2 + norm_d * _sq_norm(
-        samples - np.multiply.outer(b / norm_d, target.conj())
-    )
-    below = np.flatnonzero(v[1:] < cfg.v_stop) if cfg.v_stop is not None else ()
-    n = int(below[0]) + 2 if len(below) else len(t)
-    t, samples, b, v = t[:n], samples[:n], b[:n], v[:n]
-    if n > 1:
+    v, b = _lyapunov(samples, target)
+    if len(t) > 1:
         drifts = np.abs(np.trace(pair, axis1=1, axis2=2) - 1.0)
         for name, drift in zip(("rho", "rho_d"), drifts):
             if drift > ABORT_FACTOR * TRACE_TOL:
@@ -519,6 +524,22 @@ def integrate(
     )
 
 
+def _lyapunov(samples: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V for each row of samples of psi~ against the constant psi_d~, target
+    holding conj(psi_d~), and b = <psi_d~|psi~>: with squared norms N and
+    N_d, V = (N - N_d)²/2 + N_d ||psi~ - psi_d~ b/N_d||² (README). Every
+    operation is elementwise, so a row's V does not depend on the rows
+    beside it, and the V that `_dp5` cuts a run at is its V column's."""
+    b = samples[:, 0] * target[0]
+    for j in range(1, len(target)):
+        b = b + samples[:, j] * target[j]
+    norm, norm_d = _sq_norm(samples), _sq_norm(target)
+    v = 0.5 * (norm - norm_d) ** 2 + norm_d * _sq_norm(
+        samples - np.multiply.outer(b / norm_d, target.conj())
+    )
+    return v, b
+
+
 def _sq_norm(rows: np.ndarray) -> np.ndarray:
     """The squared norm of each row of a complex array, or of a complex vector."""
     return (rows.real * rows.real + rows.imag * rows.imag).sum(axis=-1)
@@ -529,26 +550,36 @@ def _dp5(
 ) -> tuple[np.ndarray, IntegratorStats, Exception | None]:
     """Step psi~ from y at t = 0 to t_max with the adaptive DP5(4) pair,
     written out over the 2 or 4 amplitudes of the frame (`_frame`) with no
-    numpy call inside an attempt. The 2-amplitude loop does what the
-    4-amplitude one does, in the same order, with the other terms left out.
-    Every stage goes through the module's `rhs`, 6 calls per attempt and
-    one for the first. The error norm is the RMS over the pair's 4 levels,
-    where a level that is not stepped counts as zero error; an attempt
-    whose error is NaN, or overflows to inf, is rejected.
+    numpy call inside an attempt, then sample it. The 2-amplitude loop does
+    what the 4-amplitude one does, in the same order, with the other terms
+    left out. Every stage goes through the module's `rhs`, 6 calls per
+    attempt and one for the first. The error norm is the RMS over the
+    pair's 4 levels, where a level that is not stepped counts as zero
+    error; an attempt whose error is NaN, or overflows to inf, is rejected.
 
     After each accepted step psi~ is scaled back to its initial squared norm
     N0 by c = sqrt(N0/N). A step whose N drifted from N0 by more than
     ABORT_FACTOR * TRACE_TOL aborts the run, and so does one after which
     the squared norm of the S sector, the first two of 4 amplitudes, has
     drifted by more than that from its initial value. The FSAL stage is
-    rescaled by c³, not re-evaluated, as the field is quadratic in psi~. Each
-    sample a step passes is read off the step's continuous extension
-    (`_DENSE`, with hs theta² factored out of the terms of k3-k7) at no
-    `rhs` call and scaled to N0; the samples are collected in a list and
-    become one array after stepping. The last step ends at t_max, the last
-    sample time; a step that ends within 1e-10 t_max of it ends there. With
-    v_stop set, stepping ends after the first step that passes a sample with
-    V < v_stop, V in `integrate`'s form.
+    rescaled by c³, not re-evaluated, as the field is quadratic in psi~. The
+    last step ends at t_max, the last sample time; a step that ends within
+    1e-10 t_max of it ends there.
+
+    The loops only step. An accepted step that passes sample times appends
+    a row to the step table: its start t, its size h, the index in grid
+    past its last sample, and psi~ at t with the step's stages k1 and k3-k7;
+    a step that passes no sample is not stored. The samples are read off
+    the rows' continuous extensions by `_dense_samples`, at no `rhs` call.
+
+    With v_stop set, the rows stored since the last look are sampled every
+    _V_STOP_BATCH accepted steps, and once more when stepping ends or
+    fails, and their V taken by `integrate`'s `_lyapunov`. At the first
+    sample after t = 0 with V < v_stop the run is cut back: its samples end
+    there, and the IntegratorStats (each row notes the counts and drift
+    maxima after its step) and any error are those of the run stopped after
+    the step that passed it. rhs_evals counts the calls up to that step,
+    not the at most _V_STOP_BATCH steps' worth made past it.
 
     Returns the (n, len(y)) samples of psi~ at the first n times of grid,
     the run's IntegratorStats, and the error that ended it early (or None).
@@ -558,32 +589,48 @@ def _dp5(
     c2, c3, c4, c5 = _NODES
     b1, b3, b4, b5, b6 = _B5
     e1, e3, e4, e5, e6, e7 = _ERR
-    (_, d12, d13, d14), (_, d32, d33, d34), (_, d42, d43, d44) = _DENSE[:3]
-    (_, d52, d53, d54), (_, d62, d63, d64), (_, d72, d73, d74) = _DENSE[3:]
     atol, rtol, v_stop, t_max = cfg.abs_tol, cfg.rel_tol, cfg.v_stop, cfg.t_max
     tol = 1e-10 * t_max
-    target = frame[3]  # conj(psi_d~)
     norm0 = sum(m * m for m in map(abs, y))
-    # V = (N0 - N_d)²/2 + N_d ||psi~ - psi_d~ b/N_d||², b = <psi_d~|psi~>, as in `integrate`.
-    norm_d = sum(abs(g) ** 2 for g in target)
-    v_norms = 0.5 * (norm0 - norm_d) ** 2
     limit = ABORT_FACTOR * TRACE_TOL
     sector0 = sum(m * m for m in map(abs, y[:2]))  # the S sector of 4 amplitudes
-    times = grid.tolist() + [math.inf]  # the sentinel ends every sample loop
-    out = [y]  # the samples taken
+    times = grid.tolist() + [math.inf]  # the sentinel ends every sample search
+    # The step table, end to end: each row's (t, h, n) in spans, (psi~, k1, k3-k7) in
+    # table. Apart, the two convert to numpy in about half the time of one mixed list.
+    spans, table = [], []
+    stride = 7 * len(y)
     ka = rhs(frame, law, 0.0, y)
-    n = 1  # len(out): the index in times of the next sample
+    n = 1  # the index in times of the next sample
     steps = []  # accepted step sizes
     rejected = 0
     max_drift = max_sector = 0.0
+    # The samples of the rows looked at, and how many rows those are; under
+    # v_stop, each row's (accepted, rejected, max_drift, max_sector).
+    blocks, seen, marks = [np.array([y], dtype=complex)], 0, []
+
+    def look() -> int | None:
+        """Sample the rows stored since the last look. Under v_stop, the
+        index of the row that passed the first sample below it, where the
+        samples then end, or None."""
+        nonlocal seen
+        start, first = seen, spans[3 * seen - 1] if seen else 1
+        seen = len(spans) // 3
+        if seen == start:
+            return None
+        block = _dense_samples(spans[3 * start:], table[stride * start:], grid, first, norm0)
+        below = () if v_stop is None else np.flatnonzero(
+            _lyapunov(block, np.array(frame[3]))[0] < v_stop)
+        blocks.append(block[: below[0] + 1] if len(below) else block)
+        if len(below):
+            return start + bisect_right(spans[3 * start + 2:: 3], first + below[0])
+        return None
 
     t = 0.0
     h_step = cfg.dt
-    error = None
+    error = cut = None
     try:
         if len(y) == 2:
-            (g0, g1), (y0, y1), (ka0, ka1) = target, y, ka
-            p0, p1 = g0.conjugate(), g1.conjugate()  # psi_d~
+            (y0, y1), (ka0, ka1) = y, ka
             my0, my1 = abs(y0), abs(y1)
             while t_max - t > tol:
                 hs = t_max - t
@@ -641,28 +688,13 @@ def _dp5(
                     )
                 if drift > max_drift:
                     max_drift = drift
-                below = False
-                while times[n] <= t_new:  # samples in (t, t_new]
-                    th = (times[n] - t) / hs
-                    q = hs * th * th
-                    x1 = hs * th * (1.0 + th * (d12 + th * (d13 + th * d14)))
-                    x3 = q * (d32 + th * (d33 + th * d34))
-                    x4 = q * (d42 + th * (d43 + th * d44))
-                    x5 = q * (d52 + th * (d53 + th * d54))
-                    x6 = q * (d62 + th * (d63 + th * d64))
-                    x7 = q * (d72 + th * (d73 + th * d74))
-                    o0 = y0 + x1 * ka0 + x3 * kc0 + x4 * kd0 + x5 * ke0 + x6 * kf0 + x7 * kg0
-                    o1 = y1 + x1 * ka1 + x3 * kc1 + x4 * kd1 + x5 * ke1 + x6 * kf1 + x7 * kg1
-                    m0, m1 = abs(o0), abs(o1)
-                    c = math.sqrt(norm0 / (m0 * m0 + m1 * m1))
-                    o0, o1 = c * o0, c * o1
-                    out.append((o0, o1))
-                    n += 1
+                if times[n] <= t_new:  # the step passes the samples in (t, t_new]
+                    n = bisect_right(times, t_new, n)
+                    spans.extend((t, hs, n))
+                    table.extend((y0, y1, ka0, ka1, kc0, kc1, kd0, kd1, ke0, ke1, kf0, kf1,
+                                  kg0, kg1))
                     if v_stop is not None:
-                        bn = (g0 * o0 + g1 * o1) / norm_d
-                        r0, r1 = o0 - bn * p0, o1 - bn * p1
-                        below = below or v_norms + norm_d * (
-                            abs(r0) ** 2 + abs(r1) ** 2) < v_stop
+                        marks.append((len(steps) + 1, rejected, max_drift, max_sector))
                 c = math.sqrt(norm0 / norm)
                 y0, y1 = c * z0, c * z1
                 my0, my1 = c * mz0, c * mz1
@@ -672,11 +704,11 @@ def _dp5(
                 steps.append(hs)
                 q = 5.0 if err == 0.0 else 0.9 * err ** -0.2
                 h_step = hs * (q if q < 5.0 else 5.0)
-                if below:
-                    break
+                if v_stop is not None and len(steps) % _V_STOP_BATCH == 0:
+                    if (cut := look()) is not None:
+                        break
         else:
-            (g0, g1, g2, g3), (y0, y1, y2, y3), (ka0, ka1, ka2, ka3) = target, y, ka
-            p0, p1, p2, p3 = (g.conjugate() for g in target)  # psi_d~
+            (y0, y1, y2, y3), (ka0, ka1, ka2, ka3) = y, ka
             my0, my1, my2, my3 = abs(y0), abs(y1), abs(y2), abs(y3)
             while t_max - t > tol:
                 hs = t_max - t
@@ -755,30 +787,14 @@ def _dp5(
                     raise IntegrationError(f"p_S drift {drift:.3e} exceeds abort threshold", t_new)
                 if drift > max_sector:
                     max_sector = drift
-                below = False
-                while times[n] <= t_new:  # samples in (t, t_new]
-                    th = (times[n] - t) / hs
-                    q = hs * th * th
-                    x1 = hs * th * (1.0 + th * (d12 + th * (d13 + th * d14)))
-                    x3 = q * (d32 + th * (d33 + th * d34))
-                    x4 = q * (d42 + th * (d43 + th * d44))
-                    x5 = q * (d52 + th * (d53 + th * d54))
-                    x6 = q * (d62 + th * (d63 + th * d64))
-                    x7 = q * (d72 + th * (d73 + th * d74))
-                    o0 = y0 + x1 * ka0 + x3 * kc0 + x4 * kd0 + x5 * ke0 + x6 * kf0 + x7 * kg0
-                    o1 = y1 + x1 * ka1 + x3 * kc1 + x4 * kd1 + x5 * ke1 + x6 * kf1 + x7 * kg1
-                    o2 = y2 + x1 * ka2 + x3 * kc2 + x4 * kd2 + x5 * ke2 + x6 * kf2 + x7 * kg2
-                    o3 = y3 + x1 * ka3 + x3 * kc3 + x4 * kd3 + x5 * ke3 + x6 * kf3 + x7 * kg3
-                    m0, m1, m2, m3 = abs(o0), abs(o1), abs(o2), abs(o3)
-                    c = math.sqrt(norm0 / (m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3))
-                    o0, o1, o2, o3 = c * o0, c * o1, c * o2, c * o3
-                    out.append((o0, o1, o2, o3))
-                    n += 1
+                if times[n] <= t_new:  # the step passes the samples in (t, t_new]
+                    n = bisect_right(times, t_new, n)
+                    spans.extend((t, hs, n))
+                    table.extend((y0, y1, y2, y3, ka0, ka1, ka2, ka3, kc0, kc1, kc2, kc3,
+                                  kd0, kd1, kd2, kd3, ke0, ke1, ke2, ke3, kf0, kf1, kf2, kf3,
+                                  kg0, kg1, kg2, kg3))
                     if v_stop is not None:
-                        bn = (g0 * o0 + g1 * o1 + g2 * o2 + g3 * o3) / norm_d
-                        r0, r1, r2, r3 = o0 - bn * p0, o1 - bn * p1, o2 - bn * p2, o3 - bn * p3
-                        below = below or v_norms + norm_d * (
-                            abs(r0) ** 2 + abs(r1) ** 2 + abs(r2) ** 2 + abs(r3) ** 2) < v_stop
+                        marks.append((len(steps) + 1, rejected, max_drift, max_sector))
                 c = math.sqrt(norm0 / norm)
                 y0, y1, y2, y3 = c * z0, c * z1, c * z2, c * z3
                 my0, my1, my2, my3 = c * mz0, c * mz1, c * mz2, c * mz3
@@ -788,15 +804,80 @@ def _dp5(
                 steps.append(hs)
                 q = 5.0 if err == 0.0 else 0.9 * err ** -0.2
                 h_step = hs * (q if q < 5.0 else 5.0)
-                if below:
-                    break
+                if v_stop is not None and len(steps) % _V_STOP_BATCH == 0:
+                    if (cut := look()) is not None:
+                        break
     except (IntegrationError, ValueError) as exc:
         error = exc
 
-    h_range = (min(steps), max(steps)) if steps else (None, None)
+    if cut is None:
+        cut = look()
+    if cut is not None:
+        error = None
+        accepted, rejected, max_drift, max_sector = marks[cut]
+        del steps[accepted:]
+    h_range = (min(steps), max(steps), median(steps)) if steps else (None, None, None)
     evals = 1 + 6 * (len(steps) + rejected)
     stats = IntegratorStats(len(steps), rejected, evals, *h_range, max_drift, max_sector, len(y))
-    return np.array(out, dtype=complex), stats, error
+    return np.concatenate(blocks), stats, error
+
+
+def _dense_samples(
+    spans: list, table: list, grid: np.ndarray, first: int, norm0: float
+) -> np.ndarray:
+    """The samples of psi~ at grid[first:end] that the rows of a `_dp5`
+    step table pass, scaled to the squared norm norm0, one row per sample.
+    spans holds each row's (t, h, n) and table its (psi~, k1, k3-k7), end
+    to end; a row covers the samples from the previous row's n (first, for
+    the first row) to its own, and end is the last row's n.
+
+    The sample at theta = (s - t)/h is y + sum_i x_i k_i (`_DENSE`), scaled
+    by sqrt(norm0/N): bit for bit that formula in Python complex arithmetic
+    (`tests/oracles.py`), the same operations in the same order on real and
+    imaginary parts, with norms by np.hypot as abs() takes them and each
+    product of a float with a complex number as Python forms it
+    (`_times_zero`), in blocks of _DENSE_BLOCK / w samples for w amplitudes.
+    """
+    span = np.fromiter(spans, float, len(spans)).reshape(-1, 3)
+    ends = span[:, 2].astype(np.intp)
+    which = np.repeat(np.arange(len(span)), np.diff(ends, prepend=first))  # row of each sample
+    stride = len(table) // len(span)
+    out = np.empty((len(which), stride // 7), dtype=complex)
+    d2, d3, d4 = _DENSE_COLUMNS
+    size = 7 * _DENSE_BLOCK // stride
+    for a in range(0, len(which), size):
+        rows = which[a:a + size]
+        lo, hi = rows[0], rows[-1] + 1
+        t, h = span[rows, 0], span[rows, 1]
+        th = (grid[first + a:first + a + len(rows)] - t) / h
+        poly = d2 + th * (d3 + th * d4)
+        ht = h * th
+        x = ht * th * poly  # the weights of k1 and k3-k7
+        x[0] = ht * (1.0 + th * poly[0])
+        k = np.fromiter(table[stride * lo:stride * hi], complex, stride * (hi - lo))
+        k = k.reshape(hi - lo, 7, -1)[rows - lo]
+        # (entry, re/im, amplitude, sample): psi~, then k1 and k3-k7.
+        k = np.ascontiguousarray(k.view(float).reshape(k.shape + (2,)).transpose(1, 3, 2, 0))
+        terms = x[:, None, None] * k[1:] + _times_zero(k[1:])
+        y = k[0] + terms[0]
+        for term in terms[1:]:
+            y += term
+        m = np.hypot(*y)
+        sq = m[0] * m[0]
+        for mj in m[1:]:
+            sq += mj * mj
+        y = np.sqrt(norm0 / sq) * y + _times_zero(y)
+        out.real[a:a + size], out.imag[a:a + size] = y[0].T, y[1].T
+    return out
+
+
+def _times_zero(z: np.ndarray) -> np.ndarray:
+    """Python forms x * z for a float x as (x Re z - 0 Im z) + i (x Im z + 0 Re z):
+    its zero terms, -(0 Im z) and 0 Re z, for parts along axis -3 of z. They
+    set only the sign of a zero result."""
+    zero = 0.0 * z[..., ::-1, :, :]
+    zero[..., 0, :, :] *= -1.0
+    return zero
 
 
 def _evolve(eig: tuple[np.ndarray, np.ndarray], rho: np.ndarray, times: np.ndarray) -> np.ndarray:

@@ -10,7 +10,10 @@ No run of the package calls these; they check it:
 - `f_bound`, the Cauchy-Schwarz bound on the feedback field;
 - `csv_text_reference`, the trajectory CSV as '%'-formatted rows, against
   which `experiments.write_trajectory_csv`'s vectorised formatter is held
-  byte for byte.
+  byte for byte;
+- `dense_samples_reference`, the samples of a `dynamics._dp5` step table,
+  one at a time in Python complex arithmetic, against which the numpy
+  pass `dynamics._dense_samples` is held bit for bit.
 
 `vdot_identity_check` steps the package's own closed loop, so it reads the
 private `dynamics._initial_states`, `_pure_state`, `_frame` and `rhs`.
@@ -18,11 +21,13 @@ private `dynamics._initial_states`, `_pure_state`, `_frame` and `rhs`.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import expm
 
 from bellsteer.control import Lyapunov, control_field, lyapunov_value
-from bellsteer.dynamics import Trajectory, _frame, _initial_states, _pure_state, rhs
+from bellsteer.dynamics import _DENSE, Trajectory, _frame, _initial_states, _pure_state, rhs
 from bellsteer.experiments import CSV_HEADER
 from bellsteer.linalg import hs_norm
 from bellsteer.model import HamiltonianPair
@@ -93,3 +98,42 @@ def csv_text_reference(traj: Trajectory) -> str:
     row_format = ",".join(["%.17g"] * len(columns))
     lines = [CSV_HEADER] + [row_format % row for row in zip(*columns)]
     return "\n".join(lines) + "\n"
+
+
+def dense_samples_reference(
+    spans: list, table: list, grid: np.ndarray, norm0: float
+) -> list[tuple]:
+    """The samples of psi~ that a `dynamics._dp5` step table passes, from
+    grid[1] on, one at a time, in Python complex arithmetic: spans holds
+    each row's (t, h, n), table its (psi~, k1, k3-k7), laid end to end, and
+    a row covers the samples from the previous row's n (1 for the first)
+    up to its own. Within a step of size h from t the sample at time s, at
+    theta = (s - t)/h, is the step's continuous extension
+    y + x_1 k1 + x_3 k3 + ... + x_7 k7, summed left to right with the
+    weights of `dynamics._DENSE` (x_1 = h theta (1 + theta p_1(theta)),
+    x_i = h theta² p_i(theta) for the others), scaled by sqrt(norm0/N) for
+    its squared norm N = |o_0|² + |o_1|² + ...."""
+    times = grid.tolist()
+    rows = len(spans) // 3
+    width = len(table) // rows // 7
+    out, n = [], 1
+    for r in range(rows):
+        t, h, end = spans[3 * r:3 * r + 3]
+        entries = table[7 * width * r:7 * width * (r + 1)]
+        y, stages = entries[:width], [entries[width * i:width * (i + 1)] for i in range(1, 7)]
+        while n < end:
+            th = (times[n] - t) / h
+            q = h * th * th
+            weights = [h * th * (1.0 + th * (d2 + th * (d3 + th * d4))) if i == 0
+                       else q * (d2 + th * (d3 + th * d4))
+                       for i, (_, d2, d3, d4) in enumerate(_DENSE)]
+            o = list(y)
+            for x, k in zip(weights, stages):
+                o = [oj + x * kj for oj, kj in zip(o, k)]
+            sq = abs(o[0]) * abs(o[0])
+            for oj in o[1:]:
+                sq = sq + abs(oj) * abs(oj)
+            c = math.sqrt(norm0 / sq)
+            out.append(tuple(c * oj for oj in o))
+            n += 1
+    return out

@@ -48,7 +48,7 @@ from bellsteer.model import (
     hamiltonians,
     subspace_populations,
 )
-from oracles import geometric_evolve
+from oracles import dense_samples_reference, geometric_evolve
 
 P = ModelParams(J=1.0, eta=0.1)
 TIGHT = dict(rel_tol=1e-11, abs_tol=1e-13)
@@ -112,8 +112,9 @@ def dop853_run(h, law, rho0, rho_d0, cfg):
     `vec_rhs`) while the field is on, over [0, t_max] for feedback and
     [0, t0] for a geometric law; with the field off rho~ stays as it is.
     Neither state is checked, so a bad one reaches the invariant monitor.
-    The samples go through the pass both propagators end in,
-    `dynamics._diagnose`."""
+    The samples go through the pass `propagate_exact` ends in,
+    `dynamics._diagnose`, which takes open-loop fields only; a feedback
+    run's f column is `control_field` of each sample's state and target."""
     states = dynamics._initial_states(h, rho0, rho_d0)
     grid = dynamics._sample_grid(cfg)
     frame, y = vec_frame(h, states)
@@ -134,7 +135,11 @@ def dop853_run(h, law, rho0, rho_d0, cfg):
     tilde *= np.exp(np.multiply.outer(grid, rates))[:, None]
     d = len(w)
     states = w @ tilde.reshape(len(grid), 2, d, d) @ w.conj().T
-    return dynamics._diagnose(h, law, grid, states, cfg.v_stop)
+    if not isinstance(law, Lyapunov):
+        return dynamics._diagnose(h, law, grid, states, cfg.v_stop)
+    traj = dynamics._diagnose(h, None, grid, states, cfg.v_stop)
+    f = control_field(traj.rho, traj.rho_d, h.h1, law.kappa, law.sign)
+    return dataclasses.replace(traj, f=f, metadata=dataclasses.replace(traj.metadata, law=law))
 
 
 class TestIntegratorConfig:
@@ -1043,8 +1048,8 @@ class TestPsiColumns:
 class TestIntegratorStats:
     def test_field_names(self):
         assert [f.name for f in dataclasses.fields(IntegratorStats)] == [
-            "accepted", "rejected", "rhs_evals", "h_min", "h_max", "max_norm_drift",
-            "max_sector_drift", "amplitudes",
+            "accepted", "rejected", "rhs_evals", "h_min", "h_max", "h_median",
+            "max_norm_drift", "max_sector_drift", "amplitudes",
         ]
         meta = dataclasses.fields(TrajectoryMetadata)[-1]
         assert (meta.name, meta.default) == ("integrator_stats", None)
@@ -1116,6 +1121,31 @@ class TestIntegratorStats:
         assert stats.amplitudes == 4
         assert 0.0 < stats.max_sector_drift <= bound
         assert np.max(np.abs(traj.p_S - 0.5)) <= bound
+
+    def test_median_step(self):
+        # The field vanishes from Phi- towards Phi+ (`test_stalled_run_detected`),
+        # so every step's error is below the tolerance and each step is 5 times
+        # the last, from dt = 0.01 until t_max clips one: 0.01, 0.05, 0.25, 1.25,
+        # 6.25, then 10 - 7.81 = 2.19. The median of six is the mean of the
+        # middle two, 0.25 and 1.25.
+        rho0 = outer(bell_state(BellName.PHI_MINUS, X_PRODUCT))
+        rho_d0 = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
+        traj = integrate(local_pair(), Lyapunov(kappa=1.0), rho0, rho_d0,
+                         IntegratorConfig(t_max=10.0))
+        stats = traj.metadata.integrator_stats
+        assert (stats.accepted, stats.rejected) == (6, 0)
+        assert stats.h_min == pytest.approx(0.01, rel=1e-12)
+        assert stats.h_max == pytest.approx(6.25, rel=1e-12)
+        assert stats.h_median == pytest.approx(0.75, rel=1e-12)
+
+    def test_no_median_without_a_step(self):
+        pair = dynamics._initial_states(local_pair(), x_state("|++>"), x_state("|-->"))
+        frame, y = dynamics._frame(local_pair(), *(dynamics._pure_state(r, "r") for r in pair))
+        cfg = IntegratorConfig(t_max=1.0, dt=1e-14)
+        samples, stats, error = dynamics._dp5(frame, Lyapunov(kappa=1.0), y,
+                                              dynamics._sample_grid(cfg), cfg)
+        assert isinstance(error, IntegrationError) and len(samples) == 1
+        assert (stats.accepted, stats.h_min, stats.h_max, stats.h_median) == (0, None, None, None)
 
     def test_none_on_exact_path(self):
         traj = propagate_exact(local_pair(), Geometric(t0=0.5), x_state("|++>"),
@@ -1210,3 +1240,172 @@ class TestMidRunErrors:
         with pytest.raises(ValueError, match="bad field"):
             integrate(local_pair(), Lyapunov(kappa=1.0), x_state("|++>"), x_state("|-->"),
                       IntegratorConfig(t_max=1.0))
+
+
+def traced_integrate(*args):
+    """integrate(*args), with what `_dp5` returned: the psi~ samples, stats
+    and error, and the arguments of each `_dense_samples` call."""
+    dense_calls, returned = [], []
+    real_dense, real_dp5 = dynamics._dense_samples, dynamics._dp5
+
+    def dense(*a):
+        dense_calls.append(a)
+        return real_dense(*a)
+
+    def dp5(*a):
+        returned.append(real_dp5(*a))
+        return returned[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_dense_samples", dense)
+        patch.setattr(dynamics, "_dp5", dp5)
+        traj = integrate(*args)
+    return traj, returned[0], dense_calls
+
+
+def four_amplitude_run(v_stop=None):
+    """`off_s_state` towards Phi+ under local control at kappa = 2: V falls
+    from 0.68 and passes 0.5 at t = 12.4."""
+    return (local_pair(), Lyapunov(kappa=2.0), off_s_state(),
+            outer(bell_state(BellName.PHI_PLUS, X_PRODUCT)),
+            IntegratorConfig(t_max=60.0, v_stop=v_stop))
+
+
+def preset_run(label, v_stop=None):
+    cfg, h, states = preset_states(label)
+    return (h, cfg.law, *map(outer, states), dataclasses.replace(cfg.integrator, v_stop=v_stop))
+
+
+class TestDenseSamples:
+    """`_dp5` only steps; its samples come from one numpy pass over the step
+    table, `_dense_samples`, which must give bit for bit the continuous
+    extension that the scalar formula gives (`oracles.dense_samples_reference`)."""
+
+    @pytest.mark.parametrize("run", [
+        preset_run("figure4_local_k0.5"), preset_run("figure4_interaction_k2"),
+        four_amplitude_run(),
+    ], ids=["local_k0.5", "interaction_k2", "four_amplitudes"])
+    def test_matches_the_scalar_formula(self, run):
+        traj, (samples, stats, _), calls = traced_integrate(*run)
+        (spans, table, grid, first, norm0), = calls  # no v_stop: one pass after stepping
+        assert first == 1 and len(samples) == len(traj) == len(grid)
+        assert len(samples[0]) == stats.amplitudes
+        expected = np.array(dense_samples_reference(spans, table, grid, norm0))
+        assert expected.tobytes() == samples[1:].tobytes()
+        assert np.diff([1] + spans[2::3]).min() >= 1  # every stored step passes a sample
+
+    def test_signed_zeros_as_python_forms_them(self):
+        # Python takes x * k for a float x as (x Re k - 0 Im k) + i (x Im k + 0 Re k):
+        # at Re k = -0.0 and Im k < 0 its real part is +0.0 where x Re k is -0.0
+        # (x > 0). Rows of signed zeros and unit imaginary parts, one sample each,
+        # make sums of such zeros.
+        rng = np.random.default_rng(7)
+        grid = np.arange(1001.0)
+        spans, table = [], []
+        for r in range(1000):
+            spans += [r + 1 - rng.uniform(), 1.0, r + 2]
+            for e, (re, im) in enumerate(rng.choice([-1.0, 1.0], size=(7, 2))):
+                # Entry e (psi~, k1, k3-k7) of amplitude 0, then of amplitude 1,
+                # whose psi~ 1 and zero stages keep the norm from 0.
+                table += [complex(np.copysign(0.0, re), im), 1 + 0j if e == 0 else 0j]
+        out = dynamics._dense_samples(spans, table, grid, 1, 1.0)
+        expected = np.array(dense_samples_reference(spans, table, grid, 1.0))
+        assert expected.tobytes() == out.tobytes()
+        assert not out[:, 0].real.any()  # zeros, each with Python's sign
+
+    def test_long_steps_pass_many_samples(self):
+        _, (_, stats, _), ((spans, *_),) = traced_integrate(*preset_run("figure4_interaction_k2"))
+        assert np.diff([1] + spans[2::3]).max() > 10
+        assert len(spans) // 3 < stats.accepted
+
+
+class TestVStopCut:
+    """With v_stop set, `_dp5` keeps stepping between its looks at the new
+    samples, every _V_STOP_BATCH accepted steps, and then cuts the run back
+    to the step that passed the first sample below v_stop: samples,
+    IntegratorStats and errors read as if stepping had stopped after that
+    step."""
+
+    runs = {"local_k2": lambda v=1e-8: preset_run("figure4_local_k2", v),
+            "four_amplitudes": lambda v=0.5: four_amplitude_run(v)}
+
+    @staticmethod
+    def stepped_to_the_cut(run):
+        """The run with a look after every accepted step, which stops
+        stepping at the cut step, and the times of all its `rhs` calls."""
+        times = []
+        real_rhs = dynamics.rhs
+
+        def recorded(frame, law, t, y):
+            times.append(t)
+            return real_rhs(frame, law, t, y)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "_V_STOP_BATCH", 1)
+            patch.setattr(dynamics, "rhs", recorded)
+            traj = integrate(*run)
+        return traj, times
+
+    @pytest.mark.parametrize("name", list(runs))
+    def test_cut_run_is_the_uncut_run_up_to_the_cut(self, name):
+        cut, (cut_samples, stats, _), _ = traced_integrate(*self.runs[name]())
+        whole, (samples, whole_stats, _), _ = traced_integrate(*self.runs[name](None))
+        n = len(cut)
+        assert n < len(whole)
+        v_stop = self.runs[name]()[-1].v_stop
+        assert cut.V[-1] < v_stop <= np.min(cut.V[1:-1])
+        assert cut_samples.tobytes() == samples[:n].tobytes()
+        for column in ("t", "f", "V", "concurrence", "fidelity", "p_S", "purity"):
+            assert getattr(cut, column).tobytes() == getattr(whole, column)[:n].tobytes(), column
+        # A look after every step stops stepping at the cut step, so its stats
+        # are those of the steps up to it; they count every rhs call it made.
+        stopped, times = self.stepped_to_the_cut(self.runs[name]())
+        assert stopped.metadata.integrator_stats == stats
+        assert stats.rhs_evals == len(times)
+        assert stats.accepted < whole_stats.accepted
+        assert max(times) < cut.t[-1] + stats.h_max
+
+    @pytest.mark.parametrize("batch", [1, 5, 64, 10**9])
+    def test_looks_do_not_move_the_cut(self, monkeypatch, batch):
+        run = self.runs["four_amplitudes"]()
+        reference, (samples, stats, _), _ = traced_integrate(*run)
+        monkeypatch.setattr(dynamics, "_V_STOP_BATCH", batch)
+        traj, (batch_samples, batch_stats, _), calls = traced_integrate(*run)
+        assert batch_samples.tobytes() == samples.tobytes()
+        assert batch_stats == stats
+        assert traj.V.tobytes() == reference.V.tobytes()
+        assert (len(calls) > 1) == (batch < stats.accepted)
+
+    @pytest.mark.parametrize("name", list(runs))
+    @pytest.mark.parametrize("fail", [nan_stage, "ValueError"], ids=["nan", "ValueError"])
+    def test_error_after_the_cut_is_dropped(self, monkeypatch, name, fail):
+        clean, (samples, stats, _), _ = traced_integrate(*self.runs[name]())
+        _, times = self.stepped_to_the_cut(self.runs[name]())
+        t_cut = max(times)  # the FSAL stage of the cut step, at its end
+        failed = []
+        real_rhs = dynamics.rhs
+
+        def failing(frame, law, t, y):
+            dy = real_rhs(frame, law, t, y)
+            if t > t_cut:
+                failed.append(t)
+                if fail == "ValueError":
+                    raise ValueError("bad field")
+                return fail(dy)
+            return dy
+
+        monkeypatch.setattr(dynamics, "rhs", failing)
+        traj, (cut_samples, cut_stats, error), _ = traced_integrate(*self.runs[name]())
+        assert failed, "stepping went past the cut step before the look"
+        assert error is None
+        assert cut_samples.tobytes() == samples.tobytes() and cut_stats == stats
+        assert traj.V.tobytes() == clean.V.tobytes()
+
+    @pytest.mark.parametrize("name", list(runs))
+    def test_error_before_the_cut_surfaces(self, monkeypatch, name):
+        clean = integrate(*self.runs[name]())
+        t_fail = 0.5 * clean.t[-1]
+        TestMidRunErrors.failing_after(monkeypatch, t_fail, nan_stage)
+        with pytest.raises(IntegrationError, match="step size underflow") as excinfo:
+            integrate(*self.runs[name]())
+        assert t_fail - clean.metadata.integrator_stats.h_max < excinfo.value.t <= t_fail

@@ -464,8 +464,8 @@ class TestRunScenarioAndOutputs:
         stats = json.loads(json.dumps(report))["integrator_stats"]
         assert stats == dataclasses.asdict(traj.metadata.integrator_stats)
         assert list(stats) == [
-            "accepted", "rejected", "rhs_evals", "h_min", "h_max", "max_norm_drift",
-            "max_sector_drift", "amplitudes",
+            "accepted", "rejected", "rhs_evals", "h_min", "h_max", "h_median",
+            "max_norm_drift", "max_sector_drift", "amplitudes",
         ]
         # Open-loop runs are exact: no steps to count.
         open_loop = base_mapping(**{"law.type": "none", "law.kappa": None})
