@@ -16,7 +16,7 @@ feedback). Per step it only stores, for a step that passes sample times,
 a row of a step table (`_dp5`). Every sample is then read off the
 scheme's continuous extension in one numpy pass over that table
 (`_dense_samples`), bit for bit what the formula gives in scalar complex
-arithmetic; with v_stop set, the pass runs on each batch of new steps,
+arithmetic but for the sign of a zero; with v_stop set, the pass runs on each batch of new steps,
 and the run is cut back to the step that passed the first sample below
 v_stop. Its columns (V, field, concurrence, fidelity, p_S, purity) come
 from those samples of psi~, the constant psi_d~ and, for concurrence and
@@ -91,8 +91,9 @@ _SECTOR_WEIGHT = 64 * 2.0**-53
 # about 20 u ||H||_F at most (gamma_4 ||A||_F ||B||_F per product). Seen: 1.4 u.
 _OFF_BLOCK = 128 * 2.0**-53
 # With v_stop set, `_dp5` samples its new steps and looks for the cut every this many
-# accepted steps: each look costs a few numpy calls, and as many steps may pass the cut.
-_V_STOP_BATCH = 64
+# accepted steps. A look costs as much as about 5 steps, and up to this many steps may pass
+# the cut; measured on figure4's runs, 64-256 are alike (BENCH_step_table.json, "v_stop").
+_V_STOP_BATCH = 128
 
 # Dormand-Prince 5(4) tableau, as plain floats for the written-out attempt in
 # `_dp5`. _A holds the stage coefficients A[i, :i] of stages 2-6, at the
@@ -460,21 +461,20 @@ def integrate(
     on the lab vectors psi = W diag(exp(-i (lam - lam_0) t)) psi~ and psi_d.
     With v_stop set, `_dp5` ends the samples at the first one after t = 0
     whose V is below v_stop (see there for the stats and errors of a cut
-    run). psi psi† keeps its trace,
-    Hermiticity, purity and spectrum by construction, so of the invariants
-    only the unit traces of rho0 and rho_d0 are checked, a violation being
-    reported at the first sample after t = 0 and before an error raised
-    mid-run. A run is stalled when it starts off target (V > 1e-12), V
-    stays within 64 u of V(0), and it spans a period 2 pi/w of each stepped
-    sector whose rate w (`rhs`'s |r|) is above the roundoff _OFF_BLOCK
-    ||H0||_F: dV/dt = -sign f²/kappa, each computed V is within 32 u of its
-    sample's exact V, and the field of a constant psi~ turns with the phase
-    exp(i w t), so a shorter run (5e-11 from |++> towards Phi+) cannot tell
-    a fixed point from a field still to rise. The field is no test: at a
-    fixed point the stepper lets roundoff grow below its tolerance, to
-    |f| = 4e-13 from |00> towards Phi+ at kappa = 2. The Trajectory's
-    rho = psi psi† and rho_d, the free evolution of rho_d0 by `_evolve`,
-    are formed only when read.
+    run). psi psi† keeps its trace, Hermiticity, purity and spectrum by
+    construction, so of the invariants only the unit traces of rho0 and
+    rho_d0 are checked, a violation being reported at the first sample after
+    t = 0 and before an error raised mid-run. A run is stalled when it
+    starts off target (V > 1e-12), V stays within 64 u of V(0), and it spans
+    a period 2 pi/w of each stepped sector whose rate w (`rhs`'s |r|) is
+    above the roundoff _OFF_BLOCK ||H0||_F: dV/dt = -sign f²/kappa, each
+    computed V is within 32 u of its sample's exact V, and the field of a
+    constant psi~ turns with the phase exp(i w t), so a shorter run (5e-11
+    from |++> towards Phi+) cannot tell a fixed point from a field still to
+    rise. The field is no test: at a fixed point the stepper lets roundoff
+    grow below its tolerance, to |f| = 4e-13 from |00> towards Phi+ at
+    kappa = 2. The Trajectory's rho = psi psi† and rho_d, the free evolution of
+    rho_d0 by `_evolve`, are formed only when read.
     """
     if not isinstance(law, Lyapunov):
         raise ValueError("open-loop laws have a constant Hamiltonian; use propagate_exact")
@@ -613,8 +613,7 @@ def _dp5(
         index of the row that passed the first sample below it, where the
         samples then end, or None."""
         nonlocal seen
-        start, first = seen, spans[3 * seen - 1] if seen else 1
-        seen = len(spans) // 3
+        start, first, seen = seen, spans[3 * seen - 1] if seen else 1, len(spans) // 3
         if seen == start:
             return None
         block = _dense_samples(spans[3 * start:], table[stride * start:], grid, first, norm0)
@@ -834,9 +833,11 @@ def _dense_samples(
     The sample at theta = (s - t)/h is y + sum_i x_i k_i (`_DENSE`), scaled
     by sqrt(norm0/N): bit for bit that formula in Python complex arithmetic
     (`tests/oracles.py`), the same operations in the same order on real and
-    imaginary parts, with norms by np.hypot as abs() takes them and each
-    product of a float with a complex number as Python forms it
-    (`_times_zero`), in blocks of _DENSE_BLOCK / w samples for w amplitudes.
+    imaginary parts, with norms by np.hypot as abs() takes them, in blocks
+    of _DENSE_BLOCK / w samples for w amplitudes. A float x times a complex
+    z is (x Re z, x Im z), C99's mixed-mode product; CPython up to 3.13 adds
+    the terms -0 Im z and 0 Re z, which can only flip the sign of a zero
+    part (none did over 1,062 runs, `BENCH_step_table.json`).
     """
     span = np.fromiter(spans, float, len(spans)).reshape(-1, 3)
     ends = span[:, 2].astype(np.intp)
@@ -858,7 +859,7 @@ def _dense_samples(
         k = k.reshape(hi - lo, 7, -1)[rows - lo]
         # (entry, re/im, amplitude, sample): psi~, then k1 and k3-k7.
         k = np.ascontiguousarray(k.view(float).reshape(k.shape + (2,)).transpose(1, 3, 2, 0))
-        terms = x[:, None, None] * k[1:] + _times_zero(k[1:])
+        terms = x[:, None, None] * k[1:]
         y = k[0] + terms[0]
         for term in terms[1:]:
             y += term
@@ -866,18 +867,9 @@ def _dense_samples(
         sq = m[0] * m[0]
         for mj in m[1:]:
             sq += mj * mj
-        y = np.sqrt(norm0 / sq) * y + _times_zero(y)
+        y = np.sqrt(norm0 / sq) * y
         out.real[a:a + size], out.imag[a:a + size] = y[0].T, y[1].T
     return out
-
-
-def _times_zero(z: np.ndarray) -> np.ndarray:
-    """Python forms x * z for a float x as (x Re z - 0 Im z) + i (x Im z + 0 Re z):
-    its zero terms, -(0 Im z) and 0 Re z, for parts along axis -3 of z. They
-    set only the sign of a zero result."""
-    zero = 0.0 * z[..., ::-1, :, :]
-    zero[..., 0, :, :] *= -1.0
-    return zero
 
 
 def _evolve(eig: tuple[np.ndarray, np.ndarray], rho: np.ndarray, times: np.ndarray) -> np.ndarray:

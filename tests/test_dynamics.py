@@ -1294,25 +1294,6 @@ class TestDenseSamples:
         assert expected.tobytes() == samples[1:].tobytes()
         assert np.diff([1] + spans[2::3]).min() >= 1  # every stored step passes a sample
 
-    def test_signed_zeros_as_python_forms_them(self):
-        # Python takes x * k for a float x as (x Re k - 0 Im k) + i (x Im k + 0 Re k):
-        # at Re k = -0.0 and Im k < 0 its real part is +0.0 where x Re k is -0.0
-        # (x > 0). Rows of signed zeros and unit imaginary parts, one sample each,
-        # make sums of such zeros.
-        rng = np.random.default_rng(7)
-        grid = np.arange(1001.0)
-        spans, table = [], []
-        for r in range(1000):
-            spans += [r + 1 - rng.uniform(), 1.0, r + 2]
-            for e, (re, im) in enumerate(rng.choice([-1.0, 1.0], size=(7, 2))):
-                # Entry e (psi~, k1, k3-k7) of amplitude 0, then of amplitude 1,
-                # whose psi~ 1 and zero stages keep the norm from 0.
-                table += [complex(np.copysign(0.0, re), im), 1 + 0j if e == 0 else 0j]
-        out = dynamics._dense_samples(spans, table, grid, 1, 1.0)
-        expected = np.array(dense_samples_reference(spans, table, grid, 1.0))
-        assert expected.tobytes() == out.tobytes()
-        assert not out[:, 0].real.any()  # zeros, each with Python's sign
-
     def test_long_steps_pass_many_samples(self):
         _, (_, stats, _), ((spans, *_),) = traced_integrate(*preset_run("figure4_interaction_k2"))
         assert np.diff([1] + spans[2::3]).max() > 10
