@@ -9,16 +9,22 @@ every pair is diagonalised on its sectors, S = span{|++>, |-->} and the
 complement (`_sector_eigh`). `integrate` takes feedback laws only and steps
 only the state vector psi~ = W† U0(t)† psi in the eigenbasis W of H0, whose
 derivative is the control term alone (`rhs`), and of psi~ only the sectors
-where psi~ or the target has weight (`_frame`), 2 or 4 amplitudes. It steps
-them with an adaptive embedded Dormand-Prince 5(4) scheme written out over
-2 or 4 amplitudes, over the whole run (every stage re-evaluates the
-feedback). Per step it only stores, for a step that passes sample times,
-a row of a step table (`_dp5`). Every sample is then read off the
-scheme's continuous extension in one numpy pass over that table
-(`_dense_samples`), bit for bit what the formula gives in scalar complex
-arithmetic but for the sign of a zero; with v_stop set, the pass runs on each batch of new steps,
-and the run is cut back to the step that passed the first sample below
-v_stop. Its columns (V, field, concurrence, fidelity, p_S, purity) come
+where psi~ or the target has weight (`_frame`), 2 or 4 amplitudes. One
+sector, two amplitudes, is a two-level system, and a pure state there is a
+point on the Bloch sphere: such a run steps the real Bloch vector of psi~
+instead (Kuang & Cong, Automatica 44 (2008) 98; Mirrahimi, Rouchon &
+Turinici, Automatica 41 (2005) 1987), three floats and no complex
+arithmetic. It steps them with an adaptive embedded Dormand-Prince 5(4)
+scheme written out over the 3 Bloch components or the 4 amplitudes, over
+the whole run (every stage re-evaluates the feedback). Per step it only
+stores, for a step that passes sample times, a row of a step table
+(`_dp5`). Every sample is then read off the scheme's continuous extension
+in one numpy pass over that table (`_dense_samples`), bit for bit what the
+formula gives in scalar arithmetic but for the sign of a zero, and a Bloch
+sample is turned back into psi~ up to a global phase (`_from_bloch`); with
+v_stop set, the pass runs on each batch of new steps, and the run is cut
+back to the step that passed the first sample below v_stop. Its columns
+(V, field, concurrence, fidelity, p_S, purity) come
 from those samples of psi~, the constant psi_d~ and, for concurrence and
 fidelity, the lab states psi = W diag(exp(-i (lam - lam_0) t)) psi~, one
 row-wise product over all samples: no density matrix is formed for them.
@@ -38,7 +44,8 @@ the S-sector norm of psi~ at every step. The tests check the descent
 identity of the feedback law by stepping `rhs` (`tests/oracles.py`).
 
 One thing is renormalized: after each accepted step, and at each sample,
-psi~ is scaled back to its initial norm (the projection of Hairer, Lubich &
+psi~ is scaled back to its initial norm, or the Bloch vector to its initial
+length, which is the squared norm of psi~ (the projection of Hairer, Lubich &
 Wanner, Geometric Numerical Integration, IV.4). It is checked, not silent:
 a step whose squared norm moved by more than ten times the trace tolerance
 before the projection aborts the run, and the largest such drift of a run
@@ -56,6 +63,7 @@ from cmath import exp
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import cos, sin
 from statistics import median
 
 import numpy as np
@@ -125,10 +133,10 @@ _DENSE = (
     (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
 _DENSE_COLUMNS = np.array(_DENSE)[:, 1:].T[:, :, None]  # those of theta², theta³, theta⁴
-# Samples times amplitudes per block of `_dense_samples`: its arrays of 7 complex entries
-# a sample stay below glibc's 128 KiB mmap threshold and reuse heap memory (in one pass
-# the figure4 runs took about 430 fresh-page faults each).
-_DENSE_BLOCK = 1024
+# Floats of step-table entries per block of `_dense_samples` (112 KiB): its arrays stay
+# below glibc's 128 KiB mmap threshold and reuse heap memory (in one pass the figure4
+# runs took about 430 fresh-page faults each).
+_DENSE_FLOATS = 14336
 
 
 class IntegrationError(RuntimeError):
@@ -142,7 +150,15 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Adaptive-step configuration; times are in units of 1/J."""
+    """Adaptive-step configuration; times are in units of 1/J.
+
+    rel_tol and abs_tol bound each DP5(4) step's local error per amplitude
+    of psi~, abs_tol + rel_tol |y_i|. A one-sector run steps the Bloch
+    vector r~ of psi~ (`_frame`), whose components are products of two
+    amplitudes, so `_dp5` maps the same tolerances onto its axes:
+    2 abs_tol + rel_tol |r~_perp| on each transverse component and
+    2 (abs_tol + rel_tol |r~_z|) on the axial one.
+    """
 
     t_max: float
     dt: float = 0.01
@@ -165,7 +181,8 @@ class IntegratorStats:
     """How a DP5(4) run was stepped: accepted and rejected attempts, `rhs`
     evaluations (6 per attempt plus the first, under FSAL), the smallest,
     largest and median accepted step (None when no step was taken), the
-    largest drift of the squared norm of psi~ that an accepted step left
+    largest drift of the squared norm of psi~ (the length of its Bloch
+    vector, on one sector) that an accepted step left
     before its projection (0 with no step), the same after it for its S
     sector, p_S (0 for one sector), and how many eigen-amplitudes of H0 the
     run stepped: 2 for one parity sector, 4 for both (`_frame`). A run cut
@@ -271,8 +288,9 @@ def _sector_eigh(h: HamiltonianPair, fields: tuple = (0.0,)) -> tuple:
 
 
 def _frame(h: HamiltonianPair, psi0: np.ndarray, psi_d0: np.ndarray) -> tuple[tuple, tuple]:
-    """The interaction picture of H0 for `rhs`, and psi~ = W† psi0 at t = 0,
-    on the parity sectors the run steps.
+    """The interaction picture of H0 for `rhs`, and the state at t = 0 on
+    the parity sectors the run steps: psi~ = W† psi0, or its Bloch vector
+    when one sector is stepped.
 
     (lam, W) is the eigendecomposition of H0 by `_sector_eigh`: columns 0
     and 1 of W span S, 2 and 3 its complement, and h = W† H1 W is block
@@ -281,13 +299,20 @@ def _frame(h: HamiltonianPair, psi0: np.ndarray, psi_d0: np.ndarray) -> tuple[tu
     sector where psi~ or psi_d~ = W† psi_d0 has a norm above _SECTOR_WEIGHT;
     the other holds a rounded zero (about 1e-17) and stays out.
 
-    The frame is ((lam, W), the stepped columns, the coefficients of `rhs`,
-    conj(psi_d~)). The coefficients are one flat tuple of Python complex
-    numbers: for each stepped sector s its relative rate
-    i (lam_2s - lam_2s+1) and its 2x2 block of h, row by row, then
-    conj(psi_d~). Selecting columns keeps lam and W bit for bit. psi~ and
-    conj(psi_d~) are tuples of Python complex numbers, 2 wide for one sector
-    and 4 wide for both.
+    The frame is ((lam, W), the stepped columns, the coefficients of the
+    psi~ derivative, conj(psi_d~), the Bloch coefficients or None). The psi~
+    coefficients are one flat tuple of Python complex numbers: for each
+    stepped sector s its relative rate i (lam_2s - lam_2s+1) and its 2x2
+    block of h, row by row, then conj(psi_d~). Selecting columns keeps lam
+    and W bit for bit. conj(psi_d~) is a tuple of Python complex numbers, 2
+    wide for one sector and 4 wide for both. With both sectors the state is
+    psi~, 4 Python complex numbers, and there are no Bloch coefficients.
+
+    With one sector, psi~ = (y0, y1) is stepped as its Bloch vector
+    r~ = (2 Re conj(y0) y1, 2 Im conj(y0) y1, |y0|² - |y1|²) (`_bloch`), 3
+    Python floats of length |r~| = |y0|² + |y1|², and the Bloch coefficients
+    are (w, Re h01, Im h01, (h00 - h11)/2, d~) with w = lam_2s - lam_2s+1
+    and d~ the Bloch vector of psi_d~, the 7 floats of `rhs`'s Bloch form.
     """
     (lam,), (w,) = _sector_eigh(h)
     h1 = (w.conj().T @ h.h1 @ w).reshape(2, 2, 2, 2)  # (row sector, row, column sector, column)
@@ -299,16 +324,48 @@ def _frame(h: HamiltonianPair, psi0: np.ndarray, psi_d0: np.ndarray) -> tuple[tu
     coeffs = []
     for k in sectors:
         coeffs += [1j * float(lam[2 * k] - lam[2 * k + 1]), *h1[k, :, k].ravel().tolist()]
-    return ((lam, w), cols, tuple(coeffs) + target, target), y
+    bloch = None
+    if len(sectors) == 1:
+        rate, h00, h01, _, h11 = coeffs
+        d = _bloch(*(g.conjugate() for g in target))
+        bloch = (rate.imag, h01.real, h01.imag, 0.5 * (h00.real - h11.real), *d)
+        y = _bloch(*y)
+    return ((lam, w), cols, tuple(coeffs) + target, target, bloch), y
+
+
+def _bloch(y0: complex, y1: complex) -> tuple[float, float, float]:
+    """The Bloch vector (2 Re conj(y0) y1, 2 Im conj(y0) y1, |y0|² - |y1|²)
+    of the two-level state (y0, y1); its length is |y0|² + |y1|²."""
+    p = y0.conjugate() * y1
+    return (2 * p.real, 2 * p.imag,
+            (y0.real * y0.real + y0.imag * y0.imag) - (y1.real * y1.real + y1.imag * y1.imag))
+
+
+def _from_bloch(r: np.ndarray) -> np.ndarray:
+    """The two-level states psi~ = (y0, y1), one row each, whose Bloch
+    vectors (`_bloch`) are the rows of the (n, 3) array r, up to a global
+    phase: the larger amplitude, sqrt((|r| + |r_z|)/2), is taken real and
+    positive (y0 where r_z >= 0), and the other is (r_x ± i r_y) / 2 over
+    it, y1 = (r_x + i r_y) / (2 y0) or y0 = (r_x - i r_y) / (2 y1). No
+    difference of nearly equal numbers is taken, so each amplitude keeps a
+    relative accuracy of a few u, however small it is."""
+    x, y, z = r.T
+    big = np.sqrt(0.5 * (np.sqrt(x * x + y * y + z * z) + np.abs(z)))
+    re, im = x / (2 * big), y / (2 * big)
+    upper = z >= 0
+    psi = np.empty((len(r), 2), dtype=complex)
+    psi.real[:, 0], psi.imag[:, 0] = np.where(upper, big, re), np.where(upper, 0.0, -im)
+    psi.real[:, 1], psi.imag[:, 1] = np.where(upper, re, big), np.where(upper, im, 0.0)
+    return psi
 
 
 def rhs(frame: tuple, law: Lyapunov, t: float, y: tuple) -> tuple:
-    """The derivative of y = psi~ = W† U0(t)† psi, the state in the interaction
-    picture of U0(t) = exp(-i H0 t) written on the stepped columns of the
-    eigenbasis W of H0 (`_frame`), under the feedback law. y holds 2 or 4
-    Python complex numbers, one parity sector or both, and so does the
-    result. On 2 it does what the 4-wide branch does for either sector, in
-    the same order.
+    """The derivative of the stepped state under the feedback law: the Bloch
+    vector r~ of psi~ on one parity sector, 3 Python floats, or
+    y = psi~ = W† U0(t)† psi on both, 4 Python complex numbers: the state in
+    the interaction picture of U0(t) = exp(-i H0 t) written on the stepped
+    columns of the eigenbasis W of H0 (`_frame`). The result has the width
+    of y.
 
     Only the control term is left: dpsi~/dt = -i f E h E* psi~, with
     h = W† H1 W, one 2x2 block per sector, and E = diag(exp(i lam t)).
@@ -318,17 +375,25 @@ def rhs(frame: tuple, law: Lyapunov, t: float, y: tuple) -> tuple:
     for rho = psi psi† and rho_d = psi_d psi_d†, with a = <psi_d|H1 psi> and
     b = <psi_d|psi>; the frame leaves both alone, and there psi_d~ is constant.
     The trace is imaginary by construction, so there is no realness to check.
+
+    On one sector E h E* = ((h00 + h11)/2) I + n.sigma with
+    n = (Re h01 r, -Im h01 r, (h00 - h11)/2), r = exp(i w t) and
+    w = lam_2s - lam_2s+1, and with rho~ = (N I + r~.sigma)/2 and psi_d~'s
+    constant Bloch vector d~ the two read r~' = 2 f (n x r~) and
+    f = sign kappa n.(r~ x d~): about 30 float operations and one cos/sin
+    pair, no complex number. h01 r is formed from cos(w t) and sin(w t) as
+    the complex product forms it, so its phase rounds as the phase factor
+    of psi~ does. The term in I is a global phase, which r~ drops.
     """
-    if len(y) == 2:
-        r, h00, h01, h10, h11, g0, g1 = frame[2]
-        e = exp(r * t)
-        y0, y1 = y
-        v0 = h00 * y0 + h01 * e * y1
-        v1 = h10 / e * y0 + h11 * y1
-        a = g0 * v0 + g1 * v1
-        b = g0 * y0 + g1 * y1
-        m = -2j * law.sign * law.kappa * (a * b.conjugate()).imag
-        return m * v0, m * v1
+    if len(y) == 3:
+        w, hr, hi, n2, d0, d1, d2 = frame[4]
+        r0, r1, r2 = y
+        th = w * t
+        c, s = cos(th), sin(th)
+        n0, m1 = hr * c - hi * s, hr * s + hi * c  # h01 r = n0 + i m1, n = (n0, -m1, n2)
+        g = 2 * law.sign * law.kappa * (
+            n0 * (r1 * d2 - r2 * d1) - m1 * (r2 * d0 - r0 * d2) + n2 * (r0 * d1 - r1 * d0))
+        return g * (-m1 * r2 - n2 * r1), g * (n2 * r0 - n0 * r2), g * (n0 * r1 + m1 * r0)
     r0, h00, h01, h10, h11, r1, h22, h23, h32, h33, g0, g1, g2, g3 = frame[2]
     e0, e1 = exp(r0 * t), exp(r1 * t)
     y0, y1, y2, y3 = y
@@ -548,29 +613,54 @@ def _sq_norm(rows: np.ndarray) -> np.ndarray:
 def _dp5(
     frame: tuple, law: Lyapunov, y: tuple, grid: np.ndarray, cfg: IntegratorConfig
 ) -> tuple[np.ndarray, IntegratorStats, Exception | None]:
-    """Step psi~ from y at t = 0 to t_max with the adaptive DP5(4) pair,
-    written out over the 2 or 4 amplitudes of the frame (`_frame`) with no
-    numpy call inside an attempt, then sample it. The 2-amplitude loop does
-    what the 4-amplitude one does, in the same order, with the other terms
-    left out. Every stage goes through the module's `rhs`, 6 calls per
-    attempt and one for the first. The error norm is the RMS over the
-    pair's 4 levels, where a level that is not stepped counts as zero
-    error; an attempt whose error is NaN, or overflows to inf, is rejected.
+    """Step the state from y at t = 0 to t_max with the adaptive DP5(4)
+    pair, written out over the 3 components of the Bloch vector r~ of one
+    sector or the 4 amplitudes of psi~ (`_frame`) with no numpy call inside
+    an attempt, then sample it. The two loops share the tableau, the step
+    control, the checks, the projection and the step table; they differ in
+    the state, its error norm, its norm and its FSAL scaling. Every stage
+    goes through the module's `rhs`, 6 calls per attempt and one for the
+    first. An attempt whose error is NaN, or overflows to inf, is rejected.
 
-    After each accepted step psi~ is scaled back to its initial squared norm
-    N0 by c = sqrt(N0/N). A step whose N drifted from N0 by more than
+    The error norm maps the tolerances atol + rtol |y_i| of each amplitude
+    (`IntegratorConfig`). Over psi~ it is the RMS over its 4 amplitudes of
+    each one's error over atol + rtol max(|y_i|, |z_i|), old and new state.
+    Over r~ it is the RMS over its 3 components, each transverse one's error
+    over 2 atol + rtol |r~_perp| and the axial one's over
+    2 (atol + rtol |r~_z|), taking the larger |r~_perp| and |r~_z| of the
+    old and new state. A Bloch component is a product of two amplitudes,
+    so an amplitude error e moves it by up to 2 e times the other amplitude:
+    |r~_perp| = 2 |y0| |y1| gives the transverse tolerance. A transverse
+    component does not get rtol times its own size, which drops to atol
+    wherever the component crosses zero, as both do with each turn of the
+    frame. The axial tolerance is relative to |r~_z| itself. At the poles,
+    where the local runs converge, it is the amplitudes' mapping
+    2 (atol + rtol sqrt((N0 + |r~_z|)/2)), the larger amplitude's; near the
+    equator it is tighter. There lies the interaction runs' LaSalle set, and
+    r~_z is the direction in which that set is unstable within each period
+    (ROADMAP item 6): with the amplitudes' mapping the interaction runs
+    settled up to 100 times further off it (|f| up to 7e-7), and V rose
+    between samples inside long steps by up to 4.9e-14. The psi~ error norm
+    also counts the error of the global phase, which r~ drops and which
+    kept psi~ closer to the set.
+
+    After each accepted step the state is scaled back to its initial squared
+    norm N0 by c, c = sqrt(N0/N) on psi~ and c = N0/|r~| on r~, whose length
+    is psi~'s squared norm. A step whose N drifted from N0 by more than
     ABORT_FACTOR * TRACE_TOL aborts the run, and so does one after which
     the squared norm of the S sector, the first two of 4 amplitudes, has
     drifted by more than that from its initial value. The FSAL stage is
-    rescaled by c³, not re-evaluated, as the field is quadratic in psi~. The
+    rescaled, not re-evaluated: by c³ on psi~, as the field is quadratic in
+    psi~, and by c² on r~, whose derivative is quadratic in r~. The
     last step ends at t_max, the last sample time; a step that ends within
     1e-10 t_max of it ends there.
 
     The loops only step. An accepted step that passes sample times appends
     a row to the step table: its start t, its size h, the index in grid
-    past its last sample, and psi~ at t with the step's stages k1 and k3-k7;
-    a step that passes no sample is not stored. The samples are read off
-    the rows' continuous extensions by `_dense_samples`, at no `rhs` call.
+    past its last sample, and the state at t with the step's stages k1 and
+    k3-k7; a step that passes no sample is not stored. The samples are read
+    off the rows' continuous extensions by `_dense_samples`, at no `rhs`
+    call, and a Bloch sample is turned back into psi~ by `_from_bloch`.
 
     With v_stop set, the rows stored since the last look are sampled every
     _V_STOP_BATCH accepted steps, and once more when stepping ends or
@@ -581,7 +671,7 @@ def _dp5(
     the step that passed it. rhs_evals counts the calls up to that step,
     not the at most _V_STOP_BATCH steps' worth made past it.
 
-    Returns the (n, len(y)) samples of psi~ at the first n times of grid,
+    Returns the (n, 2 or 4) samples of psi~ at the first n times of grid,
     the run's IntegratorStats, and the error that ended it early (or None).
     """
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), a6 = _A
@@ -591,11 +681,14 @@ def _dp5(
     e1, e3, e4, e5, e6, e7 = _ERR
     atol, rtol, v_stop, t_max = cfg.abs_tol, cfg.rel_tol, cfg.v_stop, cfg.t_max
     tol = 1e-10 * t_max
-    norm0 = sum(m * m for m in map(abs, y))
+    bloch = len(y) == 3
+    if bloch:
+        norm0 = math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2])
+    else:
+        norm0 = sum(m * m for m in map(abs, y))
     limit = ABORT_FACTOR * TRACE_TOL
-    sector0 = sum(m * m for m in map(abs, y[:2]))  # the S sector of 4 amplitudes
     times = grid.tolist() + [math.inf]  # the sentinel ends every sample search
-    # The step table, end to end: each row's (t, h, n) in spans, (psi~, k1, k3-k7) in
+    # The step table, end to end: each row's (t, h, n) in spans, (y, k1, k3-k7) in
     # table. Apart, the two convert to numpy in about half the time of one mixed list.
     spans, table = [], []
     stride = 7 * len(y)
@@ -606,7 +699,8 @@ def _dp5(
     max_drift = max_sector = 0.0
     # The samples of the rows looked at, and how many rows those are; under
     # v_stop, each row's (accepted, rejected, max_drift, max_sector).
-    blocks, seen, marks = [np.array([y], dtype=complex)], 0, []
+    first_row = np.array([y], dtype=float if bloch else complex)
+    blocks, seen, marks = [_from_bloch(first_row) if bloch else first_row], 0, []
 
     def look() -> int | None:
         """Sample the rows stored since the last look. Under v_stop, the
@@ -617,6 +711,8 @@ def _dp5(
         if seen == start:
             return None
         block = _dense_samples(spans[3 * start:], table[stride * start:], grid, first, norm0)
+        if bloch:
+            block = _from_bloch(block)
         below = () if v_stop is None else np.flatnonzero(
             _lyapunov(block, np.array(frame[3]))[0] < v_stop)
         blocks.append(block[: below[0] + 1] if len(below) else block)
@@ -628,9 +724,10 @@ def _dp5(
     h_step = cfg.dt
     error = cut = None
     try:
-        if len(y) == 2:
-            (y0, y1), (ka0, ka1) = y, ka
-            my0, my1 = abs(y0), abs(y1)
+        if bloch:
+            (y0, y1, y2), (ka0, ka1, ka2) = y, ka
+            atol2, rtol2 = 2 * atol, 2 * rtol
+            pt, pz = y0 * y0 + y1 * y1, abs(y2)  # |r~_perp|² and |r~_z|
             while t_max - t > tol:
                 hs = t_max - t
                 if h_step < hs:
@@ -643,43 +740,51 @@ def _dp5(
 
                 # One embedded DP5(4) attempt: stages ka..kg, new state z.
                 x1 = hs * a21
-                kb0, kb1 = rhs(frame, law, t + c2 * hs, (y0 + x1 * ka0, y1 + x1 * ka1))
+                kb0, kb1, kb2 = rhs(frame, law, t + c2 * hs, (
+                    y0 + x1 * ka0, y1 + x1 * ka1, y2 + x1 * ka2))
                 x1, x2 = hs * a31, hs * a32
-                kc0, kc1 = rhs(frame, law, t + c3 * hs, (
-                    y0 + x1 * ka0 + x2 * kb0, y1 + x1 * ka1 + x2 * kb1))
+                kc0, kc1, kc2 = rhs(frame, law, t + c3 * hs, (
+                    y0 + x1 * ka0 + x2 * kb0,
+                    y1 + x1 * ka1 + x2 * kb1,
+                    y2 + x1 * ka2 + x2 * kb2))
                 x1, x2, x3 = hs * a41, hs * a42, hs * a43
-                kd0, kd1 = rhs(frame, law, t + c4 * hs, (
+                kd0, kd1, kd2 = rhs(frame, law, t + c4 * hs, (
                     y0 + x1 * ka0 + x2 * kb0 + x3 * kc0,
-                    y1 + x1 * ka1 + x2 * kb1 + x3 * kc1))
+                    y1 + x1 * ka1 + x2 * kb1 + x3 * kc1,
+                    y2 + x1 * ka2 + x2 * kb2 + x3 * kc2))
                 x1, x2, x3, x4 = hs * a51, hs * a52, hs * a53, hs * a54
-                ke0, ke1 = rhs(frame, law, t + c5 * hs, (
+                ke0, ke1, ke2 = rhs(frame, law, t + c5 * hs, (
                     y0 + x1 * ka0 + x2 * kb0 + x3 * kc0 + x4 * kd0,
-                    y1 + x1 * ka1 + x2 * kb1 + x3 * kc1 + x4 * kd1))
+                    y1 + x1 * ka1 + x2 * kb1 + x3 * kc1 + x4 * kd1,
+                    y2 + x1 * ka2 + x2 * kb2 + x3 * kc2 + x4 * kd2))
                 x1, x2, x3, x4, x5 = hs * a61, hs * a62, hs * a63, hs * a64, hs * a65
-                kf0, kf1 = rhs(frame, law, t + hs, (
+                kf0, kf1, kf2 = rhs(frame, law, t + hs, (
                     y0 + x1 * ka0 + x2 * kb0 + x3 * kc0 + x4 * kd0 + x5 * ke0,
-                    y1 + x1 * ka1 + x2 * kb1 + x3 * kc1 + x4 * kd1 + x5 * ke1))
+                    y1 + x1 * ka1 + x2 * kb1 + x3 * kc1 + x4 * kd1 + x5 * ke1,
+                    y2 + x1 * ka2 + x2 * kb2 + x3 * kc2 + x4 * kd2 + x5 * ke2))
                 x1, x3, x4, x5, x6 = hs * b1, hs * b3, hs * b4, hs * b5, hs * b6
                 z0 = y0 + x1 * ka0 + x3 * kc0 + x4 * kd0 + x5 * ke0 + x6 * kf0
                 z1 = y1 + x1 * ka1 + x3 * kc1 + x4 * kd1 + x5 * ke1 + x6 * kf1
-                kg0, kg1 = rhs(frame, law, t + hs, (z0, z1))
-                mz0, mz1 = abs(z0), abs(z1)
+                z2 = y2 + x1 * ka2 + x3 * kc2 + x4 * kd2 + x5 * ke2 + x6 * kf2
+                kg0, kg1, kg2 = rhs(frame, law, t + hs, (z0, z1, z2))
+                qt, qz = z0 * z0 + z1 * z1, abs(z2)
                 x1, x3, x4, x5, x6, x7 = hs * e1, hs * e3, hs * e4, hs * e5, hs * e6, hs * e7
-                s0 = (abs(x1 * ka0 + x3 * kc0 + x4 * kd0 + x5 * ke0 + x6 * kf0 + x7 * kg0)
-                      / (atol + rtol * (my0 if my0 > mz0 else mz0)))
-                s1 = (abs(x1 * ka1 + x3 * kc1 + x4 * kd1 + x5 * ke1 + x6 * kf1 + x7 * kg1)
-                      / (atol + rtol * (my1 if my1 > mz1 else mz1)))
-                err = math.sqrt((s0 * s0 + s1 * s1) / 4)
+                st = atol2 + rtol * math.sqrt(pt if pt > qt else qt)
+                s0 = (x1 * ka0 + x3 * kc0 + x4 * kd0 + x5 * ke0 + x6 * kf0 + x7 * kg0) / st
+                s1 = (x1 * ka1 + x3 * kc1 + x4 * kd1 + x5 * ke1 + x6 * kf1 + x7 * kg1) / st
+                s2 = ((x1 * ka2 + x3 * kc2 + x4 * kd2 + x5 * ke2 + x6 * kf2 + x7 * kg2)
+                      / (atol2 + rtol2 * (pz if pz > qz else qz)))
+                err2 = (s0 * s0 + s1 * s1 + s2 * s2) / 3  # the squared error norm
 
-                if not err <= 1.0:  # a NaN or inf error is a rejection too
+                if not err2 <= 1.0:  # a NaN or inf error is a rejection too
                     rejected += 1
-                    q = 0.9 * err ** -0.2
+                    q = 0.9 * err2 ** -0.1
                     h_step = hs * (q if q > 0.2 else 0.2)
                     continue
                 t_new = t + hs
                 if t_max - t_new <= tol:
                     t_new = t_max
-                norm = mz0 * mz0 + mz1 * mz1
+                norm = math.sqrt(qt + z2 * z2)
                 drift = abs(norm - norm0)
                 if drift > limit:
                     raise IntegrationError(
@@ -690,18 +795,18 @@ def _dp5(
                 if times[n] <= t_new:  # the step passes the samples in (t, t_new]
                     n = bisect_right(times, t_new, n)
                     spans.extend((t, hs, n))
-                    table.extend((y0, y1, ka0, ka1, kc0, kc1, kd0, kd1, ke0, ke1, kf0, kf1,
-                                  kg0, kg1))
+                    table.extend((y0, y1, y2, ka0, ka1, ka2, kc0, kc1, kc2, kd0, kd1, kd2,
+                                  ke0, ke1, ke2, kf0, kf1, kf2, kg0, kg1, kg2))
                     if v_stop is not None:
                         marks.append((len(steps) + 1, rejected, max_drift, max_sector))
-                c = math.sqrt(norm0 / norm)
-                y0, y1 = c * z0, c * z1
-                my0, my1 = c * mz0, c * mz1
-                c = c * c * c
-                ka0, ka1 = c * kg0, c * kg1  # FSAL
+                c = norm0 / norm
+                y0, y1, y2 = c * z0, c * z1, c * z2
+                pt, pz = c * c * qt, c * qz
+                c = c * c
+                ka0, ka1, ka2 = c * kg0, c * kg1, c * kg2  # FSAL
                 t = t_new
                 steps.append(hs)
-                q = 5.0 if err == 0.0 else 0.9 * err ** -0.2
+                q = 5.0 if err2 == 0.0 else 0.9 * err2 ** -0.1
                 h_step = hs * (q if q < 5.0 else 5.0)
                 if v_stop is not None and len(steps) % _V_STOP_BATCH == 0:
                     if (cut := look()) is not None:
@@ -709,6 +814,7 @@ def _dp5(
         else:
             (y0, y1, y2, y3), (ka0, ka1, ka2, ka3) = y, ka
             my0, my1, my2, my3 = abs(y0), abs(y1), abs(y2), abs(y3)
+            sector0 = my0 * my0 + my1 * my1  # the S sector's squared norm
             while t_max - t > tol:
                 hs = t_max - t
                 if h_step < hs:
@@ -817,35 +923,42 @@ def _dp5(
         del steps[accepted:]
     h_range = (min(steps), max(steps), median(steps)) if steps else (None, None, None)
     evals = 1 + 6 * (len(steps) + rejected)
-    stats = IntegratorStats(len(steps), rejected, evals, *h_range, max_drift, max_sector, len(y))
+    stats = IntegratorStats(len(steps), rejected, evals, *h_range, max_drift, max_sector,
+                            len(frame[1]))  # the stepped columns, 2 or 4 amplitudes
     return np.concatenate(blocks), stats, error
 
 
 def _dense_samples(
     spans: list, table: list, grid: np.ndarray, first: int, norm0: float
 ) -> np.ndarray:
-    """The samples of psi~ at grid[first:end] that the rows of a `_dp5`
-    step table pass, scaled to the squared norm norm0, one row per sample.
-    spans holds each row's (t, h, n) and table its (psi~, k1, k3-k7), end
-    to end; a row covers the samples from the previous row's n (first, for
-    the first row) to its own, and end is the last row's n.
+    """The samples of the stepped state at grid[first:end] that the rows of
+    a `_dp5` step table pass, scaled to the squared norm norm0 of psi~, one
+    row per sample: real rows of the Bloch vector r~ when the table holds 3
+    floats an entry, complex rows of psi~ when it holds 2 or 4 complex
+    numbers. spans holds each row's (t, h, n) and table its (y, k1, k3-k7),
+    end to end; a row covers the samples from the previous row's n (first,
+    for the first row) to its own, and end is the last row's n.
 
     The sample at theta = (s - t)/h is y + sum_i x_i k_i (`_DENSE`), scaled
-    by sqrt(norm0/N): bit for bit that formula in Python complex arithmetic
-    (`tests/oracles.py`), the same operations in the same order on real and
-    imaginary parts, with norms by np.hypot as abs() takes them, in blocks
-    of _DENSE_BLOCK / w samples for w amplitudes. A float x times a complex
-    z is (x Re z, x Im z), C99's mixed-mode product; CPython up to 3.13 adds
-    the terms -0 Im z and 0 Re z, which can only flip the sign of a zero
-    part (none did over 1,062 runs, `BENCH_step_table.json`).
+    by sqrt(norm0/N) on psi~ and by norm0/|r~| on r~ (`_dp5`'s projection):
+    bit for bit that formula in scalar Python arithmetic (`tests/oracles.py`),
+    the same operations in the same order, on real and imaginary parts of
+    psi~ with norms by np.hypot as abs() takes them, in blocks of
+    _DENSE_FLOATS step-table floats. A float x times a complex z is
+    (x Re z, x Im z), C99's mixed-mode product; CPython up to 3.13 adds the
+    terms -0 Im z and 0 Re z, which can only flip the sign of a zero part
+    (none did over 1,062 runs, `BENCH_step_table.json`).
     """
     span = np.fromiter(spans, float, len(spans)).reshape(-1, 3)
     ends = span[:, 2].astype(np.intp)
     which = np.repeat(np.arange(len(span)), np.diff(ends, prepend=first))  # row of each sample
     stride = len(table) // len(span)
-    out = np.empty((len(which), stride // 7), dtype=complex)
+    width, real = stride // 7, stride == 21
+    parts = 1 if real else 2
+    dtype = float if real else complex
+    out = np.empty((len(which), width), dtype=dtype)
     d2, d3, d4 = _DENSE_COLUMNS
-    size = 7 * _DENSE_BLOCK // stride
+    size = _DENSE_FLOATS // (parts * stride)
     for a in range(0, len(which), size):
         rows = which[a:a + size]
         lo, hi = rows[0], rows[-1] + 1
@@ -855,20 +968,29 @@ def _dense_samples(
         ht = h * th
         x = ht * th * poly  # the weights of k1 and k3-k7
         x[0] = ht * (1.0 + th * poly[0])
-        k = np.fromiter(table[stride * lo:stride * hi], complex, stride * (hi - lo))
-        k = k.reshape(hi - lo, 7, -1)[rows - lo]
-        # (entry, re/im, amplitude, sample): psi~, then k1 and k3-k7.
-        k = np.ascontiguousarray(k.view(float).reshape(k.shape + (2,)).transpose(1, 3, 2, 0))
+        k = np.fromiter(table[stride * lo:stride * hi], dtype, stride * (hi - lo))
+        k = k.reshape(hi - lo, 7, width)[rows - lo]
+        # (entry, part, component, sample): the state, then k1 and k3-k7; a real
+        # entry has one part, a complex one its real and imaginary parts.
+        k = np.ascontiguousarray(
+            k.view(float).reshape(k.shape + (parts,)).transpose(1, 3, 2, 0))
         terms = x[:, None, None] * k[1:]
         y = k[0] + terms[0]
         for term in terms[1:]:
             y += term
-        m = np.hypot(*y)
-        sq = m[0] * m[0]
-        for mj in m[1:]:
-            sq += mj * mj
-        y = np.sqrt(norm0 / sq) * y
-        out.real[a:a + size], out.imag[a:a + size] = y[0].T, y[1].T
+        if real:
+            (y,) = y
+            sq = y[0] * y[0]
+            for yj in y[1:]:
+                sq += yj * yj
+            out[a:a + size] = ((norm0 / np.sqrt(sq)) * y).T
+        else:
+            m = np.hypot(*y)
+            sq = m[0] * m[0]
+            for mj in m[1:]:
+                sq += mj * mj
+            y = np.sqrt(norm0 / sq) * y
+            out.real[a:a + size], out.imag[a:a + size] = y[0].T, y[1].T
     return out
 
 

@@ -12,8 +12,10 @@ No run of the package calls these; they check it:
   which `experiments.write_trajectory_csv`'s vectorised formatter is held
   byte for byte;
 - `dense_samples_reference`, the samples of a `dynamics._dp5` step table,
-  one at a time in Python complex arithmetic, against which the numpy
-  pass `dynamics._dense_samples` is held bit for bit.
+  one at a time in scalar Python arithmetic, against which the numpy
+  pass `dynamics._dense_samples` is held bit for bit;
+- `psi_rhs`, the derivative of psi~ on one parity sector in Python complex
+  arithmetic, against which `dynamics.rhs`'s Bloch form is held.
 
 `vdot_identity_check` steps the package's own closed loop, so it reads the
 private `dynamics._initial_states`, `_pure_state`, `_frame` and `rhs`.
@@ -22,6 +24,7 @@ private `dynamics._initial_states`, `_pure_state`, `_frame` and `rhs`.
 from __future__ import annotations
 
 import math
+from cmath import exp
 
 import numpy as np
 from scipy.linalg import expm
@@ -31,6 +34,9 @@ from bellsteer.dynamics import _DENSE, Trajectory, _frame, _initial_states, _pur
 from bellsteer.experiments import CSV_HEADER
 from bellsteer.linalg import hs_norm
 from bellsteer.model import HamiltonianPair
+
+# sigma_x, sigma_y, sigma_z.
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def geometric_evolve(h_tot: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
@@ -51,16 +57,19 @@ def vdot_identity_check(
     analytic = -f * Tr(rho_d [-iH1, rho]), the descent identity of the
     feedback design (equal to -kappa * trace^2 for sign=+1). numeric is a
     central finite difference of V along the closed-loop flow, each side
-    advanced by one classical RK4 step of `rhs` of size delta. Both states
-    must be pure, as for `integrate`. The two agree within
-    max(1e-6, 1e-3 |analytic|) for valid inputs.
+    advanced by one classical RK4 step of `rhs` of size delta on the state
+    `integrate` steps: psi~, with rho~ = psi~ psi~†, or on one parity sector
+    its Bloch vector r~, with rho~ = (|r~| I + r~.sigma)/2, which is
+    psi~ psi~† for |r~| = ||psi~||². Both states must be pure, as for
+    `integrate`. The two agree within max(1e-6, 1e-3 |analytic|) for valid
+    inputs.
     """
     pair = _initial_states(h, rho, rho_d)
     frame, y = _frame(h, _pure_state(pair[0], "rho"), _pure_state(pair[1], "rho_d"))
     y = np.array(y)
 
-    def deriv(t: float, psi: np.ndarray) -> np.ndarray:
-        return np.array(rhs(frame, law, t, tuple(psi)))
+    def deriv(t: float, state: np.ndarray) -> np.ndarray:
+        return np.array(rhs(frame, law, t, tuple(state.tolist())))
 
     k1 = deriv(0.0, y)
 
@@ -68,8 +77,10 @@ def vdot_identity_check(
         k2 = deriv(0.5 * step, y + 0.5 * step * k1)
         k3 = deriv(0.5 * step, y + 0.5 * step * k2)
         k4 = deriv(step, y + step * k3)
-        psi = y + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        return np.outer(psi, psi.conj())
+        state = y + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if len(state) == 3:
+            return 0.5 * (np.linalg.norm(state) * np.eye(2) + np.tensordot(state, PAULI, 1))
+        return np.outer(state, state.conj())
 
     trace_term = control_field(pair[0], pair[1], h.h1, 1.0, 1)
     analytic = -law.sign * law.kappa * trace_term * trace_term
@@ -103,16 +114,18 @@ def csv_text_reference(traj: Trajectory) -> str:
 def dense_samples_reference(
     spans: list, table: list, grid: np.ndarray, norm0: float
 ) -> list[tuple]:
-    """The samples of psi~ that a `dynamics._dp5` step table passes, from
-    grid[1] on, one at a time, in Python complex arithmetic: spans holds
-    each row's (t, h, n), table its (psi~, k1, k3-k7), laid end to end, and
-    a row covers the samples from the previous row's n (1 for the first)
-    up to its own. Within a step of size h from t the sample at time s, at
-    theta = (s - t)/h, is the step's continuous extension
+    """The samples of the stepped state that a `dynamics._dp5` step table
+    passes, from grid[1] on, one at a time, in scalar Python arithmetic:
+    spans holds each row's (t, h, n), table its (y, k1, k3-k7), laid end to
+    end, with y the 3 floats of a Bloch vector or 2 or 4 complex
+    amplitudes, and a row covers the samples from the previous row's n (1
+    for the first) up to its own. Within a step of size h from t the sample
+    at time s, at theta = (s - t)/h, is the step's continuous extension
     y + x_1 k1 + x_3 k3 + ... + x_7 k7, summed left to right with the
     weights of `dynamics._DENSE` (x_1 = h theta (1 + theta p_1(theta)),
     x_i = h theta² p_i(theta) for the others), scaled by sqrt(norm0/N) for
-    its squared norm N = |o_0|² + |o_1|² + ...."""
+    its squared norm N = |o_0|² + |o_1|² + ... or, for a Bloch vector, by
+    norm0/sqrt(o_0² + o_1² + o_2²)."""
     times = grid.tolist()
     rows = len(spans) // 3
     width = len(table) // rows // 7
@@ -130,10 +143,30 @@ def dense_samples_reference(
             o = list(y)
             for x, k in zip(weights, stages):
                 o = [oj + x * kj for oj, kj in zip(o, k)]
-            sq = abs(o[0]) * abs(o[0])
-            for oj in o[1:]:
-                sq = sq + abs(oj) * abs(oj)
-            c = math.sqrt(norm0 / sq)
+            if width == 3:
+                c = norm0 / math.sqrt(o[0] * o[0] + o[1] * o[1] + o[2] * o[2])
+            else:
+                sq = abs(o[0]) * abs(o[0])
+                for oj in o[1:]:
+                    sq = sq + abs(oj) * abs(oj)
+                c = math.sqrt(norm0 / sq)
             out.append(tuple(c * oj for oj in o))
             n += 1
     return out
+
+
+def psi_rhs(frame: tuple, law: Lyapunov, t: float, y: tuple) -> tuple:
+    """The derivative of psi~ = (y0, y1) on the one parity sector of a
+    `dynamics._frame`, in Python complex arithmetic from the frame's psi~
+    coefficients: -i f E h E* psi~ with E h E* = [[h00, h01 r], [h10 / r, h11]],
+    r = exp(i (lam_0 - lam_1) t), and f = 2 sign kappa Im(a conj(b)),
+    a = <psi_d~|E h E* psi~>, b = <psi_d~|psi~>."""
+    rate, h00, h01, h10, h11, g0, g1 = frame[2]
+    e = exp(rate * t)
+    y0, y1 = y
+    v0 = h00 * y0 + h01 * e * y1
+    v1 = h10 / e * y0 + h11 * y1
+    a = g0 * v0 + g1 * v1
+    b = g0 * y0 + g1 * y1
+    m = -2j * law.sign * law.kappa * (a * b.conjugate()).imag
+    return m * v0, m * v1

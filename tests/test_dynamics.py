@@ -48,7 +48,7 @@ from bellsteer.model import (
     hamiltonians,
     subspace_populations,
 )
-from oracles import dense_samples_reference, geometric_evolve
+from oracles import dense_samples_reference, geometric_evolve, psi_rhs
 
 P = ModelParams(J=1.0, eta=0.1)
 TIGHT = dict(rel_tol=1e-11, abs_tol=1e-13)
@@ -383,9 +383,11 @@ class TestProjection:
     initial norm; the drift it removes is checked and reported."""
 
     def test_norm_drift_aborts(self, monkeypatch):
-        # From t = 0.35 on, a stand-in term 1e-3 psi~ grows the squared norm by
-        # about 2e-3 h in a step of size h >= 0.01, past ABORT_FACTOR * TRACE_TOL
-        # = 1e-8 in the first step that reaches it.
+        # From t = 0.35 on, a stand-in term 1e-3 y grows the squared norm of
+        # psi~ in a step of size h >= 0.01 by about 2e-3 h when y is psi~, and
+        # by 1e-3 h when y is the Bloch vector of one sector, whose length is
+        # that squared norm: past ABORT_FACTOR * TRACE_TOL = 1e-8 in the first
+        # step that reaches it.
         real_rhs = dynamics.rhs
 
         def growing(frame, law, t, y):
@@ -394,7 +396,7 @@ class TestProjection:
 
         monkeypatch.setattr(dynamics, "rhs", growing)
         rho_d0 = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
-        for rho0 in (x_state("|++>"), off_s_state()):  # 2 and 4 amplitudes
+        for rho0 in (x_state("|++>"), off_s_state()):  # one sector (Bloch) and both
             with pytest.raises(IntegrationError, match="psi~ norm drift") as excinfo:
                 integrate(local_pair(), Lyapunov(kappa=1.0), rho0, rho_d0,
                           IntegratorConfig(t_max=1.0))
@@ -681,6 +683,14 @@ def random_vector(values, d):
     return v / np.linalg.norm(v)
 
 
+def bloch_derivative(y, dy):
+    """The derivative of the Bloch vector of psi~ = y, as `dynamics._bloch`
+    takes it, along dpsi~ = dy."""
+    p = np.conj(dy[0]) * y[1] + np.conj(y[0]) * dy[1]
+    return np.array([2 * p.real, 2 * p.imag,
+                     2 * (np.conj(y[0]) * dy[0] - np.conj(y[1]) * dy[1]).real])
+
+
 class TestRhs:
     """`rhs` on psi~, the state vector in the interaction picture of H0 written
     in its eigenbasis W, against the lab-frame Schrodinger derivative carried
@@ -698,46 +708,58 @@ class TestRhs:
         t=st.floats(0.0, 2.0),
     )
     def test_matches_commutator_form(self, h0, h1, psi, psi_d, levels, law, t):
-        # A random pair made parity-symmetric, and states on one sector (the
-        # XProduct levels {0, 3} are S) or on both.
+        """A random pair made parity-symmetric, and states on one sector (the
+        XProduct levels {0, 3} are S) or on both. On both, y is psi~ at time t
+        on the stepped columns of W and its derivative is held to the
+        reference's; on one sector y is psi~'s Bloch vector r~, and its
+        derivative to the reference's dpsi~ mapped to r~ by the derivative
+        of `_bloch`, dr~ = (2 Re p, 2 Im p, 2 Re(conj(y0) dy0 - conj(y1) dy1))
+        with p = conj(dy0) y1 + conj(y0) dy1. For a unit psi~ that map has
+        norm at most 2, and the bound is the one psi~ is held to."""
         m0, m1 = (symmetric(random_matrix(m, 4)) for m in (h0, h1))
         h = HamiltonianPair(m0 + m0.conj().T, m1 + m1.conj().T, X_PRODUCT)
         keep = np.tile(np.isin(range(4), levels), 2)  # of the real and imaginary parts
         # The state and the target at time t.
         psi, psi_d = (random_vector(np.where(keep, v, 0.0), 4) for v in (psi, psi_d))
         u0 = expm(-1j * h.h0 * t)
-        # y is psi~ at time t on the stepped sectors of W, 2 or 4 wide.
         frame, y = dynamics._frame(h, u0.conj().T @ psi, u0.conj().T @ psi_d)
         (_, w), cols = frame[:2]
-        assert len(y) == len(cols)
         dy = np.array(rhs(frame, law, t, y))
-        stepped = np.zeros(4, dtype=complex)
-        stepped[cols] = dy
 
         f_ref = control_field(outer(psi), outer(psi_d), h.h1, law.kappa, law.sign)
         dy_ref = w.conj().T @ u0.conj().T @ (-1j * f_ref * h.h1 @ psi)
         scale = (abs(f_ref) + law.kappa * hs_norm(h.h1)) * hs_norm(h.h1)
-        # The sector not stepped takes no derivative.
-        assert np.linalg.norm(stepped - dy_ref) <= 1e-12 * scale
+        if len(cols) == 2:
+            assert len(y) == 3
+            psi_t = (w.conj().T @ u0.conj().T @ psi)[cols]
+            assert np.linalg.norm(dy - bloch_derivative(psi_t, dy_ref[cols])) <= 1e-12 * scale
+            assert np.linalg.norm(np.delete(dy_ref, cols)) <= 1e-12 * scale
+            return
+        assert len(y) == len(cols) == 4
+        assert np.linalg.norm(dy - dy_ref) <= 1e-12 * scale
 
     @pytest.mark.parametrize("label", [label for label, _ in preset_scenarios("figure4")])
     def test_one_phase_per_sector_at_long_times(self, label):
-        """`rhs` writes E h E* within a sector as [[h00, h01 r], [h10 / r, h11]]
-        with one factor r = exp(i (lam_0 - lam_1) t), against the per-level
-        form -i f E h E* psi~, E = diag(exp(i lam t)), in long double as the
-        exact value, on the preset's frame, for random unit psi~ on its sector
-        and times up to t = 300.
+        """Each preset steps one sector, as its Bloch vector r~ (`_frame`).
+        `rhs` writes E h E* there as ((h00 + h11)/2) I + n.sigma with
+        n = (Re h01 r, -Im h01 r, (h00 - h11)/2) and one factor
+        r = exp(i (lam_0 - lam_1) t), against the per-level form
+        -i f E h E* psi~, E = diag(exp(i lam t)), mapped to r~ by the
+        derivative of `_bloch` (`bloch_derivative`), in long double as the
+        exact value, on the preset's frame, for random unit psi~ and its
+        rounded r~ at times up to t = 300.
 
         The bound is derived from the one-factor rounding. Rounding
         lam_0 - lam_1 and then its product with t moves the phase of r by at
-        most 2 u |lam_0 - lam_1| t (u the unit roundoff), and exp, the
-        products and the sums add a few u: 16 u covers them. So v = E h E* psi~
-        moves by at most ||h||_F (2 u |dlam| t + 16 u) = ||h||_F eps, the
-        field f = 2 sign kappa Im(<psi_d~|v> conj(b)) by 2 kappa ||h||_F eps,
-        and dpsi~/dt = -i f v by (|f| + 2 kappa ||h||_F) ||h||_F eps. At
-        t = 300 the phase term is 2.7e-13 for dlam = 4 (local presets) and
-        2.7e-14 for 0.4 (interaction presets). Seen: at most 0.06 of the
-        bound on all six."""
+        most 2 u |lam_0 - lam_1| t (u the unit roundoff), and cos, sin, the
+        products and the sums add a few u, as does rounding r~ from psi~:
+        16 u covers them. So n moves by at most |h01| eps <= ||h||_F eps/sqrt(2),
+        with eps = 2 u |dlam| t + 16 u, the field f = sign kappa n.(r~ x d~)
+        by kappa times that, and dr~/dt = 2 f (n x r~) by
+        sqrt(2) (|f| + kappa |n|) ||h||_F eps <= (|f| + 2 kappa ||h||_F) ||h||_F eps,
+        as |n| <= ||h||_F / sqrt(2): the bound psi~'s derivative was held to.
+        At t = 300 the phase term is 2.7e-13 for dlam = 4 (local presets)
+        and 2.7e-14 for 0.4 (interaction presets)."""
         cfg, h, states = preset_states(label)
         law = cfg.law
         frame, _ = dynamics._frame(h, *states)
@@ -752,14 +774,50 @@ class TestRhs:
         for t in np.linspace(0.0, 300.0, 61) + rng.uniform(0.0, 0.5, 61):
             y = rng.normal(size=len(cols)) + 1j * rng.normal(size=len(cols))
             y /= np.linalg.norm(y)
-            dy = np.array(rhs(frame, law, float(t), tuple(y.tolist())))
+            dr = np.array(rhs(frame, law, float(t), dynamics._bloch(*y.tolist())))
             e = np.exp(1j * lam_x * np.longdouble(t))
             v = e * (h_x @ (e.conj() * y.astype(ext)))
             f = 2 * law.sign * law.kappa * (np.sum(g_x * v) * np.conj(np.sum(g_x * y))).imag
-            dy_ref = -1j * f * v
+            dr_ref = bloch_derivative(y.astype(ext), -1j * f * v)
             eps = 2 * u * abs(lam_x[0] - lam_x[1]) * t + 16 * u
             bound = (abs(f) + 2 * law.kappa * h_norm) * h_norm * eps
-            assert np.max(np.abs(dy - dy_ref.astype(complex))) <= bound
+            assert np.max(np.abs(dr - dr_ref.astype(float))) <= bound
+
+    @pytest.mark.parametrize("label", ["figure4_local_k1", "figure4_interaction_k1"])
+    def test_bloch_form_matches_psi_form(self, label):
+        """On the one-sector frame of a preset of each paradigm, the Bloch
+        form of `rhs` against the derivative of psi~ in complex arithmetic
+        (`oracles.psi_rhs`) mapped to r~ (`bloch_derivative`), both in
+        double, for random unit psi~ and times up to t = 300.
+
+        The bound is derived. Both forms take the same rounded phase: the
+        product w t of the same w = lam_0 - lam_1, then libm's cos and sin
+        of it (cmath's exp of an imaginary number takes the two), and both
+        form h01 r by the same two products and sum per part, so n is the
+        same in both to the last bit and the phase term 2 u |w| t of
+        `test_one_phase_per_sector_at_long_times` cancels. What is left is
+        the rounding of the products and sums after n: as there, each form
+        is within (|f| + 2 kappa ||h||_F) ||h||_F 16 u of the exact
+        derivative in each entry, psi~'s in its 2 complex entries and so by
+        sqrt(2) that in norm, which the map (norm at most 2 for a unit psi~)
+        turns into 2 sqrt(2) times that, and the map's own products and sums
+        add 4 u of |dr~| <= 2 |f| ||h||_F. So the two differ by at most
+        (1 + 2 sqrt(2) + 1) 16 u (|f| + 2 kappa ||h||_F) ||h||_F, below
+        64 u (|f| + 2 kappa ||h||_F) ||h||_F, and |f| <= kappa |n| <=
+        kappa ||h||_F / sqrt(2) for unit states: below 192 u kappa ||h||_F²,
+        1.7e-15 on local_k1 and 1.7e-13 on interaction_k1. Seen: at most
+        0.04 of it."""
+        cfg, h, states = preset_states(label)
+        frame, _ = dynamics._frame(h, *states)
+        h_norm = np.linalg.norm(frame[2][1:5])
+        bound = 192 * 2.0**-53 * cfg.law.kappa * h_norm**2
+        rng = np.random.default_rng(29)
+        for t in rng.uniform(0.0, 300.0, 200):
+            y = rng.normal(size=2) + 1j * rng.normal(size=2)
+            y = tuple((y / np.linalg.norm(y)).tolist())
+            dr = np.array(rhs(frame, cfg.law, t, dynamics._bloch(*y)))
+            dy = psi_rhs(frame, cfg.law, t, y)
+            assert np.linalg.norm(dr - bloch_derivative(y, dy)) <= bound
 
     def test_non_hermitian_target_rejected_like_control_field(self, monkeypatch):
         h = local_pair()
@@ -803,13 +861,15 @@ class TestReachedColumns:
 
     @staticmethod
     def reached(h, psi, psi_d):
+        """The stepped columns, and the width of the stepped state: 3 for
+        the Bloch vector of one sector, 4 for the amplitudes of both."""
         frame, y = dynamics._frame(h, psi, psi_d)
         return list(frame[1]), len(y)
 
     @pytest.mark.parametrize("label", [label for label, _ in preset_scenarios("figure4")])
     def test_presets_reach_s_alone(self, label):
         _, h, states = preset_states(label)
-        assert self.reached(h, *states) == ([0, 1], 2)
+        assert self.reached(h, *states) == ([0, 1], 3)
 
     @pytest.mark.parametrize(
         "initial,target,columns",
@@ -825,25 +885,32 @@ class TestReachedColumns:
         m = symmetric(m + m.conj().swapaxes(1, 2))
         h = HamiltonianPair(m[0], m[1], X_PRODUCT)
         e = np.eye(4, dtype=complex)
-        assert self.reached(h, e[0], e[0]) == ([0, 1], 2)
+        assert self.reached(h, e[0], e[0]) == ([0, 1], 3)
         assert self.reached(h, e[0], e[1]) == ([0, 1, 2, 3], 4)
-        assert self.reached(h, e[1], e[2]) == ([2, 3], 2)
+        assert self.reached(h, e[1], e[2]) == ([2, 3], 3)
 
     @pytest.mark.parametrize("paradigm", list(Paradigm), ids=lambda p: p.value)
     def test_asymmetric_pair_steps_s_alone(self, paradigm):
         # k != 1 changes the complement's dynamics, not the parity.
         h = hamiltonians(ModelParams(J=1.0, eta=0.1, k=0.5), paradigm, X_PRODUCT)
         states = [X_PRODUCT.vector_from_z(STATE_LITERALS[s]) for s in ("|++>", "PhiPlus")]
-        assert self.reached(h, *states) == ([0, 1], 2)
+        assert self.reached(h, *states) == ([0, 1], 3)
 
     @pytest.mark.parametrize("label", ["figure4_local_k2", "figure4_interaction_k0.5"])
-    def test_two_amplitudes_step_as_four(self, label, monkeypatch):
-        """The preset on its one sector against the same run with every
-        sector stepped. The steps are the same, and rho is within 2 * 64 u:
-        a sector left out weighs at most 64 u, and moves an entry of
-        psi psi† by at most twice that. Stepped, the S sector of the
-        four-amplitude run carries the whole norm less that sector's, which
-        the projection restores to a few u."""
+    def test_bloch_run_matches_four_amplitudes(self, label, monkeypatch):
+        """The preset on its one sector, stepped as a Bloch vector, against
+        the same run with every sector stepped, as four amplitudes. The two
+        are the same DP5(4) pair at the same tolerances on different
+        coordinates, so they take different steps, and each is held to the
+        DOP853 reference by `TestAgainstDOP853`'s bounds: V and C to 1e-7,
+        rho to 5e-8 on a local run and to 1e-8 up to t = 5 on an
+        interaction run, after which the interaction runs are
+        ill-conditioned (ROADMAP aim 3). So the two agree to twice those
+        bounds. Seen: rho 6.9e-9 on local_k2 and 1.2e-9 up to t = 5 on
+        interaction_k0.5, V and C within 1.3e-8. Stepped, the S sector of
+        the four-amplitude run carries the whole norm less that of the
+        sector left out, at most 64 u, which the projection restores to a
+        few u."""
         cfg, h, states = preset_states(label)
         rho0, rho_d0 = map(outer, states)
         two = integrate(h, cfg.law, rho0, rho_d0, cfg.integrator)
@@ -852,9 +919,74 @@ class TestReachedColumns:
         stats, stats4 = two.metadata.integrator_stats, four.metadata.integrator_stats
         assert (stats.amplitudes, stats4.amplitudes) == (2, 4)
         assert stats.max_sector_drift == 0.0 and stats4.max_sector_drift <= 64 * 2.0**-53
-        assert dataclasses.replace(stats, amplitudes=4, max_sector_drift=0.0) == \
-            dataclasses.replace(stats4, max_sector_drift=0.0)
-        assert np.max(np.abs(two.rho - four.rho)) <= 2 * 64 * 2.0**-53
+        assert np.array_equal(two.t, four.t)
+        for column in ("V", "concurrence"):
+            assert np.max(np.abs(getattr(two, column) - getattr(four, column))) <= 2e-7
+        rho_tol, until = (5e-8, np.inf) if "local" in label else (1e-8, 5.0)
+        early = two.t <= until
+        assert np.max(np.abs(two.rho - four.rho)[early]) <= 2 * rho_tol
+
+
+class TestFromBloch:
+    """A one-sector run steps the Bloch vector r~ of psi~, and its samples
+    are turned back into psi~ by `_from_bloch`, up to a global phase, for
+    the column pass. u = 2^-53 is the unit roundoff."""
+
+    @pytest.mark.parametrize("small", [1e-10, 1e-5, 0.3, 0.7])
+    def test_returns_psi_up_to_a_phase(self, small):
+        """Each amplitude comes back within 16 u of its modulus, once the
+        larger one is taken real and positive, on either side. `_bloch`
+        rounds conj(y0) y1 by at most sqrt(5) u |y0| |y1| (a complex
+        product) and |y0|² - |y1|² by 3 u N, N = |y0|² + |y1|².
+        `_from_bloch` rounds |r~| = N by about 2.5 u more, so
+        N + |r~_z| = 2 |y_big|², a sum of two positive terms, by at most
+        10 u of it, and y_big = sqrt of its half by at most 6 u. The other
+        amplitude, (r_x ± i r_y) / (2 y_big), is then off by sqrt(5) u, 6 u
+        and the division's u: within 10 u of its modulus. Seen: 5.6 u."""
+        rng = np.random.default_rng(31)
+        u = 2.0**-53
+        for _ in range(200):
+            phases = np.exp(1j * rng.uniform(0.0, 2 * np.pi, 2))
+            psi = np.array([small, np.sqrt(1 - small * small)]) * phases
+            for y in (psi, psi[::-1]):  # the small amplitude first, then second
+                back = dynamics._from_bloch(np.array([dynamics._bloch(*y.tolist())]))[0]
+                big = int(np.argmax(np.abs(y)))
+                expected = y * abs(y[big]) / y[big]
+                assert back[big].imag == 0.0 and back[big].real > 0.0
+                assert np.all(np.abs(back - expected) <= 16 * u * np.abs(y))
+
+    def test_v_keeps_its_relative_accuracy(self):
+        """On `figure4_local_k2`'s frame, states at |<psi_d~perp|psi~>| = 1e-10,
+        V = 1e-20, where that run's V ends (1e-19), as its Bloch vector and
+        back. The target psi_d~ is the eigenvector e_1 of H0 in its sector
+        up to a rounded entry of 1.4e-17, below u/4, so the part of psi~ off
+        the target, of norm sqrt(V), is its small amplitude y0 to within
+        u/4. The rebuild moves y0 by at most 16 u |y0|
+        (`test_returns_psi_up_to_a_phase`), so that part by at most
+        16 u sqrt(V) + 4 u², and its squared norm by at most
+        32 u V + 8 u² sqrt(V) + (16 u sqrt(V) + 4 u²)²; it moves the squared
+        norm N by at most 33 u, and with |N - N_d| <= 6 u for the rounded
+        unit states the term (N - N_d)²/2 of `_lyapunov` by at most
+        (39 u)²/2 < 768 u². `_lyapunov` takes the small part by relative
+        operations, a few u of V on each side, and rounds b = <psi_d~|psi~>
+        by a few u in the large entry, whose square adds below 64 u².
+        So V moves by at most 64 u V + 1024 u², 1.3e-9 of V = 1e-20. Seen:
+        at most 3 (u V + u²)."""
+        cfg, h, states = preset_states("figure4_local_k2")
+        frame, _ = dynamics._frame(h, *states)
+        target = np.array(frame[3])  # conj(psi_d~)
+        psi_d = target.conj()
+        assert abs(psi_d[0]) <= 2.0**-55
+        perp = np.array([-target[1], target[0]])
+        rng = np.random.default_rng(37)
+        u = 2.0**-53
+        for _ in range(200):
+            a, b = np.exp(1j * rng.uniform(0.0, 2 * np.pi, 2))
+            psi = a * (np.sqrt(1 - 1e-20) * psi_d + 1e-10 * b * perp)
+            back = dynamics._from_bloch(np.array([dynamics._bloch(*psi.tolist())]))
+            v, v_back = (dynamics._lyapunov(x, target)[0][0] for x in (psi[None], back))
+            assert v == pytest.approx(1e-20, rel=1e-6)
+            assert abs(v_back - v) <= 64 * u * v + 1024 * u * u
 
 
 class TestStateStack:
@@ -1159,8 +1291,10 @@ def nan_stage(dy):
 
 
 def overflow_stage(dy):
-    """A stage of finite entries whose error norm overflows: 1e160 each."""
-    return tuple(1e160 + 0j for _ in dy)
+    """A stage of finite entries whose error norm overflows: 1e160 each, of
+    the type of the stage's entries (float on a Bloch vector, complex on
+    psi~)."""
+    return tuple(0 * x + 1e160 for x in dy)
 
 
 class TestMidRunErrors:
@@ -1189,13 +1323,14 @@ class TestMidRunErrors:
         assert f"ending at t={excinfo.value.t:.6g}" in str(excinfo.value)
 
     @pytest.mark.parametrize(
-        "rho0,amplitudes", [(x_state("|++>"), 2), (off_s_state(), 4)],
+        "rho0,width", [(x_state("|++>"), 3), (off_s_state(), 4)],
         ids=["two_amplitudes", "four_amplitudes"],
     )
-    def test_overflowing_attempt_is_rejected(self, monkeypatch, rho0, amplitudes):
+    def test_overflowing_attempt_is_rejected(self, monkeypatch, rho0, width):
         # Every attempt's FSAL stage (rhs calls 7, 13, ...) is finite but so
         # large that the squared error overflows to inf: each attempt is
-        # rejected, as a NaN one is, until the step size underflows.
+        # rejected, as a NaN one is, until the step size underflows. Two
+        # amplitudes are stepped as their Bloch vector, 3 floats wide.
         calls, widths = [], set()
         real_rhs = dynamics.rhs
 
@@ -1210,7 +1345,7 @@ class TestMidRunErrors:
         with pytest.raises(IntegrationError, match="last accepted step none"):
             integrate(local_pair(), Lyapunov(kappa=1.0), rho0, rho_d0,
                       IntegratorConfig(t_max=1.0))
-        assert widths == {amplitudes}
+        assert widths == {width}
         assert len(calls) % 6 == 1 and len(calls) > 7
 
     def test_underflow_with_no_accepted_step(self):
@@ -1279,7 +1414,9 @@ def preset_run(label, v_stop=None):
 class TestDenseSamples:
     """`_dp5` only steps; its samples come from one numpy pass over the step
     table, `_dense_samples`, which must give bit for bit the continuous
-    extension that the scalar formula gives (`oracles.dense_samples_reference`)."""
+    extension that the scalar formula gives (`oracles.dense_samples_reference`),
+    on the Bloch vector of one sector (real rows, each then turned into psi~
+    by `_from_bloch`) and on the four amplitudes of both."""
 
     @pytest.mark.parametrize("run", [
         preset_run("figure4_local_k0.5"), preset_run("figure4_interaction_k2"),
@@ -1290,8 +1427,13 @@ class TestDenseSamples:
         (spans, table, grid, first, norm0), = calls  # no v_stop: one pass after stepping
         assert first == 1 and len(samples) == len(traj) == len(grid)
         assert len(samples[0]) == stats.amplitudes
+        dense = dynamics._dense_samples(spans, table, grid, first, norm0)
         expected = np.array(dense_samples_reference(spans, table, grid, norm0))
-        assert expected.tobytes() == samples[1:].tobytes()
+        assert expected.tobytes() == dense.tobytes()
+        if stats.amplitudes == 2:
+            assert dense.dtype == float and dense.shape[1] == 3
+            dense = dynamics._from_bloch(dense)
+        assert dense.tobytes() == samples[1:].tobytes()
         assert np.diff([1] + spans[2::3]).min() >= 1  # every stored step passes a sample
 
     def test_long_steps_pass_many_samples(self):
