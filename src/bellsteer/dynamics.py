@@ -512,8 +512,9 @@ def integrate(
 ) -> Trajectory:
     """Integrate the closed loop of a feedback law over [0, t_max] and sample it.
 
-    Steps psi~ (see `rhs` and `_dp5`) over the whole run, so it factors rho0
-    and rho_d0 as psi psi† (`_pure_state`), and both must be pure. An
+    Steps psi~, or on one sector its Bloch vector (see `_frame`, `rhs` and
+    `_dp5`), over the whole run, so it factors rho0 and rho_d0 as psi psi†
+    (`_pure_state`), and both must be pure. An
     open-loop law is rejected: its Hamiltonian is constant on each interval,
     and `propagate_exact` solves that exactly.
 
@@ -934,10 +935,10 @@ def _dense_samples(
     """The samples of the stepped state at grid[first:end] that the rows of
     a `_dp5` step table pass, scaled to the squared norm norm0 of psi~, one
     row per sample: real rows of the Bloch vector r~ when the table holds 3
-    floats an entry, complex rows of psi~ when it holds 2 or 4 complex
-    numbers. spans holds each row's (t, h, n) and table its (y, k1, k3-k7),
-    end to end; a row covers the samples from the previous row's n (first,
-    for the first row) to its own, and end is the last row's n.
+    floats an entry, complex rows of psi~ when it holds complex numbers.
+    spans holds each row's (t, h, n) and table its (y, k1, k3-k7), end to
+    end; a row covers the samples from the previous row's n (first, for the
+    first row) to its own, and end is the last row's n.
 
     The sample at theta = (s - t)/h is y + sum_i x_i k_i (`_DENSE`), scaled
     by sqrt(norm0/N) on psi~ and by norm0/|r~| on r~ (`_dp5`'s projection):

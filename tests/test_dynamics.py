@@ -714,8 +714,9 @@ class TestRhs:
         reference's; on one sector y is psi~'s Bloch vector r~, and its
         derivative to the reference's dpsi~ mapped to r~ by the derivative
         of `_bloch`, dr~ = (2 Re p, 2 Im p, 2 Re(conj(y0) dy0 - conj(y1) dy1))
-        with p = conj(dy0) y1 + conj(y0) dy1. For a unit psi~ that map has
-        norm at most 2, and the bound is the one psi~ is held to."""
+        with p = conj(dy0) y1 + conj(y0) dy1. For a unit psi~ that map at
+        most doubles an error, and the bound, far above either side's
+        roundoff, is the one psi~ is held to."""
         m0, m1 = (symmetric(random_matrix(m, 4)) for m in (h0, h1))
         h = HamiltonianPair(m0 + m0.conj().T, m1 + m1.conj().T, X_PRODUCT)
         keep = np.tile(np.isin(range(4), levels), 2)  # of the real and imaginary parts
@@ -759,7 +760,8 @@ class TestRhs:
         sqrt(2) (|f| + kappa |n|) ||h||_F eps <= (|f| + 2 kappa ||h||_F) ||h||_F eps,
         as |n| <= ||h||_F / sqrt(2): the bound psi~'s derivative was held to.
         At t = 300 the phase term is 2.7e-13 for dlam = 4 (local presets)
-        and 2.7e-14 for 0.4 (interaction presets)."""
+        and 2.7e-14 for 0.4 (interaction presets). Seen: at most 0.11 of
+        the bound on all six."""
         cfg, h, states = preset_states(label)
         law = cfg.law
         frame, _ = dynamics._frame(h, *states)
