@@ -4,9 +4,10 @@ target, and exact open-loop propagation.
 The closed loop drho/dt = -i [H0 + f(rho, rho_d, t) H1, rho] steers rho
 towards the target rho_d(t) = U0(t) rho_d0 U0(t)†, U0(t) = exp(-i H0 t).
 For a pure state rho = psi psi† it is the Schrodinger equation
-dpsi/dt = -i (H0 + f H1) psi. H0 and H1 commute with the parity X(x)X, and
-every pair is diagonalised on its sectors, S = span{|++>, |-->} and the
-complement (`_sector_eigh`). `integrate` takes feedback laws only and steps
+dpsi/dt = -i (H0 + f H1) psi. H0 and H1 commute with the parity X(x)X, so
+a pair is two 2x2 blocks, one on each sector, S = span{|++>, |-->} and the
+complement, and is diagonalised block by block (`_sector_eigh`); states and
+W are in XProduct coordinates. `integrate` takes feedback laws only and steps
 only the state vector psi~ = W† U0(t)† psi in the eigenbasis W of H0, whose
 derivative is the control term alone (`rhs`), and of psi~ only the sectors
 where psi~ or the target has weight (`_frame`), 2 or 4 amplitudes. One
@@ -77,10 +78,11 @@ from .control import (
     lyapunov_value,
 )
 from .model import (
+    SECTORS,
+    X_PRODUCT,
     HamiltonianPair,
     ModelParams,
     Paradigm,
-    SECTOR_ROWS,
     subspace_populations,
 )
 from . import metrics
@@ -94,10 +96,14 @@ ABORT_FACTOR = 10.0
 _RANK_ONE_TOL = 1e-12
 # 64 u (u = 2^-53): `_frame` steps a parity sector where psi~ or psi_d~ weighs more.
 _SECTOR_WEIGHT = 64 * 2.0**-53
-# 128 u: `_sector_eigh`'s bound on the off-block norm of H / ||H||_F. Three 4x4
-# conjugations (by T, by SECTOR_ROWS T† and its own product) each round H by
-# about 20 u ||H||_F at most (gamma_4 ||A||_F ||B||_F per product). Seen: 1.4 u.
-_OFF_BLOCK = 128 * 2.0**-53
+# 128 u: the rate |lam_0 - lam_1| per unit of ||H0||_F up to which `integrate`'s stall
+# rule takes a sector's rate for a rounded zero. The 2x2 eigh of a block B is backward
+# stable: its eigenvalues are those of B + E with ||E||_2 <= c u ||B||_2, so by Weyl's
+# inequality each is within c u ||B||_2 of the exact one, and a block with one double
+# eigenvalue, a multiple of I, reads a rate of at most 2 c u ||B||_2 <= 2 c u ||H0||_F.
+# Over 2e5 random blocks each eigenvalue was within 15 u ||B||_F (c <= 16 with margin);
+# a multiple of I, as `hamiltonians`' zero block, reads exactly 0.
+_SPLIT_ROUNDING = 128 * 2.0**-53
 # With v_stop set, `_dp5` samples its new steps and looks for the cut every this many
 # accepted steps. A look costs as much as about 5 steps, and up to this many steps may pass
 # the cut; measured on figure4's runs, 64-256 are alike (BENCH_step_table.json, "v_stop").
@@ -265,26 +271,17 @@ def _pure_state(rho: np.ndarray, name: str) -> np.ndarray:
 
 def _sector_eigh(h: HamiltonianPair, fields: tuple = (0.0,)) -> tuple:
     """The eigendecompositions (lam, W) of H0 + f H1 for each f in fields;
-    every propagator diagonalises a pair here. In sector coordinates Q H Q†,
-    Q = SECTOR_ROWS T† (T the basis transform, S first), H0 and H1 must be
-    block diagonal to _OFF_BLOCK, that is, commute with X(x)X, or it is a
-    ValueError (the off-block that eigh would read is checked). The 2x2
-    blocks of every H0 + f H1 go through one batched eigh, (lam_s, V_s) for
-    sector s, and W = Q† blockdiag(V_S, V_perp): the (k, 4) lam, ascending
-    within each sector, and the (k, 4, 4) W.
+    every propagator diagonalises a pair here. The 2x2 blocks of every
+    H0 + f H1 go through one batched eigh, (lam_s, V_s) for sector s, and W
+    holds V_s on the XProduct rows SECTORS[s], in columns 2s and 2s + 1:
+    the (k, 4) lam, ascending within each sector, and the (k, 4, 4) W in
+    XProduct coordinates.
     """
-    q = SECTOR_ROWS @ h.basis.transform.conj().T
-    pair = np.stack([q @ op @ q.conj().T for op in (h.h0, h.h1)])
-    sq = (pair * pair.conj()).real
-    off = np.sqrt(sq[:, 2:, :2].sum(axis=(1, 2)))
-    if (off > _OFF_BLOCK * np.sqrt(sq.sum(axis=(1, 2)))).any():
-        raise ValueError(f"the pair does not commute with X(x)X (off-block norms of h0, h1: "
-                         f"{off[0]:.3e}, {off[1]:.3e})")
-    blocks = np.stack([pair[:, :2, :2], pair[:, 2:, 2:]], axis=1)  # (h0 or h1, sector)
-    lam, v = np.linalg.eigh(blocks[0] + np.multiply.outer(fields, blocks[1]))
+    lam, v = np.linalg.eigh(h.h0 + np.multiply.outer(fields, h.h1))
     w = np.zeros((len(fields), 4, 4), dtype=complex)
-    w[:, :2, :2], w[:, 2:, 2:] = v[:, 0], v[:, 1]
-    return lam.reshape(-1, 4), q.conj().T @ w
+    for s, rows in enumerate(SECTORS):
+        w[:, rows, 2 * s:2 * s + 2] = v[:, s]
+    return lam.reshape(-1, 4), w
 
 
 def _frame(h: HamiltonianPair, psi0: np.ndarray, psi_d0: np.ndarray) -> tuple[tuple, tuple]:
@@ -294,10 +291,11 @@ def _frame(h: HamiltonianPair, psi0: np.ndarray, psi_d0: np.ndarray) -> tuple[tu
 
     (lam, W) is the eigendecomposition of H0 by `_sector_eigh`: columns 0
     and 1 of W span S, 2 and 3 its complement, and h = W† H1 W is block
-    diagonal to roundoff, so only its diagonal blocks are kept and no
-    amplitude crosses from one sector to the other. The run steps each
-    sector where psi~ or psi_d~ = W† psi_d0 has a norm above _SECTOR_WEIGHT;
-    the other holds a rounded zero (about 1e-17) and stays out.
+    diagonal, V_s† h1_s V_s on sector s for the eigenvectors V_s of H0's
+    block, so no amplitude crosses from one sector to the other. The run
+    steps each sector where psi~ or psi_d~ = W† psi_d0 has a norm above
+    _SECTOR_WEIGHT; the other holds a rounded zero (about 1e-17) and stays
+    out.
 
     The frame is ((lam, W), the stepped columns, the coefficients of the
     psi~ derivative, conj(psi_d~), the Bloch coefficients or None). The psi~
@@ -315,7 +313,8 @@ def _frame(h: HamiltonianPair, psi0: np.ndarray, psi_d0: np.ndarray) -> tuple[tu
     and d~ the Bloch vector of psi_d~, the 7 floats of `rhs`'s Bloch form.
     """
     (lam,), (w,) = _sector_eigh(h)
-    h1 = (w.conj().T @ h.h1 @ w).reshape(2, 2, 2, 2)  # (row sector, row, column sector, column)
+    v = np.stack([w[np.ix_(rows, (2 * s, 2 * s + 1))] for s, rows in enumerate(SECTORS)])
+    h1 = v.conj().swapaxes(1, 2) @ h.h1 @ v  # V_s† h1_s V_s, sector by sector
     target, y = w.T @ psi_d0.conj(), w.conj().T @ psi0
     weight = np.linalg.norm(np.stack([y, target]).reshape(2, 2, 2), axis=2).max(axis=0)
     sectors = np.flatnonzero(weight > _SECTOR_WEIGHT)
@@ -323,7 +322,7 @@ def _frame(h: HamiltonianPair, psi0: np.ndarray, psi_d0: np.ndarray) -> tuple[tu
     target, y = (tuple(v[cols].tolist()) for v in (target, y))
     coeffs = []
     for k in sectors:
-        coeffs += [1j * float(lam[2 * k] - lam[2 * k + 1]), *h1[k, :, k].ravel().tolist()]
+        coeffs += [1j * float(lam[2 * k] - lam[2 * k + 1]), *h1[k].ravel().tolist()]
     bloch = None
     if len(sectors) == 1:
         rate, h00, h01, _, h11 = coeffs
@@ -419,11 +418,11 @@ def _sample_grid(cfg: IntegratorConfig) -> np.ndarray:
     return grid
 
 
-def _initial_states(h: HamiltonianPair, rho0: np.ndarray, rho_d0: np.ndarray) -> np.ndarray:
-    """The initial state and target stacked as a (2, d, d) array."""
+def _initial_states(rho0: np.ndarray, rho_d0: np.ndarray) -> np.ndarray:
+    """The initial state and target, 4x4 XProduct matrices, stacked as a (2, 4, 4) array."""
     rho = np.asarray(rho0, dtype=complex)
     rho_d = np.asarray(rho_d0, dtype=complex)
-    if rho.shape != rho_d.shape or rho.shape != h.h0.shape:
+    if rho.shape != rho_d.shape or rho.shape != (4, 4):
         raise ValueError("state and Hamiltonian dimensions do not match")
     return np.stack([rho, rho_d])
 
@@ -485,7 +484,7 @@ def _diagnose(
     3. the field column is the law's field at each sample: the geometric
        switch at the sample times, 0 for no law;
     4. V, concurrence, fidelity, p_S and purity are taken for every sample
-       at once in the pair's basis.
+       at once, in XProduct coordinates.
 
     `integrate` takes its columns from psi~ instead, stall flag included.
     """
@@ -496,8 +495,8 @@ def _diagnose(
     _check_invariants(t[1:], states[1:], _purity(states[0]))
     rho, rho_d = states[:, 0], states[:, 1]
     f = np.zeros(n) if law is None else geometric_field(t, law)
-    c = metrics.concurrence(rho, h.basis)
-    p_s = subspace_populations(rho, h.basis)[0]
+    c = metrics.concurrence(rho, X_PRODUCT)
+    p_s = subspace_populations(rho)[0]
     fid, pur = _trace_products(rho, rho_d), _trace_products(rho, rho)
     meta = TrajectoryMetadata(h.params, h.paradigm, law, False)
     return Trajectory(t, f, v, c, fid, p_s, pur, meta, lambda: rho, lambda: rho_d)
@@ -533,7 +532,7 @@ def integrate(
     t = 0 and before an error raised mid-run. A run is stalled when it
     starts off target (V > 1e-12), V stays within 64 u of V(0), and it spans
     a period 2 pi/w of each stepped sector whose rate w (`rhs`'s |r|) is
-    above the roundoff _OFF_BLOCK ||H0||_F: dV/dt = -sign f²/kappa, each
+    above the roundoff _SPLIT_ROUNDING ||H0||_F: dV/dt = -sign f²/kappa, each
     computed V is within 32 u of its sample's exact V, and the field of a
     constant psi~ turns with the phase exp(i w t), so a shorter run (5e-11
     from |++> towards Phi+) cannot tell a fixed point from a field still to
@@ -544,7 +543,7 @@ def integrate(
     """
     if not isinstance(law, Lyapunov):
         raise ValueError("open-loop laws have a constant Hamiltonian; use propagate_exact")
-    pair = _initial_states(h, rho0, rho_d0)
+    pair = _initial_states(rho0, rho_d0)
     grid = _sample_grid(cfg)
     frame, y = _frame(h, _pure_state(pair[0], "rho0"), _pure_state(pair[1], "rho_d0"))
     samples, stats, error = _dp5(frame, law, y, grid, cfg)
@@ -567,7 +566,7 @@ def integrate(
     # its row and column of rho then carry the phases `_evolve` gives the target.
     phases = np.exp(np.multiply.outer(t, -1j * (lam - lam[0])))
     psi, psi_d = (samples * phases) @ w.T, (target.conj() * phases) @ w.T
-    c = np.abs(((psi @ metrics.spin_flip(h.basis)) * psi).sum(axis=1))
+    c = np.abs(((psi @ metrics.spin_flip(X_PRODUCT)) * psi).sum(axis=1))
     overlap = (psi_d.conj() * psi).sum(axis=1)
     fid = overlap.real**2 + overlap.imag**2
     # `rhs`'s v = E h E* psi~ for each stepped sector j, from its rate and 2x2 block.
@@ -579,9 +578,8 @@ def integrate(
         hv[:, 2 * j + 1] = h10 / e * y0 + h11 * y1
     f = 2 * law.sign * law.kappa * ((hv @ target) * b.conj()).imag
     p_s = _sq_norm(samples[:, cols < 2])
-    # `_sector_eigh` rounds a block's eigenvalues by at most its off-block bound.
     rates = np.abs(lam[::2] - lam[1::2])
-    spanned = (t[-1] * rates >= 2 * math.pi) | (rates <= _OFF_BLOCK * np.linalg.norm(h.h0))
+    spanned = (t[-1] * rates >= 2 * math.pi) | (rates <= _SPLIT_ROUNDING * np.linalg.norm(h.h0))
     stalled = bool(v[0] > 1e-12 and np.max(np.abs(v - v[0])) <= 64 * 2.0**-53 and spanned.all())
     meta = TrajectoryMetadata(h.params, h.paradigm, law, stalled, stats)
     return Trajectory(
@@ -1026,7 +1024,7 @@ def propagate_exact(
     """
     if isinstance(law, Lyapunov):
         raise ValueError("feedback laws have no constant Hamiltonian; use integrate")
-    y0 = _initial_states(h, rho0, rho_d0)
+    y0 = _initial_states(rho0, rho_d0)
     grid = _sample_grid(cfg)
     # The field is on at the samples before t0.
     n_on = int(np.searchsorted(grid, law.t0)) if isinstance(law, Geometric) else 0

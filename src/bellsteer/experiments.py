@@ -584,7 +584,7 @@ def run_scenario(
     written to the report path (when configured) before the IntegrationError
     propagates.
     """
-    h = hamiltonians(cfg.model, cfg.paradigm, X_PRODUCT)
+    h = hamiltonians(cfg.model, cfg.paradigm)
     rho0 = outer(X_PRODUCT.vector_from_z(cfg.initial_state))
     rho_d0 = outer(X_PRODUCT.vector_from_z(cfg.target_state))
     run = integrate if isinstance(cfg.law, Lyapunov) else propagate_exact

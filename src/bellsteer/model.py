@@ -3,8 +3,8 @@ effective coupling and switchable local driving.
 
 The drift/control split depends on the chosen paradigm:
 
-* ``LocalControl``: drift ``h_eff = 2J Z(x)Z``, control ``h_local``.
-* ``InteractionControl``: drift ``h_local`` (symmetric, k=1), control ``h_eff``.
+* ``LocalControl``: drift ``2J Z(x)Z``, control ``eta*J*(X(x)I + k*I(x)X)``.
+* ``InteractionControl``: drift the symmetric local field (k=1), control ``2J Z(x)Z``.
 
 Three coordinate systems span the two-qubit space, with fixed orderings:
 
@@ -15,14 +15,14 @@ Three coordinate systems span the two-qubit space, with fixed orderings:
 
 Both Hamiltonians of either paradigm commute with the parity X(x)X for every
 J, eta and k, so S = span{|++>, |-->}, its +1 eigenspace, and the complement
-span{|+->, |-+>} are invariant: every pair is block diagonal in the sector
-coordinates ``SECTOR_ROWS`` (XProduct rows {|++>, |-->, |+->, |-+>}), and a
-run's population of S is a constant of motion.
+span{|+->, |-+>} are invariant, and a run's population of S is a constant of
+motion. A `HamiltonianPair` therefore holds each operator as its two 2x2
+sector blocks, on the XProduct rows ``SECTORS``: XProduct is the one
+coordinate system of a run, and the other bases only name states.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -83,7 +83,7 @@ class Basis:
     """A coordinate system: ``transform`` T is a 4x4 unitary from ZProduct
     coordinates.
 
-    Vectors: v_here = T @ v_z. Operators: H_here = T @ H_z @ T†, and H_z = T† @ H_here @ T.
+    Vectors: v_here = T @ v_z. Operators: H_here = T @ H_z @ T†.
     """
 
     tag: str
@@ -94,10 +94,6 @@ class Basis:
         err = hs_norm(u @ dagger(u) - np.eye(4)) if u.shape == (4, 4) else math.inf
         if err > 1e-12:
             raise ValueError(f"basis transform is not unitary (deviation {err:.3e})")
-
-    def from_z(self, op_z: np.ndarray) -> np.ndarray:
-        """Conjugate an operator given in ZProduct coordinates into this basis."""
-        return self.transform @ op_z @ dagger(self.transform)
 
     def vector_from_z(self, v_z: np.ndarray) -> np.ndarray:
         return self.transform @ np.asarray(v_z, dtype=complex)
@@ -128,63 +124,64 @@ _BELL_INDEX = {
 }
 
 
-# 64 u (u = 2^-53): the Hermiticity defect a pair may carry, per unit of its
-# norm ||H||_F, above the absolute HERMITICITY_TOL. `Basis.from_z` rounds T H T†
-# by at most 16 u ||H||_F (gamma_4 ||A||_F ||B||_F per 4x4 product, ||T||_F = 2,
-# ||T H||_F = ||H||_F), so H - H† by at most twice that. Seen: 0.49 u at J = 1e12.
-_HERM_ROUNDING = 64 * 2.0**-53
+# The parity sectors as XProduct rows: S = span{|++>, |-->}, then its complement.
+SECTORS = ((0, 3), (1, 2))
 
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianPair:
-    """Drift h0 and control h1 expressed in ``basis``; optional construction
+    """Drift h0 and control h1 as (2, 2, 2) arrays of sector blocks: h[s] is
+    the operator on sector s, on the XProduct rows SECTORS[s], and nothing
+    couples the sectors, so both commute with X(x)X. Optional construction
     metadata (params, paradigm) travels with the pair for downstream checks.
-    Each must have a finite Frobenius norm and be Hermitian to roundoff:
-    max(HERMITICITY_TOL, _HERM_ROUNDING ||h||_F)."""
+    Each must have a finite Frobenius norm and be Hermitian to
+    HERMITICITY_TOL."""
 
     h0: np.ndarray = field(repr=False)
     h1: np.ndarray = field(repr=False)
-    basis: Basis
     params: ModelParams | None = None
     paradigm: Paradigm | None = None
 
     def __post_init__(self) -> None:
         for name, h in (("h0", self.h0), ("h1", self.h1)):
+            if np.shape(h) != (2, 2, 2):
+                raise ValueError(f"{name} must be two 2x2 sector blocks, shape (2, 2, 2), "
+                                 f"got {np.shape(h)}")
             with np.errstate(over="ignore"):  # an overflowing norm is rejected just below
                 norm = hs_norm(h)
             if not math.isfinite(norm):
                 raise ValueError(f"{name} has no finite norm")
-            err = hs_norm(h - dagger(h))
-            if err > max(HERMITICITY_TOL, _HERM_ROUNDING * norm):
+            err = hs_norm(h - np.conj(h).swapaxes(1, 2))
+            if err > HERMITICITY_TOL:
                 raise ValueError(f"{name} is not Hermitian (deviation {err:.3e})")
 
 
-def h_local(p: ModelParams) -> np.ndarray:
-    """eta*J*(X(x)I + k*I(x)X) in ZProduct coordinates."""
-    x, ident = pauli("X"), pauli("I")
-    return p.eta * p.J * (kron(x, ident) + p.k * kron(ident, x))
+def hamiltonians(p: ModelParams, paradigm: Paradigm) -> HamiltonianPair:
+    """Build the (drift, control) pair of a paradigm as sector blocks.
 
+    In XProduct coordinates X(x)I is diag(1, 1, -1, -1), I(x)X is
+    diag(1, -1, 1, -1), and Z(x)Z swaps |++> with |--> and |+-> with |-+>.
+    So on (S, its complement), with B = eta J:
 
-def h_eff(p: ModelParams) -> np.ndarray:
-    """2J * Z(x)Z in ZProduct coordinates."""
-    z = pauli("Z")
-    return 2.0 * p.J * kron(z, z)
-
-
-def hamiltonians(p: ModelParams, paradigm: Paradigm, basis: Basis) -> HamiltonianPair:
-    """Build the (drift, control) pair for a paradigm in the requested basis.
+    * LocalControl: H0 = 2J Z(x)Z is 2J sigma_x on both sectors, and
+      H1 = B (X(x)I + k I(x)X) is B (1 + k) sigma_z on S and B (1 - k) sigma_z
+      on the complement;
+    * InteractionControl: H0, the local field at k = 1, is 2B sigma_z on S and
+      0 on the complement, and H1 = 2J Z(x)Z is 2J sigma_x on both.
 
     The interaction paradigm drives with the coupling and drifts under the
-    symmetric local field, so its drift is built with k=1 regardless of p.k.
+    symmetric local field, so its drift takes k = 1 regardless of p.k.
     """
+    x, z = pauli("X"), pauli("Z")
+    coupling = np.stack([2.0 * p.J * x, 2.0 * p.J * x])
+    b = p.eta * p.J
     if paradigm is Paradigm.LOCAL_CONTROL:
-        h0_z, h1_z = h_eff(p), h_local(p)
+        h0, h1 = coupling, np.stack([b * (1 + p.k) * z, b * (1 - p.k) * z])
     elif paradigm is Paradigm.INTERACTION_CONTROL:
-        symmetric = ModelParams(p.J, p.eta, 1.0)
-        h0_z, h1_z = h_local(symmetric), h_eff(p)
+        h0, h1 = np.stack([2.0 * b * z, np.zeros_like(z)]), coupling
     else:
         raise ValueError(f"unknown paradigm {paradigm!r}")
-    return HamiltonianPair(basis.from_z(h0_z), basis.from_z(h1_z), basis, p, paradigm)
+    return HamiltonianPair(h0, h1, p, paradigm)
 
 
 def bell_state(which: BellName, basis: Basis) -> np.ndarray:
@@ -193,28 +190,13 @@ def bell_state(which: BellName, basis: Basis) -> np.ndarray:
     return basis.vector_from_z(v_z)
 
 
-# The sector coordinates: the XProduct rows of S = span{|++>, |-->}, then those of
-# its complement; and the projector P_S onto S.
-SECTOR_ROWS = X_PRODUCT.transform[[0, 3, 1, 2]]
-_P_S = dagger(SECTOR_ROWS[:2]) @ SECTOR_ROWS[:2]
-
-
-@functools.lru_cache
-def _s_terms(basis: Basis) -> tuple:
-    """Tr(Q rho) = sum Q_ij rho_ji for Q = P_S in ``basis``, as terms (j, i, Q_ij), less
-    the entries of Q below 1e-15, roundoff of a zero. A basis aligned with S keeps two,
-    where a BLAS product over all sixteen woke its threads, at up to ms a stack."""
-    q = basis.from_z(_P_S)
-    return tuple((j, i, q[i, j]) for i, j in zip(*np.nonzero(abs(q) > 1e-15)))
-
-
-def subspace_populations(rho: np.ndarray, basis: Basis) -> tuple:
-    """Population (p_S, p_Sperp) of S = span{|++>, |-->} and its complement:
-    p_S = Re Tr(Q rho) with Q = P_S written in ``basis``, for every basis.
+def subspace_populations(rho: np.ndarray) -> tuple:
+    """Population (p_S, p_Sperp) of S = span{|++>, |-->} and its complement
+    in an XProduct density matrix: p_S = Re(rho_00 + rho_33).
 
     A stack of matrices (..., 4, 4) gives a pair of arrays, one entry per matrix.
     """
     rho = np.asarray(rho, dtype=complex)
-    p_s = functools.reduce(np.add, (q * rho[..., j, i] for j, i, q in _s_terms(basis))).real
+    p_s = (rho[..., 0, 0] + rho[..., 3, 3]).real
     p_s = float(p_s) if rho.ndim == 2 else p_s
     return p_s, 1.0 - p_s

@@ -15,7 +15,12 @@ No run of the package calls these; they check it:
   one at a time in scalar Python arithmetic, against which the numpy
   pass `dynamics._dense_samples` is held bit for bit;
 - `psi_rhs`, the derivative of psi~ on one parity sector in Python complex
-  arithmetic, against which `dynamics.rhs`'s Bloch form is held.
+  arithmetic, against which `dynamics.rhs`'s Bloch form is held;
+- `h_local` and `h_eff`, the model's Hamiltonians as Kronecker products in
+  ZProduct coordinates, and `model_matrices`, the pair of a paradigm built
+  from them as 4x4 XProduct matrices, against whose sector rows
+  `model.hamiltonians`' blocks are held, and from which the tests take
+  their reference 4x4 matrices (`pair_matrices`).
 
 `vdot_identity_check` steps the package's own closed loop, so it reads the
 private `dynamics._initial_states`, `_pure_state`, `_frame` and `rhs`.
@@ -32,11 +37,63 @@ from scipy.linalg import expm
 from bellsteer.control import Lyapunov, control_field, lyapunov_value
 from bellsteer.dynamics import _DENSE, Trajectory, _frame, _initial_states, _pure_state, rhs
 from bellsteer.experiments import CSV_HEADER
-from bellsteer.linalg import hs_norm
-from bellsteer.model import HamiltonianPair
+from bellsteer.linalg import hs_norm, kron, pauli
+from bellsteer.model import SECTORS, X_PRODUCT, Basis, HamiltonianPair, ModelParams, Paradigm
 
 # sigma_x, sigma_y, sigma_z.
 PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def h_local(p: ModelParams) -> np.ndarray:
+    """eta*J*(X(x)I + k*I(x)X) in ZProduct coordinates."""
+    x, ident = pauli("X"), pauli("I")
+    return p.eta * p.J * (kron(x, ident) + p.k * kron(ident, x))
+
+
+def h_eff(p: ModelParams) -> np.ndarray:
+    """2J * Z(x)Z in ZProduct coordinates."""
+    z = pauli("Z")
+    return 2.0 * p.J * kron(z, z)
+
+
+def from_z(basis: Basis, op_z: np.ndarray) -> np.ndarray:
+    """An operator given in ZProduct coordinates, in ``basis``: T op_z T†."""
+    return basis.transform @ op_z @ basis.transform.conj().T
+
+
+def model_matrices(p: ModelParams, paradigm: Paradigm) -> tuple[np.ndarray, np.ndarray]:
+    """The (drift, control) pair of a paradigm as 4x4 XProduct matrices, from
+    the Kronecker forms: local control drifts under h_eff and drives with
+    h_local; interaction control drifts under h_local at k = 1 and drives
+    with h_eff."""
+    if paradigm is Paradigm.LOCAL_CONTROL:
+        pair = h_eff(p), h_local(p)
+    else:
+        pair = h_local(ModelParams(p.J, p.eta, 1.0)), h_eff(p)
+    return tuple(from_z(X_PRODUCT, h) for h in pair)
+
+
+def sector_blocks(m: np.ndarray) -> np.ndarray:
+    """The (2, 2, 2) blocks of a 4x4 XProduct matrix on the rows and
+    columns SECTORS[s]: the part of it that commutes with X(x)X."""
+    return np.stack([m[np.ix_(rows, rows)] for rows in SECTORS])
+
+
+def embed(blocks: np.ndarray) -> np.ndarray:
+    """The 4x4 XProduct matrix of (2, 2, 2) sector blocks, zero between the sectors."""
+    m = np.zeros((4, 4), dtype=complex)
+    for rows, block in zip(SECTORS, blocks):
+        m[np.ix_(rows, rows)] = block
+    return m
+
+
+def pair_matrices(h: HamiltonianPair) -> tuple[np.ndarray, np.ndarray]:
+    """(H0, H1) of a pair as 4x4 XProduct matrices: a model pair's (params
+    and paradigm set) from the Kronecker forms (`model_matrices`), any other
+    pair's by placing its blocks (`embed`)."""
+    if h.params is None:
+        return embed(h.h0), embed(h.h1)
+    return model_matrices(h.params, h.paradigm)
 
 
 def geometric_evolve(h_tot: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
@@ -64,7 +121,7 @@ def vdot_identity_check(
     `integrate`. The two agree within max(1e-6, 1e-3 |analytic|) for valid
     inputs.
     """
-    pair = _initial_states(h, rho, rho_d)
+    pair = _initial_states(rho, rho_d)
     frame, y = _frame(h, _pure_state(pair[0], "rho"), _pure_state(pair[1], "rho_d"))
     y = np.array(y)
 
@@ -82,7 +139,7 @@ def vdot_identity_check(
             return 0.5 * (np.linalg.norm(state) * np.eye(2) + np.tensordot(state, PAULI, 1))
         return np.outer(state, state.conj())
 
-    trace_term = control_field(pair[0], pair[1], h.h1, 1.0, 1)
+    trace_term = control_field(pair[0], pair[1], pair_matrices(h)[1], 1.0, 1)
     analytic = -law.sign * law.kappa * trace_term * trace_term
     # V is unchanged by the frame, so it is taken on psi~ against psi_d~.
     target = np.outer(np.conj(frame[3]), frame[3])

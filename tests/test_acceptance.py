@@ -39,7 +39,7 @@ from bellsteer.model import (
     X_PRODUCT,
     hamiltonians,
 )
-from oracles import f_bound, geometric_evolve, vdot_identity_check
+from oracles import f_bound, geometric_evolve, pair_matrices, vdot_identity_check
 
 
 def _log_linear_fit(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -111,7 +111,7 @@ def test_criterion_04_lyapunov_descent(lyapunov_runs):
         label, (traj, _) = runs[int(rng.integers(len(runs)))]
         i = int(rng.integers(len(traj)))
         meta = traj.metadata
-        h = hamiltonians(meta.params, meta.paradigm, X_PRODUCT)
+        h = hamiltonians(meta.params, meta.paradigm)
         analytic, numeric = vdot_identity_check(traj.rho[i], traj.rho_d[i], h, meta.law)
         tol = max(1e-6, 1e-3 * abs(analytic))
         err = abs(analytic - numeric)
@@ -193,12 +193,12 @@ def test_criterion_08_oracle_equivalence():
     # tolerances sits near that boundary.
     tight = dict(rel_tol=1e-11, abs_tol=1e-13)
     params = ModelParams(J=1.0, eta=0.1)
-    h = hamiltonians(params, Paradigm.LOCAL_CONTROL, X_PRODUCT)
+    h = hamiltonians(params, Paradigm.LOCAL_CONTROL)
     rho0 = outer(X_PRODUCT.vector_from_z(STATE_LITERALS["|00>"]))
     rho_d0 = outer(X_PRODUCT.vector_from_z(STATE_LITERALS["PhiPlus"]))
     cfg = IntegratorConfig(t_max=200.0, sample_every=0.5)
     traj = propagate_exact(h, Geometric(t0=200.0), rho0, rho_d0, cfg)
-    h_tot = h.h0 + h.h1
+    h_tot = sum(pair_matrices(h))
     worst_const = max(
         hs_norm(traj.rho[i] - geometric_evolve(h_tot, rho0, float(t)))
         for i, t in enumerate(traj.t)
@@ -273,9 +273,9 @@ def test_criterion_09_invariant_suite(figure1_runs, lyapunov_runs):
     worst_margin = np.inf
     for label, (traj, _) in sorted(lyapunov_runs.items()):
         meta = traj.metadata
-        h = hamiltonians(meta.params, meta.paradigm, X_PRODUCT)
+        h = hamiltonians(meta.params, meta.paradigm)
         for i in range(len(traj)):
-            bound = f_bound(traj.rho[i], traj.rho_d[i], h.h1, meta.law.kappa)
+            bound = f_bound(traj.rho[i], traj.rho_d[i], pair_matrices(h)[1], meta.law.kappa)
             margin = bound - abs(float(traj.f[i]))
             worst_margin = min(worst_margin, margin)
             assert bound + 1e-12 >= abs(float(traj.f[i])), f"{label} sample {i}"

@@ -204,7 +204,7 @@ class TestVdotIdentity:
     def test_analytic_matches_finite_difference(self, paradigm, kappa):
         rng = np.random.default_rng(16)
         p = ModelParams(J=1.0, eta=0.1)
-        h = hamiltonians(p, paradigm, X_PRODUCT)
+        h = hamiltonians(p, paradigm)
         law = Lyapunov(kappa=kappa)
         for _ in range(25):
             rho = outer(random_state(rng))
@@ -218,7 +218,7 @@ class TestVdotIdentity:
         # loop climbs away from the target instead of descending toward it.
         rng = np.random.default_rng(17)
         p = ModelParams(J=1.0, eta=0.1)
-        h = hamiltonians(p, Paradigm.LOCAL_CONTROL, X_PRODUCT)
+        h = hamiltonians(p, Paradigm.LOCAL_CONTROL)
         law = Lyapunov(kappa=1.0, sign=-1)
         for _ in range(10):
             rho = outer(random_state(rng))
@@ -229,7 +229,7 @@ class TestVdotIdentity:
 
     def test_descent_direction_from_bell_target(self):
         p = ModelParams(J=1.0, eta=0.1)
-        h = hamiltonians(p, Paradigm.INTERACTION_CONTROL, X_PRODUCT)
+        h = hamiltonians(p, Paradigm.INTERACTION_CONTROL)
         rho = outer(np.array([1, 0, 0, 0], dtype=complex))  # |++> in X coords
         rho_d = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
         # At the real initial state the field vanishes; push along the flow a

@@ -408,6 +408,18 @@ class TestReadmeConfigs:
         assert np.linalg.norm(v) == pytest.approx(1.0)
 
 
+def test_readme_python_block(capsys):
+    """The README's Python example, run as written: local control at kappa = 1
+    from |++> towards Phi+ over t_max = 300, the run of preset figure2_k1,
+    which prints its final V (3.8e-11) and concurrence."""
+    text = README.read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+    exec(compile(block, str(README), "exec"), {})
+    v, c = map(float, capsys.readouterr().out.split())
+    assert 0.0 < v < 1e-10
+    assert c == pytest.approx(1.0, abs=1e-9)
+
+
 @pytest.fixture(scope="module")
 def tiny_run():
     cfg = scenario_from_mapping(base_mapping())

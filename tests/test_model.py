@@ -3,12 +3,15 @@ parity sectors."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellsteer.dynamics import _sector_eigh
 from bellsteer.linalg import dagger, hs_norm, kron, outer, pauli
 from bellsteer.model import (
     BASES,
     BELL,
+    SECTORS,
     Basis,
     BellName,
     HamiltonianPair,
@@ -17,11 +20,10 @@ from bellsteer.model import (
     X_PRODUCT,
     Z_PRODUCT,
     bell_state,
-    h_eff,
-    h_local,
     hamiltonians,
     subspace_populations,
 )
+from oracles import embed, from_z, h_eff, h_local, model_matrices, pair_matrices, sector_blocks
 
 SQ2 = np.sqrt(2.0)
 
@@ -54,7 +56,7 @@ class TestModelParams:
 
     def test_zero_eta_allowed(self):
         p = ModelParams(J=1.0, eta=0.0)
-        assert hs_norm(h_local(p)) == 0.0
+        assert hs_norm(hamiltonians(p, Paradigm.LOCAL_CONTROL).h1) == 0.0
 
     def test_large_eta_warns(self):
         with pytest.warns(UserWarning, match="not small"):
@@ -107,11 +109,48 @@ class TestBases:
         h = 0.5 * (h + h.conj().T)
         for tag in BASES:
             w0 = np.linalg.eigvalsh(h)
-            w1 = np.linalg.eigvalsh(BASES[tag].from_z(h))
+            w1 = np.linalg.eigvalsh(from_z(BASES[tag], h))
             assert np.allclose(w0, w1)
 
 
 class TestHamiltonians:
+    """`hamiltonians` builds sector blocks; the Kronecker forms `h_local` and
+    `h_eff` in ZProduct coordinates are the reference (`tests/oracles.py`)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        J=st.floats(1e-6, 1e6),
+        eta=st.floats(0.0, 0.99),
+        k=st.floats(-5.0, 5.0),
+        paradigm=st.sampled_from(list(Paradigm)),
+    )
+    def test_blocks_match_kron_forms(self, J, eta, k, paradigm):
+        """Each operator's blocks against the Kronecker form conjugated into
+        XProduct, X_PRODUCT.transform @ H_z @ T† (`model_matrices`): block s
+        is its part on the rows and columns SECTORS[s], and its part between
+        the sectors is zero, both to a bound derived from the roundoff
+        (u = 2^-53, ||H||_F the operator's norm).
+
+        `hamiltonians` rounds each block entry by at most 3 u of it (eta J,
+        then 1 + k and the product), and `h_local` each entry of H_z by 2 u.
+        T = H(x)H has 16 entries ±1/2, each rounded by at most 5 u of it
+        (sqrt 2, its reciprocal, the product of two), so ||dT||_F <= 10 u,
+        which moves T H_z T† by at most 2 ||dT||_2 ||H||_F <= 20 u ||H||_F.
+        The two 4x4 products add gamma_4 ||A||_F ||B||_F each, 8 u ||H||_F
+        (||T||_F = 2, ||T H_z||_F = ||H||_F). So the two sides differ by at
+        most (3 + 2 + 20 + 16) u ||H||_F = 41 u ||H||_F in Frobenius norm,
+        on the blocks and between them; 64 u covers the terms of order u².
+        Seen over 4e4 pairs: 6.3 u on the blocks, 1.0 u between them.
+        """
+        p = ModelParams(J=J, eta=eta, k=k)
+        h = hamiltonians(p, paradigm)
+        assert (h.params, h.paradigm) == (p, paradigm)
+        for blocks, ref in zip((h.h0, h.h1), model_matrices(p, paradigm)):
+            bound = 64 * 2.0**-53 * hs_norm(blocks)
+            assert blocks.shape == (2, 2, 2)
+            assert hs_norm(sector_blocks(ref) - blocks) <= bound
+            assert hs_norm(ref - embed(sector_blocks(ref))) <= bound
+
     def test_h_local_z_coordinates(self):
         p = ModelParams(J=2.0, eta=0.1, k=0.5)
         expected = 0.2 * (kron(pauli("X"), pauli("I")) + 0.5 * kron(pauli("I"), pauli("X")))
@@ -123,58 +162,63 @@ class TestHamiltonians:
 
     def test_h_local_diagonal_in_x(self):
         p = ModelParams(J=1.0, eta=0.1, k=0.3)
-        hx = X_PRODUCT.from_z(h_local(p))
+        hx = from_z(X_PRODUCT, h_local(p))
         assert np.allclose(hx, 0.1 * np.diag([1.3, 0.7, -0.7, -1.3]), atol=1e-14)
 
     def test_h_eff_antidiagonal_in_x(self):
         p = ModelParams(J=1.0, eta=0.1)
-        hx = X_PRODUCT.from_z(h_eff(p))
+        hx = from_z(X_PRODUCT, h_eff(p))
         assert np.allclose(hx, 2.0 * np.fliplr(np.eye(4)), atol=1e-14)
 
     def test_h_eff_diagonal_in_bell(self):
         p = ModelParams(J=1.0, eta=0.1)
-        hb = BELL.from_z(h_eff(p))
+        hb = from_z(BELL, h_eff(p))
         assert np.allclose(hb, 2.0 * np.diag([1, 1, -1, -1]), atol=1e-14)
 
     def test_h_local_couples_only_phi_pair_in_bell(self):
         p = ModelParams(J=1.0, eta=0.1, k=1.0)
-        hb = BELL.from_z(h_local(p))
+        hb = from_z(BELL, h_local(p))
         expected = np.zeros((4, 4))
         expected[1, 2] = expected[2, 1] = 0.2
         assert np.allclose(hb, expected, atol=1e-14)
 
     def test_local_control_split(self):
         p = ModelParams(J=1.0, eta=0.1)
-        h = hamiltonians(p, Paradigm.LOCAL_CONTROL, Z_PRODUCT)
-        assert np.allclose(h.h0, h_eff(p))
-        assert np.allclose(h.h1, h_local(p))
+        h = hamiltonians(p, Paradigm.LOCAL_CONTROL)
+        assert np.allclose(embed(h.h0), from_z(X_PRODUCT, h_eff(p)))
+        assert np.allclose(embed(h.h1), from_z(X_PRODUCT, h_local(p)))
         assert h.paradigm is Paradigm.LOCAL_CONTROL
 
     def test_interaction_control_forces_symmetric_drift(self):
         p = ModelParams(J=1.0, eta=0.1, k=0.7)
-        h = hamiltonians(p, Paradigm.INTERACTION_CONTROL, Z_PRODUCT)
-        assert np.allclose(h.h0, h_local(ModelParams(J=1.0, eta=0.1, k=1.0)))
-        assert np.allclose(h.h1, h_eff(p))
+        h = hamiltonians(p, Paradigm.INTERACTION_CONTROL)
+        assert np.allclose(embed(h.h0), from_z(X_PRODUCT, h_local(ModelParams(1.0, 0.1, 1.0))))
+        assert np.allclose(embed(h.h1), from_z(X_PRODUCT, h_eff(p)))
 
     def test_pair_rejects_non_hermitian(self):
-        bad = np.zeros((4, 4), dtype=complex)
-        bad[0, 1] = 1.0
+        bad = np.zeros((2, 2, 2), dtype=complex)
+        bad[0, 0, 1] = 1.0
         with pytest.raises(ValueError, match="not Hermitian"):
-            HamiltonianPair(bad, np.eye(4, dtype=complex), Z_PRODUCT)
+            HamiltonianPair(bad, np.stack([np.eye(2, dtype=complex)] * 2))
 
     def test_pair_rejects_non_finite_norm(self):
-        # Finite entries whose squared sum overflows: with an infinite norm the
-        # Hermiticity tolerance, which scales with it, would admit anything.
-        big = 1e160 * np.eye(4, dtype=complex)
+        # Finite entries whose squared sum overflows.
+        big = 1e160 * np.stack([np.eye(2, dtype=complex)] * 2)
         with pytest.raises(ValueError, match="h1 has no finite norm"):
-            HamiltonianPair(np.eye(4, dtype=complex), big, Z_PRODUCT)
+            HamiltonianPair(np.stack([np.eye(2, dtype=complex)] * 2), big)
+
+    def test_pair_rejects_a_4x4_matrix(self):
+        with pytest.raises(ValueError, match=r"h0 must be two 2x2 sector blocks.*\(4, 4\)"):
+            HamiltonianPair(np.eye(4, dtype=complex), np.eye(4, dtype=complex))
 
 
 def s_block(h):
     """The eigenvalues, eigenvectors (ZProduct columns) and control block of
-    a pair on S, from `_sector_eigh`."""
+    a pair on S, from `_sector_eigh`; the control block is taken on the
+    Kronecker form of H1 (`pair_matrices`)."""
     (lam,), (w,) = _sector_eigh(h)
-    return lam[:2], dagger(h.basis.transform) @ w[:, :2], (dagger(w) @ h.h1 @ w)[:2, :2]
+    h1 = pair_matrices(h)[1]
+    return lam[:2], dagger(X_PRODUCT.transform) @ w[:, :2], (dagger(w) @ h1 @ w)[:2, :2]
 
 
 class TestSubspaceReduce:
@@ -183,7 +227,7 @@ class TestSubspaceReduce:
 
     def test_local_pair_reduces_in_phi_frame(self):
         p = ModelParams(J=1.0, eta=0.1)
-        lam, w, h1 = s_block(hamiltonians(p, Paradigm.LOCAL_CONTROL, Z_PRODUCT))
+        lam, w, h1 = s_block(hamiltonians(p, Paradigm.LOCAL_CONTROL))
         assert np.allclose(lam, [-2.0, 2.0], atol=1e-14)
         phi = [bell_state(name, Z_PRODUCT) for name in (BellName.PHI_MINUS, BellName.PHI_PLUS)]
         assert np.allclose(np.abs(np.conj(phi) @ w), np.eye(2), atol=1e-14)
@@ -191,62 +235,78 @@ class TestSubspaceReduce:
 
     def test_interaction_pair_reduces_in_x_frame(self):
         p = ModelParams(J=1.0, eta=0.1)
-        lam, w, h1 = s_block(hamiltonians(p, Paradigm.INTERACTION_CONTROL, Z_PRODUCT))
+        lam, w, h1 = s_block(hamiltonians(p, Paradigm.INTERACTION_CONTROL))
         assert np.allclose(lam, [-0.2, 0.2], atol=1e-14)
         x_rows = X_PRODUCT.transform[[3, 0]]  # |-->, |++>
         assert np.allclose(np.abs(x_rows.conj() @ w), np.eye(2), atol=1e-14)
         assert np.allclose(np.abs(h1), 2.0 * pauli("X").real, atol=1e-14)
 
     def test_reduction_basis_independent(self):
+        # The same reduction from the Kronecker forms in ZProduct coordinates,
+        # on the rows Phi-, Phi+ that span S there.
         p = ModelParams(J=1.0, eta=0.1)
-        lam_z, _, h1_z = s_block(hamiltonians(p, Paradigm.LOCAL_CONTROL, Z_PRODUCT))
-        lam_x, _, h1_x = s_block(hamiltonians(p, Paradigm.LOCAL_CONTROL, X_PRODUCT))
+        h = hamiltonians(p, Paradigm.LOCAL_CONTROL)
+        lam_x, _, h1_x = s_block(h)
+        q = np.conj([bell_state(name, Z_PRODUCT) for name in (BellName.PHI_MINUS,
+                                                               BellName.PHI_PLUS)])
+        lam_z, v = np.linalg.eigh(q @ h_eff(p) @ dagger(q))
+        h1_z = dagger(v) @ q @ h_local(p) @ dagger(q) @ v
         assert np.allclose(lam_z, lam_x)
         assert np.allclose(np.abs(h1_z), np.abs(h1_x))
 
     def test_asymmetric_coupling_keeps_the_sectors(self):
-        # k != 1 changes the drive, not the parity: in every basis the pair passes
-        # the check, and eta J (X(x)I + k I(x)X) drives S with eta J (1 + k) and
-        # the complement with eta J |1 - k|, each coupling the drift's two levels.
-        for basis in (Z_PRODUCT, X_PRODUCT, BELL):
-            h = hamiltonians(ModelParams(J=1.0, eta=0.1, k=0.5), Paradigm.LOCAL_CONTROL, basis)
-            (lam,), (w,) = _sector_eigh(h)
-            h1 = np.abs(dagger(w) @ h.h1 @ w)
-            assert np.allclose(lam, [-2.0, 2.0, -2.0, 2.0])
-            assert np.allclose(h1, np.kron(np.diag([0.15, 0.05]), pauli("X").real))
+        # k != 1 changes the drive, not the parity: eta J (X(x)I + k I(x)X) drives
+        # S with eta J (1 + k) and the complement with eta J |1 - k|, each coupling
+        # the drift's two levels.
+        h = hamiltonians(ModelParams(J=1.0, eta=0.1, k=0.5), Paradigm.LOCAL_CONTROL)
+        (lam,), (w,) = _sector_eigh(h)
+        h1 = np.abs(dagger(w) @ pair_matrices(h)[1] @ w)
+        assert np.allclose(lam, [-2.0, 2.0, -2.0, 2.0])
+        assert np.allclose(h1, np.kron(np.diag([0.15, 0.05]), pauli("X").real))
 
-    def test_rejects_non_invariant_hamiltonian(self):
-        # Z(x)I maps |++> out of the pair subspace.
-        p = ModelParams(J=1.0, eta=0.1)
-        h = HamiltonianPair(h_eff(p), kron(pauli("Z"), pauli("I")), Z_PRODUCT)
-        with pytest.raises(ValueError, match=r"does not commute with X\(x\)X"):
-            _sector_eigh(h)
+    def test_eigenvectors_sit_on_the_sector_rows(self):
+        # W holds sector s's eigenvectors on the rows SECTORS[s], in columns 2s and
+        # 2s + 1, and exact zeros elsewhere; it is unitary and diagonalises H0.
+        h = hamiltonians(ModelParams(J=1.3, eta=0.17, k=0.6), Paradigm.INTERACTION_CONTROL)
+        (lam,), (w,) = _sector_eigh(h)
+        for s, rows in enumerate(SECTORS):
+            others = [r for r in range(4) if r not in rows]
+            assert np.all(w[np.ix_(others, [2 * s, 2 * s + 1])] == 0)
+        assert np.allclose(dagger(w) @ w, np.eye(4), atol=1e-15)
+        assert np.allclose(dagger(w) @ embed(h.h0) @ w, np.diag(lam), atol=1e-15)
+
+
+def parity_population(rho, basis):
+    """Re Tr(P_S rho) for rho in ``basis``, with P_S = (1 + X(x)X)/2 written in it."""
+    p_s = from_z(basis, 0.5 * (np.eye(4) + kron(pauli("X"), pauli("X"))))
+    return np.trace(p_s @ rho).real
 
 
 class TestSubspacePopulations:
+    """`subspace_populations` reads p_S = Re(rho_00 + rho_33) off an XProduct
+    matrix; the reference is Re Tr(P_S rho) with the parity projector
+    P_S = (1 + X(x)X)/2 written in any basis."""
+
     def test_pair_states_fully_inside(self):
-        for basis in (Z_PRODUCT, X_PRODUCT, BELL):
-            rho = outer(bell_state(BellName.PHI_PLUS, basis))
-            p_s, p_perp = subspace_populations(rho, basis)
+        for name in (BellName.PHI_PLUS, BellName.PHI_MINUS):
+            rho = outer(bell_state(name, X_PRODUCT))
+            p_s, p_perp = subspace_populations(rho)
             assert p_s == pytest.approx(1.0, abs=1e-12)
             assert p_perp == pytest.approx(0.0, abs=1e-12)
 
     def test_z_ground_state_half_inside(self):
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 0] = 1.0
-        p_s, _ = subspace_populations(rho, Z_PRODUCT)
+        rho = outer(X_PRODUCT.vector_from_z(np.eye(4)[0]))  # |00>
+        p_s, _ = subspace_populations(rho)
         assert p_s == pytest.approx(0.5, abs=1e-12)
 
     def test_consistent_across_bases(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
-            v_z = random_state(rng)
-            rho_z = outer(v_z)
-            p_ref, _ = subspace_populations(rho_z, Z_PRODUCT)
-            for basis in (X_PRODUCT, BELL):
-                rho_b = basis.from_z(rho_z)
-                p_b, _ = subspace_populations(rho_b, basis)
-                assert p_b == pytest.approx(p_ref, abs=1e-12)
+            rho_z = outer(random_state(rng))
+            p_s, _ = subspace_populations(from_z(X_PRODUCT, rho_z))
+            for basis in (Z_PRODUCT, X_PRODUCT, BELL):
+                ref = parity_population(from_z(basis, rho_z), basis)
+                assert p_s == pytest.approx(ref, abs=1e-12)
 
     def test_any_unitary_basis(self):
         rng = np.random.default_rng(23)
@@ -254,9 +314,8 @@ class TestSubspacePopulations:
         basis = Basis("Other", u)
         for _ in range(20):
             rho_z = outer(random_state(rng))
-            p_ref, _ = subspace_populations(rho_z, Z_PRODUCT)
-            p_b, _ = subspace_populations(basis.from_z(rho_z), basis)
-            assert p_b == pytest.approx(p_ref, abs=1e-12)
+            p_s, _ = subspace_populations(from_z(X_PRODUCT, rho_z))
+            assert p_s == pytest.approx(parity_population(from_z(basis, rho_z), basis), abs=1e-12)
 
     def test_rejects_non_orthonormal_rows(self):
         rows = np.array([[1, 0, 0, 0], [1, 1, 0, 0]], dtype=complex) / SQ2
