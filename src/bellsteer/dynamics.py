@@ -1,10 +1,12 @@
 """Closed-loop integration of the controlled state against its drifting
 target, and exact open-loop propagation.
 
-The closed loop drho/dt = -i [H0 + f(rho, rho_d, t) H1, rho] steers rho
-towards the target rho_d(t) = U0(t) rho_d0 U0(t)†, U0(t) = exp(-i H0 t).
-For a pure state rho = psi psi† it is the Schrodinger equation
-dpsi/dt = -i (H0 + f H1) psi. H0 and H1 commute with the parity X(x)X, so
+Both propagators take the initial state psi0 and target psi_d0 as unit
+4-vectors in XProduct coordinates, and reject any other input with a
+ValueError before any work (`_state_vectors`). The closed loop
+dpsi/dt = -i (H0 + f(psi, psi_d, t) H1) psi steers psi towards the target
+psi_d(t) = U0(t) psi_d0, U0(t) = exp(-i H0 t); on rho = psi psi† it is
+drho/dt = -i [H0 + f H1, rho]. H0 and H1 commute with the parity X(x)X, so
 a pair is two 2x2 blocks, one on each sector, S = span{|++>, |-->} and the
 complement, and is diagonalised block by block (`_sector_eigh`); states and
 W are in XProduct coordinates. `integrate` takes feedback laws only and steps
@@ -29,20 +31,22 @@ back to the step that passed the first sample below v_stop. Its columns
 from those samples of psi~, the constant psi_d~ and, for concurrence and
 fidelity, the lab states psi = W diag(exp(-i (lam - lam_0) t)) psi~, one
 row-wise product over all samples: no density matrix is formed for them.
-rho = psi psi† and the target, the exact free evolution of rho_d0 by the
-eigendecomposition path (`_evolve`), are formed only when read.
+rho = psi psi† and the target, the exact free evolution of
+rho_d0 = psi_d0 psi_d0† by the eigendecomposition path (`_evolve`), are
+formed only when read.
 
 `propagate_exact` solves the open-loop runs (a geometric law or none),
-whose Hamiltonian is constant on each interval, by `_evolve`, and also
-takes mixed states. It ends in `_diagnose`: the v_stop cut, the
-unitary-dynamics invariants (trace, Hermiticity, purity, positivity) at
-every output sample, the field column, then V, concurrence, fidelity, p_S
-and purity, all on the (n, 2, d, d) state/target stack. Violations beyond
-ten times the stated tolerances abort the run at the first bad sample. A
-closed-loop sample psi psi† keeps all four invariants by construction, so
-`integrate` checks the unit traces of its inputs, and `_dp5` the norm and
-the S-sector norm of psi~ at every step. The tests check the descent
-identity of the feedback law by stepping `rhs` (`tests/oracles.py`).
+whose Hamiltonian is constant on each interval: it forms rho0 = psi0 psi0†
+and rho_d0 and evolves them by `_evolve`. It ends in `_diagnose`: the
+v_stop cut, the unitary-dynamics invariants (trace, Hermiticity, purity,
+positivity) at every output sample, the field column, then V,
+concurrence, fidelity, p_S and purity, all on the (n, 2, d, d)
+state/target stack. Violations beyond ten times the stated tolerances
+abort the run at the first bad sample. A closed-loop sample psi psi†
+keeps all four invariants by construction, so `integrate` checks only the
+norm and the S-sector norm of psi~ at every step (`_dp5`). The tests check
+the descent identity of the feedback law by stepping `rhs`
+(`tests/oracles.py`).
 
 One thing is renormalized: after each accepted step, and at each sample,
 psi~ is scaled back to its initial norm, or the Bloch vector to its initial
@@ -85,6 +89,7 @@ from .model import (
     Paradigm,
     subspace_populations,
 )
+from .linalg import as_state_vector, outer
 from . import metrics
 
 TRACE_TOL = 1e-9
@@ -92,8 +97,6 @@ HERM_TOL = 1e-9
 PURITY_TOL = 1e-6
 EIGEN_FLOOR = -1e-8
 ABORT_FACTOR = 10.0
-# `integrate` steps rho as psi psi† when they differ by at most this in every entry.
-_RANK_ONE_TOL = 1e-12
 # 64 u (u = 2^-53): `_frame` steps a parity sector where psi~ or psi_d~ weighs more.
 _SECTOR_WEIGHT = 64 * 2.0**-53
 # 128 u: the rate |lam_0 - lam_1| per unit of ||H0||_F up to which `integrate`'s stall
@@ -252,21 +255,17 @@ class Trajectory:
         return self.form_rho_d()
 
 
-def _pure_state(rho: np.ndarray, name: str) -> np.ndarray:
-    """psi with rho = psi psi^dagger, read off the column of rho's largest
-    diagonal entry as `metrics.concurrence` does: rho e_k = psi conj(psi_k).
-    Its squared norm is Tr rho. A ValueError, naming the purity defect
-    |Tr rho² - (Tr rho)²|, unless rho is such a rank-one matrix to roundoff.
-    """
-    k = int(np.argmax(np.abs(np.diagonal(rho))))
-    psi = rho[:, k] / math.sqrt(abs(rho[k, k]))
-    if not np.max(np.abs(np.outer(psi, psi.conj()) - rho)) <= _RANK_ONE_TOL:
-        defect = abs(np.trace(rho @ rho) - np.trace(rho) ** 2)
-        raise ValueError(
-            f"{name} is not a pure state (purity defect {defect:.3e}): integrate steps "
-            "state vectors; propagate_exact takes mixed states"
-        )
-    return psi
+def _state_vectors(psi0: np.ndarray, psi_d0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The initial state and target of either propagator as complex unit
+    4-vectors (`linalg.as_state_vector`). A ValueError for any other shape,
+    a 4x4 matrix included, or a norm off 1 by more than linalg.NORM_TOL."""
+    for name, v in (("psi0", psi0), ("psi_d0", psi_d0)):
+        if np.shape(v) != (4,):
+            raise ValueError(
+                f"{name} has shape {np.shape(v)}: state and Hamiltonian dimensions do not "
+                "match, a state is a 4-vector in XProduct coordinates"
+            )
+    return as_state_vector(psi0), as_state_vector(psi_d0)
 
 
 def _sector_eigh(h: HamiltonianPair, fields: tuple = (0.0,)) -> tuple:
@@ -297,20 +296,20 @@ def _frame(h: HamiltonianPair, psi0: np.ndarray, psi_d0: np.ndarray) -> tuple[tu
     _SECTOR_WEIGHT; the other holds a rounded zero (about 1e-17) and stays
     out.
 
-    The frame is ((lam, W), the stepped columns, the coefficients of the
-    psi~ derivative, conj(psi_d~), the Bloch coefficients or None). The psi~
-    coefficients are one flat tuple of Python complex numbers: for each
-    stepped sector s its relative rate i (lam_2s - lam_2s+1) and its 2x2
-    block of h, row by row, then conj(psi_d~). Selecting columns keeps lam
-    and W bit for bit. conj(psi_d~) is a tuple of Python complex numbers, 2
-    wide for one sector and 4 wide for both. With both sectors the state is
-    psi~, 4 Python complex numbers, and there are no Bloch coefficients.
+    The frame is ((lam, W), the stepped columns, the coefficients of `rhs`,
+    conj(psi_d~)), with one coefficient set for the width the run steps.
+    Selecting columns keeps lam and W bit for bit. conj(psi_d~) is a tuple
+    of Python complex numbers, 2 wide for one sector and 4 wide for both.
 
     With one sector, psi~ = (y0, y1) is stepped as its Bloch vector
     r~ = (2 Re conj(y0) y1, 2 Im conj(y0) y1, |y0|² - |y1|²) (`_bloch`), 3
-    Python floats of length |r~| = |y0|² + |y1|², and the Bloch coefficients
-    are (w, Re h01, Im h01, (h00 - h11)/2, d~) with w = lam_2s - lam_2s+1
-    and d~ the Bloch vector of psi_d~, the 7 floats of `rhs`'s Bloch form.
+    Python floats of length |r~| = |y0|² + |y1|², and the coefficients are
+    (w, Re h01, Im h01, (h00 - h11)/2, d~) with w = lam_2s - lam_2s+1 and d~
+    the Bloch vector of psi_d~, the 7 floats of `rhs`'s Bloch form. With
+    both sectors the state is psi~, 4 Python complex numbers, and the
+    coefficients are one flat tuple of Python complex numbers: for each
+    sector s its relative rate i (lam_2s - lam_2s+1) and its 2x2 block of h,
+    row by row, then conj(psi_d~).
     """
     (lam,), (w,) = _sector_eigh(h)
     v = np.stack([w[np.ix_(rows, (2 * s, 2 * s + 1))] for s, rows in enumerate(SECTORS)])
@@ -320,16 +319,17 @@ def _frame(h: HamiltonianPair, psi0: np.ndarray, psi_d0: np.ndarray) -> tuple[tu
     sectors = np.flatnonzero(weight > _SECTOR_WEIGHT)
     cols = (2 * sectors[:, None] + [0, 1]).ravel()
     target, y = (tuple(v[cols].tolist()) for v in (target, y))
+    if len(sectors) == 1:
+        (k,) = sectors
+        (h00, h01), (_, h11) = h1[k].tolist()
+        d = _bloch(*(g.conjugate() for g in target))
+        coeffs = (float(lam[2 * k] - lam[2 * k + 1]), h01.real, h01.imag,
+                  0.5 * (h00.real - h11.real), *d)
+        return ((lam, w), cols, coeffs, target), _bloch(*y)
     coeffs = []
     for k in sectors:
         coeffs += [1j * float(lam[2 * k] - lam[2 * k + 1]), *h1[k].ravel().tolist()]
-    bloch = None
-    if len(sectors) == 1:
-        rate, h00, h01, _, h11 = coeffs
-        d = _bloch(*(g.conjugate() for g in target))
-        bloch = (rate.imag, h01.real, h01.imag, 0.5 * (h00.real - h11.real), *d)
-        y = _bloch(*y)
-    return ((lam, w), cols, tuple(coeffs) + target, target, bloch), y
+    return ((lam, w), cols, tuple(coeffs) + target, target), y
 
 
 def _bloch(y0: complex, y1: complex) -> tuple[float, float, float]:
@@ -385,7 +385,7 @@ def rhs(frame: tuple, law: Lyapunov, t: float, y: tuple) -> tuple:
     of psi~ does. The term in I is a global phase, which r~ drops.
     """
     if len(y) == 3:
-        w, hr, hi, n2, d0, d1, d2 = frame[4]
+        w, hr, hi, n2, d0, d1, d2 = frame[2]
         r0, r1, r2 = y
         th = w * t
         c, s = cos(th), sin(th)
@@ -416,15 +416,6 @@ def _sample_grid(cfg: IntegratorConfig) -> np.ndarray:
     elif n > 0:
         grid[-1] = cfg.t_max
     return grid
-
-
-def _initial_states(rho0: np.ndarray, rho_d0: np.ndarray) -> np.ndarray:
-    """The initial state and target, 4x4 XProduct matrices, stacked as a (2, 4, 4) array."""
-    rho = np.asarray(rho0, dtype=complex)
-    rho_d = np.asarray(rho_d0, dtype=complex)
-    if rho.shape != rho_d.shape or rho.shape != (4, 4):
-        raise ValueError("state and Hamiltonian dimensions do not match")
-    return np.stack([rho, rho_d])
 
 
 def _purity(mats: np.ndarray) -> np.ndarray:
@@ -475,7 +466,9 @@ def _diagnose(
     v_stop: float | None,
 ) -> Trajectory:
     """The pass `propagate_exact` ends in, over the (n, 2, d, d) state/target
-    stack at the times t, which may be mixed, in this order:
+    stack at the times t, in this order. `propagate_exact` fills the stack
+    from psi0 psi0† and psi_d0 psi_d0†; the pass itself takes any matrices,
+    so the tests reach every invariant check with a bad stack:
 
     1. with v_stop set, the run is cut at the first sample after t = 0 whose
        V is below v_stop, which it keeps;
@@ -505,31 +498,31 @@ def _diagnose(
 def integrate(
     h: HamiltonianPair,
     law: ControlLaw,
-    rho0: np.ndarray,
-    rho_d0: np.ndarray,
+    psi0: np.ndarray,
+    psi_d0: np.ndarray,
     cfg: IntegratorConfig,
 ) -> Trajectory:
     """Integrate the closed loop of a feedback law over [0, t_max] and sample it.
 
-    Steps psi~, or on one sector its Bloch vector (see `_frame`, `rhs` and
-    `_dp5`), over the whole run, so it factors rho0 and rho_d0 as psi psi†
-    (`_pure_state`), and both must be pure. An
-    open-loop law is rejected: its Hamiltonian is constant on each interval,
-    and `propagate_exact` solves that exactly.
+    Takes the initial state psi0 and target psi_d0 as unit 4-vectors in
+    XProduct coordinates (`_state_vectors`), and steps psi~, or on one
+    sector its Bloch vector (see `_frame`, `rhs` and `_dp5`), over the whole
+    run. An open-loop law is rejected: its Hamiltonian is constant on each
+    interval, and `propagate_exact` solves that exactly.
 
     The columns are a few row-wise operations on the samples of psi~ and
     the constant psi_d~, with b = <psi_d~|psi~> and squared norms N, N_d
     (README): V = (N - N_d)²/2 + N_d ||psi~ - psi_d~ b/N_d||², which keeps
-    its relative accuracy far below the roundoff of N² and |b|², the field
-    by `rhs`'s formula, p_S the squared norm of the S columns, and
-    concurrence |psi^T S psi|, fidelity |<psi_d|psi>|² and purity ||psi||⁴
-    on the lab vectors psi = W diag(exp(-i (lam - lam_0) t)) psi~ and psi_d.
-    With v_stop set, `_dp5` ends the samples at the first one after t = 0
-    whose V is below v_stop (see there for the stats and errors of a cut
-    run). psi psi† keeps its trace, Hermiticity, purity and spectrum by
-    construction, so of the invariants only the unit traces of rho0 and
-    rho_d0 are checked, a violation being reported at the first sample after
-    t = 0 and before an error raised mid-run. A run is stalled when it
+    its relative accuracy far below the roundoff of N² and |b|², p_S the
+    squared norm of the S columns, and, on the lab vectors
+    psi = W diag(exp(-i (lam - lam_0) t)) psi~ and psi_d, the field
+    2 sign kappa Im(<psi_d|H1 psi> conj(<psi_d|psi>)) with H1 psi taken
+    sector by sector on the blocks h.h1, concurrence |psi^T S psi|,
+    fidelity |<psi_d|psi>|² and purity ||psi||⁴. With v_stop set, `_dp5`
+    ends the samples at the first one after t = 0 whose V is below v_stop
+    (see there for the stats and errors of a cut run). psi psi† keeps its
+    trace, Hermiticity, purity and spectrum by construction, so no invariant
+    is checked on the samples. A run is stalled when it
     starts off target (V > 1e-12), V stays within 64 u of V(0), and it spans
     a period 2 pi/w of each stepped sector whose rate w (`rhs`'s |r|) is
     above the roundoff _SPLIT_ROUNDING ||H0||_F: dV/dt = -sign f²/kappa, each
@@ -539,26 +532,19 @@ def integrate(
     rise. The field is no test: at a fixed point the stepper lets roundoff
     grow below its tolerance, to |f| = 4e-13 from |00> towards Phi+ at
     kappa = 2. The Trajectory's rho = psi psi† and rho_d, the free evolution of
-    rho_d0 by `_evolve`, are formed only when read.
+    psi_d0 psi_d0† by `_evolve`, are formed only when read.
     """
     if not isinstance(law, Lyapunov):
         raise ValueError("open-loop laws have a constant Hamiltonian; use propagate_exact")
-    pair = _initial_states(rho0, rho_d0)
+    psi0, psi_d0 = _state_vectors(psi0, psi_d0)
     grid = _sample_grid(cfg)
-    frame, y = _frame(h, _pure_state(pair[0], "rho0"), _pure_state(pair[1], "rho_d0"))
+    frame, y = _frame(h, psi0, psi_d0)
     samples, stats, error = _dp5(frame, law, y, grid, cfg)
-    t = grid[: len(samples)]
-    target = np.array(frame[3])  # conj(psi_d~)
-    v, b = _lyapunov(samples, target)
-    if len(t) > 1:
-        drifts = np.abs(np.trace(pair, axis1=1, axis2=2) - 1.0)
-        for name, drift in zip(("rho", "rho_d"), drifts):
-            if drift > ABORT_FACTOR * TRACE_TOL:
-                raise IntegrationError(
-                    f"{name} trace drift {drift:.3e} exceeds abort threshold", float(t[1])
-                )
     if error is not None:
         raise error
+    t = grid[: len(samples)]
+    target = np.array(frame[3])  # conj(psi_d~)
+    v = _lyapunov(samples, target)
 
     free, cols = frame[:2]
     lam, w = free[0][cols], free[1][:, cols]
@@ -569,14 +555,10 @@ def integrate(
     c = np.abs(((psi @ metrics.spin_flip(X_PRODUCT)) * psi).sum(axis=1))
     overlap = (psi_d.conj() * psi).sum(axis=1)
     fid = overlap.real**2 + overlap.imag**2
-    # `rhs`'s v = E h E* psi~ for each stepped sector j, from its rate and 2x2 block.
-    hv = np.empty_like(samples)
-    for j in range(len(cols) // 2):
-        r, h00, h01, h10, h11 = frame[2][5 * j: 5 * j + 5]
-        e, y0, y1 = np.exp(r * t), samples[:, 2 * j], samples[:, 2 * j + 1]
-        hv[:, 2 * j] = h00 * y0 + h01 * e * y1
-        hv[:, 2 * j + 1] = h10 / e * y0 + h11 * y1
-    f = 2 * law.sign * law.kappa * ((hv @ target) * b.conj()).imag
+    h1_psi = np.empty_like(psi)
+    for s, rows in enumerate(SECTORS):
+        h1_psi[:, rows] = psi[:, rows] @ h.h1[s].T
+    f = 2 * law.sign * law.kappa * ((psi_d.conj() * h1_psi).sum(axis=1) * overlap.conj()).imag
     p_s = _sq_norm(samples[:, cols < 2])
     rates = np.abs(lam[::2] - lam[1::2])
     spanned = (t[-1] * rates >= 2 * math.pi) | (rates <= _SPLIT_ROUNDING * np.linalg.norm(h.h0))
@@ -584,13 +566,13 @@ def integrate(
     meta = TrajectoryMetadata(h.params, h.paradigm, law, stalled, stats)
     return Trajectory(
         t, f, v, c, fid, p_s, _sq_norm(psi) ** 2, meta,
-        lambda: psi[:, :, None] * psi[:, None, :].conj(), lambda: _evolve(free, pair[1], t),
+        lambda: psi[:, :, None] * psi[:, None, :].conj(), lambda: _evolve(free, outer(psi_d0), t),
     )
 
 
-def _lyapunov(samples: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lyapunov(samples: np.ndarray, target: np.ndarray) -> np.ndarray:
     """V for each row of samples of psi~ against the constant psi_d~, target
-    holding conj(psi_d~), and b = <psi_d~|psi~>: with squared norms N and
+    holding conj(psi_d~): with b = <psi_d~|psi~> and squared norms N and
     N_d, V = (N - N_d)²/2 + N_d ||psi~ - psi_d~ b/N_d||² (README). Every
     operation is elementwise, so a row's V does not depend on the rows
     beside it, and the V that `_dp5` cuts a run at is its V column's."""
@@ -601,7 +583,7 @@ def _lyapunov(samples: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.n
     v = 0.5 * (norm - norm_d) ** 2 + norm_d * _sq_norm(
         samples - np.multiply.outer(b / norm_d, target.conj())
     )
-    return v, b
+    return v
 
 
 def _sq_norm(rows: np.ndarray) -> np.ndarray:
@@ -713,7 +695,7 @@ def _dp5(
         if bloch:
             block = _from_bloch(block)
         below = () if v_stop is None else np.flatnonzero(
-            _lyapunov(block, np.array(frame[3]))[0] < v_stop)
+            _lyapunov(block, np.array(frame[3])) < v_stop)
         blocks.append(block[: below[0] + 1] if len(below) else block)
         if len(below):
             return start + bisect_right(spans[3 * start + 2:: 3], first + below[0])
@@ -1009,22 +991,24 @@ def _evolve(eig: tuple[np.ndarray, np.ndarray], rho: np.ndarray, times: np.ndarr
 def propagate_exact(
     h: HamiltonianPair,
     law: ControlLaw,
-    rho0: np.ndarray,
-    rho_d0: np.ndarray,
+    psi0: np.ndarray,
+    psi_d0: np.ndarray,
     cfg: IntegratorConfig,
 ) -> Trajectory:
     """Exact samples of an open-loop run (a geometric law or none).
 
-    Takes the arguments of `integrate` and returns the same Trajectory,
-    invariant aborts and v_stop cut included, without a Runge-Kutta step:
-    the Hamiltonian is H0 + H1 before a geometric switch time t0 and H0 from
-    t0 on (a sample at exactly t0 is already off), so each interval takes one
-    eigendecomposition and the state at t >= t0 is the free evolution of the
-    state at t0.
+    Takes the arguments of `integrate`, unit state vectors included, and
+    returns the same Trajectory, invariant aborts and v_stop cut included,
+    without a Runge-Kutta step: the Hamiltonian is H0 + H1 before a
+    geometric switch time t0 and H0 from t0 on (a sample at exactly t0 is
+    already off), so each interval takes one eigendecomposition and the
+    state at t >= t0 is the free evolution of the state at t0. It evolves
+    rho0 = psi0 psi0† and rho_d0 = psi_d0 psi_d0† by `_evolve`.
     """
     if isinstance(law, Lyapunov):
         raise ValueError("feedback laws have no constant Hamiltonian; use integrate")
-    y0 = _initial_states(rho0, rho_d0)
+    psi0, psi_d0 = _state_vectors(psi0, psi_d0)
+    y0 = np.stack([outer(psi0), outer(psi_d0)])
     grid = _sample_grid(cfg)
     # The field is on at the samples before t0.
     n_on = int(np.searchsorted(grid, law.t0)) if isinstance(law, Geometric) else 0

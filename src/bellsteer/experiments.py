@@ -36,7 +36,7 @@ from .dynamics import (
     integrate,
     propagate_exact,
 )
-from .linalg import dagger, hs_norm, outer
+from .linalg import dagger, hs_norm
 from .metrics import V_FIT_FLOOR, convergence_report, peak_report
 from .model import (
     BASES,
@@ -585,11 +585,11 @@ def run_scenario(
     propagates.
     """
     h = hamiltonians(cfg.model, cfg.paradigm)
-    rho0 = outer(X_PRODUCT.vector_from_z(cfg.initial_state))
-    rho_d0 = outer(X_PRODUCT.vector_from_z(cfg.target_state))
+    psi0 = X_PRODUCT.vector_from_z(cfg.initial_state)
+    psi_d0 = X_PRODUCT.vector_from_z(cfg.target_state)
     run = integrate if isinstance(cfg.law, Lyapunov) else propagate_exact
     try:
-        traj = run(h, cfg.law, rho0, rho_d0, cfg.integrator)
+        traj = run(h, cfg.law, psi0, psi_d0, cfg.integrator)
     except IntegrationError as exc:
         if cfg.outputs.report_json:
             _write_report_json(

@@ -2,9 +2,12 @@
 
 Everything operates on plain numpy arrays of complex128. Matrices are small
 (2x2 or 4x4), so no attempt is made at sparse or batched storage. State
-vectors are checked for unit norm where they enter; the dynamics layer
-monitors the density-matrix invariants during integration, and the one thing
-it re-enforces, the norm of the state vector it steps, it checks and reports.
+vectors are checked for unit norm where they enter (`as_state_vector`):
+both propagators of the dynamics layer take their initial state and target
+as unit vectors through it. The exact path monitors the density-matrix
+invariants of the psi psi† it evolves (`outer`), and the stepper re-enforces
+one thing, the norm of the state vector it steps, which it checks and
+reports.
 There is no matrix exponential here: the tests' reference propagator
 U rho U†, U = expm(-i H t), brings its own (`tests/oracles.py`).
 """
@@ -58,6 +61,6 @@ def as_state_vector(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=complex).reshape(-1)
     nrm = np.linalg.norm(v)
     if abs(nrm - 1.0) > NORM_TOL:
-        raise ValueError(f"state vector norm {nrm!r} deviates from 1 beyond {NORM_TOL}")
+        raise ValueError(f"state vector norm {float(nrm)!r} deviates from 1 beyond {NORM_TOL}")
     return v
 

@@ -56,8 +56,9 @@ def concurrence(rho: np.ndarray, basis: Basis = Z_PRODUCT) -> float | np.ndarray
     Near product states the general formula loses accuracy: on a pure state it is off
     from 2|ad - bc| by about sqrt(eps/C), up to 3e-6 near C = 1e-6, as the three zero
     eigenvalues of the rank-one rho_z (Y(x)Y) rho_z* (Y(x)Y) are conditioned by 1/C.
-    Every sample of `propagate_exact` from a pure state is pure, so only a mixed state
-    takes that path; `integrate` takes |psi^T S psi| on its state vectors (`spin_flip`).
+    Both propagators take state vectors, and every sample of `propagate_exact`, evolved
+    from psi0 psi0†, is pure, so no run takes that path, only a caller's mixed rho;
+    `integrate` takes |psi^T S psi| on its state vectors (`spin_flip`).
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2 or rho.shape[-2:] != (4, 4):

@@ -15,7 +15,14 @@ No run of the package calls these; they check it:
   one at a time in scalar Python arithmetic, against which the numpy
   pass `dynamics._dense_samples` is held bit for bit;
 - `psi_rhs`, the derivative of psi~ on one parity sector in Python complex
-  arithmetic, against which `dynamics.rhs`'s Bloch form is held;
+  arithmetic, from coefficients it builds itself (`psi_coefficients`),
+  against which `dynamics.rhs`'s Bloch form is held;
+- `vec_frame`, `vec_rhs` and `dop853_run`, a stepped reference propagator
+  on the density matrix with scipy's DOP853, which takes the arguments of
+  `dynamics.integrate` and `dynamics.propagate_exact`, so that one test
+  class can run the same cases through each;
+- `state_vector`, the unit vector of a pure density matrix, for the
+  oracles that take vectors;
 - `h_local` and `h_eff`, the model's Hamiltonians as Kronecker products in
   ZProduct coordinates, and `model_matrices`, the pair of a paradigm built
   from them as 4x4 XProduct matrices, against whose sector rows
@@ -23,21 +30,40 @@ No run of the package calls these; they check it:
   their reference 4x4 matrices (`pair_matrices`).
 
 `vdot_identity_check` steps the package's own closed loop, so it reads the
-private `dynamics._initial_states`, `_pure_state`, `_frame` and `rhs`.
+private `dynamics._state_vectors`, `_frame` and `rhs`, and `dop853_run` ends
+in the package's sample pass `dynamics._diagnose` and takes its inputs
+through the package's boundary check `dynamics._state_vectors`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from cmath import exp
 
 import numpy as np
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from bellsteer.control import Lyapunov, control_field, lyapunov_value
-from bellsteer.dynamics import _DENSE, Trajectory, _frame, _initial_states, _pure_state, rhs
+from bellsteer import dynamics
+from bellsteer.control import (
+    ControlLaw,
+    Geometric,
+    Lyapunov,
+    control_field,
+    feedback_from_trace,
+    lyapunov_value,
+)
+from bellsteer.dynamics import (
+    _DENSE,
+    IntegratorConfig,
+    Trajectory,
+    _frame,
+    _state_vectors,
+    rhs,
+)
 from bellsteer.experiments import CSV_HEADER
-from bellsteer.linalg import hs_norm, kron, pauli
+from bellsteer.linalg import hs_norm, kron, outer, pauli
 from bellsteer.model import SECTORS, X_PRODUCT, Basis, HamiltonianPair, ModelParams, Paradigm
 
 # sigma_x, sigma_y, sigma_z.
@@ -103,13 +129,14 @@ def geometric_evolve(h_tot: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarra
 
 
 def vdot_identity_check(
-    rho: np.ndarray,
-    rho_d: np.ndarray,
+    psi: np.ndarray,
+    psi_d: np.ndarray,
     h: HamiltonianPair,
     law: Lyapunov,
     delta: float = 1e-5,
 ) -> tuple[float, float]:
-    """Return (analytic, numeric) values of dV/dt at the given closed-loop state.
+    """Return (analytic, numeric) values of dV/dt at the closed-loop state
+    psi against the target psi_d, unit 4-vectors as `integrate` takes them.
 
     analytic = -f * Tr(rho_d [-iH1, rho]), the descent identity of the
     feedback design (equal to -kappa * trace^2 for sign=+1). numeric is a
@@ -117,12 +144,11 @@ def vdot_identity_check(
     advanced by one classical RK4 step of `rhs` of size delta on the state
     `integrate` steps: psi~, with rho~ = psi~ psi~†, or on one parity sector
     its Bloch vector r~, with rho~ = (|r~| I + r~.sigma)/2, which is
-    psi~ psi~† for |r~| = ||psi~||². Both states must be pure, as for
-    `integrate`. The two agree within max(1e-6, 1e-3 |analytic|) for valid
-    inputs.
+    psi~ psi~† for |r~| = ||psi~||². The two agree within
+    max(1e-6, 1e-3 |analytic|) for valid inputs.
     """
-    pair = _initial_states(rho, rho_d)
-    frame, y = _frame(h, _pure_state(pair[0], "rho"), _pure_state(pair[1], "rho_d"))
+    psi, psi_d = _state_vectors(psi, psi_d)
+    frame, y = _frame(h, psi, psi_d)
     y = np.array(y)
 
     def deriv(t: float, state: np.ndarray) -> np.ndarray:
@@ -139,7 +165,7 @@ def vdot_identity_check(
             return 0.5 * (np.linalg.norm(state) * np.eye(2) + np.tensordot(state, PAULI, 1))
         return np.outer(state, state.conj())
 
-    trace_term = control_field(pair[0], pair[1], pair_matrices(h)[1], 1.0, 1)
+    trace_term = control_field(outer(psi), outer(psi_d), pair_matrices(h)[1], 1.0, 1)
     analytic = -law.sign * law.kappa * trace_term * trace_term
     # V is unchanged by the frame, so it is taken on psi~ against psi_d~.
     target = np.outer(np.conj(frame[3]), frame[3])
@@ -212,13 +238,32 @@ def dense_samples_reference(
     return out
 
 
-def psi_rhs(frame: tuple, law: Lyapunov, t: float, y: tuple) -> tuple:
+def psi_coefficients(h: HamiltonianPair, frame: tuple) -> tuple:
+    """The coefficients of the psi~ derivative on the one parity sector s
+    of a `dynamics._frame`, as Python complex numbers: the relative rate
+    i (lam_0 - lam_1), the 2x2 block V_s† h1_s V_s of H1 in the eigenvectors
+    V_s of H0's block, row by row, and conj(psi_d~). lam and W are the
+    pair's eigendecomposition by `dynamics._sector_eigh`; the block is taken
+    from the pair's blocks h.h1 as `_frame` takes it for its Bloch
+    coefficients, in one stacked product over both sectors, so h01 is the
+    same to the last bit. Only the stepped columns and conj(psi_d~) come
+    from the frame."""
+    _, cols, _, target = frame
+    (lam,), (w,) = dynamics._sector_eigh(h)
+    s = int(cols[0]) // 2
+    v = np.stack([w[np.ix_(rows, (2 * k, 2 * k + 1))] for k, rows in enumerate(SECTORS)])
+    block = (v.conj().swapaxes(1, 2) @ h.h1 @ v)[s]
+    return (1j * float(lam[2 * s] - lam[2 * s + 1]), *block.ravel().tolist(), *target)
+
+
+def psi_rhs(h: HamiltonianPair, frame: tuple, law: Lyapunov, t: float, y: tuple) -> tuple:
     """The derivative of psi~ = (y0, y1) on the one parity sector of a
-    `dynamics._frame`, in Python complex arithmetic from the frame's psi~
-    coefficients: -i f E h E* psi~ with E h E* = [[h00, h01 r], [h10 / r, h11]],
-    r = exp(i (lam_0 - lam_1) t), and f = 2 sign kappa Im(a conj(b)),
-    a = <psi_d~|E h E* psi~>, b = <psi_d~|psi~>."""
-    rate, h00, h01, h10, h11, g0, g1 = frame[2]
+    `dynamics._frame` of the pair h, in Python complex arithmetic from
+    `psi_coefficients`: -i f E h E* psi~ with
+    E h E* = [[h00, h01 r], [h10 / r, h11]], r = exp(i (lam_0 - lam_1) t),
+    and f = 2 sign kappa Im(a conj(b)), a = <psi_d~|E h E* psi~>,
+    b = <psi_d~|psi~>."""
+    rate, h00, h01, h10, h11, g0, g1 = psi_coefficients(h, frame)
     e = exp(rate * t)
     y0, y1 = y
     v0 = h00 * y0 + h01 * e * y1
@@ -227,3 +272,89 @@ def psi_rhs(frame: tuple, law: Lyapunov, t: float, y: tuple) -> tuple:
     b = g0 * y0 + g1 * y1
     m = -2j * law.sign * law.kappa * (a * b.conjugate()).imag
     return m * v0, m * v1
+
+
+def state_vector(rho: np.ndarray) -> np.ndarray:
+    """The unit eigenvector of a pure density matrix rho at its largest
+    eigenvalue: psi with rho = psi psi†, up to a global phase."""
+    return np.linalg.eigh(rho)[1][:, -1]
+
+
+def vec_frame(h: HamiltonianPair, states: np.ndarray) -> tuple:
+    """The reference stepper's frame: vec rho~ at t = 0 for the (2, d, d)
+    state/target stack, rho~ = W† U0(t)† rho U0(t) W in the eigenbasis
+    (lam, W) of H0, written row-major, with (W, the (d²,) rates
+    -i(lam_j - lam_k), the (d², d²) transpose gen of -i L(W† H1 W) with
+    L(H) = H⊗I - I⊗Hᵀ, the constant target rho_d~ = W† rho_d0 W, and
+    ||H1||_F, the scale of the feedback trace's realness check). H0 and H1
+    are the pair's 4x4 reference matrices (`pair_matrices`)."""
+    h0, h1 = pair_matrices(h)
+    lam, w = np.linalg.eigh(h0)
+    rho, rho_d = w.conj().T @ states @ w
+    h1_norm = hs_norm(h1)
+    h1 = w.conj().T @ h1 @ w
+    eye = np.eye(len(lam))
+    gen = np.ascontiguousarray(-1j * (np.kron(h1, eye) - np.kron(eye, h1.T)).T)
+    rates = -1j * np.subtract.outer(lam, lam).ravel()
+    return (w, rates, gen, rho_d, h1_norm), rho.ravel()
+
+
+def vec_rhs(frame: tuple, law: ControlLaw, t: float, y: np.ndarray) -> np.ndarray:
+    """drho~/dt = -i f [U0† H1 U0, rho~] on y = vec rho~: in the eigenbasis
+    U0 is the phase exp(-i (lam_j - lam_k) t) on each entry, and
+    vec(x) @ gen = vec(-i[W† H1 W, x]); the feedback is
+    sign * kappa * Im Tr(rho_d [H1, rho]), a trace the frame leaves alone.
+    An open-loop field is 1 wherever it is stepped (see `dop853_run`)."""
+    _, rates, gen, target, h1_norm = frame
+    p = np.exp(rates * t)
+    q = p.conj() * ((p * y) @ gen)
+    if not isinstance(law, Lyapunov):
+        return q
+    # vdot(vec rho_d~, vec(-i[H1~, rho~])) = -i Tr(rho_d [H1, rho]) for Hermitian rho_d.
+    tr = 1j * np.vdot(target, q)
+    return feedback_from_trace(tr, law.kappa, law.sign, h1_norm=h1_norm) * q
+
+
+def dop853_run(
+    h: HamiltonianPair,
+    law: ControlLaw,
+    psi0: np.ndarray,
+    psi_d0: np.ndarray,
+    cfg: IntegratorConfig,
+) -> Trajectory:
+    """A stepped reference propagator for any law, with the arguments of
+    `integrate` and `propagate_exact`: scipy's DOP853 at rtol 1e-13 on
+    vec rho~ (`vec_frame`, `vec_rhs`) from rho0 = psi0 psi0† and
+    rho_d0 = psi_d0 psi_d0†, while the field is on, over [0, t_max] for
+    feedback and [0, t0] for a geometric law; with the field off rho~ stays
+    as it is. The states go through the package's boundary check
+    (`dynamics._state_vectors`), so a bad one is rejected as the
+    propagators reject it. The samples go through the pass
+    `propagate_exact` ends in, `dynamics._diagnose`, which takes open-loop
+    fields only; a feedback run's f column is `control_field` of each
+    sample's state and target."""
+    psi0, psi_d0 = _state_vectors(psi0, psi_d0)
+    grid = dynamics._sample_grid(cfg)
+    frame, y = vec_frame(h, np.stack([outer(psi0), outer(psi_d0)]))
+    w, rates, _, target, _ = frame
+    if isinstance(law, Lyapunov):
+        t_on = grid[-1]
+    else:
+        t_on = min(law.t0, grid[-1]) if isinstance(law, Geometric) else 0.0
+    ys = np.tile(y, (len(grid), 1))
+    if t_on > 0.0:
+        ref = solve_ivp(lambda t, y: vec_rhs(frame, law, t, y), (0.0, t_on), y,
+                        method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True)
+        assert ref.success
+        on = grid <= t_on
+        ys[on] = ref.sol(grid[on]).T
+        ys[~on] = ref.y[:, -1]
+    tilde = np.stack([ys, np.broadcast_to(target.ravel(), ys.shape)], axis=1)
+    tilde *= np.exp(np.multiply.outer(grid, rates))[:, None]
+    d = len(w)
+    states = w @ tilde.reshape(len(grid), 2, d, d) @ w.conj().T
+    if not isinstance(law, Lyapunov):
+        return dynamics._diagnose(h, law, grid, states, cfg.v_stop)
+    traj = dynamics._diagnose(h, None, grid, states, cfg.v_stop)
+    f = control_field(traj.rho, traj.rho_d, pair_matrices(h)[1], law.kappa, law.sign)
+    return dataclasses.replace(traj, f=f, metadata=dataclasses.replace(traj.metadata, law=law))

@@ -39,7 +39,7 @@ from bellsteer.model import (
     X_PRODUCT,
     hamiltonians,
 )
-from oracles import f_bound, geometric_evolve, pair_matrices, vdot_identity_check
+from oracles import f_bound, geometric_evolve, pair_matrices, state_vector, vdot_identity_check
 
 
 def _log_linear_fit(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -112,7 +112,8 @@ def test_criterion_04_lyapunov_descent(lyapunov_runs):
         i = int(rng.integers(len(traj)))
         meta = traj.metadata
         h = hamiltonians(meta.params, meta.paradigm)
-        analytic, numeric = vdot_identity_check(traj.rho[i], traj.rho_d[i], h, meta.law)
+        psi, psi_d = state_vector(traj.rho[i]), state_vector(traj.rho_d[i])
+        analytic, numeric = vdot_identity_check(psi, psi_d, h, meta.law)
         tol = max(1e-6, 1e-3 * abs(analytic))
         err = abs(analytic - numeric)
         worst = max(worst, err)
@@ -194,10 +195,11 @@ def test_criterion_08_oracle_equivalence():
     tight = dict(rel_tol=1e-11, abs_tol=1e-13)
     params = ModelParams(J=1.0, eta=0.1)
     h = hamiltonians(params, Paradigm.LOCAL_CONTROL)
-    rho0 = outer(X_PRODUCT.vector_from_z(STATE_LITERALS["|00>"]))
-    rho_d0 = outer(X_PRODUCT.vector_from_z(STATE_LITERALS["PhiPlus"]))
+    psi0 = X_PRODUCT.vector_from_z(STATE_LITERALS["|00>"])
+    psi_d0 = X_PRODUCT.vector_from_z(STATE_LITERALS["PhiPlus"])
     cfg = IntegratorConfig(t_max=200.0, sample_every=0.5)
-    traj = propagate_exact(h, Geometric(t0=200.0), rho0, rho_d0, cfg)
+    traj = propagate_exact(h, Geometric(t0=200.0), psi0, psi_d0, cfg)
+    rho0 = outer(psi0)
     h_tot = sum(pair_matrices(h))
     worst_const = max(
         hs_norm(traj.rho[i] - geometric_evolve(h_tot, rho0, float(t)))
@@ -210,12 +212,11 @@ def test_criterion_08_oracle_equivalence():
     assert worst_const <= 1e-8
 
     p = 0.64
-    rho_d0 = outer(X_PRODUCT.vector_from_z(STATE_LITERALS["PhiPlus"]))
     cfg_cl = IntegratorConfig(t_max=300.0, **tight)
     plus = np.eye(4, dtype=complex)  # |++>, |+->, |-+>, |--> in XProduct coordinates
-    traj2 = integrate(h, Lyapunov(kappa=1.0), outer(plus[0]), rho_d0, cfg_cl)
+    traj2 = integrate(h, Lyapunov(kappa=1.0), plus[0], psi_d0, cfg_cl)
     traj4 = integrate(h, Lyapunov(kappa=1.0 / p),
-                      outer(np.sqrt(p) * plus[0] + np.sqrt(1.0 - p) * plus[1]), rho_d0, cfg_cl)
+                      np.sqrt(p) * plus[0] + np.sqrt(1.0 - p) * plus[1], psi_d0, cfg_cl)
     amplitudes = [t.metadata.integrator_stats.amplitudes for t in (traj2, traj4)]
     assert amplitudes == [2, 4]
     assert np.array_equal(traj2.t, traj4.t)

@@ -21,7 +21,7 @@ from bellsteer.model import (
     bell_state,
     hamiltonians,
 )
-from oracles import f_bound, vdot_identity_check
+from oracles import f_bound, state_vector, vdot_identity_check
 
 
 def random_state(rng, dim=4):
@@ -207,9 +207,8 @@ class TestVdotIdentity:
         h = hamiltonians(p, paradigm)
         law = Lyapunov(kappa=kappa)
         for _ in range(25):
-            rho = outer(random_state(rng))
-            rho_d = outer(random_state(rng))
-            analytic, numeric = vdot_identity_check(rho, rho_d, h, law)
+            psi, psi_d = random_state(rng), random_state(rng)
+            analytic, numeric = vdot_identity_check(psi, psi_d, h, law)
             assert analytic <= 1e-15
             assert abs(analytic - numeric) <= max(1e-6, 1e-3 * abs(analytic))
 
@@ -221,24 +220,23 @@ class TestVdotIdentity:
         h = hamiltonians(p, Paradigm.LOCAL_CONTROL)
         law = Lyapunov(kappa=1.0, sign=-1)
         for _ in range(10):
-            rho = outer(random_state(rng))
-            rho_d = outer(random_state(rng))
-            analytic, numeric = vdot_identity_check(rho, rho_d, h, law)
+            psi, psi_d = random_state(rng), random_state(rng)
+            analytic, numeric = vdot_identity_check(psi, psi_d, h, law)
             assert analytic >= -1e-15
             assert abs(analytic - numeric) <= max(1e-6, 1e-3 * abs(analytic))
 
     def test_descent_direction_from_bell_target(self):
         p = ModelParams(J=1.0, eta=0.1)
         h = hamiltonians(p, Paradigm.INTERACTION_CONTROL)
-        rho = outer(np.array([1, 0, 0, 0], dtype=complex))  # |++> in X coords
-        rho_d = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
+        psi = np.array([1, 0, 0, 0], dtype=complex)  # |++> in X coords
+        psi_d = bell_state(BellName.PHI_PLUS, X_PRODUCT)
         # At the real initial state the field vanishes; push along the flow a
         # little first so the feedback is active.
         from bellsteer.dynamics import IntegratorConfig, integrate
 
-        traj = integrate(h, Lyapunov(kappa=1.0), rho, rho_d, IntegratorConfig(t_max=1.0))
+        traj = integrate(h, Lyapunov(kappa=1.0), psi, psi_d, IntegratorConfig(t_max=1.0))
         analytic, numeric = vdot_identity_check(
-            traj.rho[-1], traj.rho_d[-1], h, Lyapunov(kappa=1.0)
+            state_vector(traj.rho[-1]), state_vector(traj.rho_d[-1]), h, Lyapunov(kappa=1.0)
         )
         assert analytic < 0
         assert abs(analytic - numeric) <= max(1e-6, 1e-3 * abs(analytic))

@@ -1,11 +1,13 @@
 """Unit tests for the adaptive closed-loop integrator and the exact open-loop
 propagator.
 
-``integrate`` steps feedback laws only. Test classes whose cases hold for
-any propagator and law take the propagator from the class attribute
-``propagate``: ``dop853_run``, a stepped reference on scipy's DOP853 that
-takes open-loop laws and unchecked states too. Each has an ``...Exact``
-subclass that reruns the same cases through ``propagate_exact``.
+Both propagators take the initial state and target as unit 4-vectors in
+XProduct coordinates. ``integrate`` steps feedback laws only. Test classes
+whose cases hold for any propagator and law take the propagator from the
+class attribute ``propagate``: ``oracles.dop853_run``, a stepped reference
+on scipy's DOP853 that takes open-loop laws too, with the signature of
+both propagators. Each has an ``...Exact`` subclass that reruns the same
+cases through ``propagate_exact``.
 """
 
 import dataclasses
@@ -22,7 +24,6 @@ from bellsteer.control import (
     Geometric,
     Lyapunov,
     control_field,
-    feedback_from_trace,
     lyapunov_value,
 )
 from bellsteer.dynamics import (
@@ -50,10 +51,14 @@ from bellsteer.model import (
 )
 from oracles import (
     dense_samples_reference,
+    dop853_run,
     geometric_evolve,
     pair_matrices,
+    psi_coefficients,
     psi_rhs,
     sector_blocks,
+    vec_frame,
+    vec_rhs,
 )
 
 P = ModelParams(J=1.0, eta=0.1)
@@ -68,85 +73,14 @@ def x_state(name):
     idx = {"|++>": 0, "|-->": 3}[name]
     v = np.zeros(4, dtype=complex)
     v[idx] = 1.0
-    return outer(v)
+    return v
 
 
 def off_s_state():
     """|++> with a Psi- admixture, which H1 annihilates: it has weight on
     three eigen-amplitudes of H0 and in both parity sectors, so its runs
     step the 4-amplitude attempt."""
-    return outer(0.8 * np.eye(4)[0] + 0.6 * bell_state(BellName.PSI_MINUS, X_PRODUCT))
-
-
-def vec_frame(h, states):
-    """The reference stepper's frame: vec rho~ at t = 0 for the (2, d, d)
-    state/target stack, rho~ = W† U0(t)† rho U0(t) W in the eigenbasis
-    (lam, W) of H0, written row-major, with (W, the (d²,) rates
-    -i(lam_j - lam_k), the (d², d²) transpose gen of -i L(W† H1 W) with
-    L(H) = H⊗I - I⊗Hᵀ, the constant target rho_d~ = W† rho_d0 W, and
-    ||H1||_F, the scale of the feedback trace's realness check). H0 and H1
-    are the pair's 4x4 reference matrices (`oracles.pair_matrices`)."""
-    h0, h1 = pair_matrices(h)
-    lam, w = np.linalg.eigh(h0)
-    rho, rho_d = w.conj().T @ states @ w
-    h1_norm = hs_norm(h1)
-    h1 = w.conj().T @ h1 @ w
-    eye = np.eye(len(lam))
-    gen = np.ascontiguousarray(-1j * (np.kron(h1, eye) - np.kron(eye, h1.T)).T)
-    rates = -1j * np.subtract.outer(lam, lam).ravel()
-    return (w, rates, gen, rho_d, h1_norm), rho.ravel()
-
-
-def vec_rhs(frame, law, t, y):
-    """drho~/dt = -i f [U0† H1 U0, rho~] on y = vec rho~: in the eigenbasis
-    U0 is the phase exp(-i (lam_j - lam_k) t) on each entry, and
-    vec(x) @ gen = vec(-i[W† H1 W, x]); the feedback is
-    sign * kappa * Im Tr(rho_d [H1, rho]), a trace the frame leaves alone.
-    An open-loop field is 1 wherever it is stepped (see `dop853_run`)."""
-    _, rates, gen, target, h1_norm = frame
-    p = np.exp(rates * t)
-    q = p.conj() * ((p * y) @ gen)
-    if not isinstance(law, Lyapunov):
-        return q
-    # vdot(vec rho_d~, vec(-i[H1~, rho~])) = -i Tr(rho_d [H1, rho]) for Hermitian rho_d.
-    tr = 1j * np.vdot(target, q)
-    return feedback_from_trace(tr, law.kappa, law.sign, h1_norm=h1_norm) * q
-
-
-def dop853_run(h, law, rho0, rho_d0, cfg):
-    """A stepped reference propagator for any law, with the arguments of
-    `integrate`: scipy's DOP853 at rtol 1e-13 on vec rho~ (`vec_frame`,
-    `vec_rhs`) while the field is on, over [0, t_max] for feedback and
-    [0, t0] for a geometric law; with the field off rho~ stays as it is.
-    Neither state is checked, so a bad one reaches the invariant monitor.
-    The samples go through the pass `propagate_exact` ends in,
-    `dynamics._diagnose`, which takes open-loop fields only; a feedback
-    run's f column is `control_field` of each sample's state and target."""
-    states = dynamics._initial_states(rho0, rho_d0)
-    grid = dynamics._sample_grid(cfg)
-    frame, y = vec_frame(h, states)
-    w, rates, _, target, _ = frame
-    if isinstance(law, Lyapunov):
-        t_on = grid[-1]
-    else:
-        t_on = min(law.t0, grid[-1]) if isinstance(law, Geometric) else 0.0
-    ys = np.tile(y, (len(grid), 1))
-    if t_on > 0.0:
-        ref = solve_ivp(lambda t, y: vec_rhs(frame, law, t, y), (0.0, t_on), y,
-                        method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True)
-        assert ref.success
-        on = grid <= t_on
-        ys[on] = ref.sol(grid[on]).T
-        ys[~on] = ref.y[:, -1]
-    tilde = np.stack([ys, np.broadcast_to(target.ravel(), ys.shape)], axis=1)
-    tilde *= np.exp(np.multiply.outer(grid, rates))[:, None]
-    d = len(w)
-    states = w @ tilde.reshape(len(grid), 2, d, d) @ w.conj().T
-    if not isinstance(law, Lyapunov):
-        return dynamics._diagnose(h, law, grid, states, cfg.v_stop)
-    traj = dynamics._diagnose(h, None, grid, states, cfg.v_stop)
-    f = control_field(traj.rho, traj.rho_d, pair_matrices(h)[1], law.kappa, law.sign)
-    return dataclasses.replace(traj, f=f, metadata=dataclasses.replace(traj.metadata, law=law))
+    return 0.8 * np.eye(4)[0] + 0.6 * bell_state(BellName.PSI_MINUS, X_PRODUCT)
 
 
 class TestIntegratorConfig:
@@ -197,16 +131,16 @@ class TestSampling:
     def test_dimension_mismatch_rejected(self):
         h = local_pair()
         with pytest.raises(ValueError, match="dimensions"):
-            self.propagate(h, None, np.eye(2, dtype=complex) / 2, x_state("|-->"),
+            self.propagate(h, None, np.array([1.0, 0.0]), x_state("|-->"),
                            IntegratorConfig(t_max=1.0))
 
     def test_v_stop_keeps_first_sample_below(self):
         # V of |++> against Phi+ falls from 0.5 to 0.401 while the field is on;
         # 0.449 at t=0.4 is the first sample under 0.45.
         h = local_pair()
-        rho_d0 = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
+        psi_d0 = bell_state(BellName.PHI_PLUS, X_PRODUCT)
         cfg = IntegratorConfig(t_max=4.0, v_stop=0.45)
-        traj = self.propagate(h, Geometric(t0=2.0), x_state("|++>"), rho_d0, cfg)
+        traj = self.propagate(h, Geometric(t0=2.0), x_state("|++>"), psi_d0, cfg)
         assert traj.t[-1] == pytest.approx(0.4)
         assert traj.V[-1] < 0.45
         assert np.all(traj.V[:-1] >= 0.45)
@@ -223,28 +157,28 @@ class TestSamplingExact(TestSampling):
 def test_tiny_t_max_samples_its_end(propagate, law):
     # The grid's slack and the stepper's end tolerance scale with t_max, so a
     # run far shorter than 1e-9 keeps its end sample and is stepped to it.
-    rho_d0 = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
-    traj = propagate(local_pair(), law, x_state("|++>"), rho_d0, IntegratorConfig(t_max=5e-11))
+    psi_d0 = bell_state(BellName.PHI_PLUS, X_PRODUCT)
+    traj = propagate(local_pair(), law, x_state("|++>"), psi_d0, IntegratorConfig(t_max=5e-11))
     assert traj.t.tolist() == [0.0, 5e-11]
 
 
 class TestFreeEvolution:
     def test_matches_matrix_exponential(self):
         h = local_pair()
-        rho0 = outer(np.full(4, 0.5, dtype=complex))  # |00> in X coordinates
-        traj = propagate_exact(h, None, rho0, x_state("|++>"), IntegratorConfig(t_max=10.0))
+        psi0 = np.full(4, 0.5, dtype=complex)  # |00> in X coordinates
+        traj = propagate_exact(h, None, psi0, x_state("|++>"), IntegratorConfig(t_max=10.0))
         assert np.all(traj.f == 0.0)
         h0, _ = pair_matrices(h)
         for i in (13, 57, 100):
-            exact = geometric_evolve(h0, rho0, float(traj.t[i]))
+            exact = geometric_evolve(h0, outer(psi0), float(traj.t[i]))
             assert hs_norm(traj.rho[i] - exact) < 1e-9
 
     def test_target_always_drifts_under_h0(self):
         h = local_pair()
-        rho_d0 = outer(bell_state(BellName.PHI_MINUS, X_PRODUCT))
+        psi_d0 = bell_state(BellName.PHI_MINUS, X_PRODUCT)
         cfg = IntegratorConfig(t_max=5.0, **TIGHT)
-        traj = integrate(h, Lyapunov(kappa=1.0), x_state("|++>"), rho_d0, cfg)
-        exact = geometric_evolve(pair_matrices(h)[0], rho_d0, float(traj.t[-1]))
+        traj = integrate(h, Lyapunov(kappa=1.0), x_state("|++>"), psi_d0, cfg)
+        exact = geometric_evolve(pair_matrices(h)[0], outer(psi_d0), float(traj.t[-1]))
         assert hs_norm(traj.rho_d[-1] - exact) < 1e-9
 
 
@@ -262,11 +196,11 @@ class TestGeometricRuns:
 
     def test_post_switch_free_drift(self):
         h = local_pair()
-        rho0 = outer(np.full(4, 0.5, dtype=complex))
+        psi0 = np.full(4, 0.5, dtype=complex)
         law = Geometric(t0=2.0)
-        traj = self.propagate(h, law, rho0, x_state("|++>"), IntegratorConfig(t_max=5.0))
+        traj = self.propagate(h, law, psi0, x_state("|++>"), IntegratorConfig(t_max=5.0))
         h0, h1 = pair_matrices(h)
-        at_t0 = geometric_evolve(h0 + h1, rho0, 2.0)
+        at_t0 = geometric_evolve(h0 + h1, outer(psi0), 2.0)
         exact_end = geometric_evolve(h0, at_t0, 3.0)
         assert hs_norm(traj.rho[-1] - exact_end) < 1e-9
 
@@ -278,8 +212,8 @@ class TestGeometricRunsExact(TestGeometricRuns):
 class TestLyapunovRuns:
     def test_descent_and_flags(self):
         h = local_pair()
-        rho_d0 = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
-        traj = integrate(h, Lyapunov(kappa=1.0), x_state("|++>"), rho_d0,
+        psi_d0 = bell_state(BellName.PHI_PLUS, X_PRODUCT)
+        traj = integrate(h, Lyapunov(kappa=1.0), x_state("|++>"), psi_d0,
                          IntegratorConfig(t_max=20.0))
         assert np.all(np.diff(traj.V) <= 1e-10)
         assert not traj.metadata.stalled
@@ -289,9 +223,9 @@ class TestLyapunovRuns:
         # From the phase-flipped Bell state the feedback vanishes identically
         # while V stays at a constant positive value.
         h = local_pair()
-        rho0 = outer(bell_state(BellName.PHI_MINUS, X_PRODUCT))
-        rho_d0 = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
-        traj = integrate(h, Lyapunov(kappa=1.0), rho0, rho_d0,
+        psi0 = bell_state(BellName.PHI_MINUS, X_PRODUCT)
+        psi_d0 = bell_state(BellName.PHI_PLUS, X_PRODUCT)
+        traj = integrate(h, Lyapunov(kappa=1.0), psi0, psi_d0,
                          IntegratorConfig(t_max=10.0))
         assert traj.metadata.stalled
         assert np.max(np.abs(traj.f)) <= 1e-14
@@ -301,18 +235,18 @@ class TestLyapunovRuns:
     def test_sign_flip_steers_to_phase_flipped_target(self):
         # Driving against Phi+ with inverted sign converges to Phi- instead.
         h = local_pair()
-        rho0 = x_state("|++>")
-        rho_d0 = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
+        psi0 = x_state("|++>")
+        psi_d0 = bell_state(BellName.PHI_PLUS, X_PRODUCT)
         cfg = IntegratorConfig(t_max=300.0)
-        flipped = integrate(h, Lyapunov(kappa=1.0, sign=-1), rho0, rho_d0, cfg)
+        flipped = integrate(h, Lyapunov(kappa=1.0, sign=-1), psi0, psi_d0, cfg)
         phi_minus = outer(bell_state(BellName.PHI_MINUS, X_PRODUCT))
         assert hs_norm(flipped.rho[-1] - phi_minus) < 1e-3
 
     def test_v_stop_ends_run_early(self):
         h = local_pair()
-        rho_d0 = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
+        psi_d0 = bell_state(BellName.PHI_PLUS, X_PRODUCT)
         cfg = IntegratorConfig(t_max=300.0, v_stop=1e-8)
-        traj = integrate(h, Lyapunov(kappa=2.0), x_state("|++>"), rho_d0, cfg)
+        traj = integrate(h, Lyapunov(kappa=2.0), x_state("|++>"), psi_d0, cfg)
         assert traj.t[-1] < 300.0
         assert traj.V[-1] < 1e-8
         assert traj.V[-2] >= 1e-8
@@ -323,30 +257,21 @@ class TestLyapunovRuns:
         # in one form, so the run ends at its first sample below 1e-17.
         cfg, h, states = preset_states("figure4_local_k2")
         run = dataclasses.replace(cfg.integrator, v_stop=1e-17)
-        traj = integrate(h, cfg.law, *map(outer, states), run)
+        traj = integrate(h, cfg.law, *states, run)
         assert traj.V[-1] < 1e-17 <= np.min(traj.V[:-1])
         assert traj.t[-1] < run.t_max
 
     def test_v_stop_ends_four_amplitude_run_early(self):
         # V falls from 0.68 towards the Psi- population 0.36 (`off_s_state`)
         # and passes 0.5 at t = 12.4.
-        rho_d0 = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
+        psi_d0 = bell_state(BellName.PHI_PLUS, X_PRODUCT)
         cfg = IntegratorConfig(t_max=60.0, v_stop=0.5)
-        traj = integrate(local_pair(), Lyapunov(kappa=2.0), off_s_state(), rho_d0, cfg)
+        traj = integrate(local_pair(), Lyapunov(kappa=2.0), off_s_state(), psi_d0, cfg)
         stats = traj.metadata.integrator_stats
         assert stats.amplitudes == 4
         assert traj.V[-1] < 0.5 <= traj.V[-2]
         # Stepping ended with the step that passed the cut, not at t_max.
         assert stats.accepted * stats.h_max < 2 * traj.t[-1] < cfg.t_max
-
-    def test_mixed_state_rejected(self):
-        # `integrate` steps state vectors, and a Werner state has none. Its
-        # eigenvalues 0.85, 0.05, 0.05, 0.05 give 1 - Tr rho² = 0.27.
-        h = local_pair()
-        phi = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
-        werner = 0.8 * phi + 0.05 * np.eye(4)
-        with pytest.raises(ValueError, match=r"rho0 is not a pure state \(purity defect 2.700e-01"):
-            integrate(h, Lyapunov(kappa=1.0), werner, phi, IntegratorConfig(t_max=1.0))
 
     @pytest.mark.parametrize("paradigm", list(Paradigm), ids=lambda p: p.value)
     def test_reduced_pair_matches_four_level_run(self, paradigm):
@@ -362,9 +287,8 @@ class TestLyapunovRuns:
         # stepper lets the roundoff of the first grow to |f| = 4e-13 at
         # steps of up to 156, below its tolerance, while V holds to 64 u.
         h = hamiltonians(P, paradigm)
-        rho0, rho_d0 = (outer(X_PRODUCT.vector_from_z(STATE_LITERALS[s]))
-                        for s in (initial, target))
-        traj = integrate(h, Lyapunov(kappa), rho0, rho_d0, IntegratorConfig(t_max=300.0))
+        psi0, psi_d0 = (X_PRODUCT.vector_from_z(STATE_LITERALS[s]) for s in (initial, target))
+        traj = integrate(h, Lyapunov(kappa), psi0, psi_d0, IntegratorConfig(t_max=300.0))
         assert traj.metadata.stalled
         assert np.max(np.abs(traj.V - traj.V[0])) <= 64 * 2.0**-53
 
@@ -375,8 +299,8 @@ class TestLyapunovRuns:
         # phase (w = 4 or 0.4), before the field has risen, so it shows no
         # fixed point.
         h = hamiltonians(P, paradigm)
-        rho_d0 = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
-        traj = integrate(h, Lyapunov(kappa=1.0), x_state("|++>"), rho_d0,
+        psi_d0 = bell_state(BellName.PHI_PLUS, X_PRODUCT)
+        traj = integrate(h, Lyapunov(kappa=1.0), x_state("|++>"), psi_d0,
                          IntegratorConfig(t_max=5e-11))
         assert np.max(np.abs(traj.V - traj.V[0])) <= 64 * 2.0**-53
         assert not traj.metadata.stalled
@@ -404,10 +328,10 @@ class TestProjection:
             return tuple(d + 1e-3 * x for d, x in zip(dy, y)) if t > 0.35 else dy
 
         monkeypatch.setattr(dynamics, "rhs", growing)
-        rho_d0 = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
-        for rho0 in (x_state("|++>"), off_s_state()):  # one sector (Bloch) and both
+        psi_d0 = bell_state(BellName.PHI_PLUS, X_PRODUCT)
+        for psi0 in (x_state("|++>"), off_s_state()):  # one sector (Bloch) and both
             with pytest.raises(IntegrationError, match="psi~ norm drift") as excinfo:
-                integrate(local_pair(), Lyapunov(kappa=1.0), rho0, rho_d0,
+                integrate(local_pair(), Lyapunov(kappa=1.0), psi0, psi_d0,
                           IntegratorConfig(t_max=1.0))
             assert 0.35 < excinfo.value.t < 0.5
 
@@ -464,7 +388,7 @@ class TestReducedRuns:
     def test_two_level_run_reports_embedded_metrics(self):
         # Phi+ is a free eigenstate in S: a run of one sector of two levels.
         h = local_pair()
-        phi = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
+        phi = bell_state(BellName.PHI_PLUS, X_PRODUCT)
         traj = self.propagate(h, None, phi, phi, IntegratorConfig(t_max=2.0))
         assert np.allclose(traj.p_S, 1.0, atol=1e-9)
         assert np.allclose(traj.concurrence, 1.0, atol=1e-9)
@@ -482,10 +406,10 @@ class TestReducedRuns:
         h = hamiltonians(P, paradigm)
         cfg = IntegratorConfig(t_max=t_max, **TIGHT)
         e = np.eye(4, dtype=complex)
-        rho_d0 = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
-        one = propagate(h, law, outer(e[0]), rho_d0, cfg)
+        psi_d0 = bell_state(BellName.PHI_PLUS, X_PRODUCT)
+        one = propagate(h, law, e[0], psi_d0, cfg)
         law_p = dataclasses.replace(law, kappa=law.kappa / p) if isinstance(law, Lyapunov) else law
-        both = propagate(h, law_p, outer(np.sqrt(p) * e[0] + np.sqrt(1 - p) * e[1]), rho_d0, cfg)
+        both = propagate(h, law_p, np.sqrt(p) * e[0] + np.sqrt(1 - p) * e[1], psi_d0, cfg)
         assert np.array_equal(one.t, both.t)
         s = np.ix_(range(len(one)), [0, 3], [0, 3])
         worst = (np.max(np.abs(both.rho[s] / p - one.rho[s])),
@@ -501,19 +425,34 @@ class TestReducedRunsExact(TestReducedRuns):
 
 
 class TestInvariantMonitor:
-    propagate = staticmethod(dop853_run)
+    """The invariant checks of the exact path's sample pass, on stacks that
+    no propagator makes any more: both take unit vectors, and psi psi†
+    keeps every invariant by construction. Each stack holds the free
+    evolution (`_evolve`, which takes any rho) of a bad rho0 and of rho_d0
+    at the samples of [0, 1] every 0.1, as `propagate_exact` formed it with
+    no law; the unitary leaves each drift as it is at t = 0. `check` feeds
+    the stack to `_check_invariants` from t = 0.1 on, against the purities
+    at t = 0, as `_diagnose` does."""
+
+    @staticmethod
+    def check(h, t, states):
+        dynamics._check_invariants(t[1:], states[1:], dynamics._purity(states[0]))
+
+    def run(self, rho0, rho_d0):
+        h = local_pair()
+        t = dynamics._sample_grid(IntegratorConfig(t_max=1.0))
+        (lam,), (w,) = dynamics._sector_eigh(h)
+        self.check(h, t, np.stack([dynamics._evolve((lam, w), r, t) for r in (rho0, rho_d0)], 1))
 
     def test_aborts_on_trace_violation(self):
-        h = local_pair()
-        bad = 0.9 * x_state("|++>")  # trace 0.9 trips the monitor immediately
+        bad = 0.9 * outer(x_state("|++>"))  # trace 0.9 trips the monitor immediately
         with pytest.raises(IntegrationError, match="trace"):
-            self.propagate(h, None, bad, x_state("|-->"), IntegratorConfig(t_max=1.0))
+            self.run(bad, outer(x_state("|-->")))
 
     def test_error_carries_time(self):
-        h = local_pair()
-        bad = 0.9 * x_state("|++>")
+        bad = 0.9 * outer(x_state("|++>"))
         with pytest.raises(IntegrationError) as excinfo:
-            self.propagate(h, None, bad, x_state("|-->"), IntegratorConfig(t_max=1.0))
+            self.run(bad, outer(x_state("|-->")))
         assert excinfo.value.t == pytest.approx(0.1)
 
     @pytest.mark.parametrize(
@@ -526,33 +465,36 @@ class TestInvariantMonitor:
         ],
     )
     def test_reports_first_violation(self, rho_scale, rho_d_scale, offdiag, negative, message):
-        h = local_pair()
         rho0 = np.diag([1.0 + negative, -negative, 0.0, 0.0]).astype(complex) * rho_scale
         rho0[0, 1] = offdiag
         with pytest.raises(IntegrationError, match=message) as excinfo:
-            self.propagate(h, None, rho0, rho_d_scale * x_state("|++>"),
-                           IntegratorConfig(t_max=1.0))
+            self.run(rho0, rho_d_scale * outer(x_state("|++>")))
         assert excinfo.value.t == pytest.approx(0.1)
 
 
 class TestInvariantMonitorExact(TestInvariantMonitor):
-    propagate = staticmethod(propagate_exact)
+    """The same stacks through `_diagnose`, the pass `propagate_exact` ends in."""
+
+    @staticmethod
+    def check(h, t, states):
+        dynamics._diagnose(h, None, t, states, None)
 
 
 def random_pure_state(amps):
     v = np.array(amps[:4]) + 1j * np.array(amps[4:])
-    return outer(v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
 
 
 class TestExactPropagation:
     @pytest.mark.parametrize("t0", [2.0, 5.0], ids=["switched", "field_on"])
     def test_matches_matrix_exponential(self, t0):
         h = local_pair()
-        rho0 = 0.7 * outer(np.full(4, 0.5, dtype=complex)) + 0.3 * x_state("|++>")  # mixed
-        rho_d0 = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
-        traj = propagate_exact(h, Geometric(t0=t0), rho0, rho_d0,
+        psi0 = (np.full(4, 0.5) + 1j * x_state("|++>")) / np.sqrt(2)  # on both sectors
+        psi_d0 = bell_state(BellName.PHI_PLUS, X_PRODUCT)
+        traj = propagate_exact(h, Geometric(t0=t0), psi0, psi_d0,
                                IntegratorConfig(t_max=5.0))
         h0, h1 = pair_matrices(h)
+        rho0, rho_d0 = outer(psi0), outer(psi_d0)
         at_t0 = geometric_evolve(h0 + h1, rho0, t0)
         for t, rho, rho_d in zip(traj.t, traj.rho, traj.rho_d):
             if t < t0:
@@ -561,6 +503,17 @@ class TestExactPropagation:
                 expected = geometric_evolve(h0, at_t0, t - t0)
             assert np.max(np.abs(rho - expected)) <= 1e-12, t
             assert np.max(np.abs(rho_d - geometric_evolve(h0, rho_d0, t))) <= 1e-12, t
+
+    @pytest.mark.parametrize("field", [0.0, 1.0], ids=["free", "driven"])
+    def test_evolve_takes_mixed_states(self, field):
+        # The propagators take state vectors, but `_evolve` takes any rho.
+        h = local_pair()
+        rho0 = 0.7 * outer(np.full(4, 0.5, dtype=complex)) + 0.3 * outer(x_state("|++>"))  # mixed
+        (lam,), (w,) = dynamics._sector_eigh(h, (field,))
+        t = np.linspace(0.0, 5.0, 51)
+        h0, h1 = pair_matrices(h)
+        for t_k, rho in zip(t, dynamics._evolve((lam, w), rho0, t)):
+            assert np.max(np.abs(rho - geometric_evolve(h0 + field * h1, rho0, t_k))) <= 1e-12
 
     def test_rejects_feedback_law(self):
         h = local_pair()
@@ -590,10 +543,11 @@ class TestExactPropagation:
     )
     def test_random_open_loop_runs(self, eta, k, paradigm, t_max, switch, amps):
         h = hamiltonians(ModelParams(J=1.0, eta=eta, k=k), paradigm)
-        rho0, rho_d0 = random_pure_state(amps[:8]), random_pure_state(amps[8:])
+        psi0, psi_d0 = random_pure_state(amps[:8]), random_pure_state(amps[8:])
         t0 = switch * t_max
         cfg = IntegratorConfig(t_max=t_max, sample_every=0.25)
-        traj = propagate_exact(h, Geometric(t0=t0), rho0, rho_d0, cfg)
+        traj = propagate_exact(h, Geometric(t0=t0), psi0, psi_d0, cfg)
+        rho0, rho_d0 = outer(psi0), outer(psi_d0)
         h0, h1 = pair_matrices(h)
         at_t0 = geometric_evolve(h0 + h1, rho0, t0)
         for t, rho, rho_d in zip(traj.t, traj.rho, traj.rho_d):
@@ -627,16 +581,16 @@ class TestParity:
         sample, and on `integrate`'s samples p_S may drift by up to the abort
         threshold, 1e-8."""
         h = hamiltonians(P, paradigm)
-        rho0 = random_pure_state(amps[:8])
+        psi0 = random_pure_state(amps[:8])
         psi_d = np.zeros(4, dtype=complex)
         psi_d[[0, 3]] = np.array(amps[8:10]) + 1j * np.array(amps[10:])
         assume(np.linalg.norm(psi_d) > 0.1)
-        rho_d0 = outer(psi_d / np.linalg.norm(psi_d))
+        psi_d0 = psi_d / np.linalg.norm(psi_d)
         cfg = IntegratorConfig(t_max=5.0)
         if exact:
-            traj, slack = propagate_exact(h, Geometric(t0=gain), rho0, rho_d0, cfg), 0.0
+            traj, slack = propagate_exact(h, Geometric(t0=gain), psi0, psi_d0, cfg), 0.0
         else:
-            traj, slack = integrate(h, Lyapunov(kappa=gain), rho0, rho_d0, cfg), 1e-8
+            traj, slack = integrate(h, Lyapunov(kappa=gain), psi0, psi_d0, cfg), 1e-8
         assert np.min(traj.V - (1.0 - traj.p_S[0])) >= -(64 * 2.0**-53 + slack)
 
 
@@ -799,7 +753,8 @@ class TestRhs:
     def test_bloch_form_matches_psi_form(self, label):
         """On the one-sector frame of a preset of each paradigm, the Bloch
         form of `rhs` against the derivative of psi~ in complex arithmetic
-        (`oracles.psi_rhs`) mapped to r~ (`bloch_derivative`), both in
+        (`oracles.psi_rhs`, on the coefficients `oracles.psi_coefficients`
+        builds from the pair) mapped to r~ (`bloch_derivative`), both in
         double, for random unit psi~ and times up to t = 300.
 
         The bound is derived. Both forms take the same rounded phase: the
@@ -821,14 +776,14 @@ class TestRhs:
         0.04 of it."""
         cfg, h, states = preset_states(label)
         frame, _ = dynamics._frame(h, *states)
-        h_norm = np.linalg.norm(frame[2][1:5])
+        h_norm = np.linalg.norm(psi_coefficients(h, frame)[1:5])
         bound = 192 * 2.0**-53 * cfg.law.kappa * h_norm**2
         rng = np.random.default_rng(29)
         for t in rng.uniform(0.0, 300.0, 200):
             y = rng.normal(size=2) + 1j * rng.normal(size=2)
             y = tuple((y / np.linalg.norm(y)).tolist())
             dr = np.array(rhs(frame, cfg.law, t, dynamics._bloch(*y)))
-            dy = psi_rhs(frame, cfg.law, t, y)
+            dy = psi_rhs(h, frame, cfg.law, t, y)
             assert np.linalg.norm(dr - bloch_derivative(y, dy)) <= bound
 
     def test_non_hermitian_target_rejected_like_control_field(self, monkeypatch):
@@ -840,21 +795,21 @@ class TestRhs:
         rho_d *= 1j / np.trace(rho_d)  # anti-Hermitian
         with pytest.raises(ValueError, match="non-imaginary commutator part"):
             control_field(rho, rho_d, pair_matrices(h)[1], 1.0)
-        # `integrate` rejects it before stepping; `rhs` takes state vectors,
-        # whose feedback trace is imaginary by construction.
+        # `integrate` takes state vectors, whose feedback trace is imaginary by
+        # construction, and rejects a matrix before stepping (`TestBoundary`).
         calls = []
         monkeypatch.setattr(dynamics, "rhs", lambda *args: calls.append(args))
-        with pytest.raises(ValueError, match="rho_d0 is not a pure state"):
+        with pytest.raises(ValueError, match=r"psi_d0 has shape \(4, 4\)"):
             integrate(h, Lyapunov(kappa=1.0), x_state("|++>"), rho_d,
                       IntegratorConfig(t_max=1.0))
         assert calls == []
 
     def test_target_is_the_exact_free_evolution(self):
         h = local_pair()
-        rho_d0 = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
+        psi_d0 = bell_state(BellName.PHI_PLUS, X_PRODUCT)
         cfg = IntegratorConfig(t_max=3.0)
-        traj = integrate(h, Lyapunov(kappa=1.0), x_state("|++>"), rho_d0, cfg)
-        free = propagate_exact(h, None, x_state("|++>"), rho_d0, cfg)
+        traj = integrate(h, Lyapunov(kappa=1.0), x_state("|++>"), psi_d0, cfg)
+        free = propagate_exact(h, None, x_state("|++>"), psi_d0, cfg)
         assert np.array_equal(traj.t, free.t)
         assert np.array_equal(traj.rho_d, free.rho_d)
 
@@ -922,10 +877,9 @@ class TestReachedColumns:
         sector left out, at most 64 u, which the projection restores to a
         few u."""
         cfg, h, states = preset_states(label)
-        rho0, rho_d0 = map(outer, states)
-        two = integrate(h, cfg.law, rho0, rho_d0, cfg.integrator)
+        two = integrate(h, cfg.law, *states, cfg.integrator)
         monkeypatch.setattr(dynamics, "_SECTOR_WEIGHT", -1.0)
-        four = integrate(h, cfg.law, rho0, rho_d0, cfg.integrator)
+        four = integrate(h, cfg.law, *states, cfg.integrator)
         stats, stats4 = two.metadata.integrator_stats, four.metadata.integrator_stats
         assert (stats.amplitudes, stats4.amplitudes) == (2, 4)
         assert stats.max_sector_drift == 0.0 and stats4.max_sector_drift <= 64 * 2.0**-53
@@ -994,7 +948,7 @@ class TestFromBloch:
             a, b = np.exp(1j * rng.uniform(0.0, 2 * np.pi, 2))
             psi = a * (np.sqrt(1 - 1e-20) * psi_d + 1e-10 * b * perp)
             back = dynamics._from_bloch(np.array([dynamics._bloch(*psi.tolist())]))
-            v, v_back = (dynamics._lyapunov(x, target)[0][0] for x in (psi[None], back))
+            v, v_back = (dynamics._lyapunov(x, target)[0] for x in (psi[None], back))
             assert v == pytest.approx(1e-20, rel=1e-6)
             assert abs(v_back - v) <= 64 * u * v + 1024 * u * u
 
@@ -1019,7 +973,7 @@ class TestStateStack:
     interaction presets."""
 
     @staticmethod
-    def stepped(monkeypatch, h, law, rho0, rho_d0, cfg):
+    def stepped(monkeypatch, h, law, psi0, psi_d0, cfg):
         taken = []
 
         def spy(frame, *args):
@@ -1030,7 +984,7 @@ class TestStateStack:
 
         dp5 = dynamics._dp5
         monkeypatch.setattr(dynamics, "_dp5", spy)
-        traj = integrate(h, law, rho0, rho_d0, cfg)
+        traj = integrate(h, law, psi0, psi_d0, cfg)
         (lam, w, psi), = taken
         return traj, lam, w, psi[: len(traj)]
 
@@ -1049,18 +1003,17 @@ class TestStateStack:
     def test_preset_matches_matrix_form(self, label, monkeypatch):
         cfg = dict(preset_scenarios("figure4"))[label]
         h = hamiltonians(cfg.model, cfg.paradigm)
-        rho0, rho_d0 = (outer(X_PRODUCT.vector_from_z(s))
-                        for s in (cfg.initial_state, cfg.target_state))
-        self.check(*self.stepped(monkeypatch, h, cfg.law, rho0, rho_d0, cfg.integrator))
+        psi0, psi_d0 = (X_PRODUCT.vector_from_z(s) for s in (cfg.initial_state, cfg.target_state))
+        self.check(*self.stepped(monkeypatch, h, cfg.law, psi0, psi_d0, cfg.integrator))
 
     @pytest.mark.parametrize("paradigm", list(Paradigm), ids=lambda p: p.value)
     def test_two_sector_run_matches_matrix_form(self, paradigm, monkeypatch):
         # From |0+> towards Phi+: both sectors, four amplitudes.
         h = hamiltonians(P, paradigm)
-        rho0, rho_d0 = (outer(X_PRODUCT.vector_from_z(v))
+        psi0, psi_d0 = (X_PRODUCT.vector_from_z(v)
                         for v in (np.array([1, 1, 0, 0]) / np.sqrt(2), STATE_LITERALS["PhiPlus"]))
         cfg = IntegratorConfig(t_max=20.0)
-        traj, lam, w, psi = self.stepped(monkeypatch, h, Lyapunov(kappa=1.0), rho0, rho_d0, cfg)
+        traj, lam, w, psi = self.stepped(monkeypatch, h, Lyapunov(kappa=1.0), psi0, psi_d0, cfg)
         assert psi.shape[1] == 4
         self.check(traj, lam, w, psi)
 
@@ -1077,8 +1030,8 @@ class TestClosedLoopDescent:
     )
     def test_v_never_rises(self, kappa, paradigm, t_max, amps):
         h = hamiltonians(P, paradigm)
-        rho0, rho_d0 = random_pure_state(amps[:8]), random_pure_state(amps[8:])
-        traj = integrate(h, Lyapunov(kappa=kappa), rho0, rho_d0, IntegratorConfig(t_max=t_max))
+        psi0, psi_d0 = random_pure_state(amps[:8]), random_pure_state(amps[8:])
+        traj = integrate(h, Lyapunov(kappa=kappa), psi0, psi_d0, IntegratorConfig(t_max=t_max))
         assert np.max(np.diff(traj.V)) <= 1e-8
 
 
@@ -1116,12 +1069,12 @@ class TestAgainstDOP853:
     def check(cfg, amplitudes, rho_tol, rho_until):
         law = cfg.law
         h = hamiltonians(cfg.model, cfg.paradigm)
-        rho0 = outer(X_PRODUCT.vector_from_z(cfg.initial_state))
-        rho_d0 = outer(X_PRODUCT.vector_from_z(cfg.target_state))
-        traj = integrate(h, law, rho0, rho_d0, cfg.integrator)
+        psi0 = X_PRODUCT.vector_from_z(cfg.initial_state)
+        psi_d0 = X_PRODUCT.vector_from_z(cfg.target_state)
+        traj = integrate(h, law, psi0, psi_d0, cfg.integrator)
         assert traj.metadata.integrator_stats.amplitudes == amplitudes
 
-        frame, y = vec_frame(h, np.stack([rho0, rho_d0]))
+        frame, y = vec_frame(h, np.stack([outer(psi0), outer(psi_d0)]))
         ref = solve_ivp(lambda t, y: vec_rhs(frame, law, t, y), (0.0, traj.t[-1]), y,
                         method="DOP853", rtol=1e-13, atol=1e-15, t_eval=traj.t)
         assert ref.success
@@ -1181,9 +1134,9 @@ class TestPsiColumns:
     def test_four_amplitude_run(self):
         # From |0+> towards Phi+: both sectors (TestAgainstDOP853's run).
         h = local_pair()
-        rho0 = outer(X_PRODUCT.vector_from_z(np.array([1, 1, 0, 0]) / np.sqrt(2)))
-        rho_d0 = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
-        traj = integrate(h, Lyapunov(kappa=2.0), rho0, rho_d0, IntegratorConfig(t_max=30.0))
+        psi0 = X_PRODUCT.vector_from_z(np.array([1, 1, 0, 0]) / np.sqrt(2))
+        psi_d0 = bell_state(BellName.PHI_PLUS, X_PRODUCT)
+        traj = integrate(h, Lyapunov(kappa=2.0), psi0, psi_d0, IntegratorConfig(t_max=30.0))
         assert traj.metadata.integrator_stats.amplitudes == 4
         self.check(traj, h)
 
@@ -1198,11 +1151,11 @@ class TestIntegratorStats:
         assert (meta.name, meta.default) == ("integrator_stats", None)
 
     @pytest.mark.parametrize(
-        "rho0,amplitudes",
+        "psi0,amplitudes",
         [(x_state("|++>"), 2), (off_s_state(), 4)],
         ids=["two_amplitudes", "three_columns"],
     )
-    def test_counts_every_rhs_call(self, monkeypatch, rho0, amplitudes):
+    def test_counts_every_rhs_call(self, monkeypatch, psi0, amplitudes):
         # Both widths of the attempt go through the module-level `rhs`; the
         # benchmark's traced runs count on rhs_evals = 6 * attempts + 1 there.
         calls = []
@@ -1213,10 +1166,10 @@ class TestIntegratorStats:
             return real_rhs(*args)
 
         monkeypatch.setattr(dynamics, "rhs", counted)
-        rho_d0 = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
+        psi_d0 = bell_state(BellName.PHI_PLUS, X_PRODUCT)
         # A first step of 2.0 is too long for the tolerance, so some attempts fail.
         cfg = IntegratorConfig(t_max=4.0, dt=2.0, sample_every=2.0)
-        traj = integrate(local_pair(), Lyapunov(kappa=2.0), rho0, rho_d0, cfg)
+        traj = integrate(local_pair(), Lyapunov(kappa=2.0), psi0, psi_d0, cfg)
         stats = traj.metadata.integrator_stats
         assert stats.amplitudes == amplitudes
         assert stats.rejected > 0
@@ -1235,9 +1188,9 @@ class TestIntegratorStats:
 
         monkeypatch.setattr(dynamics, "rhs", counted)
         h = hamiltonians(P, Paradigm.INTERACTION_CONTROL)
-        rho_d0 = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
+        psi_d0 = bell_state(BellName.PHI_PLUS, X_PRODUCT)
         cfg = IntegratorConfig(t_max=30.0)
-        traj = integrate(h, Lyapunov(kappa=2.0), x_state("|++>"), rho_d0, cfg)
+        traj = integrate(h, Lyapunov(kappa=2.0), x_state("|++>"), psi_d0, cfg)
         stats = traj.metadata.integrator_stats
         assert len(traj) == 301
         # A step clipped to the grid exceeds sample_every only by roundoff.
@@ -1255,10 +1208,10 @@ class TestIntegratorStats:
         state, and a run by the sum over its accepted steps. Seen: 4.6e-11
         after 493 steps, against 2.0e-6; the p_S column drifts by 5.6e-11."""
         h = local_pair()
-        rho0 = outer(X_PRODUCT.vector_from_z(np.array([1, 1, 0, 0]) / np.sqrt(2)))
-        rho_d0 = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
+        psi0 = X_PRODUCT.vector_from_z(np.array([1, 1, 0, 0]) / np.sqrt(2))
+        psi_d0 = bell_state(BellName.PHI_PLUS, X_PRODUCT)
         cfg = IntegratorConfig(t_max=30.0)
-        traj = integrate(h, Lyapunov(kappa=2.0), rho0, rho_d0, cfg)
+        traj = integrate(h, Lyapunov(kappa=2.0), psi0, psi_d0, cfg)
         stats = traj.metadata.integrator_stats
         bound = stats.accepted * 4 * (cfg.abs_tol + cfg.rel_tol)
         assert stats.amplitudes == 4
@@ -1271,9 +1224,9 @@ class TestIntegratorStats:
         # the last, from dt = 0.01 until t_max clips one: 0.01, 0.05, 0.25, 1.25,
         # 6.25, then 10 - 7.81 = 2.19. The median of six is the mean of the
         # middle two, 0.25 and 1.25.
-        rho0 = outer(bell_state(BellName.PHI_MINUS, X_PRODUCT))
-        rho_d0 = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
-        traj = integrate(local_pair(), Lyapunov(kappa=1.0), rho0, rho_d0,
+        psi0 = bell_state(BellName.PHI_MINUS, X_PRODUCT)
+        psi_d0 = bell_state(BellName.PHI_PLUS, X_PRODUCT)
+        traj = integrate(local_pair(), Lyapunov(kappa=1.0), psi0, psi_d0,
                          IntegratorConfig(t_max=10.0))
         stats = traj.metadata.integrator_stats
         assert (stats.accepted, stats.rejected) == (6, 0)
@@ -1282,8 +1235,7 @@ class TestIntegratorStats:
         assert stats.h_median == pytest.approx(0.75, rel=1e-12)
 
     def test_no_median_without_a_step(self):
-        pair = dynamics._initial_states(x_state("|++>"), x_state("|-->"))
-        frame, y = dynamics._frame(local_pair(), *(dynamics._pure_state(r, "r") for r in pair))
+        frame, y = dynamics._frame(local_pair(), x_state("|++>"), x_state("|-->"))
         cfg = IntegratorConfig(t_max=1.0, dt=1e-14)
         samples, stats, error = dynamics._dp5(frame, Lyapunov(kappa=1.0), y,
                                               dynamics._sample_grid(cfg), cfg)
@@ -1308,9 +1260,39 @@ def overflow_stage(dy):
     return tuple(0 * x + 1e160 for x in dy)
 
 
+class TestBoundary:
+    """Both propagators take unit 4-vectors in XProduct coordinates and
+    reject anything else, a density matrix included, with a ValueError
+    before any work: no `_dp5` step and no `_evolve`."""
+
+    @pytest.mark.parametrize(
+        "propagate,law", [(integrate, Lyapunov(kappa=1.0)), (propagate_exact, Geometric(t0=0.5))],
+        ids=["integrate", "exact"],
+    )
+    @pytest.mark.parametrize("side", ["psi0", "psi_d0"])
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (outer(np.full(4, 0.5)), r"{side} has shape \(4, 4\): state and Hamiltonian dim"),
+            (np.full(3, 3**-0.5), r"{side} has shape \(3,\)"),
+            (0.9 * np.eye(4)[0], "state vector norm 0.9 deviates from 1"),
+        ],
+        ids=["matrix", "length_3", "norm_0.9"],
+    )
+    def test_rejects_before_any_work(self, monkeypatch, propagate, law, side, bad, message):
+        calls = []
+        for name in ("_dp5", "_evolve"):
+            monkeypatch.setattr(dynamics, name, lambda *args, name=name: calls.append(name))
+        states = {"psi0": x_state("|++>"), "psi_d0": x_state("|-->"), side: bad}
+        with pytest.raises(ValueError, match=message.format(side=side)):
+            propagate(local_pair(), law, states["psi0"], states["psi_d0"],
+                      IntegratorConfig(t_max=1.0))
+        assert calls == []
+
+
 class TestMidRunErrors:
-    """Errors raised while stepping still report an earlier invariant
-    violation first, as a check at every sample would."""
+    """Errors raised while stepping pass through, with the time they were
+    raised at."""
 
     @staticmethod
     def failing_after(monkeypatch, t_fail, fail):
@@ -1334,10 +1316,10 @@ class TestMidRunErrors:
         assert f"ending at t={excinfo.value.t:.6g}" in str(excinfo.value)
 
     @pytest.mark.parametrize(
-        "rho0,width", [(x_state("|++>"), 3), (off_s_state(), 4)],
+        "psi0,width", [(x_state("|++>"), 3), (off_s_state(), 4)],
         ids=["two_amplitudes", "four_amplitudes"],
     )
-    def test_overflowing_attempt_is_rejected(self, monkeypatch, rho0, width):
+    def test_overflowing_attempt_is_rejected(self, monkeypatch, psi0, width):
         # Every attempt's FSAL stage (rhs calls 7, 13, ...) is finite but so
         # large that the squared error overflows to inf: each attempt is
         # rejected, as a NaN one is, until the step size underflows. Two
@@ -1352,9 +1334,9 @@ class TestMidRunErrors:
             return overflow_stage(dy) if len(calls) > 1 and len(calls) % 6 == 1 else dy
 
         monkeypatch.setattr(dynamics, "rhs", overflowing)
-        rho_d0 = outer(bell_state(BellName.PHI_PLUS, X_PRODUCT))
+        psi_d0 = bell_state(BellName.PHI_PLUS, X_PRODUCT)
         with pytest.raises(IntegrationError, match="last accepted step none"):
-            integrate(local_pair(), Lyapunov(kappa=1.0), rho0, rho_d0,
+            integrate(local_pair(), Lyapunov(kappa=1.0), psi0, psi_d0,
                       IntegratorConfig(t_max=1.0))
         assert widths == {width}
         assert len(calls) % 6 == 1 and len(calls) > 7
@@ -1363,20 +1345,6 @@ class TestMidRunErrors:
         with pytest.raises(IntegrationError, match="last accepted step none"):
             integrate(local_pair(), Lyapunov(kappa=1.0), x_state("|++>"), x_state("|-->"),
                       IntegratorConfig(t_max=1.0, dt=1e-14))
-
-    @pytest.mark.parametrize("error", [None, ValueError("bad field")])
-    def test_invariant_violation_reported_first(self, monkeypatch, error):
-        def fail(dy):
-            if error is not None:
-                raise error
-            return nan_stage(dy)
-
-        self.failing_after(monkeypatch, 0.35, fail)
-        bad = 0.9 * x_state("|++>")
-        with pytest.raises(IntegrationError, match="rho trace drift") as excinfo:
-            integrate(local_pair(), Lyapunov(kappa=1.0), bad, x_state("|-->"),
-                      IntegratorConfig(t_max=1.0))
-        assert excinfo.value.t == pytest.approx(0.1)
 
     def test_value_error_passes_through_on_valid_samples(self, monkeypatch):
         def fail(dy):
@@ -1413,13 +1381,13 @@ def four_amplitude_run(v_stop=None):
     """`off_s_state` towards Phi+ under local control at kappa = 2: V falls
     from 0.68 and passes 0.5 at t = 12.4."""
     return (local_pair(), Lyapunov(kappa=2.0), off_s_state(),
-            outer(bell_state(BellName.PHI_PLUS, X_PRODUCT)),
+            bell_state(BellName.PHI_PLUS, X_PRODUCT),
             IntegratorConfig(t_max=60.0, v_stop=v_stop))
 
 
 def preset_run(label, v_stop=None):
     cfg, h, states = preset_states(label)
-    return (h, cfg.law, *map(outer, states), dataclasses.replace(cfg.integrator, v_stop=v_stop))
+    return (h, cfg.law, *states, dataclasses.replace(cfg.integrator, v_stop=v_stop))
 
 
 class TestDenseSamples:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellsteer import experiments
+from bellsteer import dynamics, experiments
 from bellsteer.cli import main
 from bellsteer.control import Geometric, Lyapunov
 from bellsteer.dynamics import IntegrationError, IntegratorConfig
@@ -709,11 +709,11 @@ class TestRouting:
             run_scenario(scenario_from_mapping(base_mapping()))
 
     def test_exact_path_abort_writes_diagnostic_report(self, tmp_path, monkeypatch):
-        # An initial state of trace 0.9 trips the exact path's trace check at
-        # the first sample after t=0.
-        monkeypatch.setattr(
-            "bellsteer.experiments.outer", lambda v: 0.9 * np.outer(v, np.conj(v))
-        )
+        # States of trace 0.9 trip the exact path's trace check at the first
+        # sample after t=0. The propagator takes only unit vectors, so the
+        # evolution itself is made to lose a tenth of the trace.
+        evolve = dynamics._evolve
+        monkeypatch.setattr(dynamics, "_evolve", lambda *args: 0.9 * evolve(*args))
         cfg = self.open_loop(
             **{"law.t0": "1", "outputs.report_json": str(tmp_path / "err.json")}
         )

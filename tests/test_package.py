@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -50,6 +51,18 @@ def test_cli_import_leaves_module_unloaded(module, loaded_after_presets):
     # dependency, for the reference propagator in tests/oracles.py. Sweeps run
     # in-process, so no process pool is imported either.
     assert loaded_after_presets[module] is False
+
+
+def test_propagators_share_one_signature():
+    # The twin test classes run the same cases through the DOP853 reference
+    # and through propagate_exact, and TestBoundary through integrate and
+    # propagate_exact: all three take (h, law, psi0, psi_d0, cfg).
+    from oracles import dop853_run
+
+    signatures = [inspect.signature(f) for f in
+                  (bellsteer.integrate, bellsteer.propagate_exact, dop853_run)]
+    assert signatures[0] == signatures[1] == signatures[2]
+    assert list(signatures[0].parameters) == ["h", "law", "psi0", "psi_d0", "cfg"]
 
 
 def test_source_lines_fit_in_99_columns():
