@@ -269,18 +269,19 @@ def _state_vectors(psi0: np.ndarray, psi_d0: np.ndarray) -> tuple[np.ndarray, np
 
 
 def _sector_eigh(h: HamiltonianPair, fields: tuple = (0.0,)) -> tuple:
-    """The eigendecompositions (lam, W) of H0 + f H1 for each f in fields;
-    every propagator diagonalises a pair here. The 2x2 blocks of every
-    H0 + f H1 go through one batched eigh, (lam_s, V_s) for sector s, and W
-    holds V_s on the XProduct rows SECTORS[s], in columns 2s and 2s + 1:
-    the (k, 4) lam, ascending within each sector, and the (k, 4, 4) W in
-    XProduct coordinates.
+    """The eigendecompositions (lam, W) of H0 + f H1 for each f in fields,
+    and their sector blocks V; every propagator diagonalises a pair here.
+    The 2x2 blocks of every H0 + f H1 go through one batched eigh,
+    (lam_s, V_s) for sector s, and W holds V_s on the XProduct rows
+    SECTORS[s], in columns 2s and 2s + 1: the (k, 4) lam, ascending within
+    each sector, the (k, 4, 4) W in XProduct coordinates and the
+    (k, 2, 2, 2) V.
     """
     lam, v = np.linalg.eigh(h.h0 + np.multiply.outer(fields, h.h1))
     w = np.zeros((len(fields), 4, 4), dtype=complex)
     for s, rows in enumerate(SECTORS):
         w[:, rows, 2 * s:2 * s + 2] = v[:, s]
-    return lam.reshape(-1, 4), w
+    return lam.reshape(-1, 4), w, v
 
 
 def _frame(h: HamiltonianPair, psi0: np.ndarray, psi_d0: np.ndarray) -> tuple[tuple, tuple]:
@@ -311,8 +312,7 @@ def _frame(h: HamiltonianPair, psi0: np.ndarray, psi_d0: np.ndarray) -> tuple[tu
     sector s its relative rate i (lam_2s - lam_2s+1) and its 2x2 block of h,
     row by row, then conj(psi_d~).
     """
-    (lam,), (w,) = _sector_eigh(h)
-    v = np.stack([w[np.ix_(rows, (2 * s, 2 * s + 1))] for s, rows in enumerate(SECTORS)])
+    (lam,), (w,), (v,) = _sector_eigh(h)
     h1 = v.conj().swapaxes(1, 2) @ h.h1 @ v  # V_s† h1_s V_s, sector by sector
     target, y = w.T @ psi_d0.conj(), w.conj().T @ psi0
     weight = np.linalg.norm(np.stack([y, target]).reshape(2, 2, 2), axis=2).max(axis=0)
@@ -1013,7 +1013,7 @@ def propagate_exact(
     # The field is on at the samples before t0.
     n_on = int(np.searchsorted(grid, law.t0)) if isinstance(law, Geometric) else 0
 
-    lam, w = _sector_eigh(h, (0.0, 1.0) if n_on else (0.0,))
+    lam, w, _ = _sector_eigh(h, (0.0, 1.0) if n_on else (0.0,))
     free = lam[0], w[0]
     states = np.empty((len(grid),) + y0.shape, dtype=complex)
     states[:, 1] = _evolve(free, y0[1], grid)

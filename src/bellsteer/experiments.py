@@ -312,13 +312,15 @@ def is_sweep_mapping(mapping: dict[str, str]) -> bool:
 # table at once. Its 17 significant digits are the correctly rounded
 # N = round(|x| 10^(16-E)), E = floor(log10|x|), that Python's %-formatting
 # takes from Gay's dtoa (1990); here they come from Dekker's exact product of
-# |x| and a double-double 10^(16-E) (Numer. Math. 18, 224 (1971)), and are
-# laid out as %g does in fixed 32-byte cells whose NUL pads are then deleted:
-#   head (8 bytes)    sign, '0.', '0.0', '0.00' or '0.000' for E = -1..-4,
-#                     the first digit, and a point after it;
+# |x| and a double-double 10^(16-E) (Numer. Math. 18, 224 (1971)), both of
+# whose parts are quotients of Python integers. They are laid out as %g does
+# in fixed 32-byte cells whose NUL pads are then deleted:
+#   head (8 bytes)    the text before the other digits: sign, '0.', '0.0',
+#                     '0.00' or '0.000' for E = -1..-4, the first digit, and
+#                     a point after it;
 #   digits (16)       the other 16, each past the last one kept a NUL;
-#   tail (8)          a free slot for a point, 'e+XX' or 'e-XXX', ',' or
-#                     a newline after the last column, NUL.
+#   tail (8)          byte 0 a free slot for a point, 'e+XX' or 'e-XXX', the
+#                     ',' or the newline after the last column at byte 6, NUL.
 # A value this cannot decide, namely zero, nan, inf, |x| outside
 # [1e-250, 1e250] and N within _TIE of a rounding tie, is formatted by
 # '%.17g' itself.
@@ -334,73 +336,53 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, a - hi
 
 
-def _two_prod(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p, e) with p = fl(a b) and p + e = a b exactly."""
-    p = a * b
-    a1, a2 = _split(a)
-    b1, b2 = _split(b)
-    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
-
-
 def _pow10_table() -> np.ndarray:
-    """Rows hi, hi's two Dekker halves and lo, where hi + lo = 10^(16 - E) to
-    about 2^-104 relative and hi is its rounded value, in column
-    E + _E_LIM + 2 for |E| <= _E_LIM + 2: 10^(22k) by double-double products
-    of the exact 10^22, times the exact 10^b, and a negative power by one
-    Newton step on 1/hi."""
-    p = 16 - np.arange(-_E_LIM - 2, _E_LIM + 3)
-    k, b = np.divmod(np.abs(p), 22)
-    exact = 10.0 ** np.arange(23)
-    step_hi, step_lo = np.ones(k.max() + 1), np.zeros(k.max() + 1)
-    for i in range(1, k.max() + 1):
-        ph, pl = _two_prod(step_hi[i - 1], exact[22])
-        pl += step_lo[i - 1] * exact[22]
-        step_hi[i] = ph + pl
-        step_lo[i] = pl - (step_hi[i] - ph)
-    ph, pl = _two_prod(step_hi[k], exact[b])
-    pl += step_lo[k] * exact[b]
-    hi = ph + pl
-    lo = pl - (hi - ph)
-    neg = p < 0
-    r = 1.0 / hi[neg]
-    ph, pl = _two_prod(hi[neg], r)
-    rl = (((1.0 - ph) - pl) - lo[neg] * r) * r
-    hi[neg] = r + rl
-    lo[neg] = rl - (hi[neg] - r)
-    return np.stack([hi, *_split(hi), lo])
+    """Rows hi, hi's two Dekker halves and lo for 10^p, p = 16 - E, in column
+    E + _E_LIM + 2 for |E| <= _E_LIM + 2. With 10^p = num / den in integers,
+    hi = num / den and lo = (num b - a den) / (den b) for a / b = hi: Python
+    rounds a quotient of integers correctly, so hi is 10^p rounded to nearest,
+    lo its remainder rounded to nearest, and hi + lo is 10^p to half an ulp of
+    lo."""
+    hi, lo = [], []
+    for p in range(16 + _E_LIM + 2, 16 - _E_LIM - 3, -1):
+        num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
+        hi.append(num / den)
+        a, b = hi[-1].as_integer_ratio()
+        lo.append((num * b - a * den) / (den * b))
+    hi = np.array(hi)
+    return np.stack([hi, *_split(hi), np.array(lo)])
+
+
+def _words(texts) -> np.ndarray:
+    """Each text of at most 8 bytes, NUL-padded, as a little-endian word."""
+    return np.frombuffer(b"".join(t.ljust(8, b"\0") for t in texts), "<u8")
 
 
 def _cell_tables() -> tuple[np.ndarray, ...]:
     """The cells' pieces as little-endian words, by row.
 
     - heads, in row ((sign 5 + j) 10 + d) 2 + point for E = -j < 0 (j = 0
-      otherwise) and first digit d;
+      otherwise) and first digit d: the text '%' prints before the other
+      digits;
     - digit words: the four digits of q = 0..9999, a '<u4' word in the low
       half;
     - masks (2, 18): the bytes of the two digit words that hold digits 1..16
       of the first `kept` digits, in column kept;
-    - tails, in row 2 (E + _E_LIM + 3) + last; rows 0 and 1 have no exponent;
+    - tails, in row 2 (E + _E_LIM + 3) + last: a NUL, the exponent as
+      b'e%+03d' % E in bytes 1..5, and ',' or, in the last column, a newline
+      at byte 6; rows 0 and 1 have no exponent;
     - the trailing zero digits of q = 0..9999, 4 for 0.
     """
-    sign, j, d, point = np.indices((2, 5, 10, 2)).reshape(4, -1, 1)
-    heads = np.hstack([sign * ord("-"),
-                       np.frombuffer(b"0.000", np.uint8) * ((j > 0) & (np.arange(5) <= j)),
-                       d + ord("0"), point * ord(".")])
+    heads = _words(b"%s%s%d%s" % (b"-"[:sign], b"0.000"[:j + 1] if j else b"", d, b"."[:point])
+                   for sign in (0, 1) for j in range(5) for d in range(10) for point in (0, 1))
     digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T.copy() + ord("0")
     masks = np.arange(16) < np.arange(-1, 17)[:, None]
-    e, last = np.indices((2 * _E_LIM + 6, 2)).reshape(2, -1, 1)
-    e -= _E_LIM + 3
-    sci, ae = e > -_E_LIM - 3, abs(e)
-    tails = sci * np.hstack([0 * e, ord("e") + 0 * e, np.where(e < 0, ord("-"), ord("+")),
-                             (ae >= 100) * (ae // 100 + ord("0")),
-                             ae // 10 % 10 + ord("0"), ae % 10 + ord("0"), 0 * e, 0 * e])
-    tails[:, 6] = np.where(last[:, 0], ord("\n"), ord(","))
+    exponents = [b""] + [b"e%+03d" % e for e in range(-_E_LIM - 2, _E_LIM + 3)]
+    tails = _words(b"\0" + x.ljust(5, b"\0") + end for x in exponents for end in (b",", b"\n"))
     z = (digits == ord("0")).astype(np.uint8)
     zeros = z[:, 3] * (1 + z[:, 2] * (1 + z[:, 1] * (1 + z[:, 0])))
-    return (heads.astype(np.uint8).view("<u8").ravel(),
-            digits.view("<u4").ravel().astype("<u8"),
-            (255 * masks).astype(np.uint8).view("<u8").T.copy(),
-            tails.astype(np.uint8).view("<u8").ravel(), zeros)
+    return (heads, digits.view("<u4").ravel().astype("<u8"),
+            (255 * masks).astype(np.uint8).view("<u8").T.copy(), tails, zeros)
 
 
 @functools.cache

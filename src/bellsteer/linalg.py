@@ -57,8 +57,13 @@ def outer(v: np.ndarray) -> np.ndarray:
 
 
 def as_state_vector(v: np.ndarray) -> np.ndarray:
-    """Validate and return a unit-norm complex state vector."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
+    """Validate and return a unit-norm complex state vector, flattened from an
+    array with at most one axis longer than 1, such as an (n, 1) column. A
+    matrix is rejected, a unit-norm pure density matrix included."""
+    v = np.asarray(v, dtype=complex)
+    if sum(n > 1 for n in v.shape) > 1:
+        raise ValueError(f"a state vector has at most one axis longer than 1, got shape {v.shape}")
+    v = v.reshape(-1)
     nrm = np.linalg.norm(v)
     if abs(nrm - 1.0) > NORM_TOL:
         raise ValueError(f"state vector norm {float(nrm)!r} deviates from 1 beyond {NORM_TOL}")

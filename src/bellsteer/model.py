@@ -103,7 +103,7 @@ _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / _SQ2
 Z_PRODUCT = Basis("ZProduct", np.eye(4, dtype=complex))
 X_PRODUCT = Basis("XProduct", kron(_HADAMARD, _HADAMARD))
 
-# Bell vectors in ZProduct coordinates, ordered {Psi+, Phi+, Phi-, Psi-}.
+# Bell vectors in ZProduct coordinates, in BellName's order {Psi+, Phi+, Phi-, Psi-}.
 _BELL_COLUMNS_Z = np.column_stack(
     [
         np.array([1, 0, 0, -1], dtype=complex) / _SQ2,   # (|+-> + |-+>)/sqrt2
@@ -115,14 +115,6 @@ _BELL_COLUMNS_Z = np.column_stack(
 BELL = Basis("Bell", dagger(_BELL_COLUMNS_Z))
 
 BASES = {b.tag: b for b in (Z_PRODUCT, X_PRODUCT, BELL)}
-
-_BELL_INDEX = {
-    BellName.PSI_PLUS: 0,
-    BellName.PHI_PLUS: 1,
-    BellName.PHI_MINUS: 2,
-    BellName.PSI_MINUS: 3,
-}
-
 
 # The parity sectors as XProduct rows: S = span{|++>, |-->}, then its complement.
 SECTORS = ((0, 3), (1, 2))
@@ -186,7 +178,7 @@ def hamiltonians(p: ModelParams, paradigm: Paradigm) -> HamiltonianPair:
 
 def bell_state(which: BellName, basis: Basis) -> np.ndarray:
     """The named Bell state as a unit vector in the requested basis."""
-    v_z = _BELL_COLUMNS_Z[:, _BELL_INDEX[which]]
+    v_z = _BELL_COLUMNS_Z[:, list(BellName).index(which)]
     return basis.vector_from_z(v_z)
 
 

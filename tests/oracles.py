@@ -249,7 +249,7 @@ def psi_coefficients(h: HamiltonianPair, frame: tuple) -> tuple:
     same to the last bit. Only the stepped columns and conj(psi_d~) come
     from the frame."""
     _, cols, _, target = frame
-    (lam,), (w,) = dynamics._sector_eigh(h)
+    (lam,), (w,), _ = dynamics._sector_eigh(h)
     s = int(cols[0]) // 2
     v = np.stack([w[np.ix_(rows, (2 * k, 2 * k + 1))] for k, rows in enumerate(SECTORS)])
     block = (v.conj().swapaxes(1, 2) @ h.h1 @ v)[s]

@@ -441,7 +441,7 @@ class TestInvariantMonitor:
     def run(self, rho0, rho_d0):
         h = local_pair()
         t = dynamics._sample_grid(IntegratorConfig(t_max=1.0))
-        (lam,), (w,) = dynamics._sector_eigh(h)
+        (lam,), (w,), _ = dynamics._sector_eigh(h)
         self.check(h, t, np.stack([dynamics._evolve((lam, w), r, t) for r in (rho0, rho_d0)], 1))
 
     def test_aborts_on_trace_violation(self):
@@ -509,7 +509,7 @@ class TestExactPropagation:
         # The propagators take state vectors, but `_evolve` takes any rho.
         h = local_pair()
         rho0 = 0.7 * outer(np.full(4, 0.5, dtype=complex)) + 0.3 * outer(x_state("|++>"))  # mixed
-        (lam,), (w,) = dynamics._sector_eigh(h, (field,))
+        (lam,), (w,), _ = dynamics._sector_eigh(h, (field,))
         t = np.linspace(0.0, 5.0, 51)
         h0, h1 = pair_matrices(h)
         for t_k, rho in zip(t, dynamics._evolve((lam, w), rho0, t)):

@@ -5,7 +5,9 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import re
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -618,6 +620,25 @@ class TestCsvText:
         rng = np.random.default_rng(20261019)
         table = rng.standard_normal((3000, 7)) * 10.0 ** rng.integers(-300, 300, (3000, 7))
         assert experiments._csv_rows(table) == _percent_rows(table)
+
+    def test_every_power_of_ten(self):
+        # +-10^E and both neighbours for every E of the vectorised range, in a
+        # middle and a last column: each power and each tail row is read
+        tens = [float(f"1e{e}") for e in range(-experiments._E_LIM, experiments._E_LIM + 1)]
+        values = np.array([(x, _next(x, 0), _next(x, np.inf)) for x in tens]).ravel()
+        table = np.repeat(np.concatenate([values, -values]), 3).reshape(-1, 3)
+        assert experiments._csv_rows(table) == _percent_rows(table)
+
+    def test_pow10_table_is_exact(self):
+        # hi is 10^p rounded to nearest, and hi + lo is 10^p to half an ulp of lo
+        hi, _, _, lo = experiments._pow10_table().tolist()
+        exps = range(-experiments._E_LIM - 2, experiments._E_LIM + 3)
+        assert len(hi) == len(lo) == len(exps)
+        for e, h, l in zip(exps, hi, lo):
+            exact = Fraction(10) ** (16 - e)
+            for other in (math.nextafter(h, 0), math.nextafter(h, math.inf)):
+                assert abs(Fraction(h) - exact) <= abs(Fraction(other) - exact), e
+            assert abs(Fraction(h) + Fraction(l) - exact) <= Fraction(math.ulp(l)) / 2, e
 
     def test_blocks(self, tmp_path):
         # more rows than one formatting pass takes

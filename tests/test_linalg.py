@@ -74,3 +74,10 @@ class TestStateValidation:
     def test_as_state_vector_flattens(self):
         v = as_state_vector(np.array([[1.0], [0.0]]))
         assert v.shape == (2,)
+
+    def test_matrices_are_not_state_vectors(self):
+        # a pure density matrix has Frobenius norm 1, as a unit vector has
+        with pytest.raises(ValueError, match="axis"):
+            outer(outer(np.full(4, 0.5)))
+        with pytest.raises(ValueError, match="axis"):
+            as_state_vector(np.eye(2) / np.sqrt(2))

@@ -216,7 +216,7 @@ def s_block(h):
     """The eigenvalues, eigenvectors (ZProduct columns) and control block of
     a pair on S, from `_sector_eigh`; the control block is taken on the
     Kronecker form of H1 (`pair_matrices`)."""
-    (lam,), (w,) = _sector_eigh(h)
+    (lam,), (w,), _ = _sector_eigh(h)
     h1 = pair_matrices(h)[1]
     return lam[:2], dagger(X_PRODUCT.transform) @ w[:, :2], (dagger(w) @ h1 @ w)[:2, :2]
 
@@ -259,7 +259,7 @@ class TestSubspaceReduce:
         # S with eta J (1 + k) and the complement with eta J |1 - k|, each coupling
         # the drift's two levels.
         h = hamiltonians(ModelParams(J=1.0, eta=0.1, k=0.5), Paradigm.LOCAL_CONTROL)
-        (lam,), (w,) = _sector_eigh(h)
+        (lam,), (w,), _ = _sector_eigh(h)
         h1 = np.abs(dagger(w) @ pair_matrices(h)[1] @ w)
         assert np.allclose(lam, [-2.0, 2.0, -2.0, 2.0])
         assert np.allclose(h1, np.kron(np.diag([0.15, 0.05]), pauli("X").real))
@@ -268,7 +268,7 @@ class TestSubspaceReduce:
         # W holds sector s's eigenvectors on the rows SECTORS[s], in columns 2s and
         # 2s + 1, and exact zeros elsewhere; it is unitary and diagonalises H0.
         h = hamiltonians(ModelParams(J=1.3, eta=0.17, k=0.6), Paradigm.INTERACTION_CONTROL)
-        (lam,), (w,) = _sector_eigh(h)
+        (lam,), (w,), _ = _sector_eigh(h)
         for s, rows in enumerate(SECTORS):
             others = [r for r in range(4) if r not in rows]
             assert np.all(w[np.ix_(others, [2 * s, 2 * s + 1])] == 0)
