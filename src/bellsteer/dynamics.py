@@ -161,23 +161,22 @@ class IntegrationError(RuntimeError):
 class IntegratorConfig:
     """Adaptive-step configuration; times are in units of 1/J.
 
+    The stepper has no time constant of its own: `_dp5` takes its first
+    trial step and its step-size floor from the sample interval, as
+    sample_every / 10 and sample_every / 1e12, so a run scales with it.
     rel_tol and abs_tol bound each DP5(4) step's local error per amplitude
-    of psi~, abs_tol + rel_tol |y_i|. A one-sector run steps the Bloch
-    vector r~ of psi~ (`_frame`), whose components are products of two
-    amplitudes, so `_dp5` maps the same tolerances onto its axes:
-    2 abs_tol + rel_tol |r~_perp| on each transverse component and
-    2 (abs_tol + rel_tol |r~_z|) on the axial one.
+    of psi~, abs_tol + rel_tol |y_i|; `_dp5` maps them onto the axes of the
+    Bloch vector that a one-sector run steps.
     """
 
     t_max: float
-    dt: float = 0.01
     rel_tol: float = 1e-9
     abs_tol: float = 1e-11
     sample_every: float = 0.1
     v_stop: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("t_max", "dt", "rel_tol", "abs_tol", "sample_every"):
+        for name in ("t_max", "rel_tol", "abs_tol", "sample_every"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -702,7 +701,7 @@ def _dp5(
         return None
 
     t = 0.0
-    h_step = cfg.dt
+    h_step, h_floor = cfg.sample_every / 10, cfg.sample_every / 1e12
     error = cut = None
     try:
         if bloch:
@@ -713,7 +712,7 @@ def _dp5(
                 hs = t_max - t
                 if h_step < hs:
                     hs = h_step
-                if hs < 1e-13:
+                if hs < h_floor:
                     last = f"h={steps[-1]:.3e} ending at t={t:.6g}" if steps else "none"
                     raise IntegrationError(
                         f"step size underflow (h={hs:.3e}; last accepted step {last})", t
@@ -800,7 +799,7 @@ def _dp5(
                 hs = t_max - t
                 if h_step < hs:
                     hs = h_step
-                if hs < 1e-13:
+                if hs < h_floor:
                     last = f"h={steps[-1]:.3e} ending at t={t:.6g}" if steps else "none"
                     raise IntegrationError(
                         f"step size underflow (h={hs:.3e}; last accepted step {last})", t

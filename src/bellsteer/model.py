@@ -184,11 +184,12 @@ def bell_state(which: BellName, basis: Basis) -> np.ndarray:
 
 def subspace_populations(rho: np.ndarray) -> tuple:
     """Population (p_S, p_Sperp) of S = span{|++>, |-->} and its complement
-    in an XProduct density matrix: p_S = Re(rho_00 + rho_33).
+    in an XProduct density matrix: p_S = Re(rho_ii + rho_jj), (i, j) = SECTORS[0].
 
     A stack of matrices (..., 4, 4) gives a pair of arrays, one entry per matrix.
     """
     rho = np.asarray(rho, dtype=complex)
-    p_s = (rho[..., 0, 0] + rho[..., 3, 3]).real
+    i, j = SECTORS[0]
+    p_s = (rho[..., i, i] + rho[..., j, j]).real
     p_s = float(p_s) if rho.ndim == 2 else p_s
     return p_s, 1.0 - p_s

@@ -83,7 +83,6 @@ SCHEMA = [
     ("law.sign", "-1", -1),
     ("law.t0", "3", 3.0),
     ("integrator.t_max", "3", 3.0),
-    ("integrator.dt", "0.02", 0.02),
     ("integrator.rel_tol", "1e-8", 1e-8),
     ("integrator.abs_tol", "1e-10", 1e-10),
     ("integrator.sample_every", "0.05", 0.05),
@@ -117,7 +116,7 @@ class TestScenarioFromMapping:
         assert cfg.paradigm is Paradigm.LOCAL_CONTROL
         assert isinstance(cfg.law, Lyapunov) and cfg.law.kappa == 1.0
         assert cfg.integrator.t_max == 2.0
-        assert cfg.integrator.dt == 0.01  # defaults applied
+        assert cfg.integrator.rel_tol == 1e-9  # defaults applied
         assert cfg.integrator.sample_every == 0.1
         assert cfg.outputs.trajectory_csv is None
         assert cfg.seed is None
@@ -388,15 +387,39 @@ class TestReadmeConfigs:
     """The README's config blocks: a scenario, a state line and a sweep."""
 
     @pytest.fixture(scope="class")
-    def blocks(self):
+    def texts(self):
         text = README.read_text(encoding="utf-8")
-        found = re.findall(r"^```ini\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
-        scenario, state, sweep = (parse_config_text(block) for block in found)
+        return re.findall(r"^```ini\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+
+    @pytest.fixture(scope="class")
+    def blocks(self, texts):
+        scenario, state, sweep = (parse_config_text(block) for block in texts)
         return scenario, state, sweep
 
     def test_scenario_block(self, blocks):
         scenario, _, _ = blocks
         assert isinstance(scenario_from_mapping(scenario), ScenarioConfig)
+
+    def test_commented_keys_show_defaults(self, texts, blocks):
+        """Each `# key = value` line of the scenario block names a field that
+        the block leaves at its default, and value is that default: setting
+        it changes nothing. A removed or re-defaulted field fails here, and
+        so does an integrator field the block does not list."""
+        scenario = blocks[0]
+        shown = dict(re.findall(r"^# ([\w.]+) += +(\S+)", texts[0], re.MULTILINE))
+        assert {f"integrator.{f.name}" for f in dataclasses.fields(IntegratorConfig)} <= (
+            set(shown) | set(scenario))
+
+        def landed(cfg, key):
+            *section, name = key.split(".")
+            return getattr(getattr(cfg, section[0]) if section else cfg, name)
+
+        default = scenario_from_mapping(scenario)
+        for key, value in shown.items():
+            assert key not in scenario, key
+            got = landed(scenario_from_mapping({**scenario, key: value}), key)
+            want = landed(default, key)
+            assert got == want and type(got) is type(want), key
 
     def test_sweep_block(self, blocks):
         scenario, _, sweep = blocks
@@ -468,7 +491,7 @@ class TestRunScenarioAndOutputs:
         _, report = run_scenario(scenario_from_mapping(base_mapping(**overrides)))
         assert list(report["model"]) == ["J", "eta", "k"]
         assert list(report["integrator"]) == [
-            "t_max", "dt", "rel_tol", "abs_tol", "sample_every", "v_stop"
+            "t_max", "rel_tol", "abs_tol", "sample_every", "v_stop"
         ]
         law = report["law"]
         assert (None if law is None else list(law)) == law_keys
@@ -923,7 +946,6 @@ class TestCli:
             ("law.t0", "nan"),
             ("integrator.t_max", "nan"),
             ("integrator.t_max", "inf"),
-            ("integrator.dt", "nan"),
             ("integrator.rel_tol", "nan"),
             ("integrator.abs_tol", "inf"),
             ("integrator.sample_every", "nan"),
@@ -943,6 +965,14 @@ class TestCli:
         assert main(["validate", cfg]) == 2
         assert main([command, cfg]) == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_first_step_is_not_a_key(self, tmp_path, capsys):
+        # The stepper takes its first trial step from sample_every.
+        cfg = self.write_cfg(tmp_path, base_mapping(**{"integrator.dt": "0.01"}))
+        assert main(["validate", cfg]) == 2
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.count("unknown config keys: ['integrator.dt']") == 2
 
     @pytest.mark.parametrize(
         "J,exits", [("1e6", (0, 3)), ("1e8", (0, 3)), ("1e12", (0, 3)), ("1e200", (2,))]
