@@ -1,12 +1,14 @@
 """Control laws: Lyapunov state feedback, timed constant-field switching, and
 free evolution.
 
-The feedback law is f = sign * kappa * Tr(rho_d [-iH1, rho]). Along the closed
-loop the distance V = (1/2)Tr[(rho - rho_d)^2] then satisfies
-dV/dt = -f * Tr(rho_d [-iH1, rho]) = -sign * kappa * Tr(rho_d [-iH1, rho])^2,
-nonpositive for sign=+1. The tests check this against a finite-difference
-derivative along the closed-loop flow, and |f| against its Cauchy-Schwarz
-bound kappa ||i[rho, rho_d]|| ||H1||, with the helpers in `tests/oracles.py`.
+The feedback law is f = kappa * Im Tr(rho_d [H1, rho]) = kappa * Tr(rho_d [-iH1, rho])
+for a signed gain kappa. Along the closed loop the distance
+V = (1/2)Tr[(rho - rho_d)^2] then satisfies
+dV/dt = -f * Tr(rho_d [-iH1, rho]) = -f^2/kappa, nonpositive for kappa > 0; a
+negative kappa flips the field and steers to the phase-flipped target. The tests
+check this against a finite-difference derivative along the closed-loop flow, and
+|f| against its Cauchy-Schwarz bound |kappa| ||i[rho, rho_d]|| ||H1||, with the
+helpers in `tests/oracles.py`.
 The geometric law is an open-loop 0/1 multiplier on the control
 Hamiltonian: on before t0, off afterward.
 """
@@ -19,8 +21,6 @@ from typing import Union
 
 import numpy as np
 
-from .linalg import hs_norm
-
 _REALNESS_TOL = 1e-10
 # 128 u (u = 2^-53): the real part Tr(rho_d [H1, rho]) may carry per unit of
 # ||H1||_F, above the absolute _REALNESS_TOL. For states with ||rho||_F <= 1 each
@@ -32,17 +32,18 @@ _REALNESS_ROUNDING = 128 * 2.0**-53
 
 @dataclass(frozen=True)
 class Lyapunov:
-    """Feedback gain kappa > 0; sign flips the field (steers to the
-    phase-flipped target)."""
+    """Signed feedback gain kappa, finite and nonzero; kappa < 0 flips the
+    field (steers to the phase-flipped target)."""
 
     kappa: float
-    sign: int = 1
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.kappa) and self.kappa > 0):
-            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+        _check_gain(self.kappa)
+
+
+def _check_gain(kappa: float) -> None:
+    if not (math.isfinite(kappa) and kappa != 0):
+        raise ValueError(f"kappa must be finite and nonzero, got {kappa}")
 
 
 @dataclass(frozen=True)
@@ -79,9 +80,8 @@ def control_field(
     rho_d: np.ndarray,
     h1: np.ndarray,
     kappa: float,
-    sign: int = 1,
 ) -> float | np.ndarray:
-    """sign * kappa * Tr(rho_d * (-i)[H1, rho]).
+    """kappa * Tr(rho_d * (-i)[H1, rho]), for a finite nonzero kappa.
 
     The trace is mathematically real for Hermitian arguments; a residual real
     part of Tr(rho_d [H1, rho]) beyond roundoff indicates a construction bug
@@ -90,21 +90,20 @@ def control_field(
     Tr(rho_d H1 rho) - Tr(rho H1 rho_d): each stack times H1 is one product
     of its rows with H1, and each trace of a product one row-wise sum.
     """
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    _check_gain(kappa)
     rho, rho_d = np.asarray(rho), np.asarray(rho_d)
     d = rho.shape[-1]
     rho_h1, rho_d_h1 = ((m.reshape(-1, d) @ h1).reshape(m.shape) for m in (rho, rho_d))
     trace = "...ij,...ji->..."  # Tr(a b) of each pair of matrices
     tr = np.einsum(trace, rho_d_h1, rho) - np.einsum(trace, rho_h1, rho_d)
-    f = feedback_from_trace(tr, kappa, sign, h1_norm=hs_norm(h1))
+    f = feedback_from_trace(tr, kappa, h1_norm=np.linalg.norm(h1))
     return f if isinstance(f, np.ndarray) else float(f)
 
 
 def feedback_from_trace(
-    tr: complex | np.ndarray, kappa: float, sign: int = 1, *, h1_norm: float
+    tr: complex | np.ndarray, kappa: float, *, h1_norm: float
 ) -> float | np.ndarray:
-    """sign * kappa * Im tr for tr = Tr(rho_d [H1, rho]), or an array of such
+    """kappa * Im tr for tr = Tr(rho_d [H1, rho]), or an array of such
     traces, after checking that every real part is roundoff: at most
     max(_REALNESS_TOL, _REALNESS_ROUNDING * h1_norm), h1_norm = ||H1||_F."""
     re = tr.real
@@ -115,7 +114,7 @@ def feedback_from_trace(
             f"control trace has non-imaginary commutator part {re:.3e}; "
             "inputs are not consistently Hermitian"
         )
-    return sign * kappa * tr.imag
+    return kappa * tr.imag
 
 
 def geometric_field(t: float | np.ndarray, law: Geometric) -> float | np.ndarray:

@@ -89,9 +89,9 @@ from .model import (
     Paradigm,
     subspace_populations,
 )
-from .linalg import as_state_vector, outer
 from . import metrics
 
+NORM_TOL = 1e-12
 TRACE_TOL = 1e-9
 HERM_TOL = 1e-9
 PURITY_TOL = 1e-6
@@ -256,15 +256,20 @@ class Trajectory:
 
 def _state_vectors(psi0: np.ndarray, psi_d0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The initial state and target of either propagator as complex unit
-    4-vectors (`linalg.as_state_vector`). A ValueError for any other shape,
-    a 4x4 matrix included, or a norm off 1 by more than linalg.NORM_TOL."""
+    4-vectors. A ValueError for any other shape, a 4x4 matrix included, or a
+    norm off 1 by more than NORM_TOL, a NaN norm included."""
     for name, v in (("psi0", psi0), ("psi_d0", psi_d0)):
         if np.shape(v) != (4,):
             raise ValueError(
                 f"{name} has shape {np.shape(v)}: state and Hamiltonian dimensions do not "
                 "match, a state is a 4-vector in XProduct coordinates"
             )
-    return as_state_vector(psi0), as_state_vector(psi_d0)
+    vectors = np.asarray(psi0, dtype=complex), np.asarray(psi_d0, dtype=complex)
+    for v in vectors:
+        nrm = np.linalg.norm(v)
+        if not abs(nrm - 1.0) <= NORM_TOL:
+            raise ValueError(f"state vector norm {float(nrm)!r} deviates from 1 beyond {NORM_TOL}")
+    return vectors
 
 
 def _sector_eigh(h: HamiltonianPair, fields: tuple = (0.0,)) -> tuple:
@@ -369,7 +374,7 @@ def rhs(frame: tuple, law: Lyapunov, t: float, y: tuple) -> tuple:
     h = W† H1 W, one 2x2 block per sector, and E = diag(exp(i lam t)).
     Within sector s, E h E* is [[h00, h01 r], [h10 / r, h11]] with
     r = exp(i (lam_2s - lam_2s+1) t), one phase factor per sector. The
-    field is f = sign * kappa * Im Tr(rho_d [H1, rho]) = 2 sign kappa Im(a conj(b))
+    field is f = kappa * Im Tr(rho_d [H1, rho]) = 2 kappa Im(a conj(b))
     for rho = psi psi† and rho_d = psi_d psi_d†, with a = <psi_d|H1 psi> and
     b = <psi_d|psi>; the frame leaves both alone, and there psi_d~ is constant.
     The trace is imaginary by construction, so there is no realness to check.
@@ -378,7 +383,7 @@ def rhs(frame: tuple, law: Lyapunov, t: float, y: tuple) -> tuple:
     n = (Re h01 r, -Im h01 r, (h00 - h11)/2), r = exp(i w t) and
     w = lam_2s - lam_2s+1, and with rho~ = (N I + r~.sigma)/2 and psi_d~'s
     constant Bloch vector d~ the two read r~' = 2 f (n x r~) and
-    f = sign kappa n.(r~ x d~): about 30 float operations and one cos/sin
+    f = kappa n.(r~ x d~): about 30 float operations and one cos/sin
     pair, no complex number. h01 r is formed from cos(w t) and sin(w t) as
     the complex product forms it, so its phase rounds as the phase factor
     of psi~ does. The term in I is a global phase, which r~ drops.
@@ -389,7 +394,7 @@ def rhs(frame: tuple, law: Lyapunov, t: float, y: tuple) -> tuple:
         th = w * t
         c, s = cos(th), sin(th)
         n0, m1 = hr * c - hi * s, hr * s + hi * c  # h01 r = n0 + i m1, n = (n0, -m1, n2)
-        g = 2 * law.sign * law.kappa * (
+        g = 2 * law.kappa * (
             n0 * (r1 * d2 - r2 * d1) - m1 * (r2 * d0 - r0 * d2) + n2 * (r0 * d1 - r1 * d0))
         return g * (-m1 * r2 - n2 * r1), g * (n2 * r0 - n0 * r2), g * (n0 * r1 + m1 * r0)
     r0, h00, h01, h10, h11, r1, h22, h23, h32, h33, g0, g1, g2, g3 = frame[2]
@@ -401,7 +406,7 @@ def rhs(frame: tuple, law: Lyapunov, t: float, y: tuple) -> tuple:
     v3 = h32 / e1 * y2 + h33 * y3
     a = g0 * v0 + g1 * v1 + g2 * v2 + g3 * v3
     b = g0 * y0 + g1 * y1 + g2 * y2 + g3 * y3
-    m = -2j * law.sign * law.kappa * (a * b.conjugate()).imag
+    m = -2j * law.kappa * (a * b.conjugate()).imag
     return m * v0, m * v1, m * v2, m * v3
 
 
@@ -515,7 +520,7 @@ def integrate(
     its relative accuracy far below the roundoff of N² and |b|², p_S the
     squared norm of the S columns, and, on the lab vectors
     psi = W diag(exp(-i (lam - lam_0) t)) psi~ and psi_d, the field
-    2 sign kappa Im(<psi_d|H1 psi> conj(<psi_d|psi>)) with H1 psi taken
+    2 kappa Im(<psi_d|H1 psi> conj(<psi_d|psi>)) with H1 psi taken
     sector by sector on the blocks h.h1, concurrence |psi^T S psi|,
     fidelity |<psi_d|psi>|² and purity ||psi||⁴. With v_stop set, `_dp5`
     ends the samples at the first one after t = 0 whose V is below v_stop
@@ -524,7 +529,7 @@ def integrate(
     is checked on the samples. A run is stalled when it
     starts off target (V > 1e-12), V stays within 64 u of V(0), and it spans
     a period 2 pi/w of each stepped sector whose rate w (`rhs`'s |r|) is
-    above the roundoff _SPLIT_ROUNDING ||H0||_F: dV/dt = -sign f²/kappa, each
+    above the roundoff _SPLIT_ROUNDING ||H0||_F: dV/dt = -f²/kappa, each
     computed V is within 32 u of its sample's exact V, and the field of a
     constant psi~ turns with the phase exp(i w t), so a shorter run (5e-11
     from |++> towards Phi+) cannot tell a fixed point from a field still to
@@ -557,7 +562,7 @@ def integrate(
     h1_psi = np.empty_like(psi)
     for s, rows in enumerate(SECTORS):
         h1_psi[:, rows] = psi[:, rows] @ h.h1[s].T
-    f = 2 * law.sign * law.kappa * ((psi_d.conj() * h1_psi).sum(axis=1) * overlap.conj()).imag
+    f = 2 * law.kappa * ((psi_d.conj() * h1_psi).sum(axis=1) * overlap.conj()).imag
     p_s = _sq_norm(samples[:, cols < 2])
     rates = np.abs(lam[::2] - lam[1::2])
     spanned = (t[-1] * rates >= 2 * math.pi) | (rates <= _SPLIT_ROUNDING * np.linalg.norm(h.h0))
@@ -565,7 +570,8 @@ def integrate(
     meta = TrajectoryMetadata(h.params, h.paradigm, law, stalled, stats)
     return Trajectory(
         t, f, v, c, fid, p_s, _sq_norm(psi) ** 2, meta,
-        lambda: psi[:, :, None] * psi[:, None, :].conj(), lambda: _evolve(free, outer(psi_d0), t),
+        lambda: psi[:, :, None] * psi[:, None, :].conj(),
+        lambda: _evolve(free, np.outer(psi_d0, psi_d0.conj()), t),
     )
 
 
@@ -1007,7 +1013,7 @@ def propagate_exact(
     if isinstance(law, Lyapunov):
         raise ValueError("feedback laws have no constant Hamiltonian; use integrate")
     psi0, psi_d0 = _state_vectors(psi0, psi_d0)
-    y0 = np.stack([outer(psi0), outer(psi_d0)])
+    y0 = np.stack([np.outer(v, v.conj()) for v in (psi0, psi_d0)])
     grid = _sample_grid(cfg)
     # The field is on at the samples before t0.
     n_on = int(np.searchsorted(grid, law.t0)) if isinstance(law, Geometric) else 0

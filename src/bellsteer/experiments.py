@@ -36,7 +36,6 @@ from .dynamics import (
     integrate,
     propagate_exact,
 )
-from .linalg import dagger, hs_norm
 from .metrics import V_FIT_FLOOR, convergence_report, peak_report
 from .model import (
     BASES,
@@ -64,7 +63,7 @@ def _state_literals() -> dict[str, np.ndarray]:
         v = np.zeros(4, dtype=complex)
         v[i] = 1.0
         lits[name] = v
-    hh = dagger(X_PRODUCT.transform)  # columns are |++>, |+->, |-+>, |-->
+    hh = X_PRODUCT.transform.conj().T  # columns are |++>, |+->, |-+>, |-->
     for i, name in enumerate(("|++>", "|+->", "|-+>", "|-->")):
         lits[name] = hh[:, i].copy()
     for bn in BellName:
@@ -115,7 +114,7 @@ def parse_state(text: str, field: str) -> np.ndarray:
         nrm = float(np.linalg.norm(v))
         if abs(nrm - 1.0) > 1e-9:
             raise ConfigError(f"{field}: state is not normalized (norm {nrm:.12g})")
-        return dagger(BASES[tag].transform) @ (v / nrm)
+        return BASES[tag].transform.conj().T @ (v / nrm)
     raise ConfigError(
         f"{field}: unknown state {text!r}; use a literal "
         f"({', '.join(sorted(STATE_LITERALS))}) or 'basis:TAG; amps = (re,im),...'"
@@ -505,8 +504,8 @@ def build_report(
 ) -> dict:
     """The JSON report of a finished run of ``cfg`` under the Hamiltonians ``h``."""
     # Undefined (null in the JSON) when the drift is zero, e.g. InteractionControl at eta = 0.
-    h0_norm = hs_norm(h.h0)
-    drive_ratio = float(np.max(np.abs(traj.f)) * hs_norm(h.h1) / h0_norm) if h0_norm else None
+    h0_norm, h1_norm = np.linalg.norm(h.h0), np.linalg.norm(h.h1)
+    drive_ratio = float(np.max(np.abs(traj.f)) * h1_norm / h0_norm) if h0_norm else None
     peak = peak_report(traj)
     stats = traj.metadata.integrator_stats
 

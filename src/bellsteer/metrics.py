@@ -14,13 +14,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import dagger, kron, pauli
 from .model import Basis, Z_PRODUCT
 
 if TYPE_CHECKING:
     from .dynamics import Trajectory
 
-_YY = np.real(kron(pauli("Y"), pauli("Y")))
+_Y = np.array([[0, -1j], [1j, 0]])
+_YY = np.real(np.kron(_Y, _Y))
 
 #: `concurrence` takes a sample as pure when its purity defect is below this times (Tr rho)^2.
 _PURE_TOL = 1e-14
@@ -36,7 +36,7 @@ def spin_flip(basis: Basis = Z_PRODUCT) -> np.ndarray:
     """The spin flip S = T* (Y(x)Y) T^dagger of ``basis`` (T its transform), for which a
     pure two-qubit state psi in that basis has concurrence C = |psi^T S psi| (Wootters,
     PRL 80, 2245 (1998))."""
-    return basis.transform.conj() @ _YY @ dagger(basis.transform)
+    return basis.transform.conj() @ _YY @ basis.transform.conj().T
 
 
 def concurrence(rho: np.ndarray, basis: Basis = Z_PRODUCT) -> float | np.ndarray:
@@ -71,7 +71,7 @@ def concurrence(rho: np.ndarray, basis: Basis = Z_PRODUCT) -> float | np.ndarray
     x = stack[pure, :, diag[pure].argmax(axis=1)]
     c[pure] = abs(np.einsum("ni,ij,nj->n", x, spin_flip(basis), x)) / diag[pure].max(axis=1)
     if not pure.all():
-        rho_z = dagger(basis.transform) @ stack[~pure] @ basis.transform
+        rho_z = basis.transform.conj().T @ stack[~pure] @ basis.transform
         m = rho_z @ _YY @ rho_z.conj() @ _YY
         lams = np.sqrt(np.clip(np.real(np.linalg.eigvals(m)), 0.0, None))
         lams = np.sort(lams, axis=-1)[..., ::-1]

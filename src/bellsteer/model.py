@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import HERMITICITY_TOL, dagger, hs_norm, kron, pauli
+HERMITICITY_TOL = 1e-12
 
 _SQ2 = np.sqrt(2.0)
 
@@ -51,7 +51,7 @@ class ModelParams:
             raise ValueError(f"eta must be nonnegative and finite, got {self.eta}")
         if not math.isfinite(self.k):
             raise ValueError(f"k must be finite, got {self.k}")
-        # `hs_norm` sums squared entries, so the pair's norm is finite only while the
+        # The Frobenius norm sums squared entries, so the pair's norm is finite only while the
         # squared Frobenius norms are: 16 J² for 2J Z(x)Z, and 4 (eta J)² (1 + k²) for
         # the local field, at k and at the interaction drift's k = 1.
         b = self.eta * self.J
@@ -91,8 +91,8 @@ class Basis:
 
     def __post_init__(self) -> None:
         u = self.transform
-        err = hs_norm(u @ dagger(u) - np.eye(4)) if u.shape == (4, 4) else math.inf
-        if err > 1e-12:
+        err = np.linalg.norm(u @ u.conj().T - np.eye(4)) if u.shape == (4, 4) else math.inf
+        if not err <= 1e-12:
             raise ValueError(f"basis transform is not unitary (deviation {err:.3e})")
 
     def vector_from_z(self, v_z: np.ndarray) -> np.ndarray:
@@ -101,7 +101,7 @@ class Basis:
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / _SQ2
 Z_PRODUCT = Basis("ZProduct", np.eye(4, dtype=complex))
-X_PRODUCT = Basis("XProduct", kron(_HADAMARD, _HADAMARD))
+X_PRODUCT = Basis("XProduct", np.kron(_HADAMARD, _HADAMARD))
 
 # Bell vectors in ZProduct coordinates, in BellName's order {Psi+, Phi+, Phi-, Psi-}.
 _BELL_COLUMNS_Z = np.column_stack(
@@ -112,9 +112,13 @@ _BELL_COLUMNS_Z = np.column_stack(
         np.array([0, -1, 1, 0], dtype=complex) / _SQ2,   # (|+-> - |-+>)/sqrt2
     ]
 )
-BELL = Basis("Bell", dagger(_BELL_COLUMNS_Z))
+BELL = Basis("Bell", _BELL_COLUMNS_Z.conj().T)
 
 BASES = {b.tag: b for b in (Z_PRODUCT, X_PRODUCT, BELL)}
+
+# Pauli X and Z, in the Z eigenbasis.
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 # The parity sectors as XProduct rows: S = span{|++>, |-->}, then its complement.
 SECTORS = ((0, 3), (1, 2))
@@ -140,10 +144,10 @@ class HamiltonianPair:
                 raise ValueError(f"{name} must be two 2x2 sector blocks, shape (2, 2, 2), "
                                  f"got {np.shape(h)}")
             with np.errstate(over="ignore"):  # an overflowing norm is rejected just below
-                norm = hs_norm(h)
+                norm = np.linalg.norm(h)
             if not math.isfinite(norm):
                 raise ValueError(f"{name} has no finite norm")
-            err = hs_norm(h - np.conj(h).swapaxes(1, 2))
+            err = np.linalg.norm(h - np.conj(h).swapaxes(1, 2))
             if err > HERMITICITY_TOL:
                 raise ValueError(f"{name} is not Hermitian (deviation {err:.3e})")
 
@@ -164,13 +168,12 @@ def hamiltonians(p: ModelParams, paradigm: Paradigm) -> HamiltonianPair:
     The interaction paradigm drives with the coupling and drifts under the
     symmetric local field, so its drift takes k = 1 regardless of p.k.
     """
-    x, z = pauli("X"), pauli("Z")
-    coupling = np.stack([2.0 * p.J * x, 2.0 * p.J * x])
+    coupling = np.stack([2.0 * p.J * _X, 2.0 * p.J * _X])
     b = p.eta * p.J
     if paradigm is Paradigm.LOCAL_CONTROL:
-        h0, h1 = coupling, np.stack([b * (1 + p.k) * z, b * (1 - p.k) * z])
+        h0, h1 = coupling, np.stack([b * (1 + p.k) * _Z, b * (1 - p.k) * _Z])
     elif paradigm is Paradigm.INTERACTION_CONTROL:
-        h0, h1 = np.stack([2.0 * b * z, np.zeros_like(z)]), coupling
+        h0, h1 = np.stack([2.0 * b * _Z, np.zeros_like(_Z)]), coupling
     else:
         raise ValueError(f"unknown paradigm {paradigm!r}")
     return HamiltonianPair(h0, h1, p, paradigm)

@@ -22,7 +22,7 @@ No run of the package calls these; they check it:
   `dynamics.integrate` and `dynamics.propagate_exact`, so that one test
   class can run the same cases through each;
 - `state_vector`, the unit vector of a pure density matrix, for the
-  oracles that take vectors;
+  oracles that take vectors, and `outer`, the projector v v† of a vector;
 - `h_local` and `h_eff`, the model's Hamiltonians as Kronecker products in
   ZProduct coordinates, and `model_matrices`, the pair of a paradigm built
   from them as 4x4 XProduct matrices, against whose sector rows
@@ -63,23 +63,27 @@ from bellsteer.dynamics import (
     rhs,
 )
 from bellsteer.experiments import CSV_HEADER
-from bellsteer.linalg import hs_norm, kron, outer, pauli
 from bellsteer.model import SECTORS, X_PRODUCT, Basis, HamiltonianPair, ModelParams, Paradigm
 
 # sigma_x, sigma_y, sigma_z.
 PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
+def outer(v: np.ndarray) -> np.ndarray:
+    """The projector v v† of a state vector v."""
+    return np.outer(v, v.conj())
+
+
 def h_local(p: ModelParams) -> np.ndarray:
     """eta*J*(X(x)I + k*I(x)X) in ZProduct coordinates."""
-    x, ident = pauli("X"), pauli("I")
-    return p.eta * p.J * (kron(x, ident) + p.k * kron(ident, x))
+    x, ident = PAULI[0], np.eye(2)
+    return p.eta * p.J * (np.kron(x, ident) + p.k * np.kron(ident, x))
 
 
 def h_eff(p: ModelParams) -> np.ndarray:
     """2J * Z(x)Z in ZProduct coordinates."""
-    z = pauli("Z")
-    return 2.0 * p.J * kron(z, z)
+    z = PAULI[2]
+    return 2.0 * p.J * np.kron(z, z)
 
 
 def from_z(basis: Basis, op_z: np.ndarray) -> np.ndarray:
@@ -139,7 +143,7 @@ def vdot_identity_check(
     psi against the target psi_d, unit 4-vectors as `integrate` takes them.
 
     analytic = -f * Tr(rho_d [-iH1, rho]), the descent identity of the
-    feedback design (equal to -kappa * trace^2 for sign=+1). numeric is a
+    feedback design (equal to -kappa * trace^2). numeric is a
     central finite difference of V along the closed-loop flow, each side
     advanced by one classical RK4 step of `rhs` of size delta on the state
     `integrate` steps: psi~, with rho~ = psi~ psi~†, or on one parity sector
@@ -165,8 +169,8 @@ def vdot_identity_check(
             return 0.5 * (np.linalg.norm(state) * np.eye(2) + np.tensordot(state, PAULI, 1))
         return np.outer(state, state.conj())
 
-    trace_term = control_field(outer(psi), outer(psi_d), pair_matrices(h)[1], 1.0, 1)
-    analytic = -law.sign * law.kappa * trace_term * trace_term
+    trace_term = control_field(outer(psi), outer(psi_d), pair_matrices(h)[1], 1.0)
+    analytic = -law.kappa * trace_term * trace_term
     # V is unchanged by the frame, so it is taken on psi~ against psi_d~.
     target = np.outer(np.conj(frame[3]), frame[3])
     numeric = (lyapunov_value(rk4(delta), target) - lyapunov_value(rk4(-delta), target)) / (
@@ -176,13 +180,13 @@ def vdot_identity_check(
 
 
 def f_bound(rho: np.ndarray, rho_d: np.ndarray, h1: np.ndarray, kappa: float) -> float:
-    """kappa * ||i[rho, rho_d]|| * ||H1|| (Hilbert-Schmidt norms).
+    """|kappa| * ||i[rho, rho_d]|| * ||H1|| (Hilbert-Schmidt norms).
 
     Cauchy-Schwarz upper bound for |control_field|; equals 0 when the states
     commute.
     """
     comm = rho @ rho_d - rho_d @ rho
-    return kappa * hs_norm(comm) * hs_norm(h1)
+    return abs(kappa) * np.linalg.norm(comm) * np.linalg.norm(h1)
 
 
 def csv_text_reference(traj: Trajectory) -> str:
@@ -261,7 +265,7 @@ def psi_rhs(h: HamiltonianPair, frame: tuple, law: Lyapunov, t: float, y: tuple)
     `dynamics._frame` of the pair h, in Python complex arithmetic from
     `psi_coefficients`: -i f E h E* psi~ with
     E h E* = [[h00, h01 r], [h10 / r, h11]], r = exp(i (lam_0 - lam_1) t),
-    and f = 2 sign kappa Im(a conj(b)), a = <psi_d~|E h E* psi~>,
+    and f = 2 kappa Im(a conj(b)), a = <psi_d~|E h E* psi~>,
     b = <psi_d~|psi~>."""
     rate, h00, h01, h10, h11, g0, g1 = psi_coefficients(h, frame)
     e = exp(rate * t)
@@ -270,7 +274,7 @@ def psi_rhs(h: HamiltonianPair, frame: tuple, law: Lyapunov, t: float, y: tuple)
     v1 = h10 / e * y0 + h11 * y1
     a = g0 * v0 + g1 * v1
     b = g0 * y0 + g1 * y1
-    m = -2j * law.sign * law.kappa * (a * b.conjugate()).imag
+    m = -2j * law.kappa * (a * b.conjugate()).imag
     return m * v0, m * v1
 
 
@@ -291,7 +295,7 @@ def vec_frame(h: HamiltonianPair, states: np.ndarray) -> tuple:
     h0, h1 = pair_matrices(h)
     lam, w = np.linalg.eigh(h0)
     rho, rho_d = w.conj().T @ states @ w
-    h1_norm = hs_norm(h1)
+    h1_norm = np.linalg.norm(h1)
     h1 = w.conj().T @ h1 @ w
     eye = np.eye(len(lam))
     gen = np.ascontiguousarray(-1j * (np.kron(h1, eye) - np.kron(eye, h1.T)).T)
@@ -303,7 +307,7 @@ def vec_rhs(frame: tuple, law: ControlLaw, t: float, y: np.ndarray) -> np.ndarra
     """drho~/dt = -i f [U0† H1 U0, rho~] on y = vec rho~: in the eigenbasis
     U0 is the phase exp(-i (lam_j - lam_k) t) on each entry, and
     vec(x) @ gen = vec(-i[W† H1 W, x]); the feedback is
-    sign * kappa * Im Tr(rho_d [H1, rho]), a trace the frame leaves alone.
+    kappa * Im Tr(rho_d [H1, rho]), a trace the frame leaves alone.
     An open-loop field is 1 wherever it is stepped (see `dop853_run`)."""
     _, rates, gen, target, h1_norm = frame
     p = np.exp(rates * t)
@@ -312,7 +316,7 @@ def vec_rhs(frame: tuple, law: ControlLaw, t: float, y: np.ndarray) -> np.ndarra
         return q
     # vdot(vec rho_d~, vec(-i[H1~, rho~])) = -i Tr(rho_d [H1, rho]) for Hermitian rho_d.
     tr = 1j * np.vdot(target, q)
-    return feedback_from_trace(tr, law.kappa, law.sign, h1_norm=h1_norm) * q
+    return feedback_from_trace(tr, law.kappa, h1_norm=h1_norm) * q
 
 
 def dop853_run(
@@ -356,5 +360,5 @@ def dop853_run(
     if not isinstance(law, Lyapunov):
         return dynamics._diagnose(h, law, grid, states, cfg.v_stop)
     traj = dynamics._diagnose(h, None, grid, states, cfg.v_stop)
-    f = control_field(traj.rho, traj.rho_d, pair_matrices(h)[1], law.kappa, law.sign)
+    f = control_field(traj.rho, traj.rho_d, pair_matrices(h)[1], law.kappa)
     return dataclasses.replace(traj, f=f, metadata=dataclasses.replace(traj.metadata, law=law))

@@ -31,7 +31,6 @@ from bellsteer.experiments import (
     run_scenario,
     run_sweep,
 )
-from bellsteer.linalg import dagger, hs_norm, kron, outer
 from bellsteer.metrics import concurrence, lasalle_distance
 from bellsteer.model import (
     ModelParams,
@@ -39,7 +38,14 @@ from bellsteer.model import (
     X_PRODUCT,
     hamiltonians,
 )
-from oracles import f_bound, geometric_evolve, pair_matrices, state_vector, vdot_identity_check
+from oracles import (
+    f_bound,
+    geometric_evolve,
+    outer,
+    pair_matrices,
+    state_vector,
+    vdot_identity_check,
+)
 
 
 def _log_linear_fit(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -202,7 +208,7 @@ def test_criterion_08_oracle_equivalence():
     rho0 = outer(psi0)
     h_tot = sum(pair_matrices(h))
     worst_const = max(
-        hs_norm(traj.rho[i] - geometric_evolve(h_tot, rho0, float(t)))
+        np.linalg.norm(traj.rho[i] - geometric_evolve(h_tot, rho0, float(t)))
         for i, t in enumerate(traj.t)
     )
     print(
@@ -237,7 +243,7 @@ def test_criterion_09_invariant_suite(figure1_runs, lyapunov_runs):
     all_runs = {**figure1_runs, **lyapunov_runs}
     for label, (traj, _) in sorted(all_runs.items()):
         trace_dev = max(abs(complex(np.trace(r)) - 1.0) for r in traj.rho)
-        herm_dev = max(float(np.abs(r - dagger(r)).max()) for r in traj.rho)
+        herm_dev = max(float(np.abs(r - r.conj().T).max()) for r in traj.rho)
         purity_dev = max(
             abs(float(np.real(np.trace(r @ r))) - 1.0) for r in traj.rho
         )
@@ -262,10 +268,10 @@ def test_criterion_09_invariant_suite(figure1_runs, lyapunov_runs):
     worst_lu = 0.0
     for _ in range(100):
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho = g @ dagger(g)
+        rho = g @ g.conj().T
         rho /= np.trace(rho).real
-        u = kron(random_u2(), random_u2())
-        diff = abs(concurrence(rho) - concurrence(u @ rho @ dagger(u)))
+        u = np.kron(random_u2(), random_u2())
+        diff = abs(concurrence(rho) - concurrence(u @ rho @ u.conj().T))
         worst_lu = max(worst_lu, diff)
         assert diff <= 1e-7
     print(f"criterion 9: worst local-unitary concurrence deviation = {worst_lu:.3g}")

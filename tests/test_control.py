@@ -12,7 +12,6 @@ from bellsteer.control import (
     geometric_field,
     lyapunov_value,
 )
-from bellsteer.linalg import hs_norm, outer
 from bellsteer.model import (
     BellName,
     ModelParams,
@@ -21,7 +20,7 @@ from bellsteer.model import (
     bell_state,
     hamiltonians,
 )
-from oracles import f_bound, state_vector, vdot_identity_check
+from oracles import f_bound, outer, state_vector, vdot_identity_check
 
 
 def random_state(rng, dim=4):
@@ -41,13 +40,11 @@ def random_hermitian(rng, dim=4):
 
 
 class TestLawValidation:
-    def test_lyapunov_rejects_nonpositive_kappa(self):
-        with pytest.raises(ValueError, match="kappa"):
-            Lyapunov(kappa=0.0)
-
     def test_lyapunov_rejects_bad_sign(self):
-        with pytest.raises(ValueError, match="sign"):
-            Lyapunov(kappa=1.0, sign=2)
+        # The gain's sign sets the field's direction; 0 and nan have none.
+        for kappa in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="kappa must be finite and nonzero"):
+                Lyapunov(kappa=kappa)
 
     def test_geometric_rejects_negative_t0(self):
         with pytest.raises(ValueError, match="t0"):
@@ -90,7 +87,7 @@ class TestLyapunovValue:
 
 class TestControlField:
     def test_matches_definition(self):
-        # Independent evaluation of sign * kappa * Tr(rho_d (-i)[H1, rho]).
+        # Independent evaluation of kappa * Tr(rho_d (-i)[H1, rho]).
         rng = np.random.default_rng(6)
         for _ in range(20):
             rho, rho_d = random_density(rng), random_density(rng)
@@ -103,8 +100,8 @@ class TestControlField:
         rng = np.random.default_rng(8)
         rho, rho_d = random_density(rng), random_density(rng)
         h1 = random_hermitian(rng)
-        f_plus = control_field(rho, rho_d, h1, kappa=1.0, sign=1)
-        f_minus = control_field(rho, rho_d, h1, kappa=1.0, sign=-1)
+        f_plus = control_field(rho, rho_d, h1, kappa=1.0)
+        f_minus = control_field(rho, rho_d, h1, kappa=-1.0)
         assert f_plus == pytest.approx(-f_minus)
 
     def test_zero_at_coincidence(self):
@@ -113,9 +110,10 @@ class TestControlField:
         h1 = random_hermitian(rng)
         assert control_field(rho, rho, h1, kappa=2.0) == pytest.approx(0.0, abs=1e-12)
 
-    def test_rejects_nonpositive_kappa(self):
+    @pytest.mark.parametrize("kappa", [0.0, float("nan")])
+    def test_rejects_unsigned_kappa(self, kappa):
         with pytest.raises(ValueError, match="kappa"):
-            control_field(np.eye(4) / 4, np.eye(4) / 4, np.eye(4), kappa=-1.0)
+            control_field(np.eye(4) / 4, np.eye(4) / 4, np.eye(4), kappa=kappa)
 
     def test_realness_guard(self):
         # A non-Hermitian "density matrix" leaks a real part into the trace.
@@ -150,12 +148,12 @@ class TestControlFieldStack:
         rho = np.stack([state() for _ in range(n)])
         rho_d = np.stack([state() for _ in range(n)])
         h1 = random_hermitian(rng, d)
-        got = control_field(rho, rho_d, h1, kappa, sign)
+        got = control_field(rho, rho_d, h1, sign * kappa)
         slow = [sign * kappa * np.trace(r_d @ (h1 @ r - r @ h1)).imag
                 for r, r_d in zip(rho, rho_d)]
         # |Tr(rho_d [H1, rho])| <= 2 ||H1|| for unit-trace states (Cauchy-Schwarz).
         assert got.shape == (n,)
-        assert np.max(np.abs(got - slow)) <= 1e-14 * kappa * hs_norm(h1)
+        assert np.max(np.abs(got - slow)) <= 1e-14 * kappa * np.linalg.norm(h1)
 
     def test_non_hermitian_sample_rejected(self):
         rng = np.random.default_rng(14)
@@ -213,12 +211,12 @@ class TestVdotIdentity:
             assert abs(analytic - numeric) <= max(1e-6, 1e-3 * abs(analytic))
 
     def test_sign_flip_reverses_descent(self):
-        # With sign=-1 the same identity holds but dV/dt is nonnegative: the
+        # With kappa < 0 the same identity holds but dV/dt is nonnegative: the
         # loop climbs away from the target instead of descending toward it.
         rng = np.random.default_rng(17)
         p = ModelParams(J=1.0, eta=0.1)
         h = hamiltonians(p, Paradigm.LOCAL_CONTROL)
-        law = Lyapunov(kappa=1.0, sign=-1)
+        law = Lyapunov(kappa=-1.0)
         for _ in range(10):
             psi, psi_d = random_state(rng), random_state(rng)
             analytic, numeric = vdot_identity_check(psi, psi_d, h, law)
@@ -240,4 +238,4 @@ class TestVdotIdentity:
         )
         assert analytic < 0
         assert abs(analytic - numeric) <= max(1e-6, 1e-3 * abs(analytic))
-        assert hs_norm(traj.rho[-1] - traj.rho_d[-1]) > 0
+        assert np.linalg.norm(traj.rho[-1] - traj.rho_d[-1]) > 0

@@ -37,7 +37,6 @@ from bellsteer.dynamics import (
     rhs,
 )
 from bellsteer.experiments import STATE_LITERALS, preset_scenarios
-from bellsteer.linalg import hs_norm, outer
 from bellsteer.metrics import concurrence
 from bellsteer.model import (
     BellName,
@@ -53,6 +52,7 @@ from oracles import (
     dense_samples_reference,
     dop853_run,
     geometric_evolve,
+    outer,
     pair_matrices,
     psi_coefficients,
     psi_rhs,
@@ -171,7 +171,7 @@ class TestFreeEvolution:
         h0, _ = pair_matrices(h)
         for i in (13, 57, 100):
             exact = geometric_evolve(h0, outer(psi0), float(traj.t[i]))
-            assert hs_norm(traj.rho[i] - exact) < 1e-9
+            assert np.linalg.norm(traj.rho[i] - exact) < 1e-9
 
     def test_target_always_drifts_under_h0(self):
         h = local_pair()
@@ -179,7 +179,7 @@ class TestFreeEvolution:
         cfg = IntegratorConfig(t_max=5.0, **TIGHT)
         traj = integrate(h, Lyapunov(kappa=1.0), x_state("|++>"), psi_d0, cfg)
         exact = geometric_evolve(pair_matrices(h)[0], outer(psi_d0), float(traj.t[-1]))
-        assert hs_norm(traj.rho_d[-1] - exact) < 1e-9
+        assert np.linalg.norm(traj.rho_d[-1] - exact) < 1e-9
 
 
 class TestGeometricRuns:
@@ -202,7 +202,7 @@ class TestGeometricRuns:
         h0, h1 = pair_matrices(h)
         at_t0 = geometric_evolve(h0 + h1, outer(psi0), 2.0)
         exact_end = geometric_evolve(h0, at_t0, 3.0)
-        assert hs_norm(traj.rho[-1] - exact_end) < 1e-9
+        assert np.linalg.norm(traj.rho[-1] - exact_end) < 1e-9
 
 
 class TestGeometricRunsExact(TestGeometricRuns):
@@ -233,14 +233,14 @@ class TestLyapunovRuns:
         assert traj.V[0] == pytest.approx(1.0)
 
     def test_sign_flip_steers_to_phase_flipped_target(self):
-        # Driving against Phi+ with inverted sign converges to Phi- instead.
+        # Driving against Phi+ with a negative gain converges to Phi- instead.
         h = local_pair()
         psi0 = x_state("|++>")
         psi_d0 = bell_state(BellName.PHI_PLUS, X_PRODUCT)
         cfg = IntegratorConfig(t_max=300.0)
-        flipped = integrate(h, Lyapunov(kappa=1.0, sign=-1), psi0, psi_d0, cfg)
+        flipped = integrate(h, Lyapunov(kappa=-1.0), psi0, psi_d0, cfg)
         phi_minus = outer(bell_state(BellName.PHI_MINUS, X_PRODUCT))
-        assert hs_norm(flipped.rho[-1] - phi_minus) < 1e-3
+        assert np.linalg.norm(flipped.rho[-1] - phi_minus) < 1e-3
 
     def test_v_stop_ends_run_early(self):
         h = local_pair()
@@ -671,7 +671,8 @@ class TestRhs:
         psi=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
         psi_d=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
         levels=st.sampled_from([[0, 3], [1, 2], [0, 1, 2, 3]]),
-        law=st.builds(Lyapunov, st.floats(0.01, 3.0), st.sampled_from([1, -1])),
+        law=st.builds(lambda kappa, sign: Lyapunov(sign * kappa), st.floats(0.01, 3.0),
+                      st.sampled_from([1, -1])),
         t=st.floats(0.0, 2.0),
     )
     def test_matches_commutator_form(self, h0, h1, psi, psi_d, levels, law, t):
@@ -694,9 +695,9 @@ class TestRhs:
         (_, w), cols = frame[:2]
         dy = np.array(rhs(frame, law, t, y))
 
-        f_ref = control_field(outer(psi), outer(psi_d), h1, law.kappa, law.sign)
+        f_ref = control_field(outer(psi), outer(psi_d), h1, law.kappa)
         dy_ref = w.conj().T @ u0.conj().T @ (-1j * f_ref * h1 @ psi)
-        scale = (abs(f_ref) + law.kappa * hs_norm(h1)) * hs_norm(h1)
+        scale = (abs(f_ref) + abs(law.kappa) * np.linalg.norm(h1)) * np.linalg.norm(h1)
         if len(cols) == 2:
             assert len(y) == 3
             psi_t = (w.conj().T @ u0.conj().T @ psi)[cols]
@@ -722,7 +723,7 @@ class TestRhs:
         most 2 u |lam_0 - lam_1| t (u the unit roundoff), and cos, sin, the
         products and the sums add a few u, as does rounding r~ from psi~:
         16 u covers them. So n moves by at most |h01| eps <= ||h||_F eps/sqrt(2),
-        with eps = 2 u |dlam| t + 16 u, the field f = sign kappa n.(r~ x d~)
+        with eps = 2 u |dlam| t + 16 u, the field f = kappa n.(r~ x d~)
         by kappa times that, and dr~/dt = 2 f (n x r~) by
         sqrt(2) (|f| + kappa |n|) ||h||_F eps <= (|f| + 2 kappa ||h||_F) ||h||_F eps,
         as |n| <= ||h||_F / sqrt(2): the bound psi~'s derivative was held to.
@@ -746,7 +747,7 @@ class TestRhs:
             dr = np.array(rhs(frame, law, float(t), dynamics._bloch(*y.tolist())))
             e = np.exp(1j * lam_x * np.longdouble(t))
             v = e * (h_x @ (e.conj() * y.astype(ext)))
-            f = 2 * law.sign * law.kappa * (np.sum(g_x * v) * np.conj(np.sum(g_x * y))).imag
+            f = 2 * law.kappa * (np.sum(g_x * v) * np.conj(np.sum(g_x * y))).imag
             dr_ref = bloch_derivative(y.astype(ext), -1j * f * v)
             eps = 2 * u * abs(lam_x[0] - lam_x[1]) * t + 16 * u
             bound = (abs(f) + 2 * law.kappa * h_norm) * h_norm * eps
@@ -1092,7 +1093,7 @@ class TestAgainstDOP853:
         assert np.max(np.abs(traj.concurrence - concurrence(rho, X_PRODUCT))) <= 1e-7
         early = traj.t <= rho_until
         assert np.max(np.abs(traj.rho - rho)[early]) <= rho_tol
-        f = [control_field(r, r_d, h1, law.kappa, law.sign)
+        f = [control_field(r, r_d, h1, law.kappa)
              for r, r_d in zip(traj.rho, traj.rho_d)]
         assert np.max(np.abs(traj.f - f)) <= 1e-14
 
@@ -1114,7 +1115,7 @@ class TestPsiColumns:
         law, rho, rho_d = traj.metadata.law, traj.rho, traj.rho_d
         slow = {
             "V": lyapunov_value(rho, rho_d),
-            "f": control_field(rho, rho_d, pair_matrices(h)[1], law.kappa, law.sign),
+            "f": control_field(rho, rho_d, pair_matrices(h)[1], law.kappa),
             "concurrence": concurrence(rho, X_PRODUCT),
             "p_S": subspace_populations(rho)[0],
             "fidelity": np.array([np.trace(r @ r_d).real for r, r_d in zip(rho, rho_d)]),
@@ -1258,7 +1259,7 @@ class TestIntegratorStats:
 class TestTimeScale:
     """A run in time units scaled by c, (J, kappa, t_max, sample_every) ->
     (c J, kappa / c, t_max / c, sample_every / c), is the same run: H0 and H1
-    scale by c, the field 2 sign kappa Im(<psi_d|H1 psi><psi|psi_d>) does not,
+    scale by c, the field 2 kappa Im(<psi_d|H1 psi><psi|psi_d>) does not,
     and `_dp5` takes its first trial step and its step-size floor from
     sample_every (ROADMAP item 5). For c a power of two, scaling is exact and
     commutes with every rounding while nothing overflows or underflows, so
@@ -1273,7 +1274,7 @@ class TestTimeScale:
         h = hamiltonians(ModelParams(J=p.J * c, eta=p.eta, k=p.k), cfg.paradigm)
         icfg = IntegratorConfig(t_max=60.0 / c, sample_every=cfg.integrator.sample_every / c)
         psi0, psi_d0 = (X_PRODUCT.vector_from_z(v) for v in (cfg.initial_state, cfg.target_state))
-        return integrate(h, Lyapunov(kappa=law.kappa / c, sign=law.sign), psi0, psi_d0, icfg)
+        return integrate(h, Lyapunov(kappa=law.kappa / c), psi0, psi_d0, icfg)
 
     @pytest.fixture(scope="class")
     def unscaled(self):
@@ -1336,8 +1337,10 @@ class TestBoundary:
             (outer(np.full(4, 0.5)), r"{side} has shape \(4, 4\): state and Hamiltonian dim"),
             (np.full(3, 3**-0.5), r"{side} has shape \(3,\)"),
             (0.9 * np.eye(4)[0], "state vector norm 0.9 deviates from 1"),
+            (np.array([np.nan, 0, 0, 0]), "state vector norm nan deviates from 1"),
+            (np.array([np.inf, 0, 0, 0]), "state vector norm inf deviates from 1"),
         ],
-        ids=["matrix", "length_3", "norm_0.9"],
+        ids=["matrix", "length_3", "norm_0.9", "nan", "inf"],
     )
     def test_rejects_before_any_work(self, monkeypatch, propagate, law, side, bad, message):
         calls = []

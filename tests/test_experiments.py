@@ -80,7 +80,6 @@ SCHEMA = [
     ("model.eta", "0.2", 0.2),
     ("model.k", "0.5", 0.5),
     ("law.kappa", "0.5", 0.5),
-    ("law.sign", "-1", -1),
     ("law.t0", "3", 3.0),
     ("integrator.t_max", "3", 3.0),
     ("integrator.rel_tol", "1e-8", 1e-8),
@@ -157,9 +156,7 @@ class TestScenarioFromMapping:
         got = getattr(getattr(cfg, section), name)
         assert got == value and type(got) is type(value)
 
-    @pytest.mark.parametrize(
-        "key,raw", [(key, "abc") for key, _, _ in SCHEMA] + [("law.sign", "1.5")]
-    )
+    @pytest.mark.parametrize("key,raw", [(key, "abc") for key, _, _ in SCHEMA])
     def test_non_numeric_value_names_key(self, key, raw):
         with pytest.raises(ConfigError, match=f"^{key}: not "):
             scenario_from_mapping(mapping_with(key, raw))
@@ -456,7 +453,7 @@ class TestRunScenarioAndOutputs:
         cfg, traj, report = tiny_run
         assert report["label"] == "tiny"
         assert report["paradigm"] == "LocalControl"
-        assert report["law"] == {"type": "Lyapunov", "kappa": 1.0, "sign": 1}
+        assert report["law"] == {"type": "Lyapunov", "kappa": 1.0}
         assert report["samples"] == len(traj)
         assert report["final_V"] == pytest.approx(float(traj.V[-1]))
         assert report["stalled"] is False
@@ -482,7 +479,7 @@ class TestRunScenarioAndOutputs:
     @pytest.mark.parametrize(
         "overrides,law_keys",
         [
-            ({}, ["type", "kappa", "sign"]),
+            ({}, ["type", "kappa"]),
             ({"law.type": "Geometric", "law.t0": "1", "law.kappa": None}, ["type", "t0"]),
             ({"law.type": "none", "law.kappa": None}, None),
         ],
@@ -792,13 +789,13 @@ class TestRunSweep:
         assert [row["error"] for row in rows] == [None] * 4
 
     def test_row_failure_isolated(self):
-        rows = run_sweep(self.make_sweep((1.0, -1.0)))
+        rows = run_sweep(self.make_sweep((1.0, 0.0)))
         assert rows[0]["error"] is None
         assert "kappa" in rows[1]["error"]
         assert rows[1]["final_V"] is None
 
     def test_table_csv(self, tmp_path):
-        rows = run_sweep(self.make_sweep((1.0, -1.0)))
+        rows = run_sweep(self.make_sweep((1.0, 0.0)))
         path = tmp_path / "table.csv"
         write_sweep_csv(rows, path)
         lines = path.read_text().splitlines()
@@ -973,6 +970,12 @@ class TestCli:
         assert main(["run", cfg]) == 2
         err = capsys.readouterr().err
         assert err.count("unknown config keys: ['integrator.dt']") == 2
+
+    def test_sign_is_not_a_key(self, tmp_path, capsys):
+        # A negative law.kappa flips the field.
+        cfg = self.write_cfg(tmp_path, base_mapping(**{"law.sign": "-1"}))
+        assert main(["validate", cfg]) == 2
+        assert "unknown config keys: ['law.sign']" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "J,exits", [("1e6", (0, 3)), ("1e8", (0, 3)), ("1e12", (0, 3)), ("1e200", (2,))]

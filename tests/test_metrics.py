@@ -18,7 +18,6 @@ from bellsteer.experiments import (
     run_scenario,
     run_sweep,
 )
-from bellsteer.linalg import dagger, kron, outer, pauli
 from bellsteer.metrics import (
     concurrence,
     convergence_report,
@@ -37,9 +36,9 @@ from bellsteer.model import (
     Z_PRODUCT,
     bell_state,
 )
-from oracles import from_z
+from oracles import PAULI, from_z, outer
 
-YY = np.real(kron(pauli("Y"), pauli("Y")))
+YY = np.real(np.kron(PAULI[1], PAULI[1]))
 # Every basis, and a complex unitary one, whose spin flip differs from its conjugate.
 _U, _ = np.linalg.qr(
     np.random.default_rng(43).normal(size=(4, 4))
@@ -51,7 +50,7 @@ EVERY_BASIS = [*BASES.values(), COMPLEX]
 
 def wootters_eigvals(rho, basis=Z_PRODUCT):
     """Wootters' general formula, from the eigenvalues of rho_z Y(x)Y rho_z* Y(x)Y."""
-    rho_z = dagger(basis.transform) @ rho @ basis.transform
+    rho_z = basis.transform.conj().T @ rho @ basis.transform
     m = rho_z @ YY @ rho_z.conj() @ YY
     lams = np.sqrt(np.clip(np.real(np.linalg.eigvals(m)), 0.0, None))
     lams = np.sort(lams, axis=-1)[..., ::-1]
@@ -94,7 +93,7 @@ def random_local_unitary(rng):
         q, r = np.linalg.qr(m)
         q = q @ np.diag(np.exp(-1j * np.angle(np.diag(r))))
         blocks.append(q)
-    return kron(blocks[0], blocks[1])
+    return np.kron(blocks[0], blocks[1])
 
 
 def make_traj(t, V=None, C=None, stalled=False):
@@ -187,7 +186,7 @@ class TestConcurrence:
             a, b = complex(v[0], v[1]), complex(v[2], v[3])
             a, b = np.array([a, b]) / np.linalg.norm(v)
             blocks.append(np.exp(1j * phi) * np.array([[a, -b.conjugate()], [b, a.conjugate()]]))
-        u = kron(*blocks)
+        u = np.kron(*blocks)
         assert concurrence(u @ rho @ u.conj().T) == pytest.approx(concurrence(rho), abs=1e-9)
 
     def test_range(self):
@@ -218,7 +217,7 @@ class TestPureStateForm:
         v = np.array(parts[:4]) + 1j * np.array(parts[4:])
         assume(np.linalg.norm(v) > 0.1)
         v = v / np.linalg.norm(v)
-        a, b, c, e = dagger(basis.transform) @ v
+        a, b, c, e = basis.transform.conj().T @ v
         exact = 2.0 * abs(a * e - b * c)
         rho = outer(v)
         reference = wootters_eigvals(rho, basis)

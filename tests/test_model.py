@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellsteer.dynamics import _sector_eigh
-from bellsteer.linalg import dagger, hs_norm, kron, outer, pauli
 from bellsteer.model import (
     BASES,
     BELL,
@@ -23,7 +22,19 @@ from bellsteer.model import (
     hamiltonians,
     subspace_populations,
 )
-from oracles import embed, from_z, h_eff, h_local, model_matrices, pair_matrices, sector_blocks
+from oracles import (
+    PAULI,
+    embed,
+    from_z,
+    h_eff,
+    h_local,
+    model_matrices,
+    outer,
+    pair_matrices,
+    sector_blocks,
+)
+
+X = PAULI[0]
 
 SQ2 = np.sqrt(2.0)
 
@@ -56,7 +67,7 @@ class TestModelParams:
 
     def test_zero_eta_allowed(self):
         p = ModelParams(J=1.0, eta=0.0)
-        assert hs_norm(hamiltonians(p, Paradigm.LOCAL_CONTROL).h1) == 0.0
+        assert np.linalg.norm(hamiltonians(p, Paradigm.LOCAL_CONTROL).h1) == 0.0
 
     def test_large_eta_warns(self):
         with pytest.warns(UserWarning, match="not small"):
@@ -70,11 +81,15 @@ class TestBases:
     @pytest.mark.parametrize("tag", ["ZProduct", "XProduct", "Bell"])
     def test_transforms_unitary(self, tag):
         u = BASES[tag].transform
-        assert hs_norm(dagger(u) @ u - np.eye(4)) < 1e-12
+        assert np.linalg.norm(u.conj().T @ u - np.eye(4)) < 1e-12
 
     def test_rejects_non_unitary_transform(self):
         with pytest.raises(ValueError, match="not unitary"):
             Basis("broken", np.ones((2, 2), dtype=complex))
+
+    def test_rejects_nan_transform(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            Basis("broken", np.full((4, 4), np.nan, dtype=complex))
 
     def test_x_product_ordering(self):
         # |++> is the first X-product vector; in Z coordinates all +1/2.
@@ -146,14 +161,14 @@ class TestHamiltonians:
         h = hamiltonians(p, paradigm)
         assert (h.params, h.paradigm) == (p, paradigm)
         for blocks, ref in zip((h.h0, h.h1), model_matrices(p, paradigm)):
-            bound = 64 * 2.0**-53 * hs_norm(blocks)
+            bound = 64 * 2.0**-53 * np.linalg.norm(blocks)
             assert blocks.shape == (2, 2, 2)
-            assert hs_norm(sector_blocks(ref) - blocks) <= bound
-            assert hs_norm(ref - embed(sector_blocks(ref))) <= bound
+            assert np.linalg.norm(sector_blocks(ref) - blocks) <= bound
+            assert np.linalg.norm(ref - embed(sector_blocks(ref))) <= bound
 
     def test_h_local_z_coordinates(self):
         p = ModelParams(J=2.0, eta=0.1, k=0.5)
-        expected = 0.2 * (kron(pauli("X"), pauli("I")) + 0.5 * kron(pauli("I"), pauli("X")))
+        expected = 0.2 * (np.kron(X, np.eye(2)) + 0.5 * np.kron(np.eye(2), X))
         assert np.allclose(h_local(p), expected)
 
     def test_h_eff_z_coordinates(self):
@@ -218,7 +233,7 @@ def s_block(h):
     Kronecker form of H1 (`pair_matrices`)."""
     (lam,), (w,), _ = _sector_eigh(h)
     h1 = pair_matrices(h)[1]
-    return lam[:2], dagger(X_PRODUCT.transform) @ w[:, :2], (dagger(w) @ h1 @ w)[:2, :2]
+    return lam[:2], X_PRODUCT.transform.conj().T @ w[:, :2], (w.conj().T @ h1 @ w)[:2, :2]
 
 
 class TestSubspaceReduce:
@@ -231,7 +246,7 @@ class TestSubspaceReduce:
         assert np.allclose(lam, [-2.0, 2.0], atol=1e-14)
         phi = [bell_state(name, Z_PRODUCT) for name in (BellName.PHI_MINUS, BellName.PHI_PLUS)]
         assert np.allclose(np.abs(np.conj(phi) @ w), np.eye(2), atol=1e-14)
-        assert np.allclose(np.abs(h1), 0.2 * pauli("X").real, atol=1e-14)
+        assert np.allclose(np.abs(h1), 0.2 * X.real, atol=1e-14)
 
     def test_interaction_pair_reduces_in_x_frame(self):
         p = ModelParams(J=1.0, eta=0.1)
@@ -239,7 +254,7 @@ class TestSubspaceReduce:
         assert np.allclose(lam, [-0.2, 0.2], atol=1e-14)
         x_rows = X_PRODUCT.transform[[3, 0]]  # |-->, |++>
         assert np.allclose(np.abs(x_rows.conj() @ w), np.eye(2), atol=1e-14)
-        assert np.allclose(np.abs(h1), 2.0 * pauli("X").real, atol=1e-14)
+        assert np.allclose(np.abs(h1), 2.0 * X.real, atol=1e-14)
 
     def test_reduction_basis_independent(self):
         # The same reduction from the Kronecker forms in ZProduct coordinates,
@@ -249,8 +264,8 @@ class TestSubspaceReduce:
         lam_x, _, h1_x = s_block(h)
         q = np.conj([bell_state(name, Z_PRODUCT) for name in (BellName.PHI_MINUS,
                                                                BellName.PHI_PLUS)])
-        lam_z, v = np.linalg.eigh(q @ h_eff(p) @ dagger(q))
-        h1_z = dagger(v) @ q @ h_local(p) @ dagger(q) @ v
+        lam_z, v = np.linalg.eigh(q @ h_eff(p) @ q.conj().T)
+        h1_z = v.conj().T @ q @ h_local(p) @ q.conj().T @ v
         assert np.allclose(lam_z, lam_x)
         assert np.allclose(np.abs(h1_z), np.abs(h1_x))
 
@@ -260,9 +275,9 @@ class TestSubspaceReduce:
         # the drift's two levels.
         h = hamiltonians(ModelParams(J=1.0, eta=0.1, k=0.5), Paradigm.LOCAL_CONTROL)
         (lam,), (w,), _ = _sector_eigh(h)
-        h1 = np.abs(dagger(w) @ pair_matrices(h)[1] @ w)
+        h1 = np.abs(w.conj().T @ pair_matrices(h)[1] @ w)
         assert np.allclose(lam, [-2.0, 2.0, -2.0, 2.0])
-        assert np.allclose(h1, np.kron(np.diag([0.15, 0.05]), pauli("X").real))
+        assert np.allclose(h1, np.kron(np.diag([0.15, 0.05]), X.real))
 
     def test_eigenvectors_sit_on_the_sector_rows(self):
         # W holds sector s's eigenvectors on the rows SECTORS[s], in columns 2s and
@@ -272,13 +287,13 @@ class TestSubspaceReduce:
         for s, rows in enumerate(SECTORS):
             others = [r for r in range(4) if r not in rows]
             assert np.all(w[np.ix_(others, [2 * s, 2 * s + 1])] == 0)
-        assert np.allclose(dagger(w) @ w, np.eye(4), atol=1e-15)
-        assert np.allclose(dagger(w) @ embed(h.h0) @ w, np.diag(lam), atol=1e-15)
+        assert np.allclose(w.conj().T @ w, np.eye(4), atol=1e-15)
+        assert np.allclose(w.conj().T @ embed(h.h0) @ w, np.diag(lam), atol=1e-15)
 
 
 def parity_population(rho, basis):
     """Re Tr(P_S rho) for rho in ``basis``, with P_S = (1 + X(x)X)/2 written in it."""
-    p_s = from_z(basis, 0.5 * (np.eye(4) + kron(pauli("X"), pauli("X"))))
+    p_s = from_z(basis, 0.5 * (np.eye(4) + np.kron(X, X)))
     return np.trace(p_s @ rho).real
 
 

@@ -1,5 +1,6 @@
 """The package's public names, its import cost and its source layout."""
 
+import ast
 import dataclasses
 import importlib.util
 import inspect
@@ -73,6 +74,47 @@ def test_source_lines_fit_in_99_columns():
         if len(line) > 99
     ]
     assert long == []
+
+
+def _annotation_names(tree: ast.Module) -> set[str]:
+    """The names read in the quoted annotations of a module, such as
+    "Trajectory" in metrics' ``traj: "Trajectory"``."""
+    annotations = [node.annotation for node in ast.walk(tree)
+                   if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation]
+    annotations += [node.returns for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.returns]
+    return {name.id
+            for annotation in annotations
+            for quoted in ast.walk(annotation)
+            if isinstance(quoted, ast.Constant) and isinstance(quoted.value, str)
+            for name in ast.walk(ast.parse(quoted.value, mode="eval"))
+            if isinstance(name, ast.Name)}
+
+
+def test_src_imports_are_used(monkeypatch):
+    # Every name a module imports is read in it. The one exception is a name
+    # the benchmark's Tracer wraps on that module (LAYER_CALLS), which has to
+    # resolve there even when the module no longer calls it. tracing.py loads
+    # as in test_benchmark_traced_names_resolve.
+    spec = importlib.util.spec_from_file_location("bellbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        traced = {attr for module, attr, _, _ in tracing.LAYER_CALLS if module == path.stem}
+        unused += [f"{path.name}: {name}"
+                   for name in sorted(imported - read - _annotation_names(tree) - traced)]
+    assert unused == []
 
 
 def test_benchmark_traced_names_resolve(monkeypatch):
