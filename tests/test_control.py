@@ -40,6 +40,10 @@ def random_hermitian(rng, dim=4):
 
 
 class TestLawValidation:
+    def test_lyapunov_rejects_nonpositive_kappa(self):
+        with pytest.raises(ValueError, match="kappa"):
+            Lyapunov(kappa=0.0)
+
     def test_lyapunov_rejects_bad_sign(self):
         # The gain's sign sets the field's direction; 0 and nan have none.
         for kappa in (0.0, float("nan")):
