@@ -1,14 +1,15 @@
 """Control laws: Lyapunov state feedback, timed constant-field switching, and
 free evolution.
 
-The feedback law is f = kappa * Im Tr(rho_d [H1, rho]) = kappa * Tr(rho_d [-iH1, rho])
-for a signed gain kappa. Along the closed loop the distance
-V = (1/2)Tr[(rho - rho_d)^2] then satisfies
-dV/dt = -f * Tr(rho_d [-iH1, rho]) = -f^2/kappa, nonpositive for kappa > 0; a
-negative kappa flips the field and steers to the phase-flipped target. The tests
-check this against a finite-difference derivative along the closed-loop flow, and
-|f| against its Cauchy-Schwarz bound |kappa| ||i[rho, rho_d]|| ||H1||, with the
-helpers in `tests/oracles.py`.
+The feedback law on state vectors psi and psi_d, with rho = psi psi† and
+rho_d = psi_d psi_d†, is f = kappa * Im Tr(rho_d [H1, rho])
+= 2 kappa Im(<psi_d|H1 psi> conj(<psi_d|psi>)) for a signed gain kappa
+(`control_field`). Along the closed loop the distance
+V = (1/2)Tr[(rho - rho_d)^2], 1 - |<psi_d|psi>|^2 for unit vectors, then
+satisfies dV/dt = -f^2/kappa, nonpositive for kappa > 0; a negative kappa
+flips the field and steers to the phase-flipped target. The tests check this
+against a finite-difference derivative along the closed-loop flow, and |f|
+against its Cauchy-Schwarz bound, with the helpers in `tests/oracles.py`.
 The geometric law is an open-loop 0/1 multiplier on the control
 Hamiltonian: on before t0, off afterward.
 """
@@ -21,13 +22,7 @@ from typing import Union
 
 import numpy as np
 
-_REALNESS_TOL = 1e-10
-# 128 u (u = 2^-53): the real part Tr(rho_d [H1, rho]) may carry per unit of
-# ||H1||_F, above the absolute _REALNESS_TOL. For states with ||rho||_F <= 1 each
-# of the two traces rounds by at most (gamma_4 + gamma_16) ||H1||_F (the row
-# products with H1, then the 16-term sum), about 40 u with the difference; states
-# Hermitian to 32 u ||rho||_F add at most 2 * 32 u ||H1||_F. Seen: 0.24 u at J = 1e12.
-_REALNESS_ROUNDING = 128 * 2.0**-53
+from .model import SECTORS
 
 
 @dataclass(frozen=True)
@@ -76,45 +71,21 @@ def lyapunov_value(rho: np.ndarray, rho_d: np.ndarray) -> float | np.ndarray:
 
 
 def control_field(
-    rho: np.ndarray,
-    rho_d: np.ndarray,
-    h1: np.ndarray,
-    kappa: float,
+    psi: np.ndarray, psi_d: np.ndarray, h1: np.ndarray, kappa: float
 ) -> float | np.ndarray:
-    """kappa * Tr(rho_d * (-i)[H1, rho]), for a finite nonzero kappa.
-
-    The trace is mathematically real for Hermitian arguments; a residual real
-    part of Tr(rho_d [H1, rho]) beyond roundoff indicates a construction bug
-    and raises rather than being silently discarded. Stacks of matrices
-    (..., d, d) give one value per matrix. Tr(rho_d [H1, rho]) is taken as
-    Tr(rho_d H1 rho) - Tr(rho H1 rho_d): each stack times H1 is one product
-    of its rows with H1, and each trace of a product one row-wise sum.
-    """
+    """The feedback field 2 kappa Im(<psi_d|H1 psi> conj(<psi_d|psi>)) of
+    XProduct state vectors, for a finite nonzero kappa: one 4-vector each,
+    or (n, 4) stacks with one value per row. h1 holds H1's (2, 2, 2)
+    parity-sector blocks (`HamiltonianPair.h1`), and H1 psi is taken block
+    by block on the rows `model.SECTORS`."""
     _check_gain(kappa)
-    rho, rho_d = np.asarray(rho), np.asarray(rho_d)
-    d = rho.shape[-1]
-    rho_h1, rho_d_h1 = ((m.reshape(-1, d) @ h1).reshape(m.shape) for m in (rho, rho_d))
-    trace = "...ij,...ji->..."  # Tr(a b) of each pair of matrices
-    tr = np.einsum(trace, rho_d_h1, rho) - np.einsum(trace, rho_h1, rho_d)
-    f = feedback_from_trace(tr, kappa, h1_norm=np.linalg.norm(h1))
-    return f if isinstance(f, np.ndarray) else float(f)
-
-
-def feedback_from_trace(
-    tr: complex | np.ndarray, kappa: float, *, h1_norm: float
-) -> float | np.ndarray:
-    """kappa * Im tr for tr = Tr(rho_d [H1, rho]), or an array of such
-    traces, after checking that every real part is roundoff: at most
-    max(_REALNESS_TOL, _REALNESS_ROUNDING * h1_norm), h1_norm = ||H1||_F."""
-    re = tr.real
-    if isinstance(re, np.ndarray):
-        re = re.flat[np.argmax(np.abs(re))]
-    if abs(re) > max(_REALNESS_TOL, _REALNESS_ROUNDING * h1_norm):
-        raise ValueError(
-            f"control trace has non-imaginary commutator part {re:.3e}; "
-            "inputs are not consistently Hermitian"
-        )
-    return kappa * tr.imag
+    psi, psi_d = np.asarray(psi), np.asarray(psi_d)
+    h1_psi = np.empty(psi.shape, complex)
+    for s, rows in enumerate(SECTORS):
+        h1_psi[..., rows] = psi[..., rows] @ h1[s].T
+    overlap = (psi_d.conj() * psi).sum(axis=-1)
+    f = 2 * kappa * ((psi_d.conj() * h1_psi).sum(axis=-1) * overlap.conj()).imag
+    return f if f.ndim else float(f)
 
 
 def geometric_field(t: float | np.ndarray, law: Geometric) -> float | np.ndarray:

@@ -77,7 +77,7 @@ from .control import (
     ControlLaw,
     Geometric,
     Lyapunov,
-    control_field,  # unused here, but bellbench's traced runs wrap dynamics.control_field
+    control_field,
     geometric_field,
     lyapunov_value,
 )
@@ -180,8 +180,8 @@ class IntegratorConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.v_stop is not None and not math.isfinite(self.v_stop):
-            raise ValueError(f"v_stop must be finite, got {self.v_stop}")
+        if self.v_stop is not None and not (math.isfinite(self.v_stop) and self.v_stop > 0):
+            raise ValueError(f"v_stop must be positive and finite, got {self.v_stop}")
 
 
 @dataclass(frozen=True)
@@ -520,8 +520,7 @@ def integrate(
     its relative accuracy far below the roundoff of N² and |b|², p_S the
     squared norm of the S columns, and, on the lab vectors
     psi = W diag(exp(-i (lam - lam_0) t)) psi~ and psi_d, the field
-    2 kappa Im(<psi_d|H1 psi> conj(<psi_d|psi>)) with H1 psi taken
-    sector by sector on the blocks h.h1, concurrence |psi^T S psi|,
+    `control_field` on the blocks h.h1, concurrence |psi^T S psi|,
     fidelity |<psi_d|psi>|² and purity ||psi||⁴. With v_stop set, `_dp5`
     ends the samples at the first one after t = 0 whose V is below v_stop
     (see there for the stats and errors of a cut run). psi psi† keeps its
@@ -559,10 +558,7 @@ def integrate(
     c = np.abs(((psi @ metrics.spin_flip(X_PRODUCT)) * psi).sum(axis=1))
     overlap = (psi_d.conj() * psi).sum(axis=1)
     fid = overlap.real**2 + overlap.imag**2
-    h1_psi = np.empty_like(psi)
-    for s, rows in enumerate(SECTORS):
-        h1_psi[:, rows] = psi[:, rows] @ h.h1[s].T
-    f = 2 * law.kappa * ((psi_d.conj() * h1_psi).sum(axis=1) * overlap.conj()).imag
+    f = control_field(psi, psi_d, h.h1, law.kappa)
     p_s = _sq_norm(samples[:, cols < 2])
     rates = np.abs(lam[::2] - lam[1::2])
     spanned = (t[-1] * rates >= 2 * math.pi) | (rates <= _SPLIT_ROUNDING * np.linalg.norm(h.h0))

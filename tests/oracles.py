@@ -7,7 +7,9 @@ No run of the package calls these; they check it:
   of `dynamics.propagate_exact`;
 - `vdot_identity_check`, the descent identity of the feedback law against
   a finite difference of V along the closed-loop flow;
-- `f_bound`, the Cauchy-Schwarz bound on the feedback field;
+- `commutator_field`, the feedback field kappa Im Tr(rho_d [H1, rho]) in
+  its density-matrix form, against which `control.control_field` on state
+  vectors is held, and `f_bound`, its Cauchy-Schwarz bound;
 - `csv_text_reference`, the trajectory CSV as '%'-formatted rows, against
   which `experiments.write_trajectory_csv`'s vectorised formatter is held
   byte for byte;
@@ -51,7 +53,6 @@ from bellsteer.control import (
     Geometric,
     Lyapunov,
     control_field,
-    feedback_from_trace,
     lyapunov_value,
 )
 from bellsteer.dynamics import (
@@ -67,6 +68,13 @@ from bellsteer.model import SECTORS, X_PRODUCT, Basis, HamiltonianPair, ModelPar
 
 # sigma_x, sigma_y, sigma_z.
 PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+# 128 u (u = 2^-53) per unit of ||H1||_F, above an absolute 1e-10: the bound on the
+# real part of `vec_rhs`'s trace Tr(rho_d [H1, rho]), which is imaginary for Hermitian
+# states. For states with ||rho||_F <= 1 the trace is two rounded 16-term sums (vec rho~
+# times gen, then the vdot with vec rho_d~) over terms bounded by ||gen||_F <= 4 ||H1||_F,
+# so it rounds by at most 2 gamma_16 * 4 ||H1||_F, about 128 u ||H1||_F, and in practice
+# by far less. Seen: 1.4 u over the DOP853 runs of tests/test_dynamics.py.
+_REALNESS_ROUNDING = 128 * 2.0**-53
 
 
 def outer(v: np.ndarray) -> np.ndarray:
@@ -169,7 +177,7 @@ def vdot_identity_check(
             return 0.5 * (np.linalg.norm(state) * np.eye(2) + np.tensordot(state, PAULI, 1))
         return np.outer(state, state.conj())
 
-    trace_term = control_field(outer(psi), outer(psi_d), pair_matrices(h)[1], 1.0)
+    trace_term = control_field(psi, psi_d, h.h1, 1.0)
     analytic = -law.kappa * trace_term * trace_term
     # V is unchanged by the frame, so it is taken on psi~ against psi_d~.
     target = np.outer(np.conj(frame[3]), frame[3])
@@ -179,11 +187,20 @@ def vdot_identity_check(
     return analytic, numeric
 
 
+def commutator_field(
+    rho: np.ndarray, rho_d: np.ndarray, h1: np.ndarray, kappa: float
+) -> float | np.ndarray:
+    """kappa * Im Tr(rho_d [H1, rho]) for a d x d matrix H1, of one state and
+    target or of each pair of matrices in (n, d, d) stacks."""
+    comm = h1 @ rho - rho @ h1
+    return kappa * np.trace(rho_d @ comm, axis1=-2, axis2=-1).imag
+
+
 def f_bound(rho: np.ndarray, rho_d: np.ndarray, h1: np.ndarray, kappa: float) -> float:
     """|kappa| * ||i[rho, rho_d]|| * ||H1|| (Hilbert-Schmidt norms).
 
-    Cauchy-Schwarz upper bound for |control_field|; equals 0 when the states
-    commute.
+    Cauchy-Schwarz upper bound for |commutator_field|, and so for
+    |control_field| of pure states; equals 0 when the states commute.
     """
     comm = rho @ rho_d - rho_d @ rho
     return abs(kappa) * np.linalg.norm(comm) * np.linalg.norm(h1)
@@ -307,7 +324,8 @@ def vec_rhs(frame: tuple, law: ControlLaw, t: float, y: np.ndarray) -> np.ndarra
     """drho~/dt = -i f [U0† H1 U0, rho~] on y = vec rho~: in the eigenbasis
     U0 is the phase exp(-i (lam_j - lam_k) t) on each entry, and
     vec(x) @ gen = vec(-i[W† H1 W, x]); the feedback is
-    kappa * Im Tr(rho_d [H1, rho]), a trace the frame leaves alone.
+    kappa * Im Tr(rho_d [H1, rho]), a trace the frame leaves alone, whose
+    real part is asserted to be roundoff.
     An open-loop field is 1 wherever it is stepped (see `dop853_run`)."""
     _, rates, gen, target, h1_norm = frame
     p = np.exp(rates * t)
@@ -316,7 +334,8 @@ def vec_rhs(frame: tuple, law: ControlLaw, t: float, y: np.ndarray) -> np.ndarra
         return q
     # vdot(vec rho_d~, vec(-i[H1~, rho~])) = -i Tr(rho_d [H1, rho]) for Hermitian rho_d.
     tr = 1j * np.vdot(target, q)
-    return feedback_from_trace(tr, law.kappa, h1_norm=h1_norm) * q
+    assert abs(tr.real) <= max(1e-10, _REALNESS_ROUNDING * h1_norm), tr
+    return law.kappa * tr.imag * q
 
 
 def dop853_run(
@@ -335,7 +354,7 @@ def dop853_run(
     (`dynamics._state_vectors`), so a bad one is rejected as the
     propagators reject it. The samples go through the pass
     `propagate_exact` ends in, `dynamics._diagnose`, which takes open-loop
-    fields only; a feedback run's f column is `control_field` of each
+    fields only; a feedback run's f column is `commutator_field` of each
     sample's state and target."""
     psi0, psi_d0 = _state_vectors(psi0, psi_d0)
     grid = dynamics._sample_grid(cfg)
@@ -360,5 +379,5 @@ def dop853_run(
     if not isinstance(law, Lyapunov):
         return dynamics._diagnose(h, law, grid, states, cfg.v_stop)
     traj = dynamics._diagnose(h, None, grid, states, cfg.v_stop)
-    f = control_field(traj.rho, traj.rho_d, pair_matrices(h)[1], law.kappa)
+    f = commutator_field(traj.rho, traj.rho_d, pair_matrices(h)[1], law.kappa)
     return dataclasses.replace(traj, f=f, metadata=dataclasses.replace(traj.metadata, law=law))

@@ -20,23 +20,24 @@ from bellsteer.model import (
     bell_state,
     hamiltonians,
 )
-from oracles import f_bound, outer, state_vector, vdot_identity_check
+from oracles import embed, f_bound, outer, state_vector, vdot_identity_check
 
 
-def random_state(rng, dim=4):
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+def random_state(rng):
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
     return v / np.linalg.norm(v)
 
 
-def random_density(rng, dim=4):
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def random_density(rng):
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = m @ m.conj().T
     return rho / np.trace(rho)
 
 
-def random_hermitian(rng, dim=4):
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return 0.5 * (m + m.conj().T)
+def random_blocks(rng):
+    """Random Hermitian (2, 2, 2) parity-sector blocks of an XProduct H1."""
+    m = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+    return 0.5 * (m + m.conj().swapaxes(1, 2))
 
 
 class TestLawValidation:
@@ -91,88 +92,66 @@ class TestLyapunovValue:
 
 class TestControlField:
     def test_matches_definition(self):
-        # Independent evaluation of kappa * Tr(rho_d (-i)[H1, rho]).
+        # Independent evaluation of kappa * Tr(rho_d (-i)[H1, rho]) on psi psi†.
         rng = np.random.default_rng(6)
         for _ in range(20):
-            rho, rho_d = random_density(rng), random_density(rng)
-            h1 = random_hermitian(rng)
+            psi, psi_d = random_state(rng), random_state(rng)
+            blocks = random_blocks(rng)
+            rho, rho_d, h1 = outer(psi), outer(psi_d), embed(blocks)
             expected = np.trace(rho_d @ ((-1j) * (h1 @ rho - rho @ h1))).real
-            got = control_field(rho, rho_d, h1, kappa=1.3)
+            got = control_field(psi, psi_d, blocks, kappa=1.3)
             assert got == pytest.approx(1.3 * expected, abs=1e-12)
 
     def test_sign_flips_field(self):
         rng = np.random.default_rng(8)
-        rho, rho_d = random_density(rng), random_density(rng)
-        h1 = random_hermitian(rng)
-        f_plus = control_field(rho, rho_d, h1, kappa=1.0)
-        f_minus = control_field(rho, rho_d, h1, kappa=-1.0)
+        psi, psi_d = random_state(rng), random_state(rng)
+        blocks = random_blocks(rng)
+        f_plus = control_field(psi, psi_d, blocks, kappa=1.0)
+        f_minus = control_field(psi, psi_d, blocks, kappa=-1.0)
         assert f_plus == pytest.approx(-f_minus)
 
     def test_zero_at_coincidence(self):
         rng = np.random.default_rng(10)
-        rho = random_density(rng)
-        h1 = random_hermitian(rng)
-        assert control_field(rho, rho, h1, kappa=2.0) == pytest.approx(0.0, abs=1e-12)
+        psi = random_state(rng)
+        blocks = random_blocks(rng)
+        assert control_field(psi, psi, blocks, kappa=2.0) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("kappa", [0.0, float("nan")])
     def test_rejects_unsigned_kappa(self, kappa):
+        rng = np.random.default_rng(11)
         with pytest.raises(ValueError, match="kappa"):
-            control_field(np.eye(4) / 4, np.eye(4) / 4, np.eye(4), kappa=kappa)
-
-    def test_realness_guard(self):
-        # A non-Hermitian "density matrix" leaks a real part into the trace.
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 1] = 1.0
-        rho_d = np.diag([1.0, 0, 0, 0]).astype(complex)
-        h1 = np.zeros((4, 4), dtype=complex)
-        h1[0, 1] = h1[1, 0] = 1.0
-        with pytest.raises(ValueError, match="Hermitian"):
-            control_field(rho, rho_d, h1, kappa=1.0)
+            control_field(random_state(rng), random_state(rng), random_blocks(rng), kappa=kappa)
 
 
 class TestControlFieldStack:
-    """A stack of states and targets takes Tr(rho_d H1 rho) - Tr(rho H1 rho_d)
-    with row-wise products; the slow path is the per-matrix commutator form."""
+    """An (n, 4) stack of states and targets gives one field per row; the slow
+    path is the per-matrix commutator form on their outer products."""
 
     @settings(max_examples=100, deadline=None)
     @given(
-        d=st.sampled_from([2, 4]),
         n=st.integers(1, 8),
-        pure=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
         kappa=st.floats(0.01, 3.0),
         sign=st.sampled_from([1, -1]),
     )
-    def test_matches_per_matrix_trace(self, d, n, pure, seed, kappa, sign):
+    def test_matches_per_matrix_trace(self, n, seed, kappa, sign):
         rng = np.random.default_rng(seed)
-
-        def state():
-            return outer(random_state(rng, d)) if pure else random_density(rng, d)
-
-        rho = np.stack([state() for _ in range(n)])
-        rho_d = np.stack([state() for _ in range(n)])
-        h1 = random_hermitian(rng, d)
-        got = control_field(rho, rho_d, h1, sign * kappa)
-        slow = [sign * kappa * np.trace(r_d @ (h1 @ r - r @ h1)).imag
-                for r, r_d in zip(rho, rho_d)]
-        # |Tr(rho_d [H1, rho])| <= 2 ||H1|| for unit-trace states (Cauchy-Schwarz).
+        psi = np.stack([random_state(rng) for _ in range(n)])
+        psi_d = np.stack([random_state(rng) for _ in range(n)])
+        blocks = random_blocks(rng)
+        got = control_field(psi, psi_d, blocks, sign * kappa)
+        h1 = embed(blocks)
+        slow = [sign * kappa * np.trace(outer(v_d) @ (h1 @ outer(v) - outer(v) @ h1)).imag
+                for v, v_d in zip(psi, psi_d)]
+        # |Tr(rho_d [H1, rho])| <= 2 ||H1|| for unit-trace states (Cauchy-Schwarz), and
+        # the blocks have the Frobenius norm of the matrix they embed.
         assert got.shape == (n,)
-        assert np.max(np.abs(got - slow)) <= 1e-14 * kappa * np.linalg.norm(h1)
-
-    def test_non_hermitian_sample_rejected(self):
-        rng = np.random.default_rng(14)
-        h1 = np.zeros((4, 4), dtype=complex)
-        h1[0, 1] = h1[1, 0] = 1.0
-        rho = np.stack([random_density(rng) for _ in range(3)])
-        rho[1] = 0.0
-        rho[1, 0, 1] = 1.0  # as in TestControlField.test_realness_guard
-        rho_d = np.stack([np.diag([1.0, 0, 0, 0]).astype(complex)] * 3)
-        with pytest.raises(ValueError, match="Hermitian"):
-            control_field(rho, rho_d, h1, kappa=1.0)
+        assert np.max(np.abs(got - slow)) <= 1e-14 * kappa * np.linalg.norm(blocks)
 
     def test_single_matrix_gives_a_float(self):
+        # One state vector and one target give one float.
         rng = np.random.default_rng(16)
-        f = control_field(random_density(rng), random_density(rng), random_hermitian(rng), 1.0)
+        f = control_field(random_state(rng), random_state(rng), random_blocks(rng), 1.0)
         assert type(f) is float
 
 
@@ -180,11 +159,11 @@ class TestFBound:
     def test_bounds_field_on_random_states(self):
         rng = np.random.default_rng(12)
         for _ in range(200):
-            rho, rho_d = random_density(rng), random_density(rng)
-            h1 = random_hermitian(rng)
+            psi, psi_d = random_state(rng), random_state(rng)
+            blocks = random_blocks(rng)
             kappa = float(rng.uniform(0.1, 3.0))
-            f = control_field(rho, rho_d, h1, kappa)
-            bound = f_bound(rho, rho_d, h1, kappa)
+            f = control_field(psi, psi_d, blocks, kappa)
+            bound = f_bound(outer(psi), outer(psi_d), embed(blocks), kappa)
             assert abs(f) <= bound + 1e-12
 
 

@@ -20,12 +20,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from bellsteer import dynamics
-from bellsteer.control import (
-    Geometric,
-    Lyapunov,
-    control_field,
-    lyapunov_value,
-)
+from bellsteer.control import Geometric, Lyapunov, lyapunov_value
 from bellsteer.dynamics import (
     IntegrationError,
     IntegratorConfig,
@@ -49,6 +44,7 @@ from bellsteer.model import (
     subspace_populations,
 )
 from oracles import (
+    commutator_field,
     dense_samples_reference,
     dop853_run,
     geometric_evolve,
@@ -91,6 +87,8 @@ class TestIntegratorConfig:
             dict(t_max=10.0, abs_tol=-1e-11),
             dict(t_max=10.0, rel_tol=0.0),
             dict(t_max=10.0, sample_every=0.0),
+            dict(t_max=10.0, v_stop=0.0),
+            dict(t_max=10.0, v_stop=-1e-8),
         ],
     )
     def test_rejects_nonpositive(self, kwargs):
@@ -662,7 +660,7 @@ class TestRhs:
     """`rhs` on psi~, the state vector in the interaction picture of H0 written
     in its eigenbasis W, against the lab-frame Schrodinger derivative carried
     into that frame with an independent matrix exponential
-    U0(t) = expm(-i H0 t), with the feedback from `control_field` on psi psi†."""
+    U0(t) = expm(-i H0 t), with the feedback from `commutator_field` on psi psi†."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -695,7 +693,7 @@ class TestRhs:
         (_, w), cols = frame[:2]
         dy = np.array(rhs(frame, law, t, y))
 
-        f_ref = control_field(outer(psi), outer(psi_d), h1, law.kappa)
+        f_ref = commutator_field(outer(psi), outer(psi_d), h1, law.kappa)
         dy_ref = w.conj().T @ u0.conj().T @ (-1j * f_ref * h1 @ psi)
         scale = (abs(f_ref) + abs(law.kappa) * np.linalg.norm(h1)) * np.linalg.norm(h1)
         if len(cols) == 2:
@@ -793,12 +791,9 @@ class TestRhs:
     def test_non_hermitian_target_rejected_like_control_field(self, monkeypatch):
         h = local_pair()
         rng = np.random.default_rng(3)
-        m = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
-        rho, rho_d = m @ m.conj().swapaxes(1, 2)
-        rho /= np.trace(rho)
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho_d = m @ m.conj().T
         rho_d *= 1j / np.trace(rho_d)  # anti-Hermitian
-        with pytest.raises(ValueError, match="non-imaginary commutator part"):
-            control_field(rho, rho_d, pair_matrices(h)[1], 1.0)
         # `integrate` takes state vectors, whose feedback trace is imaginary by
         # construction, and rejects a matrix before stepping (`TestBoundary`).
         calls = []
@@ -1093,15 +1088,14 @@ class TestAgainstDOP853:
         assert np.max(np.abs(traj.concurrence - concurrence(rho, X_PRODUCT))) <= 1e-7
         early = traj.t <= rho_until
         assert np.max(np.abs(traj.rho - rho)[early]) <= rho_tol
-        f = [control_field(r, r_d, h1, law.kappa)
-             for r, r_d in zip(traj.rho, traj.rho_d)]
+        f = commutator_field(traj.rho, traj.rho_d, h1, law.kappa)
         assert np.max(np.abs(traj.f - f)) <= 1e-14
 
 
 class TestPsiColumns:
     """`integrate` takes every column from the samples of psi~ and the frame;
     the slow path is each column's density-matrix function on the
-    Trajectory's rho and rho_d: `lyapunov_value`, `control_field`,
+    Trajectory's rho and rho_d: `lyapunov_value`, `commutator_field`,
     `concurrence`, `subspace_populations`, Tr(rho rho_d) and Tr(rho²). Both
     sides round each entry by a few u (u = 2^-53) relative to the unit
     states, and the W of both rotations is unitary to 10 u, so the columns
@@ -1115,7 +1109,7 @@ class TestPsiColumns:
         law, rho, rho_d = traj.metadata.law, traj.rho, traj.rho_d
         slow = {
             "V": lyapunov_value(rho, rho_d),
-            "f": control_field(rho, rho_d, pair_matrices(h)[1], law.kappa),
+            "f": commutator_field(rho, rho_d, pair_matrices(h)[1], law.kappa),
             "concurrence": concurrence(rho, X_PRODUCT),
             "p_S": subspace_populations(rho)[0],
             "fidelity": np.array([np.trace(r @ r_d).real for r, r_d in zip(rho, rho_d)]),

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from bellsteer import dynamics, experiments
 from bellsteer.cli import main
-from bellsteer.control import Geometric, Lyapunov
+from bellsteer.control import Geometric, Lyapunov, control_field
 from bellsteer.dynamics import IntegrationError, IntegratorConfig
 from bellsteer.experiments import (
     CSV_HEADER,
@@ -691,15 +691,22 @@ class TestCsvText:
 class TestClosedLoopColumns:
     def test_run_writes_outputs_without_density_matrices(self, monkeypatch, tmp_path):
         # A Lyapunov run takes every column from psi~: the target's evolution, the
-        # invariant pass and the density-matrix forms of f, V, C and p_S are not
-        # reached, and the Trajectory forms neither rho nor rho_d.
+        # invariant pass and the density-matrix forms of V, C and p_S are not
+        # reached, the field takes the lab vectors in one call, and the Trajectory
+        # forms neither rho nor rho_d.
         def refuse(*args, **kwargs):
             raise AssertionError("a density-matrix path was called")
 
-        for name in ("_evolve", "_check_invariants", "control_field", "lyapunov_value",
-                     "subspace_populations"):
+        for name in ("_evolve", "_check_invariants", "lyapunov_value", "subspace_populations"):
             monkeypatch.setattr(f"bellsteer.dynamics.{name}", refuse)
         monkeypatch.setattr("bellsteer.metrics.concurrence", refuse)
+        shapes = []
+
+        def field(psi, psi_d, h1, kappa):
+            shapes.append((psi.shape, psi_d.shape))
+            return control_field(psi, psi_d, h1, kappa)
+
+        monkeypatch.setattr("bellsteer.dynamics.control_field", field)
         cfg = dict(preset_scenarios("figure4"))["figure4_interaction_k0.5"]
         outputs = OutputPaths(str(tmp_path / "run.csv"), str(tmp_path / "run.json"))
         traj, report = run_scenario(dataclasses.replace(cfg, outputs=outputs), "run")
@@ -707,6 +714,7 @@ class TestClosedLoopColumns:
         lines = (tmp_path / "run.csv").read_text().splitlines()
         assert lines[0] == CSV_HEADER and len(lines) == len(traj) + 1 == 3002
         assert json.loads((tmp_path / "run.json").read_text()) == report
+        assert shapes == [((3001, 4), (3001, 4))]
 
 
 class TestRouting:
@@ -962,6 +970,12 @@ class TestCli:
         assert main(["validate", cfg]) == 2
         assert main([command, cfg]) == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_nonpositive_v_stop_exits_2(self, tmp_path, capsys):
+        # V >= 0, so a cut at v_stop <= 0 would never be reached.
+        cfg = self.write_cfg(tmp_path, base_mapping(**{"integrator.v_stop": "0"}))
+        assert main(["validate", cfg]) == 2
+        assert "integrator: v_stop must be positive" in capsys.readouterr().err
 
     def test_first_step_is_not_a_key(self, tmp_path, capsys):
         # The stepper takes its first trial step from sample_every.
