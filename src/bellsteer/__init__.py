@@ -11,7 +11,6 @@ from .control import (
     Geometric,
     Lyapunov,
     control_field,
-    geometric_field,
     lyapunov_value,
 )
 from .dynamics import (
@@ -22,7 +21,6 @@ from .dynamics import (
     TrajectoryMetadata,
     integrate,
     propagate_exact,
-    rhs,
 )
 from .experiments import (
     ConfigError,
@@ -99,7 +97,6 @@ __all__ = [
     "control_field",
     "convergence_report",
     "equator_state",
-    "geometric_field",
     "hamiltonians",
     "integrate",
     "lasalle_distance",
@@ -110,7 +107,6 @@ __all__ = [
     "peak_report",
     "preset_scenarios",
     "propagate_exact",
-    "rhs",
     "run_preset",
     "run_scenario",
     "run_sweep",

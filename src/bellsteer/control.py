@@ -10,8 +10,8 @@ satisfies dV/dt = -f^2/kappa, nonpositive for kappa > 0; a negative kappa
 flips the field and steers to the phase-flipped target. The tests check this
 against a finite-difference derivative along the closed-loop flow, and |f|
 against its Cauchy-Schwarz bound, with the helpers in `tests/oracles.py`.
-The geometric law is an open-loop 0/1 multiplier on the control
-Hamiltonian: on before t0, off afterward.
+The geometric law holds the control Hamiltonian on before t0 and off from
+t0 on; `dynamics.propagate_exact` applies it and reports it as its f column.
 """
 
 from __future__ import annotations
@@ -85,10 +85,4 @@ def control_field(
         h1_psi[..., rows] = psi[..., rows] @ h1[s].T
     overlap = (psi_d.conj() * psi).sum(axis=-1)
     f = 2 * kappa * ((psi_d.conj() * h1_psi).sum(axis=-1) * overlap.conj()).imag
-    return f if f.ndim else float(f)
-
-
-def geometric_field(t: float | np.ndarray, law: Geometric) -> float | np.ndarray:
-    """0/1 multiplier for the switched control Hamiltonian (off at t = t0), one per time."""
-    f = np.where(np.asarray(t) < law.t0, 1.0, 0.0)
     return f if f.ndim else float(f)

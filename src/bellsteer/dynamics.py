@@ -3,61 +3,30 @@ target, and exact open-loop propagation.
 
 Both propagators take the initial state psi0 and target psi_d0 as unit
 4-vectors in XProduct coordinates, and reject any other input with a
-ValueError before any work (`_state_vectors`). The closed loop
-dpsi/dt = -i (H0 + f(psi, psi_d, t) H1) psi steers psi towards the target
-psi_d(t) = U0(t) psi_d0, U0(t) = exp(-i H0 t); on rho = psi psi† it is
-drho/dt = -i [H0 + f H1, rho]. H0 and H1 commute with the parity X(x)X, so
-a pair is two 2x2 blocks, one on each sector, S = span{|++>, |-->} and the
-complement, and is diagonalised block by block (`_sector_eigh`); states and
-W are in XProduct coordinates. `integrate` takes feedback laws only and steps
-only the state vector psi~ = W† U0(t)† psi in the eigenbasis W of H0, whose
-derivative is the control term alone (`rhs`), and of psi~ only the sectors
-where psi~ or the target has weight (`_frame`), 2 or 4 amplitudes. One
-sector, two amplitudes, is a two-level system, and a pure state there is a
-point on the Bloch sphere: such a run steps the real Bloch vector of psi~
-instead (Kuang & Cong, Automatica 44 (2008) 98; Mirrahimi, Rouchon &
-Turinici, Automatica 41 (2005) 1987), three floats and no complex
-arithmetic. It steps them with an adaptive embedded Dormand-Prince 5(4)
-scheme written out over the 3 Bloch components or the 4 amplitudes, over
-the whole run (every stage re-evaluates the feedback). Per step it only
-stores, for a step that passes sample times, a row of a step table
-(`_dp5`). Every sample is then read off the scheme's continuous extension
-in one numpy pass over that table (`_dense_samples`), bit for bit what the
-formula gives in scalar arithmetic but for the sign of a zero, and a Bloch
-sample is turned back into psi~ up to a global phase (`_from_bloch`); with
-v_stop set, the pass runs on each batch of new steps, and the run is cut
-back to the step that passed the first sample below v_stop. Its columns
-(V, field, concurrence, fidelity, p_S, purity) come
-from those samples of psi~, the constant psi_d~ and, for concurrence and
-fidelity, the lab states psi = W diag(exp(-i (lam - lam_0) t)) psi~, one
-row-wise product over all samples: no density matrix is formed for them.
-rho = psi psi† and the target, the exact free evolution of
-rho_d0 = psi_d0 psi_d0† by the eigendecomposition path (`_evolve`), are
-formed only when read.
+ValueError before any work (`_state_vectors`). Every pair is diagonalised
+block by block on its two X(x)X parity sectors (`_sector_eigh`).
 
-`propagate_exact` solves the open-loop runs (a geometric law or none),
-whose Hamiltonian is constant on each interval: it forms rho0 = psi0 psi0†
-and rho_d0 and evolves them by `_evolve`. It ends in `_diagnose`: the
-v_stop cut, the unitary-dynamics invariants (trace, Hermiticity, purity,
-positivity) at every output sample, the field column, then V,
-concurrence, fidelity, p_S and purity, all on the (n, 2, d, d)
-state/target stack. Violations beyond ten times the stated tolerances
-abort the run at the first bad sample. A closed-loop sample psi psi†
-keeps all four invariants by construction, so `integrate` checks only the
-norm and the S-sector norm of psi~ at every step (`_dp5`). The tests check
-the descent identity of the feedback law by stepping `rhs`
-(`tests/oracles.py`).
+`integrate` takes feedback laws only. It steps the closed loop
+dpsi/dt = -i (H0 + f H1) psi against the free target psi_d(t) = U0(t) psi_d0
+as psi~ = W† U0(t)† psi, on the sectors the run reaches (`_frame`), and as
+its real Bloch vector when that is one sector, with a written-out adaptive
+Dormand-Prince 5(4) pair whose stages call `rhs` (`_dp5`). The samples are
+read off a table of its accepted steps (`_dense_samples`), and the columns
+are taken from them with no density matrix; rho and rho_d are formed only
+when read. After each accepted step and at each sample the state is
+projected back to its initial norm, and a step whose norm, or S-sector
+norm, drifted past ABORT_FACTOR * TRACE_TOL aborts the run.
 
-One thing is renormalized: after each accepted step, and at each sample,
-psi~ is scaled back to its initial norm, or the Bloch vector to its initial
-length, which is the squared norm of psi~ (the projection of Hairer, Lubich &
-Wanner, Geometric Numerical Integration, IV.4). It is checked, not silent:
-a step whose squared norm moved by more than ten times the trace tolerance
-before the projection aborts the run, and the largest such drift of a run
-is reported in its `IntegratorStats`. One projection moves V by at most
-that drift (README), so the descent of the feedback law, which the
-integration is to expose, is kept to roundoff. The population of S, which
-the exact flow keeps too, is checked and reported the same way.
+`propagate_exact` solves the open-loop laws, a geometric switch or none,
+whose Hamiltonian is constant on each interval, by one eigendecomposition
+per interval (`_evolve`) on rho0 = psi0 psi0† and rho_d0, and ends in a pass
+over the (n, 2, 4, 4) state/target stack that checks the unitary invariants
+at every sample (`_diagnose`).
+
+The derivations and measurements behind both are in README, "Python API",
+and its sections README, "The closed loop"; README, "The Bloch vector";
+README, "The step table"; README, "The projection"; README, "Exact
+open-loop propagation"; and README, "Column passes".
 """
 
 from __future__ import annotations
@@ -73,14 +42,7 @@ from statistics import median
 
 import numpy as np
 
-from .control import (
-    ControlLaw,
-    Geometric,
-    Lyapunov,
-    control_field,
-    geometric_field,
-    lyapunov_value,
-)
+from .control import ControlLaw, Geometric, Lyapunov, control_field, lyapunov_value
 from .model import (
     SECTORS,
     X_PRODUCT,
@@ -288,33 +250,25 @@ def _sector_eigh(h: HamiltonianPair, fields: tuple = (0.0,)) -> tuple:
     return lam.reshape(-1, 4), w, v
 
 
-def _frame(h: HamiltonianPair, psi0: np.ndarray, psi_d0: np.ndarray) -> tuple[tuple, tuple]:
-    """The interaction picture of H0 for `rhs`, and the state at t = 0 on
-    the parity sectors the run steps: psi~ = W† psi0, or its Bloch vector
-    when one sector is stepped.
+def _frame(
+    h: HamiltonianPair, kappa: float, psi0: np.ndarray, psi_d0: np.ndarray
+) -> tuple[tuple, tuple]:
+    """The interaction picture of H0 that a closed loop with the signed gain
+    kappa steps in: ((lam, W), the stepped columns, the coefficients of `rhs`,
+    conj(psi_d~)), and the state at t = 0 on those columns, psi~ = W† psi0,
+    or its Bloch vector (`_bloch`) when they are one sector.
 
-    (lam, W) is the eigendecomposition of H0 by `_sector_eigh`: columns 0
-    and 1 of W span S, 2 and 3 its complement, and h = W† H1 W is block
-    diagonal, V_s† h1_s V_s on sector s for the eigenvectors V_s of H0's
-    block, so no amplitude crosses from one sector to the other. The run
-    steps each sector where psi~ or psi_d~ = W† psi_d0 has a norm above
-    _SECTOR_WEIGHT; the other holds a rounded zero (about 1e-17) and stays
-    out.
-
-    The frame is ((lam, W), the stepped columns, the coefficients of `rhs`,
-    conj(psi_d~)), with one coefficient set for the width the run steps.
-    Selecting columns keeps lam and W bit for bit. conj(psi_d~) is a tuple
-    of Python complex numbers, 2 wide for one sector and 4 wide for both.
-
-    With one sector, psi~ = (y0, y1) is stepped as its Bloch vector
-    r~ = (2 Re conj(y0) y1, 2 Im conj(y0) y1, |y0|² - |y1|²) (`_bloch`), 3
-    Python floats of length |r~| = |y0|² + |y1|², and the coefficients are
-    (w, Re h01, Im h01, (h00 - h11)/2, d~) with w = lam_2s - lam_2s+1 and d~
-    the Bloch vector of psi_d~, the 7 floats of `rhs`'s Bloch form. With
-    both sectors the state is psi~, 4 Python complex numbers, and the
-    coefficients are one flat tuple of Python complex numbers: for each
-    sector s its relative rate i (lam_2s - lam_2s+1) and its 2x2 block of h,
-    row by row, then conj(psi_d~).
+    (lam, W) is H0's eigendecomposition by `_sector_eigh`; selecting columns
+    keeps both bit for bit. h = W† H1 W has one 2x2 block per sector,
+    V_s† h1_s V_s. A sector is stepped where psi~ or psi_d~ = W† psi_d0 has a
+    norm above _SECTOR_WEIGHT. conj(psi_d~) is a tuple of Python complex
+    numbers, 2 or 4 wide. The coefficients are Python numbers for the width
+    stepped, the signed gain last, so `rhs` reads no law object: on one
+    sector the 7 floats (w, Re h01, Im h01, (h00 - h11)/2, d~), w the rate
+    lam_2s - lam_2s+1 and d~ the Bloch vector of psi_d~, then 2 kappa; on
+    both, for each sector i (lam_2s - lam_2s+1) and its block of h row by
+    row, then conj(psi_d~), then -2j kappa (README, "The closed loop";
+    README, "The Bloch vector").
     """
     (lam,), (w,), (v,) = _sector_eigh(h)
     h1 = v.conj().swapaxes(1, 2) @ h.h1 @ v  # V_s† h1_s V_s, sector by sector
@@ -328,12 +282,12 @@ def _frame(h: HamiltonianPair, psi0: np.ndarray, psi_d0: np.ndarray) -> tuple[tu
         (h00, h01), (_, h11) = h1[k].tolist()
         d = _bloch(*(g.conjugate() for g in target))
         coeffs = (float(lam[2 * k] - lam[2 * k + 1]), h01.real, h01.imag,
-                  0.5 * (h00.real - h11.real), *d)
+                  0.5 * (h00.real - h11.real), *d, 2 * kappa)
         return ((lam, w), cols, coeffs, target), _bloch(*y)
     coeffs = []
     for k in sectors:
         coeffs += [1j * float(lam[2 * k] - lam[2 * k + 1]), *h1[k].ravel().tolist()]
-    return ((lam, w), cols, tuple(coeffs) + target, target), y
+    return ((lam, w), cols, (*coeffs, *target, -2j * kappa), target), y
 
 
 def _bloch(y0: complex, y1: complex) -> tuple[float, float, float]:
@@ -362,42 +316,30 @@ def _from_bloch(r: np.ndarray) -> np.ndarray:
     return psi
 
 
-def rhs(frame: tuple, law: Lyapunov, t: float, y: tuple) -> tuple:
-    """The derivative of the stepped state under the feedback law: the Bloch
-    vector r~ of psi~ on one parity sector, 3 Python floats, or
-    y = psi~ = W† U0(t)† psi on both, 4 Python complex numbers: the state in
-    the interaction picture of U0(t) = exp(-i H0 t) written on the stepped
-    columns of the eigenbasis W of H0 (`_frame`). The result has the width
-    of y.
+def rhs(coeffs: tuple, t: float, y: tuple) -> tuple:
+    """The derivative at time t of the stepped state y: the Bloch vector r~
+    of psi~ on one parity sector, 3 Python floats, or psi~ = W† U0(t)† psi
+    on both, 4 Python complex numbers, with coeffs the `_frame` numbers of
+    that width. The result has the width of y.
 
-    Only the control term is left: dpsi~/dt = -i f E h E* psi~, with
-    h = W† H1 W, one 2x2 block per sector, and E = diag(exp(i lam t)).
-    Within sector s, E h E* is [[h00, h01 r], [h10 / r, h11]] with
-    r = exp(i (lam_2s - lam_2s+1) t), one phase factor per sector. The
-    field is f = kappa * Im Tr(rho_d [H1, rho]) = 2 kappa Im(a conj(b))
-    for rho = psi psi† and rho_d = psi_d psi_d†, with a = <psi_d|H1 psi> and
-    b = <psi_d|psi>; the frame leaves both alone, and there psi_d~ is constant.
-    The trace is imaginary by construction, so there is no realness to check.
-
-    On one sector E h E* = ((h00 + h11)/2) I + n.sigma with
-    n = (Re h01 r, -Im h01 r, (h00 - h11)/2), r = exp(i w t) and
-    w = lam_2s - lam_2s+1, and with rho~ = (N I + r~.sigma)/2 and psi_d~'s
-    constant Bloch vector d~ the two read r~' = 2 f (n x r~) and
-    f = kappa n.(r~ x d~): about 30 float operations and one cos/sin
-    pair, no complex number. h01 r is formed from cos(w t) and sin(w t) as
-    the complex product forms it, so its phase rounds as the phase factor
-    of psi~ does. The term in I is a global phase, which r~ drops.
+    Only the control term is left, dpsi~/dt = -i f E h E* psi~ with
+    E = diag(exp(i lam t)), one phase factor r per sector, and
+    f = 2 kappa Im(<psi_d~|E h E* psi~> conj(<psi_d~|psi~>)); on one sector
+    r~' = 2 f (n x r~) with f = kappa n.(r~ x d~), about 30 float operations
+    and one cos/sin pair, h01 r formed from them as the complex product forms
+    it (README, "The closed loop"; README, "The Bloch vector"). The trace is
+    imaginary by construction, so there is no realness to check.
     """
     if len(y) == 3:
-        w, hr, hi, n2, d0, d1, d2 = frame[2]
+        w, hr, hi, n2, d0, d1, d2, gain = coeffs
         r0, r1, r2 = y
         th = w * t
         c, s = cos(th), sin(th)
         n0, m1 = hr * c - hi * s, hr * s + hi * c  # h01 r = n0 + i m1, n = (n0, -m1, n2)
-        g = 2 * law.kappa * (
+        g = gain * (
             n0 * (r1 * d2 - r2 * d1) - m1 * (r2 * d0 - r0 * d2) + n2 * (r0 * d1 - r1 * d0))
         return g * (-m1 * r2 - n2 * r1), g * (n2 * r0 - n0 * r2), g * (n0 * r1 + m1 * r0)
-    r0, h00, h01, h10, h11, r1, h22, h23, h32, h33, g0, g1, g2, g3 = frame[2]
+    r0, h00, h01, h10, h11, r1, h22, h23, h32, h33, g0, g1, g2, g3, gain = coeffs
     e0, e1 = exp(r0 * t), exp(r1 * t)
     y0, y1, y2, y3 = y
     v0 = h00 * y0 + h01 * e0 * y1
@@ -406,7 +348,7 @@ def rhs(frame: tuple, law: Lyapunov, t: float, y: tuple) -> tuple:
     v3 = h32 / e1 * y2 + h33 * y3
     a = g0 * v0 + g1 * v1 + g2 * v2 + g3 * v3
     b = g0 * y0 + g1 * y1 + g2 * y2 + g3 * y3
-    m = -2j * law.kappa * (a * b.conjugate()).imag
+    m = gain * (a * b.conjugate()).imag
     return m * v0, m * v1, m * v2, m * v3
 
 
@@ -465,6 +407,7 @@ def _check_invariants(t: np.ndarray, states: np.ndarray, purity0: np.ndarray) ->
 def _diagnose(
     h: HamiltonianPair,
     law: ControlLaw,
+    n_on: int,
     t: np.ndarray,
     states: np.ndarray,
     v_stop: float | None,
@@ -478,8 +421,8 @@ def _diagnose(
        V is below v_stop, which it keeps;
     2. the invariants are checked (`_check_invariants`) against the purities
        of the initial stack, so the first bad sample aborts the run;
-    3. the field column is the law's field at each sample: the geometric
-       switch at the sample times, 0 for no law;
+    3. the field column is 1.0 at the first n_on samples, those before a
+       geometric switch, and 0.0 from there on;
     4. V, concurrence, fidelity, p_S and purity are taken for every sample
        at once, in XProduct coordinates.
 
@@ -491,7 +434,8 @@ def _diagnose(
     t, states, v = t[:n], states[:n], v[:n]
     _check_invariants(t[1:], states[1:], _purity(states[0]))
     rho, rho_d = states[:, 0], states[:, 1]
-    f = np.zeros(n) if law is None else geometric_field(t, law)
+    f = np.zeros(n)
+    f[:n_on] = 1.0
     c = metrics.concurrence(rho, X_PRODUCT)
     p_s = subspace_populations(rho)[0]
     fid, pur = _trace_products(rho, rho_d), _trace_products(rho, rho)
@@ -509,47 +453,33 @@ def integrate(
     """Integrate the closed loop of a feedback law over [0, t_max] and sample it.
 
     Takes the initial state psi0 and target psi_d0 as unit 4-vectors in
-    XProduct coordinates (`_state_vectors`), and steps psi~, or on one
-    sector its Bloch vector (see `_frame`, `rhs` and `_dp5`), over the whole
-    run. An open-loop law is rejected: its Hamiltonian is constant on each
-    interval, and `propagate_exact` solves that exactly.
-
-    The columns are a few row-wise operations on the samples of psi~ and
-    the constant psi_d~, with b = <psi_d~|psi~> and squared norms N, N_d
-    (README): V = (N - N_d)²/2 + N_d ||psi~ - psi_d~ b/N_d||², which keeps
-    its relative accuracy far below the roundoff of N² and |b|², p_S the
-    squared norm of the S columns, and, on the lab vectors
-    psi = W diag(exp(-i (lam - lam_0) t)) psi~ and psi_d, the field
-    `control_field` on the blocks h.h1, concurrence |psi^T S psi|,
-    fidelity |<psi_d|psi>|² and purity ||psi||⁴. With v_stop set, `_dp5`
-    ends the samples at the first one after t = 0 whose V is below v_stop
-    (see there for the stats and errors of a cut run). psi psi† keeps its
-    trace, Hermiticity, purity and spectrum by construction, so no invariant
-    is checked on the samples. A run is stalled when it
-    starts off target (V > 1e-12), V stays within 64 u of V(0), and it spans
-    a period 2 pi/w of each stepped sector whose rate w (`rhs`'s |r|) is
-    above the roundoff _SPLIT_ROUNDING ||H0||_F: dV/dt = -f²/kappa, each
-    computed V is within 32 u of its sample's exact V, and the field of a
-    constant psi~ turns with the phase exp(i w t), so a shorter run (5e-11
-    from |++> towards Phi+) cannot tell a fixed point from a field still to
-    rise. The field is no test: at a fixed point the stepper lets roundoff
-    grow below its tolerance, to |f| = 4e-13 from |00> towards Phi+ at
-    kappa = 2. The Trajectory's rho = psi psi† and rho_d, the free evolution of
-    psi_d0 psi_d0† by `_evolve`, are formed only when read.
+    XProduct coordinates (`_state_vectors`), and rejects an open-loop law,
+    whose Hamiltonian is constant on each interval, with a ValueError naming
+    `propagate_exact`. Steps psi~, or on one sector its Bloch vector
+    (`_frame`, `rhs`, `_dp5`), and takes every column from its samples and
+    the constant psi_d~ in a few row-wise operations, with no invariant
+    check (README, "Column passes"): V by `_lyapunov`, p_S, and on the lab
+    vectors psi = W diag(exp(-i (lam - lam_0) t)) psi~ and psi_d the field
+    `control_field`, concurrence, fidelity and purity. With v_stop set the
+    samples end at the first one after t = 0 whose V is below v_stop
+    (`_dp5`). A run is stalled when it starts off target (V > 1e-12), V
+    stays within 64 u of V(0), and it spans a period 2 pi/w of each stepped
+    sector whose rate w is above _SPLIT_ROUNDING ||H0||_F (README,
+    "Output"). The Trajectory's rho = psi psi† and rho_d, the free evolution
+    of psi_d0 psi_d0† by `_evolve`, are formed only when read.
     """
     if not isinstance(law, Lyapunov):
         raise ValueError("open-loop laws have a constant Hamiltonian; use propagate_exact")
     psi0, psi_d0 = _state_vectors(psi0, psi_d0)
     grid = _sample_grid(cfg)
-    frame, y = _frame(h, psi0, psi_d0)
-    samples, stats, error = _dp5(frame, law, y, grid, cfg)
+    (free, cols, coeffs, target), y = _frame(h, law.kappa, psi0, psi_d0)
+    target = np.array(target)  # conj(psi_d~)
+    samples, stats, error = _dp5(coeffs, target, y, grid, cfg)
     if error is not None:
         raise error
     t = grid[: len(samples)]
-    target = np.array(frame[3])  # conj(psi_d~)
     v = _lyapunov(samples, target)
 
-    free, cols = frame[:2]
     lam, w = free[0][cols], free[1][:, cols]
     # Phases relative to the first stepped column's lam, a global phase psi psi† drops:
     # its row and column of rho then carry the phases `_evolve` gives the target.
@@ -574,9 +504,10 @@ def integrate(
 def _lyapunov(samples: np.ndarray, target: np.ndarray) -> np.ndarray:
     """V for each row of samples of psi~ against the constant psi_d~, target
     holding conj(psi_d~): with b = <psi_d~|psi~> and squared norms N and
-    N_d, V = (N - N_d)²/2 + N_d ||psi~ - psi_d~ b/N_d||² (README). Every
-    operation is elementwise, so a row's V does not depend on the rows
-    beside it, and the V that `_dp5` cuts a run at is its V column's."""
+    N_d, V = (N - N_d)²/2 + N_d ||psi~ - psi_d~ b/N_d||² (README, "Column
+    passes"). Every operation is elementwise, so a row's V does not depend
+    on the rows beside it, and the V that `_dp5` cuts a run at is its V
+    column's."""
     b = samples[:, 0] * target[0]
     for j in range(1, len(target)):
         b = b + samples[:, j] * target[j]
@@ -593,65 +524,40 @@ def _sq_norm(rows: np.ndarray) -> np.ndarray:
 
 
 def _dp5(
-    frame: tuple, law: Lyapunov, y: tuple, grid: np.ndarray, cfg: IntegratorConfig
+    coeffs: tuple, target: np.ndarray, y: tuple, grid: np.ndarray, cfg: IntegratorConfig
 ) -> tuple[np.ndarray, IntegratorStats, Exception | None]:
-    """Step the state from y at t = 0 to t_max with the adaptive DP5(4)
-    pair, written out over the 3 components of the Bloch vector r~ of one
-    sector or the 4 amplitudes of psi~ (`_frame`) with no numpy call inside
-    an attempt, then sample it. The two loops share the tableau, the step
-    control, the checks, the projection and the step table; they differ in
-    the state, its error norm, its norm and its FSAL scaling. Every stage
-    goes through the module's `rhs`, 6 calls per attempt and one for the
-    first. An attempt whose error is NaN, or overflows to inf, is rejected.
+    """Step the state y from t = 0 to t_max with the adaptive DP5(4) pair,
+    written out over the 3 components of a Bloch vector r~ or the 4
+    amplitudes of psi~ with no numpy call inside an attempt, then sample it.
+    coeffs are `_frame`'s, and target is conj(psi_d~) as an array, which the
+    v_stop looks read. The two loops share the tableau, the step control,
+    the checks, the projection and the step table, and differ in the state,
+    its error norm, its norm and its FSAL scaling. Every stage goes through
+    the module's `rhs`, 6 calls per attempt and one for the first. An
+    attempt whose error is NaN, or overflows to inf, is rejected.
 
     The error norm maps the tolerances atol + rtol |y_i| of each amplitude
-    (`IntegratorConfig`). Over psi~ it is the RMS over its 4 amplitudes of
-    each one's error over atol + rtol max(|y_i|, |z_i|), old and new state.
-    Over r~ it is the RMS over its 3 components, each transverse one's error
-    over 2 atol + rtol |r~_perp| and the axial one's over
-    2 (atol + rtol |r~_z|), taking the larger |r~_perp| and |r~_z| of the
-    old and new state. A Bloch component is a product of two amplitudes,
-    so an amplitude error e moves it by up to 2 e times the other amplitude:
-    |r~_perp| = 2 |y0| |y1| gives the transverse tolerance. A transverse
-    component does not get rtol times its own size, which drops to atol
-    wherever the component crosses zero, as both do with each turn of the
-    frame. The axial tolerance is relative to |r~_z| itself. At the poles,
-    where the local runs converge, it is the amplitudes' mapping
-    2 (atol + rtol sqrt((N0 + |r~_z|)/2)), the larger amplitude's; near the
-    equator it is tighter. There lies the interaction runs' LaSalle set, and
-    r~_z is the direction in which that set is unstable within each period
-    (ROADMAP item 6): with the amplitudes' mapping the interaction runs
-    settled up to 100 times further off it (|f| up to 7e-7), and V rose
-    between samples inside long steps by up to 4.9e-14. The psi~ error norm
-    also counts the error of the global phase, which r~ drops and which
-    kept psi~ closer to the set.
+    (`IntegratorConfig`): over psi~, the RMS over its 4 amplitudes against
+    the larger |y_i| of the old and new state; over r~, the RMS over its 3
+    components against 2 atol + rtol |r~_perp| for each transverse one and
+    2 (atol + rtol |r~_z|) for the axial one, taking the larger |r~_perp|
+    and |r~_z| of the two states (README, "The Bloch vector"). After each
+    accepted step the state is scaled back to its initial squared norm N0,
+    by c = sqrt(N0/N) on psi~ and c = N0/|r~| on r~, and the FSAL stage by
+    c³ and c². A step whose N, or the squared norm of the S sector, the
+    first two of 4 amplitudes, drifted by more than ABORT_FACTOR * TRACE_TOL
+    aborts the run (README, "The projection"). The last step ends at t_max;
+    one that ends within 1e-10 t_max of it ends there.
 
-    After each accepted step the state is scaled back to its initial squared
-    norm N0 by c, c = sqrt(N0/N) on psi~ and c = N0/|r~| on r~, whose length
-    is psi~'s squared norm. A step whose N drifted from N0 by more than
-    ABORT_FACTOR * TRACE_TOL aborts the run, and so does one after which
-    the squared norm of the S sector, the first two of 4 amplitudes, has
-    drifted by more than that from its initial value. The FSAL stage is
-    rescaled, not re-evaluated: by c³ on psi~, as the field is quadratic in
-    psi~, and by c² on r~, whose derivative is quadratic in r~. The
-    last step ends at t_max, the last sample time; a step that ends within
-    1e-10 t_max of it ends there.
-
-    The loops only step. An accepted step that passes sample times appends
-    a row to the step table: its start t, its size h, the index in grid
-    past its last sample, and the state at t with the step's stages k1 and
-    k3-k7; a step that passes no sample is not stored. The samples are read
-    off the rows' continuous extensions by `_dense_samples`, at no `rhs`
-    call, and a Bloch sample is turned back into psi~ by `_from_bloch`.
-
-    With v_stop set, the rows stored since the last look are sampled every
-    _V_STOP_BATCH accepted steps, and once more when stepping ends or
-    fails, and their V taken by `integrate`'s `_lyapunov`. At the first
-    sample after t = 0 with V < v_stop the run is cut back: its samples end
-    there, and the IntegratorStats (each row notes the counts and drift
-    maxima after its step) and any error are those of the run stopped after
-    the step that passed it. rhs_evals counts the calls up to that step,
-    not the at most _V_STOP_BATCH steps' worth made past it.
+    An accepted step that passes sample times appends a row to the step
+    table: (t, h, the index in grid past its last sample) to spans, and
+    (y, k1, k3-k7) to table. `_dense_samples` reads the samples off it, and
+    `_from_bloch` turns a Bloch sample back into psi~. With v_stop set, the
+    rows stored since the last look are sampled every _V_STOP_BATCH
+    accepted steps, and once more when stepping ends or fails. At the first
+    sample after t = 0 with V < v_stop the run is cut back to the step that
+    passed it: its samples end there, and its IntegratorStats and error are
+    those of the run stopped after that step (README, "The step table").
 
     Returns the (n, 2 or 4) samples of psi~ at the first n times of grid,
     the run's IntegratorStats, and the error that ended it early (or None).
@@ -674,7 +580,7 @@ def _dp5(
     # table. Apart, the two convert to numpy in about half the time of one mixed list.
     spans, table = [], []
     stride = 7 * len(y)
-    ka = rhs(frame, law, 0.0, y)
+    ka = rhs(coeffs, 0.0, y)
     n = 1  # the index in times of the next sample
     steps = []  # accepted step sizes
     rejected = 0
@@ -696,7 +602,7 @@ def _dp5(
         if bloch:
             block = _from_bloch(block)
         below = () if v_stop is None else np.flatnonzero(
-            _lyapunov(block, np.array(frame[3])) < v_stop)
+            _lyapunov(block, target) < v_stop)
         blocks.append(block[: below[0] + 1] if len(below) else block)
         if len(below):
             return start + bisect_right(spans[3 * start + 2:: 3], first + below[0])
@@ -722,25 +628,25 @@ def _dp5(
 
                 # One embedded DP5(4) attempt: stages ka..kg, new state z.
                 x1 = hs * a21
-                kb0, kb1, kb2 = rhs(frame, law, t + c2 * hs, (
+                kb0, kb1, kb2 = rhs(coeffs, t + c2 * hs, (
                     y0 + x1 * ka0, y1 + x1 * ka1, y2 + x1 * ka2))
                 x1, x2 = hs * a31, hs * a32
-                kc0, kc1, kc2 = rhs(frame, law, t + c3 * hs, (
+                kc0, kc1, kc2 = rhs(coeffs, t + c3 * hs, (
                     y0 + x1 * ka0 + x2 * kb0,
                     y1 + x1 * ka1 + x2 * kb1,
                     y2 + x1 * ka2 + x2 * kb2))
                 x1, x2, x3 = hs * a41, hs * a42, hs * a43
-                kd0, kd1, kd2 = rhs(frame, law, t + c4 * hs, (
+                kd0, kd1, kd2 = rhs(coeffs, t + c4 * hs, (
                     y0 + x1 * ka0 + x2 * kb0 + x3 * kc0,
                     y1 + x1 * ka1 + x2 * kb1 + x3 * kc1,
                     y2 + x1 * ka2 + x2 * kb2 + x3 * kc2))
                 x1, x2, x3, x4 = hs * a51, hs * a52, hs * a53, hs * a54
-                ke0, ke1, ke2 = rhs(frame, law, t + c5 * hs, (
+                ke0, ke1, ke2 = rhs(coeffs, t + c5 * hs, (
                     y0 + x1 * ka0 + x2 * kb0 + x3 * kc0 + x4 * kd0,
                     y1 + x1 * ka1 + x2 * kb1 + x3 * kc1 + x4 * kd1,
                     y2 + x1 * ka2 + x2 * kb2 + x3 * kc2 + x4 * kd2))
                 x1, x2, x3, x4, x5 = hs * a61, hs * a62, hs * a63, hs * a64, hs * a65
-                kf0, kf1, kf2 = rhs(frame, law, t + hs, (
+                kf0, kf1, kf2 = rhs(coeffs, t + hs, (
                     y0 + x1 * ka0 + x2 * kb0 + x3 * kc0 + x4 * kd0 + x5 * ke0,
                     y1 + x1 * ka1 + x2 * kb1 + x3 * kc1 + x4 * kd1 + x5 * ke1,
                     y2 + x1 * ka2 + x2 * kb2 + x3 * kc2 + x4 * kd2 + x5 * ke2))
@@ -748,7 +654,7 @@ def _dp5(
                 z0 = y0 + x1 * ka0 + x3 * kc0 + x4 * kd0 + x5 * ke0 + x6 * kf0
                 z1 = y1 + x1 * ka1 + x3 * kc1 + x4 * kd1 + x5 * ke1 + x6 * kf1
                 z2 = y2 + x1 * ka2 + x3 * kc2 + x4 * kd2 + x5 * ke2 + x6 * kf2
-                kg0, kg1, kg2 = rhs(frame, law, t + hs, (z0, z1, z2))
+                kg0, kg1, kg2 = rhs(coeffs, t + hs, (z0, z1, z2))
                 qt, qz = z0 * z0 + z1 * z1, abs(z2)
                 x1, x3, x4, x5, x6, x7 = hs * e1, hs * e3, hs * e4, hs * e5, hs * e6, hs * e7
                 st = atol2 + rtol * math.sqrt(pt if pt > qt else qt)
@@ -809,28 +715,28 @@ def _dp5(
 
                 # One embedded DP5(4) attempt: stages ka..kg, new state z.
                 x1 = hs * a21
-                kb0, kb1, kb2, kb3 = rhs(frame, law, t + c2 * hs, (
+                kb0, kb1, kb2, kb3 = rhs(coeffs, t + c2 * hs, (
                     y0 + x1 * ka0, y1 + x1 * ka1, y2 + x1 * ka2, y3 + x1 * ka3))
                 x1, x2 = hs * a31, hs * a32
-                kc0, kc1, kc2, kc3 = rhs(frame, law, t + c3 * hs, (
+                kc0, kc1, kc2, kc3 = rhs(coeffs, t + c3 * hs, (
                     y0 + x1 * ka0 + x2 * kb0,
                     y1 + x1 * ka1 + x2 * kb1,
                     y2 + x1 * ka2 + x2 * kb2,
                     y3 + x1 * ka3 + x2 * kb3))
                 x1, x2, x3 = hs * a41, hs * a42, hs * a43
-                kd0, kd1, kd2, kd3 = rhs(frame, law, t + c4 * hs, (
+                kd0, kd1, kd2, kd3 = rhs(coeffs, t + c4 * hs, (
                     y0 + x1 * ka0 + x2 * kb0 + x3 * kc0,
                     y1 + x1 * ka1 + x2 * kb1 + x3 * kc1,
                     y2 + x1 * ka2 + x2 * kb2 + x3 * kc2,
                     y3 + x1 * ka3 + x2 * kb3 + x3 * kc3))
                 x1, x2, x3, x4 = hs * a51, hs * a52, hs * a53, hs * a54
-                ke0, ke1, ke2, ke3 = rhs(frame, law, t + c5 * hs, (
+                ke0, ke1, ke2, ke3 = rhs(coeffs, t + c5 * hs, (
                     y0 + x1 * ka0 + x2 * kb0 + x3 * kc0 + x4 * kd0,
                     y1 + x1 * ka1 + x2 * kb1 + x3 * kc1 + x4 * kd1,
                     y2 + x1 * ka2 + x2 * kb2 + x3 * kc2 + x4 * kd2,
                     y3 + x1 * ka3 + x2 * kb3 + x3 * kc3 + x4 * kd3))
                 x1, x2, x3, x4, x5 = hs * a61, hs * a62, hs * a63, hs * a64, hs * a65
-                kf0, kf1, kf2, kf3 = rhs(frame, law, t + hs, (
+                kf0, kf1, kf2, kf3 = rhs(coeffs, t + hs, (
                     y0 + x1 * ka0 + x2 * kb0 + x3 * kc0 + x4 * kd0 + x5 * ke0,
                     y1 + x1 * ka1 + x2 * kb1 + x3 * kc1 + x4 * kd1 + x5 * ke1,
                     y2 + x1 * ka2 + x2 * kb2 + x3 * kc2 + x4 * kd2 + x5 * ke2,
@@ -840,7 +746,7 @@ def _dp5(
                 z1 = y1 + x1 * ka1 + x3 * kc1 + x4 * kd1 + x5 * ke1 + x6 * kf1
                 z2 = y2 + x1 * ka2 + x3 * kc2 + x4 * kd2 + x5 * ke2 + x6 * kf2
                 z3 = y3 + x1 * ka3 + x3 * kc3 + x4 * kd3 + x5 * ke3 + x6 * kf3
-                kg0, kg1, kg2, kg3 = rhs(frame, law, t + hs, (z0, z1, z2, z3))
+                kg0, kg1, kg2, kg3 = rhs(coeffs, t + hs, (z0, z1, z2, z3))
                 mz0, mz1, mz2, mz3 = abs(z0), abs(z1), abs(z2), abs(z3)
                 x1, x3, x4, x5, x6, x7 = hs * e1, hs * e3, hs * e4, hs * e5, hs * e6, hs * e7
                 s0 = (abs(x1 * ka0 + x3 * kc0 + x4 * kd0 + x5 * ke0 + x6 * kf0 + x7 * kg0)
@@ -906,7 +812,7 @@ def _dp5(
     h_range = (min(steps), max(steps), median(steps)) if steps else (None, None, None)
     evals = 1 + 6 * (len(steps) + rejected)
     stats = IntegratorStats(len(steps), rejected, evals, *h_range, max_drift, max_sector,
-                            len(frame[1]))  # the stepped columns, 2 or 4 amplitudes
+                            len(target))
     return np.concatenate(blocks), stats, error
 
 
@@ -922,14 +828,9 @@ def _dense_samples(
     first row) to its own, and end is the last row's n.
 
     The sample at theta = (s - t)/h is y + sum_i x_i k_i (`_DENSE`), scaled
-    by sqrt(norm0/N) on psi~ and by norm0/|r~| on r~ (`_dp5`'s projection):
-    bit for bit that formula in scalar Python arithmetic (`tests/oracles.py`),
-    the same operations in the same order, on real and imaginary parts of
-    psi~ with norms by np.hypot as abs() takes them, in blocks of
-    _DENSE_FLOATS step-table floats. A float x times a complex z is
-    (x Re z, x Im z), C99's mixed-mode product; CPython up to 3.13 adds the
-    terms -0 Im z and 0 Re z, which can only flip the sign of a zero part
-    (none did over 1,062 runs, `BENCH_step_table.json`).
+    as `_dp5` projects, bit for bit that formula in scalar Python arithmetic
+    (`tests/oracles.py`) but for the sign of a zero part, in blocks of
+    _DENSE_FLOATS step-table floats (README, "The step table").
     """
     span = np.fromiter(spans, float, len(spans)).reshape(-1, 3)
     ends = span[:, 2].astype(np.intp)
@@ -1000,10 +901,11 @@ def propagate_exact(
 
     Takes the arguments of `integrate`, unit state vectors included, and
     returns the same Trajectory, invariant aborts and v_stop cut included,
-    without a Runge-Kutta step: the Hamiltonian is H0 + H1 before a
-    geometric switch time t0 and H0 from t0 on (a sample at exactly t0 is
-    already off), so each interval takes one eigendecomposition and the
-    state at t >= t0 is the free evolution of the state at t0. It evolves
+    without a Runge-Kutta step: the Hamiltonian is H0 + H1 at the n_on
+    samples before a geometric switch time t0 and H0 from t0 on (a sample
+    at exactly t0 is already off), so each interval takes one
+    eigendecomposition, the state at t >= t0 is the free evolution of the
+    state at t0, and n_on also sets the f column. It evolves
     rho0 = psi0 psi0† and rho_d0 = psi_d0 psi_d0† by `_evolve`.
     """
     if isinstance(law, Lyapunov):
@@ -1024,4 +926,4 @@ def propagate_exact(
         states[:n_on, 0] = _evolve(driven, start, grid[:n_on])
         start, t_start = _evolve(driven, start, np.array([law.t0]))[0], law.t0
     states[n_on:, 0] = _evolve(free, start, grid[n_on:] - t_start)
-    return _diagnose(h, law, grid, states, cfg.v_stop)
+    return _diagnose(h, law, n_on, grid, states, cfg.v_stop)

@@ -160,11 +160,11 @@ def vdot_identity_check(
     max(1e-6, 1e-3 |analytic|) for valid inputs.
     """
     psi, psi_d = _state_vectors(psi, psi_d)
-    frame, y = _frame(h, psi, psi_d)
+    (_, _, coeffs, target), y = _frame(h, law.kappa, psi, psi_d)
     y = np.array(y)
 
     def deriv(t: float, state: np.ndarray) -> np.ndarray:
-        return np.array(rhs(frame, law, t, tuple(state.tolist())))
+        return np.array(rhs(coeffs, t, tuple(state.tolist())))
 
     k1 = deriv(0.0, y)
 
@@ -180,7 +180,7 @@ def vdot_identity_check(
     trace_term = control_field(psi, psi_d, h.h1, 1.0)
     analytic = -law.kappa * trace_term * trace_term
     # V is unchanged by the frame, so it is taken on psi~ against psi_d~.
-    target = np.outer(np.conj(frame[3]), frame[3])
+    target = np.outer(np.conj(target), target)
     numeric = (lyapunov_value(rk4(delta), target) - lyapunov_value(rk4(-delta), target)) / (
         2.0 * delta
     )
@@ -353,9 +353,9 @@ def dop853_run(
     as it is. The states go through the package's boundary check
     (`dynamics._state_vectors`), so a bad one is rejected as the
     propagators reject it. The samples go through the pass
-    `propagate_exact` ends in, `dynamics._diagnose`, which takes open-loop
-    fields only; a feedback run's f column is `commutator_field` of each
-    sample's state and target."""
+    `propagate_exact` ends in, `dynamics._diagnose`, with the count of
+    samples before t0 for its open-loop f column; a feedback run's f column
+    is `commutator_field` of each sample's state and target."""
     psi0, psi_d0 = _state_vectors(psi0, psi_d0)
     grid = dynamics._sample_grid(cfg)
     frame, y = vec_frame(h, np.stack([outer(psi0), outer(psi_d0)]))
@@ -364,6 +364,8 @@ def dop853_run(
         t_on = grid[-1]
     else:
         t_on = min(law.t0, grid[-1]) if isinstance(law, Geometric) else 0.0
+    # The open-loop field is 1 at the samples strictly before t0 and 0 from it on.
+    n_on = int(np.count_nonzero(grid < law.t0)) if isinstance(law, Geometric) else 0
     ys = np.tile(y, (len(grid), 1))
     if t_on > 0.0:
         ref = solve_ivp(lambda t, y: vec_rhs(frame, law, t, y), (0.0, t_on), y,
@@ -377,7 +379,7 @@ def dop853_run(
     d = len(w)
     states = w @ tilde.reshape(len(grid), 2, d, d) @ w.conj().T
     if not isinstance(law, Lyapunov):
-        return dynamics._diagnose(h, law, grid, states, cfg.v_stop)
-    traj = dynamics._diagnose(h, None, grid, states, cfg.v_stop)
+        return dynamics._diagnose(h, law, n_on, grid, states, cfg.v_stop)
+    traj = dynamics._diagnose(h, None, 0, grid, states, cfg.v_stop)
     f = commutator_field(traj.rho, traj.rho_d, pair_matrices(h)[1], law.kappa)
     return dataclasses.replace(traj, f=f, metadata=dataclasses.replace(traj.metadata, law=law))

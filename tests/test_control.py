@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellsteer.control import (
-    Geometric,
-    Lyapunov,
-    control_field,
-    geometric_field,
-    lyapunov_value,
-)
+from bellsteer.control import Geometric, Lyapunov, control_field, lyapunov_value
+from bellsteer.dynamics import IntegratorConfig, propagate_exact
 from bellsteer.model import (
     BellName,
     ModelParams,
@@ -168,15 +163,31 @@ class TestFBound:
 
 
 class TestGeometricField:
+    """The open-loop field is `propagate_exact`'s f column: 1.0 at the
+    samples strictly before t0 and 0.0 from t0 on, so a sample at t0 is
+    already off. The grid 0, 0.25, ..., 1 is exact in binary."""
+
+    @staticmethod
+    def field(law):
+        h = hamiltonians(ModelParams(J=1.0, eta=0.1), Paradigm.LOCAL_CONTROL)
+        psi = np.array([1, 0, 0, 0], dtype=complex)  # |++> in X coords
+        traj = propagate_exact(h, law, psi, psi, IntegratorConfig(t_max=1.0, sample_every=0.25))
+        assert traj.t.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        return traj.f.tolist()
+
     def test_on_before_t0_off_after(self):
-        law = Geometric(t0=5.0)
-        assert geometric_field(0.0, law) == 1.0
-        assert geometric_field(4.999, law) == 1.0
-        assert geometric_field(5.0, law) == 0.0
-        assert geometric_field(100.0, law) == 0.0
+        assert self.field(Geometric(t0=0.5)) == [1.0, 1.0, 0.0, 0.0, 0.0]  # on a sample
+        assert self.field(Geometric(t0=0.6)) == [1.0, 1.0, 1.0, 0.0, 0.0]  # between two
 
     def test_t0_zero_means_never_on(self):
-        assert geometric_field(0.0, Geometric(t0=0.0)) == 0.0
+        assert self.field(Geometric(t0=0.0)) == [0.0] * 5
+
+    def test_t0_at_or_past_t_max(self):
+        assert self.field(Geometric(t0=1.0)) == [1.0, 1.0, 1.0, 1.0, 0.0]
+        assert self.field(Geometric(t0=2.0)) == [1.0] * 5
+
+    def test_no_law_means_no_field(self):
+        assert self.field(None) == [0.0] * 5
 
 
 class TestVdotIdentity:

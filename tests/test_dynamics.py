@@ -321,8 +321,8 @@ class TestProjection:
         # step that reaches it.
         real_rhs = dynamics.rhs
 
-        def growing(frame, law, t, y):
-            dy = real_rhs(frame, law, t, y)
+        def growing(coeffs, t, y):
+            dy = real_rhs(coeffs, t, y)
             return tuple(d + 1e-3 * x for d, x in zip(dy, y)) if t > 0.35 else dy
 
         monkeypatch.setattr(dynamics, "rhs", growing)
@@ -478,7 +478,7 @@ class TestInvariantMonitorExact(TestInvariantMonitor):
 
     @staticmethod
     def check(h, t, states):
-        dynamics._diagnose(h, None, t, states, None)
+        dynamics._diagnose(h, None, 0, t, states, None)
 
 
 def random_pure_state(amps):
@@ -616,8 +616,9 @@ class TestTrajectoryType:
         rng = np.random.default_rng(19)
         h = local_pair()
         psi, psi_d = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
-        frame, y = dynamics._frame(h, psi / np.linalg.norm(psi), psi_d / np.linalg.norm(psi_d))
-        dy = rhs(frame, Lyapunov(kappa=1.0), 0.7, y)
+        frame, y = dynamics._frame(h, 1.0, psi / np.linalg.norm(psi),
+                                   psi_d / np.linalg.norm(psi_d))
+        dy = rhs(frame[2], 0.7, y)
         assert len(dy) == 4  # the state alone; the target is not stepped
         assert abs(np.vdot(y, dy).real) < 1e-14
 
@@ -689,9 +690,9 @@ class TestRhs:
         # The state and the target at time t.
         psi, psi_d = (random_vector(np.where(keep, v, 0.0), 4) for v in (psi, psi_d))
         u0 = expm(-1j * h0 * t)
-        frame, y = dynamics._frame(h, u0.conj().T @ psi, u0.conj().T @ psi_d)
+        frame, y = dynamics._frame(h, law.kappa, u0.conj().T @ psi, u0.conj().T @ psi_d)
         (_, w), cols = frame[:2]
-        dy = np.array(rhs(frame, law, t, y))
+        dy = np.array(rhs(frame[2], t, y))
 
         f_ref = commutator_field(outer(psi), outer(psi_d), h1, law.kappa)
         dy_ref = w.conj().T @ u0.conj().T @ (-1j * f_ref * h1 @ psi)
@@ -730,7 +731,7 @@ class TestRhs:
         the bound on all six."""
         cfg, h, states = preset_states(label)
         law = cfg.law
-        frame, _ = dynamics._frame(h, *states)
+        frame, _ = dynamics._frame(h, law.kappa, *states)
         (lam, w), cols = frame[:2]
         ext = np.clongdouble
         lam_x = lam[cols].astype(np.longdouble)
@@ -742,7 +743,7 @@ class TestRhs:
         for t in np.linspace(0.0, 300.0, 61) + rng.uniform(0.0, 0.5, 61):
             y = rng.normal(size=len(cols)) + 1j * rng.normal(size=len(cols))
             y /= np.linalg.norm(y)
-            dr = np.array(rhs(frame, law, float(t), dynamics._bloch(*y.tolist())))
+            dr = np.array(rhs(frame[2], float(t), dynamics._bloch(*y.tolist())))
             e = np.exp(1j * lam_x * np.longdouble(t))
             v = e * (h_x @ (e.conj() * y.astype(ext)))
             f = 2 * law.kappa * (np.sum(g_x * v) * np.conj(np.sum(g_x * y))).imag
@@ -777,16 +778,41 @@ class TestRhs:
         1.7e-15 on local_k1 and 1.7e-13 on interaction_k1. Seen: at most
         0.04 of it."""
         cfg, h, states = preset_states(label)
-        frame, _ = dynamics._frame(h, *states)
+        frame, _ = dynamics._frame(h, cfg.law.kappa, *states)
         h_norm = np.linalg.norm(psi_coefficients(h, frame)[1:5])
         bound = 192 * 2.0**-53 * cfg.law.kappa * h_norm**2
         rng = np.random.default_rng(29)
         for t in rng.uniform(0.0, 300.0, 200):
             y = rng.normal(size=2) + 1j * rng.normal(size=2)
             y = tuple((y / np.linalg.norm(y)).tolist())
-            dr = np.array(rhs(frame, cfg.law, t, dynamics._bloch(*y)))
+            dr = np.array(rhs(frame[2], t, dynamics._bloch(*y)))
             dy = psi_rhs(h, frame, cfg.law, t, y)
             assert np.linalg.norm(dr - bloch_derivative(y, dy)) <= bound
+
+    @pytest.mark.parametrize("psi0,width", [(x_state("|++>"), 3), (off_s_state(), 4)],
+                             ids=["bloch", "four_amplitudes"])
+    def test_negated_gain_negates_every_stage(self, monkeypatch, psi0, width):
+        """The gain is `_frame`'s last coefficient, 2 kappa on the Bloch
+        vector and -2j kappa on four amplitudes, and one factor of every
+        component of `rhs`: at each stage input of a run, the frame of
+        -kappa gives the negated derivative exactly, as negating a factor
+        commutes with rounding."""
+        h, psi_d0 = local_pair(), bell_state(BellName.PHI_PLUS, X_PRODUCT)
+        stages = []
+        real_rhs = dynamics.rhs
+
+        def recorded(coeffs, t, y):
+            stages.append((t, y))
+            return real_rhs(coeffs, t, y)
+
+        monkeypatch.setattr(dynamics, "rhs", recorded)
+        integrate(h, Lyapunov(kappa=2.0), psi0, psi_d0, IntegratorConfig(t_max=5.0))
+        (_, _, plus, _), _ = dynamics._frame(h, 2.0, psi0, psi_d0)
+        (_, _, minus, _), _ = dynamics._frame(h, -2.0, psi0, psi_d0)
+        assert plus[:-1] == minus[:-1] and minus[-1] == -plus[-1]
+        assert {len(y) for _, y in stages} == {width} and len(stages) > 100
+        for t, y in stages:
+            assert real_rhs(minus, t, y) == tuple(-d for d in real_rhs(plus, t, y))
 
     def test_non_hermitian_target_rejected_like_control_field(self, monkeypatch):
         h = local_pair()
@@ -829,7 +855,7 @@ class TestReachedColumns:
     def reached(h, psi, psi_d):
         """The stepped columns, and the width of the stepped state: 3 for
         the Bloch vector of one sector, 4 for the amplitudes of both."""
-        frame, y = dynamics._frame(h, psi, psi_d)
+        frame, y = dynamics._frame(h, 1.0, psi, psi_d)
         return list(frame[1]), len(y)
 
     @pytest.mark.parametrize("label", [label for label, _ in preset_scenarios("figure4")])
@@ -936,7 +962,7 @@ class TestFromBloch:
         So V moves by at most 64 u V + 1024 u², 1.3e-9 of V = 1e-20. Seen:
         at most 3 (u V + u²)."""
         cfg, h, states = preset_states("figure4_local_k2")
-        frame, _ = dynamics._frame(h, *states)
+        frame, _ = dynamics._frame(h, cfg.law.kappa, *states)
         target = np.array(frame[3])  # conj(psi_d~)
         psi_d = target.conj()
         assert abs(psi_d[0]) <= 2.0**-55
@@ -975,17 +1001,18 @@ class TestStateStack:
     def stepped(monkeypatch, h, law, psi0, psi_d0, cfg):
         taken = []
 
-        def spy(frame, *args):
-            out = dp5(frame, *args)
-            (lam, w), cols = frame[:2]
-            taken.append((lam[cols], w[:, cols], out[0]))
+        def spy(*args):
+            out = dp5(*args)
+            taken.append(out[0])
             return out
 
         dp5 = dynamics._dp5
         monkeypatch.setattr(dynamics, "_dp5", spy)
         traj = integrate(h, law, psi0, psi_d0, cfg)
-        (lam, w, psi), = taken
-        return traj, lam, w, psi[: len(traj)]
+        # `_frame` is deterministic: the eigenbasis and columns the run stepped.
+        (lam, w), cols = dynamics._frame(h, law.kappa, psi0, psi_d0)[0][:2]
+        (psi,) = taken
+        return traj, lam[cols], w[:, cols], psi[: len(traj)]
 
     def check(self, traj, lam, w, psi):
         ext = np.longdouble
@@ -1237,9 +1264,9 @@ class TestIntegratorStats:
         # Towards Phi+ the state moves (towards |--> it rests, and every step is
         # exact), so no step meets these tolerances: attempts shrink to the floor.
         psi_d0 = bell_state(BellName.PHI_PLUS, X_PRODUCT)
-        frame, y = dynamics._frame(local_pair(), x_state("|++>"), psi_d0)
+        (_, _, coeffs, target), y = dynamics._frame(local_pair(), 1.0, x_state("|++>"), psi_d0)
         cfg = IntegratorConfig(t_max=1.0, rel_tol=1e-300, abs_tol=1e-300)
-        samples, stats, error = dynamics._dp5(frame, Lyapunov(kappa=1.0), y,
+        samples, stats, error = dynamics._dp5(coeffs, np.array(target), y,
                                               dynamics._sample_grid(cfg), cfg)
         assert isinstance(error, IntegrationError) and len(samples) == 1
         assert (stats.accepted, stats.h_min, stats.h_max, stats.h_median) == (0, None, None, None)
@@ -1355,8 +1382,8 @@ class TestMidRunErrors:
     def failing_after(monkeypatch, t_fail, fail):
         real_rhs = dynamics.rhs
 
-        def rhs_failing(frame, law, t, y):
-            dy = real_rhs(frame, law, t, y)
+        def rhs_failing(coeffs, t, y):
+            dy = real_rhs(coeffs, t, y)
             if t > t_fail:
                 return fail(dy)
             return dy
@@ -1384,10 +1411,10 @@ class TestMidRunErrors:
         calls, widths = [], set()
         real_rhs = dynamics.rhs
 
-        def overflowing(frame, law, t, y):
+        def overflowing(coeffs, t, y):
             calls.append(t)
             widths.add(len(y))
-            dy = real_rhs(frame, law, t, y)
+            dy = real_rhs(coeffs, t, y)
             return overflow_stage(dy) if len(calls) > 1 and len(calls) % 6 == 1 else dy
 
         monkeypatch.setattr(dynamics, "rhs", overflowing)
@@ -1496,9 +1523,9 @@ class TestVStopCut:
         times = []
         real_rhs = dynamics.rhs
 
-        def recorded(frame, law, t, y):
+        def recorded(coeffs, t, y):
             times.append(t)
-            return real_rhs(frame, law, t, y)
+            return real_rhs(coeffs, t, y)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dynamics, "_V_STOP_BATCH", 1)
@@ -1545,8 +1572,8 @@ class TestVStopCut:
         failed = []
         real_rhs = dynamics.rhs
 
-        def failing(frame, law, t, y):
-            dy = real_rhs(frame, law, t, y)
+        def failing(coeffs, t, y):
+            dy = real_rhs(coeffs, t, y)
             if t > t_cut:
                 failed.append(t)
                 if fail == "ValueError":

@@ -6,6 +6,7 @@ import importlib.util
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ import bellsteer
 
 SRC = Path(bellsteer.__file__).resolve().parent
 TRACING = Path(__file__).resolve().parents[1] / "bellbench" / "tracing.py"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_star_import_resolves_every_public_name():
@@ -153,3 +155,29 @@ def test_benchmark_traced_names_resolve(monkeypatch):
     assert missing == []
     fields = [f.name for f in dataclasses.fields(bellsteer.experiments.SweepConfig)]
     assert "parallel" in fields
+
+
+# How a src/ docstring names a README section: README, "<heading>".
+README_POINTER = re.compile(r'README, "([^"]+)"')
+
+
+def test_docstring_readme_pointers_resolve():
+    # Every README section a src/ docstring names is a heading of README.md
+    # (a line of #s outside code blocks), so that an edit to README cannot
+    # leave a pointer dangling. Line breaks in a docstring read as spaces.
+    headings, fenced = set(), False
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif not fenced and line.startswith("#"):
+            headings.add(line.lstrip("#").strip())
+    named = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                doc = " ".join((ast.get_docstring(node) or "").split())
+                where = f"{path.name}:{getattr(node, 'name', '')}"
+                named += [(where, section) for section in README_POINTER.findall(doc)]
+    assert len({section for _, section in named}) >= 6
+    assert [(where, section) for where, section in named if section not in headings] == []
