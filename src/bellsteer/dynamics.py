@@ -316,11 +316,14 @@ def _from_bloch(r: np.ndarray) -> np.ndarray:
     return psi
 
 
-def rhs(coeffs: tuple, t: float, y: tuple) -> tuple:
-    """The derivative at time t of the stepped state y: the Bloch vector r~
-    of psi~ on one parity sector, 3 Python floats, or psi~ = W† U0(t)† psi
-    on both, 4 Python complex numbers, with coeffs the `_frame` numbers of
-    that width. The result has the width of y.
+def rhs(
+    coeffs: tuple, t: float, y0: complex, y1: complex, y2: complex, y3: complex | None = None
+) -> tuple:
+    """The derivative at time t of the stepped state, passed as its entries,
+    `rhs(coeffs, t, *state)`: the Bloch vector r~ of psi~ on one parity
+    sector, 3 Python floats, or psi~ = W† U0(t)† psi on both, 4 Python
+    complex numbers, with coeffs the `_frame` numbers of that width. The
+    width is the arity, and the result has it.
 
     Only the control term is left, dpsi~/dt = -i f E h E* psi~ with
     E = diag(exp(i lam t)), one phase factor r per sector, and
@@ -330,18 +333,16 @@ def rhs(coeffs: tuple, t: float, y: tuple) -> tuple:
     it (README, "The closed loop"; README, "The Bloch vector"). The trace is
     imaginary by construction, so there is no realness to check.
     """
-    if len(y) == 3:
+    if y3 is None:
         w, hr, hi, n2, d0, d1, d2, gain = coeffs
-        r0, r1, r2 = y
         th = w * t
         c, s = cos(th), sin(th)
         n0, m1 = hr * c - hi * s, hr * s + hi * c  # h01 r = n0 + i m1, n = (n0, -m1, n2)
         g = gain * (
-            n0 * (r1 * d2 - r2 * d1) - m1 * (r2 * d0 - r0 * d2) + n2 * (r0 * d1 - r1 * d0))
-        return g * (-m1 * r2 - n2 * r1), g * (n2 * r0 - n0 * r2), g * (n0 * r1 + m1 * r0)
+            n0 * (y1 * d2 - y2 * d1) - m1 * (y2 * d0 - y0 * d2) + n2 * (y0 * d1 - y1 * d0))
+        return g * (-m1 * y2 - n2 * y1), g * (n2 * y0 - n0 * y2), g * (n0 * y1 + m1 * y0)
     r0, h00, h01, h10, h11, r1, h22, h23, h32, h33, g0, g1, g2, g3, gain = coeffs
     e0, e1 = exp(r0 * t), exp(r1 * t)
-    y0, y1, y2, y3 = y
     v0 = h00 * y0 + h01 * e0 * y1
     v1 = h10 / e0 * y0 + h11 * y1
     v2 = h22 * y2 + h23 * e1 * y3
@@ -527,14 +528,15 @@ def _dp5(
     coeffs: tuple, target: np.ndarray, y: tuple, grid: np.ndarray, cfg: IntegratorConfig
 ) -> tuple[np.ndarray, IntegratorStats, Exception | None]:
     """Step the state y from t = 0 to t_max with the adaptive DP5(4) pair,
-    written out over the 3 components of a Bloch vector r~ or the 4
-    amplitudes of psi~ with no numpy call inside an attempt, then sample it.
-    coeffs are `_frame`'s, and target is conj(psi_d~) as an array, which the
-    v_stop looks read. The two loops share the tableau, the step control,
-    the checks, the projection and the step table, and differ in the state,
-    its error norm, its norm and its FSAL scaling. Every stage goes through
-    the module's `rhs`, 6 calls per attempt and one for the first. An
-    attempt whose error is NaN, or overflows to inf, is rejected.
+    then sample it. coeffs are `_frame`'s, and target is conj(psi_d~) as an
+    array, which the v_stop looks read. One loop steps either width: each
+    attempt is written out over the 3 components of a Bloch vector r~ or
+    the 4 amplitudes of psi~, with no numpy call inside it, and each width
+    takes its own error norm, norm, row and projection; the step choice,
+    the checks, the step table and the looks are the loop's. Every stage is
+    the module's `rhs(coeffs, t, *state)`, 6 calls per attempt and one for
+    the first. An attempt whose error is NaN, or overflows to inf, is
+    rejected.
 
     The error norm maps the tolerances atol + rtol |y_i| of each amplitude
     (`IntegratorConfig`): over psi~, the RMS over its 4 amplitudes against
@@ -569,22 +571,28 @@ def _dp5(
     e1, e3, e4, e5, e6, e7 = _ERR
     atol, rtol, v_stop, t_max = cfg.abs_tol, cfg.rel_tol, cfg.v_stop, cfg.t_max
     tol = 1e-10 * t_max
+    limit = ABORT_FACTOR * TRACE_TOL
     bloch = len(y) == 3
     if bloch:
-        norm0 = math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2])
+        (y0, y1, y2), (ka0, ka1, ka2) = y, rhs(coeffs, 0.0, *y)
+        norm0 = math.sqrt(y0 * y0 + y1 * y1 + y2 * y2)
+        atol2, rtol2 = 2 * atol, 2 * rtol
+        pt, pz = y0 * y0 + y1 * y1, abs(y2)  # |r~_perp|² and |r~_z|
     else:
-        norm0 = sum(m * m for m in map(abs, y))
-    limit = ABORT_FACTOR * TRACE_TOL
+        (y0, y1, y2, y3), (ka0, ka1, ka2, ka3) = y, rhs(coeffs, 0.0, *y)
+        my0, my1, my2, my3 = abs(y0), abs(y1), abs(y2), abs(y3)
+        norm0 = my0 * my0 + my1 * my1 + my2 * my2 + my3 * my3
+        sector0 = my0 * my0 + my1 * my1  # the S sector's squared norm
     times = grid.tolist() + [math.inf]  # the sentinel ends every sample search
     # The step table, end to end: each row's (t, h, n) in spans, (y, k1, k3-k7) in
     # table. Apart, the two convert to numpy in about half the time of one mixed list.
+    # A step that aborts may store its table row and no spans row: looks read spans' rows.
     spans, table = [], []
     stride = 7 * len(y)
-    ka = rhs(coeffs, 0.0, y)
     n = 1  # the index in times of the next sample
     steps = []  # accepted step sizes
     rejected = 0
-    max_drift = max_sector = 0.0
+    max_drift = max_sector = sector = 0.0
     # The samples of the rows looked at, and how many rows those are; under
     # v_stop, each row's (accepted, rejected, max_drift, max_sector).
     first_row = np.array([y], dtype=float if bloch else complex)
@@ -598,7 +606,8 @@ def _dp5(
         start, first, seen = seen, spans[3 * seen - 1] if seen else 1, len(spans) // 3
         if seen == start:
             return None
-        block = _dense_samples(spans[3 * start:], table[stride * start:], grid, first, norm0)
+        block = _dense_samples(
+            spans[3 * start:], table[stride * start:stride * seen], grid, first, norm0)
         if bloch:
             block = _from_bloch(block)
         below = () if v_stop is None else np.flatnonzero(
@@ -612,49 +621,52 @@ def _dp5(
     h_step, h_floor = cfg.sample_every / 10, cfg.sample_every / 1e12
     error = cut = None
     try:
-        if bloch:
-            (y0, y1, y2), (ka0, ka1, ka2) = y, ka
-            atol2, rtol2 = 2 * atol, 2 * rtol
-            pt, pz = y0 * y0 + y1 * y1, abs(y2)  # |r~_perp|² and |r~_z|
-            while t_max - t > tol:
-                hs = t_max - t
-                if h_step < hs:
-                    hs = h_step
-                if hs < h_floor:
-                    last = f"h={steps[-1]:.3e} ending at t={t:.6g}" if steps else "none"
-                    raise IntegrationError(
-                        f"step size underflow (h={hs:.3e}; last accepted step {last})", t
-                    )
+        while t_max - t > tol:
+            hs = t_max - t
+            if h_step < hs:
+                hs = h_step
+            if hs < h_floor:
+                last = f"h={steps[-1]:.3e} ending at t={t:.6g}" if steps else "none"
+                raise IntegrationError(
+                    f"step size underflow (h={hs:.3e}; last accepted step {last})", t
+                )
+            t_new = t + hs
+            if t_max - t_new <= tol:
+                t_new = t_max
+            passes = times[n] <= t_new  # the step passes the samples in (t, t_new]
 
-                # One embedded DP5(4) attempt: stages ka..kg, new state z.
+            # One embedded DP5(4) attempt: stages ka..kg, new state z, its error norm
+            # err and step factor q; if accepted, its norm, its S-sector drift, its row
+            # when it passes a sample, and the projection.
+            if bloch:
                 x1 = hs * a21
-                kb0, kb1, kb2 = rhs(coeffs, t + c2 * hs, (
-                    y0 + x1 * ka0, y1 + x1 * ka1, y2 + x1 * ka2))
+                kb0, kb1, kb2 = rhs(coeffs, t + c2 * hs,
+                                    y0 + x1 * ka0, y1 + x1 * ka1, y2 + x1 * ka2)
                 x1, x2 = hs * a31, hs * a32
-                kc0, kc1, kc2 = rhs(coeffs, t + c3 * hs, (
-                    y0 + x1 * ka0 + x2 * kb0,
-                    y1 + x1 * ka1 + x2 * kb1,
-                    y2 + x1 * ka2 + x2 * kb2))
+                kc0, kc1, kc2 = rhs(coeffs, t + c3 * hs,
+                                    y0 + x1 * ka0 + x2 * kb0,
+                                    y1 + x1 * ka1 + x2 * kb1,
+                                    y2 + x1 * ka2 + x2 * kb2)
                 x1, x2, x3 = hs * a41, hs * a42, hs * a43
-                kd0, kd1, kd2 = rhs(coeffs, t + c4 * hs, (
-                    y0 + x1 * ka0 + x2 * kb0 + x3 * kc0,
-                    y1 + x1 * ka1 + x2 * kb1 + x3 * kc1,
-                    y2 + x1 * ka2 + x2 * kb2 + x3 * kc2))
+                kd0, kd1, kd2 = rhs(coeffs, t + c4 * hs,
+                                    y0 + x1 * ka0 + x2 * kb0 + x3 * kc0,
+                                    y1 + x1 * ka1 + x2 * kb1 + x3 * kc1,
+                                    y2 + x1 * ka2 + x2 * kb2 + x3 * kc2)
                 x1, x2, x3, x4 = hs * a51, hs * a52, hs * a53, hs * a54
-                ke0, ke1, ke2 = rhs(coeffs, t + c5 * hs, (
-                    y0 + x1 * ka0 + x2 * kb0 + x3 * kc0 + x4 * kd0,
-                    y1 + x1 * ka1 + x2 * kb1 + x3 * kc1 + x4 * kd1,
-                    y2 + x1 * ka2 + x2 * kb2 + x3 * kc2 + x4 * kd2))
+                ke0, ke1, ke2 = rhs(coeffs, t + c5 * hs,
+                                    y0 + x1 * ka0 + x2 * kb0 + x3 * kc0 + x4 * kd0,
+                                    y1 + x1 * ka1 + x2 * kb1 + x3 * kc1 + x4 * kd1,
+                                    y2 + x1 * ka2 + x2 * kb2 + x3 * kc2 + x4 * kd2)
                 x1, x2, x3, x4, x5 = hs * a61, hs * a62, hs * a63, hs * a64, hs * a65
-                kf0, kf1, kf2 = rhs(coeffs, t + hs, (
-                    y0 + x1 * ka0 + x2 * kb0 + x3 * kc0 + x4 * kd0 + x5 * ke0,
-                    y1 + x1 * ka1 + x2 * kb1 + x3 * kc1 + x4 * kd1 + x5 * ke1,
-                    y2 + x1 * ka2 + x2 * kb2 + x3 * kc2 + x4 * kd2 + x5 * ke2))
+                kf0, kf1, kf2 = rhs(coeffs, t + hs,
+                                    y0 + x1 * ka0 + x2 * kb0 + x3 * kc0 + x4 * kd0 + x5 * ke0,
+                                    y1 + x1 * ka1 + x2 * kb1 + x3 * kc1 + x4 * kd1 + x5 * ke1,
+                                    y2 + x1 * ka2 + x2 * kb2 + x3 * kc2 + x4 * kd2 + x5 * ke2)
                 x1, x3, x4, x5, x6 = hs * b1, hs * b3, hs * b4, hs * b5, hs * b6
                 z0 = y0 + x1 * ka0 + x3 * kc0 + x4 * kd0 + x5 * ke0 + x6 * kf0
                 z1 = y1 + x1 * ka1 + x3 * kc1 + x4 * kd1 + x5 * ke1 + x6 * kf1
                 z2 = y2 + x1 * ka2 + x3 * kc2 + x4 * kd2 + x5 * ke2 + x6 * kf2
-                kg0, kg1, kg2 = rhs(coeffs, t + hs, (z0, z1, z2))
+                kg0, kg1, kg2 = rhs(coeffs, t + hs, z0, z1, z2)
                 qt, qz = z0 * z0 + z1 * z1, abs(z2)
                 x1, x3, x4, x5, x6, x7 = hs * e1, hs * e3, hs * e4, hs * e5, hs * e6, hs * e7
                 st = atol2 + rtol * math.sqrt(pt if pt > qt else qt)
@@ -662,91 +674,53 @@ def _dp5(
                 s1 = (x1 * ka1 + x3 * kc1 + x4 * kd1 + x5 * ke1 + x6 * kf1 + x7 * kg1) / st
                 s2 = ((x1 * ka2 + x3 * kc2 + x4 * kd2 + x5 * ke2 + x6 * kf2 + x7 * kg2)
                       / (atol2 + rtol2 * (pz if pz > qz else qz)))
-                err2 = (s0 * s0 + s1 * s1 + s2 * s2) / 3  # the squared error norm
-
-                if not err2 <= 1.0:  # a NaN or inf error is a rejection too
-                    rejected += 1
-                    q = 0.9 * err2 ** -0.1
-                    h_step = hs * (q if q > 0.2 else 0.2)
-                    continue
-                t_new = t + hs
-                if t_max - t_new <= tol:
-                    t_new = t_max
-                norm = math.sqrt(qt + z2 * z2)
-                drift = abs(norm - norm0)
-                if drift > limit:
-                    raise IntegrationError(
-                        f"psi~ norm drift {drift:.3e} exceeds abort threshold", t_new
-                    )
-                if drift > max_drift:
-                    max_drift = drift
-                if times[n] <= t_new:  # the step passes the samples in (t, t_new]
-                    n = bisect_right(times, t_new, n)
-                    spans.extend((t, hs, n))
-                    table.extend((y0, y1, y2, ka0, ka1, ka2, kc0, kc1, kc2, kd0, kd1, kd2,
-                                  ke0, ke1, ke2, kf0, kf1, kf2, kg0, kg1, kg2))
-                    if v_stop is not None:
-                        marks.append((len(steps) + 1, rejected, max_drift, max_sector))
-                c = norm0 / norm
-                y0, y1, y2 = c * z0, c * z1, c * z2
-                pt, pz = c * c * qt, c * qz
-                c = c * c
-                ka0, ka1, ka2 = c * kg0, c * kg1, c * kg2  # FSAL
-                t = t_new
-                steps.append(hs)
-                q = 5.0 if err2 == 0.0 else 0.9 * err2 ** -0.1
-                h_step = hs * (q if q < 5.0 else 5.0)
-                if v_stop is not None and len(steps) % _V_STOP_BATCH == 0:
-                    if (cut := look()) is not None:
-                        break
-        else:
-            (y0, y1, y2, y3), (ka0, ka1, ka2, ka3) = y, ka
-            my0, my1, my2, my3 = abs(y0), abs(y1), abs(y2), abs(y3)
-            sector0 = my0 * my0 + my1 * my1  # the S sector's squared norm
-            while t_max - t > tol:
-                hs = t_max - t
-                if h_step < hs:
-                    hs = h_step
-                if hs < h_floor:
-                    last = f"h={steps[-1]:.3e} ending at t={t:.6g}" if steps else "none"
-                    raise IntegrationError(
-                        f"step size underflow (h={hs:.3e}; last accepted step {last})", t
-                    )
-
-                # One embedded DP5(4) attempt: stages ka..kg, new state z.
+                err = (s0 * s0 + s1 * s1 + s2 * s2) / 3  # the squared error norm
+                q = 5.0 if err == 0.0 else 0.9 * err ** -0.1
+                if err <= 1.0:
+                    norm = math.sqrt(qt + z2 * z2)
+                    if passes:
+                        table.extend((y0, y1, y2, ka0, ka1, ka2, kc0, kc1, kc2, kd0, kd1, kd2,
+                                      ke0, ke1, ke2, kf0, kf1, kf2, kg0, kg1, kg2))
+                    c = norm0 / norm
+                    y0, y1, y2 = c * z0, c * z1, c * z2
+                    pt, pz = c * c * qt, c * qz
+                    c = c * c
+                    ka0, ka1, ka2 = c * kg0, c * kg1, c * kg2  # FSAL
+            else:
                 x1 = hs * a21
-                kb0, kb1, kb2, kb3 = rhs(coeffs, t + c2 * hs, (
-                    y0 + x1 * ka0, y1 + x1 * ka1, y2 + x1 * ka2, y3 + x1 * ka3))
+                kb0, kb1, kb2, kb3 = rhs(coeffs, t + c2 * hs, y0 + x1 * ka0, y1 + x1 * ka1,
+                                         y2 + x1 * ka2, y3 + x1 * ka3)
                 x1, x2 = hs * a31, hs * a32
-                kc0, kc1, kc2, kc3 = rhs(coeffs, t + c3 * hs, (
-                    y0 + x1 * ka0 + x2 * kb0,
-                    y1 + x1 * ka1 + x2 * kb1,
-                    y2 + x1 * ka2 + x2 * kb2,
-                    y3 + x1 * ka3 + x2 * kb3))
+                kc0, kc1, kc2, kc3 = rhs(coeffs, t + c3 * hs,
+                                         y0 + x1 * ka0 + x2 * kb0,
+                                         y1 + x1 * ka1 + x2 * kb1,
+                                         y2 + x1 * ka2 + x2 * kb2,
+                                         y3 + x1 * ka3 + x2 * kb3)
                 x1, x2, x3 = hs * a41, hs * a42, hs * a43
-                kd0, kd1, kd2, kd3 = rhs(coeffs, t + c4 * hs, (
-                    y0 + x1 * ka0 + x2 * kb0 + x3 * kc0,
-                    y1 + x1 * ka1 + x2 * kb1 + x3 * kc1,
-                    y2 + x1 * ka2 + x2 * kb2 + x3 * kc2,
-                    y3 + x1 * ka3 + x2 * kb3 + x3 * kc3))
+                kd0, kd1, kd2, kd3 = rhs(coeffs, t + c4 * hs,
+                                         y0 + x1 * ka0 + x2 * kb0 + x3 * kc0,
+                                         y1 + x1 * ka1 + x2 * kb1 + x3 * kc1,
+                                         y2 + x1 * ka2 + x2 * kb2 + x3 * kc2,
+                                         y3 + x1 * ka3 + x2 * kb3 + x3 * kc3)
                 x1, x2, x3, x4 = hs * a51, hs * a52, hs * a53, hs * a54
-                ke0, ke1, ke2, ke3 = rhs(coeffs, t + c5 * hs, (
-                    y0 + x1 * ka0 + x2 * kb0 + x3 * kc0 + x4 * kd0,
-                    y1 + x1 * ka1 + x2 * kb1 + x3 * kc1 + x4 * kd1,
-                    y2 + x1 * ka2 + x2 * kb2 + x3 * kc2 + x4 * kd2,
-                    y3 + x1 * ka3 + x2 * kb3 + x3 * kc3 + x4 * kd3))
+                ke0, ke1, ke2, ke3 = rhs(coeffs, t + c5 * hs,
+                                         y0 + x1 * ka0 + x2 * kb0 + x3 * kc0 + x4 * kd0,
+                                         y1 + x1 * ka1 + x2 * kb1 + x3 * kc1 + x4 * kd1,
+                                         y2 + x1 * ka2 + x2 * kb2 + x3 * kc2 + x4 * kd2,
+                                         y3 + x1 * ka3 + x2 * kb3 + x3 * kc3 + x4 * kd3)
                 x1, x2, x3, x4, x5 = hs * a61, hs * a62, hs * a63, hs * a64, hs * a65
-                kf0, kf1, kf2, kf3 = rhs(coeffs, t + hs, (
+                kf0, kf1, kf2, kf3 = rhs(
+                    coeffs, t + hs,
                     y0 + x1 * ka0 + x2 * kb0 + x3 * kc0 + x4 * kd0 + x5 * ke0,
                     y1 + x1 * ka1 + x2 * kb1 + x3 * kc1 + x4 * kd1 + x5 * ke1,
                     y2 + x1 * ka2 + x2 * kb2 + x3 * kc2 + x4 * kd2 + x5 * ke2,
-                    y3 + x1 * ka3 + x2 * kb3 + x3 * kc3 + x4 * kd3 + x5 * ke3))
+                    y3 + x1 * ka3 + x2 * kb3 + x3 * kc3 + x4 * kd3 + x5 * ke3)
                 x1, x3, x4, x5, x6 = hs * b1, hs * b3, hs * b4, hs * b5, hs * b6
                 z0 = y0 + x1 * ka0 + x3 * kc0 + x4 * kd0 + x5 * ke0 + x6 * kf0
                 z1 = y1 + x1 * ka1 + x3 * kc1 + x4 * kd1 + x5 * ke1 + x6 * kf1
                 z2 = y2 + x1 * ka2 + x3 * kc2 + x4 * kd2 + x5 * ke2 + x6 * kf2
                 z3 = y3 + x1 * ka3 + x3 * kc3 + x4 * kd3 + x5 * ke3 + x6 * kf3
-                kg0, kg1, kg2, kg3 = rhs(coeffs, t + hs, (z0, z1, z2, z3))
+                kg0, kg1, kg2, kg3 = rhs(coeffs, t + hs, z0, z1, z2, z3)
                 mz0, mz1, mz2, mz3 = abs(z0), abs(z1), abs(z2), abs(z3)
                 x1, x3, x4, x5, x6, x7 = hs * e1, hs * e3, hs * e4, hs * e5, hs * e6, hs * e7
                 s0 = (abs(x1 * ka0 + x3 * kc0 + x4 * kd0 + x5 * ke0 + x6 * kf0 + x7 * kg0)
@@ -758,48 +732,45 @@ def _dp5(
                 s3 = (abs(x1 * ka3 + x3 * kc3 + x4 * kd3 + x5 * ke3 + x6 * kf3 + x7 * kg3)
                       / (atol + rtol * (my3 if my3 > mz3 else mz3)))
                 err = math.sqrt((s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3) / 4)
-
-                if not err <= 1.0:  # a NaN or inf error is a rejection too
-                    rejected += 1
-                    q = 0.9 * err ** -0.2
-                    h_step = hs * (q if q > 0.2 else 0.2)
-                    continue
-                t_new = t + hs
-                if t_max - t_new <= tol:
-                    t_new = t_max
-                norm = mz0 * mz0 + mz1 * mz1 + mz2 * mz2 + mz3 * mz3
-                drift = abs(norm - norm0)
-                if drift > limit:
-                    raise IntegrationError(
-                        f"psi~ norm drift {drift:.3e} exceeds abort threshold", t_new
-                    )
-                if drift > max_drift:
-                    max_drift = drift
-                drift = abs((mz0 * mz0 + mz1 * mz1) * norm0 / norm - sector0)
-                if drift > limit:
-                    raise IntegrationError(f"p_S drift {drift:.3e} exceeds abort threshold", t_new)
-                if drift > max_sector:
-                    max_sector = drift
-                if times[n] <= t_new:  # the step passes the samples in (t, t_new]
-                    n = bisect_right(times, t_new, n)
-                    spans.extend((t, hs, n))
-                    table.extend((y0, y1, y2, y3, ka0, ka1, ka2, ka3, kc0, kc1, kc2, kc3,
-                                  kd0, kd1, kd2, kd3, ke0, ke1, ke2, ke3, kf0, kf1, kf2, kf3,
-                                  kg0, kg1, kg2, kg3))
-                    if v_stop is not None:
-                        marks.append((len(steps) + 1, rejected, max_drift, max_sector))
-                c = math.sqrt(norm0 / norm)
-                y0, y1, y2, y3 = c * z0, c * z1, c * z2, c * z3
-                my0, my1, my2, my3 = c * mz0, c * mz1, c * mz2, c * mz3
-                c = c * c * c
-                ka0, ka1, ka2, ka3 = c * kg0, c * kg1, c * kg2, c * kg3  # FSAL
-                t = t_new
-                steps.append(hs)
                 q = 5.0 if err == 0.0 else 0.9 * err ** -0.2
-                h_step = hs * (q if q < 5.0 else 5.0)
-                if v_stop is not None and len(steps) % _V_STOP_BATCH == 0:
-                    if (cut := look()) is not None:
-                        break
+                if err <= 1.0:
+                    norm = mz0 * mz0 + mz1 * mz1 + mz2 * mz2 + mz3 * mz3
+                    sector = abs((mz0 * mz0 + mz1 * mz1) * norm0 / norm - sector0)
+                    if passes:
+                        table.extend((y0, y1, y2, y3, ka0, ka1, ka2, ka3, kc0, kc1, kc2, kc3,
+                                      kd0, kd1, kd2, kd3, ke0, ke1, ke2, ke3, kf0, kf1, kf2,
+                                      kf3, kg0, kg1, kg2, kg3))
+                    c = math.sqrt(norm0 / norm)
+                    y0, y1, y2, y3 = c * z0, c * z1, c * z2, c * z3
+                    my0, my1, my2, my3 = c * mz0, c * mz1, c * mz2, c * mz3
+                    c = c * c * c
+                    ka0, ka1, ka2, ka3 = c * kg0, c * kg1, c * kg2, c * kg3  # FSAL
+
+            if not err <= 1.0:  # a NaN or inf error is a rejection too
+                rejected += 1
+                h_step = hs * (q if q > 0.2 else 0.2)
+                continue
+            drift = abs(norm - norm0)
+            if drift > limit:
+                raise IntegrationError(
+                    f"psi~ norm drift {drift:.3e} exceeds abort threshold", t_new)
+            if drift > max_drift:
+                max_drift = drift
+            if sector > limit:
+                raise IntegrationError(f"p_S drift {sector:.3e} exceeds abort threshold", t_new)
+            if sector > max_sector:
+                max_sector = sector
+            if passes:
+                n = bisect_right(times, t_new, n)
+                spans.extend((t, hs, n))
+                if v_stop is not None:
+                    marks.append((len(steps) + 1, rejected, max_drift, max_sector))
+            t = t_new
+            steps.append(hs)
+            h_step = hs * (q if q < 5.0 else 5.0)
+            if v_stop is not None and len(steps) % _V_STOP_BATCH == 0:
+                if (cut := look()) is not None:
+                    break
     except (IntegrationError, ValueError) as exc:
         error = exc
 

@@ -164,7 +164,7 @@ def vdot_identity_check(
     y = np.array(y)
 
     def deriv(t: float, state: np.ndarray) -> np.ndarray:
-        return np.array(rhs(coeffs, t, tuple(state.tolist())))
+        return np.array(rhs(coeffs, t, *state.tolist()))
 
     k1 = deriv(0.0, y)
 

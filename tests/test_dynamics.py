@@ -321,8 +321,8 @@ class TestProjection:
         # step that reaches it.
         real_rhs = dynamics.rhs
 
-        def growing(coeffs, t, y):
-            dy = real_rhs(coeffs, t, y)
+        def growing(coeffs, t, *y):
+            dy = real_rhs(coeffs, t, *y)
             return tuple(d + 1e-3 * x for d, x in zip(dy, y)) if t > 0.35 else dy
 
         monkeypatch.setattr(dynamics, "rhs", growing)
@@ -618,7 +618,7 @@ class TestTrajectoryType:
         psi, psi_d = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
         frame, y = dynamics._frame(h, 1.0, psi / np.linalg.norm(psi),
                                    psi_d / np.linalg.norm(psi_d))
-        dy = rhs(frame[2], 0.7, y)
+        dy = rhs(frame[2], 0.7, *y)
         assert len(dy) == 4  # the state alone; the target is not stepped
         assert abs(np.vdot(y, dy).real) < 1e-14
 
@@ -692,7 +692,7 @@ class TestRhs:
         u0 = expm(-1j * h0 * t)
         frame, y = dynamics._frame(h, law.kappa, u0.conj().T @ psi, u0.conj().T @ psi_d)
         (_, w), cols = frame[:2]
-        dy = np.array(rhs(frame[2], t, y))
+        dy = np.array(rhs(frame[2], t, *y))
 
         f_ref = commutator_field(outer(psi), outer(psi_d), h1, law.kappa)
         dy_ref = w.conj().T @ u0.conj().T @ (-1j * f_ref * h1 @ psi)
@@ -743,7 +743,7 @@ class TestRhs:
         for t in np.linspace(0.0, 300.0, 61) + rng.uniform(0.0, 0.5, 61):
             y = rng.normal(size=len(cols)) + 1j * rng.normal(size=len(cols))
             y /= np.linalg.norm(y)
-            dr = np.array(rhs(frame[2], float(t), dynamics._bloch(*y.tolist())))
+            dr = np.array(rhs(frame[2], float(t), *dynamics._bloch(*y.tolist())))
             e = np.exp(1j * lam_x * np.longdouble(t))
             v = e * (h_x @ (e.conj() * y.astype(ext)))
             f = 2 * law.kappa * (np.sum(g_x * v) * np.conj(np.sum(g_x * y))).imag
@@ -785,7 +785,7 @@ class TestRhs:
         for t in rng.uniform(0.0, 300.0, 200):
             y = rng.normal(size=2) + 1j * rng.normal(size=2)
             y = tuple((y / np.linalg.norm(y)).tolist())
-            dr = np.array(rhs(frame[2], t, dynamics._bloch(*y)))
+            dr = np.array(rhs(frame[2], t, *dynamics._bloch(*y)))
             dy = psi_rhs(h, frame, cfg.law, t, y)
             assert np.linalg.norm(dr - bloch_derivative(y, dy)) <= bound
 
@@ -801,9 +801,9 @@ class TestRhs:
         stages = []
         real_rhs = dynamics.rhs
 
-        def recorded(coeffs, t, y):
+        def recorded(coeffs, t, *y):
             stages.append((t, y))
-            return real_rhs(coeffs, t, y)
+            return real_rhs(coeffs, t, *y)
 
         monkeypatch.setattr(dynamics, "rhs", recorded)
         integrate(h, Lyapunov(kappa=2.0), psi0, psi_d0, IntegratorConfig(t_max=5.0))
@@ -812,7 +812,7 @@ class TestRhs:
         assert plus[:-1] == minus[:-1] and minus[-1] == -plus[-1]
         assert {len(y) for _, y in stages} == {width} and len(stages) > 100
         for t, y in stages:
-            assert real_rhs(minus, t, y) == tuple(-d for d in real_rhs(plus, t, y))
+            assert real_rhs(minus, t, *y) == tuple(-d for d in real_rhs(plus, t, *y))
 
     def test_non_hermitian_target_rejected_like_control_field(self, monkeypatch):
         h = local_pair()
@@ -1376,32 +1376,42 @@ class TestBoundary:
 
 class TestMidRunErrors:
     """Errors raised while stepping pass through, with the time they were
-    raised at."""
+    raised at. Each test runs a state of each width that `_dp5` writes its
+    attempt out for: two amplitudes, stepped as their Bloch vector (3
+    floats), and four."""
+
+    widths = [(x_state("|++>"), 3), (off_s_state(), 4)]
 
     @staticmethod
     def failing_after(monkeypatch, t_fail, fail):
-        real_rhs = dynamics.rhs
+        """Patch `rhs` to pass its stages after t_fail through fail; the set
+        of state widths it is called with."""
+        real_rhs, widths = dynamics.rhs, set()
 
-        def rhs_failing(coeffs, t, y):
-            dy = real_rhs(coeffs, t, y)
+        def rhs_failing(coeffs, t, *y):
+            widths.add(len(y))
+            dy = real_rhs(coeffs, t, *y)
             if t > t_fail:
                 return fail(dy)
             return dy
 
         monkeypatch.setattr(dynamics, "rhs", rhs_failing)
+        return widths
 
-    def test_underflow_names_last_accepted_step(self, monkeypatch):
-        self.failing_after(monkeypatch, 0.35, nan_stage)
-        with pytest.raises(IntegrationError, match="step size underflow") as excinfo:
-            integrate(local_pair(), Lyapunov(kappa=1.0), x_state("|++>"), x_state("|-->"),
-                      IntegratorConfig(t_max=1.0))
-        assert excinfo.value.t == pytest.approx(0.35, abs=1e-6)
-        assert "last accepted step h=" in str(excinfo.value)
-        assert f"ending at t={excinfo.value.t:.6g}" in str(excinfo.value)
+    def test_underflow_names_last_accepted_step(self):
+        for psi0, width in self.widths:
+            with pytest.MonkeyPatch.context() as patch:
+                widths = self.failing_after(patch, 0.35, nan_stage)
+                with pytest.raises(IntegrationError, match="step size underflow") as excinfo:
+                    integrate(local_pair(), Lyapunov(kappa=1.0), psi0, x_state("|-->"),
+                              IntegratorConfig(t_max=1.0))
+            assert widths == {width}
+            assert excinfo.value.t == pytest.approx(0.35, abs=1e-6)
+            assert "last accepted step h=" in str(excinfo.value)
+            assert f"ending at t={excinfo.value.t:.6g}" in str(excinfo.value)
 
     @pytest.mark.parametrize(
-        "psi0,width", [(x_state("|++>"), 3), (off_s_state(), 4)],
-        ids=["two_amplitudes", "four_amplitudes"],
+        "psi0,width", widths, ids=["two_amplitudes", "four_amplitudes"],
     )
     def test_overflowing_attempt_is_rejected(self, monkeypatch, psi0, width):
         # Every attempt's FSAL stage (rhs calls 7, 13, ...) is finite but so
@@ -1411,10 +1421,10 @@ class TestMidRunErrors:
         calls, widths = [], set()
         real_rhs = dynamics.rhs
 
-        def overflowing(coeffs, t, y):
+        def overflowing(coeffs, t, *y):
             calls.append(t)
             widths.add(len(y))
-            dy = real_rhs(coeffs, t, y)
+            dy = real_rhs(coeffs, t, *y)
             return overflow_stage(dy) if len(calls) > 1 and len(calls) % 6 == 1 else dy
 
         monkeypatch.setattr(dynamics, "rhs", overflowing)
@@ -1426,19 +1436,26 @@ class TestMidRunErrors:
         assert len(calls) % 6 == 1 and len(calls) > 7
 
     def test_underflow_with_no_accepted_step(self):
-        with pytest.raises(IntegrationError, match="last accepted step none"):
-            integrate(local_pair(), Lyapunov(kappa=1.0), x_state("|++>"),
-                      bell_state(BellName.PHI_PLUS, X_PRODUCT),
-                      IntegratorConfig(t_max=1.0, rel_tol=1e-300, abs_tol=1e-300))
+        for psi0, width in self.widths:
+            with pytest.MonkeyPatch.context() as patch:
+                widths = self.failing_after(patch, np.inf, nan_stage)  # never fails
+                with pytest.raises(IntegrationError, match="last accepted step none"):
+                    integrate(local_pair(), Lyapunov(kappa=1.0), psi0,
+                              bell_state(BellName.PHI_PLUS, X_PRODUCT),
+                              IntegratorConfig(t_max=1.0, rel_tol=1e-300, abs_tol=1e-300))
+            assert widths == {width}
 
-    def test_value_error_passes_through_on_valid_samples(self, monkeypatch):
+    def test_value_error_passes_through_on_valid_samples(self):
         def fail(dy):
             raise ValueError("bad field")
 
-        self.failing_after(monkeypatch, 0.35, fail)
-        with pytest.raises(ValueError, match="bad field"):
-            integrate(local_pair(), Lyapunov(kappa=1.0), x_state("|++>"), x_state("|-->"),
-                      IntegratorConfig(t_max=1.0))
+        for psi0, width in self.widths:
+            with pytest.MonkeyPatch.context() as patch:
+                widths = self.failing_after(patch, 0.35, fail)
+                with pytest.raises(ValueError, match="bad field"):
+                    integrate(local_pair(), Lyapunov(kappa=1.0), psi0, x_state("|-->"),
+                              IntegratorConfig(t_max=1.0))
+            assert widths == {width}
 
 
 def traced_integrate(*args):
@@ -1462,12 +1479,15 @@ def traced_integrate(*args):
     return traj, returned[0], dense_calls
 
 
-def four_amplitude_run(v_stop=None):
-    """`off_s_state` towards Phi+ under local control at kappa = 2: V falls
-    from 0.68 and passes 0.5 at t = 12.4."""
-    return (local_pair(), Lyapunov(kappa=2.0), off_s_state(),
-            bell_state(BellName.PHI_PLUS, X_PRODUCT),
+def phi_plus_run(psi0, v_stop=None):
+    """psi0 towards Phi+ under local control at kappa = 2 over t <= 60."""
+    return (local_pair(), Lyapunov(kappa=2.0), psi0, bell_state(BellName.PHI_PLUS, X_PRODUCT),
             IntegratorConfig(t_max=60.0, v_stop=v_stop))
+
+
+def four_amplitude_run(v_stop=None):
+    """`off_s_state` towards Phi+: V falls from 0.68 and passes 0.5 at t = 12.4."""
+    return phi_plus_run(off_s_state(), v_stop)
 
 
 def preset_run(label, v_stop=None):
@@ -1523,9 +1543,9 @@ class TestVStopCut:
         times = []
         real_rhs = dynamics.rhs
 
-        def recorded(coeffs, t, y):
+        def recorded(coeffs, t, *y):
             times.append(t)
-            return real_rhs(coeffs, t, y)
+            return real_rhs(coeffs, t, *y)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dynamics, "_V_STOP_BATCH", 1)
@@ -1553,15 +1573,21 @@ class TestVStopCut:
         assert max(times) < cut.t[-1] + stats.h_max
 
     @pytest.mark.parametrize("batch", [1, 5, 64, 10**9])
-    def test_looks_do_not_move_the_cut(self, monkeypatch, batch):
-        run = self.runs["four_amplitudes"]()
-        reference, (samples, stats, _), _ = traced_integrate(*run)
-        monkeypatch.setattr(dynamics, "_V_STOP_BATCH", batch)
-        traj, (batch_samples, batch_stats, _), calls = traced_integrate(*run)
-        assert batch_samples.tobytes() == samples.tobytes()
-        assert batch_stats == stats
-        assert traj.V.tobytes() == reference.V.tobytes()
-        assert (len(calls) > 1) == (batch < stats.accepted)
+    def test_looks_do_not_move_the_cut(self, batch):
+        # On both widths: |++> steps its Bloch vector, and V passes 0.1 at t = 13.8.
+        amplitudes = []
+        for run in phi_plus_run(x_state("|++>"), 0.1), self.runs["four_amplitudes"]():
+            reference, (samples, stats, _), _ = traced_integrate(*run)
+            amplitudes.append(stats.amplitudes)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dynamics, "_V_STOP_BATCH", batch)
+                traj, (batch_samples, batch_stats, _), calls = traced_integrate(*run)
+            assert batch_samples.tobytes() == samples.tobytes()
+            assert batch_stats == stats
+            assert traj.V.tobytes() == reference.V.tobytes()
+            assert (len(calls) > 1) == (batch < stats.accepted)
+            assert reference.V[-1] < run[-1].v_stop < reference.V[1]
+        assert amplitudes == [2, 4]
 
     @pytest.mark.parametrize("name", list(runs))
     @pytest.mark.parametrize("fail", [nan_stage, "ValueError"], ids=["nan", "ValueError"])
@@ -1572,8 +1598,8 @@ class TestVStopCut:
         failed = []
         real_rhs = dynamics.rhs
 
-        def failing(coeffs, t, y):
-            dy = real_rhs(coeffs, t, y)
+        def failing(coeffs, t, *y):
+            dy = real_rhs(coeffs, t, *y)
             if t > t_cut:
                 failed.append(t)
                 if fail == "ValueError":

@@ -24,6 +24,7 @@ from bellsteer import (
     hamiltonians,
     integrate,
 )
+from bellsteer.experiments import run_preset
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -51,6 +52,22 @@ def fixed_point_field():
     return float(np.max(np.abs(traj.f)))
 
 
+@cache
+def stepped_presets():
+    """The six Lyapunov runs of preset figure4, keyed by label."""
+    return {label: traj for label, traj, _ in run_preset("figure4")}
+
+
+def preset_extreme(paradigm, column, pick):
+    """pick (min or max) over the figure4 runs of paradigm of column(traj)."""
+    return pick(column(traj) for traj in stepped_presets().values()
+                if traj.metadata.paradigm is paradigm)
+
+
+def norm_drift(traj):
+    return traj.metadata.integrator_stats.max_norm_drift
+
+
 LOCAL, INTERACTION = Paradigm.LOCAL_CONTROL, Paradigm.INTERACTION_CONTROL
 NUMBERS = [
     ("the local run ends at `V = 0.526`", "0.526",
@@ -62,6 +79,18 @@ NUMBERS = [
     ("with a spread of 1.4e-12", "1.4e-12",
      lambda: np.ptp(zero_plus_run(INTERACTION).p_S)),
     ("to a largest `|f|` of 7.0e-13", "7.0e-13", fixed_point_field),
+    ("(`figure4_local_k2` ends at `V` = 1.02e-19)", "1.02e-19",
+     lambda: stepped_presets()["figure4_local_k2"].V[-1]),
+    ("(9.8e-11 to 1.5e-10 on the interaction presets", "9.8e-11",
+     lambda: preset_extreme(INTERACTION, norm_drift, min)),
+    ("(9.8e-11 to 1.5e-10 on the interaction presets", "1.5e-10",
+     lambda: preset_extreme(INTERACTION, norm_drift, max)),
+    ("1.9e-12 to 9.1e-12 on the local ones", "1.9e-12",
+     lambda: preset_extreme(LOCAL, norm_drift, min)),
+    ("1.9e-12 to 9.1e-12 on the local ones", "9.1e-12",
+     lambda: preset_extreme(LOCAL, norm_drift, max)),
+    ("`V` never rises between samples by more than 1.7e-16", "1.7e-16",
+     lambda: max(np.diff(traj.V).max() for traj in stepped_presets().values())),
 ]
 
 
