@@ -73,6 +73,9 @@ _SPLIT_ROUNDING = 128 * 2.0**-53
 # accepted steps. A look costs as much as about 5 steps, and up to this many steps may pass
 # the cut; measured on figure4's runs, 64-256 are alike (BENCH_step_table.json, "v_stop").
 _V_STOP_BATCH = 128
+# The most samples t_max / sample_every may ask for (the presets take 3,001): the exact
+# path's rho/rho_d stack alone holds 512 bytes a sample, 512 MB at this cap.
+MAX_SAMPLES = 10**6
 
 # Dormand-Prince 5(4) tableau, as plain floats for the written-out attempt in
 # `_dp5`. _A holds the stage coefficients A[i, :i] of stages 2-6, at the
@@ -144,6 +147,9 @@ class IntegratorConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.v_stop is not None and not (math.isfinite(self.v_stop) and self.v_stop > 0):
             raise ValueError(f"v_stop must be positive and finite, got {self.v_stop}")
+        if self.t_max / self.sample_every > MAX_SAMPLES:
+            raise ValueError(f"t_max / sample_every must be at most {MAX_SAMPLES}, "
+                             f"got {self.t_max / self.sample_every:.9g}")
 
 
 @dataclass(frozen=True)

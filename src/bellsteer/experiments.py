@@ -7,8 +7,8 @@ integrate in XProduct coordinates; configured states are stored canonically in
 ZProduct coordinates and converted when the run is assembled.
 
 Outputs: a trajectory CSV with the exact header
-``t,V,f,concurrence,fidelity,p_S,purity`` (floats at 17 significant digits, so
-reruns are byte-identical) and a JSON report (final values, rate fit, peak
+``t,V,f,concurrence,fidelity,p_S,purity`` (each float as ``'%.16e'``, which
+reads back bit for bit) and a JSON report (final values, rate fit, peak
 analysis, drive-strength ratio).
 """
 
@@ -129,7 +129,7 @@ class OutputPaths:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
-    """One closed-loop run. States are unit vectors in ZProduct coordinates."""
+    """One run, open- or closed-loop. States are unit vectors in ZProduct coordinates."""
 
     model: ModelParams
     paradigm: Paradigm
@@ -307,22 +307,20 @@ def is_sweep_mapping(mapping: dict[str, str]) -> bool:
     return any(k.startswith(_SWEEP) for k in mapping)
 
 
-# The trajectory CSV's text of a float x is '%.17g' % x, written for a whole
+# The trajectory CSV's text of a float x is '%.16e' % x, written for a whole
 # table at once. Its 17 significant digits are the correctly rounded
 # N = round(|x| 10^(16-E)), E = floor(log10|x|), that Python's %-formatting
 # takes from Gay's dtoa (1990); here they come from Dekker's exact product of
 # |x| and a double-double 10^(16-E) (Numer. Math. 18, 224 (1971)), both of
-# whose parts are quotients of Python integers. They are laid out as %g does
-# in fixed 32-byte cells whose NUL pads are then deleted:
-#   head (8 bytes)    the text before the other digits: sign, '0.', '0.0',
-#                     '0.00' or '0.000' for E = -1..-4, the first digit, and
-#                     a point after it;
-#   digits (16)       the other 16, each past the last one kept a NUL;
-#   tail (8)          byte 0 a free slot for a point, 'e+XX' or 'e-XXX', the
-#                     ',' or the newline after the last column at byte 6, NUL.
+# whose parts are quotients of Python integers. They are laid out in fixed
+# 32-byte cells whose NUL pads are then deleted:
+#   head (8 bytes)    sign, the first digit and the point;
+#   digits (16)       the other 16 digits;
+#   tail (8)          'e+XX' or 'e-XXX', then at byte 6 ',' or, after the
+#                     last column, the newline.
 # A value this cannot decide, namely zero, nan, inf, |x| outside
 # [1e-250, 1e250] and N within _TIE of a rounding tie, is formatted by
-# '%.17g' itself.
+# '%.16e' itself.
 _E_LIM = 250
 _TIE = 1e-6
 _SPLIT = 134217729.0  # 2^27 + 1
@@ -357,38 +355,19 @@ def _words(texts) -> np.ndarray:
     return np.frombuffer(b"".join(t.ljust(8, b"\0") for t in texts), "<u8")
 
 
-def _cell_tables() -> tuple[np.ndarray, ...]:
-    """The cells' pieces as little-endian words, by row.
-
-    - heads, in row ((sign 5 + j) 10 + d) 2 + point for E = -j < 0 (j = 0
-      otherwise) and first digit d: the text '%' prints before the other
-      digits;
-    - digit words: the four digits of q = 0..9999, a '<u4' word in the low
-      half;
-    - masks (2, 18): the bytes of the two digit words that hold digits 1..16
-      of the first `kept` digits, in column kept;
-    - tails, in row 2 (E + _E_LIM + 3) + last: a NUL, the exponent as
-      b'e%+03d' % E in bytes 1..5, and ',' or, in the last column, a newline
-      at byte 6; rows 0 and 1 have no exponent;
-    - the trailing zero digits of q = 0..9999, 4 for 0.
-    """
-    heads = _words(b"%s%s%d%s" % (b"-"[:sign], b"0.000"[:j + 1] if j else b"", d, b"."[:point])
-                   for sign in (0, 1) for j in range(5) for d in range(10) for point in (0, 1))
-    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T.copy() + ord("0")
-    masks = np.arange(16) < np.arange(-1, 17)[:, None]
-    exponents = [b""] + [b"e%+03d" % e for e in range(-_E_LIM - 2, _E_LIM + 3)]
-    tails = _words(b"\0" + x.ljust(5, b"\0") + end for x in exponents for end in (b",", b"\n"))
-    z = (digits == ord("0")).astype(np.uint8)
-    zeros = z[:, 3] * (1 + z[:, 2] * (1 + z[:, 1] * (1 + z[:, 0])))
-    return (heads, digits.view("<u4").ravel().astype("<u8"),
-            (255 * masks).astype(np.uint8).view("<u8").T.copy(), tails, zeros)
-
-
 @functools.cache
 def _format_tables() -> tuple[np.ndarray, ...]:
-    """The powers of ten and the cells' pieces, built at the first CSV write:
-    a process that writes none, such as a sweep, never holds them."""
-    return (_pow10_table(), *_cell_tables())
+    """The powers of ten and the cells' pieces as little-endian words: heads
+    '-d.' or 'd.' in row 10 sign + d, the four digits of q = 0..9999 in the
+    low half of row q, and tails b'e%+03d' % E with ',' or, in the last
+    column, a newline at byte 6, in row 2 (E + _E_LIM + 2) + last. Built at
+    the first CSV write: a process that writes none, such as a sweep, never
+    holds them."""
+    heads = _words(b"%s%d." % (b"-"[:sign], d) for sign in (0, 1) for d in range(10))
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T.copy() + ord("0")
+    tails = _words((b"e%+03d" % e).ljust(6, b"\0") + end
+                   for e in range(-_E_LIM - 2, _E_LIM + 3) for end in (b",", b"\n"))
+    return _pow10_table(), heads, digits.view("<u4").ravel().astype("<u8"), tails
 
 
 def _significand(a: np.ndarray, e: np.ndarray, p10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -403,9 +382,9 @@ def _significand(a: np.ndarray, e: np.ndarray, p10: np.ndarray) -> tuple[np.ndar
 
 
 def _csv_rows(table: np.ndarray) -> bytes:
-    """The CSV lines of a 2-D float64 table: '%.17g' % x per value, ',' between
+    """The CSV lines of a 2-D float64 table: '%.16e' % x per value, ',' between
     values and a newline after each row."""
-    p10, heads, digit_words, masks, tails, trailing_zeros = _format_tables()
+    p10, heads, digit_words, tails = _format_tables()
     rows, cols = table.shape
     x = table.ravel()
     a = abs(x)
@@ -427,45 +406,17 @@ def _csv_rows(table: np.ndarray) -> bytes:
     e[carry] += 1
     n[~ok], e[~ok] = 10**16, 0
     first, rest = np.divmod(n, 10**16)
-    quads = np.empty((4, x.size), np.int64)
-    quads[0], quads[1] = np.divmod(rest // 10**8, 10000)
-    quads[2], quads[3] = np.divmod(rest % 10**8, 10000)
-    # k significant digits: 17 less the trailing zeros
-    zeros = np.where(quads[3] | quads[2],
-                     np.where(quads[3], trailing_zeros[quads[3]], 4 + trailing_zeros[quads[2]]),
-                     np.where(quads[1], 8 + trailing_zeros[quads[1]],
-                              12 + trailing_zeros[quads[0]]))
-    k = 17 - zeros
-    fixed = (e >= -4) & (e < 17)
-    # %g writes every integer digit of a fixed-point value, and its point only
-    # before a fraction digit other than a trailing zero
-    kept = np.where(fixed, np.maximum(k, e + 1), k)
     cells = np.empty((x.size, 4), "<u8")
-    head = (np.signbit(x) * 5 + np.where(fixed & (e < 0), -e, 0)) * 10 + first
-    cells[:, 0] = heads[2 * head + ((k > 1) & (~fixed | (e == 0)))]
-    keep_lo, keep_hi = np.take(masks, kept, axis=1)
-    cells[:, 1] = (digit_words[quads[0]] | digit_words[quads[1]] << 32) & keep_lo
-    cells[:, 2] = (digit_words[quads[2]] | digit_words[quads[3]] << 32) & keep_hi
-    tail = np.where(fixed, 0, e + _E_LIM + 3).reshape(rows, cols) * 2
+    cells[:, 0] = heads[np.signbit(x) * 10 + first]
+    for word, eight in ((1, rest // 10**8), (2, rest % 10**8)):
+        high, low = np.divmod(eight, 10000)
+        cells[:, word] = digit_words[high] | digit_words[low] << 32
+    tail = (e + _E_LIM + 2).reshape(rows, cols) * 2
     tail[:, -1] += 1
     cells[:, 3] = tails[tail.ravel()]
-    # a fixed-point value's point after digit e = 1..15: the digit bytes above
-    # it move up one, the last into the tail's free slot
-    mid = np.flatnonzero(fixed & (e > 0) & (k > e + 1))
-    words = cells[mid]
-    lo, hi = words[:, 1].copy(), words[:, 2].copy()
-    in_lo = e[mid] < 8
-    bits = (8 * (e[mid] % 8)).astype(np.uint64)
-    below = (1 << bits) - 1
-    word = np.where(in_lo, lo, hi)
-    spliced = (word & below) | (ord(".") << bits) | ((word & ~below) << 8)
-    words[:, 1] = np.where(in_lo, spliced, lo)
-    words[:, 2] = np.where(in_lo, (hi << 8) | (lo >> 56), spliced)
-    words[:, 3] |= hi >> 56
-    cells[mid] = words
     cells = cells.view(np.uint8).reshape(rows, cols, 32)
     for i in np.flatnonzero(~ok):
-        text = b"%.17g" % x[i]
+        text = b"%.16e" % x[i]
         cells[i // cols, i % cols, :-2] = 0  # all but the separator and its pad
         cells[i // cols, i % cols, : len(text)] = np.frombuffer(text, np.uint8)
     return cells.tobytes().translate(None, b"\0")
@@ -480,7 +431,7 @@ _CSV_BLOCK = 512
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
     """Write the columns of CSV_HEADER, one row per sample, each float as
-    '%.17g' % x, with '\\n' line ends on every platform."""
+    '%.16e' % x, with '\\n' line ends on every platform."""
     columns = [getattr(traj, name) for name in CSV_HEADER.split(",")]
     table = np.column_stack(columns).astype(np.float64, copy=False)
     with open(path, "wb") as fh:

@@ -208,9 +208,9 @@ def f_bound(rho: np.ndarray, rho_d: np.ndarray, h1: np.ndarray, kappa: float) ->
 
 def csv_text_reference(traj: Trajectory) -> str:
     """The trajectory CSV, header and one line per sample, each float as
-    '%.17g' % x, by %-formatting Python floats row by row."""
+    '%.16e' % x, by %-formatting Python floats row by row."""
     columns = [getattr(traj, name).tolist() for name in CSV_HEADER.split(",")]
-    row_format = ",".join(["%.17g"] * len(columns))
+    row_format = ",".join(["%.16e"] * len(columns))
     lines = [CSV_HEADER] + [row_format % row for row in zip(*columns)]
     return "\n".join(lines) + "\n"
 

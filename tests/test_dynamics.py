@@ -25,6 +25,7 @@ from bellsteer.dynamics import (
     IntegrationError,
     IntegratorConfig,
     IntegratorStats,
+    MAX_SAMPLES,
     Trajectory,
     TrajectoryMetadata,
     integrate,
@@ -108,6 +109,19 @@ class TestIntegratorConfig:
     def test_rejects_non_finite(self, kwargs):
         with pytest.raises(ValueError, match="finite"):
             IntegratorConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(t_max=1e300),
+            dict(t_max=MAX_SAMPLES + 1.0, sample_every=1.0),
+        ],
+    )
+    def test_rejects_grid_past_max_samples(self, kwargs):
+        # Checked before any grid is built; the cap itself is accepted.
+        with pytest.raises(ValueError, match="t_max / sample_every must be at most"):
+            IntegratorConfig(**kwargs)
+        IntegratorConfig(t_max=float(MAX_SAMPLES), sample_every=1.0)
 
 
 class TestSampling:

@@ -587,7 +587,7 @@ class TestFidelityAndPurity:
 
 
 def _percent_rows(table: np.ndarray) -> bytes:
-    return "".join(",".join("%.17g" % x for x in row) + "\n" for row in table.tolist()).encode()
+    return "".join(",".join("%.16e" % x for x in row) + "\n" for row in table.tolist()).encode()
 
 
 def _next(x: float, toward: float) -> float:
@@ -596,10 +596,10 @@ def _next(x: float, toward: float) -> float:
 
 class TestCsvText:
     """write_trajectory_csv formats a whole table in numpy passes; its text is
-    '%.17g' % x for every float, byte for byte."""
+    '%.16e' % x for every float, byte for byte."""
 
     NAMED = [
-        # where %g moves between fixed and exponent form, and their neighbours
+        # where '%.17g' moves between fixed and exponent form, and their neighbours
         1e-5, _next(1e-5, 0), _next(1e-5, 1), 1e-4, _next(1e-4, 0), _next(1e-4, 1),
         1e16, _next(1e16, 0), _next(1e16, np.inf), 1e17, _next(1e17, 0), _next(1e17, np.inf),
         # the edges of the vectorised range, inside and out
@@ -607,7 +607,7 @@ class TestCsvText:
         _next(1e250, np.inf),
         # fl(10^E) below 10^E, whose 17-digit significand at E - 1 rounds up to 10^17
         1e-14, 1e98, 1e23,
-        # integers keep their zeros and take no point
+        # integers, which '%.17g' prints without a point
         100.0, 1200.0, 10.0, 1.0, 300.0, 2.0**53,
         # exact ties at the 18th digit, kept even and rounded up
         100000000001 / 1024, 100000000003 / 1024,
@@ -675,6 +675,22 @@ class TestCsvText:
             write_trajectory_csv(traj, tmp_path / f"{label}.csv")
             text = (tmp_path / f"{label}.csv").read_bytes()
             assert text == csv_text_reference(traj).encode(), label
+
+    FIELD = re.compile(rb"-?[0-9]\.[0-9]{16}e[+-][0-9]{2,3}|nan|inf")
+
+    @pytest.mark.parametrize("fixture", ["figure1_runs", "figure2_runs", "figure3_runs"])
+    def test_preset_fields_have_17_digits_and_read_back(self, fixture, request, tmp_path):
+        # every field in the one layout, and every column its Trajectory
+        # column bit for bit, signed zeros included
+        for label, (traj, _) in request.getfixturevalue(fixture).items():
+            write_trajectory_csv(traj, tmp_path / f"{label}.csv")
+            header, *lines = (tmp_path / f"{label}.csv").read_bytes().splitlines()
+            fields = [line.split(b",") for line in lines]
+            assert all(self.FIELD.fullmatch(x) for row in fields for x in row), label
+            read = np.array(fields, dtype=np.float64)
+            for name, column in zip(header.decode().split(","), read.T):
+                assert np.array_equal(column.view(np.uint64),
+                                      getattr(traj, name).view(np.uint64)), (label, name)
 
     def test_figure4_runs_are_figure2_and_figure3(self):
         # so the preset test above covers every figure4 CSV without stepping it again
@@ -976,6 +992,15 @@ class TestCli:
         cfg = self.write_cfg(tmp_path, base_mapping(**{"integrator.v_stop": "0"}))
         assert main(["validate", cfg]) == 2
         assert "integrator: v_stop must be positive" in capsys.readouterr().err
+
+    def test_grid_past_max_samples_exits_2(self, tmp_path, capsys):
+        # Rejected at the boundary, before a grid of 1e301 samples is asked for.
+        for law in ({}, {"law.type": "Geometric", "law.kappa": None, "law.t0": "1"}):
+            cfg = self.write_cfg(tmp_path, base_mapping(**law, **{"integrator.t_max": "1e300"}))
+            assert main(["validate", cfg]) == 2
+            assert main(["run", cfg]) == 2
+            err = capsys.readouterr().err
+            assert err.count("integrator: t_max / sample_every must be at most") == 2
 
     def test_first_step_is_not_a_key(self, tmp_path, capsys):
         # The stepper takes its first trial step from sample_every.

@@ -18,6 +18,7 @@ import bellsteer
 SRC = Path(bellsteer.__file__).resolve().parent
 TRACING = Path(__file__).resolve().parents[1] / "bellbench" / "tracing.py"
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC_LINES = Path(__file__).resolve().parents[1] / "tools" / "src_lines.py"
 
 
 def test_star_import_resolves_every_public_name():
@@ -181,3 +182,20 @@ def test_docstring_readme_pointers_resolve():
                 named += [(where, section) for section in README_POINTER.findall(doc)]
     assert len({section for _, section in named}) >= 6
     assert [(where, section) for where, section in named if section not in headings] == []
+
+
+def test_src_lines_split_every_line_once():
+    # tools/src_lines.py, the line counts CHANGES.md and ROADMAP quote: on
+    # each file its four kinds sum to the file's line count, and the total
+    # row sums the files.
+    out = subprocess.run([sys.executable, str(SRC_LINES)], capture_output=True, text=True,
+                         check=True).stdout
+    header, *rows = [line.split() for line in out.splitlines()]
+    assert header == ["file", "code", "docstring", "comment", "blank", "total"]
+    counts = {name: [int(n) for n in numbers] for name, *numbers in rows}
+    files = {path.name: path for path in SRC.glob("*.py")}
+    assert sorted(counts) == sorted([*files, "total"])
+    for name, path in files.items():
+        *kinds, total = counts[name]
+        assert sum(kinds) == total == len(path.read_text(encoding="utf-8").splitlines()), name
+    assert counts["total"] == [sum(counts[name][i] for name in files) for i in range(5)]

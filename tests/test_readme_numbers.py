@@ -25,6 +25,7 @@ from bellsteer import (
     integrate,
 )
 from bellsteer.experiments import run_preset
+from bellsteer.metrics import peak_report
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -56,6 +57,28 @@ def fixed_point_field():
 def stepped_presets():
     """The six Lyapunov runs of preset figure4, keyed by label."""
     return {label: traj for label, traj, _ in run_preset("figure4")}
+
+
+@cache
+def constant_field_presets():
+    """The three constant-field runs of preset figure1, keyed by label."""
+    return {label: traj for label, traj, _ in run_preset("figure1")}
+
+
+def weakest_field():
+    """README, "Tests": the constant-field run at B = 0.1."""
+    return constant_field_presets()["figure1_B0.1"]
+
+
+def bound_gap(traj):
+    """The least C - (1 - 2V) of a run (README, "Tests")."""
+    return float(np.min(traj.concurrence - (1.0 - 2.0 * traj.V)))
+
+
+def bound_fall(traj):
+    """The largest fall of max(0, 1 - 2V) between samples of a run."""
+    bound = np.maximum(0.0, 1.0 - 2.0 * traj.V)
+    return float(np.max(bound[:-1] - bound[1:]))
 
 
 def preset_extreme(paradigm, column, pick):
@@ -91,6 +114,14 @@ NUMBERS = [
      lambda: preset_extreme(LOCAL, norm_drift, max)),
     ("`V` never rises between samples by more than 1.7e-16", "1.7e-16",
      lambda: max(np.diff(traj.V).max() for traj in stepped_presets().values())),
+    ("is at `t = 143.5`", "143.5", lambda: peak_report(weakest_field()).t_first),
+    ("the concurrence *peak* (measured `157.9`)", "157.9",
+     lambda: weakest_field().t[np.argmax(weakest_field().concurrence)]),
+    ("measured down to −2.1e-15", "2.1e-15",
+     lambda: -min(bound_gap(traj) for traj in [*constant_field_presets().values(),
+                                               *stepped_presets().values()])),
+    ("(measured 3.3e-16, 8.1e-14 before", "3.3e-16",
+     lambda: max(bound_fall(traj) for traj in stepped_presets().values())),
 ]
 
 
