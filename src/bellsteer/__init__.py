@@ -18,7 +18,6 @@ from .dynamics import (
     IntegratorConfig,
     IntegratorStats,
     Trajectory,
-    TrajectoryMetadata,
     integrate,
     propagate_exact,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "ScenarioConfig",
     "SweepConfig",
     "Trajectory",
-    "TrajectoryMetadata",
     "X_PRODUCT",
     "Z_PRODUCT",
     "apply_axis",

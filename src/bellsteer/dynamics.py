@@ -43,14 +43,7 @@ from statistics import median
 import numpy as np
 
 from .control import ControlLaw, Geometric, Lyapunov, control_field, lyapunov_value
-from .model import (
-    SECTORS,
-    X_PRODUCT,
-    HamiltonianPair,
-    ModelParams,
-    Paradigm,
-    subspace_populations,
-)
+from .model import SECTORS, X_PRODUCT, HamiltonianPair, subspace_populations
 from . import metrics
 
 NORM_TOL = 1e-12
@@ -175,24 +168,17 @@ class IntegratorStats:
     amplitudes: int
 
 
-@dataclass(frozen=True)
-class TrajectoryMetadata:
-    params: ModelParams | None
-    paradigm: Paradigm | None
-    law: ControlLaw
-    stalled: bool
-    integrator_stats: IntegratorStats | None = None  # None on the exact path
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Time-ordered samples of the coupled run.
 
     Arrays share a common length n: t (n,) and the columns f, V,
     concurrence, fidelity Tr(rho rho_d), p_S and purity Tr(rho²) (n,).
-    Times are strictly increasing. The states rho and rho_d (n, d, d) are
-    formed by form_rho and form_rho_d when first read: a closed-loop run
-    takes its columns from psi~ and needs no density matrix for them.
+    Times are strictly increasing. stalled and integrator_stats are
+    `integrate`'s stall flag and IntegratorStats, False and None on the
+    exact path. The states rho and rho_d (n, d, d) are formed by form_rho
+    and form_rho_d when first read: a closed-loop run takes its columns
+    from psi~ and needs no density matrix for them.
     """
 
     t: np.ndarray
@@ -202,7 +188,8 @@ class Trajectory:
     fidelity: np.ndarray
     p_S: np.ndarray
     purity: np.ndarray
-    metadata: TrajectoryMetadata
+    stalled: bool
+    integrator_stats: IntegratorStats | None
     form_rho: Callable[[], np.ndarray] = field(repr=False)
     form_rho_d: Callable[[], np.ndarray] = field(repr=False)
 
@@ -411,14 +398,7 @@ def _check_invariants(t: np.ndarray, states: np.ndarray, purity0: np.ndarray) ->
     raise IntegrationError(f"rho eigenvalue {ev_min[i]:.3e} below abort threshold", float(t[i]))
 
 
-def _diagnose(
-    h: HamiltonianPair,
-    law: ControlLaw,
-    n_on: int,
-    t: np.ndarray,
-    states: np.ndarray,
-    v_stop: float | None,
-) -> Trajectory:
+def _diagnose(n_on: int, t: np.ndarray, states: np.ndarray, v_stop: float | None) -> Trajectory:
     """The pass `propagate_exact` ends in, over the (n, 2, d, d) state/target
     stack at the times t, in this order. `propagate_exact` fills the stack
     from psi0 psi0† and psi_d0 psi_d0†; the pass itself takes any matrices,
@@ -433,7 +413,8 @@ def _diagnose(
     4. V, concurrence, fidelity, p_S and purity are taken for every sample
        at once, in XProduct coordinates.
 
-    `integrate` takes its columns from psi~ instead, stall flag included.
+    The run is not stalled and has no IntegratorStats. `integrate` takes
+    its columns from psi~ instead, stall flag included.
     """
     v = lyapunov_value(states[:, 0], states[:, 1])
     below = np.flatnonzero(v[1:] < v_stop) if v_stop is not None else ()
@@ -446,8 +427,7 @@ def _diagnose(
     c = metrics.concurrence(rho, X_PRODUCT)
     p_s = subspace_populations(rho)[0]
     fid, pur = _trace_products(rho, rho_d), _trace_products(rho, rho)
-    meta = TrajectoryMetadata(h.params, h.paradigm, law, False)
-    return Trajectory(t, f, v, c, fid, p_s, pur, meta, lambda: rho, lambda: rho_d)
+    return Trajectory(t, f, v, c, fid, p_s, pur, False, None, lambda: rho, lambda: rho_d)
 
 
 def integrate(
@@ -500,9 +480,8 @@ def integrate(
     rates = np.abs(lam[::2] - lam[1::2])
     spanned = (t[-1] * rates >= 2 * math.pi) | (rates <= _SPLIT_ROUNDING * np.linalg.norm(h.h0))
     stalled = bool(v[0] > 1e-12 and np.max(np.abs(v - v[0])) <= 64 * 2.0**-53 and spanned.all())
-    meta = TrajectoryMetadata(h.params, h.paradigm, law, stalled, stats)
     return Trajectory(
-        t, f, v, c, fid, p_s, _sq_norm(psi) ** 2, meta,
+        t, f, v, c, fid, p_s, _sq_norm(psi) ** 2, stalled, stats,
         lambda: psi[:, :, None] * psi[:, None, :].conj(),
         lambda: _evolve(free, np.outer(psi_d0, psi_d0.conj()), t),
     )
@@ -628,14 +607,14 @@ def _dp5(
     error = cut = None
     try:
         while t_max - t > tol:
+            if h_step < h_floor:  # the controller's step; a last step cut to t_max may be shorter
+                last = f"h={steps[-1]:.3e} ending at t={t:.6g}" if steps else "none"
+                raise IntegrationError(
+                    f"step size underflow (h={h_step:.3e}; last accepted step {last})", t
+                )
             hs = t_max - t
             if h_step < hs:
                 hs = h_step
-            if hs < h_floor:
-                last = f"h={steps[-1]:.3e} ending at t={t:.6g}" if steps else "none"
-                raise IntegrationError(
-                    f"step size underflow (h={hs:.3e}; last accepted step {last})", t
-                )
             t_new = t + hs
             if t_max - t_new <= tol:
                 t_new = t_max
@@ -903,4 +882,4 @@ def propagate_exact(
         states[:n_on, 0] = _evolve(driven, start, grid[:n_on])
         start, t_start = _evolve(driven, start, np.array([law.t0]))[0], law.t0
     states[n_on:, 0] = _evolve(free, start, grid[n_on:] - t_start)
-    return _diagnose(h, law, n_on, grid, states, cfg.v_stop)
+    return _diagnose(n_on, grid, states, cfg.v_stop)

@@ -458,7 +458,7 @@ def build_report(
     h0_norm, h1_norm = np.linalg.norm(h.h0), np.linalg.norm(h.h1)
     drive_ratio = float(np.max(np.abs(traj.f)) * h1_norm / h0_norm) if h0_norm else None
     peak = peak_report(traj)
-    stats = traj.metadata.integrator_stats
+    stats = traj.integrator_stats
 
     convergence: dict | None = None
     if isinstance(cfg.law, Lyapunov):
@@ -490,7 +490,7 @@ def build_report(
         "final_V": float(traj.V[-1]),
         "final_concurrence": float(traj.concurrence[-1]),
         "final_fidelity": float(traj.fidelity[-1]),
-        "stalled": traj.metadata.stalled,
+        "stalled": traj.stalled,
         "integrator_stats": None if stats is None else dataclasses.asdict(stats),
         "max_drive_ratio": drive_ratio,
         "peak": {

@@ -128,15 +128,11 @@ SECTORS = ((0, 3), (1, 2))
 class HamiltonianPair:
     """Drift h0 and control h1 as (2, 2, 2) arrays of sector blocks: h[s] is
     the operator on sector s, on the XProduct rows SECTORS[s], and nothing
-    couples the sectors, so both commute with X(x)X. Optional construction
-    metadata (params, paradigm) travels with the pair for downstream checks.
-    Each must have a finite Frobenius norm and be Hermitian to
-    HERMITICITY_TOL."""
+    couples the sectors, so both commute with X(x)X. Each must have a
+    finite Frobenius norm and be Hermitian to HERMITICITY_TOL."""
 
     h0: np.ndarray = field(repr=False)
     h1: np.ndarray = field(repr=False)
-    params: ModelParams | None = None
-    paradigm: Paradigm | None = None
 
     def __post_init__(self) -> None:
         for name, h in (("h0", self.h0), ("h1", self.h1)):
@@ -176,7 +172,7 @@ def hamiltonians(p: ModelParams, paradigm: Paradigm) -> HamiltonianPair:
         h0, h1 = np.stack([2.0 * b * _Z, np.zeros_like(_Z)]), coupling
     else:
         raise ValueError(f"unknown paradigm {paradigm!r}")
-    return HamiltonianPair(h0, h1, p, paradigm)
+    return HamiltonianPair(h0, h1)
 
 
 def bell_state(which: BellName, basis: Basis) -> np.ndarray:

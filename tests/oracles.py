@@ -10,6 +10,9 @@ No run of the package calls these; they check it:
 - `commutator_field`, the feedback field kappa Im Tr(rho_d [H1, rho]) in
   its density-matrix form, against which `control.control_field` on state
   vectors is held, and `f_bound`, its Cauchy-Schwarz bound;
+- `matrix_columns`, a trajectory's columns from the density-matrix
+  function of each, against which `dynamics.integrate`'s columns, taken on
+  state vectors, are held;
 - `csv_text_reference`, the trajectory CSV as '%'-formatted rows, against
   which `experiments.write_trajectory_csv`'s vectorised formatter is held
   byte for byte;
@@ -28,8 +31,11 @@ No run of the package calls these; they check it:
 - `h_local` and `h_eff`, the model's Hamiltonians as Kronecker products in
   ZProduct coordinates, and `model_matrices`, the pair of a paradigm built
   from them as 4x4 XProduct matrices, against whose sector rows
-  `model.hamiltonians`' blocks are held, and from which the tests take
-  their reference 4x4 matrices (`pair_matrices`).
+  `model.hamiltonians`' blocks are held;
+- `model_pair`, `model.hamiltonians`' pair with the params and paradigm it
+  was built from (`ModelPair`), from which the tests take their reference
+  4x4 matrices (`pair_matrices`): those of `model_matrices`, never the
+  pair's own blocks.
 
 `vdot_identity_check` steps the package's own closed loop, so it reads the
 private `dynamics._state_vectors`, `_frame` and `rhs`, and `dop853_run` ends
@@ -64,7 +70,17 @@ from bellsteer.dynamics import (
     rhs,
 )
 from bellsteer.experiments import CSV_HEADER
-from bellsteer.model import SECTORS, X_PRODUCT, Basis, HamiltonianPair, ModelParams, Paradigm
+from bellsteer.metrics import concurrence
+from bellsteer.model import (
+    SECTORS,
+    X_PRODUCT,
+    Basis,
+    HamiltonianPair,
+    ModelParams,
+    Paradigm,
+    hamiltonians,
+    subspace_populations,
+)
 
 # sigma_x, sigma_y, sigma_z.
 PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -125,12 +141,25 @@ def embed(blocks: np.ndarray) -> np.ndarray:
     return m
 
 
-def pair_matrices(h: HamiltonianPair) -> tuple[np.ndarray, np.ndarray]:
-    """(H0, H1) of a pair as 4x4 XProduct matrices: a model pair's (params
-    and paradigm set) from the Kronecker forms (`model_matrices`), any other
-    pair's by placing its blocks (`embed`)."""
-    if h.params is None:
-        return embed(h.h0), embed(h.h1)
+@dataclasses.dataclass(frozen=True, eq=False)
+class ModelPair(HamiltonianPair):
+    """A pair of `model.hamiltonians`, with the params and paradigm it was
+    built from, which the package's pair does not keep."""
+
+    params: ModelParams
+    paradigm: Paradigm
+
+
+def model_pair(p: ModelParams, paradigm: Paradigm) -> ModelPair:
+    """`model.hamiltonians(p, paradigm)`, as a ModelPair."""
+    h = hamiltonians(p, paradigm)
+    return ModelPair(h.h0, h.h1, p, paradigm)
+
+
+def pair_matrices(h: ModelPair) -> tuple[np.ndarray, np.ndarray]:
+    """(H0, H1) of a model pair as 4x4 XProduct matrices, from the Kronecker
+    forms of its params and paradigm (`model_matrices`). A pair of any other
+    blocks has no such reference; `embed` places its blocks."""
     return model_matrices(h.params, h.paradigm)
 
 
@@ -194,6 +223,22 @@ def commutator_field(
     target or of each pair of matrices in (n, d, d) stacks."""
     comm = h1 @ rho - rho @ h1
     return kappa * np.trace(rho_d @ comm, axis1=-2, axis2=-1).imag
+
+
+def matrix_columns(traj: Trajectory, h1: np.ndarray, kappa: float) -> dict[str, np.ndarray]:
+    """The columns of a closed-loop Trajectory from its rho and rho_d, by the
+    density-matrix function of each, keyed by column: `lyapunov_value`,
+    `commutator_field` with the 4x4 H1 and the gain kappa, `concurrence`,
+    `subspace_populations`, Tr(rho rho_d) and Tr(rho²), one matrix at a time."""
+    rho, rho_d = traj.rho, traj.rho_d
+    return {
+        "V": lyapunov_value(rho, rho_d),
+        "f": commutator_field(rho, rho_d, h1, kappa),
+        "concurrence": concurrence(rho, X_PRODUCT),
+        "p_S": subspace_populations(rho)[0],
+        "fidelity": np.array([np.trace(r @ r_d).real for r, r_d in zip(rho, rho_d)]),
+        "purity": np.array([np.trace(r @ r).real for r in rho]),
+    }
 
 
 def f_bound(rho: np.ndarray, rho_d: np.ndarray, h1: np.ndarray, kappa: float) -> float:
@@ -301,14 +346,14 @@ def state_vector(rho: np.ndarray) -> np.ndarray:
     return np.linalg.eigh(rho)[1][:, -1]
 
 
-def vec_frame(h: HamiltonianPair, states: np.ndarray) -> tuple:
+def vec_frame(h: ModelPair, states: np.ndarray) -> tuple:
     """The reference stepper's frame: vec rho~ at t = 0 for the (2, d, d)
     state/target stack, rho~ = W† U0(t)† rho U0(t) W in the eigenbasis
     (lam, W) of H0, written row-major, with (W, the (d²,) rates
     -i(lam_j - lam_k), the (d², d²) transpose gen of -i L(W† H1 W) with
     L(H) = H⊗I - I⊗Hᵀ, the constant target rho_d~ = W† rho_d0 W, and
     ||H1||_F, the scale of the feedback trace's realness check). H0 and H1
-    are the pair's 4x4 reference matrices (`pair_matrices`)."""
+    are the model pair's 4x4 reference matrices (`pair_matrices`)."""
     h0, h1 = pair_matrices(h)
     lam, w = np.linalg.eigh(h0)
     rho, rho_d = w.conj().T @ states @ w
@@ -346,7 +391,8 @@ def dop853_run(
     cfg: IntegratorConfig,
 ) -> Trajectory:
     """A stepped reference propagator for any law, with the arguments of
-    `integrate` and `propagate_exact`: scipy's DOP853 at rtol 1e-13 on
+    `integrate` and `propagate_exact`, the pair a ModelPair so that its
+    reference matrices are known: scipy's DOP853 at rtol 1e-13 on
     vec rho~ (`vec_frame`, `vec_rhs`) from rho0 = psi0 psi0† and
     rho_d0 = psi_d0 psi_d0†, while the field is on, over [0, t_max] for
     feedback and [0, t0] for a geometric law; with the field off rho~ stays
@@ -379,7 +425,7 @@ def dop853_run(
     d = len(w)
     states = w @ tilde.reshape(len(grid), 2, d, d) @ w.conj().T
     if not isinstance(law, Lyapunov):
-        return dynamics._diagnose(h, law, n_on, grid, states, cfg.v_stop)
-    traj = dynamics._diagnose(h, None, 0, grid, states, cfg.v_stop)
+        return dynamics._diagnose(n_on, grid, states, cfg.v_stop)
+    traj = dynamics._diagnose(0, grid, states, cfg.v_stop)
     f = commutator_field(traj.rho, traj.rho_d, pair_matrices(h)[1], law.kappa)
-    return dataclasses.replace(traj, f=f, metadata=dataclasses.replace(traj.metadata, law=law))
+    return dataclasses.replace(traj, f=f)

@@ -41,8 +41,8 @@ from bellsteer.model import (
 from oracles import (
     f_bound,
     geometric_evolve,
+    model_matrices,
     outer,
-    pair_matrices,
     state_vector,
     vdot_identity_check,
 )
@@ -111,15 +111,16 @@ def test_criterion_04_lyapunov_descent(lyapunov_runs):
         print(f"criterion 4: {label} max V increase = {max_rise:.3g} (slack 1e-8)")
         assert max_rise <= 1e-8, label
 
+    configs = dict(preset_scenarios("figure2") + preset_scenarios("figure3"))
     rng = np.random.default_rng(4)
     worst = 0.0
     for _ in range(100):
         label, (traj, _) = runs[int(rng.integers(len(runs)))]
         i = int(rng.integers(len(traj)))
-        meta = traj.metadata
-        h = hamiltonians(meta.params, meta.paradigm)
+        cfg = configs[label]
+        h = hamiltonians(cfg.model, cfg.paradigm)
         psi, psi_d = state_vector(traj.rho[i]), state_vector(traj.rho_d[i])
-        analytic, numeric = vdot_identity_check(psi, psi_d, h, meta.law)
+        analytic, numeric = vdot_identity_check(psi, psi_d, h, cfg.law)
         tol = max(1e-6, 1e-3 * abs(analytic))
         err = abs(analytic - numeric)
         worst = max(worst, err)
@@ -206,7 +207,7 @@ def test_criterion_08_oracle_equivalence():
     cfg = IntegratorConfig(t_max=200.0, sample_every=0.5)
     traj = propagate_exact(h, Geometric(t0=200.0), psi0, psi_d0, cfg)
     rho0 = outer(psi0)
-    h_tot = sum(pair_matrices(h))
+    h_tot = sum(model_matrices(params, Paradigm.LOCAL_CONTROL))
     worst_const = max(
         np.linalg.norm(traj.rho[i] - geometric_evolve(h_tot, rho0, float(t)))
         for i, t in enumerate(traj.t)
@@ -223,7 +224,7 @@ def test_criterion_08_oracle_equivalence():
     traj2 = integrate(h, Lyapunov(kappa=1.0), plus[0], psi_d0, cfg_cl)
     traj4 = integrate(h, Lyapunov(kappa=1.0 / p),
                       np.sqrt(p) * plus[0] + np.sqrt(1.0 - p) * plus[1], psi_d0, cfg_cl)
-    amplitudes = [t.metadata.integrator_stats.amplitudes for t in (traj2, traj4)]
+    amplitudes = [t.integrator_stats.amplitudes for t in (traj2, traj4)]
     assert amplitudes == [2, 4]
     assert np.array_equal(traj2.t, traj4.t)
     s_block = np.ix_(range(len(traj4)), [0, 3], [0, 3])
@@ -277,12 +278,13 @@ def test_criterion_09_invariant_suite(figure1_runs, lyapunov_runs):
     print(f"criterion 9: worst local-unitary concurrence deviation = {worst_lu:.3g}")
 
     # The control field never exceeds its Cauchy-Schwarz bound.
+    configs = dict(preset_scenarios("figure2") + preset_scenarios("figure3"))
     worst_margin = np.inf
     for label, (traj, _) in sorted(lyapunov_runs.items()):
-        meta = traj.metadata
-        h = hamiltonians(meta.params, meta.paradigm)
+        cfg = configs[label]
+        h1 = model_matrices(cfg.model, cfg.paradigm)[1]
         for i in range(len(traj)):
-            bound = f_bound(traj.rho[i], traj.rho_d[i], pair_matrices(h)[1], meta.law.kappa)
+            bound = f_bound(traj.rho[i], traj.rho_d[i], h1, cfg.law.kappa)
             margin = bound - abs(float(traj.f[i]))
             worst_margin = min(worst_margin, margin)
             assert bound + 1e-12 >= abs(float(traj.f[i])), f"{label} sample {i}"

@@ -27,7 +27,6 @@ from bellsteer.dynamics import (
     IntegratorStats,
     MAX_SAMPLES,
     Trajectory,
-    TrajectoryMetadata,
     integrate,
     propagate_exact,
     rhs,
@@ -42,13 +41,15 @@ from bellsteer.model import (
     X_PRODUCT,
     bell_state,
     hamiltonians,
-    subspace_populations,
 )
 from oracles import (
     commutator_field,
     dense_samples_reference,
     dop853_run,
+    embed,
     geometric_evolve,
+    matrix_columns,
+    model_pair,
     outer,
     pair_matrices,
     psi_coefficients,
@@ -63,7 +64,7 @@ TIGHT = dict(rel_tol=1e-11, abs_tol=1e-13)
 
 
 def local_pair():
-    return hamiltonians(P, Paradigm.LOCAL_CONTROL)
+    return model_pair(P, Paradigm.LOCAL_CONTROL)
 
 
 def x_state(name):
@@ -174,6 +175,24 @@ def test_tiny_t_max_samples_its_end(propagate, law):
     assert traj.t.tolist() == [0.0, 5e-11]
 
 
+@pytest.mark.parametrize("t_max", [1e-14, 1e-20, 1e-300])
+@pytest.mark.parametrize(
+    "psi0,amplitudes",
+    [(x_state("|++>"), 2), (X_PRODUCT.vector_from_z(np.array([1, 1, 0, 0]) / np.sqrt(2)), 4)],
+    ids=["bloch", "four_amplitudes"],
+)
+def test_t_max_below_step_floor_is_one_step(psi0, amplitudes, t_max):
+    # At sample_every = 0.1 the step floor is 1e-13. It bounds the step the
+    # controller asks for, not a last step cut to end at t_max, so |++> (one
+    # sector) and |0+> (both) towards Phi+ each take one step to t_max.
+    psi_d0 = bell_state(BellName.PHI_PLUS, X_PRODUCT)
+    traj = integrate(local_pair(), Lyapunov(kappa=1.0), psi0, psi_d0,
+                     IntegratorConfig(t_max=t_max))
+    assert traj.t.tolist() == [0.0, t_max]
+    stats = traj.integrator_stats
+    assert (stats.accepted, stats.amplitudes) == (1, amplitudes)
+
+
 class TestFreeEvolution:
     def test_matches_matrix_exponential(self):
         h = local_pair()
@@ -228,8 +247,7 @@ class TestLyapunovRuns:
         traj = integrate(h, Lyapunov(kappa=1.0), x_state("|++>"), psi_d0,
                          IntegratorConfig(t_max=20.0))
         assert np.all(np.diff(traj.V) <= 1e-10)
-        assert not traj.metadata.stalled
-        assert traj.metadata.paradigm is Paradigm.LOCAL_CONTROL
+        assert not traj.stalled
 
     def test_stalled_run_detected(self):
         # From the phase-flipped Bell state the feedback vanishes identically
@@ -239,7 +257,7 @@ class TestLyapunovRuns:
         psi_d0 = bell_state(BellName.PHI_PLUS, X_PRODUCT)
         traj = integrate(h, Lyapunov(kappa=1.0), psi0, psi_d0,
                          IntegratorConfig(t_max=10.0))
-        assert traj.metadata.stalled
+        assert traj.stalled
         assert np.max(np.abs(traj.f)) <= 1e-14
         assert np.all(np.abs(traj.V - traj.V[0]) < 1e-9)
         assert traj.V[0] == pytest.approx(1.0)
@@ -279,7 +297,7 @@ class TestLyapunovRuns:
         psi_d0 = bell_state(BellName.PHI_PLUS, X_PRODUCT)
         cfg = IntegratorConfig(t_max=60.0, v_stop=0.5)
         traj = integrate(local_pair(), Lyapunov(kappa=2.0), off_s_state(), psi_d0, cfg)
-        stats = traj.metadata.integrator_stats
+        stats = traj.integrator_stats
         assert stats.amplitudes == 4
         assert traj.V[-1] < 0.5 <= traj.V[-2]
         # Stepping ended with the step that passed the cut, not at t_max.
@@ -301,7 +319,7 @@ class TestLyapunovRuns:
         h = hamiltonians(P, paradigm)
         psi0, psi_d0 = (X_PRODUCT.vector_from_z(STATE_LITERALS[s]) for s in (initial, target))
         traj = integrate(h, Lyapunov(kappa), psi0, psi_d0, IntegratorConfig(t_max=300.0))
-        assert traj.metadata.stalled
+        assert traj.stalled
         assert np.max(np.abs(traj.V - traj.V[0])) <= 64 * 2.0**-53
 
     @pytest.mark.parametrize("paradigm", list(Paradigm), ids=lambda p: p.value)
@@ -315,12 +333,12 @@ class TestLyapunovRuns:
         traj = integrate(h, Lyapunov(kappa=1.0), x_state("|++>"), psi_d0,
                          IntegratorConfig(t_max=5e-11))
         assert np.max(np.abs(traj.V - traj.V[0])) <= 64 * 2.0**-53
-        assert not traj.metadata.stalled
+        assert not traj.stalled
 
     def test_presets_read_not_stalled(self, lyapunov_runs):
         # The six Lyapunov presets of figure2 and figure3 are the six of figure4.
         assert [label for label, (traj, _) in sorted(lyapunov_runs.items())
-                if traj.metadata.stalled] == []
+                if traj.stalled] == []
 
 
 class TestProjection:
@@ -418,7 +436,7 @@ class TestReducedRuns:
         """From |++> against 0.8|++> + 0.6|+->, towards Phi+, sample by sample:
         one run steps S alone, the other both sectors. Returns the largest
         deviations in rho, f and V, each within 1e-8."""
-        h = hamiltonians(P, paradigm)
+        h = model_pair(P, paradigm)
         cfg = IntegratorConfig(t_max=t_max, **TIGHT)
         e = np.eye(4, dtype=complex)
         psi_d0 = bell_state(BellName.PHI_PLUS, X_PRODUCT)
@@ -492,7 +510,7 @@ class TestInvariantMonitorExact(TestInvariantMonitor):
 
     @staticmethod
     def check(h, t, states):
-        dynamics._diagnose(h, None, 0, t, states, None)
+        dynamics._diagnose(0, t, states, None)
 
 
 def random_pure_state(amps):
@@ -557,7 +575,7 @@ class TestExactPropagation:
         ),
     )
     def test_random_open_loop_runs(self, eta, k, paradigm, t_max, switch, amps):
-        h = hamiltonians(ModelParams(J=1.0, eta=eta, k=k), paradigm)
+        h = model_pair(ModelParams(J=1.0, eta=eta, k=k), paradigm)
         psi0, psi_d0 = random_pure_state(amps[:8]), random_pure_state(amps[8:])
         t0 = switch * t_max
         cfg = IntegratorConfig(t_max=t_max, sample_every=0.25)
@@ -611,11 +629,10 @@ class TestParity:
 
 class TestTrajectoryType:
     def test_strictly_increasing_times_enforced(self):
-        meta = TrajectoryMetadata(None, None, None, False)
         n = 3
         arr = np.zeros((n, 4, 4), dtype=complex)
         with pytest.raises(ValueError, match="strictly increasing"):
-            Trajectory(np.array([0.0, 0.5, 0.5]), *[np.zeros(n)] * 6, meta,
+            Trajectory(np.array([0.0, 0.5, 0.5]), *[np.zeros(n)] * 6, False, None,
                        lambda: arr, lambda: arr)
 
     def test_len_counts_samples(self):
@@ -699,7 +716,7 @@ class TestRhs:
         most doubles an error, and the bound, far above either side's
         roundoff, is the one psi~ is held to."""
         h = random_pair(h0, h1)
-        h0, h1 = pair_matrices(h)
+        h0, h1 = embed(h.h0), embed(h.h1)
         keep = np.tile(np.isin(range(4), levels), 2)  # of the real and imaginary parts
         # The state and the target at time t.
         psi, psi_d = (random_vector(np.where(keep, v, 0.0), 4) for v in (psi, psi_d))
@@ -856,7 +873,7 @@ class TestRhs:
 def preset_states(label):
     """A figure4 preset's scenario, pair and initial and target state vectors."""
     cfg = dict(preset_scenarios("figure4"))[label]
-    h = hamiltonians(cfg.model, cfg.paradigm)
+    h = model_pair(cfg.model, cfg.paradigm)
     return cfg, h, [X_PRODUCT.vector_from_z(v) for v in (cfg.initial_state, cfg.target_state)]
 
 
@@ -919,7 +936,7 @@ class TestReachedColumns:
         two = integrate(h, cfg.law, *states, cfg.integrator)
         monkeypatch.setattr(dynamics, "_SECTOR_WEIGHT", -1.0)
         four = integrate(h, cfg.law, *states, cfg.integrator)
-        stats, stats4 = two.metadata.integrator_stats, four.metadata.integrator_stats
+        stats, stats4 = two.integrator_stats, four.integrator_stats
         assert (stats.amplitudes, stats4.amplitudes) == (2, 4)
         assert stats.max_sector_drift == 0.0 and stats4.max_sector_drift <= 64 * 2.0**-53
         assert np.array_equal(two.t, four.t)
@@ -1108,11 +1125,11 @@ class TestAgainstDOP853:
     @staticmethod
     def check(cfg, amplitudes, rho_tol, rho_until):
         law = cfg.law
-        h = hamiltonians(cfg.model, cfg.paradigm)
+        h = model_pair(cfg.model, cfg.paradigm)
         psi0 = X_PRODUCT.vector_from_z(cfg.initial_state)
         psi_d0 = X_PRODUCT.vector_from_z(cfg.target_state)
         traj = integrate(h, law, psi0, psi_d0, cfg.integrator)
-        assert traj.metadata.integrator_stats.amplitudes == amplitudes
+        assert traj.integrator_stats.amplitudes == amplitudes
 
         frame, y = vec_frame(h, np.stack([outer(psi0), outer(psi_d0)]))
         ref = solve_ivp(lambda t, y: vec_rhs(frame, law, t, y), (0.0, traj.t[-1]), y,
@@ -1140,22 +1157,14 @@ class TestPsiColumns:
     `concurrence`, `subspace_populations`, Tr(rho rho_d) and Tr(rho²). Both
     sides round each entry by a few u (u = 2^-53) relative to the unit
     states, and the W of both rotations is unitary to 10 u, so the columns
-    agree to 1e-14 (seen: at most 2.4e-15, p_S). V's trace form keeps an
+    agree to 1e-14 (seen: at most 1.4e-15, f). V's trace form keeps an
     absolute accuracy of about u ||rho - rho_d||_F, 6e-26 at V = 1.5e-19, and
     the perpendicular form a relative one of about u / sqrt(V), so where
-    V < 1e-9 they agree to 1e-5 relative (seen: 5.4e-7)."""
+    V < 1e-9 they agree to 1e-5 relative (seen: 6.0e-7)."""
 
     @staticmethod
-    def check(traj, h):
-        law, rho, rho_d = traj.metadata.law, traj.rho, traj.rho_d
-        slow = {
-            "V": lyapunov_value(rho, rho_d),
-            "f": commutator_field(rho, rho_d, pair_matrices(h)[1], law.kappa),
-            "concurrence": concurrence(rho, X_PRODUCT),
-            "p_S": subspace_populations(rho)[0],
-            "fidelity": np.array([np.trace(r @ r_d).real for r, r_d in zip(rho, rho_d)]),
-            "purity": np.array([np.trace(r @ r).real for r in rho]),
-        }
+    def check(traj, h, law):
+        slow = matrix_columns(traj, pair_matrices(h)[1], law.kappa)
         worst = {name: np.max(np.abs(getattr(traj, name) - col)) for name, col in slow.items()}
         assert max(worst.values()) <= 1e-14, worst
         small = slow["V"] < 1e-9
@@ -1164,20 +1173,21 @@ class TestPsiColumns:
 
     def test_presets(self, lyapunov_runs):
         # The six Lyapunov presets of figure2 and figure3 are the six of figure4.
+        configs = dict(preset_scenarios("figure2") + preset_scenarios("figure3"))
         small = 0
         for label, (traj, _) in sorted(lyapunov_runs.items()):
-            meta = traj.metadata
-            small += self.check(traj, hamiltonians(meta.params, meta.paradigm))
+            cfg = configs[label]
+            small += self.check(traj, model_pair(cfg.model, cfg.paradigm), cfg.law)
         assert small > 0  # the relative bound on V is exercised
 
     def test_four_amplitude_run(self):
         # From |0+> towards Phi+: both sectors (TestAgainstDOP853's run).
-        h = local_pair()
+        h, law = local_pair(), Lyapunov(kappa=2.0)
         psi0 = X_PRODUCT.vector_from_z(np.array([1, 1, 0, 0]) / np.sqrt(2))
         psi_d0 = bell_state(BellName.PHI_PLUS, X_PRODUCT)
-        traj = integrate(h, Lyapunov(kappa=2.0), psi0, psi_d0, IntegratorConfig(t_max=30.0))
-        assert traj.metadata.integrator_stats.amplitudes == 4
-        self.check(traj, h)
+        traj = integrate(h, law, psi0, psi_d0, IntegratorConfig(t_max=30.0))
+        assert traj.integrator_stats.amplitudes == 4
+        self.check(traj, h, law)
 
 
 class TestIntegratorStats:
@@ -1186,8 +1196,12 @@ class TestIntegratorStats:
             "accepted", "rejected", "rhs_evals", "h_min", "h_max", "h_median",
             "max_norm_drift", "max_sector_drift", "amplitudes",
         ]
-        meta = dataclasses.fields(TrajectoryMetadata)[-1]
-        assert (meta.name, meta.default) == ("integrator_stats", None)
+        # A run's record is one Trajectory: its columns, then the stall flag
+        # and these statistics, and no copy of the model, paradigm or law.
+        assert [f.name for f in dataclasses.fields(Trajectory)] == [
+            "t", "f", "V", "concurrence", "fidelity", "p_S", "purity", "stalled",
+            "integrator_stats", "form_rho", "form_rho_d",
+        ]
 
     @pytest.mark.parametrize(
         "psi0,amplitudes",
@@ -1210,7 +1224,7 @@ class TestIntegratorStats:
         # tolerance, so some attempts fail.
         cfg = IntegratorConfig(t_max=4.0, sample_every=20.0)
         traj = integrate(local_pair(), Lyapunov(kappa=2.0), psi0, psi_d0, cfg)
-        stats = traj.metadata.integrator_stats
+        stats = traj.integrator_stats
         assert stats.amplitudes == amplitudes
         assert stats.rejected > 0
         assert 0.0 < stats.h_min <= stats.h_max <= cfg.t_max
@@ -1231,7 +1245,7 @@ class TestIntegratorStats:
         psi_d0 = bell_state(BellName.PHI_PLUS, X_PRODUCT)
         cfg = IntegratorConfig(t_max=30.0)
         traj = integrate(h, Lyapunov(kappa=2.0), x_state("|++>"), psi_d0, cfg)
-        stats = traj.metadata.integrator_stats
+        stats = traj.integrator_stats
         assert len(traj) == 301
         # A step clipped to the grid exceeds sample_every only by roundoff.
         assert stats.h_max > 5 * cfg.sample_every
@@ -1252,7 +1266,7 @@ class TestIntegratorStats:
         psi_d0 = bell_state(BellName.PHI_PLUS, X_PRODUCT)
         cfg = IntegratorConfig(t_max=30.0)
         traj = integrate(h, Lyapunov(kappa=2.0), psi0, psi_d0, cfg)
-        stats = traj.metadata.integrator_stats
+        stats = traj.integrator_stats
         bound = stats.accepted * 4 * (cfg.abs_tol + cfg.rel_tol)
         assert stats.amplitudes == 4
         assert 0.0 < stats.max_sector_drift <= bound
@@ -1268,7 +1282,7 @@ class TestIntegratorStats:
         psi_d0 = bell_state(BellName.PHI_PLUS, X_PRODUCT)
         traj = integrate(local_pair(), Lyapunov(kappa=1.0), psi0, psi_d0,
                          IntegratorConfig(t_max=10.0))
-        stats = traj.metadata.integrator_stats
+        stats = traj.integrator_stats
         assert (stats.accepted, stats.rejected) == (6, 0)
         assert stats.h_min == pytest.approx(0.01, rel=1e-12)
         assert stats.h_max == pytest.approx(6.25, rel=1e-12)
@@ -1288,7 +1302,7 @@ class TestIntegratorStats:
     def test_none_on_exact_path(self):
         traj = propagate_exact(local_pair(), Geometric(t0=0.5), x_state("|++>"),
                                x_state("|-->"), IntegratorConfig(t_max=1.0))
-        assert traj.metadata.integrator_stats is None
+        assert traj.integrator_stats is None
 
 
 class TestTimeScale:
@@ -1322,10 +1336,10 @@ class TestTimeScale:
         assert np.array_equal(traj.t * c, base.t)
         for column in ("V", "f", "concurrence", "fidelity"):
             assert np.array_equal(getattr(traj, column), getattr(base, column)), column
-        stats = traj.metadata.integrator_stats
+        stats = traj.integrator_stats
         assert dataclasses.replace(
             stats, h_min=stats.h_min * c, h_max=stats.h_max * c, h_median=stats.h_median * c
-        ) == base.metadata.integrator_stats
+        ) == base.integrator_stats
 
     @pytest.mark.parametrize("label", LABELS)
     def test_other_scales_agree_to_roundoff(self, unscaled, label):
@@ -1339,7 +1353,7 @@ class TestTimeScale:
         figure2_k1 and 1.7e-16 over 275 on figure3_k1, against 1.9e-12 and
         4.9e-13."""
         base, traj = unscaled[label], self.run(label, 1e12)
-        bound = 16 * 2.0**-53 * base.metadata.integrator_stats.accepted
+        bound = 16 * 2.0**-53 * base.integrator_stats.accepted
         assert np.allclose(traj.t * 1e12, base.t, rtol=4 * 2.0**-53, atol=0.0)
         assert np.max(np.abs(traj.V - base.V)) <= bound
 
@@ -1581,7 +1595,7 @@ class TestVStopCut:
         # A look after every step stops stepping at the cut step, so its stats
         # are those of the steps up to it; they count every rhs call it made.
         stopped, times = self.stepped_to_the_cut(self.runs[name]())
-        assert stopped.metadata.integrator_stats == stats
+        assert stopped.integrator_stats == stats
         assert stats.rhs_evals == len(times)
         assert stats.accepted < whole_stats.accepted
         assert max(times) < cut.t[-1] + stats.h_max
@@ -1635,4 +1649,4 @@ class TestVStopCut:
         TestMidRunErrors.failing_after(monkeypatch, t_fail, nan_stage)
         with pytest.raises(IntegrationError, match="step size underflow") as excinfo:
             integrate(*self.runs[name]())
-        assert t_fail - clean.metadata.integrator_stats.h_max < excinfo.value.t <= t_fail
+        assert t_fail - clean.integrator_stats.h_max < excinfo.value.t <= t_fail

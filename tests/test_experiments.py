@@ -496,7 +496,7 @@ class TestRunScenarioAndOutputs:
     def test_report_integrator_stats(self, tiny_run):
         _, traj, report = tiny_run
         stats = json.loads(json.dumps(report))["integrator_stats"]
-        assert stats == dataclasses.asdict(traj.metadata.integrator_stats)
+        assert stats == dataclasses.asdict(traj.integrator_stats)
         assert list(stats) == [
             "accepted", "rejected", "rhs_evals", "h_min", "h_max", "h_median",
             "max_norm_drift", "max_sector_drift", "amplitudes",
@@ -1031,6 +1031,20 @@ class TestCli:
         assert main(["run", cfg]) in exits
         if exits == (2,):
             assert "Hamiltonian norm is not finite" in capsys.readouterr().err
+
+    def test_run_shorter_than_step_floor_exits_0(self, tmp_path):
+        # At sample_every = 0.1 the step floor is 1e-13. A closed loop over
+        # 1e-14 is one step cut to end at t_max, not an underflow, and keeps
+        # its end sample as the exact path does.
+        report_path = tmp_path / "rep.json"
+        mapping = base_mapping(**{"integrator.t_max": "1e-14",
+                                  "outputs.report_json": str(report_path)})
+        cfg = self.write_cfg(tmp_path, mapping)
+        assert main(["validate", cfg]) == 0
+        assert main(["run", cfg]) == 0
+        report = json.loads(report_path.read_text())
+        assert (report["samples"], report["t_final"]) == (2, 1e-14)
+        assert report["integrator_stats"]["accepted"] == 1
 
     @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
     def test_non_utf8_config_exit_2(self, tmp_path, capsys, command):

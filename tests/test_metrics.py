@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bellsteer.control import Lyapunov
-from bellsteer.dynamics import IntegratorConfig, Trajectory, TrajectoryMetadata
+from bellsteer.dynamics import IntegratorConfig, Trajectory
 from bellsteer.experiments import (
     STATE_LITERALS,
     ScenarioConfig,
@@ -100,12 +100,11 @@ def make_traj(t, V=None, C=None, stalled=False):
     t = np.asarray(t, dtype=float)
     n = len(t)
     zeros = np.zeros((n, 4, 4), dtype=complex)
-    meta = TrajectoryMetadata(None, None, None, stalled)
     return Trajectory(
         t, np.zeros(n),
         np.asarray(V, dtype=float) if V is not None else np.zeros(n),
         np.asarray(C, dtype=float) if C is not None else np.zeros(n),
-        np.zeros(n), np.zeros(n), np.zeros(n), meta, lambda: zeros, lambda: zeros,
+        np.zeros(n), np.zeros(n), np.zeros(n), stalled, None, lambda: zeros, lambda: zeros,
     )
 
 

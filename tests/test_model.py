@@ -1,6 +1,8 @@
 """Unit tests for model parameters, bases, Hamiltonians and their X(x)X
 parity sectors."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,6 @@ from oracles import (
     h_local,
     model_matrices,
     outer,
-    pair_matrices,
     sector_blocks,
 )
 
@@ -159,7 +160,6 @@ class TestHamiltonians:
         """
         p = ModelParams(J=J, eta=eta, k=k)
         h = hamiltonians(p, paradigm)
-        assert (h.params, h.paradigm) == (p, paradigm)
         for blocks, ref in zip((h.h0, h.h1), model_matrices(p, paradigm)):
             bound = 64 * 2.0**-53 * np.linalg.norm(blocks)
             assert blocks.shape == (2, 2, 2)
@@ -202,13 +202,16 @@ class TestHamiltonians:
         h = hamiltonians(p, Paradigm.LOCAL_CONTROL)
         assert np.allclose(embed(h.h0), from_z(X_PRODUCT, h_eff(p)))
         assert np.allclose(embed(h.h1), from_z(X_PRODUCT, h_local(p)))
-        assert h.paradigm is Paradigm.LOCAL_CONTROL
 
     def test_interaction_control_forces_symmetric_drift(self):
         p = ModelParams(J=1.0, eta=0.1, k=0.7)
         h = hamiltonians(p, Paradigm.INTERACTION_CONTROL)
         assert np.allclose(embed(h.h0), from_z(X_PRODUCT, h_local(ModelParams(1.0, 0.1, 1.0))))
         assert np.allclose(embed(h.h1), from_z(X_PRODUCT, h_eff(p)))
+
+    def test_pair_holds_its_two_blocks(self):
+        # What a pair was built from is its caller's to keep.
+        assert [f.name for f in dataclasses.fields(HamiltonianPair)] == ["h0", "h1"]
 
     def test_pair_rejects_non_hermitian(self):
         bad = np.zeros((2, 2, 2), dtype=complex)
@@ -227,12 +230,12 @@ class TestHamiltonians:
             HamiltonianPair(np.eye(4, dtype=complex), np.eye(4, dtype=complex))
 
 
-def s_block(h):
-    """The eigenvalues, eigenvectors (ZProduct columns) and control block of
-    a pair on S, from `_sector_eigh`; the control block is taken on the
-    Kronecker form of H1 (`pair_matrices`)."""
-    (lam,), (w,), _ = _sector_eigh(h)
-    h1 = pair_matrices(h)[1]
+def s_block(p, paradigm):
+    """The eigenvalues, eigenvectors (ZProduct columns) and control block on
+    S of the pair `hamiltonians(p, paradigm)`, from `_sector_eigh`; the
+    control block is taken on the Kronecker form of H1 (`model_matrices`)."""
+    (lam,), (w,), _ = _sector_eigh(hamiltonians(p, paradigm))
+    h1 = model_matrices(p, paradigm)[1]
     return lam[:2], X_PRODUCT.transform.conj().T @ w[:, :2], (w.conj().T @ h1 @ w)[:2, :2]
 
 
@@ -242,7 +245,7 @@ class TestSubspaceReduce:
 
     def test_local_pair_reduces_in_phi_frame(self):
         p = ModelParams(J=1.0, eta=0.1)
-        lam, w, h1 = s_block(hamiltonians(p, Paradigm.LOCAL_CONTROL))
+        lam, w, h1 = s_block(p, Paradigm.LOCAL_CONTROL)
         assert np.allclose(lam, [-2.0, 2.0], atol=1e-14)
         phi = [bell_state(name, Z_PRODUCT) for name in (BellName.PHI_MINUS, BellName.PHI_PLUS)]
         assert np.allclose(np.abs(np.conj(phi) @ w), np.eye(2), atol=1e-14)
@@ -250,7 +253,7 @@ class TestSubspaceReduce:
 
     def test_interaction_pair_reduces_in_x_frame(self):
         p = ModelParams(J=1.0, eta=0.1)
-        lam, w, h1 = s_block(hamiltonians(p, Paradigm.INTERACTION_CONTROL))
+        lam, w, h1 = s_block(p, Paradigm.INTERACTION_CONTROL)
         assert np.allclose(lam, [-0.2, 0.2], atol=1e-14)
         x_rows = X_PRODUCT.transform[[3, 0]]  # |-->, |++>
         assert np.allclose(np.abs(x_rows.conj() @ w), np.eye(2), atol=1e-14)
@@ -260,8 +263,7 @@ class TestSubspaceReduce:
         # The same reduction from the Kronecker forms in ZProduct coordinates,
         # on the rows Phi-, Phi+ that span S there.
         p = ModelParams(J=1.0, eta=0.1)
-        h = hamiltonians(p, Paradigm.LOCAL_CONTROL)
-        lam_x, _, h1_x = s_block(h)
+        lam_x, _, h1_x = s_block(p, Paradigm.LOCAL_CONTROL)
         q = np.conj([bell_state(name, Z_PRODUCT) for name in (BellName.PHI_MINUS,
                                                                BellName.PHI_PLUS)])
         lam_z, v = np.linalg.eigh(q @ h_eff(p) @ q.conj().T)
@@ -273,9 +275,9 @@ class TestSubspaceReduce:
         # k != 1 changes the drive, not the parity: eta J (X(x)I + k I(x)X) drives
         # S with eta J (1 + k) and the complement with eta J |1 - k|, each coupling
         # the drift's two levels.
-        h = hamiltonians(ModelParams(J=1.0, eta=0.1, k=0.5), Paradigm.LOCAL_CONTROL)
-        (lam,), (w,), _ = _sector_eigh(h)
-        h1 = np.abs(w.conj().T @ pair_matrices(h)[1] @ w)
+        p = ModelParams(J=1.0, eta=0.1, k=0.5)
+        (lam,), (w,), _ = _sector_eigh(hamiltonians(p, Paradigm.LOCAL_CONTROL))
+        h1 = np.abs(w.conj().T @ model_matrices(p, Paradigm.LOCAL_CONTROL)[1] @ w)
         assert np.allclose(lam, [-2.0, 2.0, -2.0, 2.0])
         assert np.allclose(h1, np.kron(np.diag([0.15, 0.05]), X.real))
 

@@ -19,6 +19,7 @@ SRC = Path(bellsteer.__file__).resolve().parent
 TRACING = Path(__file__).resolve().parents[1] / "bellbench" / "tracing.py"
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC_LINES = Path(__file__).resolve().parents[1] / "tools" / "src_lines.py"
+GOLDEN = Path(__file__).resolve().parents[1] / "tools" / "golden.py"
 
 
 def test_star_import_resolves_every_public_name():
@@ -26,6 +27,13 @@ def test_star_import_resolves_every_public_name():
     exec("from bellsteer import *", namespace)
     assert [name for name in bellsteer.__all__ if name not in namespace] == []
     assert all(getattr(bellsteer, name) is namespace[name] for name in bellsteer.__all__)
+
+
+def test_readme_counts_the_public_names():
+    # README, "Python API", says how many names `bellsteer.__all__` holds.
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    (count,) = re.findall(r"`bellsteer\.__all__`, which has (\d+) names", text)
+    assert int(count) == len(bellsteer.__all__)
 
 
 UNLOADED = ["scipy", "multiprocessing", "concurrent.futures.process"]
@@ -199,3 +207,31 @@ def test_src_lines_split_every_line_once():
         *kinds, total = counts[name]
         assert sum(kinds) == total == len(path.read_text(encoding="utf-8").splitlines()), name
     assert counts["total"] == [sum(counts[name][i] for name in files) for i in range(5)]
+
+
+def test_golden_compare_names_the_changed_column(tmp_path):
+    # tools/golden.py compare, the check that a refactor leaves the preset
+    # outputs byte-identical, on two small output directories: identical ones
+    # pass, and one CSV field changed in its last digit fails and is named by
+    # its column.
+    rows = ["t,V", "0.0000000000000000e+00,5.0000000000000000e-01",
+            "1.0000000000000001e-01,4.9000000000000000e-01"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d in (a, b):
+        d.mkdir()
+        (d / "run.csv").write_text("\n".join(rows) + "\n")
+        (d / "run.json").write_text('{"final_V": 0.49}\n')
+
+    def compare():
+        return subprocess.run([sys.executable, str(GOLDEN), "compare", str(a), str(b)],
+                              capture_output=True, text=True)
+
+    same = compare()
+    assert same.returncode == 0, same.stdout + same.stderr
+    assert same.stdout.startswith("2 of 2 files byte-identical")
+    rows[2] = rows[2].replace("4.9000000000000000e-01", "4.9000000000000005e-01")
+    (b / "run.csv").write_text("\n".join(rows) + "\n")
+    changed = compare()
+    assert changed.returncode == 1
+    assert "run.csv: V: max |delta| 5.551e-17, 1 of 2 fields differ" in changed.stdout
+    assert "run.csv: t:" not in changed.stdout and "run.json" not in changed.stdout

@@ -24,8 +24,9 @@ from bellsteer import (
     hamiltonians,
     integrate,
 )
-from bellsteer.experiments import run_preset
+from bellsteer.experiments import preset_scenarios, run_preset
 from bellsteer.metrics import peak_report
+from oracles import matrix_columns, model_matrices
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -38,7 +39,7 @@ def zero_plus_run(paradigm):
     psi0 = X_PRODUCT.vector_from_z(np.array([1, 1, 0, 0]) / np.sqrt(2))
     traj = integrate(h, Lyapunov(kappa=2.0), psi0, bell_state(BellName.PHI_PLUS, X_PRODUCT),
                      IntegratorConfig(t_max=50.0))
-    assert traj.metadata.integrator_stats.amplitudes == 4
+    assert traj.integrator_stats.amplitudes == 4
     return traj
 
 
@@ -49,7 +50,7 @@ def fixed_point_field():
     psi0 = X_PRODUCT.vector_from_z(np.array([1, 0, 0, 0]))
     traj = integrate(h, Lyapunov(kappa=2.0), psi0, bell_state(BellName.PHI_PLUS, X_PRODUCT),
                      IntegratorConfig(t_max=300.0))
-    assert traj.metadata.stalled
+    assert traj.stalled
     return float(np.max(np.abs(traj.f)))
 
 
@@ -83,12 +84,32 @@ def bound_fall(traj):
 
 def preset_extreme(paradigm, column, pick):
     """pick (min or max) over the figure4 runs of paradigm of column(traj)."""
-    return pick(column(traj) for traj in stepped_presets().values()
-                if traj.metadata.paradigm is paradigm)
+    configs = dict(preset_scenarios("figure4"))
+    return pick(column(traj) for label, traj in stepped_presets().items()
+                if configs[label].paradigm is paradigm)
 
 
 def norm_drift(traj):
-    return traj.metadata.integrator_stats.max_norm_drift
+    return traj.integrator_stats.max_norm_drift
+
+
+@cache
+def column_differences():
+    """README, "Column passes": over the figure4 runs, each column's largest
+    difference from its density-matrix function (`oracles.matrix_columns`,
+    `tests/test_dynamics.py::TestPsiColumns`' slow path), and the largest
+    relative difference of V from it where that V is below 1e-9."""
+    configs = dict(preset_scenarios("figure4"))
+    worst, relative = {}, 0.0
+    for label, traj in stepped_presets().items():
+        cfg = configs[label]
+        slow = matrix_columns(traj, model_matrices(cfg.model, cfg.paradigm)[1], cfg.law.kappa)
+        for name, column in slow.items():
+            worst[name] = max(worst.get(name, 0.0), np.max(np.abs(getattr(traj, name) - column)))
+        small = slow["V"] < 1e-9
+        relative = max(relative, np.max(np.abs(traj.V - slow["V"])[small] / slow["V"][small],
+                                        initial=0.0))
+    return worst, relative
 
 
 LOCAL, INTERACTION = Paradigm.LOCAL_CONTROL, Paradigm.INTERACTION_CONTROL
@@ -122,6 +143,11 @@ NUMBERS = [
                                                *stepped_presets().values()])),
     ("(measured 3.3e-16, 8.1e-14 before", "3.3e-16",
      lambda: max(bound_fall(traj) for traj in stepped_presets().values())),
+    ("traces of the matrices ψψ† and ψ_dψ_d† to 6.7e-16", "6.7e-16",
+     lambda: max(column_differences()[0][name] for name in ("fidelity", "purity"))),
+    ("`Trajectory.rho_d` to 1.4e-15 on the presets", "1.4e-15",
+     lambda: max(column_differences()[0].values())),
+    ("to 6.0e-7 relative where `V < 1e-9`", "6.0e-7", lambda: column_differences()[1]),
 ]
 
 
