@@ -83,6 +83,14 @@ def control_field(
     h1_psi = np.empty(psi.shape, complex)
     for s, rows in enumerate(SECTORS):
         h1_psi[..., rows] = psi[..., rows] @ h1[s].T
-    overlap = (psi_d.conj() * psi).sum(axis=-1)
-    f = 2 * kappa * ((psi_d.conj() * h1_psi).sum(axis=-1) * overlap.conj()).imag
+    bra = psi_d.conj()
+    overlap = row_sum(bra * psi)
+    f = 2 * kappa * (row_sum(bra * h1_psi) * overlap.conj()).imag
     return f if f.ndim else float(f)
+
+
+def row_sum(a: np.ndarray) -> np.ndarray:
+    """The sum of each row of an (..., 4) complex array as numpy's sum over
+    the last axis takes it, 0 + ((a0 + a1) + (a2 + a3)), in column additions:
+    the 0 turns a sum of -0 parts into +0."""
+    return 0j + ((a[..., 0] + a[..., 1]) + (a[..., 2] + a[..., 3]))

@@ -32,6 +32,7 @@ open-loop propagation"; and README, "Column passes".
 from __future__ import annotations
 
 import math
+import struct
 from bisect import bisect_right
 from cmath import exp
 from collections.abc import Callable
@@ -42,7 +43,8 @@ from statistics import median
 
 import numpy as np
 
-from .control import ControlLaw, Geometric, Lyapunov, control_field, lyapunov_value
+from .control import (
+    ControlLaw, Geometric, Lyapunov, control_field, lyapunov_value, row_sum)
 from .model import SECTORS, X_PRODUCT, HamiltonianPair, subspace_populations
 from . import metrics
 
@@ -104,6 +106,9 @@ _DENSE_COLUMNS = np.array(_DENSE)[:, 1:].T[:, :, None]  # those of theta², thet
 # below glibc's 128 KiB mmap threshold and reuse heap memory (in one pass the figure4
 # runs took about 430 fresh-page faults each).
 _DENSE_FLOATS = 14336
+# A step-table row's span (t, h, n), and a Bloch row (y, k1, k3-k7), packed as float64s.
+_SPAN = struct.Struct("3d")
+_BLOCH_ROW = struct.Struct("21d")
 
 
 class IntegrationError(RuntimeError):
@@ -469,11 +474,14 @@ def integrate(
 
     lam, w = free[0][cols], free[1][:, cols]
     # Phases relative to the first stepped column's lam, a global phase psi psi† drops:
-    # its row and column of rho then carry the phases `_evolve` gives the target.
-    phases = np.exp(np.multiply.outer(t, -1j * (lam - lam[0])))
+    # its row and column of rho then carry the phases `_evolve` gives the target. A
+    # column of lam_0 keeps the factor 1 that exp gives it.
+    phases = np.ones((len(t), len(lam)), complex)
+    turn = lam != lam[0]
+    phases[:, turn] = np.exp(np.multiply.outer(t, -1j * (lam[turn] - lam[0])))
     psi, psi_d = (samples * phases) @ w.T, (target.conj() * phases) @ w.T
-    c = np.abs(((psi @ metrics.spin_flip(X_PRODUCT)) * psi).sum(axis=1))
-    overlap = (psi_d.conj() * psi).sum(axis=1)
+    c = np.abs(row_sum((psi @ metrics.spin_flip(X_PRODUCT)) * psi))
+    overlap = row_sum(psi_d.conj() * psi)
     fid = overlap.real**2 + overlap.imag**2
     f = control_field(psi, psi_d, h.h1, law.kappa)
     p_s = _sq_norm(samples[:, cols < 2])
@@ -505,8 +513,14 @@ def _lyapunov(samples: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def _sq_norm(rows: np.ndarray) -> np.ndarray:
-    """The squared norm of each row of a complex array, or of a complex vector."""
-    return (rows.real * rows.real + rows.imag * rows.imag).sum(axis=-1)
+    """The squared norm of each row of a complex array, or of a complex vector,
+    summed left to right over its columns, as numpy's sum over the last axis
+    adds up to 7 floats."""
+    sq = rows.real * rows.real + rows.imag * rows.imag
+    norm = np.zeros(sq.shape[:-1])
+    for j in range(sq.shape[-1]):
+        norm += sq[..., j]
+    return norm
 
 
 def _dp5(
@@ -537,8 +551,9 @@ def _dp5(
     one that ends within 1e-10 t_max of it ends there.
 
     An accepted step that passes sample times appends a row to the step
-    table: (t, h, the index in grid past its last sample) to spans, and
-    (y, k1, k3-k7) to table. `_dense_samples` reads the samples off it, and
+    table: (t, h, the index in grid past its last sample) to spans, packed
+    as float64s, and (y, k1, k3-k7) to table, packed on the Bloch vector and
+    listed on psi~. `_dense_samples` reads the samples off it, and
     `_from_bloch` turns a Bloch sample back into psi~. With v_stop set, the
     rows stored since the last look are sampled every _V_STOP_BATCH
     accepted steps, and once more when stepping ends or fails. At the first
@@ -569,12 +584,14 @@ def _dp5(
         norm0 = my0 * my0 + my1 * my1 + my2 * my2 + my3 * my3
         sector0 = my0 * my0 + my1 * my1  # the S sector's squared norm
     times = grid.tolist() + [math.inf]  # the sentinel ends every sample search
-    # The step table, end to end: each row's (t, h, n) in spans, (y, k1, k3-k7) in
-    # table. Apart, the two convert to numpy in about half the time of one mixed list.
-    # A step that aborts may store its table row and no spans row: looks read spans' rows.
-    spans, table = [], []
-    stride = 7 * len(y)
-    n = 1  # the index in times of the next sample
+    # The step table, end to end; stride is a row's length in table. spans packs each row's
+    # (t, h, n) as float64s, and so does table a Bloch row's 21 floats, which numpy reads
+    # with `np.frombuffer`; psi~'s rows stay a list, as packing their 56 parts measured
+    # slower. A step that aborts may store its table row and no spans row: looks read
+    # spans' rows.
+    spans, pack_span, pack_row = bytearray(), _SPAN.pack, _BLOCH_ROW.pack
+    table, stride = (bytearray(), _BLOCH_ROW.size) if bloch else ([], 28)
+    n = first = 1  # the index in times of the next sample, and of the next look's first
     steps = []  # accepted step sizes
     rejected = 0
     max_drift = max_sector = sector = 0.0
@@ -587,19 +604,21 @@ def _dp5(
         """Sample the rows stored since the last look. Under v_stop, the
         index of the row that passed the first sample below it, where the
         samples then end, or None."""
-        nonlocal seen
-        start, first, seen = seen, spans[3 * seen - 1] if seen else 1, len(spans) // 3
+        nonlocal seen, first
+        start, seen = seen, len(spans) // _SPAN.size
         if seen == start:
             return None
-        block = _dense_samples(
-            spans[3 * start:], table[stride * start:stride * seen], grid, first, norm0)
+        # Slices copy: a numpy view would pin the size of the bytearray.
+        span = np.frombuffer(spans[_SPAN.size * start:_SPAN.size * seen]).reshape(-1, 3)
+        block = _dense_samples(span, table[stride * start:stride * seen], grid, first, norm0)
         if bloch:
             block = _from_bloch(block)
         below = () if v_stop is None else np.flatnonzero(
             _lyapunov(block, target) < v_stop)
         blocks.append(block[: below[0] + 1] if len(below) else block)
         if len(below):
-            return start + bisect_right(spans[3 * start + 2:: 3], first + below[0])
+            return start + int(np.searchsorted(span[:, 2], first + below[0], "right"))
+        first = int(span[-1, 2])
         return None
 
     t = 0.0
@@ -664,8 +683,8 @@ def _dp5(
                 if err <= 1.0:
                     norm = math.sqrt(qt + z2 * z2)
                     if passes:
-                        table.extend((y0, y1, y2, ka0, ka1, ka2, kc0, kc1, kc2, kd0, kd1, kd2,
-                                      ke0, ke1, ke2, kf0, kf1, kf2, kg0, kg1, kg2))
+                        table += pack_row(y0, y1, y2, ka0, ka1, ka2, kc0, kc1, kc2, kd0, kd1,
+                                          kd2, ke0, ke1, ke2, kf0, kf1, kf2, kg0, kg1, kg2)
                     c = norm0 / norm
                     y0, y1, y2 = c * z0, c * z1, c * z2
                     pt, pz = c * c * qt, c * qz
@@ -747,7 +766,7 @@ def _dp5(
                 max_sector = sector
             if passes:
                 n = bisect_right(times, t_new, n)
-                spans.extend((t, hs, n))
+                spans += pack_span(t, hs, n)
                 if v_stop is not None:
                     marks.append((len(steps) + 1, rejected, max_drift, max_sector))
             t = t_new
@@ -773,29 +792,30 @@ def _dp5(
 
 
 def _dense_samples(
-    spans: list, table: list, grid: np.ndarray, first: int, norm0: float
+    span: np.ndarray, table: bytearray | list, grid: np.ndarray, first: int, norm0: float
 ) -> np.ndarray:
     """The samples of the stepped state at grid[first:end] that the rows of
     a `_dp5` step table pass, scaled to the squared norm norm0 of psi~, one
-    row per sample: real rows of the Bloch vector r~ when the table holds 3
-    floats an entry, complex rows of psi~ when it holds complex numbers.
-    spans holds each row's (t, h, n) and table its (y, k1, k3-k7), end to
-    end; a row covers the samples from the previous row's n (first, for the
-    first row) to its own, and end is the last row's n.
+    row per sample: real rows of the Bloch vector r~ when table packs 21
+    float64s a row, complex rows of psi~ when it lists 28 complex numbers.
+    span holds each row's (t, h, n), an (m, 3) array, and table its
+    (y, k1, k3-k7), end to end; a row covers the samples from the previous
+    row's n (first, for the first row) to its own, and end is the last
+    row's n.
 
     The sample at theta = (s - t)/h is y + sum_i x_i k_i (`_DENSE`), scaled
     as `_dp5` projects, bit for bit that formula in scalar Python arithmetic
     (`tests/oracles.py`) but for the sign of a zero part, in blocks of
     _DENSE_FLOATS step-table floats (README, "The step table").
     """
-    span = np.fromiter(spans, float, len(spans)).reshape(-1, 3)
     ends = span[:, 2].astype(np.intp)
     which = np.repeat(np.arange(len(span)), np.diff(ends, prepend=first))  # row of each sample
-    stride = len(table) // len(span)
-    width, real = stride // 7, stride == 21
-    parts = 1 if real else 2
-    dtype = float if real else complex
-    out = np.empty((len(which), width), dtype=dtype)
+    real = isinstance(table, bytearray)
+    width, parts = (3, 1) if real else (4, 2)
+    stride = 7 * width
+    if real:
+        entries = np.frombuffer(table).reshape(-1, 7, width)
+    out = np.empty((len(which), width), dtype=float if real else complex)
     d2, d3, d4 = _DENSE_COLUMNS
     size = _DENSE_FLOATS // (parts * stride)
     for a in range(0, len(which), size):
@@ -807,8 +827,11 @@ def _dense_samples(
         ht = h * th
         x = ht * th * poly  # the weights of k1 and k3-k7
         x[0] = ht * (1.0 + th * poly[0])
-        k = np.fromiter(table[stride * lo:stride * hi], dtype, stride * (hi - lo))
-        k = k.reshape(hi - lo, 7, width)[rows - lo]
+        if real:
+            k = entries[rows]
+        else:
+            k = np.fromiter(table[stride * lo:stride * hi], complex, stride * (hi - lo))
+            k = k.reshape(hi - lo, 7, width)[rows - lo]
         # (entry, part, component, sample): the state, then k1 and k3-k7; a real
         # entry has one part, a complex one its real and imaginary parts.
         k = np.ascontiguousarray(

@@ -261,21 +261,24 @@ def csv_text_reference(traj: Trajectory) -> str:
 
 
 def dense_samples_reference(
-    spans: list, table: list, grid: np.ndarray, norm0: float
+    span: np.ndarray, table: bytearray | list, grid: np.ndarray, norm0: float
 ) -> list[tuple]:
     """The samples of the stepped state that a `dynamics._dp5` step table
     passes, from grid[1] on, one at a time, in scalar Python arithmetic:
-    spans holds each row's (t, h, n), table its (y, k1, k3-k7), laid end to
-    end, with y the 3 floats of a Bloch vector or 2 or 4 complex
-    amplitudes, and a row covers the samples from the previous row's n (1
-    for the first) up to its own. Within a step of size h from t the sample
+    span holds each row's (t, h, n), one row each, and table its
+    (y, k1, k3-k7), laid end to end, with y the 3 floats of a Bloch vector,
+    packed as float64s, or 2 or 4 complex amplitudes, listed, and a row
+    covers the samples from the previous row's n (1 for the first) up to
+    its own. Within a step of size h from t the sample
     at time s, at theta = (s - t)/h, is the step's continuous extension
     y + x_1 k1 + x_3 k3 + ... + x_7 k7, summed left to right with the
     weights of `dynamics._DENSE` (x_1 = h theta (1 + theta p_1(theta)),
     x_i = h theta² p_i(theta) for the others), scaled by sqrt(norm0/N) for
     its squared norm N = |o_0|² + |o_1|² + ... or, for a Bloch vector, by
     norm0/sqrt(o_0² + o_1² + o_2²)."""
-    times = grid.tolist()
+    times, spans = grid.tolist(), span.ravel().tolist()
+    if isinstance(table, bytearray):
+        table = np.frombuffer(table).tolist()
     rows = len(spans) // 3
     width = len(table) // rows // 7
     out, n = [], 1

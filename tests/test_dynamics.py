@@ -1189,6 +1189,17 @@ class TestPsiColumns:
         assert traj.integrator_stats.amplitudes == 4
         self.check(traj, h, law)
 
+    def test_squared_norms_are_numpys_sum_bit_for_bit(self):
+        # `_sq_norm` adds its columns one by one, which is numpy's sum over the
+        # last axis to the bit for the 0 to 4 columns a run's rows have (p_S of a
+        # run in S⊥ takes none), and for a vector.
+        rng = np.random.default_rng(41)
+        rows = rng.standard_normal((300, 4)) + 1j * rng.standard_normal((300, 4))
+        rows *= 10.0 ** rng.integers(-8, 8, (300, 4))
+        for a in (*(rows[:, :k] for k in range(5)), rows[0]):
+            expected = (a.real * a.real + a.imag * a.imag).sum(axis=-1)
+            assert dynamics._sq_norm(a).tobytes() == expected.tobytes()
+
 
 class TestIntegratorStats:
     def test_field_names(self):
@@ -1536,22 +1547,22 @@ class TestDenseSamples:
     ], ids=["local_k0.5", "interaction_k2", "four_amplitudes"])
     def test_matches_the_scalar_formula(self, run):
         traj, (samples, stats, _), calls = traced_integrate(*run)
-        (spans, table, grid, first, norm0), = calls  # no v_stop: one pass after stepping
+        (span, table, grid, first, norm0), = calls  # no v_stop: one pass after stepping
         assert first == 1 and len(samples) == len(traj) == len(grid)
         assert len(samples[0]) == stats.amplitudes
-        dense = dynamics._dense_samples(spans, table, grid, first, norm0)
-        expected = np.array(dense_samples_reference(spans, table, grid, norm0))
+        dense = dynamics._dense_samples(span, table, grid, first, norm0)
+        expected = np.array(dense_samples_reference(span, table, grid, norm0))
         assert expected.tobytes() == dense.tobytes()
         if stats.amplitudes == 2:
             assert dense.dtype == float and dense.shape[1] == 3
             dense = dynamics._from_bloch(dense)
         assert dense.tobytes() == samples[1:].tobytes()
-        assert np.diff([1] + spans[2::3]).min() >= 1  # every stored step passes a sample
+        assert np.diff(span[:, 2], prepend=1).min() >= 1  # every stored step passes a sample
 
     def test_long_steps_pass_many_samples(self):
-        _, (_, stats, _), ((spans, *_),) = traced_integrate(*preset_run("figure4_interaction_k2"))
-        assert np.diff([1] + spans[2::3]).max() > 10
-        assert len(spans) // 3 < stats.accepted
+        _, (_, stats, _), ((span, *_),) = traced_integrate(*preset_run("figure4_interaction_k2"))
+        assert np.diff(span[:, 2], prepend=1).max() > 10
+        assert len(span) < stats.accepted
 
 
 class TestVStopCut:

@@ -20,6 +20,7 @@ TRACING = Path(__file__).resolve().parents[1] / "bellbench" / "tracing.py"
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC_LINES = Path(__file__).resolve().parents[1] / "tools" / "src_lines.py"
 GOLDEN = Path(__file__).resolve().parents[1] / "tools" / "golden.py"
+PHASE_TIMES = Path(__file__).resolve().parents[1] / "tools" / "phase_times.py"
 
 
 def test_star_import_resolves_every_public_name():
@@ -235,3 +236,20 @@ def test_golden_compare_names_the_changed_column(tmp_path):
     assert changed.returncode == 1
     assert "run.csv: V: max |delta| 5.551e-17, 1 of 2 fields differ" in changed.stdout
     assert "run.csv: t:" not in changed.stdout and "run.json" not in changed.stdout
+
+
+def test_phase_times_prints_every_run_of_a_preset():
+    # tools/phase_times.py, the per-phase CPU times of a preset: one row per
+    # run of figure1 and a pass row, each with the six phases and their
+    # total; figure1's runs are exact, so they take no sampling time.
+    out = subprocess.run([sys.executable, str(PHASE_TIMES), "figure1", "--repeats", "1"],
+                         capture_output=True, text=True, check=True).stdout
+    lines = out.splitlines()
+    header = lines.index("least CPU ms of 1 passes") + 1
+    assert lines[header].split() == ["run", "stepping", "sampling", "columns", "report", "csv",
+                                     "json", "total"]
+    rows = {name: [float(x) for x in cells] for name, *cells in map(str.split, lines[header + 1:])}
+    assert list(rows) == ["figure1_B0.1", "figure1_B0.2", "figure1_B0.4", "pass"]
+    for name, (*phases, total) in rows.items():
+        assert all(x >= 0 for x in phases) and total == pytest.approx(sum(phases), abs=0.05)
+        assert phases[1] == 0.0 and phases[2] > 0 and phases[4] > 0, name
